@@ -1,106 +1,31 @@
-//! Microbenchmarks for the simulation-kernel fast paths, each measured
-//! against an inline reimplementation of the seed code it replaced:
+//! Microbenchmarks for the simulation-kernel fast paths, on the current
+//! engines:
 //!
-//! - event-queue cancellation: tombstoning handles vs. the old
-//!   drain-and-rebuild `cancel_where` (10k-event workload);
-//! - coherence line lookup: the unified line-state table vs. the old four
-//!   parallel per-line maps (100k-access workload);
+//! - event queue: point cancellation through tombstoned handles and plain
+//!   schedule/pop churn (10k-event workloads);
+//! - coherence: the protocol engine under a shared read/write mix;
 //! - sweep dispatch: `parallel_map` fan-out over a simulator-shaped
 //!   workload on the bounded worker pool;
-//! - interpreter core: page-backed memory + clone-free dispatch vs. a
-//!   mini seed-layout interpreter (per-word `BTreeMap` memory, linear
-//!   allocation bookkeeping, instruction clone per step) on three
-//!   workloads — load/store-heavy loop, alloc/free churn, call-heavy fib.
+//! - interpreter core: load/store-heavy loop, alloc/free churn and
+//!   call-heavy fib on the page-backed interpreter;
+//! - telemetry: the executor with the plane off, at counters and at full
+//!   spans, plus streaming-sink ingest (sketch and windowed roll-ups);
+//! - OS models: the §III primitive suite on each point of the OS axis.
 //!
-//! The baselines live here (not in the library) so the comparison stays
-//! runnable after the seed implementations are gone.
+//! The before/after ratios against the seed implementations these paths
+//! replaced are recorded in EXPERIMENTS.md, with the commit they were
+//! measured on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use interweave_core::{Cycles, EventHandle, EventQueue, SplitMix64};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap};
 
 // ---------------------------------------------------------------------------
-// Baseline 1: the seed event queue — cancel_where drains and rebuilds.
+// Event queue.
 
-struct SeedScheduled {
-    at: Cycles,
-    seq: u64,
-    payload: u64,
-}
-
-impl PartialEq for SeedScheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for SeedScheduled {}
-impl Ord for SeedScheduled {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for SeedScheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Default)]
-struct SeedQueue {
-    heap: BinaryHeap<SeedScheduled>,
-    next_seq: u64,
-}
-
-impl SeedQueue {
-    fn schedule(&mut self, at: Cycles, payload: u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(SeedScheduled { at, seq, payload });
-    }
-
-    /// The seed's cancellation: drain the whole heap and rebuild it.
-    fn cancel_where(&mut self, mut pred: impl FnMut(&u64) -> bool) -> usize {
-        let before = self.heap.len();
-        let kept: Vec<SeedScheduled> = self.heap.drain().filter(|s| !pred(&s.payload)).collect();
-        self.heap = kept.into();
-        before - self.heap.len()
-    }
-
-    fn pop(&mut self) -> Option<(Cycles, u64)> {
-        self.heap.pop().map(|s| (s.at, s.payload))
-    }
-}
-
-/// The cancellation workload from the acceptance criteria: 10k pending
-/// events, of which every tenth is retracted *individually* — the
-/// executor's pattern (a timer is cancelled when its task unblocks early,
-/// one at a time, identified by which event it is). The seed's only
-/// cancellation mechanism was `cancel_where`, so each point-cancel paid a
-/// full drain-and-rebuild of the heap.
+/// 10k pending events, of which every tenth is retracted *individually* —
+/// the executor's pattern (a timer is cancelled when its task unblocks
+/// early, one at a time, identified by which event it is).
 const QUEUE_EVENTS: u64 = 10_000;
-
-fn queue_cancel_seed(c: &mut Criterion) {
-    c.bench_function("queue_cancel/seed_drain_rebuild_10k", |b| {
-        b.iter(|| {
-            let mut q = SeedQueue::default();
-            for i in 0..QUEUE_EVENTS {
-                q.schedule(Cycles(1 + i % 977), i);
-            }
-            for doomed in (0..QUEUE_EVENTS).step_by(10) {
-                black_box(q.cancel_where(|p| *p == doomed));
-            }
-            let mut sum = 0u64;
-            while let Some((_, p)) = q.pop() {
-                sum = sum.wrapping_add(p);
-            }
-            black_box(sum)
-        })
-    });
-}
 
 fn queue_cancel_tombstone(c: &mut Criterion) {
     c.bench_function("queue_cancel/tombstone_handles_10k", |b| {
@@ -110,7 +35,6 @@ fn queue_cancel_tombstone(c: &mut Criterion) {
             for i in 0..QUEUE_EVENTS {
                 handles.push(q.schedule_cancellable(Cycles(1 + i % 977), i));
             }
-            // Same doomed set, cancelled in O(1) per event via handles.
             for doomed in (0..QUEUE_EVENTS).step_by(10) {
                 black_box(q.cancel(handles[doomed as usize]));
             }
@@ -147,198 +71,11 @@ fn queue_schedule_pop(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline 2: the seed's four parallel per-line maps vs. the unified table.
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    Uncached,
-    Exclusive(usize),
-    Sharers(u64),
-}
-
-#[derive(Clone, Copy)]
-enum Class {
-    Private(usize),
-    ReadOnly,
-    Shared,
-}
-
-/// The seed layout: one map per concern, so each access pays four lookups
-/// (class, directory, L3, version) plus up to four write-backs.
-#[derive(Default)]
-struct FourMaps {
-    dir: HashMap<u64, Dir>,
-    l3: HashMap<u64, u64>,
-    latest: HashMap<u64, u64>,
-    class: HashMap<u64, Class>,
-}
-
-impl FourMaps {
-    fn access(&mut self, line: u64, write: bool) -> u64 {
-        let class = self.class.get(&line).copied().unwrap_or(Class::Shared);
-        let d = self.dir.get(&line).copied().unwrap_or(Dir::Uncached);
-        let v = self.latest.get(&line).copied().unwrap_or(0);
-        let l3v = self.l3.get(&line).copied();
-        let mut score = v ^ l3v.unwrap_or(0);
-        match class {
-            Class::Private(c) => score ^= c as u64,
-            Class::ReadOnly => {}
-            Class::Shared => {
-                score ^= match d {
-                    Dir::Uncached => 0,
-                    Dir::Exclusive(c) => 1 + c as u64,
-                    Dir::Sharers(m) => m,
-                };
-            }
-        }
-        if write {
-            self.latest.insert(line, v + 1);
-            self.dir.insert(line, Dir::Exclusive((line % 24) as usize));
-            self.l3.insert(line, v + 1);
-        } else {
-            self.dir.insert(
-                line,
-                Dir::Sharers(match d {
-                    Dir::Sharers(m) => m | (1 << (line % 24)),
-                    _ => 1 << (line % 24),
-                }),
-            );
-        }
-        score
-    }
-}
-
-/// The unified layout: one record per line, one lookup and one write-back
-/// per access.
-#[derive(Clone, Copy)]
-struct LineState {
-    dir: Dir,
-    l3: Option<u64>,
-    latest: u64,
-    class: Option<Class>,
-}
-
-impl Default for LineState {
-    fn default() -> LineState {
-        LineState {
-            dir: Dir::Uncached,
-            l3: None,
-            latest: 0,
-            class: None,
-        }
-    }
-}
-
-#[derive(Default)]
-struct UnifiedTable {
-    lines: HashMap<u64, LineState>,
-}
-
-impl UnifiedTable {
-    fn access(&mut self, line: u64, write: bool) -> u64 {
-        let mut st = self.lines.get(&line).copied().unwrap_or_default();
-        let mut score = st.latest ^ st.l3.unwrap_or(0);
-        match st.class.unwrap_or(Class::Shared) {
-            Class::Private(c) => score ^= c as u64,
-            Class::ReadOnly => {}
-            Class::Shared => {
-                score ^= match st.dir {
-                    Dir::Uncached => 0,
-                    Dir::Exclusive(c) => 1 + c as u64,
-                    Dir::Sharers(m) => m,
-                };
-            }
-        }
-        if write {
-            st.latest += 1;
-            st.dir = Dir::Exclusive((line % 24) as usize);
-            st.l3 = Some(st.latest);
-        } else {
-            st.dir = Dir::Sharers(match st.dir {
-                Dir::Sharers(m) => m | (1 << (line % 24)),
-                _ => 1 << (line % 24),
-            });
-        }
-        self.lines.insert(line, st);
-        score
-    }
-}
-
-/// 100k accesses over a fig7-sized footprint (~32k lines), 30% writes.
-/// The access trace is generated once so the measured loop is table work
-/// only; per-iteration tables start from a cloned pre-classified template,
-/// as a real run starts from a classified layout.
-const LINE_ACCESSES: u64 = 100_000;
-const LINE_FOOTPRINT: u64 = 32 * 1024;
-
-fn line_trace() -> Vec<(u64, bool)> {
-    let mut rng = SplitMix64::new(7);
-    (0..LINE_ACCESSES)
-        .map(|_| (rng.below(LINE_FOOTPRINT), rng.chance(0.3)))
-        .collect()
-}
-
-fn line_class(line: u64) -> Option<Class> {
-    match line % 4 {
-        0 => Some(Class::ReadOnly),
-        1 => Some(Class::Private((line % 24) as usize)),
-        _ => None,
-    }
-}
-
-fn line_table_seed(c: &mut Criterion) {
-    let trace = line_trace();
-    let mut template = FourMaps::default();
-    for line in 0..LINE_FOOTPRINT {
-        if let Some(cl) = line_class(line) {
-            template.class.insert(line, cl);
-        }
-    }
-    c.bench_function("line_table/seed_four_maps_100k", |b| {
-        b.iter(|| {
-            let mut t = FourMaps {
-                dir: HashMap::new(),
-                l3: HashMap::new(),
-                latest: HashMap::new(),
-                class: template.class.clone(),
-            };
-            let mut acc = 0u64;
-            for &(line, write) in &trace {
-                acc = acc.wrapping_add(t.access(line, write));
-            }
-            black_box(acc)
-        })
-    });
-}
-
-fn line_table_unified(c: &mut Criterion) {
-    let trace = line_trace();
-    let mut template = UnifiedTable::default();
-    template.lines.reserve(LINE_FOOTPRINT as usize);
-    for line in 0..LINE_FOOTPRINT {
-        if let Some(cl) = line_class(line) {
-            template.lines.entry(line).or_default().class = Some(cl);
-        }
-    }
-    c.bench_function("line_table/unified_state_100k", |b| {
-        b.iter(|| {
-            let mut t = UnifiedTable {
-                lines: template.lines.clone(),
-            };
-            t.lines.reserve(LINE_FOOTPRINT as usize);
-            let mut acc = 0u64;
-            for &(line, write) in &trace {
-                acc = acc.wrapping_add(t.access(line, write));
-            }
-            black_box(acc)
-        })
-    });
-}
+// Coherence protocol.
 
 fn coherence_end_to_end(c: &mut Criterion) {
     use interweave_coherence::protocol::{CohMode, System, SystemConfig};
-    // The real protocol engine (now on the unified table) under a shared
-    // read/write mix — tracks the end-to-end effect of the refactor.
+    // The protocol engine under a shared read/write mix.
     c.bench_function("line_table/protocol_shared_mix", |b| {
         b.iter(|| {
             let mut s = System::new(SystemConfig::test(8, CohMode::Full));
@@ -383,455 +120,13 @@ fn sweep_dispatch(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline 3: the seed interpreter core, reproduced verbatim — per-word
-// `BTreeMap` memory (two tree lookups per access, range-scan `containing`,
-// key-collection `free`) and clone-per-step dispatch. It executes the *same*
-// `Module`s as the current interpreter, with the same dyn-dispatched hook
-// calls and cycle accounting, so the measured delta is exactly the
-// page-backed storage, the allocation cache, and the clone-free step.
-
-mod seed_interp {
-    use interweave_ir::interp::{AllocId, Allocation, InterpConfig, Trap};
-    use interweave_ir::types::{BlockId, FuncId, Reg, Val};
-    use interweave_ir::{BinOp, CmpOp, Inst, Intrinsic, Module, Term};
-    use std::collections::BTreeMap;
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    struct MemCell {
-        val: Val,
-        prov: Option<AllocId>,
-    }
-
-    /// The seed `Memory`: one `BTreeMap` entry per stored word.
-    #[derive(Debug, Clone)]
-    pub struct Memory {
-        words: BTreeMap<u64, MemCell>,
-        allocs: BTreeMap<u64, Allocation>,
-        free: BTreeMap<u64, u64>,
-        bump: u64,
-        limit: u64,
-        next_id: u64,
-        pub live_bytes: u64,
-    }
-
-    impl Memory {
-        pub fn new(cfg: &InterpConfig) -> Memory {
-            Memory {
-                words: BTreeMap::new(),
-                allocs: BTreeMap::new(),
-                free: BTreeMap::new(),
-                bump: cfg.heap_base,
-                limit: cfg.heap_base + cfg.heap_size,
-                next_id: 1,
-                live_bytes: 0,
-            }
-        }
-
-        pub fn alloc(&mut self, size: u64) -> Result<Allocation, Trap> {
-            let size = size.max(8).div_ceil(8) * 8;
-            let slot = self
-                .free
-                .iter()
-                .find(|(_, &sz)| sz >= size)
-                .map(|(&b, &sz)| (b, sz));
-            let base = if let Some((b, sz)) = slot {
-                self.free.remove(&b);
-                if sz > size {
-                    self.free.insert(b + size, sz - size);
-                }
-                b
-            } else {
-                let b = self.bump;
-                if b + size > self.limit {
-                    return Err(Trap::OutOfMemory);
-                }
-                self.bump += size;
-                b
-            };
-            let a = Allocation {
-                id: AllocId(self.next_id),
-                base,
-                size,
-            };
-            self.next_id += 1;
-            self.allocs.insert(base, a);
-            self.live_bytes += size;
-            Ok(a)
-        }
-
-        pub fn free(&mut self, addr: u64) -> Result<Allocation, Trap> {
-            let a = self.allocs.remove(&addr).ok_or(Trap::BadFree { addr })?;
-            // The seed's O(live words) key collection before removal.
-            let keys: Vec<u64> = self
-                .words
-                .range(a.base..a.base + a.size)
-                .map(|(&k, _)| k)
-                .collect();
-            for k in keys {
-                self.words.remove(&k);
-            }
-            self.free.insert(a.base, a.size);
-            self.coalesce_around(a.base);
-            self.live_bytes -= a.size;
-            Ok(a)
-        }
-
-        fn coalesce_around(&mut self, base: u64) {
-            if let Some(&size) = self.free.get(&base) {
-                if let Some((&nb, &nsz)) = self.free.range(base + size..).next() {
-                    if nb == base + size {
-                        self.free.remove(&nb);
-                        *self.free.get_mut(&base).expect("present") = size + nsz;
-                    }
-                }
-            }
-            if let Some((&pb, &psz)) = self.free.range(..base).next_back() {
-                if pb + psz == base {
-                    let size = self.free.remove(&base).expect("present");
-                    *self.free.get_mut(&pb).expect("present") = psz + size;
-                }
-            }
-        }
-
-        pub fn containing(&self, addr: u64) -> Option<Allocation> {
-            self.allocs
-                .range(..=addr)
-                .next_back()
-                .map(|(_, &a)| a)
-                .filter(|a| addr < a.base + a.size)
-        }
-
-        pub fn load(&self, addr: u64) -> Result<(Val, Option<AllocId>), Trap> {
-            if self.containing(addr).is_none() {
-                return Err(Trap::BadAccess { addr, write: false });
-            }
-            Ok(self
-                .words
-                .get(&addr)
-                .map(|c| (c.val, c.prov))
-                .unwrap_or((Val::I(0), None)))
-        }
-
-        pub fn store(&mut self, addr: u64, val: Val, prov: Option<AllocId>) -> Result<(), Trap> {
-            if self.containing(addr).is_none() {
-                return Err(Trap::BadAccess { addr, write: true });
-            }
-            self.words.insert(addr, MemCell { val, prov });
-            Ok(())
-        }
-    }
-
-    /// The seed hook surface (same dyn-dispatch shape as the real
-    /// `RuntimeHooks`, so the baseline pays identical virtual-call costs).
-    pub trait SeedHooks {
-        fn check_access(&mut self, _addr: u64, _write: bool, _now: u64) -> Result<u64, Trap> {
-            Ok(0)
-        }
-        fn on_alloc(&mut self, _a: Allocation) {}
-        fn on_free(&mut self, _a: Allocation) {}
-        fn intrinsic(&mut self, _which: Intrinsic, _args: &[Val], _now: u64) -> (Option<Val>, u64) {
-            (Some(Val::I(0)), 0)
-        }
-    }
-
-    /// No-op hooks, like `NullHooks`.
-    pub struct SeedNullHooks;
-    impl SeedHooks for SeedNullHooks {}
-
-    #[derive(Debug, Clone)]
-    struct Frame {
-        func: FuncId,
-        block: BlockId,
-        ip: usize,
-        regs: Vec<Val>,
-        prov: Vec<Option<AllocId>>,
-        ret_to: Option<Reg>,
-    }
-
-    enum StepOut {
-        Continue,
-        Trap(Trap),
-    }
-
-    /// The seed interpreter: clone-per-step dispatch over the same modules.
-    pub struct Interp {
-        cfg: InterpConfig,
-        pub mem: Memory,
-        frames: Vec<Frame>,
-        pub cycles: u64,
-        pub insts: u64,
-        done_value: Option<Val>,
-    }
-
-    impl Interp {
-        pub fn new(cfg: InterpConfig) -> Interp {
-            let mem = Memory::new(&cfg);
-            Interp {
-                cfg,
-                mem,
-                frames: Vec::new(),
-                cycles: 0,
-                insts: 0,
-                done_value: None,
-            }
-        }
-
-        pub fn start(&mut self, module: &Module, f: FuncId, args: &[Val]) {
-            let func = module.func(f);
-            let mut regs = vec![Val::I(0); func.n_regs];
-            let prov = vec![None; func.n_regs];
-            regs[..args.len()].copy_from_slice(args);
-            self.frames = vec![Frame {
-                func: f,
-                block: BlockId(0),
-                ip: 0,
-                regs,
-                prov,
-                ret_to: None,
-            }];
-            self.done_value = None;
-        }
-
-        pub fn run_to_completion(
-            &mut self,
-            module: &Module,
-            hooks: &mut dyn SeedHooks,
-        ) -> Option<Val> {
-            loop {
-                if self.frames.is_empty() {
-                    return self.done_value;
-                }
-                match self.step(module, hooks) {
-                    StepOut::Continue => {}
-                    StepOut::Trap(t) => panic!("baseline program trapped: {t:?}"),
-                }
-            }
-        }
-
-        fn charge(&mut self, c: u64) {
-            self.cycles += c;
-        }
-
-        fn step(&mut self, module: &Module, hooks: &mut dyn SeedHooks) -> StepOut {
-            let fi = self.frames.len() - 1;
-            let (func_id, block, ip) = {
-                let fr = &self.frames[fi];
-                (fr.func, fr.block, fr.ip)
-            };
-            let func = module.func(func_id);
-            let blk = &func.blocks[block.index()];
-
-            if ip >= blk.insts.len() {
-                self.insts += 1;
-                // The seed cloned the terminator out of the block.
-                let term = blk.term.clone().expect("verified IR");
-                match term {
-                    Term::Br(t) => {
-                        self.charge(self.cfg.cost_branch);
-                        let fr = &mut self.frames[fi];
-                        fr.block = t;
-                        fr.ip = 0;
-                    }
-                    Term::CondBr(c, t, e) => {
-                        self.charge(self.cfg.cost_branch);
-                        let taken = self.frames[fi].regs[c.0 as usize].is_true();
-                        let fr = &mut self.frames[fi];
-                        fr.block = if taken { t } else { e };
-                        fr.ip = 0;
-                    }
-                    Term::Ret(v) => {
-                        self.charge(self.cfg.cost_ret);
-                        let (val, prov) = match v {
-                            Some(r) => {
-                                let fr = &self.frames[fi];
-                                (Some(fr.regs[r.0 as usize]), fr.prov[r.0 as usize])
-                            }
-                            None => (None, None),
-                        };
-                        let ret_to = self.frames[fi].ret_to;
-                        self.frames.pop();
-                        match self.frames.last_mut() {
-                            Some(caller) => {
-                                if let Some(dst) = ret_to {
-                                    caller.regs[dst.0 as usize] = val.unwrap_or(Val::I(0));
-                                    caller.prov[dst.0 as usize] = prov;
-                                }
-                            }
-                            None => self.done_value = val,
-                        }
-                    }
-                }
-                return StepOut::Continue;
-            }
-
-            // The seed's per-step clone, then execute.
-            let inst = blk.insts[ip].clone();
-            self.frames[fi].ip += 1;
-            self.insts += 1;
-
-            macro_rules! reg {
-                ($r:expr) => {
-                    self.frames[fi].regs[$r.0 as usize]
-                };
-            }
-            macro_rules! prov {
-                ($r:expr) => {
-                    self.frames[fi].prov[$r.0 as usize]
-                };
-            }
-            macro_rules! set {
-                ($d:expr, $v:expr, $p:expr) => {{
-                    self.frames[fi].regs[$d.0 as usize] = $v;
-                    self.frames[fi].prov[$d.0 as usize] = $p;
-                }};
-            }
-
-            match inst {
-                Inst::ConstI(d, v) => {
-                    self.charge(self.cfg.cost_arith);
-                    set!(d, Val::I(v), None);
-                }
-                Inst::ConstF(d, v) => {
-                    self.charge(self.cfg.cost_arith);
-                    set!(d, Val::F(v), None);
-                }
-                Inst::Mov(d, s) => {
-                    self.charge(self.cfg.cost_arith);
-                    let (v, p) = (reg!(s), prov!(s));
-                    set!(d, v, p);
-                }
-                Inst::Bin(d, op, a, b) => {
-                    self.charge(self.cfg.cost_arith);
-                    let (va, vb) = (reg!(a), reg!(b));
-                    let val = match op {
-                        BinOp::Add => Val::I(va.as_i().wrapping_add(vb.as_i())),
-                        BinOp::Sub => Val::I(va.as_i().wrapping_sub(vb.as_i())),
-                        BinOp::Mul => Val::I(va.as_i().wrapping_mul(vb.as_i())),
-                        _ => unimplemented!("op not used by the bench workloads"),
-                    };
-                    let p = match op {
-                        BinOp::Add | BinOp::Sub => match (prov!(a), prov!(b)) {
-                            (Some(p), None) => Some(p),
-                            (None, Some(p)) => Some(p),
-                            _ => None,
-                        },
-                        _ => None,
-                    };
-                    set!(d, val, p);
-                }
-                Inst::Cmp(d, op, a, b) => {
-                    self.charge(self.cfg.cost_arith);
-                    let (x, y) = (reg!(a).as_i(), reg!(b).as_i());
-                    let r = match op {
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
-                    };
-                    set!(d, Val::I(r as i64), None);
-                }
-                Inst::Alloc(d, s) => {
-                    self.charge(self.cfg.cost_alloc);
-                    let size = reg!(s).as_i().max(0) as u64;
-                    match self.mem.alloc(size) {
-                        Ok(a) => {
-                            hooks.on_alloc(a);
-                            set!(d, Val::I(a.base as i64), Some(a.id));
-                        }
-                        Err(t) => return StepOut::Trap(t),
-                    }
-                }
-                Inst::Free(p) => {
-                    self.charge(self.cfg.cost_free);
-                    let addr = reg!(p).as_ptr();
-                    match self.mem.free(addr) {
-                        Ok(a) => hooks.on_free(a),
-                        Err(t) => return StepOut::Trap(t),
-                    }
-                }
-                Inst::Load(d, a, off) => {
-                    self.charge(self.cfg.cost_load);
-                    let addr = (reg!(a).as_i() + off) as u64;
-                    match hooks.check_access(addr, false, self.cycles) {
-                        Ok(extra) => self.charge(extra),
-                        Err(t) => return StepOut::Trap(t),
-                    }
-                    match self.mem.load(addr) {
-                        Ok((v, p)) => set!(d, v, p),
-                        Err(t) => return StepOut::Trap(t),
-                    }
-                }
-                Inst::Store(a, off, v) => {
-                    self.charge(self.cfg.cost_store);
-                    let addr = (reg!(a).as_i() + off) as u64;
-                    match hooks.check_access(addr, true, self.cycles) {
-                        Ok(extra) => self.charge(extra),
-                        Err(t) => return StepOut::Trap(t),
-                    }
-                    let (val, p) = (reg!(v), prov!(v));
-                    if let Err(t) = self.mem.store(addr, val, p) {
-                        return StepOut::Trap(t);
-                    }
-                }
-                Inst::Gep(d, b, i, scale, off) => {
-                    self.charge(self.cfg.cost_gep);
-                    let base = reg!(b).as_i();
-                    let idx = reg!(i).as_i();
-                    let addr = base.wrapping_add(idx.wrapping_mul(scale)).wrapping_add(off);
-                    let p = prov!(b);
-                    set!(d, Val::I(addr), p);
-                }
-                Inst::Call(dst, g, args) => {
-                    self.charge(self.cfg.cost_call);
-                    if self.frames.len() >= self.cfg.max_depth {
-                        return StepOut::Trap(Trap::StackOverflow);
-                    }
-                    let callee = module.func(g);
-                    let mut regs = vec![Val::I(0); callee.n_regs];
-                    let mut prov = vec![None; callee.n_regs];
-                    for (i, &r) in args.iter().enumerate() {
-                        regs[i] = self.frames[fi].regs[r.0 as usize];
-                        prov[i] = self.frames[fi].prov[r.0 as usize];
-                    }
-                    self.frames.push(Frame {
-                        func: g,
-                        block: BlockId(0),
-                        ip: 0,
-                        regs,
-                        prov,
-                        ret_to: dst,
-                    });
-                }
-                Inst::Intr(dst, which, args) => {
-                    let argv: Vec<Val> = args
-                        .iter()
-                        .map(|&r| self.frames[fi].regs[r.0 as usize])
-                        .collect();
-                    let (value, cycles) = hooks.intrinsic(which, &argv, self.cycles);
-                    self.charge(cycles);
-                    if let Some(d) = dst {
-                        set!(d, value.unwrap_or(Val::I(0)), None);
-                    }
-                }
-                _ => unimplemented!("inst not used by the bench workloads"),
-            }
-            StepOut::Continue
-        }
-    }
-}
-
-// The three interpreter workloads, each built once through `FunctionBuilder`
-// and executed by BOTH interpreters — the seed baseline above and the real
-// page-backed one.
+// Interpreter core: three workloads built once through `FunctionBuilder`.
 
 /// Load/store workload geometry: `LS_ARRAYS` live allocations (as CARAT's
 /// overhead suite keeps many objects live) of `LS_WORDS` words each, written
 /// then summed, `LS_PASSES` times. Words are laid out at consecutive byte
-/// addresses — each address is an independent word cell in both memory
-/// representations (the seed's map was keyed by byte address too), so this
-/// is the densest legal layout and both sides execute identical accesses.
+/// addresses — each address is an independent word cell — the densest
+/// legal layout.
 const LS_ARRAYS: i64 = 8;
 const LS_WORDS: i64 = 32_768;
 const LS_PASSES: i64 = 2;
@@ -1014,17 +309,6 @@ fn fib_real() -> (interweave_ir::Module, interweave_ir::FuncId) {
     (m, entry)
 }
 
-fn run_seed(
-    m: &interweave_ir::Module,
-    entry: interweave_ir::FuncId,
-    args: &[interweave_ir::types::Val],
-) -> Option<interweave_ir::types::Val> {
-    use interweave_ir::interp::InterpConfig;
-    let mut it = seed_interp::Interp::new(InterpConfig::default());
-    it.start(m, entry, args);
-    it.run_to_completion(m, &mut seed_interp::SeedNullHooks)
-}
-
 fn run_real(
     m: &interweave_ir::Module,
     entry: interweave_ir::FuncId,
@@ -1038,20 +322,15 @@ fn run_real(
 
 fn interp_loadstore(c: &mut Criterion) {
     use interweave_ir::types::Val;
-    // Sanity: both interpreters compute the same sum (accumulated over
-    // passes and arrays) from the same module. Position p holds the value
-    // `4 * (p / 4)` (each unrolled iteration stores its index into four
-    // consecutive words), so one array sums to `8 * m * (m - 1)` with
-    // `m = LS_WORDS / 4`.
+    // Sanity: the sum accumulated over passes and arrays. Position p holds
+    // the value `4 * (p / 4)` (each unrolled iteration stores its index
+    // into four consecutive words), so one array sums to
+    // `8 * m * (m - 1)` with `m = LS_WORDS / 4`.
     let m_words = LS_WORDS / 4;
     let expect = Some(Val::I(LS_PASSES * LS_ARRAYS * 8 * m_words * (m_words - 1)));
     let (m, entry) = loadstore_real();
-    assert_eq!(run_seed(&m, entry, &[]), expect);
     assert_eq!(run_real(&m, entry, &[]), expect);
 
-    c.bench_function("interp_loadstore/seed_btree_words", |b| {
-        b.iter(|| black_box(run_seed(&m, entry, &[])))
-    });
     c.bench_function("interp_loadstore/page_backed", |b| {
         b.iter(|| black_box(run_real(&m, entry, &[])))
     });
@@ -1060,12 +339,8 @@ fn interp_loadstore(c: &mut Criterion) {
 fn interp_allocchurn(c: &mut Criterion) {
     use interweave_ir::types::Val;
     let (m, entry) = allocchurn_real();
-    assert_eq!(run_seed(&m, entry, &[]), Some(Val::I(CHURN_ITERS)));
     assert_eq!(run_real(&m, entry, &[]), Some(Val::I(CHURN_ITERS)));
 
-    c.bench_function("interp_allocchurn/seed_btree_words", |b| {
-        b.iter(|| black_box(run_seed(&m, entry, &[])))
-    });
     c.bench_function("interp_allocchurn/page_backed", |b| {
         b.iter(|| black_box(run_real(&m, entry, &[])))
     });
@@ -1074,12 +349,8 @@ fn interp_allocchurn(c: &mut Criterion) {
 fn interp_fib(c: &mut Criterion) {
     use interweave_ir::types::Val;
     let (m, entry) = fib_real();
-    assert_eq!(run_seed(&m, entry, &[Val::I(FIB_N)]), Some(Val::I(987)));
     assert_eq!(run_real(&m, entry, &[Val::I(FIB_N)]), Some(Val::I(987)));
 
-    c.bench_function("interp_fib/seed_clone_dispatch", |b| {
-        b.iter(|| black_box(run_seed(&m, entry, &[Val::I(FIB_N)])))
-    });
     c.bench_function("interp_fib/ref_dispatch", |b| {
         b.iter(|| black_box(run_real(&m, entry, &[Val::I(FIB_N)])))
     });
@@ -1126,14 +397,11 @@ fn telemetry_overhead(c: &mut Criterion) {
         b.iter(|| black_box(run(Sink::on(Level::Full))))
     });
 
-    // Streaming sinks: raw ingest cost of the bounded sketch vs the exact
-    // reservoir, and of windowed roll-ups vs no roll-up at all. The
-    // "samples_exact" arm is the baseline the serving plane pays today;
-    // "sketch" must stay in the same order of magnitude while holding
-    // memory flat, and the "off" arm (plain loop over the same values)
-    // shows the plane costs nothing when nothing records.
+    // Streaming sinks: raw ingest cost of the bounded sketch, and of
+    // windowed roll-ups on top of it. The "off" arm (plain loop over the
+    // same values) shows the plane costs nothing when nothing records.
     {
-        use interweave_core::stats::{Samples, Sketch};
+        use interweave_core::stats::Sketch;
         use interweave_core::telemetry::TimeSeries;
         let vals: Vec<f64> = (0..4096u64)
             .map(|i| 1.0 + ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64))
@@ -1145,15 +413,6 @@ fn telemetry_overhead(c: &mut Criterion) {
                     acc += black_box(v);
                 }
                 black_box(acc)
-            })
-        });
-        c.bench_function("streaming/samples_exact", |b| {
-            b.iter(|| {
-                let mut s = Samples::new();
-                for &v in &vals {
-                    s.add(v);
-                }
-                black_box(s.count())
             })
         });
         c.bench_function("streaming/sketch", |b| {
@@ -1207,11 +466,8 @@ fn os_models(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    queue_cancel_seed,
     queue_cancel_tombstone,
     queue_schedule_pop,
-    line_table_seed,
-    line_table_unified,
     coherence_end_to_end,
     sweep_dispatch,
     interp_loadstore,

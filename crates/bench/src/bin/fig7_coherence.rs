@@ -6,9 +6,11 @@
 //! bit-identical at every shard count — the CI determinism gate
 //! byte-compares `--shards 1` against `--shards 4`.
 
-use interweave_bench::harness::Cli;
+use interweave_bench::harness::{Harness, Scenario};
 use interweave_bench::{f, print_table, s};
 use interweave_coherence::experiment::{fig7_sharded, mean_energy_reduction, mean_speedup};
+use interweave_core::machine::MachineConfig;
+use interweave_core::stack::StackConfig;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -19,7 +21,19 @@ struct JsonRow {
 }
 
 fn main() {
-    let shards = Cli::parse().shards;
+    let h = Harness::new(vec![
+        Scenario::new(
+            "full-mesi",
+            StackConfig::commodity(),
+            MachineConfig::xeon_server_2s(),
+        ),
+        Scenario::new(
+            "selective",
+            StackConfig::interwoven(),
+            MachineConfig::xeon_server_2s(),
+        ),
+    ]);
+    let shards = h.shards();
     let rows_data = fig7_sharded(24, 11, shards);
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -107,5 +121,5 @@ fn main() {
          they are unrelated to the intended use of the fence.\""
     );
 
-    interweave_bench::maybe_dump_json(&json);
+    h.finish(&json);
 }

@@ -328,7 +328,7 @@ fn main() {
                 },
                 blackbox: 32,
             };
-            let mut r = run_serve(&image, &args, &mc, &cfg, shards);
+            let r = run_serve(&image, &args, &mc, &cfg, shards);
             assert!(r.accounts_balanced(), "fault ledger must balance");
             if let Some(ts) = &r.series {
                 serve_timeseries = MetricsSeries::from_series(ts).windows;

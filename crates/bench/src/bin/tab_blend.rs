@@ -1,10 +1,12 @@
 //! §V-C: blending — blended (polled) device drivers vs. interrupt-driven
 //! handling, and the page- vs. object-granularity far-memory sweep.
 
+use interweave_bench::harness::{Harness, Scenario};
 use interweave_bench::{f, print_table, s};
 use interweave_blend::farmem::{density_sweep, FarMemConfig};
 use interweave_blend::polling::{run_device_experiment, DeviceConfig, DriveMode};
 use interweave_core::machine::MachineConfig;
+use interweave_core::stack::StackConfig;
 use interweave_ir::programs;
 use serde::Serialize;
 
@@ -18,7 +20,19 @@ struct JsonDevice {
 }
 
 fn main() {
-    let mc = MachineConfig::xeon_server_2s();
+    let h = Harness::new(vec![
+        Scenario::new(
+            "interrupt-driven",
+            StackConfig::commodity(),
+            MachineConfig::xeon_server_2s(),
+        ),
+        Scenario::new(
+            "blended",
+            StackConfig::interwoven(),
+            MachineConfig::xeon_server_2s(),
+        ),
+    ]);
+    let mc = h.scenario("blended").machine.clone();
     let program = programs::stencil1d(128, 32);
     let mut json = Vec::new();
 
@@ -150,5 +164,5 @@ fn main() {
         &rows,
     );
 
-    interweave_bench::maybe_dump_json(&json);
+    h.finish(&json);
 }

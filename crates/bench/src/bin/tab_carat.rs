@@ -2,8 +2,11 @@
 //! per benchmark kernel, geometric means, guard statistics, and the paging
 //! comparison. Also demonstrates defragmentation at a quiescent point.
 
+use interweave_bench::harness::{Harness, Scenario};
 use interweave_bench::{f, print_table, s};
 use interweave_carat::overhead::{geomean_overheads, run_suite};
+use interweave_core::machine::MachineConfig;
+use interweave_core::stack::StackConfig;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -17,6 +20,14 @@ struct JsonRow {
 }
 
 fn main() {
+    let h = Harness::new(vec![
+        Scenario::new(
+            "paging",
+            StackConfig::commodity(),
+            MachineConfig::xeon_server_2s(),
+        ),
+        Scenario::new("carat", StackConfig::pik(), MachineConfig::xeon_server_2s()),
+    ]);
     let rows_data = run_suite(6);
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -102,5 +113,5 @@ fn main() {
         other => panic!("process did not finish after defrag: {other:?}"),
     }
 
-    interweave_bench::maybe_dump_json(&json);
+    h.finish(&json);
 }

@@ -3,9 +3,10 @@
 //! improvement) and its downstream effect on every interrupt-consuming
 //! subsystem.
 
+use interweave_bench::harness::{Harness, Scenario};
 use interweave_bench::{f, print_table, s};
 use interweave_core::machine::MachineConfig;
-use interweave_core::stack::OsPoint;
+use interweave_core::stack::{OsPoint, StackConfig};
 use interweave_core::Cycles;
 use interweave_heartbeat::sim::{run_heartbeat, HeartbeatConfig};
 use interweave_kernel::threads::{switch_cost, SwitchKind};
@@ -20,8 +21,20 @@ struct JsonRow {
 }
 
 fn main() {
-    let idt = MachineConfig::xeon_server_2s();
-    let pipe = MachineConfig::xeon_server_2s().with_pipeline_interrupts();
+    let h = Harness::new(vec![
+        Scenario::new(
+            "idt",
+            StackConfig::nautilus(),
+            MachineConfig::xeon_server_2s(),
+        ),
+        Scenario::new(
+            "pipeline",
+            StackConfig::nautilus(),
+            MachineConfig::xeon_server_2s().with_pipeline_interrupts(),
+        ),
+    ]);
+    let idt = &h.scenario("idt").machine;
+    let pipe = &h.scenario("pipeline").machine;
     let mut json = Vec::new();
     let push = |q: &str, a: f64, b: f64, json: &mut Vec<JsonRow>| {
         json.push(JsonRow {
@@ -43,7 +56,7 @@ fn main() {
         push(
             "NK thread switch, no-FP (cycles)",
             switch_cost(
-                &idt,
+                idt,
                 OsPoint::NkLike,
                 SwitchKind::ThreadInterrupt,
                 false,
@@ -52,7 +65,7 @@ fn main() {
             .total()
             .as_f64(),
             switch_cost(
-                &pipe,
+                pipe,
                 OsPoint::NkLike,
                 SwitchKind::ThreadInterrupt,
                 false,
@@ -84,5 +97,5 @@ fn main() {
         "\nPaper: dispatch ≈1000 cycles today; pipeline delivery \"would be similar\n\
          to that of a correctly predicted branch, 100–1000× better\"."
     );
-    interweave_bench::maybe_dump_json(&json);
+    h.finish(&json);
 }

@@ -3,8 +3,10 @@
 //! Nautilus-like; "orders of magnitude faster" at the NK end), on both
 //! server and KNL presets.
 
+use interweave_bench::harness::{Harness, Scenario};
 use interweave_bench::{f, print_table, s};
 use interweave_core::machine::MachineConfig;
+use interweave_core::stack::StackConfig;
 use interweave_kernel::microbench::primitive_table;
 use interweave_kernel::os::{AsterModel, LinuxModel, NkModel};
 use serde::Serialize;
@@ -20,8 +22,20 @@ struct JsonRow {
 }
 
 fn main() {
+    let machines = [MachineConfig::xeon_server_2s(), MachineConfig::phi_knl()];
+    let mut scenarios = Vec::new();
+    for mc in machines.clone() {
+        scenarios.push(Scenario::new("linux", StackConfig::commodity(), mc.clone()));
+        scenarios.push(Scenario::new(
+            "aster",
+            StackConfig::framekernel(),
+            mc.clone(),
+        ));
+        scenarios.push(Scenario::new("nautilus", StackConfig::nautilus(), mc));
+    }
+    let h = Harness::new(scenarios);
     let mut json = Vec::new();
-    for mc in [MachineConfig::xeon_server_2s(), MachineConfig::phi_knl()] {
+    for mc in machines {
         let lx = LinuxModel::new(mc.clone());
         let fk = AsterModel::new(mc.clone());
         let nk = NkModel::new(mc.clone());
@@ -93,5 +107,5 @@ fn main() {
          primitive except the uncontended mutex (its checked RAII lock is\n\
          fatter than the futex fast path)."
     );
-    interweave_bench::maybe_dump_json(&json);
+    h.finish(&json);
 }

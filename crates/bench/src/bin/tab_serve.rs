@@ -28,12 +28,11 @@
 //! Knobs (golden CI runs pass none): `--offered-load <x>` serves a single
 //! load point at `x`× the calibrated saturation capacity instead of the
 //! sweep; `--duration-ms <ms>` and `--arrival <poisson|bursty|diurnal>`
-//! override the run length and the arrival process. `--metrics-out
-//! <path>` flips the serving plane onto its bounded streaming sinks —
-//! windowed quantile sketches instead of exact per-request sample
-//! vectors, so memory stays flat over million-invocation campaigns — and
-//! writes the windowed offered/completed/shed/p50/p99 trajectory as
-//! JSON; `--window-cycles <n>` overrides the roll-up width (default
+//! override the run length and the arrival process. Latency is always
+//! recorded into a fixed-memory quantile sketch, so memory stays flat over
+//! million-invocation campaigns. `--metrics-out <path>` additionally rolls
+//! every run into windows and writes the windowed
+//! offered/completed/shed/p50/p99 trajectory as JSON; `--window-cycles <n>` overrides the roll-up width (default
 //! 6.6 M cycles = 2 ms of simulated time). With `--metrics-out` set,
 //! `--trace-out <path>` additionally exports the trajectory as Perfetto
 //! counter tracks.
@@ -106,7 +105,7 @@ struct JsonRow {
     p999_us: f64,
 }
 
-fn json_row(scenario: &str, arrival: ArrivalKind, load_x: f64, r: &mut ServeReport) -> JsonRow {
+fn json_row(scenario: &str, arrival: ArrivalKind, load_x: f64, r: &ServeReport) -> JsonRow {
     JsonRow {
         scenario: scenario.to_string(),
         arrival: arrival.name().to_string(),
@@ -171,13 +170,13 @@ fn main() {
         Some(x) => vec![x],
         None => SWEEP.to_vec(),
     };
-    // `--metrics-out` flips every run onto the bounded streaming sinks;
-    // golden runs pass no flags and keep the exact sample vectors.
+    // `--metrics-out` adds windowed trajectories to every run; golden runs
+    // pass no flags and record only the run-level sketch.
     let metrics = match h.metrics_out() {
         Some(_) => MetricsPolicy::Windowed {
             window: Cycles(h.window_cycles().unwrap_or(DEFAULT_WINDOW_CYCLES)),
         },
-        None => MetricsPolicy::Exact,
+        None => MetricsPolicy::Sketched,
     };
     let cfg_at =
         |arrival: ArrivalKind, load_x: f64, cache_capacity: usize, prewarm: usize| ServeConfig {
@@ -208,8 +207,8 @@ fn main() {
     let mut knee: Option<ServeReport> = None;
     let mut metrics_series: Option<TimeSeries> = None;
     for &load_x in &loads {
-        let mut iw = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 32, 2), shards);
-        let mut ly = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 0, 0), shards);
+        let iw = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 32, 2), shards);
+        let ly = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 0, 0), shards);
         if let Some(ts) = &iw.series {
             metrics_series = Some(ts.clone());
         }
@@ -240,8 +239,8 @@ fn main() {
             f(100.0 * ly.goodput(), 1) + "%",
             f(ly.latency_us.p99(), 0),
         ]);
-        json.push(json_row("interwoven", arrival, load_x, &mut iw));
-        json.push(json_row("layered", arrival, load_x, &mut ly));
+        json.push(json_row("interwoven", arrival, load_x, &iw));
+        json.push(json_row("layered", arrival, load_x, &ly));
         if load_x >= 1.49 {
             knee = Some(iw);
         }
@@ -269,7 +268,7 @@ fn main() {
     if h.offered_load().is_none() {
         let mut rows = Vec::new();
         for &kind in ArrivalKind::ALL.iter() {
-            let mut r = run_serve(&image, &args, &mc, &cfg_at(kind, 0.9, 32, 2), shards);
+            let r = run_serve(&image, &args, &mc, &cfg_at(kind, 0.9, 32, 2), shards);
             assert!(
                 r.accounts_balanced(),
                 "ledger must balance for {}",
@@ -284,7 +283,7 @@ fn main() {
                 f(r.latency_us.p999(), 0),
                 s(r.wd_reclaims),
             ]);
-            json.push(json_row("interwoven", kind, 0.9, &mut r));
+            json.push(json_row("interwoven", kind, 0.9, &r));
         }
         h.table(
             "TAB-SERVE — arrival-shape sensitivity at 0.9x load",

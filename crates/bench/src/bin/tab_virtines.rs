@@ -2,8 +2,10 @@
 //! cold virtine, snapshotted virtine, bespoke context — plus an end-to-end
 //! Fig.-5-style fib invocation through the Wasp pool.
 
+use interweave_bench::harness::{Harness, Scenario};
 use interweave_bench::{f, print_table, s};
 use interweave_core::machine::MachineConfig;
+use interweave_core::stack::StackConfig;
 use interweave_ir::programs;
 use interweave_ir::types::Val;
 use interweave_virtines::bespoke::synthesize;
@@ -21,6 +23,18 @@ struct JsonRow {
 }
 
 fn main() {
+    let h = Harness::new(vec![
+        Scenario::new(
+            "process",
+            StackConfig::commodity(),
+            MachineConfig::xeon_server_2s(),
+        ),
+        Scenario::new(
+            "virtine",
+            StackConfig::interwoven(),
+            MachineConfig::xeon_server_2s(),
+        ),
+    ]);
     // Fig. 5's fib as the virtine image.
     let fib = programs::fib(20);
     let image = extract_one(&fib.module, fib.entry);
@@ -71,7 +85,7 @@ fn main() {
     );
 
     // End-to-end: invoke fib(20) repeatedly through the pool.
-    let mc = MachineConfig::xeon_server_2s();
+    let mc = h.scenario("virtine").machine.clone();
     let mut wasp = Wasp::new(image, mc.clone());
     let mut rows = Vec::new();
     for i in 0..4 {
@@ -105,7 +119,7 @@ fn main() {
     ] {
         let r = run_echo(&echo_img, &mc, &cfg, mode);
         // A clamped p99 is only a lower bound (the rank overflowed the
-        // histogram range) — print it as one, with the overflow share.
+        // sketch range) — print it as one, with the overflow share.
         let p99 = if r.p99_clamped {
             format!(
                 ">={} ({}% over range)",
@@ -183,5 +197,5 @@ fn main() {
 attested code pays guard costs instead of VM transitions."
     );
 
-    interweave_bench::maybe_dump_json(&json);
+    h.finish(&json);
 }

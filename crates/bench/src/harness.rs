@@ -80,65 +80,123 @@ impl Default for Cli {
     }
 }
 
+/// A rejected command line: which flag, and what it takes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// A value-taking flag was the last argument.
+    MissingValue {
+        /// The flag, e.g. `--shards`.
+        flag: &'static str,
+        /// What the flag takes, e.g. "a positive count".
+        expects: &'static str,
+    },
+    /// A flag's value did not parse or is out of range.
+    InvalidValue {
+        /// The flag, e.g. `--shards`.
+        flag: &'static str,
+        /// What the flag takes, e.g. "a positive count".
+        expects: &'static str,
+        /// The value given.
+        value: String,
+    },
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::MissingValue { flag, expects } => write!(f, "{flag} takes {expects}"),
+            CliError::InvalidValue {
+                flag,
+                expects,
+                value,
+            } => write!(f, "{flag} takes {expects}, got {value:?}"),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
+/// Usage text printed with a [`CliError`].
+const USAGE: &str = "\
+flags (all optional):
+  --json <path>          write the JSON results envelope
+  --trace-out <path>     write a Chrome/Perfetto trace
+  --shards <n>           simulation-kernel shard count (n >= 1)
+  --os <name>            nk | nautilus | aster | linux
+  --offered-load <x>     serving load, multiple of saturation (x > 0)
+  --duration-ms <ms>     serving-run duration (ms > 0)
+  --arrival <name>       poisson | bursty | diurnal
+  --metrics-out <path>   write the windowed serving metrics as JSON
+  --window-cycles <n>    metrics window width in cycles (n >= 1)";
+
+/// The value following `flag` in `args`, converted by `parse`; `None` when
+/// the flag is absent.
+fn flag_value<T>(
+    args: &[String],
+    flag: &'static str,
+    expects: &'static str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, CliError> {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(pos + 1)
+        .ok_or(CliError::MissingValue { flag, expects })?;
+    parse(value)
+        .map(Some)
+        .ok_or_else(|| CliError::InvalidValue {
+            flag,
+            expects,
+            value: value.clone(),
+        })
+}
+
 impl Cli {
-    /// Parse the process's own arguments.
+    /// Parse the process's own arguments. A rejected command line prints
+    /// the error and the usage text to stderr and exits with status 2.
     pub fn parse() -> Cli {
-        Cli::from_args(std::env::args())
+        Cli::from_args(std::env::args()).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// Parse an explicit argument list (unit-testable).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Cli {
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
         let args: Vec<String> = args.into_iter().collect();
-        let value_of = |flag: &str| {
-            args.iter().position(|a| a == flag).map(|pos| {
-                args.get(pos + 1)
-                    .unwrap_or_else(|| panic!("{flag} takes a path"))
-                    .clone()
+        let path = |flag| flag_value(&args, flag, "a path", |v| Some(v.to_string()));
+        let positive_f64 = |flag| {
+            flag_value(&args, flag, "a positive number", |v| {
+                v.parse::<f64>().ok().filter(|x| x.is_finite() && *x > 0.0)
             })
         };
-        let shards = match value_of("--shards") {
-            Some(v) => v
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| panic!("--shards takes a positive count, got {v:?}")),
-            None => 1,
-        };
-        let positive_f64 = |flag: &str| {
-            value_of(flag).map(|v| {
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|x| x.is_finite() && *x > 0.0)
-                    .unwrap_or_else(|| panic!("{flag} takes a positive number, got {v:?}"))
-            })
-        };
-        let arrival = value_of("--arrival").map(|v| {
-            ArrivalKind::parse(&v)
-                .unwrap_or_else(|| panic!("--arrival takes poisson, bursty, or diurnal, got {v:?}"))
-        });
-        let os = value_of("--os").map(|v| {
-            OsPoint::parse(&v)
-                .unwrap_or_else(|| panic!("--os takes nk, nautilus, aster, or linux, got {v:?}"))
-        });
-        let window_cycles = value_of("--window-cycles").map(|v| {
-            v.parse::<u64>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    panic!("--window-cycles takes a positive cycle count, got {v:?}")
-                })
-        });
-        Cli {
-            json: value_of("--json"),
-            trace_out: value_of("--trace-out"),
-            shards,
-            offered_load: positive_f64("--offered-load"),
-            duration_ms: positive_f64("--duration-ms"),
-            arrival,
-            metrics_out: value_of("--metrics-out"),
-            window_cycles,
-            os,
-        }
+        Ok(Cli {
+            json: path("--json")?,
+            trace_out: path("--trace-out")?,
+            shards: flag_value(&args, "--shards", "a positive count", |v| {
+                v.parse::<usize>().ok().filter(|&n| n >= 1)
+            })?
+            .unwrap_or(1),
+            offered_load: positive_f64("--offered-load")?,
+            duration_ms: positive_f64("--duration-ms")?,
+            arrival: flag_value(
+                &args,
+                "--arrival",
+                "poisson, bursty, or diurnal",
+                ArrivalKind::parse,
+            )?,
+            metrics_out: path("--metrics-out")?,
+            window_cycles: flag_value(&args, "--window-cycles", "a positive cycle count", |v| {
+                v.parse::<u64>().ok().filter(|&n| n >= 1)
+            })?,
+            os: flag_value(
+                &args,
+                "--os",
+                "nk, nautilus, aster, or linux",
+                OsPoint::parse,
+            )?,
+        })
     }
 }
 
@@ -526,33 +584,75 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(v: &[&str]) -> Cli {
+        Cli::from_args(args(v)).expect("valid command line")
+    }
+
+    /// The rendered rejection of `v`, which must not parse.
+    fn reject(v: &[&str]) -> String {
+        Cli::from_args(args(v))
+            .expect_err("command line must be rejected")
+            .to_string()
+    }
+
     #[test]
     fn cli_parses_both_flags_anywhere() {
-        let cli = Cli::from_args(args(&["bin", "--trace-out", "t.json", "--json", "r.json"]));
+        let cli = parse(&["bin", "--trace-out", "t.json", "--json", "r.json"]);
         assert_eq!(cli.json.as_deref(), Some("r.json"));
         assert_eq!(cli.trace_out.as_deref(), Some("t.json"));
-        let none = Cli::from_args(args(&["bin"]));
+        let none = parse(&["bin"]);
         assert!(none.json.is_none() && none.trace_out.is_none());
     }
 
     #[test]
     fn cli_shards_defaults_to_one_and_parses() {
-        assert_eq!(Cli::from_args(args(&["bin"])).shards, 1);
+        assert_eq!(parse(&["bin"]).shards, 1);
         assert_eq!(Cli::default().shards, 1);
-        let cli = Cli::from_args(args(&["bin", "--shards", "4", "--json", "r.json"]));
+        let cli = parse(&["bin", "--shards", "4", "--json", "r.json"]);
         assert_eq!(cli.shards, 4);
         assert_eq!(cli.json.as_deref(), Some("r.json"));
     }
 
     #[test]
-    #[should_panic(expected = "--shards takes a positive count")]
     fn cli_rejects_zero_shards() {
-        Cli::from_args(args(&["bin", "--shards", "0"]));
+        assert_eq!(
+            Cli::from_args(args(&["bin", "--shards", "0"])).unwrap_err(),
+            CliError::InvalidValue {
+                flag: "--shards",
+                expects: "a positive count",
+                value: "0".into(),
+            }
+        );
+        assert_eq!(
+            reject(&["bin", "--shards", "0"]),
+            "--shards takes a positive count, got \"0\""
+        );
+    }
+
+    #[test]
+    fn cli_rejects_each_flag_missing_its_value_under_its_own_name() {
+        for (flag, expects) in [
+            ("--json", "a path"),
+            ("--trace-out", "a path"),
+            ("--shards", "a positive count"),
+            ("--offered-load", "a positive number"),
+            ("--duration-ms", "a positive number"),
+            ("--arrival", "poisson, bursty, or diurnal"),
+            ("--metrics-out", "a path"),
+            ("--window-cycles", "a positive cycle count"),
+            ("--os", "nk, nautilus, aster, or linux"),
+        ] {
+            assert_eq!(
+                Cli::from_args(args(&["bin", flag])).unwrap_err(),
+                CliError::MissingValue { flag, expects },
+            );
+            assert_eq!(reject(&["bin", flag]), format!("{flag} takes {expects}"));
+        }
     }
 
     #[test]
     fn cli_parses_the_serving_flags() {
-        let cli = Cli::from_args(args(&[
+        let cli = parse(&[
             "bin",
             "--offered-load",
             "1.5",
@@ -560,57 +660,62 @@ mod tests {
             "250",
             "--arrival",
             "bursty",
-        ]));
+        ]);
         assert_eq!(cli.offered_load, Some(1.5));
         assert_eq!(cli.duration_ms, Some(250.0));
         assert_eq!(cli.arrival, Some(ArrivalKind::Bursty));
-        let none = Cli::from_args(args(&["bin"]));
+        let none = parse(&["bin"]);
         assert!(none.offered_load.is_none() && none.duration_ms.is_none());
         assert!(none.arrival.is_none());
     }
 
     #[test]
-    #[should_panic(expected = "--offered-load takes a positive number")]
     fn cli_rejects_zero_offered_load() {
-        Cli::from_args(args(&["bin", "--offered-load", "0"]));
+        let e = reject(&["bin", "--offered-load", "0"]);
+        assert!(
+            e.starts_with("--offered-load takes a positive number"),
+            "{e}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "--offered-load takes a positive number")]
     fn cli_rejects_negative_offered_load() {
-        Cli::from_args(args(&["bin", "--offered-load", "-0.5"]));
+        let e = reject(&["bin", "--offered-load", "-0.5"]);
+        assert!(
+            e.starts_with("--offered-load takes a positive number"),
+            "{e}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "--duration-ms takes a positive number")]
     fn cli_rejects_nonpositive_duration() {
-        Cli::from_args(args(&["bin", "--duration-ms", "0"]));
+        let e = reject(&["bin", "--duration-ms", "0"]);
+        assert!(
+            e.starts_with("--duration-ms takes a positive number"),
+            "{e}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "--arrival takes poisson, bursty, or diurnal")]
     fn cli_rejects_an_unknown_arrival() {
-        Cli::from_args(args(&["bin", "--arrival", "uniform"]));
+        let e = reject(&["bin", "--arrival", "uniform"]);
+        assert!(
+            e.starts_with("--arrival takes poisson, bursty, or diurnal"),
+            "{e}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "--json takes a path")]
     fn cli_rejects_a_dangling_flag() {
-        Cli::from_args(args(&["bin", "--json"]));
+        assert_eq!(reject(&["bin", "--json"]), "--json takes a path");
     }
 
     #[test]
     fn cli_parses_the_metrics_flags() {
-        let cli = Cli::from_args(args(&[
-            "bin",
-            "--metrics-out",
-            "m.json",
-            "--window-cycles",
-            "5000",
-        ]));
+        let cli = parse(&["bin", "--metrics-out", "m.json", "--window-cycles", "5000"]);
         assert_eq!(cli.metrics_out.as_deref(), Some("m.json"));
         assert_eq!(cli.window_cycles, Some(5000));
-        let none = Cli::from_args(args(&["bin"]));
+        let none = parse(&["bin"]);
         assert!(none.metrics_out.is_none() && none.window_cycles.is_none());
         assert!(Cli::default().metrics_out.is_none() && Cli::default().window_cycles.is_none());
     }
@@ -623,29 +728,40 @@ mod tests {
             ("aster", OsPoint::AsterLike),
             ("linux", OsPoint::LinuxLike),
         ] {
-            let cli = Cli::from_args(args(&["bin", "--os", spelling]));
-            assert_eq!(cli.os, Some(want), "{spelling}");
+            assert_eq!(
+                parse(&["bin", "--os", spelling]).os,
+                Some(want),
+                "{spelling}"
+            );
         }
-        assert!(Cli::from_args(args(&["bin"])).os.is_none());
+        assert!(parse(&["bin"]).os.is_none());
         assert!(Cli::default().os.is_none());
     }
 
     #[test]
-    #[should_panic(expected = "--os takes nk, nautilus, aster, or linux")]
     fn cli_rejects_an_unknown_os() {
-        Cli::from_args(args(&["bin", "--os", "plan9"]));
+        let e = reject(&["bin", "--os", "plan9"]);
+        assert!(
+            e.starts_with("--os takes nk, nautilus, aster, or linux"),
+            "{e}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "--window-cycles takes a positive cycle count")]
     fn cli_rejects_zero_window_cycles() {
-        Cli::from_args(args(&["bin", "--window-cycles", "0"]));
+        let e = reject(&["bin", "--window-cycles", "0"]);
+        assert!(
+            e.starts_with("--window-cycles takes a positive cycle count"),
+            "{e}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "--metrics-out takes a path")]
     fn cli_rejects_a_dangling_metrics_out() {
-        Cli::from_args(args(&["bin", "--metrics-out"]));
+        assert_eq!(
+            reject(&["bin", "--metrics-out"]),
+            "--metrics-out takes a path"
+        );
     }
 
     #[test]

@@ -26,7 +26,6 @@
 
 pub mod harness;
 
-use serde::Serialize;
 use std::fmt::Display;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -142,18 +141,6 @@ pub fn f(v: f64, decimals: usize) -> String {
 /// Format any displayable value.
 pub fn s(v: impl Display) -> String {
     v.to_string()
-}
-
-/// Write results as JSON when `--json <path>` was passed on the CLI.
-pub fn maybe_dump_json<T: Serialize>(value: &T) {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        if let Some(path) = args.get(pos + 1) {
-            let json = serde_json::to_string_pretty(value).expect("serializable results");
-            std::fs::write(path, json).expect("writable json path");
-            println!("(json written to {path})");
-        }
-    }
 }
 
 #[cfg(test)]

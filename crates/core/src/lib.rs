@@ -23,8 +23,8 @@
 //! - [`stack`]: the interweaving axes as data — which timing source,
 //!   signaling path, address translation, coherence policy, and isolation
 //!   mechanism a stack composition uses.
-//! - [`stats`]: online statistics, histograms, and geometric means used to
-//!   report every figure and table.
+//! - [`stats`]: online statistics, the quantile sketch, and geometric means
+//!   used to report every figure and table.
 //! - [`energy`]: interconnect/cache energy accounting (Fig. 7).
 //! - [`rng`]: a small deterministic RNG so all experiments are reproducible.
 //! - [`arrivals`]: seeded open-loop arrival processes (Poisson, bursty

@@ -3,10 +3,10 @@
 //! The paper summarizes with geometric means (CARAT's <6 % overhead, RTK's
 //! 22 % gain), rate stability (Fig. 3's "consistent, stable rate"), and
 //! cycle-cost distributions (Fig. 4). This module provides the corresponding
-//! estimators: Welford online mean/variance, fixed-bucket histograms with
-//! percentile queries, exact sample reservoirs, a fixed-memory mergeable
-//! quantile [`Sketch`] for million-invocation campaigns, and geometric-mean
-//! helpers.
+//! estimators: Welford online mean/variance, a fixed-memory mergeable
+//! quantile [`Sketch`] (the one quantile type every report records into),
+//! an exact sample reservoir that serves as the sketch's test oracle, and
+//! geometric-mean helpers.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -101,102 +101,17 @@ impl Summary {
     }
 }
 
-/// A fixed-width-bucket histogram over `[0, bucket_width × buckets)`, with
-/// an overflow bucket; supports percentile queries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    bucket_width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram with `buckets` buckets of width `bucket_width`.
-    pub fn new(bucket_width: f64, buckets: usize) -> Histogram {
-        assert!(bucket_width > 0.0 && buckets > 0);
-        Histogram {
-            bucket_width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        let idx = (x / self.bucket_width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate `p`-th percentile (0 < p ≤ 100) by bucket upper edge.
-    /// Returns `None` when empty.
-    ///
-    /// When the requested rank lands in the overflow bucket the answer is
-    /// *clamped* to the last finite bucket edge — the true value is at least
-    /// that, but the histogram cannot say how much more. Callers printing a
-    /// percentile should use [`Histogram::percentile_clamped`] and surface
-    /// [`Histogram::overflow_fraction`] when the flag is set, instead of
-    /// silently reporting an in-range value.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        self.percentile_clamped(p).map(|(v, _)| v)
-    }
-
-    /// [`Histogram::percentile`] plus a clamp flag: `true` means the rank
-    /// landed in the overflow bucket and the returned value is only a lower
-    /// bound (the last finite bucket edge), not an in-range estimate.
-    pub fn percentile_clamped(&self, p: f64) -> Option<(f64, bool)> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(((i as f64 + 1.0) * self.bucket_width, false));
-            }
-        }
-        // Landed in the overflow bucket: clamp to the last finite edge and
-        // say so — the caller must not present this as an in-range value.
-        Some((self.bucket_width * self.counts.len() as f64, true))
-    }
-
-    /// Fraction of observations that overflowed the tracked range.
-    pub fn overflow_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.overflow as f64 / self.total as f64
-        }
-    }
-}
-
 /// An exact-quantile sample reservoir: stores every observation and answers
 /// arbitrary quantiles by nearest-rank on the sorted data.
 ///
-/// [`Histogram`] answers percentile queries by bucket upper edge, which is
-/// fine for p50/p99 over wide distributions but useless for p999 — at tail
-/// ranks the bucket quantization error dominates the signal. Serving-plane
-/// reports need exact tails, and at small n the nearest-rank definition is
-/// the only one that is unambiguous (no interpolation choices), so `Samples`
-/// keeps the raw values. Memory is 8 bytes per observation; the serving
-/// sweeps record a few hundred thousand latencies per point, well within
-/// budget.
+/// No simulator path records into `Samples`; it is the exact oracle that
+/// the [`Sketch`] error-bound tests compare against. Memory is 8 bytes per
+/// observation and grows without bound, which is why every report records
+/// into a [`Sketch`] instead.
 ///
-/// `PartialEq` compares the *observation multisets* (sorted), so two reports
-/// built from the same requests in different merge orders compare equal —
-/// the shard-invariance tests rely on this.
+/// `PartialEq` compares the *observation multisets* (sorted), so two
+/// reservoirs built from the same values in different merge orders compare
+/// equal.
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
     xs: Vec<f64>,
@@ -229,13 +144,6 @@ impl Samples {
     /// True when no observations have been recorded.
     pub fn is_empty(&self) -> bool {
         self.xs.is_empty()
-    }
-
-    /// Heap bytes held by the reservoir — grows without bound with the
-    /// observation count, which is exactly why long campaigns swap this
-    /// sink for a [`Sketch`].
-    pub fn bytes(&self) -> usize {
-        std::mem::size_of::<Samples>() + self.xs.capacity() * std::mem::size_of::<f64>()
     }
 
     fn ensure_sorted(&mut self) {
@@ -592,49 +500,6 @@ mod tests {
         }
         assert!(stable.cv() < 0.01);
         assert!(jittery.cv() > 0.2);
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new(10.0, 10);
-        for i in 0..100 {
-            h.add(i as f64);
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.percentile(50.0).unwrap();
-        assert!((40.0..=60.0).contains(&p50), "p50 = {p50}");
-        let p99 = h.percentile(99.0).unwrap();
-        assert!(p99 >= 90.0);
-    }
-
-    #[test]
-    fn histogram_overflow() {
-        let mut h = Histogram::new(1.0, 4);
-        h.add(0.5);
-        h.add(100.0);
-        assert_eq!(h.overflow_fraction(), 0.5);
-    }
-
-    #[test]
-    fn histogram_percentile_in_overflow_clamps_and_flags() {
-        let mut h = Histogram::new(1.0, 4);
-        h.add(0.5);
-        for _ in 0..9 {
-            h.add(100.0); // 90% of mass beyond the tracked range
-        }
-        // p50 sits in the overflow bucket: clamped to the last finite edge
-        // (4.0) with the flag raised, never an invented in-range value.
-        assert_eq!(h.percentile_clamped(50.0), Some((4.0, true)));
-        assert_eq!(h.percentile(50.0), Some(4.0));
-        // A rank inside the finite range stays unflagged.
-        assert_eq!(h.percentile_clamped(10.0), Some((1.0, false)));
-        assert_eq!(h.overflow_fraction(), 0.9);
-    }
-
-    #[test]
-    fn histogram_empty_percentile_is_none() {
-        let h = Histogram::new(1.0, 4);
-        assert!(h.percentile(50.0).is_none());
     }
 
     #[test]

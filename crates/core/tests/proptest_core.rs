@@ -1,7 +1,7 @@
 //! Property tests for the substrate: event-queue ordering, statistics
 //! estimators against reference implementations, RNG distribution sanity.
 
-use interweave_core::stats::{geomean, Histogram, Summary};
+use interweave_core::stats::{geomean, Sketch, Summary};
 use interweave_core::{Cycles, EventQueue};
 use proptest::prelude::*;
 
@@ -66,19 +66,23 @@ proptest! {
         prop_assert!(g >= lo * (1.0 - 1e-9) && g <= hi * (1.0 + 1e-9), "g={g} lo={lo} hi={hi}");
     }
 
-    /// Histogram percentiles are monotone in p and bracket the data range.
+    /// Sketch quantiles are monotone in q, and the top quantile brackets
+    /// the maximum within the sketch's relative error.
     #[test]
-    fn histogram_percentiles_monotone(xs in prop::collection::vec(0.0f64..100.0, 1..200)) {
-        let mut h = Histogram::new(1.0, 128);
+    fn sketch_quantiles_monotone(xs in prop::collection::vec(0.0f64..100.0, 1..200)) {
+        let mut sk = Sketch::for_latency_us();
         for &x in &xs {
-            h.add(x);
+            sk.add(x);
         }
         let mut last = 0.0;
-        for p in [1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0] {
-            let v = h.percentile(p).unwrap();
-            prop_assert!(v >= last, "p{p}: {v} < {last}");
+        for q in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            let v = sk.quantile(q).unwrap();
+            prop_assert!(v >= last, "q{q}: {v} < {last}");
             last = v;
         }
+        let max = xs.iter().cloned().fold(0.0, f64::max);
+        prop_assert!(last >= max, "q1.0 {last} below max {max}");
+        prop_assert!(last <= (max * (1.0 + sk.relative_error())).max(1.0 / 1024.0));
     }
 
     /// SplitMix64 `below` is within bounds and `range` is inclusive.

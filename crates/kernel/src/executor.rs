@@ -34,9 +34,8 @@ pub use crate::watchdog::{WatchdogPolicy, MAX_WATCHDOG_BACKOFF, MAX_WATCHDOG_REK
 
 enum TaskState {
     Ready,
-    /// Parked waiting on a signal tag (kept for debugging dumps).
-    #[allow(dead_code)]
-    Blocked(u64),
+    /// Parked on a signal tag; `waiters` records which one.
+    Blocked,
     Done,
 }
 
@@ -649,7 +648,7 @@ impl Executor {
                         }
                         self.stats.blocks += 1;
                         self.sink.count_at(&KEY_BLOCKS, cpu, 1, self.cpus[cpu].now);
-                        task.state = TaskState::Blocked(tag);
+                        task.state = TaskState::Blocked;
                         self.waiters.entry(tag).or_default().push(tid);
                         let now = self.cpus[cpu].now;
                         if !self.cpus[cpu].queue.is_empty() {

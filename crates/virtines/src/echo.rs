@@ -12,7 +12,7 @@ use crate::extract::VirtineImage;
 use crate::wasp::{startup, LaunchPath, Wasp};
 use interweave_core::machine::MachineConfig;
 use interweave_core::rng::SplitMix64;
-use interweave_core::stats::{Histogram, Summary};
+use interweave_core::stats::{Sketch, Summary};
 use interweave_core::time::Cycles;
 use interweave_ir::types::Val;
 
@@ -71,11 +71,12 @@ pub struct EchoReport {
     pub served: usize,
     /// End-to-end latency distribution in µs (arrival → response).
     pub latency_us: Summary,
-    /// Approximate p99 latency in µs. When `p99_clamped` is set this is
-    /// only a lower bound: the rank landed past the histogram's tracked
-    /// range and the value is the last finite bucket edge.
+    /// Approximate p99 latency in µs (a [`Sketch`] quantile, relative error
+    /// ≤ 2⁻⁷). When `p99_clamped` is set this is only a lower bound: the
+    /// rank landed past the sketch's tracked range and the value is the
+    /// range ceiling.
     pub p99_us: f64,
-    /// True when the p99 rank overflowed the histogram range; tables must
+    /// True when the p99 rank overflowed the sketch range; tables must
     /// then print the value as a bound and surface `tail_overflow`.
     pub p99_clamped: bool,
     /// Fraction of requests whose latency overflowed the tracked range.
@@ -124,7 +125,7 @@ pub fn run_echo(
     let mut arrive = 0f64; // µs
     let mut free_at = Cycles::ZERO;
     let mut latency = Summary::new();
-    let mut hist = Histogram::new(10.0, 40_000); // 10 µs buckets
+    let mut tail = Sketch::for_latency_us();
     for _ in 0..cfg.requests {
         arrive += rng.exponential(cfg.mean_gap_us);
         let arrive_cyc = freq.cycles_per_us(arrive);
@@ -133,16 +134,16 @@ pub fn run_echo(
         free_at = start + cost;
         let lat_us = freq.us(free_at - arrive_cyc).get();
         latency.add(lat_us);
-        hist.add(lat_us);
+        tail.add(lat_us);
     }
 
-    let (p99_us, p99_clamped) = hist.percentile_clamped(99.0).unwrap_or((0.0, false));
+    let (p99_us, p99_clamped) = tail.quantile_clamped(0.99).unwrap_or((0.0, false));
     EchoReport {
         mode,
         served: cfg.requests,
         p99_us,
         p99_clamped,
-        tail_overflow: hist.overflow_fraction(),
+        tail_overflow: tail.overflow_fraction(),
         latency_us: latency,
         cold_starts: match mode {
             ServeMode::VirtinePooled => wasp.stats.cold_starts,
@@ -210,10 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn p99_within_the_histogram_range_is_not_clamped() {
-        // The echo histogram tracks 400 ms; every strategy's tail sits in
-        // the low milliseconds, so the report must never claim a clamp —
-        // the golden tables print the plain value.
+    fn p99_within_the_sketch_range_is_not_clamped() {
+        // The latency sketch tracks up to 2^31 µs; every strategy's tail
+        // sits in the low milliseconds, so the report must never claim a
+        // clamp — the golden tables print the plain value.
         let (img, mc, cfg) = setup();
         for mode in [
             ServeMode::ProcessPerRequest,

@@ -51,7 +51,7 @@ use crate::wasp::{snapshot_restore, startup, LaunchPath};
 use interweave_core::arrivals::{ArrivalGen, ArrivalKind};
 use interweave_core::machine::MachineConfig;
 use interweave_core::rng::SplitMix64;
-use interweave_core::stats::{Samples, Sketch};
+use interweave_core::stats::Sketch;
 use interweave_core::telemetry::{FlightRecorder, TimeSeries};
 use interweave_core::time::Cycles;
 use interweave_core::{FaultClass, FaultConfig, FaultPlan};
@@ -364,110 +364,22 @@ impl WaspPool {
     }
 }
 
-/// How a serving run stores its latency distribution — the capacity policy
-/// the million-invocation regime requires.
-///
-/// [`Samples`] keeps every observation (8 bytes each), so a 10⁶-invocation
-/// campaign holds tens of megabytes just for tails; [`Sketch`] is
-/// fixed-memory (≤ ~42 KiB per sink) at a documented ≤ 2⁻⁷ relative error.
-/// `Windowed` additionally rolls per-window trajectories (goodput, queue
-/// depth, latency quantiles) into a [`TimeSeries`], so the report shows
-/// *when* the knee happened, not just that it did.
+/// Whether a serving run also rolls its metrics into windows. Latency
+/// always goes into a fixed-memory [`Sketch`] (≤ ~42 KiB per sink, relative
+/// error ≤ 2⁻⁷); `Windowed` additionally rolls per-window trajectories
+/// (goodput, queue depth, latency quantiles) into a [`TimeSeries`], so the
+/// report shows *when* the knee happened, not just that it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsPolicy {
-    /// Exact quantiles, unbounded memory — the historical default; keeps
-    /// every pinned golden byte-identical.
+    /// Run-level latency sketch, no trajectory.
     #[default]
-    Exact,
-    /// Fixed-memory quantile sketch, no trajectory.
     Sketched,
-    /// Fixed-memory sketch plus a windowed [`TimeSeries`] with windows of
+    /// Run-level sketch plus a windowed [`TimeSeries`] with windows of
     /// `window` simulated cycles.
     Windowed {
         /// Roll-up window width in simulated cycles.
         window: Cycles,
     },
-}
-
-/// The latency sink a [`ServeReport`] aggregates into: exact reservoir or
-/// bounded sketch, chosen by [`MetricsPolicy`]. Merging two reports
-/// requires the same variant — mixing an exact run into a sketched one
-/// would silently change quantile semantics.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LatencySink {
-    /// Every observation retained ([`Samples`]).
-    Exact(Samples),
-    /// Fixed-memory log-bucketed sketch ([`Sketch`]).
-    Sketched(Sketch),
-}
-
-impl LatencySink {
-    fn for_policy(metrics: MetricsPolicy) -> LatencySink {
-        match metrics {
-            MetricsPolicy::Exact => LatencySink::Exact(Samples::new()),
-            MetricsPolicy::Sketched | MetricsPolicy::Windowed { .. } => {
-                LatencySink::Sketched(Sketch::for_latency_us())
-            }
-        }
-    }
-
-    /// Record one latency observation, µs.
-    pub fn add(&mut self, x: f64) {
-        match self {
-            LatencySink::Exact(s) => s.add(x),
-            LatencySink::Sketched(s) => s.add(x),
-        }
-    }
-
-    /// Absorb another sink. Panics on variant mismatch.
-    pub fn merge(&mut self, other: &LatencySink) {
-        match (self, other) {
-            (LatencySink::Exact(a), LatencySink::Exact(b)) => a.merge(b),
-            (LatencySink::Sketched(a), LatencySink::Sketched(b)) => a.merge(b),
-            _ => panic!("cannot merge exact and sketched latency sinks"),
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        match self {
-            LatencySink::Exact(s) => s.count(),
-            LatencySink::Sketched(s) => s.count() as usize,
-        }
-    }
-
-    /// Median; 0 when empty.
-    pub fn p50(&mut self) -> f64 {
-        match self {
-            LatencySink::Exact(s) => s.p50(),
-            LatencySink::Sketched(s) => s.p50(),
-        }
-    }
-
-    /// 99th percentile; 0 when empty.
-    pub fn p99(&mut self) -> f64 {
-        match self {
-            LatencySink::Exact(s) => s.p99(),
-            LatencySink::Sketched(s) => s.p99(),
-        }
-    }
-
-    /// 99.9th percentile; 0 when empty.
-    pub fn p999(&mut self) -> f64 {
-        match self {
-            LatencySink::Exact(s) => s.p999(),
-            LatencySink::Sketched(s) => s.p999(),
-        }
-    }
-
-    /// Heap bytes held: unbounded for `Exact`, hard-capped for
-    /// `Sketched` — the EXPERIMENTS.md memory table reads this.
-    pub fn bytes(&self) -> usize {
-        match self {
-            LatencySink::Exact(s) => s.bytes(),
-            LatencySink::Sketched(s) => s.bytes(),
-        }
-    }
 }
 
 /// Per-class fault ledger: where every injected fault of one class landed.
@@ -522,8 +434,8 @@ pub struct ServeConfig {
     pub faults: FaultConfig,
     /// Watchdog schedule reclaiming lost completion kicks.
     pub watchdog: WatchdogPolicy,
-    /// Latency-sink capacity policy (exact reservoir, bounded sketch, or
-    /// sketch + windowed time series).
+    /// Metrics policy: run-level sketch only, or sketch + windowed time
+    /// series.
     pub metrics: MetricsPolicy,
     /// Per-worker flight-recorder depth: 0 (default) disables the
     /// blackbox; N keeps each worker's last N events for the ledger
@@ -550,8 +462,8 @@ pub struct ServeReport {
     /// Completions whose kick was lost and reclaimed by a watchdog scan.
     pub wd_reclaims: u64,
     /// End-to-end latency (arrival → observed completion) of successfully
-    /// served requests, µs — exact or sketched per [`MetricsPolicy`].
-    pub latency_us: LatencySink,
+    /// served requests, µs.
+    pub latency_us: Sketch,
     /// Windowed trajectories (offered/completed/shed counters, queue-depth
     /// gauge, latency sketch per window), present under
     /// [`MetricsPolicy::Windowed`]. Merged window-by-window in canonical
@@ -622,10 +534,10 @@ impl ServeReport {
             shed_deadline: 0,
             shed_retry: 0,
             wd_reclaims: 0,
-            latency_us: LatencySink::for_policy(metrics),
+            latency_us: Sketch::for_latency_us(),
             series: match metrics {
                 MetricsPolicy::Windowed { window } => Some(TimeSeries::new(window)),
-                _ => None,
+                MetricsPolicy::Sketched => None,
             },
             faults: FaultClass::ALL
                 .iter()
@@ -916,7 +828,7 @@ mod tests {
             pool: pool_opts(64),
             faults,
             watchdog: WatchdogPolicy::new(Cycles(100_000)),
-            metrics: MetricsPolicy::Exact,
+            metrics: MetricsPolicy::Sketched,
             blackbox: 0,
         }
     }
@@ -1162,7 +1074,6 @@ mod tests {
         );
         // Bounded tail for what *was* admitted: queue cap 8 bounds the
         // wait to ~cap × service time; check against a generous multiple.
-        let mut slam = slam;
         let p99 = slam.latency_us.p99();
         assert!(
             p99 < 4_000.0,
@@ -1170,37 +1081,6 @@ mod tests {
         );
         assert!(slam.goodput() < 0.95, "overload cannot serve everything");
         assert!(calm.goodput() > 0.95, "calm load serves nearly everything");
-    }
-
-    #[test]
-    fn sketched_sink_tracks_exact_within_the_documented_bound() {
-        let image = fib_image();
-        let args = [Val::I(10)];
-        let mc = MachineConfig::xeon_server_2s();
-        let mut cfg = serve_cfg(&image, 40.0, chaotic(0xBEEF));
-        let mut exact = run_serve(&image, &args, &mc, &cfg, 2);
-        cfg.metrics = MetricsPolicy::Sketched;
-        let mut sk = run_serve(&image, &args, &mc, &cfg, 2);
-        // Same simulation either way: only the sink representation moves.
-        assert_eq!(exact.completed, sk.completed);
-        assert_eq!(exact.latency_us.count(), sk.latency_us.count());
-        assert!(
-            sk.latency_us.bytes() < exact.latency_us.bytes(),
-            "sketch must be smaller: {} vs {}",
-            sk.latency_us.bytes(),
-            exact.latency_us.bytes()
-        );
-        let eps = 1.0 / 128.0; // Sketch::for_latency_us relative error
-        for (e, v) in [
-            (exact.latency_us.p50(), sk.latency_us.p50()),
-            (exact.latency_us.p99(), sk.latency_us.p99()),
-            (exact.latency_us.p999(), sk.latency_us.p999()),
-        ] {
-            assert!(
-                e <= v && v <= e * (1.0 + eps) * (1.0 + 1e-12),
-                "sketch quantile out of bound: exact {e}, sketch {v}"
-            );
-        }
     }
 
     #[test]
@@ -1224,15 +1104,14 @@ mod tests {
         assert_eq!(sum("completed"), one.completed);
         assert_eq!(sum("shed"), one.shed());
         // Per-window latency sketches merge to the run-level sink.
-        let mut merged = interweave_core::stats::Sketch::for_latency_us();
+        let mut merged = Sketch::for_latency_us();
         for (_, w) in series.iter() {
             if let Some(s) = w.sketch("latency_us") {
                 merged.merge(s);
             }
         }
         assert_eq!(
-            LatencySink::Sketched(merged),
-            one.latency_us,
+            merged, one.latency_us,
             "window sketches must merge to the total"
         );
     }
@@ -1243,9 +1122,9 @@ mod tests {
         let args = [Val::I(10)];
         let mc = MachineConfig::xeon_server_2s();
         let mut cfg = serve_cfg(&image, 60.0, FaultConfig::quiet(9));
-        let mut warm = run_serve(&image, &args, &mc, &cfg, 2);
+        let warm = run_serve(&image, &args, &mc, &cfg, 2);
         cfg.pool.cache_capacity = 0; // the layered stack: no snapshots
-        let mut cold = run_serve(&image, &args, &mc, &cfg, 2);
+        let cold = run_serve(&image, &args, &mc, &cfg, 2);
         assert!(
             cold.latency_us.p50() > warm.latency_us.p50() * 2.0,
             "cold-start storms must dominate the layered median: {} vs {}",

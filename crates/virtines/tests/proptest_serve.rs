@@ -60,8 +60,7 @@ fn cfg(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any configuration — under any latency-sink policy (exact,
-    /// sketched, windowed) — yields a report that is bit-identical
+    /// Any configuration — with or without windowed metrics — yields a report that is bit-identical
     /// across shard counts and across repeated runs, conserves requests,
     /// and keeps every fault class's ledger balanced.
     #[test]
@@ -71,14 +70,13 @@ proptest! {
         workers in 1usize..7,
         shards in 1usize..5,
         kill_sel in 0usize..3,
-        metrics_sel in 0usize..3,
+        metrics_sel in 0usize..2,
         seed in 0u64..1_000,
     ) {
         let arrival = ArrivalKind::ALL[arrival_sel];
         let mean_gap_us = [3.0, 12.0, 60.0][gap_sel];
         let kill = [0.0, 0.15, 0.5][kill_sel];
         let metrics = [
-            MetricsPolicy::Exact,
             MetricsPolicy::Sketched,
             MetricsPolicy::Windowed { window: Cycles(40_000) },
         ][metrics_sel];
@@ -102,7 +100,7 @@ proptest! {
             base.offered,
             base.completed + base.shed_queue + base.shed_deadline + base.shed_retry
         );
-        prop_assert_eq!(base.completed, base.latency_us.count() as u64);
+        prop_assert_eq!(base.completed, base.latency_us.count());
         prop_assert!(base.accounts_balanced(), "ledger out of balance: {:?}", base.faults);
     }
 }
