@@ -2,7 +2,8 @@
 //! engines:
 //!
 //! - event queue: point cancellation through tombstoned handles and plain
-//!   schedule/pop churn (10k-event workloads);
+//!   schedule/pop churn (10k-event workloads), and the executor's
+//!   cancellable dispatch churn (24 pending events);
 //! - coherence: the protocol engine under a shared read/write mix;
 //! - sweep dispatch: `parallel_map` fan-out over a simulator-shaped
 //!   workload on the bounded worker pool;
@@ -66,6 +67,28 @@ fn queue_schedule_pop(c: &mut Criterion) {
                 sum = sum.wrapping_add(p);
             }
             black_box(sum)
+        })
+    });
+}
+
+/// The executor's dispatch pattern on the 24-CPU server: one pending
+/// cancellable dispatch per CPU, and each pop reschedules its CPU.
+fn queue_cancellable_dispatch(c: &mut Criterion) {
+    const CPUS: u64 = 24;
+    const POPS: u64 = 10_000;
+    c.bench_function("queue_churn/cancellable_dispatch_24", |b| {
+        b.iter(|| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut pending: Vec<EventHandle> = (0..CPUS)
+                .map(|cpu| q.schedule_cancellable(Cycles(1 + cpu), cpu))
+                .collect();
+            for i in 0..POPS {
+                let (t, cpu) = q.pop().expect("every CPU keeps a dispatch pending");
+                let at = t + Cycles(1 + (i * 7_919) % 5_000);
+                pending[cpu as usize] = q.schedule_cancellable(at, cpu);
+            }
+            black_box(&pending);
+            black_box(q.now())
         })
     });
 }
@@ -468,6 +491,7 @@ criterion_group!(
     benches,
     queue_cancel_tombstone,
     queue_schedule_pop,
+    queue_cancellable_dispatch,
     coherence_end_to_end,
     sweep_dispatch,
     interp_loadstore,

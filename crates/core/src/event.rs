@@ -8,17 +8,20 @@
 //! configuration, so ties in event time are broken by insertion order
 //! (FIFO), never by heap internals.
 //!
-//! Cancellation is *lazy*: [`EventQueue::cancel`] tombstones the event's
-//! sequence number in O(1) instead of rebuilding the heap, and tombstoned
-//! entries are discarded when they surface at the top. When tombstones
-//! outnumber live events the heap is compacted in one pass, so memory stays
-//! bounded by the live event count. The heap top is never left tombstoned,
-//! which keeps [`EventQueue::peek_time`] an `&self` read.
+//! Cancellation is *lazy*: [`EventQueue::cancel`] tombstones the event in
+//! O(1) instead of rebuilding the heap, and tombstoned entries are
+//! discarded when they surface at the top. A cancellable event owns a slot
+//! in a small table (`slots[slot] == seq` while it is live), so neither
+//! cancelling nor popping hashes anything, and a plain event pays one
+//! sentinel compare. When tombstones outnumber live events the heap is
+//! compacted in one pass, so memory stays bounded by the live event count.
+//! The heap top is never left tombstoned, which keeps
+//! [`EventQueue::peek_time`] an `&self` read.
 
 use crate::telemetry::{Key, Layer, Sink, Unit};
 use crate::time::Cycles;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Registry key: events scheduled since the queue was created.
 const KEY_SCHEDULED: Key = Key::new("core.evq.scheduled", Layer::Hardware, Unit::Count);
@@ -44,11 +47,20 @@ pub struct EvqStats {
     pub compactions: u64,
 }
 
+/// Slot index of an event scheduled with plain [`EventQueue::schedule`]:
+/// it cannot be cancelled and owns no slot.
+const NO_SLOT: u32 = u32::MAX;
+/// Value of a slot whose event was cancelled (tombstone) or which is on the
+/// free list. No event's `seq` ever reaches it.
+const DEAD: u64 = u64::MAX;
+
 /// An event scheduled at an absolute simulated time.
 #[derive(Debug, Clone)]
 struct Scheduled<E> {
     at: Cycles,
     seq: u64,
+    /// The event's slot in [`EventQueue::slots`], or [`NO_SLOT`].
+    slot: u32,
     payload: E,
 }
 
@@ -81,10 +93,11 @@ impl<E> PartialOrd for Scheduled<E> {
 ///
 /// Handles are cheap copyable tokens. A handle whose event has already
 /// fired (or already been cancelled) is simply stale: cancelling it returns
-/// `false` and does nothing.
+/// `false` and does nothing, even after its slot went to a newer event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventHandle {
     seq: u64,
+    slot: u32,
 }
 
 /// A deterministic discrete-event queue generic over the event payload.
@@ -107,11 +120,15 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: Cycles,
-    /// Seqs of events scheduled via `schedule_cancellable` and still
-    /// pending; membership makes `cancel` accurate and idempotent.
-    cancellable: HashSet<u64>,
-    /// Tombstones: seqs of cancelled events still physically in the heap.
-    cancelled: HashSet<u64>,
+    /// Slot table of the events scheduled via `schedule_cancellable` that
+    /// are still physically in the heap: `slots[slot] == seq` while the
+    /// event is live, [`DEAD`] once it is cancelled (a tombstone) or its
+    /// slot is free. Equality makes `cancel` accurate and idempotent.
+    slots: Vec<u64>,
+    /// Slots whose heap entry is gone, ready for reuse.
+    free: Vec<u32>,
+    /// Tombstones: cancelled events still physically in the heap.
+    tombs: usize,
     /// Lifetime telemetry counters.
     stats: EvqStats,
 }
@@ -129,8 +146,9 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: Cycles::ZERO,
-            cancellable: HashSet::new(),
-            cancelled: HashSet::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            tombs: 0,
             stats: EvqStats::default(),
         }
     }
@@ -164,7 +182,7 @@ impl<E> EventQueue<E> {
     /// Number of pending (non-cancelled) events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len() - self.tombs
     }
 
     /// True when no live events are pending.
@@ -178,7 +196,7 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past is a simulator bug; it panics in debug builds
     /// and is clamped to `now` in release builds so long sweeps fail soft.
     pub fn schedule(&mut self, at: Cycles, payload: E) {
-        self.push(at, payload);
+        self.push(at, NO_SLOT, payload);
     }
 
     /// Schedule `payload` at `at`, returning a handle that can later cancel
@@ -187,12 +205,20 @@ impl<E> EventQueue<E> {
     /// Same time semantics as [`EventQueue::schedule`], including FIFO
     /// tie-breaking against events scheduled either way.
     pub fn schedule_cancellable(&mut self, at: Cycles, payload: E) -> EventHandle {
-        let seq = self.push(at, payload);
-        self.cancellable.insert(seq);
-        EventHandle { seq }
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                assert!(self.slots.len() < NO_SLOT as usize, "slot table full");
+                self.slots.push(DEAD);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let seq = self.push(at, slot, payload);
+        self.slots[slot as usize] = seq;
+        EventHandle { seq, slot }
     }
 
-    fn push(&mut self, at: Cycles, payload: E) -> u64 {
+    fn push(&mut self, at: Cycles, slot: u32, payload: E) -> u64 {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: at={at} now={}",
@@ -202,7 +228,12 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.scheduled += 1;
-        self.heap.push(Scheduled { at, seq, payload });
+        self.heap.push(Scheduled {
+            at,
+            seq,
+            slot,
+            payload,
+        });
         seq
     }
 
@@ -212,16 +243,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Cancel the event behind `handle`. Returns true if the event was
-    /// still pending (and is now dead), false if it already fired or was
-    /// already cancelled.
+    /// still pending (and is now dead), false if it already fired, was
+    /// already cancelled, or the handle belongs to no event of this queue.
     ///
     /// The entry is tombstoned, not removed: it stays in the heap until it
     /// surfaces at the top or a compaction sweeps it out.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if !self.cancellable.remove(&handle.seq) {
-            return false;
+        match self.slots.get_mut(handle.slot as usize) {
+            Some(live) if *live == handle.seq => *live = DEAD,
+            _ => return false,
         }
-        self.cancelled.insert(handle.seq);
+        self.tombs += 1;
         self.stats.cancelled += 1;
         self.after_cancel();
         true
@@ -237,8 +269,12 @@ impl<E> EventQueue<E> {
     /// Pop the earliest live event, advancing `now` to its time.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
         let s = self.heap.pop()?;
-        debug_assert!(!self.cancelled.contains(&s.seq), "tombstone at heap top");
-        self.cancellable.remove(&s.seq);
+        if s.slot != NO_SLOT {
+            let slot = &mut self.slots[s.slot as usize];
+            debug_assert_eq!(*slot, s.seq, "tombstone at heap top");
+            *slot = DEAD;
+            self.free.push(s.slot);
+        }
         self.prune_top();
         self.now = s.at;
         self.stats.popped += 1;
@@ -272,41 +308,58 @@ impl<E> EventQueue<E> {
     fn after_cancel(&mut self) {
         // Compact when tombstones exceed half the heap; otherwise just make
         // sure the top entry is live.
-        if self.cancelled.len() * 2 > self.heap.len() {
+        if self.tombs * 2 > self.heap.len() {
             self.compact();
         } else {
             self.prune_top();
         }
     }
 
+    /// True when `s` is a tombstone: it owns a slot that no longer holds
+    /// its `seq`.
+    #[inline]
+    fn is_tomb(slots: &[u64], s: &Scheduled<E>) -> bool {
+        s.slot != NO_SLOT && slots[s.slot as usize] != s.seq
+    }
+
     /// Discard tombstoned entries sitting at the top of the heap.
     fn prune_top(&mut self) {
         while let Some(top) = self.heap.peek() {
-            let seq = top.seq;
-            if !self.cancelled.contains(&seq) {
+            if !Self::is_tomb(&self.slots, top) {
                 break;
             }
+            self.free.push(top.slot);
             self.heap.pop();
-            self.cancelled.remove(&seq);
+            self.tombs -= 1;
         }
     }
 
     /// Rebuild the heap without its tombstoned entries (one O(n) pass).
     fn compact(&mut self) {
         self.stats.compactions += 1;
-        let cancelled = std::mem::take(&mut self.cancelled);
-        let kept: Vec<Scheduled<E>> = self
-            .heap
-            .drain()
-            .filter(|s| !cancelled.contains(&s.seq))
-            .collect();
-        self.heap = kept.into();
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.retain(|s| {
+            let tomb = Self::is_tomb(&self.slots, s);
+            if tomb {
+                self.free.push(s.slot);
+            }
+            !tomb
+        });
+        self.tombs = 0;
+        self.heap = entries.into();
     }
 
     /// Physical heap entries, live + tombstoned (for tests and diagnostics).
     #[doc(hidden)]
     pub fn raw_len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Size of the slot table: the most cancellable entries (live +
+    /// tombstoned) ever in the heap at once (for tests and diagnostics).
+    #[doc(hidden)]
+    pub fn slot_table_len(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -511,6 +564,91 @@ mod tests {
         assert_eq!(sink.counter("core.evq.popped"), 1);
         assert_eq!(sink.counter("core.evq.cancelled"), 1);
         assert_eq!(sink.counter("core.evq.compactions"), 0);
+    }
+
+    #[test]
+    fn stale_handle_never_cancels_the_slots_next_owner() {
+        let mut q = EventQueue::new();
+        let old = q.schedule_cancellable(Cycles(1), "old");
+        assert_eq!(q.pop(), Some((Cycles(1), "old")));
+        // The freed slot goes to the next cancellable event.
+        let new = q.schedule_cancellable(Cycles(2), "new");
+        assert_eq!((old.slot, q.slot_table_len()), (new.slot, 1));
+        assert!(!q.cancel(old), "a fired event's handle is stale");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((Cycles(2), "new")));
+
+        // Same after a cancel: the tombstone's slot is reused once the
+        // tombstone leaves the heap, and the old handle stays dead.
+        let doomed = q.schedule_cancellable(Cycles(3), "doomed");
+        assert!(q.cancel(doomed));
+        let next = q.schedule_cancellable(Cycles(4), "next");
+        assert_eq!(next.slot, doomed.slot);
+        assert!(!q.cancel(doomed));
+        assert_eq!(q.pop(), Some((Cycles(4), "next")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn foreign_handle_with_out_of_range_slot_is_rejected() {
+        // A handle minted by a queue (or shard) with a bigger slot table.
+        let mut other = EventQueue::new();
+        let foreign: Vec<EventHandle> = (0..8)
+            .map(|i| other.schedule_cancellable(Cycles(i), i))
+            .collect();
+        let mut q = EventQueue::new();
+        q.schedule_cancellable(Cycles(5), 0);
+        q.schedule(Cycles(6), 1);
+        // Handles carry no queue identity, so `foreign[0]` (slot 0, seq 0)
+        // would name `q`'s own first event; the rest are out of range.
+        for h in &foreign[1..] {
+            assert!(!q.cancel(*h), "slot {} is out of range", h.slot);
+        }
+        let far = EventHandle {
+            seq: 0,
+            slot: NO_SLOT,
+        };
+        assert!(!q.cancel(far));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.stats().cancelled, 0);
+        assert_eq!(q.pop(), Some((Cycles(5), 0)));
+        assert_eq!(q.pop(), Some((Cycles(6), 1)));
+    }
+
+    #[test]
+    fn slot_table_stays_bounded_under_dispatch_churn() {
+        // The executor's pattern: 24 CPUs, each with one pending
+        // cancellable dispatch; every pop reschedules that CPU, and every
+        // tenth reschedule first retracts another CPU's pending dispatch.
+        const CPUS: u64 = 24;
+        let mut q = EventQueue::new();
+        let mut pending: Vec<EventHandle> = (0..CPUS)
+            .map(|cpu| q.schedule_cancellable(Cycles(1 + cpu), cpu))
+            .collect();
+        let mut rng = crate::SplitMix64::new(7);
+        let mut peak = q.raw_len();
+        for i in 0..100_000u64 {
+            let (t, cpu) = q.pop().expect("24 events stay pending");
+            pending[cpu as usize] = q.schedule_cancellable(t + Cycles(rng.range(1, 5_000)), cpu);
+            if i % 10 == 0 {
+                let victim = rng.range(0, CPUS - 1) as usize;
+                assert!(q.cancel(pending[victim]));
+                pending[victim] =
+                    q.schedule_cancellable(q.now() + Cycles(rng.range(1, 5_000)), victim as u64);
+            }
+            assert_eq!(q.len(), CPUS as usize);
+            // Compaction keeps tombstones at most as many as live events.
+            assert!(q.raw_len() <= 2 * CPUS as usize, "raw_len {}", q.raw_len());
+            peak = peak.max(q.raw_len());
+        }
+        assert!(q.stats().cancelled >= 10_000);
+        // The table only grows when no slot is free, i.e. when every slot
+        // holds a live event or a tombstone still in the heap.
+        assert!(
+            q.slot_table_len() <= peak,
+            "slot table {} outgrew the peak of live + tombstones {peak}",
+            q.slot_table_len()
+        );
     }
 
     #[test]

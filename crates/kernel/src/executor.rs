@@ -47,7 +47,7 @@ struct Task {
     /// Stack block carved from the executor's allocator (freed on Done).
     stack: Option<u64>,
     /// Cycles of pure compute this task has performed.
-    pub executed: Cycles,
+    executed: Cycles,
 }
 
 /// What the executor's event queue carries: per-CPU dispatch kicks plus the
@@ -130,10 +130,12 @@ pub struct Executor {
     /// keeping runs deterministic at every shard count.
     events: ShardedKernel<ExecEvent>,
     tracing: bool,
-    /// Which OS's context-switch costs this kernel charges. `Nk` (the
-    /// default) is the interwoven Nautilus-like kernel; `Linux` models the
-    /// layered commodity stack for side-by-side attribution runs.
-    os: OsPoint,
+    /// The cooperative-yield and timer-preemption context-switch costs of
+    /// the OS point this kernel charges (see [`Executor::set_os`]), fixed
+    /// for a run and cached so the dispatch loop does not recompute them
+    /// per switch.
+    yield_cost: Cycles,
+    preempt_cost: Cycles,
     /// Fault plane consulted whenever a kick IPI actually goes on the wire
     /// and whenever a stack is allocated. `None` (the default) is the exact
     /// pre-fault-plane behavior.
@@ -172,6 +174,7 @@ impl Executor {
                 abandon_logged: false,
             })
             .collect();
+        let (yield_cost, preempt_cost) = switch_costs(&mc, OsPoint::NkLike);
         Executor {
             mc,
             quantum,
@@ -181,7 +184,8 @@ impl Executor {
             signalled: HashMap::new(),
             events: ShardedKernel::new(1),
             tracing: false,
-            os: OsPoint::NkLike,
+            yield_cost,
+            preempt_cost,
             faults: None,
             watchdog: None,
             stack_alloc: None,
@@ -214,7 +218,10 @@ impl Executor {
 
     /// The event-kernel shard owning `cpu`'s dispatch events.
     fn shard_of(&self, cpu: CpuId) -> usize {
-        cpu * self.events.shards() / self.cpus.len()
+        match self.events.shards() {
+            1 => 0,
+            n => cpu * n / self.cpus.len(),
+        }
     }
 
     /// Install a fault plan: from now on every kick IPI that actually goes
@@ -225,11 +232,12 @@ impl Executor {
         self.faults = Some(plan);
     }
 
-    /// Charge context switches at `os`'s costs ([`OsPoint::NkLike`] by default).
-    /// This is the knob the attribution bench turns to contrast the
-    /// interwoven kernel with the layered commodity stack on one workload.
+    /// Charge context switches at `os`'s costs ([`OsPoint::NkLike`] by default:
+    /// the interwoven Nautilus-like kernel; `LinuxLike` models the layered
+    /// commodity stack). This is the knob the attribution bench turns to
+    /// contrast the two on one workload.
     pub fn set_os(&mut self, os: OsPoint) {
-        self.os = os;
+        (self.yield_cost, self.preempt_cost) = switch_costs(&self.mc, os);
     }
 
     /// Attach a telemetry sink: scheduler counters, watchdog activity, the
@@ -432,9 +440,10 @@ impl Executor {
             // dispatch, in which case that event covers it.
             Some((pending, _)) if pending <= t_eff => {}
             // A strictly earlier kick retracts the pending dispatch and
-            // reschedules, so a CPU never idles past a wakeup. (Kicks
-            // arrive in nondecreasing event-time order today, so this arm
-            // is a safety net; it keeps the invariant local to `kick`.)
+            // reschedules, so a CPU never idles past a wakeup. Delayed IPIs
+            // reach this arm: a kick delivered late leaves a dispatch
+            // pending far ahead, and a later kick with a shorter (or no)
+            // delay lands before it.
             Some((_, handle)) => {
                 let shard = self.shard_of(cpu);
                 self.events.cancel(shard, handle);
@@ -614,14 +623,7 @@ impl Executor {
                     WorkStep::Compute(n) => task.pending = n,
                     WorkStep::Yield => {
                         self.stats.yields += 1;
-                        let cost = switch_cost(
-                            &self.mc,
-                            self.os,
-                            SwitchKind::FiberCooperative,
-                            false,
-                            false,
-                        )
-                        .total();
+                        let cost = self.yield_cost;
                         let c = &mut self.cpus[cpu];
                         let start = c.now;
                         c.now += cost;
@@ -690,9 +692,7 @@ impl Executor {
             if quantum_left == Cycles::ZERO {
                 // Timer preemption.
                 self.stats.preemptions += 1;
-                let cost =
-                    switch_cost(&self.mc, self.os, SwitchKind::ThreadInterrupt, false, false)
-                        .total();
+                let cost = self.preempt_cost;
                 let c = &mut self.cpus[cpu];
                 let start = c.now;
                 c.now += cost;
@@ -707,6 +707,16 @@ impl Executor {
             }
         }
     }
+}
+
+/// `os`'s (cooperative yield, timer preemption) context-switch costs on
+/// `mc`.
+fn switch_costs(mc: &MachineConfig, os: OsPoint) -> (Cycles, Cycles) {
+    let cost = |kind| switch_cost(mc, os, kind, false, false).total();
+    (
+        cost(SwitchKind::FiberCooperative),
+        cost(SwitchKind::ThreadInterrupt),
+    )
 }
 
 #[cfg(test)]
@@ -1067,6 +1077,49 @@ mod tests {
         assert!(e.run(), "delays slow the run down but never lose work");
         assert!(e.stats.delayed_kicks > 0);
         assert_eq!(e.stats.lost_kicks, 0);
+    }
+
+    #[test]
+    fn delayed_kick_overtaken_by_an_earlier_one_retracts_the_dispatch() {
+        use interweave_core::telemetry::{Level, Sink};
+        use interweave_core::{FaultConfig, FaultPlan};
+        // Long IPI delays leave dispatches pending far ahead; a later kick
+        // that lands earlier must retract and reschedule them (`kick`'s
+        // retract arm), and the run must still be exact.
+        let mut cfg = FaultConfig::quiet(1);
+        cfg.delay_ipi = 0.5;
+        cfg.max_ipi_delay = Cycles(20_000);
+        let mut e = exec(4, 2_000);
+        let sink = Sink::on(Level::Counters);
+        e.set_telemetry(sink.clone());
+        e.set_fault_plan(FaultPlan::new(cfg));
+        let mut expect = Vec::new();
+        for cpu in 0..4 {
+            e.spawn(cpu, Box::new(LoopWork::new(6, Cycles(1_500))));
+            expect.push(Cycles(9_000));
+            let child = e.spawn((cpu + 1) % 4, Box::new(LoopWork::new(3, Cycles(700))));
+            expect.push(Cycles(2_100));
+            e.spawn(
+                cpu,
+                Box::new(ScriptedWork::new(vec![
+                    WorkStep::Compute(Cycles(400)),
+                    WorkStep::Yield,
+                    WorkStep::Block(child),
+                    WorkStep::Compute(Cycles(300)),
+                    WorkStep::Done,
+                ])),
+            );
+            expect.push(Cycles(700));
+        }
+        assert!(e.run(), "delayed kicks never lose work");
+        assert!(e.stats.delayed_kicks > 0);
+        assert!(
+            sink.counter("core.evq.cancelled") > 0,
+            "no pending dispatch was retracted"
+        );
+        assert_eq!(e.stats.task_executed, expect);
+        sink.verify_attribution(e.attribution_clock())
+            .expect("attributed cycles must equal makespan × #CPUs");
     }
 
     #[test]
