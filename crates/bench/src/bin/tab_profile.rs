@@ -31,7 +31,7 @@ use interweave_coherence::protocol::{CohMode, System, SystemConfig};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_core::telemetry::{
-    chrome_trace_json, find_overlap, well_bracketed, AttributionRow, Layer, Level, Sink, Snapshot,
+    find_overlap, well_bracketed, AttributionRow, Layer, Level, Sink, Snapshot,
 };
 use interweave_core::time::Cycles;
 use interweave_core::{FaultConfig, FaultPlan};
@@ -316,14 +316,7 @@ fn main() {
     );
 
     // Optional Perfetto export; the golden run passes no flag.
-    if let Some(path) = h.trace_out() {
-        let json = chrome_trace_json(&spans, mc.freq.mhz);
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir).expect("trace-out dir");
-        }
-        std::fs::write(path, &json).expect("writable trace path");
-        println!("(perfetto trace written to {path})");
-    }
+    h.finish_trace(&spans, &[], mc.freq.mhz);
 
     h.finish(&ProfileJson {
         interwoven: snap,

@@ -37,14 +37,11 @@
 //! `--trace-out <path>` additionally exports the trajectory as Perfetto
 //! counter tracks.
 
-use interweave_bench::harness::{Harness, Scenario};
+use interweave_bench::harness::{Harness, MetricsSeries, Scenario};
 use interweave_bench::{f, s};
 use interweave_core::arrivals::ArrivalKind;
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
-use interweave_core::telemetry::{
-    chrome_trace_json_with_counters, CounterTrack, Layer, TimeSeries,
-};
 use interweave_core::time::Cycles;
 use interweave_core::{FaultClass, FaultConfig};
 use interweave_ir::programs;
@@ -205,12 +202,12 @@ fn main() {
     // layered cold-boot serving, chaos scaling with load. ──
     let mut rows = Vec::new();
     let mut knee: Option<ServeReport> = None;
-    let mut metrics_series: Option<TimeSeries> = None;
+    let mut metrics_series: Option<MetricsSeries> = None;
     for &load_x in &loads {
         let iw = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 32, 2), shards);
         let ly = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 0, 0), shards);
         if let Some(ts) = &iw.series {
-            metrics_series = Some(ts.clone());
+            metrics_series = Some(MetricsSeries::from_series(ts));
         }
         for r in [&iw, &ly] {
             assert!(
@@ -339,64 +336,14 @@ fn main() {
 
     // ── Streaming exports: the interwoven trajectory at the last swept
     // load, as windowed JSON and (optionally) Perfetto counter tracks. ──
-    if let Some(ts) = &metrics_series {
-        h.finish_metrics(ts);
-        if let Some(path) = h.trace_out() {
-            let tracks = counter_tracks(ts);
-            let trace =
-                chrome_trace_json_with_counters(&[], &tracks, mc.freq.cycles_per_us(1.0).get());
-            std::fs::write(path, trace).expect("writable trace path");
-            println!("(trace written to {path})");
-        }
+    if let Some(series) = &metrics_series {
+        h.finish_metrics(series);
+        h.finish_trace(
+            &[],
+            &series.counter_tracks(),
+            mc.freq.cycles_per_us(1.0).get(),
+        );
     }
 
     h.finish(&json);
-}
-
-/// The windowed trajectory as Perfetto counter tracks, one point per
-/// window at its start stamp. Queue depth rides the kernel track (it is
-/// admission-queue state); the request counters and the tail ride the
-/// virtine track.
-fn counter_tracks(ts: &TimeSeries) -> Vec<CounterTrack> {
-    let width = ts.width().get();
-    let mut offered = Vec::new();
-    let mut completed = Vec::new();
-    let mut shed = Vec::new();
-    let mut depth = Vec::new();
-    let mut p99 = Vec::new();
-    for (idx, w) in ts.iter() {
-        let at = Cycles(idx * width);
-        offered.push((at, w.counter("offered") as f64));
-        completed.push((at, w.counter("completed") as f64));
-        shed.push((at, w.counter("shed") as f64));
-        depth.push((at, w.gauge_max("queue_depth").unwrap_or(0) as f64));
-        p99.push((at, w.sketch("latency_us").map_or(0.0, |s| s.p99())));
-    }
-    vec![
-        CounterTrack {
-            name: "serve.offered",
-            layer: Layer::Virtine,
-            points: offered,
-        },
-        CounterTrack {
-            name: "serve.completed",
-            layer: Layer::Virtine,
-            points: completed,
-        },
-        CounterTrack {
-            name: "serve.shed",
-            layer: Layer::Virtine,
-            points: shed,
-        },
-        CounterTrack {
-            name: "serve.queue_depth_max",
-            layer: Layer::Kernel,
-            points: depth,
-        },
-        CounterTrack {
-            name: "serve.p99_us",
-            layer: Layer::Virtine,
-            points: p99,
-        },
-    ]
 }

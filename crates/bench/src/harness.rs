@@ -18,7 +18,10 @@ use interweave::compose::ComposedStack;
 use interweave_core::arrivals::ArrivalKind;
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::{OsPoint, StackConfig};
-use interweave_core::telemetry::{CounterEntry, TimeSeries};
+use interweave_core::telemetry::{
+    chrome_trace_json, CounterEntry, CounterTrack, Layer, Span, TimeSeries,
+};
+use interweave_core::time::Cycles;
 use serde::Serialize;
 
 /// The command-line contract shared by every figure/table binary.
@@ -312,11 +315,6 @@ impl Harness {
         self.scenario(id).compose()
     }
 
-    /// The Perfetto export path, when `--trace-out` was passed.
-    pub fn trace_out(&self) -> Option<&str> {
-        self.cli.trace_out.as_deref()
-    }
-
     /// The simulation-kernel shard count (`--shards`, default 1).
     pub fn shards(&self) -> usize {
         self.cli.shards
@@ -380,8 +378,7 @@ impl Harness {
     /// and acknowledge on stdout (flag runs only — golden runs pass none).
     pub fn finish<T: Serialize>(&self, rows: &T) {
         if let Some(path) = &self.cli.json {
-            std::fs::write(path, self.summary_json(rows)).expect("writable json path");
-            println!("(json written to {path})");
+            write_output(path, "json", &self.summary_json(rows));
         }
     }
 
@@ -390,14 +387,42 @@ impl Harness {
     /// stdout (flag runs only — golden runs pass none). The file is a
     /// pure function of the simulated run, so CI can byte-compare it
     /// across shard counts and repeated runs.
-    pub fn finish_metrics(&self, series: &TimeSeries) {
+    pub fn finish_metrics(&self, series: &MetricsSeries) {
         if let Some(path) = &self.cli.metrics_out {
-            let json = serde_json::to_string_pretty(&MetricsSeries::from_series(series))
-                .expect("serializable metrics");
-            std::fs::write(path, json).expect("writable metrics path");
-            println!("(metrics written to {path})");
+            let json = serde_json::to_string_pretty(series).expect("serializable metrics");
+            write_output(path, "metrics", &json);
         }
     }
+
+    /// Finish the Perfetto export: when `--trace-out <path>` was passed,
+    /// write `spans` and `counters` as one Chrome trace (see
+    /// [`chrome_trace_json`]) and acknowledge on stdout.
+    pub fn finish_trace(&self, spans: &[Span], counters: &[CounterTrack], cycles_per_us: u64) {
+        if let Some(path) = &self.cli.trace_out {
+            write_output(
+                path,
+                "trace",
+                &chrome_trace_json(spans, counters, cycles_per_us),
+            );
+        }
+    }
+}
+
+/// The one writer behind every output flag: create `path`'s parent
+/// directories, write `contents`, and acknowledge the `what` export on
+/// stdout. An I/O failure is a usage error, not a bug: it names the path
+/// and the error on stderr and exits with status 2.
+fn write_output(path: &str, what: &str, contents: &str) {
+    let file = std::path::Path::new(path);
+    let written = file
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(file, contents));
+    if let Err(e) = written {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(2);
+    }
+    println!("({what} written to {path})");
 }
 
 /// One fixed-width window of the serving plane's streaming telemetry, as
@@ -458,6 +483,31 @@ impl MetricsSeries {
             window_cycles: width,
             windows,
         }
+    }
+
+    /// The windows as Perfetto counter tracks, one point per window at its
+    /// start stamp. Queue depth rides the kernel track (it is
+    /// admission-queue state); the request counters and the tail ride the
+    /// virtine track.
+    pub fn counter_tracks(&self) -> Vec<CounterTrack> {
+        let track = |name, layer, value: fn(&MetricsWindow) -> f64| CounterTrack {
+            name,
+            layer,
+            points: self
+                .windows
+                .iter()
+                .map(|w| (Cycles(w.start_cycles), value(w)))
+                .collect(),
+        };
+        vec![
+            track("serve.offered", Layer::Virtine, |w| w.offered as f64),
+            track("serve.completed", Layer::Virtine, |w| w.completed as f64),
+            track("serve.shed", Layer::Virtine, |w| w.shed as f64),
+            track("serve.queue_depth_max", Layer::Kernel, |w| {
+                w.queue_depth_max as f64
+            }),
+            track("serve.p99_us", Layer::Virtine, |w| w.p99_us),
+        ]
     }
 }
 

@@ -1,6 +1,8 @@
 //! Process-level contract of the shared command line: a malformed flag
-//! exits with status 2 and a typed message on stderr (never a panic), and
-//! `--json <path>` writes the harness's results envelope.
+//! exits with status 2 and a typed message on stderr (never a panic),
+//! `--json <path>` writes the harness's results envelope, and every output
+//! flag creates missing parent directories or, when it cannot write, exits
+//! with status 2 naming the path.
 
 use std::process::{Command, Output};
 
@@ -53,7 +55,12 @@ fn json_writes_the_results_envelope() {
     );
     let json = std::fs::read_to_string(&path).expect("envelope written");
     std::fs::remove_file(&path).expect("remove envelope");
-    let v = serde::json::parse(&json).expect("valid envelope");
+    assert_envelope(&json);
+}
+
+/// `json` is `tab_pipeline`'s results envelope.
+fn assert_envelope(json: &str) {
+    let v = serde::json::parse(json).expect("valid envelope");
     match (v.get("scenarios"), v.get("rows")) {
         (Some(serde::json::JsonValue::Arr(scenarios)), Some(serde::json::JsonValue::Arr(rows))) => {
             assert_eq!(scenarios.len(), 2, "idt and pipeline scenarios");
@@ -61,4 +68,77 @@ fn json_writes_the_results_envelope() {
         }
         other => panic!("envelope must carry scenarios and rows arrays, got {other:?}"),
     }
+}
+
+/// A fresh, not-yet-existing directory under the system temp dir.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("cli-contract-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn json_into_a_missing_directory_creates_it() {
+    let root = scratch_dir("json");
+    let path = root.join("a/b/envelope.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_tab_pipeline"),
+        &["--json", path.to_str().expect("utf-8 temp path")],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&path).expect("envelope written");
+    std::fs::remove_dir_all(&root).expect("remove scratch dir");
+    assert_envelope(&json);
+}
+
+#[test]
+fn serve_trace_out_into_a_missing_directory_creates_it() {
+    let root = scratch_dir("serve-trace");
+    std::fs::create_dir_all(&root).expect("scratch dir");
+    let metrics = root.join("metrics.json");
+    let trace = root.join("x/y/trace.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_tab_serve"),
+        &[
+            "--offered-load",
+            "1.0",
+            "--duration-ms",
+            "5",
+            "--metrics-out",
+            metrics.to_str().expect("utf-8 temp path"),
+            "--trace-out",
+            trace.to_str().expect("utf-8 temp path"),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = std::fs::read_to_string(&trace).expect("trace written");
+    std::fs::remove_dir_all(&root).expect("remove scratch dir");
+    assert!(
+        doc.contains("\"ph\":\"C\""),
+        "counter tracks missing: {doc}"
+    );
+    serde::json::parse(&doc).expect("valid trace JSON");
+}
+
+#[test]
+fn an_unwritable_output_path_exits_2_without_panicking() {
+    let out = run(
+        env!("CARGO_BIN_EXE_tab_pipeline"),
+        &["--json", "/dev/null/sub/envelope.json"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("error: cannot write /dev/null/sub/envelope.json"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }

@@ -220,7 +220,7 @@ fn chrome_trace_export_parses_and_validates() {
     let spans = sink.spans();
     assert!(!spans.is_empty());
 
-    let doc = parse(&chrome_trace_json(&spans, 2_100)).expect("export must be valid JSON");
+    let doc = parse(&chrome_trace_json(&spans, &[], 2_100)).expect("export must be valid JSON");
     let events = match &doc {
         JsonValue::Arr(events) => events,
         other => panic!("trace document must be an array, got {other:?}"),

@@ -180,7 +180,7 @@ impl PikSystem {
 }
 
 /// A PIK kernel with a *shared* physical address space: all admitted
-/// processes' allocations live in one [`Memory`], exactly as §IV-A
+/// processes' allocations live in one [`Memory`](interweave_ir::interp::Memory), exactly as §IV-A
 /// describes ("run as a part of Nautilus, at kernel-level, using physical
 /// addresses"). Isolation between processes is enforced purely by their
 /// guards: each process's CARAT runtime tracks only its own allocations,

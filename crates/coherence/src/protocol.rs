@@ -20,7 +20,7 @@
 //! property tests.
 //!
 //! All per-line protocol state (directory entry, L3 residency, ground-truth
-//! version, region class) lives in one [`LineState`] record in a single
+//! version, region class) lives in one `LineState` record in a single
 //! pre-sizable table, so an access resolves its line with one hash lookup
 //! instead of consulting four parallel maps.
 
@@ -573,7 +573,7 @@ impl System {
     /// Read one line from `core`; returns the access latency in cycles.
     ///
     /// The hit path is small enough to inline into the sweep loops; the
-    /// miss machinery stays outlined in [`System::read_miss`].
+    /// miss machinery stays outlined in `System::read_miss`.
     #[inline]
     pub fn read(&mut self, core: usize, line: u64) -> u64 {
         self.stats.reads += 1;

@@ -9,7 +9,7 @@
 //! migratory archetypes — hands a slice of its private heap to a neighbour
 //! at the round boundary.
 
-use crate::protocol::{Class, CohMode, System};
+use crate::protocol::{Class, System};
 use interweave_core::rng::SplitMix64;
 
 /// One access in a core's stream.
@@ -301,15 +301,10 @@ pub fn validate_mix(mix: &WorkloadMix) {
     assert!(mix.handoff_lines <= mix.private_lines);
 }
 
-/// Which coherence mode a system must be in for classification calls.
-pub fn needs_classification(mode: CohMode) -> bool {
-    mode == CohMode::Selective
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::SystemConfig;
+    use crate::protocol::{CohMode, SystemConfig};
 
     #[test]
     fn mixes_are_valid_distributions() {

@@ -142,11 +142,6 @@ impl ArrivalGen {
         g
     }
 
-    /// The configured time-averaged rate, arrivals per microsecond.
-    pub fn rate_per_us(&self) -> f64 {
-        1.0 / self.mean_gap_us
-    }
-
     /// Advance into the next rate phase starting at `self.t_us`.
     fn next_phase(&mut self) {
         match self.kind {

@@ -10,7 +10,7 @@
 //! only meaningful if a run is a pure function of its configuration.
 //!
 //! A [`FaultPlan`] is that injection plane. Each fault class draws from its
-//! own [`SplitMix64`](crate::rng::SplitMix64) stream (seeded from one plan
+//! own [`SplitMix64`] stream (seeded from one plan
 //! seed), so the decision sequence of one class never perturbs another's,
 //! and the same seed yields a bit-identical injection trace. A class with
 //! probability zero never draws at all: a quiet plan is exactly equivalent

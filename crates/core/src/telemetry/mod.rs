@@ -477,18 +477,6 @@ pub fn well_bracketed(spans: &[Span]) -> Option<(Span, Span)> {
     None
 }
 
-/// Render spans as a Chrome/Perfetto trace-event JSON document, one
-/// process track per layer (`pid` = layer index, named via metadata
-/// events) and one thread per track within it.
-///
-/// Cycles are reported as microsecond timestamps scaled by
-/// `cycles_per_us` (pass the machine frequency in MHz; 1 keeps raw
-/// cycles). The output is deterministic: metadata events in layer order,
-/// then spans in input order.
-pub fn chrome_trace_json(spans: &[Span], cycles_per_us: u64) -> String {
-    chrome_trace_json_with_counters(spans, &[], cycles_per_us)
-}
-
 /// A named counter trajectory rendered as a Perfetto counter track
 /// (`ph:"C"` events): sampled values over simulated time, displayed as a
 /// stepped area chart under the owning layer's process track. The serving
@@ -504,15 +492,16 @@ pub struct CounterTrack {
     pub points: Vec<(Cycles, f64)>,
 }
 
-/// [`chrome_trace_json`] plus counter tracks. With `counters` empty the
-/// output is byte-identical to the spans-only form — the existing trace
-/// goldens rely on that. Counter events follow the spans, grouped per
-/// track in input order; sample order within a track is preserved.
-pub fn chrome_trace_json_with_counters(
-    spans: &[Span],
-    counters: &[CounterTrack],
-    cycles_per_us: u64,
-) -> String {
+/// Render spans and counter tracks as a Chrome/Perfetto trace-event JSON
+/// document, one process track per layer (`pid` = layer index, named via
+/// metadata events) and one thread per span track within it.
+///
+/// Cycles are reported as microsecond timestamps scaled by
+/// `cycles_per_us` (pass the machine frequency in MHz; 1 keeps raw
+/// cycles). The output is deterministic: metadata events in layer order,
+/// then spans in input order, then counter events grouped per track in
+/// input order (sample order within a track preserved).
+pub fn chrome_trace_json(spans: &[Span], counters: &[CounterTrack], cycles_per_us: u64) -> String {
     let scale = cycles_per_us.max(1) as f64;
     let mut present = [false; Layer::ALL.len()];
     for s in spans {
@@ -883,7 +872,7 @@ mod tests {
                 end: Cycles(250),
             },
         ];
-        let json = chrome_trace_json(&spans, 1);
+        let json = chrome_trace_json(&spans, &[], 1);
         assert!(json.contains("\"name\":\"process_name\""));
         assert!(json.contains("\"args\":{\"name\":\"kernel\"}"));
         assert!(json.contains("\"args\":{\"name\":\"virtine\"}"));
@@ -912,7 +901,7 @@ mod tests {
     fn chrome_json_scales_timestamps_by_frequency() {
         let spans = [sp(Layer::Kernel, 0, 1400, 2800)];
         // 1400 MHz → 1400 cycles = 1 µs.
-        let json = chrome_trace_json(&spans, 1400);
+        let json = chrome_trace_json(&spans, &[], 1400);
         assert!(json.contains("\"ts\":1.000"));
         assert!(json.contains("\"dur\":1.000"));
     }
@@ -925,7 +914,7 @@ mod tests {
             layer: Layer::Virtine,
             points: vec![(Cycles(0), 12.0), (Cycles(50), 7.5)],
         }];
-        let json = chrome_trace_json_with_counters(&spans, &tracks, 1);
+        let json = chrome_trace_json(&spans, &tracks, 1);
         // Counter-only layers still get their process metadata.
         assert!(json.contains("\"args\":{\"name\":\"virtine\"}"));
         assert!(json.contains("\"ph\":\"C\""));
@@ -943,10 +932,14 @@ mod tests {
             sp(Layer::Kernel, 0, 100, 300),
             sp(Layer::Virtine, 4, 50, 250),
         ];
-        assert_eq!(
-            chrome_trace_json(&spans, 1400),
-            chrome_trace_json_with_counters(&spans, &[], 1400)
-        );
+        // The spans-only document the trace goldens were pinned on.
+        let spans_only = "[
+  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{\"name\":\"kernel\"}},
+  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":4,\"tid\":0,\"args\":{\"name\":\"virtine\"}},
+  {\"name\":\"task0\",\"cat\":\"run\",\"ph\":\"X\",\"ts\":0.071,\"dur\":0.143,\"pid\":2,\"tid\":0},
+  {\"name\":\"task0\",\"cat\":\"run\",\"ph\":\"X\",\"ts\":0.036,\"dur\":0.143,\"pid\":4,\"tid\":4}
+]";
+        assert_eq!(chrome_trace_json(&spans, &[], 1400), spans_only);
     }
 
     #[test]

@@ -47,9 +47,6 @@ pub struct Function {
 }
 
 impl Function {
-    /// The entry block id.
-    pub const ENTRY: BlockId = BlockId(0);
-
     /// Total instruction count (excluding terminators).
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()

@@ -10,7 +10,7 @@
 //! cross-CPU joins resolve in correct causal order.
 
 use crate::buddy::{AllocError, NumaAllocator};
-use crate::sched::{RoundRobin, RunQueue, TaskId};
+use crate::sched::TaskId;
 use crate::threads::{home_zone_for, switch_cost, SwitchKind, DEFAULT_STACK_BYTES};
 use crate::work::{Work, WorkStep};
 use interweave_core::interrupt::{self, DeliveryOutcome, IrqClass};
@@ -19,7 +19,7 @@ use interweave_core::stack::OsPoint;
 use interweave_core::telemetry::{FlightRecorder, Key, Layer, Sink, Span, SpanKind, Unit};
 use interweave_core::time::Cycles;
 use interweave_core::{EventHandle, FaultPlan, ShardedKernel};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 const KEY_PREEMPTIONS: Key = Key::new("kernel.sched.preemptions", Layer::Kernel, Unit::Count);
 const KEY_YIELDS: Key = Key::new("kernel.sched.yields", Layer::Kernel, Unit::Count);
@@ -63,7 +63,8 @@ enum ExecEvent {
 /// Per-CPU bookkeeping.
 struct Cpu {
     now: Cycles,
-    queue: RoundRobin,
+    /// Round-robin run queue: FIFO dispatch order.
+    queue: VecDeque<TaskId>,
     busy: Cycles,
     switch_cycles: Cycles,
     /// The pending dispatch event for this CPU, if one is scheduled:
@@ -129,7 +130,6 @@ pub struct Executor {
     /// event-queue shard, with the merged (time, shard, seq) driver
     /// keeping runs deterministic at every shard count.
     events: ShardedKernel<ExecEvent>,
-    tracing: bool,
     /// The cooperative-yield and timer-preemption context-switch costs of
     /// the OS point this kernel charges (see [`Executor::set_os`]), fixed
     /// for a run and cached so the dispatch loop does not recompute them
@@ -150,8 +150,6 @@ pub struct Executor {
     /// Bounded blackbox of recent watchdog/fault events, `None` (zero-cost)
     /// unless [`Executor::enable_flight_recorder`] ran.
     recorder: Option<FlightRecorder>,
-    /// Recorded intervals (when tracing is enabled).
-    pub trace: Vec<Span>,
     /// Statistics (populated by [`Executor::run`]).
     pub stats: ExecutorStats,
 }
@@ -163,7 +161,7 @@ impl Executor {
         let cpus = (0..mc.cores)
             .map(|_| Cpu {
                 now: Cycles::ZERO,
-                queue: RoundRobin::new(),
+                queue: VecDeque::new(),
                 busy: Cycles::ZERO,
                 switch_cycles: Cycles::ZERO,
                 dispatch: None,
@@ -183,7 +181,6 @@ impl Executor {
             waiters: HashMap::new(),
             signalled: HashMap::new(),
             events: ShardedKernel::new(1),
-            tracing: false,
             yield_cost,
             preempt_cost,
             faults: None,
@@ -191,7 +188,6 @@ impl Executor {
             stack_alloc: None,
             sink: Sink::off(),
             recorder: None,
-            trace: Vec::new(),
             stats: ExecutorStats::default(),
         }
     }
@@ -287,13 +283,6 @@ impl Executor {
         self.watchdog = Some(WatchdogPolicy::new(period));
     }
 
-    /// The active watchdog policy, if [`Executor::enable_watchdog`] ran.
-    /// Higher layers (the serving plane) read it so their reclaim-latency
-    /// model is exactly the executor's recovery schedule.
-    pub fn watchdog_policy(&self) -> Option<WatchdogPolicy> {
-        self.watchdog
-    }
-
     /// Back task stacks with a real buddy allocator: each spawn carves
     /// [`DEFAULT_STACK_BYTES`] from the spawning CPU's home zone (§III's
     /// "most desirable zone" policy) and frees it when the task completes.
@@ -307,12 +296,6 @@ impl Executor {
     /// Borrow the stack allocator, if configured (zone inspection).
     pub fn stack_allocator(&self) -> Option<&NumaAllocator> {
         self.stack_alloc.as_ref()
-    }
-
-    /// Record a scheduling trace (see [`crate::trace`]); export it with
-    /// [`crate::trace::chrome_trace_json`].
-    pub fn enable_tracing(&mut self) {
-        self.tracing = true;
     }
 
     /// Keep a bounded blackbox of the most recent watchdog/fault events
@@ -335,22 +318,16 @@ impl Executor {
         }
     }
 
+    /// Publish one kernel span (the sink drops it below `Level::Full`).
     fn record(&mut self, cpu: CpuId, task: u64, start: Cycles, end: Cycles, kind: SpanKind) {
-        if end <= start {
-            return;
-        }
-        let span = Span {
+        self.sink.span(Span {
             layer: Layer::Kernel,
             track: cpu,
             id: task,
             kind,
             start,
             end,
-        };
-        if self.tracing {
-            self.trace.push(span);
-        }
-        self.sink.span(span);
+        });
     }
 
     /// Spawn a work body on a CPU; returns its task id (also its completion
@@ -396,7 +373,7 @@ impl Executor {
             stack,
             executed: Cycles::ZERO,
         });
-        self.cpus[cpu].queue.push(id);
+        self.cpus[cpu].queue.push_back(id);
         self.kick(cpu, Cycles::ZERO);
         Ok(id)
     }
@@ -470,7 +447,7 @@ impl Executor {
                 let t = &mut self.tasks[tid as usize];
                 t.state = TaskState::Ready;
                 let cpu = t.cpu;
-                self.cpus[cpu].queue.push(tid);
+                self.cpus[cpu].queue.push_back(tid);
                 self.kick(cpu, at);
             }
         }
@@ -612,7 +589,9 @@ impl Executor {
     fn dispatch(&mut self, cpu: CpuId, at: Cycles) {
         let c = &mut self.cpus[cpu];
         c.now = c.now.max(at);
-        let Some(tid) = c.queue.pop() else { return };
+        let Some(tid) = c.queue.pop_front() else {
+            return;
+        };
         let mut quantum_left = self.quantum;
 
         loop {
@@ -628,7 +607,7 @@ impl Executor {
                         let start = c.now;
                         c.now += cost;
                         c.switch_cycles += cost;
-                        c.queue.push(tid);
+                        c.queue.push_back(tid);
                         let now = c.now;
                         self.sink.count_at(&KEY_YIELDS, cpu, 1, now);
                         self.sink.charge(Layer::Kernel, "switch-yield", cost);
@@ -697,7 +676,7 @@ impl Executor {
                 let start = c.now;
                 c.now += cost;
                 c.switch_cycles += cost;
-                c.queue.push(tid);
+                c.queue.push_back(tid);
                 let now = c.now;
                 self.sink.count_at(&KEY_PREEMPTIONS, cpu, 1, now);
                 self.sink.charge(Layer::Kernel, "switch-preempt", cost);
@@ -846,25 +825,26 @@ mod tests {
 
     #[test]
     fn tracing_records_consistent_nonoverlapping_intervals() {
-        use interweave_core::telemetry::{chrome_trace_json, find_overlap};
+        use interweave_core::telemetry::{chrome_trace_json, find_overlap, Level, Sink};
         let mut e = exec(2, 1_000);
+        let sink = Sink::on(Level::Full);
+        e.set_telemetry(sink.clone());
         let a = e.spawn(0, Box::new(LoopWork::new(1, Cycles(5_000))));
         let b = e.spawn(0, Box::new(LoopWork::new(1, Cycles(5_000))));
         let c = e.spawn(1, Box::new(LoopWork::new(1, Cycles(3_000))));
-        e.enable_tracing();
         assert!(e.run());
-        assert!(find_overlap(&e.trace).is_none(), "overlapping intervals");
+        let trace = sink.spans();
+        assert!(find_overlap(&trace).is_none(), "overlapping intervals");
         // Per-task run time in the trace equals the executed totals.
         for (tid, expect) in [(a, 5_000u64), (b, 5_000), (c, 3_000)] {
-            let traced: u64 = e
-                .trace
+            let traced: u64 = trace
                 .iter()
                 .filter(|ev| ev.id == tid && ev.kind == SpanKind::Run)
                 .map(|ev| ev.duration().get())
                 .sum();
             assert_eq!(traced, expect, "task {tid}");
         }
-        let json = chrome_trace_json(&e.trace, 1000);
+        let json = chrome_trace_json(&trace, &[], 1000);
         assert!(json.contains("\"name\":\"task0\""));
         assert!(json.contains("\"name\":\"switch\""));
     }

@@ -20,8 +20,8 @@
 //! - [`buddy`]: a real buddy allocator with NUMA zones (§III: "allocations
 //!   are done with buddy system allocators that are selected based on the
 //!   target zone").
-//! - [`sched`]: run-queue implementations — round-robin and EDF (§III:
-//!   "hard real-time scheduling").
+//! - [`sched`]: EDF scheduling with admission control (§III: "hard
+//!   real-time scheduling").
 //! - [`threads`]: context-switch cost composition for threads, fibers, and
 //!   compiler-timed fibers (the Fig. 4 decomposition).
 //! - [`os`]: the [`os::OsModel`] trait with [`os::NkModel`],
@@ -36,8 +36,6 @@
 //!   they produce (§III's "fully steerable" claim, quantified).
 //! - [`numa`]: thread-state placement — Nautilus's bound-thread/local-zone
 //!   guarantee vs first-touch + migrations (§III's "most desirable zone").
-//! - [`timeline`]: per-CPU clocks and busy/idle accounting for building
-//!   multi-CPU simulations.
 //! - [`watchdog`]: the watchdog's retry arithmetic as data
 //!   ([`watchdog::WatchdogPolicy`]), shared by the executor's stalled-CPU
 //!   re-kick loop and the serving plane's stuck-virtine reclaim model.
@@ -57,7 +55,6 @@ pub mod paging;
 pub mod sched;
 pub mod steering;
 pub mod threads;
-pub mod timeline;
 pub mod watchdog;
 pub mod work;
 
@@ -65,6 +62,5 @@ pub use buddy::{AllocError, NumaAllocator};
 pub use executor::Executor;
 pub use os::{model_for, AsterModel, AsterParams, LinuxModel, LinuxParams, NkModel, OsModel};
 pub use threads::{switch_cost, SwitchBreakdown, SwitchKind};
-pub use timeline::CpuTimeline;
 pub use watchdog::WatchdogPolicy;
 pub use work::{Work, WorkStep};

@@ -1,56 +1,19 @@
-//! Run-queue implementations: round-robin and earliest-deadline-first.
+//! Earliest-deadline-first scheduling with utilization-based admission
+//! control.
 //!
 //! §III: Nautilus "provides predictable behavior through a variety of means,
-//! including hard real-time scheduling". The EDF queue here backs the
-//! RT variants in the Fig. 4 study and admission control demonstrates the
-//! predictability claim; the round-robin queue backs non-RT threads and the
-//! per-CPU worker pools in the OpenMP and heartbeat experiments.
+//! including hard real-time scheduling". [`Edf::admit`] is the hard-RT
+//! admission test that `fibers::rt` runs before accepting a periodic fiber,
+//! and [`edf_simulate`] checks the guarantee it buys: an admitted set
+//! misses no deadline on one CPU. The executor's round-robin run queue is a
+//! plain FIFO of [`TaskId`]s.
 
 use interweave_core::time::Cycles;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Identifier of a schedulable entity (thread or fiber).
 pub type TaskId = u64;
-
-/// A run queue: pick order is the policy.
-pub trait RunQueue {
-    /// Enqueue a task.
-    fn push(&mut self, t: TaskId);
-    /// Pick the next task to run, removing it from the queue.
-    fn pop(&mut self) -> Option<TaskId>;
-    /// Number of queued tasks.
-    fn len(&self) -> usize;
-    /// True when no tasks are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// FIFO round-robin queue.
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
-    q: VecDeque<TaskId>,
-}
-
-impl RoundRobin {
-    /// An empty queue.
-    pub fn new() -> RoundRobin {
-        RoundRobin::default()
-    }
-}
-
-impl RunQueue for RoundRobin {
-    fn push(&mut self, t: TaskId) {
-        self.q.push_back(t);
-    }
-    fn pop(&mut self) -> Option<TaskId> {
-        self.q.pop_front()
-    }
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-}
 
 /// An EDF task: period, worst-case slice, and the next absolute deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,12 +78,6 @@ impl Edf {
     /// Pop the task with the earliest deadline.
     pub fn pop_task(&mut self) -> Option<EdfTask> {
         self.heap.pop().map(|b| b.0)
-    }
-
-    /// Re-enqueue a task for its next period (deadline advanced).
-    pub fn requeue_next_period(&mut self, mut t: EdfTask) {
-        t.deadline += t.period;
-        self.heap.push(ByDeadline(t));
     }
 
     /// Admitted utilization as a fraction.
@@ -216,20 +173,6 @@ pub fn edf_simulate(tasks: &[EdfTask], horizon: Cycles) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_is_fifo() {
-        let mut q = RoundRobin::new();
-        q.push(1);
-        q.push(2);
-        q.push(3);
-        assert_eq!(q.pop(), Some(1));
-        q.push(1);
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(1));
-        assert!(q.is_empty());
-    }
 
     #[test]
     fn edf_orders_by_deadline() {

@@ -2,6 +2,7 @@
 //! bounds, and trace well-formedness for arbitrary task sets.
 
 use interweave_core::machine::MachineConfig;
+use interweave_core::telemetry::{find_overlap, Level, Sink};
 use interweave_core::time::Cycles;
 use interweave_kernel::executor::Executor;
 use interweave_kernel::work::LoopWork;
@@ -20,6 +21,8 @@ proptest! {
     ) {
         let mc = MachineConfig::test(4);
         let mut e = Executor::new(mc, Cycles(quantum));
+        let sink = Sink::on(Level::Full);
+        e.set_telemetry(sink.clone());
         let mut per_cpu = [0u64; 4];
         let mut per_task = Vec::new();
         for &(cpu, iters, cost) in &tasks {
@@ -27,7 +30,6 @@ proptest! {
             per_cpu[cpu] += iters * cost;
             per_task.push(iters * cost);
         }
-        e.enable_tracing();
         prop_assert!(e.run(), "all tasks must complete");
         for (i, &expect) in per_task.iter().enumerate() {
             prop_assert_eq!(e.stats.task_executed[i].get(), expect, "task {}", i);
@@ -43,7 +45,7 @@ proptest! {
             e.stats.switch_cycles
         );
         // Trace intervals never overlap per CPU.
-        prop_assert!(interweave_core::telemetry::find_overlap(&e.trace).is_none());
+        prop_assert!(find_overlap(&sink.spans()).is_none());
     }
 
     /// Preemption count is bounded by total work / quantum (+1 per task).

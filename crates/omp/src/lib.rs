@@ -23,9 +23,8 @@
 //!
 //! Modules: [`schedule`] (loop-scheduling semantics: static/dynamic/
 //! guided), [`modes`] (per-design cost profiles), [`nas`] (BT/SP-like
-//! workload specifications), [`sim`] (the Fig. 6 scaling simulation),
-//! [`epcc`] (EPCC-style overhead microbenchmarks), and [`team`] (a
-//! runnable parallel-for team on the kernel executor).
+//! workload specifications), [`sim`] (the Fig. 6 scaling simulation), and
+//! [`epcc`] (EPCC-style overhead microbenchmarks).
 
 #![warn(missing_docs)]
 
@@ -34,7 +33,6 @@ pub mod modes;
 pub mod nas;
 pub mod schedule;
 pub mod sim;
-pub mod team;
 
 pub use modes::OmpMode;
 pub use sim::{run_omp, OmpResult};

@@ -18,7 +18,6 @@ fn main() {
     let mut e = Executor::new(mc, Cycles(20_000));
     let sink = Sink::on(Level::Full);
     e.set_telemetry(sink.clone());
-    e.enable_tracing();
 
     // A mixed workload: compute-bound tasks, a cooperative yielder, and a
     // fork/join pair.
@@ -43,10 +42,8 @@ fn main() {
 
     let all_done = e.run();
     assert!(all_done, "workload must quiesce");
-    assert!(
-        find_overlap(&e.trace).is_none(),
-        "trace must be well-formed"
-    );
+    let spans = sink.spans();
+    assert!(find_overlap(&spans).is_none(), "trace must be well-formed");
     sink.verify_attribution(e.attribution_clock())
         .expect("every cycle attributed");
 
@@ -69,8 +66,7 @@ fn main() {
         );
     }
 
-    let spans = sink.spans();
-    let json = chrome_trace_json(&spans, mhz);
+    let json = chrome_trace_json(&spans, &[], mhz);
     let out = std::path::Path::new("target");
     std::fs::create_dir_all(out).expect("create target/");
     let path = out.join("trace.json");
