@@ -13,7 +13,7 @@
 //! host CPU.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use interweave_coherence::experiment::fig7_reduced_sharded;
+use interweave_coherence::experiment::fig7;
 use interweave_core::{Cycles, ShardedKernel};
 
 /// Schedule `n` events round-robin across shards (with cross-shard sends
@@ -46,13 +46,13 @@ fn bench_shard_scaling(c: &mut Criterion) {
     }
 
     // The single-shard rows are the reference every other count must hit
-    // bit-for-bit (the CI gate checks the full-volume binary; this keeps
+    // bit-for-bit (the golden check covers the full-volume figure; this keeps
     // the same assertion on the benched configuration).
-    let reference = fig7_reduced_sharded(24, 11, 8, 1);
+    let reference = fig7(24, 11, 8, 1);
     for shards in [1usize, 2, 4, 8] {
         c.bench_function(&format!("shard_scaling fig7/{shards}"), |b| {
             b.iter(|| {
-                let rows = fig7_reduced_sharded(24, 11, 8, black_box(shards));
+                let rows = fig7(24, 11, 8, black_box(shards));
                 assert_eq!(rows, reference, "shard count changed fig7 rows");
                 rows
             })

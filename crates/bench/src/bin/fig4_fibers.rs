@@ -1,152 +1,3 @@
-//! Fig. 4: context-switch costs for threads, fibers, and compiler-timed
-//! fibers on the Phi KNL preset, plus measured overhead sweeps and
-//! granularity floors. The kernels compared are declared as stack
-//! compositions and composed through the harness.
-
-use interweave_bench::harness::{Harness, Scenario};
-use interweave_bench::{f, s};
-use interweave_core::machine::MachineConfig;
-use interweave_core::stack::{StackConfig, TimingSource};
-use interweave_fibers::study::{analytic_rows, floor_cycles, overhead_sweep};
-use interweave_kernel::threads::SwitchKind;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonRow {
-    label: String,
-    entry: u64,
-    state: u64,
-    sched: u64,
-    fp: u64,
-    boundary: u64,
-    ret: u64,
-    total: u64,
-}
-
 fn main() {
-    let knl = MachineConfig::phi_knl();
-    let h = Harness::new(vec![
-        Scenario::new("linux", StackConfig::commodity(), knl.clone()),
-        Scenario::new("aster", StackConfig::framekernel(), knl.clone()),
-        Scenario::new("nautilus", StackConfig::nautilus(), knl.clone()),
-        // The compiler-timed fiber rows: the timing axis moves into the
-        // toolchain, everything else stays raw Nautilus.
-        Scenario::new(
-            "nautilus+comptime",
-            StackConfig {
-                timing: TimingSource::CompilerInjected,
-                ..StackConfig::nautilus()
-            },
-            knl,
-        ),
-    ]);
-    let mc = &h.scenario("nautilus").machine;
-    let linux = h.stack("linux").config.os;
-    let aster = h.stack("aster").config.os;
-    let nk = h.stack("nautilus").config.os;
-    let comptime = h.stack("nautilus+comptime").config.os;
-
-    // The figure's bars: cost decomposition per configuration.
-    let rows_data = analytic_rows(mc);
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for r in &rows_data {
-        let b = r.breakdown;
-        rows.push(vec![
-            s(&r.label),
-            s(b.entry.get()),
-            s(b.state.get()),
-            s(b.sched.get()),
-            s(b.fp.get()),
-            s(b.boundary.get()),
-            s(b.ret.get()),
-            s(b.total().get()),
-        ]);
-        json.push(JsonRow {
-            label: r.label.clone(),
-            entry: b.entry.get(),
-            state: b.state.get(),
-            sched: b.sched.get(),
-            fp: b.fp.get(),
-            boundary: b.boundary.get(),
-            ret: b.ret.get(),
-            total: b.total().get(),
-        });
-    }
-    h.table(
-        "Fig. 4 — context-switch cost decomposition (cycles, Phi KNL preset)",
-        &[
-            "configuration",
-            "entry",
-            "state",
-            "sched",
-            "fp",
-            "boundary",
-            "ret",
-            "TOTAL",
-        ],
-        &rows,
-    );
-
-    // Headline ratios the figure calls out.
-    let linux_fp = floor_cycles(mc, SwitchKind::ThreadInterrupt, linux, true);
-    let aster_fp = floor_cycles(mc, SwitchKind::ThreadInterrupt, aster, true);
-    let nk_fp = floor_cycles(mc, SwitchKind::ThreadInterrupt, nk, true);
-    let fib_fp = floor_cycles(mc, SwitchKind::FiberCompilerTimed, comptime, true);
-    let fib_nofp = floor_cycles(mc, SwitchKind::FiberCompilerTimed, comptime, false);
-    h.table(
-        "Fig. 4 callouts",
-        &["quantity", "value"],
-        &[
-            vec![s("Linux non-RT FP switch (paper ≈5000 cyc)"), s(linux_fp)],
-            vec![
-                s("Aster thread FP switch (framekernel mid-point)"),
-                s(aster_fp),
-            ],
-            vec![s("NK thread FP switch (paper: ≈half of Linux)"), s(nk_fp)],
-            vec![
-                s("CompTime fiber FP switch (paper: 2.3× below threads)"),
-                format!("{fib_fp}  (ratio {:.1}×)", nk_fp as f64 / fib_fp as f64),
-            ],
-            vec![s("Granularity floor, no-FP (paper: <600 cyc)"), s(fib_nofp)],
-            vec![
-                s("Granularity vs Linux (paper: >4× smaller)"),
-                f(linux_fp as f64 / fib_fp as f64, 1) + "×",
-            ],
-        ],
-    );
-
-    // Measured overhead sweep: mechanism overhead vs quantum.
-    let quanta = [1_000u64, 2_000, 5_000, 10_000, 50_000, 200_000];
-    let pts = overhead_sweep(mc, &quanta);
-    let mut rows = Vec::new();
-    for &q in &quanta {
-        let find = |m| {
-            pts.iter()
-                .find(|p| p.quantum == q && p.mode == m)
-                .expect("swept")
-        };
-        let ct = find(interweave_fibers::PreemptMode::CompilerTimed);
-        let hw = find(interweave_fibers::PreemptMode::HardwareTimer);
-        rows.push(vec![
-            s(q),
-            f(100.0 * ct.overhead, 2) + "%",
-            f(100.0 * hw.overhead, 2) + "%",
-            s(ct.switches),
-            s(hw.switches),
-        ]);
-    }
-    h.table(
-        "Measured mechanism overhead vs preemption quantum (mixed workload)",
-        &[
-            "quantum (cyc)",
-            "comp-timed",
-            "hw-timer",
-            "ct switches",
-            "hw switches",
-        ],
-        &rows,
-    );
-
-    h.finish(&json);
+    interweave_bench::figures::main(env!("CARGO_BIN_NAME"))
 }

@@ -1,150 +1,3 @@
-//! Fig. 6: kernel-OpenMP performance relative to Linux as a function of
-//! CPUs — NAS BT and SP on the Phi KNL preset, plus the 8-socket/192-core
-//! repetition and the EPCC overhead table. The Aster/RTK/PIK/CCK designs
-//! are declared as stack compositions; their OpenMP modes (and the table
-//! columns) derive from the composed stacks, so the OS axis's framekernel
-//! mid-point appears as its own column.
-
-use interweave_bench::harness::{Harness, Scenario};
-use interweave_bench::{f, s};
-use interweave_core::machine::MachineConfig;
-use interweave_core::stack::StackConfig;
-use interweave_omp::epcc::{epcc_table, Construct};
-use interweave_omp::nas::fig6_specs;
-use interweave_omp::sim::{fig6_series, geomean_rel, knl_cpu_counts};
-use interweave_omp::OmpMode;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonPoint {
-    bench: String,
-    cpus: usize,
-    mode: String,
-    relative: f64,
-}
-
 fn main() {
-    let knl = MachineConfig::phi_knl();
-    let h = Harness::new(vec![
-        Scenario::new("linux", StackConfig::commodity(), knl.clone()),
-        Scenario::new("aster", StackConfig::framekernel(), knl.clone()),
-        Scenario::new("rtk", StackConfig::rtk(), knl.clone()),
-        Scenario::new("pik", StackConfig::pik(), knl.clone()),
-        Scenario::new("cck", StackConfig::cck(), knl.clone()),
-    ]);
-    // The kernel modes under comparison, derived from the compositions
-    // (the Linux scenario is the baseline inside fig6_series).
-    let modes: Vec<OmpMode> = h.scenarios()[1..]
-        .iter()
-        .map(|sc| {
-            sc.compose()
-                .omp_mode()
-                .unwrap_or_else(|| panic!("scenario {:?} is not an OpenMP stack", sc.id))
-        })
-        .collect();
-    let mode_names: Vec<&'static str> = modes.iter().map(|m| m.name()).collect();
-
-    let counts = knl_cpu_counts();
-    let mut all_points = Vec::new();
-    let mut json = Vec::new();
-
-    for spec in fig6_specs() {
-        let pts = fig6_series(&spec, &knl, &counts, &modes, 42);
-        let mut rows = Vec::new();
-        for &p in &counts {
-            let get = |m: OmpMode| {
-                pts.iter()
-                    .find(|r| r.cpus == p && r.mode == m)
-                    .map(|r| r.relative)
-                    .unwrap_or(0.0)
-            };
-            let mut row = vec![s(p)];
-            row.extend(modes.iter().map(|&m| f(get(m), 3)));
-            rows.push(row);
-        }
-        let mut header = vec!["CPUs"];
-        header.extend(&mode_names);
-        h.table(
-            &format!(
-                "Fig. 6 — NAS {} on {}: performance relative to Linux (1.0 = baseline)",
-                spec.name, knl.name
-            ),
-            &header,
-            &rows,
-        );
-        for r in &pts {
-            json.push(JsonPoint {
-                bench: r.bench.into(),
-                cpus: r.cpus,
-                mode: r.mode.name().into(),
-                relative: r.relative,
-            });
-        }
-        all_points.extend(pts);
-    }
-
-    let geomean_rows = |points: &[interweave_omp::sim::RelPerf]| -> Vec<Vec<String>> {
-        modes
-            .iter()
-            .map(|&m| vec![s(m.name()), f(geomean_rel(points, m), 3)])
-            .collect()
-    };
-    h.table(
-        "Geometric means across scales and benchmarks (paper: RTK ≈ +22 %)",
-        &["mode", "geomean rel. perf."],
-        &geomean_rows(&all_points),
-    );
-
-    // The 192-core repetition (§V-A: "~20% for RTK and PIK").
-    let big = MachineConfig::big_server_8s();
-    let big_counts = [1usize, 4, 16, 48, 96, 192];
-    let mut big_points = Vec::new();
-    for spec in fig6_specs() {
-        let spec = spec.scaled(8);
-        big_points.extend(fig6_series(&spec, &big, &big_counts, &modes, 7));
-    }
-    h.table(
-        &format!("Repetition on {} (paper: ~20 % for RTK and PIK)", big.name),
-        &["mode", "geomean rel. perf."],
-        &geomean_rows(&big_points),
-    );
-
-    // EPCC construct overheads.
-    let rows: Vec<Vec<String>> = epcc_table(&knl, &[2, 8, 32, 64])
-        .into_iter()
-        .filter(|r| r.construct == Construct::Barrier || r.threads == 64)
-        .map(|r| {
-            vec![
-                s(r.construct.name()),
-                s(r.mode.name()),
-                s(r.threads),
-                s(r.overhead.get()),
-            ]
-        })
-        .collect();
-    h.table(
-        "EPCC-style construct overheads (cycles)",
-        &["construct", "mode", "threads", "overhead"],
-        &rows,
-    );
-
-    // Noise-sensitivity ablation.
-    use interweave_omp::sim::noise_sensitivity;
-    let spec = interweave_omp::nas::bt();
-    let pts = noise_sensitivity(&spec, &knl, 32, &[0.0, 0.5, 1.0, 2.0, 4.0], 42);
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|(scale, rel)| vec![f(*scale, 1) + "x", f(*rel, 3)])
-        .collect();
-    h.table(
-        "Noise-sensitivity ablation — RTK advantage vs Linux noise level (BT, 32 CPUs)",
-        &["noise scale", "RTK relative perf"],
-        &rows,
-    );
-    println!(
-        "Even a hypothetical noiseless Linux loses on primitive costs; real\n\
-noise amplifies through barriers into the bulk of Fig. 6's gap."
-    );
-
-    h.finish(&json);
+    interweave_bench::figures::main(env!("CARGO_BIN_NAME"))
 }

@@ -1,45 +1,33 @@
-//! One declarative harness for every figure/table binary.
+//! One declarative harness for every registered figure.
 //!
 //! Each experiment declares *what* it measures — a set of [`Scenario`]s
 //! naming a [`StackConfig`] on a machine preset — and the harness owns the
 //! rest: composing the stack through the facade's `StackBuilder` (so a
-//! binary cannot measure a composition that could not exist), the shared
-//! CLI contract (`--json <path>`, `--trace-out <path>`), parallel sweeps
-//! over the composed stack, table printing, and the machine-readable
-//! results envelope that embeds every scenario's `StackConfig`.
+//! figure cannot measure a composition that could not exist), the shared
+//! CLI contract (`--json <path>`, `--trace-out <path>`, ...), parallel
+//! sweeps over the composed stack, table rendering, and the
+//! machine-readable results envelope that embeds every scenario's
+//! `StackConfig`.
 //!
-//! The contract the golden-stdout CI guard relies on: a harness run with no
-//! flags prints exactly the tables and notes the experiment asks for —
-//! nothing else — so migrating a binary onto the harness is byte-identical
-//! on stdout.
+//! A figure renders into its [`Harness`] and hands back a [`Report`]: a
+//! value holding the exact stdout text, the `--json` envelope, the
+//! optional trace and metrics documents and the headline the scoreboard
+//! shows. Nothing here prints or writes files; `figures::main` does.
 
-use crate::{parallel_map, print_table};
+use crate::{parallel_map, table_text};
 use interweave::compose::ComposedStack;
 use interweave_core::arrivals::ArrivalKind;
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::{OsPoint, StackConfig};
-use interweave_core::telemetry::{
-    chrome_trace_json, CounterEntry, CounterTrack, Layer, Span, TimeSeries,
-};
+use interweave_core::telemetry::{chrome_trace_json, CounterTrack, Layer, Span, TimeSeries};
 use interweave_core::time::Cycles;
 use serde::Serialize;
 
-/// The command-line contract shared by every figure/table binary.
-///
-/// `--json <path>` additionally writes the machine-readable results
-/// envelope; `--trace-out <path>` asks binaries that collect telemetry
-/// spans to export a Chrome/Perfetto trace; `--shards <n>` selects the
-/// simulation-kernel shard count for binaries whose hot loop runs on the
-/// sharded kernel (the result is bit-identical at every count — the CI
-/// determinism gate relies on exactly that). Serving binaries additionally
-/// honor `--offered-load <x>` (load as a multiple of the calibrated
-/// saturation point), `--duration-ms <ms>`, and `--arrival <name>`
-/// (poisson | bursty | diurnal). `--metrics-out <path>` asks serving
-/// binaries to run with bounded streaming sinks and export the windowed
-/// time series as JSON; `--window-cycles <n>` overrides the roll-up
-/// window width. `--os <name>` (nk | nautilus | aster | linux) restricts
-/// an OS-axis binary to the scenarios on that point of the axis. The
-/// golden CI runs pass no flags, so none affects pinned stdout.
+/// The command-line contract shared by every figure binary. Every flag
+/// takes one value (the usage text [`Cli::parse`] prints lists them);
+/// any other argument is rejected. `--shards` changes wall-clock only:
+/// results are bit-identical at every count, which the golden check relies
+/// on. The golden runs pass no flags, so none affects pinned stdout.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Path for the JSON results envelope, when requested.
@@ -102,6 +90,8 @@ pub enum CliError {
         /// The value given.
         value: String,
     },
+    /// An argument that is not one of the shared flags.
+    UnknownFlag(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -113,6 +103,7 @@ impl std::fmt::Display for CliError {
                 expects,
                 value,
             } => write!(f, "{flag} takes {expects}, got {value:?}"),
+            CliError::UnknownFlag(arg) => write!(f, "unknown flag {arg:?}"),
         }
     }
 }
@@ -132,27 +123,22 @@ flags (all optional):
   --metrics-out <path>   write the windowed serving metrics as JSON
   --window-cycles <n>    metrics window width in cycles (n >= 1)";
 
-/// The value following `flag` in `args`, converted by `parse`; `None` when
-/// the flag is absent.
-fn flag_value<T>(
-    args: &[String],
-    flag: &'static str,
-    expects: &'static str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Option<T>, CliError> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let value = args
-        .get(pos + 1)
-        .ok_or(CliError::MissingValue { flag, expects })?;
-    parse(value)
-        .map(Some)
-        .ok_or_else(|| CliError::InvalidValue {
-            flag,
-            expects,
-            value: value.clone(),
-        })
+/// Every flag [`Cli::from_args`] accepts, with what its one value must be.
+const FLAGS: [(&str, &str); 9] = [
+    ("--json", "a path"),
+    ("--trace-out", "a path"),
+    ("--shards", "a positive count"),
+    ("--os", "nk, nautilus, aster, or linux"),
+    ("--offered-load", "a positive number"),
+    ("--duration-ms", "a positive number"),
+    ("--arrival", "poisson, bursty, or diurnal"),
+    ("--metrics-out", "a path"),
+    ("--window-cycles", "a positive cycle count"),
+];
+
+/// `value` as a count of at least one.
+fn count<T: std::str::FromStr + PartialOrd + From<u8>>(value: &str) -> Option<T> {
+    value.parse().ok().filter(|n| *n >= T::from(1))
 }
 
 impl Cli {
@@ -165,41 +151,41 @@ impl Cli {
         })
     }
 
-    /// Parse an explicit argument list (unit-testable).
+    /// Parse an explicit argument list, program name first
+    /// (unit-testable). A repeated flag keeps its last value.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
-        let args: Vec<String> = args.into_iter().collect();
-        let path = |flag| flag_value(&args, flag, "a path", |v| Some(v.to_string()));
-        let positive_f64 = |flag| {
-            flag_value(&args, flag, "a positive number", |v| {
-                v.parse::<f64>().ok().filter(|x| x.is_finite() && *x > 0.0)
-            })
-        };
-        Ok(Cli {
-            json: path("--json")?,
-            trace_out: path("--trace-out")?,
-            shards: flag_value(&args, "--shards", "a positive count", |v| {
-                v.parse::<usize>().ok().filter(|&n| n >= 1)
-            })?
-            .unwrap_or(1),
-            offered_load: positive_f64("--offered-load")?,
-            duration_ms: positive_f64("--duration-ms")?,
-            arrival: flag_value(
-                &args,
-                "--arrival",
-                "poisson, bursty, or diurnal",
-                ArrivalKind::parse,
-            )?,
-            metrics_out: path("--metrics-out")?,
-            window_cycles: flag_value(&args, "--window-cycles", "a positive cycle count", |v| {
-                v.parse::<u64>().ok().filter(|&n| n >= 1)
-            })?,
-            os: flag_value(
-                &args,
-                "--os",
-                "nk, nautilus, aster, or linux",
-                OsPoint::parse,
-            )?,
-        })
+        let mut cli = Cli::default();
+        let mut args = args.into_iter().skip(1);
+        while let Some(arg) = args.next() {
+            let Some(&(flag, expects)) = FLAGS.iter().find(|(f, _)| *f == arg) else {
+                return Err(CliError::UnknownFlag(arg));
+            };
+            let value = args
+                .next()
+                .ok_or(CliError::MissingValue { flag, expects })?;
+            let bad = || CliError::InvalidValue {
+                flag,
+                expects,
+                value: value.clone(),
+            };
+            let number = || {
+                let x = value.parse::<f64>().ok();
+                x.filter(|x| x.is_finite() && *x > 0.0).ok_or_else(bad)
+            };
+            match flag {
+                "--json" => cli.json = Some(value.clone()),
+                "--trace-out" => cli.trace_out = Some(value.clone()),
+                "--metrics-out" => cli.metrics_out = Some(value.clone()),
+                "--shards" => cli.shards = count(&value).ok_or_else(bad)?,
+                "--window-cycles" => cli.window_cycles = Some(count(&value).ok_or_else(bad)?),
+                "--offered-load" => cli.offered_load = Some(number()?),
+                "--duration-ms" => cli.duration_ms = Some(number()?),
+                "--arrival" => cli.arrival = Some(ArrivalKind::parse(&value).ok_or_else(bad)?),
+                "--os" => cli.os = Some(OsPoint::parse(&value).ok_or_else(bad)?),
+                _ => unreachable!("FLAGS lists only the flags matched here"),
+            }
+        }
+        Ok(cli)
     }
 }
 
@@ -247,54 +233,73 @@ impl Scenario {
     }
 }
 
-/// Metadata for one scenario as written to the JSON envelope.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScenarioMeta {
-    /// The scenario's identifier.
-    pub id: String,
-    /// The machine preset's display name.
-    pub machine: String,
-    /// The full stack composition, round-trippable back to [`StackConfig`].
-    pub stack: StackConfig,
+/// One scenario as the `--json` envelope names it: its id, its machine
+/// preset's display name, and its full, round-trippable stack.
+#[derive(Serialize)]
+struct ScenarioMeta {
+    id: String,
+    machine: String,
+    stack: StackConfig,
 }
 
-/// The machine-readable results envelope: which compositions were
-/// measured, then the experiment's own rows.
-///
-/// `Serialize` is hand-written because the envelope is generic over the
-/// row type and the vendored derive only handles concrete shapes.
-pub struct RunSummary<'a, T> {
-    /// One entry per declared scenario.
-    pub scenarios: Vec<ScenarioMeta>,
-    /// The experiment's rows, in its own schema.
-    pub rows: &'a T,
-}
+/// A JSON document embedded verbatim in a larger one.
+pub struct RawJson(pub String);
 
-impl<T: Serialize> Serialize for RunSummary<'_, T> {
+impl Serialize for RawJson {
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"scenarios\":");
-        self.scenarios.serialize_json(out);
-        out.push_str(",\"rows\":");
-        self.rows.serialize_json(out);
-        out.push('}');
+        out.push_str(&self.0);
     }
 }
 
-/// The driver a figure/table binary hands its scenarios to.
+/// The `--json` results envelope: which compositions were measured, then
+/// the experiment's own rows, in its own schema.
+#[derive(Serialize)]
+struct RunSummary {
+    scenarios: Vec<ScenarioMeta>,
+    rows: RawJson,
+}
+
+/// What one figure run produced, as a value: the exact stdout text, the
+/// `--json` envelope, the trace and metrics documents its flags asked
+/// for, and the one-line headline the scoreboard shows.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// The declared scenarios, in declaration order.
+    pub scenarios: Vec<Scenario>,
+    /// The exact stdout text (every table and note, nothing else).
+    pub text: String,
+    /// The `--json` results envelope (scenarios plus the figure's rows).
+    pub json: String,
+    /// The Perfetto trace document, when `--trace-out` asked for one.
+    pub trace: Option<String>,
+    /// The windowed-metrics document, when `--metrics-out` asked for one.
+    pub metrics: Option<String>,
+    /// The scoreboard headline, computed from the numbers the text prints.
+    pub headline: String,
+    /// The id of the scenario the headline measures.
+    pub headline_scenario: &'static str,
+}
+
+/// The driver a figure hands its scenarios to. It accumulates the
+/// figure's text and documents, and [`Harness::finish`] turns them into
+/// a [`Report`].
+#[derive(Default)]
 pub struct Harness {
     cli: Cli,
     scenarios: Vec<Scenario>,
+    text: String,
+    trace: Option<String>,
+    metrics: Option<String>,
 }
 
 impl Harness {
-    /// A harness over `scenarios`, parsing the process CLI.
-    pub fn new(scenarios: Vec<Scenario>) -> Harness {
-        Harness::with_cli(Cli::parse(), scenarios)
-    }
-
-    /// A harness with an explicit CLI (unit-testable).
-    pub fn with_cli(cli: Cli, scenarios: Vec<Scenario>) -> Harness {
-        Harness { cli, scenarios }
+    /// A harness over `scenarios` for a run under `cli`.
+    pub fn new(cli: &Cli, scenarios: Vec<Scenario>) -> Harness {
+        Harness {
+            cli: cli.clone(),
+            scenarios,
+            ..Harness::default()
+        }
     }
 
     /// The declared scenarios, in declaration order.
@@ -315,104 +320,73 @@ impl Harness {
         self.scenario(id).compose()
     }
 
-    /// The simulation-kernel shard count (`--shards`, default 1).
-    pub fn shards(&self) -> usize {
-        self.cli.shards
+    /// Render one boxed table (title banner, aligned header and rows).
+    pub fn table(&mut self, title: &str, header: &[&str], rows: &[Vec<String>]) {
+        self.text.push_str(&table_text(title, header, rows));
     }
 
-    /// Offered-load override (`--offered-load`), as a multiple of the
-    /// binary's calibrated saturation capacity.
-    pub fn offered_load(&self) -> Option<f64> {
-        self.cli.offered_load
+    /// Append one line of prose (a `println!` into the report).
+    pub fn note(&mut self, line: impl std::fmt::Display) {
+        self.text.push_str(&format!("{line}\n"));
     }
 
-    /// Serving-run duration override in milliseconds (`--duration-ms`).
-    pub fn duration_ms(&self) -> Option<f64> {
-        self.cli.duration_ms
+    /// When `--trace-out` was passed, render `spans` and `counters` as one
+    /// Chrome trace (see [`chrome_trace_json`]).
+    pub fn trace(&mut self, spans: &[Span], counters: &[CounterTrack], cycles_per_us: u64) {
+        if self.cli.trace_out.is_some() {
+            self.trace = Some(chrome_trace_json(spans, counters, cycles_per_us));
+        }
     }
 
-    /// Arrival-process override (`--arrival`).
-    pub fn arrival(&self) -> Option<ArrivalKind> {
-        self.cli.arrival
+    /// When `--metrics-out` was passed, render the windowed series as
+    /// JSON. The document is a pure function of the simulated run, so CI
+    /// can byte-compare it across shard counts and repeated runs.
+    pub fn metrics(&mut self, series: &MetricsSeries) {
+        if self.cli.metrics_out.is_some() {
+            self.metrics =
+                Some(serde_json::to_string_pretty(series).expect("serializable metrics"));
+        }
     }
 
-    /// The windowed-metrics export path, when `--metrics-out` was passed.
-    pub fn metrics_out(&self) -> Option<&str> {
-        self.cli.metrics_out.as_deref()
-    }
-
-    /// Roll-up window width override (`--window-cycles`).
-    pub fn window_cycles(&self) -> Option<u64> {
-        self.cli.window_cycles
-    }
-
-    /// OS-axis restriction (`--os`): when set, OS-axis binaries run only
-    /// the scenarios whose composition sits on this point.
-    pub fn os(&self) -> Option<OsPoint> {
-        self.cli.os
-    }
-
-    /// Print one boxed table (title banner, aligned header and rows).
-    pub fn table(&self, title: &str, header: &[&str], rows: &[Vec<String>]) {
-        print_table(title, header, rows);
-    }
-
-    /// The JSON envelope for `rows` under this harness's scenarios.
-    pub fn summary_json<T: Serialize>(&self, rows: &T) -> String {
-        let summary = RunSummary {
-            scenarios: self
-                .scenarios
-                .iter()
-                .map(|sc| ScenarioMeta {
-                    id: sc.id.to_string(),
-                    machine: sc.machine.name.to_string(),
-                    stack: sc.config,
-                })
-                .collect(),
-            rows,
+    /// Finish the run: `rows` become the `--json` envelope, and `headline`
+    /// is what the scoreboard shows for the scenario `headline_scenario`.
+    /// Every declared scenario must compose, measured or not.
+    pub fn finish<T: Serialize>(
+        self,
+        rows: &T,
+        headline_scenario: &'static str,
+        headline: String,
+    ) -> Report {
+        self.scenario(headline_scenario);
+        let scenarios = self.scenarios.iter().map(|sc| {
+            sc.compose();
+            ScenarioMeta {
+                id: sc.id.to_string(),
+                machine: sc.machine.name.to_string(),
+                stack: sc.config,
+            }
+        });
+        let envelope = RunSummary {
+            scenarios: scenarios.collect(),
+            rows: RawJson(serde_json::to_string(rows).expect("serializable rows")),
         };
-        serde_json::to_string_pretty(&summary).expect("serializable results")
-    }
-
-    /// Finish the run: when `--json <path>` was passed, write the envelope
-    /// and acknowledge on stdout (flag runs only — golden runs pass none).
-    pub fn finish<T: Serialize>(&self, rows: &T) {
-        if let Some(path) = &self.cli.json {
-            write_output(path, "json", &self.summary_json(rows));
-        }
-    }
-
-    /// Finish the streaming-metrics export: when `--metrics-out <path>`
-    /// was passed, write the windowed series as JSON and acknowledge on
-    /// stdout (flag runs only — golden runs pass none). The file is a
-    /// pure function of the simulated run, so CI can byte-compare it
-    /// across shard counts and repeated runs.
-    pub fn finish_metrics(&self, series: &MetricsSeries) {
-        if let Some(path) = &self.cli.metrics_out {
-            let json = serde_json::to_string_pretty(series).expect("serializable metrics");
-            write_output(path, "metrics", &json);
-        }
-    }
-
-    /// Finish the Perfetto export: when `--trace-out <path>` was passed,
-    /// write `spans` and `counters` as one Chrome trace (see
-    /// [`chrome_trace_json`]) and acknowledge on stdout.
-    pub fn finish_trace(&self, spans: &[Span], counters: &[CounterTrack], cycles_per_us: u64) {
-        if let Some(path) = &self.cli.trace_out {
-            write_output(
-                path,
-                "trace",
-                &chrome_trace_json(spans, counters, cycles_per_us),
-            );
+        Report {
+            json: serde_json::to_string_pretty(&envelope).expect("serializable envelope"),
+            scenarios: self.scenarios,
+            text: self.text,
+            trace: self.trace,
+            metrics: self.metrics,
+            headline,
+            headline_scenario,
         }
     }
 }
 
-/// The one writer behind every output flag: create `path`'s parent
+/// The one writer behind every output file: create `path`'s parent
 /// directories, write `contents`, and acknowledge the `what` export on
 /// stdout. An I/O failure is a usage error, not a bug: it names the path
 /// and the error on stderr and exits with status 2.
-fn write_output(path: &str, what: &str, contents: &str) {
+pub(crate) fn write_output(path: &str, what: &str, contents: &str) {
     let file = std::path::Path::new(path);
     let written = file
         .parent()
@@ -426,7 +400,7 @@ fn write_output(path: &str, what: &str, contents: &str) {
 }
 
 /// One fixed-width window of the serving plane's streaming telemetry, as
-/// written by `--metrics-out` and embedded in `BENCH_summary.json`.
+/// written by `--metrics-out`.
 #[derive(Debug, Clone, Serialize)]
 pub struct MetricsWindow {
     /// Absolute window index (`cycle / window_cycles`).
@@ -509,121 +483,6 @@ impl MetricsSeries {
             track("serve.p99_us", Layer::Virtine, |w| w.p99_us),
         ]
     }
-}
-
-/// One scoreboard entry, as written to `BENCH_summary.json`.
-#[derive(Serialize)]
-pub struct ExperimentSummary {
-    /// Figure/section identifier (e.g. "Fig 3", "§IV-A").
-    pub experiment: String,
-    /// The paper's claim being checked.
-    pub claim: String,
-    /// The stack composition the headline measures.
-    pub stack: StackConfig,
-    /// The OS-axis point of that composition, by display name ("Linux",
-    /// "Aster", "Nautilus") — denormalized so bookkeeping scripts can
-    /// group the scoreboard by OS without decoding the stack.
-    pub os: String,
-    /// The measured headline, formatted as in the table.
-    pub measured: String,
-    /// Wall-clock time to regenerate this entry, in milliseconds.
-    pub wall_ms: f64,
-    /// Simulation-kernel shard count the section ran with (1 = the merged
-    /// sequential kernel; results are bit-identical at every count).
-    pub shards: usize,
-}
-
-/// One fault class's robustness ledger from the serving-plane section, as
-/// written to `BENCH_summary.json`. The invariant bookkeeping scripts can
-/// check: `injected == recovered + shed + absorbed` — no fault vanishes.
-#[derive(Serialize)]
-pub struct FaultBreakdownEntry {
-    /// Fault class name (e.g. "virtine crash"), as `FaultClass::name`.
-    pub class: String,
-    /// Faults the chaos plan injected for this class.
-    pub injected: u64,
-    /// Recovered by a mechanism one layer up (restart, watchdog scan,
-    /// cold-start fallback) — the request still completed.
-    pub recovered: u64,
-    /// Turned into accounted load shedding (retry budget exhausted).
-    pub shed: u64,
-    /// Landed where they could do no harm (dead context, empty cache).
-    pub absorbed: u64,
-}
-
-/// One §III primitive priced on every point of the OS axis, as written to
-/// `BENCH_summary.json` (the machine-readable TAB-NK).
-#[derive(Serialize)]
-pub struct PrimitiveEntry {
-    /// Primitive name, as in the printed table.
-    pub name: String,
-    /// Cost on the Linux-like kernel, in cycles.
-    pub linux_cycles: u64,
-    /// Cost on the Aster-like framekernel, in cycles.
-    pub aster_cycles: u64,
-    /// Cost on the Nautilus-like kernel, in cycles.
-    pub nautilus_cycles: u64,
-}
-
-/// The scoreboard file schema (`BENCH_summary.json`).
-#[derive(Serialize)]
-pub struct BenchSummary {
-    /// Total wall-clock for the whole scoreboard, in milliseconds.
-    pub total_wall_ms: f64,
-    /// One record per experiment.
-    pub experiments: Vec<ExperimentSummary>,
-    /// Registry snapshot from the telemetry section's instrumented run, so
-    /// bookkeeping scripts can diff counters without scraping stdout.
-    pub counters: Vec<CounterEntry>,
-    /// Per-class fault ledger from the serving-plane section (empty when
-    /// the scoreboard ran without it).
-    pub fault_breakdown: Vec<FaultBreakdownEntry>,
-    /// Windowed serving-plane trajectory from the scoreboard's serving
-    /// section — the same rows `--metrics-out` exports (empty when the
-    /// scoreboard ran without the serving section).
-    pub serve_timeseries: Vec<MetricsWindow>,
-    /// The §III primitives priced on all three OS-axis points (the
-    /// machine-readable TAB-NK).
-    pub primitives: Vec<PrimitiveEntry>,
-}
-
-/// Run one scoreboard section, timing it and recording the row. The
-/// section's composition is validated eagerly: a scoreboard entry naming
-/// an impossible stack fails loudly, not silently.
-pub fn section(
-    out: &mut Vec<ExperimentSummary>,
-    experiment: &str,
-    claim: &str,
-    stack: StackConfig,
-    machine: MachineConfig,
-    run: impl FnOnce() -> String,
-) {
-    section_sharded(out, experiment, claim, stack, machine, 1, run);
-}
-
-/// [`section`], for a section whose hot loop ran on the sharded simulation
-/// kernel: records the true shard count in the scoreboard record.
-pub fn section_sharded(
-    out: &mut Vec<ExperimentSummary>,
-    experiment: &str,
-    claim: &str,
-    stack: StackConfig,
-    machine: MachineConfig,
-    shards: usize,
-    run: impl FnOnce() -> String,
-) {
-    Scenario::new("section", stack, machine).compose();
-    let start = std::time::Instant::now();
-    let measured = run();
-    out.push(ExperimentSummary {
-        experiment: experiment.to_string(),
-        claim: claim.to_string(),
-        stack,
-        os: stack.os.name().to_string(),
-        measured,
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        shards,
-    });
 }
 
 #[cfg(test)]
@@ -807,6 +666,21 @@ mod tests {
     }
 
     #[test]
+    fn cli_rejects_unknown_flags_and_stray_values() {
+        for v in [
+            &["bin", "--bogus"][..],
+            &["bin", "--shard", "4"],
+            &["bin", "--json", "r.json", "extra"],
+        ] {
+            assert!(
+                matches!(Cli::from_args(args(v)), Err(CliError::UnknownFlag(_))),
+                "{v:?}"
+            );
+        }
+        assert_eq!(reject(&["bin", "--shard", "4"]), "unknown flag \"--shard\"");
+    }
+
+    #[test]
     fn cli_rejects_a_dangling_metrics_out() {
         assert_eq!(
             reject(&["bin", "--metrics-out"]),
@@ -864,8 +738,8 @@ mod tests {
 
     #[test]
     fn envelope_embeds_every_scenario_stack() {
-        let h = Harness::with_cli(
-            Cli::default(),
+        let h = Harness::new(
+            &Cli::default(),
             vec![
                 Scenario::new(
                     "linux",
@@ -879,7 +753,7 @@ mod tests {
         struct Row {
             v: u64,
         }
-        let json = h.summary_json(&vec![Row { v: 7 }]);
+        let json = h.finish(&vec![Row { v: 7 }], "nk", String::new()).json;
         let v = serde::json::parse(&json).expect("valid envelope");
         let scenarios = match v.get("scenarios") {
             Some(serde::json::JsonValue::Arr(a)) => a,

@@ -1,8 +1,9 @@
 //! # interweave-bench
 //!
 //! Regeneration harness for every table and figure in the paper. Each
-//! binary in `src/bin/` reproduces one experiment and prints the same
-//! rows/series the paper reports:
+//! experiment is one [`figures::Figure`] value in the [`figures::FIGURES`]
+//! registry; the binary of the same name in `src/bin/` is a one-line
+//! `main` that runs it and prints the same rows/series the paper reports:
 //!
 //! | binary            | reproduces |
 //! |-------------------|------------|
@@ -10,20 +11,24 @@
 //! | `fig4_fibers`     | Fig. 4 — context-switch costs + granularity floors |
 //! | `fig6_openmp`     | Fig. 6 — RTK/PIK/CCK vs. Linux OpenMP scaling |
 //! | `fig7_coherence`  | Fig. 7 — selective coherence speedup + NoC energy |
-//! | `tab_carat`       | §IV-A — CARAT overhead table (<6 % geomean) |
 //! | `tab_primitives`  | §III — Nautilus vs. Linux primitive costs |
+//! | `tab_carat`       | §IV-A — CARAT overhead table (<6 % geomean) |
 //! | `tab_virtines`    | §IV-D/§V-E — isolation start-up latency table |
 //! | `tab_pipeline`    | §V-D — pipeline-interrupt dispatch + ablation |
 //! | `tab_blend`       | §V-C — blended drivers + far-memory sweeps |
+//! | `tab_ablations`   | §V-B/§V-F — protocol, disaggregation, RISC-V, guard-cost ablations |
 //! | `tab_faults`      | extension — cross-layer fault injection + recovery costs |
 //! | `tab_profile`     | extension — cycle attribution, interwoven vs. layered |
 //! | `tab_serve`       | extension — open-loop serving under chaos: goodput + tail curves |
+//! | `summary`         | the scoreboard: every figure's headline, written to `BENCH_summary.json` |
 //!
-//! Each binary accepts `--json <path>` to also dump machine-readable
-//! results, used by `EXPERIMENTS.md` bookkeeping. The [`harness`] module
-//! owns that CLI contract plus stack composition and sweep plumbing; the
-//! binaries above declare [`harness::Scenario`]s and print.
+//! Every binary accepts the shared flags of [`harness::Cli`] (`--json
+//! <path>` dumps the machine-readable results). The [`harness`] module owns
+//! that CLI contract plus stack composition and sweep plumbing; the
+//! figures declare [`harness::Scenario`]s and render into a
+//! [`harness::Report`]. `tests/goldens.rs` pins every report's text.
 
+pub mod figures;
 pub mod harness;
 
 use std::fmt::Display;
@@ -84,15 +89,18 @@ where
         .collect()
 }
 
-/// Print a boxed table: header row then aligned data rows.
+/// A boxed table as text: a blank line, the `== title ==` banner, then
+/// the aligned header and rows, one per line.
 ///
 /// Rows may be wider than the header; the extra columns get an empty
 /// header cell and align like any other column.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+pub fn table_text(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = format!("\n== {title} ==\n");
     for l in render_table(header, rows) {
-        println!("{l}");
+        out.push_str(&l);
+        out.push('\n');
     }
+    out
 }
 
 /// The aligned lines of a table (header, rule, data rows), without the

@@ -1,8 +1,8 @@
-//! Process-level contract of the shared command line: a malformed flag
-//! exits with status 2 and a typed message on stderr (never a panic),
-//! `--json <path>` writes the harness's results envelope, and every output
-//! flag creates missing parent directories or, when it cannot write, exits
-//! with status 2 naming the path.
+//! Process-level contract of the shared command line: a malformed or
+//! unknown flag exits with status 2 and a typed message on stderr (never a
+//! panic), `--json <path>` writes the harness's results envelope, and every
+//! output file gets its missing parent directories or, when it cannot be
+//! written, an exit with status 2 naming the path.
 
 use std::process::{Command, Output};
 
@@ -41,6 +41,49 @@ fn an_invalid_flag_value_exits_2_with_the_value_named() {
 fn a_bare_json_flag_is_rejected_not_ignored() {
     let out = run(env!("CARGO_BIN_EXE_tab_carat"), &["--json"]);
     assert_rejected(&out, "error: --json takes a path");
+}
+
+#[test]
+fn an_unknown_flag_exits_2_instead_of_being_ignored() {
+    let out = run(env!("CARGO_BIN_EXE_fig4_fibers"), &["--bogus"]);
+    assert_rejected(&out, "error: unknown flag \"--bogus\"");
+    let out = run(env!("CARGO_BIN_EXE_fig7_coherence"), &["--shard", "4"]);
+    assert_rejected(&out, "error: unknown flag \"--shard\"");
+}
+
+#[test]
+fn ablations_json_writes_the_envelope() {
+    let root = scratch_dir("ablations");
+    let path = root.join("ablations.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_tab_ablations"),
+        &["--json", path.to_str().expect("utf-8 temp path")],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&path).expect("envelope written");
+    std::fs::remove_dir_all(&root).expect("remove scratch dir");
+    let v = serde::json::parse(&json).expect("valid envelope");
+    match v.get("rows") {
+        Some(serde::json::JsonValue::Arr(rows)) => assert_eq!(rows.len(), 4, "one per ablation"),
+        other => panic!("envelope must carry a rows array, got {other:?}"),
+    }
+}
+
+#[test]
+fn summary_that_cannot_write_its_file_exits_2_naming_it() {
+    // A directory squatting on the output name makes the write fail.
+    let root = scratch_dir("summary");
+    std::fs::create_dir_all(root.join("BENCH_summary.json")).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_summary"))
+        .current_dir(&root)
+        .output()
+        .expect("summary runs");
+    std::fs::remove_dir_all(&root).expect("remove scratch dir");
+    assert_cannot_write(&out, "BENCH_summary.json");
 }
 
 #[test]
@@ -134,11 +177,15 @@ fn an_unwritable_output_path_exits_2_without_panicking() {
         env!("CARGO_BIN_EXE_tab_pipeline"),
         &["--json", "/dev/null/sub/envelope.json"],
     );
+    assert_cannot_write(&out, "/dev/null/sub/envelope.json");
+}
+
+/// `out` is a run that exited 2, without panicking, because it could not
+/// write `path`.
+fn assert_cannot_write(out: &Output, path: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("error: cannot write /dev/null/sub/envelope.json"),
-        "stderr: {stderr}"
-    );
+    let message = format!("error: cannot write {path}");
+    assert!(stderr.contains(&message), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }

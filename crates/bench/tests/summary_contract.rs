@@ -1,91 +1,89 @@
 //! Contract test for the scoreboard file: the `BenchSummary` schema the
 //! `summary` binary writes to `BENCH_summary.json` must be parseable JSON,
-//! and every experiment's embedded [`StackConfig`] must deserialize back
-//! to exactly the composition that was serialized — bookkeeping scripts
-//! key on it.
+//! every experiment's embedded [`StackConfig`] must deserialize back to
+//! exactly the composition that was serialized — bookkeeping scripts key
+//! on it — and every entry carries its figure's `--json` rows.
 
-use interweave_bench::harness::{
-    BenchSummary, ExperimentSummary, FaultBreakdownEntry, MetricsWindow, PrimitiveEntry,
-};
+use interweave_bench::figures::{figure, BenchSummary, ExperimentSummary, FIGURES};
+use interweave_bench::harness::{Cli, Harness, Scenario};
+use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_core::FaultClass;
+use interweave_kernel::microbench::primitive_table;
+use interweave_kernel::os::{AsterModel, LinuxModel, NkModel};
+use serde::json::JsonValue;
 use serde::Deserialize;
 
-fn scoreboard() -> (BenchSummary, Vec<StackConfig>) {
-    let stacks = vec![
+fn stacks() -> Vec<StackConfig> {
+    vec![
         StackConfig::commodity(),
         StackConfig::nautilus(),
         StackConfig::rtk(),
         StackConfig::pik(),
         StackConfig::cck(),
         StackConfig::interwoven(),
-    ];
-    let experiments = stacks
-        .iter()
+    ]
+}
+
+/// `entries` through the summary binary's serialization path, parsed
+/// back: the `experiments` array.
+fn summary_file(entries: Vec<ExperimentSummary>) -> Vec<JsonValue> {
+    let summary = BenchSummary {
+        total_wall_ms: 1.5,
+        experiments: entries,
+    };
+    let json = serde_json::to_string_pretty(&summary).expect("serializable summary");
+    let doc = serde::json::parse(&json).expect("the file is valid JSON");
+    assert!(doc.get("total_wall_ms").is_some());
+    match doc.get("experiments") {
+        Some(JsonValue::Arr(a)) => a.clone(),
+        other => panic!("experiments must be an array, got {other:?}"),
+    }
+}
+
+/// One entry per stack in [`stacks`], each a harness report whose
+/// headline measures that stack, with shard count `i + 1`.
+fn scoreboard() -> Vec<JsonValue> {
+    let entries = stacks()
+        .into_iter()
         .enumerate()
-        .map(|(i, &stack)| ExperimentSummary {
-            experiment: format!("exp-{i}"),
-            claim: "stays standing".into(),
-            stack,
-            os: stack.os.name().to_string(),
-            measured: "1.0x".into(),
-            wall_ms: 0.25,
-            shards: i + 1,
+        .map(|(i, stack)| {
+            let mc = MachineConfig::xeon_server_2s();
+            let h = Harness::new(&Cli::default(), vec![Scenario::new("s", stack, mc)]);
+            let report = h.finish(&vec![i], "s", "1.0x".into());
+            ExperimentSummary::new(&FIGURES[i], &report, 0.25, i + 1)
         })
         .collect();
-    let fault_breakdown = FaultClass::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, &class)| FaultBreakdownEntry {
-            class: class.name().to_string(),
-            injected: 10 * (i as u64 + 1),
-            recovered: 7 * (i as u64 + 1),
-            shed: 2 * (i as u64 + 1),
-            absorbed: i as u64 + 1,
-        })
-        .collect();
-    let serve_timeseries = (0..3)
-        .map(|i| MetricsWindow {
-            window: i,
-            start_cycles: i * 1_000,
-            offered: 10 + i,
-            completed: 8 + i,
-            shed: 2,
-            queue_depth_max: 4,
-            p50_us: 15.0 + i as f64,
-            p99_us: 120.0 + i as f64,
-        })
-        .collect();
-    (
-        BenchSummary {
-            total_wall_ms: 1.5,
-            experiments,
-            counters: Vec::new(),
-            fault_breakdown,
-            serve_timeseries,
-            primitives: vec![PrimitiveEntry {
-                name: "thread create".into(),
-                linux_cycles: 42_000,
-                aster_cycles: 3_200,
-                nautilus_cycles: 900,
-            }],
-        },
-        stacks,
-    )
+    summary_file(entries)
+}
+
+/// The rows `name`'s default run embeds in its summary entry.
+fn embedded_rows(name: &str) -> JsonValue {
+    let f = figure(name);
+    let entry = ExperimentSummary::new(f, &(f.run)(&Cli::default()), 0.0, 1);
+    let envelope = summary_file(vec![entry])[0].get("rows").cloned();
+    let envelope = envelope.expect("every entry embeds its --json envelope");
+    assert!(envelope.get("scenarios").is_some());
+    envelope.get("rows").expect("the figure's rows").clone()
+}
+
+fn num(row: &JsonValue, field: &str) -> u64 {
+    match row.get(field) {
+        Some(JsonValue::Num(n)) => n.parse().expect("integral"),
+        other => panic!("{field} must be a number, got {other:?}"),
+    }
+}
+
+fn string<'a>(row: &'a JsonValue, field: &str) -> &'a str {
+    let s = row.get(field).and_then(JsonValue::as_str);
+    s.unwrap_or_else(|| panic!("{field} must be a string"))
 }
 
 #[test]
 fn embedded_stack_configs_round_trip_through_the_summary_file() {
-    let (summary, stacks) = scoreboard();
-    // The same serialization path the summary binary uses for the file.
-    let json = serde_json::to_string_pretty(&summary).expect("serializable summary");
-    let doc = serde::json::parse(&json).expect("the file is valid JSON");
-    let experiments = match doc.get("experiments") {
-        Some(serde::json::JsonValue::Arr(a)) => a,
-        other => panic!("experiments must be an array, got {other:?}"),
-    };
-    assert_eq!(experiments.len(), stacks.len());
-    for (exp, want) in experiments.iter().zip(&stacks) {
+    let experiments = scoreboard();
+    assert_eq!(experiments.len(), stacks().len());
+    for (exp, want) in experiments.iter().zip(&stacks()) {
         let embedded = exp.get("stack").expect("every experiment embeds its stack");
         let got = StackConfig::deserialize_json(embedded).expect("stack parses back");
         assert_eq!(&got, want, "embedded composition must round-trip exactly");
@@ -94,145 +92,82 @@ fn embedded_stack_configs_round_trip_through_the_summary_file() {
 
 #[test]
 fn summary_file_keeps_its_bookkeeping_fields() {
-    let (summary, _) = scoreboard();
-    let json = serde_json::to_string_pretty(&summary).expect("serializable summary");
-    let doc = serde::json::parse(&json).expect("valid JSON");
-    assert!(doc.get("total_wall_ms").is_some());
-    assert!(doc.get("counters").is_some());
-    assert!(doc.get("fault_breakdown").is_some());
-    let exp = match doc.get("experiments") {
-        Some(serde::json::JsonValue::Arr(a)) => &a[0],
-        other => panic!("experiments must be an array, got {other:?}"),
-    };
+    let exp = &scoreboard()[0];
     for field in [
         "experiment",
+        "figure",
         "claim",
         "stack",
         "os",
         "measured",
         "wall_ms",
         "shards",
+        "rows",
     ] {
         assert!(exp.get(field).is_some(), "missing field {field}");
     }
+    assert_eq!(string(exp, "figure"), FIGURES[0].name);
+    assert_eq!(string(exp, "measured"), "1.0x");
 }
 
 #[test]
 fn experiment_os_field_matches_the_embedded_stack() {
-    let (summary, stacks) = scoreboard();
-    let json = serde_json::to_string_pretty(&summary).expect("serializable summary");
-    let doc = serde::json::parse(&json).expect("valid JSON");
-    let experiments = match doc.get("experiments") {
-        Some(serde::json::JsonValue::Arr(a)) => a,
-        other => panic!("experiments must be an array, got {other:?}"),
-    };
-    for (exp, want) in experiments.iter().zip(&stacks) {
-        match exp.get("os") {
-            Some(serde::json::JsonValue::Str(s)) => assert_eq!(s, want.os.name()),
-            other => panic!("os must be a string, got {other:?}"),
-        }
+    for (exp, want) in scoreboard().iter().zip(&stacks()) {
+        assert_eq!(string(exp, "os"), want.os.name());
     }
 }
 
 #[test]
 fn primitive_table_round_trips_all_three_os_columns() {
-    let (summary, _) = scoreboard();
-    let json = serde_json::to_string_pretty(&summary).expect("serializable summary");
-    let doc = serde::json::parse(&json).expect("valid JSON");
-    let rows = match doc.get("primitives") {
-        Some(serde::json::JsonValue::Arr(a)) => a,
-        other => panic!("primitives must be an array, got {other:?}"),
+    let rows = match embedded_rows("tab_primitives") {
+        JsonValue::Arr(a) => a,
+        other => panic!("tab_primitives rows must be an array, got {other:?}"),
     };
-    assert_eq!(rows.len(), summary.primitives.len());
-    let num = |row: &serde::json::JsonValue, field: &str| -> u64 {
-        match row.get(field) {
-            Some(serde::json::JsonValue::Num(n)) => n.parse().expect("integral cycles"),
-            other => panic!("{field} must be a number, got {other:?}"),
-        }
-    };
-    for (row, want) in rows.iter().zip(&summary.primitives) {
-        match row.get("name") {
-            Some(serde::json::JsonValue::Str(s)) => assert_eq!(s, &want.name),
-            other => panic!("name must be a string, got {other:?}"),
-        }
-        assert_eq!(num(row, "linux_cycles"), want.linux_cycles);
-        assert_eq!(num(row, "aster_cycles"), want.aster_cycles);
-        assert_eq!(num(row, "nautilus_cycles"), want.nautilus_cycles);
+    let mc = MachineConfig::xeon_server_2s();
+    let (lx, fk, nk) = (
+        LinuxModel::new(mc.clone()),
+        AsterModel::new(mc.clone()),
+        NkModel::new(mc.clone()),
+    );
+    let table = primitive_table(&[("Linux", &lx), ("Aster", &fk), ("Nautilus", &nk)]);
+    // Two machines, server first; the server rows are exactly the table.
+    assert_eq!(rows.len(), 2 * table.len());
+    for (row, want) in rows.iter().zip(&table) {
+        assert_eq!(string(row, "machine"), mc.name);
+        assert_eq!(string(row, "primitive"), want.name);
+        assert_eq!(num(row, "linux_cycles"), want.costs[0].get());
+        assert_eq!(num(row, "aster_cycles"), want.costs[1].get());
+        assert_eq!(num(row, "nautilus_cycles"), want.costs[2].get());
     }
 }
 
 #[test]
 fn shard_counts_round_trip_through_the_summary_file() {
-    let (summary, stacks) = scoreboard();
-    let json = serde_json::to_string_pretty(&summary).expect("serializable summary");
-    let doc = serde::json::parse(&json).expect("valid JSON");
-    let experiments = match doc.get("experiments") {
-        Some(serde::json::JsonValue::Arr(a)) => a,
-        other => panic!("experiments must be an array, got {other:?}"),
-    };
-    // Each record reports the true shard count its section ran with.
-    for (i, exp) in experiments.iter().enumerate() {
-        let got: usize = match exp.get("shards") {
-            Some(serde::json::JsonValue::Num(n)) => n.parse().expect("integral shard count"),
-            other => panic!("shards must be a number, got {other:?}"),
-        };
-        assert_eq!(got, i + 1, "shard count must round-trip exactly");
-    }
-    assert_eq!(experiments.len(), stacks.len());
-}
-
-#[test]
-fn serve_timeseries_round_trips_window_by_window() {
-    let (summary, _) = scoreboard();
-    let json = serde_json::to_string_pretty(&summary).expect("serializable summary");
-    let doc = serde::json::parse(&json).expect("valid JSON");
-    let rows = match doc.get("serve_timeseries") {
-        Some(serde::json::JsonValue::Arr(a)) => a,
-        other => panic!("serve_timeseries must be an array, got {other:?}"),
-    };
-    assert_eq!(rows.len(), summary.serve_timeseries.len());
-    for (row, want) in rows.iter().zip(&summary.serve_timeseries) {
-        let num = |field: &str| -> u64 {
-            match row.get(field) {
-                Some(serde::json::JsonValue::Num(n)) => n.parse().expect("integral count"),
-                other => panic!("{field} must be a number, got {other:?}"),
-            }
-        };
-        assert_eq!(num("window"), want.window);
-        assert_eq!(num("start_cycles"), want.start_cycles);
-        assert_eq!(num("offered"), want.offered);
-        assert_eq!(num("completed"), want.completed);
-        assert_eq!(num("shed"), want.shed);
-        assert_eq!(num("queue_depth_max"), want.queue_depth_max);
-        assert!(row.get("p50_us").is_some() && row.get("p99_us").is_some());
+    // Each record reports the shard count its figure ran with.
+    for (i, exp) in scoreboard().iter().enumerate() {
+        assert_eq!(num(exp, "shards"), i as u64 + 1);
     }
 }
 
 #[test]
 fn fault_breakdown_round_trips_per_class_and_balances() {
-    let (summary, _) = scoreboard();
-    let json = serde_json::to_string_pretty(&summary).expect("serializable summary");
-    let doc = serde::json::parse(&json).expect("valid JSON");
-    let rows = match doc.get("fault_breakdown") {
-        Some(serde::json::JsonValue::Arr(a)) => a,
-        other => panic!("fault_breakdown must be an array, got {other:?}"),
+    let ledger = match embedded_rows("tab_serve").get("fault_ledger") {
+        Some(JsonValue::Arr(a)) => a.clone(),
+        other => panic!("fault_ledger must be an array, got {other:?}"),
     };
-    assert_eq!(rows.len(), FaultClass::ALL.len());
-    let num = |row: &serde::json::JsonValue, field: &str| -> u64 {
-        match row.get(field) {
-            Some(serde::json::JsonValue::Num(n)) => n.parse().expect("integral count"),
-            other => panic!("{field} must be a number, got {other:?}"),
-        }
-    };
-    for (row, &class) in rows.iter().zip(FaultClass::ALL.iter()) {
-        match row.get("class") {
-            Some(serde::json::JsonValue::Str(s)) => assert_eq!(s, class.name()),
-            other => panic!("class must be a string, got {other:?}"),
-        }
-        let (injected, recovered) = (num(row, "injected"), num(row, "recovered"));
-        let (shed, absorbed) = (num(row, "shed"), num(row, "absorbed"));
-        // The robustness invariant the file exists to expose: no fault
+    assert_eq!(ledger.len(), FaultClass::ALL.len());
+    let mut injected = 0;
+    for (row, class) in ledger.iter().zip(FaultClass::ALL) {
+        assert_eq!(string(row, "class"), class.name());
+        // The robustness invariant the ledger exists to expose: no fault
         // vanishes unaccounted.
-        assert_eq!(injected, recovered + shed + absorbed, "ledger must balance");
+        let (recovered, shed, absorbed) = (
+            num(row, "recovered"),
+            num(row, "shed"),
+            num(row, "absorbed"),
+        );
+        assert_eq!(num(row, "injected"), recovered + shed + absorbed);
+        injected += num(row, "injected");
     }
+    assert!(injected > 0, "the 1.5x point must inject faults");
 }

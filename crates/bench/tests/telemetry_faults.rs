@@ -12,7 +12,6 @@ use interweave_core::machine::MachineConfig;
 use interweave_core::telemetry::{chrome_trace_json, Level, Sink};
 use interweave_core::time::Cycles;
 use interweave_core::{FaultClass, FaultConfig, FaultPlan};
-use interweave_ir::interp::ExecStatus;
 use interweave_ir::types::Val;
 use interweave_kernel::work::LoopWork;
 use interweave_kernel::{Executor, NumaAllocator};
@@ -119,13 +118,7 @@ fn carat_campaign_counters_match_report() {
     let pid = sys
         .admit(m, att, entry, vec![Val::I(64)])
         .expect("attested module admits");
-    loop {
-        match sys.processes[pid].run_slice(100_000) {
-            ExecStatus::Yielded => break,
-            ExecStatus::OutOfFuel => continue,
-            other => panic!("unexpected status before quiesce: {other:?}"),
-        }
-    }
+    sys.processes[pid].run_to_yield(100_000);
     let sink = Sink::on(Level::Counters);
     let p = &mut sys.processes[pid];
     let holders = p.runtime.escape_holders();

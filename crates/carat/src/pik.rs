@@ -116,6 +116,19 @@ impl PikProcess {
         self.interp.run(&self.module, &mut self.runtime, fuel)
     }
 
+    /// Run slices of `fuel` cycles until the process yields at its
+    /// quiescent point. Any other stop means the workload never reaches
+    /// one, which is a bug in the caller: it panics with the status.
+    pub fn run_to_yield(&mut self, fuel: u64) {
+        loop {
+            match self.run_slice(fuel) {
+                ExecStatus::Yielded => return,
+                ExecStatus::OutOfFuel => continue,
+                other => panic!("unexpected status before quiesce: {other:?}"),
+            }
+        }
+    }
+
     /// Defragment this process's memory at the current quiescent point.
     pub fn defrag(&mut self) -> crate::defrag::DefragReport {
         crate::defrag::compact(&mut self.interp, &mut self.runtime)

@@ -23,14 +23,10 @@
 //! retired sequential implementation.
 
 use crate::protocol::{Class, CohMode, ProtocolKind, System, SystemConfig};
-use interweave_core::{Cycles, ShardedKernel};
-
-fn interweave_coherence_protocol_kind() -> ProtocolKind {
-    ProtocolKind::Mesi
-}
 use crate::workloads::{
     fig7_mixes, handoff_range, initialize_readonly, round_stream_into, Access, Layout, WorkloadMix,
 };
+use interweave_core::{Cycles, ShardedKernel};
 
 /// One benchmark's outcome under both policies.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,20 +57,7 @@ impl Fig7Row {
 
 /// Run one benchmark under one policy; returns `(makespan, noc energy)`.
 pub fn run_one(mix: &WorkloadMix, cores: usize, mode: CohMode, seed: u64) -> (u64, f64) {
-    run_one_on_mesh(mix, cores, mode, seed, None)
-}
-
-/// `run_one` with an optional disaggregated NoC (tiles per domain, extra
-/// cross-domain hop penalty) — the §V-B "benefits grow with ...
-/// disaggregation" axis.
-pub fn run_one_on_mesh(
-    mix: &WorkloadMix,
-    cores: usize,
-    mode: CohMode,
-    seed: u64,
-    disaggregation: Option<(usize, u32)>,
-) -> (u64, f64) {
-    run_one_sharded(mix, cores, mode, seed, disaggregation, 1)
+    run_one_sharded(mix, cores, mode, seed, None, 1)
 }
 
 /// One core's simulated activity in the sharded round loop. The payload
@@ -103,7 +86,9 @@ fn work_at(round: usize) -> Cycles {
     Cycles(3 * round as u64 + 2)
 }
 
-/// [`run_one_on_mesh`] on `shards` event-queue shards. Bit-identical
+/// [`run_one`] with an optional disaggregated NoC (tiles per domain, extra
+/// cross-domain hop penalty) — the §V-B "benefits grow with ...
+/// disaggregation" axis — on `shards` event-queue shards. Bit-identical
 /// results at every shard count (see the module docs for the argument);
 /// `shards` is clamped to `[1, cores]`.
 pub fn run_one_sharded(
@@ -119,7 +104,7 @@ pub fn run_one_sharded(
 
 /// The engine behind [`run_one_sharded`]. `streams`, when given, holds the
 /// pre-generated access stream for `[round * cores + core]` — the streams
-/// depend only on `(mix, cores, seed)`, so [`fig7_impl`] generates them
+/// depend only on `(mix, cores, seed)`, so [`fig7`] generates them
 /// once and replays them for both coherence modes.
 fn run_one_inner(
     mix: &WorkloadMix,
@@ -135,7 +120,7 @@ fn run_one_inner(
         cores,
         l1_lines: 512,
         mode,
-        protocol: interweave_coherence_protocol_kind(),
+        protocol: ProtocolKind::Mesi,
         lat: Default::default(),
     });
     if let Some((per_domain, penalty)) = disaggregation {
@@ -252,31 +237,11 @@ fn run_one_inner(
     (makespan, sys.energy.interconnect.get())
 }
 
-/// Produce all Fig. 7 rows at the given scale.
-pub fn fig7(cores: usize, seed: u64) -> Vec<Fig7Row> {
-    fig7_impl(cores, seed, 1, 1)
-}
-
-/// Fig. 7 with each benchmark's access volume divided by `div` — the same
-/// qualitative bands at a fraction of the simulation cost (used by tests;
-/// the bench binary runs `div = 1`).
-pub fn fig7_reduced(cores: usize, seed: u64, div: usize) -> Vec<Fig7Row> {
-    fig7_impl(cores, seed, div, 1)
-}
-
-/// Full-volume Fig. 7 on `shards` event-queue shards — same rows as
-/// [`fig7`] bit-for-bit at every shard count.
-pub fn fig7_sharded(cores: usize, seed: u64, shards: usize) -> Vec<Fig7Row> {
-    fig7_impl(cores, seed, 1, shards)
-}
-
-/// Reduced-volume Fig. 7 on `shards` event-queue shards (the scoreboard's
-/// variant) — same rows as [`fig7_reduced`] bit-for-bit at every count.
-pub fn fig7_reduced_sharded(cores: usize, seed: u64, div: usize, shards: usize) -> Vec<Fig7Row> {
-    fig7_impl(cores, seed, div, shards)
-}
-
-fn fig7_impl(cores: usize, seed: u64, div: usize, shards: usize) -> Vec<Fig7Row> {
+/// All Fig. 7 rows on `cores` cores, with each benchmark's access volume
+/// divided by `div` (the figure runs `div = 1`; tests run a fraction of
+/// the simulation cost with the same qualitative bands), on `shards`
+/// event-queue shards — the same rows bit-for-bit at every shard count.
+pub fn fig7(cores: usize, seed: u64, div: usize, shards: usize) -> Vec<Fig7Row> {
     fig7_mixes()
         .iter()
         .map(|mix| {
@@ -355,7 +320,7 @@ mod tests {
             cores,
             l1_lines: 512,
             mode,
-            protocol: interweave_coherence_protocol_kind(),
+            protocol: ProtocolKind::Mesi,
             lat: Default::default(),
         });
         if let Some((per_domain, penalty)) = disaggregation {
@@ -455,9 +420,9 @@ mod tests {
 
     #[test]
     fn shard_count_never_changes_the_rows() {
-        let base = fig7_impl(8, 11, 8, 1);
+        let base = fig7(8, 11, 8, 1);
         for shards in [2, 4, 8] {
-            let rows = fig7_impl(8, 11, 8, shards);
+            let rows = fig7(8, 11, 8, shards);
             for (a, b) in base.iter().zip(&rows) {
                 assert_eq!(a.full_cycles, b.full_cycles, "{}@{shards}", a.name);
                 assert_eq!(a.selective_cycles, b.selective_cycles);
@@ -472,7 +437,7 @@ mod tests {
 
     #[test]
     fn selective_wins_on_every_benchmark() {
-        for row in fig7_reduced(8, 11, 4) {
+        for row in fig7(8, 11, 4, 1) {
             assert!(
                 row.speedup() > 1.0,
                 "{}: speedup {:.3}",
@@ -493,7 +458,7 @@ mod tests {
         // Paper: "the average speedup is ~46%, while the interconnect
         // energy ... is reduced by ~53%" on the 24-core machine. Accept a
         // generous band around both.
-        let rows = fig7_reduced(24, 11, 3);
+        let rows = fig7(24, 11, 3, 1);
         let sp = mean_speedup(&rows);
         let er = mean_energy_reduction(&rows);
         assert!(
@@ -509,8 +474,8 @@ mod tests {
     #[test]
     fn benefits_grow_with_scale() {
         // §V-B: "The benefits grow with scale and disaggregation."
-        let small = mean_speedup(&fig7_reduced(8, 11, 4));
-        let large = mean_speedup(&fig7_reduced(24, 11, 4));
+        let small = mean_speedup(&fig7(8, 11, 4, 1));
+        let large = mean_speedup(&fig7(24, 11, 4, 1));
         assert!(
             large > small,
             "speedup should grow with scale: 8c {small:.3} vs 24c {large:.3}"
@@ -525,8 +490,8 @@ mod tests {
         let mut mix = fig7_mixes()[0].clone();
         mix.accesses_per_round /= 4; // reduced scale, same shape
         let speedup = |disagg| {
-            let (full, _) = run_one_on_mesh(&mix, 16, CohMode::Full, 11, disagg);
-            let (sel, _) = run_one_on_mesh(&mix, 16, CohMode::Selective, 11, disagg);
+            let (full, _) = run_one_sharded(&mix, 16, CohMode::Full, 11, disagg, 1);
+            let (sel, _) = run_one_sharded(&mix, 16, CohMode::Selective, 11, disagg, 1);
             full as f64 / sel as f64
         };
         let flat = speedup(None);
@@ -539,8 +504,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = fig7_reduced(8, 3, 4);
-        let b = fig7_reduced(8, 3, 4);
+        let a = fig7(8, 3, 4, 1);
+        let b = fig7(8, 3, 4, 1);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.full_cycles, y.full_cycles);
             assert_eq!(x.selective_cycles, y.selective_cycles);

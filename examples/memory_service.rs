@@ -33,13 +33,7 @@ fn main() {
     println!("admitted as PIK process {pid} (kernel mode, physical addresses)");
 
     // Phase 1: run to the quiescent point, fragmenting along the way.
-    loop {
-        match sys.processes[pid].run_slice(50_000) {
-            ExecStatus::Yielded => break,
-            ExecStatus::OutOfFuel => continue,
-            other => panic!("unexpected: {other:?}"),
-        }
-    }
+    sys.processes[pid].run_to_yield(50_000);
     let p = &mut sys.processes[pid];
     println!(
         "\nquiescent: {} live allocations, {} free holes, {} tracked escapes",

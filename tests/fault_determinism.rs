@@ -10,7 +10,6 @@ use interweave::carat::pik::PikSystem;
 use interweave::carat::quarantine_and_relocate;
 use interweave::core::machine::MachineConfig;
 use interweave::core::{Cycles, FaultConfig, FaultPlan, FaultRecord};
-use interweave::ir::interp::ExecStatus;
 use interweave::ir::types::Val;
 use interweave::kernel::work::LoopWork;
 use interweave::kernel::{Executor, NumaAllocator};
@@ -68,13 +67,7 @@ fn run_campaign(cfg: FaultConfig) -> CampaignOutcome {
     let pid = sys
         .admit(m, att, entry, vec![Val::I(48)])
         .expect("attested module admits");
-    loop {
-        match sys.processes[pid].run_slice(100_000) {
-            ExecStatus::Yielded => break,
-            ExecStatus::OutOfFuel => continue,
-            other => panic!("unexpected status before quiesce: {other:?}"),
-        }
-    }
+    sys.processes[pid].run_to_yield(100_000);
     let p = &mut sys.processes[pid];
     let holders = p.runtime.escape_holders();
     if let Some((site, bit)) = plan.flip_spec(holders.len() as u64) {
