@@ -164,16 +164,25 @@ pub fn figure(name: &str) -> &'static Figure {
 
 /// The whole of a figure binary: parse the shared command line, run the
 /// figure named `name`, print its text, and write every output its flags
-/// asked for.
+/// asked for. A flag whose document the run did not produce is a usage
+/// error: it is named on stderr and the binary exits with status 2,
+/// before anything is printed or written.
 pub fn main(name: &str) {
     let cli = Cli::parse();
     let report = (figure(name).run)(&cli);
-    print!("{}", report.text);
     let outputs = [
         (&cli.metrics_out, "metrics", report.metrics.as_deref()),
         (&cli.trace_out, "trace", report.trace.as_deref()),
         (&cli.json, "json", Some(report.json.as_str())),
     ];
+    for (path, what, doc) in &outputs {
+        // Only `--metrics-out` and `--trace-out` can lack a document.
+        if path.is_some() && doc.is_none() {
+            eprintln!("error: {name} has no --{what}-out document for this run");
+            std::process::exit(2);
+        }
+    }
+    print!("{}", report.text);
     for (path, what, doc) in outputs {
         if let (Some(path), Some(doc)) = (path, doc) {
             write_output(path, what, doc);

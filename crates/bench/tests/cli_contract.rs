@@ -172,6 +172,62 @@ fn serve_trace_out_into_a_missing_directory_creates_it() {
 }
 
 #[test]
+fn serve_too_short_for_any_fault_prints_the_zero_ledger() {
+    let out = run(env!("CARGO_BIN_EXE_tab_serve"), &["--duration-ms", "0.001"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("no fault injected at the 1.5x point"),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
+fn trace_out_on_a_figure_without_a_trace_exits_2_naming_it() {
+    let root = scratch_dir("heartbeat-trace");
+    let trace = root.join("trace.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_fig3_heartbeat"),
+        &["--trace-out", trace.to_str().expect("utf-8 temp path")],
+    );
+    assert_no_document(&out, "fig3_heartbeat", "--trace-out");
+    assert!(!trace.exists(), "no trace may be written");
+}
+
+#[test]
+fn serve_trace_out_without_metrics_out_exits_2_naming_it() {
+    let root = scratch_dir("serve-trace-only");
+    let trace = root.join("trace.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_tab_serve"),
+        &[
+            "--offered-load",
+            "1.0",
+            "--duration-ms",
+            "5",
+            "--trace-out",
+            trace.to_str().expect("utf-8 temp path"),
+        ],
+    );
+    assert_no_document(&out, "tab_serve", "--trace-out");
+    assert!(!trace.exists(), "no trace may be written");
+}
+
+/// `out` is a run of `bin` that exited 2, without panicking or printing
+/// its text, because its run produced no document for `flag`.
+fn assert_no_document(out: &Output, bin: &str, flag: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(bin) && stderr.contains(flag),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "a refused run prints nothing");
+}
+
+#[test]
 fn an_unwritable_output_path_exits_2_without_panicking() {
     let out = run(
         env!("CARGO_BIN_EXE_tab_pipeline"),

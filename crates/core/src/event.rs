@@ -427,6 +427,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled in the past")]
     fn schedule_in_past_panics_in_debug() {
         let mut q = EventQueue::new();

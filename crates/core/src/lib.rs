@@ -66,7 +66,7 @@ pub use faults::{FaultClass, FaultConfig, FaultPlan, FaultRecord};
 pub use interrupt::DeliveryMode;
 pub use machine::{CostModel, MachineConfig, Platform};
 pub use rng::SplitMix64;
-pub use shard::{Envelope, Mailbox, ShardCtx, ShardedKernel};
+pub use shard::{Envelope, Mailbox, ShardedKernel};
 pub use stack::StackConfig;
 pub use telemetry::{FlightRecorder, Layer, Level, Sink, Span, SpanKind, TimeSeries};
 pub use time::{Cycles, Freq, MicroSeconds};

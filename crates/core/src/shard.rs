@@ -3,36 +3,32 @@
 //!
 //! [`EventQueue`] gives one simulator one totally-ordered timeline. This
 //! module scales that to many timelines without giving up determinism:
-//! a [`ShardedKernel`] holds one `EventQueue` *shard* per simulated CPU
-//! (or CPU group), and each shard advances independently. The only
-//! synchronization points are the events that genuinely cross shards —
-//! IPIs, coherence/NoC messages, cross-NUMA executor kicks — and those
-//! travel through a deterministic cross-shard [`Mailbox`].
+//! a [`ShardedKernel`] holds one `EventQueue` *shard* per simulated core
+//! block, and each shard advances independently. The only synchronization
+//! points are the events that genuinely cross shards (the Fig. 7
+//! coherence engine's round-boundary hand-offs), and those travel through
+//! a deterministic cross-shard [`Mailbox`].
 //!
 //! Two rules make the result a pure function of the configuration, at
 //! every shard count:
 //!
-//! 1. **Total order.** The kernel's global event order is lexicographic
-//!    `(time, shard id, per-shard sequence number)`. With one shard this
-//!    degenerates to the plain `EventQueue` order `(time, seq)`, so a
-//!    single-shard kernel is bit-identical to the unsharded simulator.
-//! 2. **Conservative lookahead.** A cross-shard send posted at sender
-//!    time `τ` may not be delivered before `τ + lookahead`. Within a
-//!    window `[W, W + lookahead)` — `W` being the earliest pending event
-//!    across all shards — every shard can therefore run *in parallel*
-//!    without ever seeing a message from inside the window (the classic
-//!    CMB/YAWNS argument). Mailbox envelopes are merged at window
-//!    boundaries in the fixed order `(delivery time, sender shard,
-//!    sender sequence)`, so delivery order never depends on scheduling
-//!    races.
+//! 1. **Conservative lookahead.** A cross-shard send posted at sender
+//!    time `τ` may not be delivered before `τ + 1`. So within the window
+//!    `[W, W + 1)`, `W` being the earliest pending event across all
+//!    shards, every shard can fire its events *in parallel* without ever
+//!    seeing a message from inside the window (the classic CMB/YAWNS
+//!    argument).
+//! 2. **Canonical merge.** Mailbox envelopes leave the kernel at the
+//!    window barrier in the fixed order `(delivery time, sender shard,
+//!    sender sequence)`, so delivery order never depends on the order in
+//!    which shards ran.
 //!
-//! [`ShardedKernel::pop_next`] is the merged sequential driver (used by
-//! the kernel executor); [`ShardedKernel::run_window`] is the windowed
-//! driver whose per-shard body is embarrassingly parallel (used by the
-//! coherence engine's round phases).
+//! The driver is the caller's loop: [`ShardedKernel::peek_next`] names the
+//! window, each shard fires `shard_mut(s).pop_before(W)`, and
+//! [`ShardedKernel::drain_sends`] closes the barrier.
 
-use crate::event::{EventHandle, EventQueue, EvqStats};
-use crate::telemetry::{FlightRecorder, Sink};
+use crate::event::EventQueue;
+use crate::telemetry::FlightRecorder;
 use crate::time::Cycles;
 
 /// One cross-shard message in flight: posted by `from` with its
@@ -86,16 +82,6 @@ impl<E> Mailbox<E> {
         }
     }
 
-    /// Number of sender lanes.
-    pub fn senders(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Envelopes posted but not yet drained.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
     /// Post an envelope from `from` to `to`, delivered at `at`. Sequence
     /// numbers are per-sender and monotonic, so a sender's envelopes can
     /// never reorder among themselves.
@@ -131,8 +117,13 @@ impl<E> Mailbox<E> {
     }
 }
 
+/// The minimum latency of any cross-shard event: a send posted at `τ` is
+/// delivered no earlier than `τ + LOOKAHEAD`.
+const LOOKAHEAD: Cycles = Cycles(1);
+
 /// A sharded discrete-event simulation kernel: one [`EventQueue`] per
-/// shard, a cross-shard [`Mailbox`], and a conservative lookahead bound.
+/// shard and a cross-shard [`Mailbox`], driven one conservative window at
+/// a time.
 ///
 /// ```
 /// use interweave_core::shard::ShardedKernel;
@@ -142,41 +133,49 @@ impl<E> Mailbox<E> {
 /// k.schedule(0, Cycles(10), "a0");
 /// k.schedule(1, Cycles(10), "b0");
 /// k.schedule(0, Cycles(5), "early");
+/// let mut fired = Vec::new();
+/// while let Some((_, w)) = k.peek_next() {
+///     // One window: every shard fires its events at `w`...
+///     for s in 0..2 {
+///         while let Some((t, e)) = k.shard_mut(s).pop_before(w) {
+///             fired.push((s, t, e));
+///             if e == "a0" {
+///                 k.send(0, 1, t + Cycles(1), "hop");
+///             }
+///         }
+///     }
+///     // ...then the barrier hands out the cross-shard sends.
+///     for env in k.drain_sends() {
+///         fired.push((env.to, env.at, env.payload));
+///     }
+/// }
 /// // Global order is (time, shard, seq): ties at t=10 resolve shard 0
-/// // before shard 1.
-/// assert_eq!(k.pop_next(), Some((0, Cycles(5), "early")));
-/// assert_eq!(k.pop_next(), Some((0, Cycles(10), "a0")));
-/// assert_eq!(k.pop_next(), Some((1, Cycles(10), "b0")));
-/// assert_eq!(k.pop_next(), None);
+/// // before shard 1, and the send leaves at its own barrier.
+/// assert_eq!(
+///     fired,
+///     [
+///         (0, Cycles(5), "early"),
+///         (0, Cycles(10), "a0"),
+///         (1, Cycles(10), "b0"),
+///         (1, Cycles(11), "hop"),
+///     ]
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedKernel<E> {
     shards: Vec<EventQueue<E>>,
     mailbox: Mailbox<E>,
-    lookahead: Cycles,
-    now: Cycles,
     /// Per-shard blackboxes, `None` (zero-cost) unless enabled.
     recorders: Option<Vec<FlightRecorder>>,
 }
 
 impl<E> ShardedKernel<E> {
-    /// A kernel with `n` shards and the minimum lookahead of one cycle.
+    /// A kernel with `n` shards.
     pub fn new(n: usize) -> ShardedKernel<E> {
-        ShardedKernel::with_lookahead(n, Cycles(1))
-    }
-
-    /// A kernel with `n` shards and an explicit conservative lookahead:
-    /// the minimum latency of any cross-shard event (IPI wire latency,
-    /// NoC hop latency, ...). Larger lookahead means wider windows and
-    /// fewer barriers.
-    pub fn with_lookahead(n: usize, lookahead: Cycles) -> ShardedKernel<E> {
         assert!(n > 0, "a kernel needs at least one shard");
-        assert!(lookahead.get() > 0, "conservative lookahead must be ≥ 1");
         ShardedKernel {
             shards: (0..n).map(|_| EventQueue::new()).collect(),
             mailbox: Mailbox::new(n),
-            lookahead,
-            now: Cycles::ZERO,
             recorders: None,
         }
     }
@@ -211,28 +210,8 @@ impl<E> ShardedKernel<E> {
         out
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The conservative lookahead bound.
-    pub fn lookahead(&self) -> Cycles {
-        self.lookahead
-    }
-
-    /// The merged clock: the time of the latest event popped through
-    /// either driver.
-    pub fn now(&self) -> Cycles {
-        self.now
-    }
-
-    /// Borrow one shard's queue.
-    pub fn shard(&self, s: usize) -> &EventQueue<E> {
-        &self.shards[s]
-    }
-
-    /// Mutably borrow one shard's queue (shard-local scheduling).
+    /// Mutably borrow one shard's queue (shard-local scheduling and the
+    /// window's `pop_before`).
     pub fn shard_mut(&mut self, s: usize) -> &mut EventQueue<E> {
         &mut self.shards[s]
     }
@@ -242,23 +221,13 @@ impl<E> ShardedKernel<E> {
         self.shards[s].schedule(at, payload);
     }
 
-    /// Schedule a cancellable shard-local event; redeem the handle with
-    /// [`ShardedKernel::cancel`] on the same shard.
-    pub fn schedule_cancellable(&mut self, s: usize, at: Cycles, payload: E) -> EventHandle {
-        self.shards[s].schedule_cancellable(at, payload)
-    }
-
-    /// Cancel a pending event on shard `s`.
-    pub fn cancel(&mut self, s: usize, handle: EventHandle) -> bool {
-        self.shards[s].cancel(handle)
-    }
-
-    /// Post a cross-shard event: delivered to shard `to` at time `at`,
-    /// which must respect the conservative lookahead (`at ≥ sender's
-    /// now + lookahead`). The event stays in the mailbox until the next
-    /// [`ShardedKernel::flush_mailbox`] barrier.
+    /// Post a cross-shard event for shard `to` at time `at`, which must
+    /// respect the conservative lookahead (`at ≥ sender's now + 1`; an
+    /// earlier request panics in debug builds and is clamped otherwise).
+    /// The event stays in the mailbox until the next
+    /// [`ShardedKernel::drain_sends`] barrier.
     pub fn send(&mut self, from: usize, to: usize, at: Cycles, payload: E) {
-        let horizon = self.shards[from].now() + self.lookahead;
+        let horizon = self.shards[from].now() + LOOKAHEAD;
         debug_assert!(
             at >= horizon,
             "cross-shard send violates lookahead: at={at}, sender now+lookahead={horizon}"
@@ -270,46 +239,23 @@ impl<E> ShardedKernel<E> {
         self.mailbox.post(from, to, at, payload);
     }
 
-    /// Cross-shard envelopes posted but not yet delivered.
-    pub fn pending_sends(&self) -> usize {
-        self.mailbox.pending()
-    }
-
-    /// Deliver every pending cross-shard envelope into its target shard,
-    /// in the canonical `(delivery time, sender shard, sender seq)`
-    /// order — so target-local sequence numbers (and therefore all
-    /// downstream tie-breaks) are independent of execution interleaving.
-    /// Returns the number of envelopes delivered.
-    pub fn flush_mailbox(&mut self) -> usize {
-        let envs = self.mailbox.drain_sorted();
-        let n = envs.len();
-        for env in envs {
-            // A target that already advanced past `at` (merged driver)
-            // receives the event at its local now; the canonical drain
-            // order still fixes the tie-break deterministically.
-            let at = env.at.max(self.shards[env.to].now());
-            if let Some(recs) = &mut self.recorders {
-                recs[env.to].record(at, env.to, "mbox-deliver", env.from as u64, env.at.0);
-            }
-            self.shards[env.to].schedule(at, env.payload);
-        }
-        n
-    }
-
-    /// Drain every pending cross-shard envelope in the canonical
-    /// `(delivery time, sender shard, sender seq)` order *without*
-    /// enqueueing them — for engines that apply cross-shard effects
-    /// directly at a window barrier (e.g. region hand-offs whose cost
-    /// folds into the round's critical path) rather than as future
-    /// events. [`ShardedKernel::flush_mailbox`] is the enqueueing
-    /// counterpart.
+    /// The window barrier: drain every pending cross-shard envelope in the
+    /// canonical `(delivery time, sender shard, sender seq)` order. The
+    /// caller applies them directly (e.g. region hand-offs whose cost
+    /// folds into the round's critical path); nothing is enqueued.
     pub fn drain_sends(&mut self) -> Vec<Envelope<E>> {
-        self.mailbox.drain_sorted()
+        let envs = self.mailbox.drain_sorted();
+        if let Some(recs) = &mut self.recorders {
+            for env in &envs {
+                recs[env.to].record(env.at, env.to, "mbox-deliver", env.from as u64, env.at.0);
+            }
+        }
+        envs
     }
 
-    /// The earliest pending `(time, shard)` across all shards, in global
-    /// `(time, shard)` order. Mailbox envelopes are invisible until
-    /// flushed.
+    /// The earliest pending `(shard, time)` across all shards, in global
+    /// `(time, shard)` order: the start `W` of the next window. Mailbox
+    /// envelopes are invisible until drained.
     pub fn peek_next(&self) -> Option<(usize, Cycles)> {
         let mut best: Option<(usize, Cycles)> = None;
         for (s, q) in self.shards.iter().enumerate() {
@@ -322,145 +268,24 @@ impl<E> ShardedKernel<E> {
         }
         best
     }
-
-    /// Pop the globally earliest event in `(time, shard, seq)` order —
-    /// the merged sequential driver. With one shard this is exactly
-    /// [`EventQueue::pop`].
-    pub fn pop_next(&mut self) -> Option<(usize, Cycles, E)> {
-        let (s, _) = self.peek_next()?;
-        let (t, e) = self.shards[s].pop().expect("peeked shard has an event");
-        self.now = self.now.max(t);
-        Some((s, t, e))
-    }
-
-    /// Live events pending across all shards (excluding mailbox
-    /// envelopes).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|q| q.len()).sum()
-    }
-
-    /// True when no shard has a live pending event and no envelope is in
-    /// flight.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0 && self.mailbox.pending() == 0
-    }
-
-    /// Run one conservative window: every shard independently fires all
-    /// of its events in `[W, W + lookahead)` (`W` = earliest pending
-    /// event anywhere), then the mailbox flushes at the barrier.
-    ///
-    /// The handler receives a [`ShardCtx`] (local scheduling + cross
-    /// sends), the shard's slice of `states`, and the event. Within the
-    /// window, shards touch only their own queue, lane, and state — the
-    /// body is embarrassingly parallel, and running shards in any order
-    /// (or concurrently) yields bit-identical results because cross
-    /// traffic is deferred to the canonical mailbox merge.
-    ///
-    /// Returns the number of events fired; `0` means quiescent.
-    pub fn run_window<S>(
-        &mut self,
-        states: &mut [S],
-        mut handle: impl FnMut(&mut ShardCtx<'_, E>, &mut S, Cycles, E),
-    ) -> usize {
-        assert_eq!(states.len(), self.shards.len(), "one state per shard");
-        let Some((_, w)) = self.peek_next() else {
-            // No local events: deliver any in-flight envelopes and retry
-            // once (a quiescent kernel with pending sends is not done).
-            if self.mailbox.pending() == 0 {
-                return 0;
-            }
-            self.flush_mailbox();
-            return self.run_window(states, handle);
-        };
-        let deadline = w + self.lookahead - Cycles(1);
-        let mut fired = 0;
-        for (s, (queue, state)) in self.shards.iter_mut().zip(states.iter_mut()).enumerate() {
-            let mut ctx = ShardCtx {
-                shard: s,
-                queue,
-                mailbox: &mut self.mailbox,
-                lookahead: self.lookahead,
-            };
-            while let Some((t, e)) = ctx.queue.pop_before(deadline) {
-                fired += 1;
-                handle(&mut ctx, state, t, e);
-            }
-        }
-        self.now = self.now.max(deadline);
-        self.flush_mailbox();
-        fired
-    }
-
-    /// Aggregate lifetime stats across all shards.
-    pub fn stats(&self) -> EvqStats {
-        let mut total = EvqStats::default();
-        for q in &self.shards {
-            let s = q.stats();
-            total.scheduled += s.scheduled;
-            total.popped += s.popped;
-            total.cancelled += s.cancelled;
-            total.compactions += s.compactions;
-        }
-        total
-    }
-
-    /// Publish every shard's queue counters into `sink`, each under its
-    /// own telemetry shard index — the registry's per-shard breakdown
-    /// mirrors the kernel's sharding, and totals sum across shards.
-    pub fn publish_telemetry(&self, sink: &Sink) {
-        for (s, q) in self.shards.iter().enumerate() {
-            q.publish_telemetry(sink, s);
-        }
-    }
-}
-
-/// One shard's view of the kernel inside [`ShardedKernel::run_window`]:
-/// local scheduling plus lookahead-checked cross-shard sends. Holding a
-/// `ShardCtx` borrows only this shard's queue and the mailbox's
-/// per-sender lane, which is what makes the window body parallelizable.
-pub struct ShardCtx<'a, E> {
-    /// This shard's index.
-    pub shard: usize,
-    queue: &'a mut EventQueue<E>,
-    mailbox: &'a mut Mailbox<E>,
-    lookahead: Cycles,
-}
-
-impl<E> ShardCtx<'_, E> {
-    /// This shard's local clock (time of its latest fired event).
-    pub fn now(&self) -> Cycles {
-        self.queue.now()
-    }
-
-    /// Schedule a shard-local event at absolute time `at`. Local events
-    /// may land inside the current window — local causality needs no
-    /// lookahead.
-    pub fn schedule(&mut self, at: Cycles, payload: E) {
-        self.queue.schedule(at, payload);
-    }
-
-    /// Schedule a shard-local event `delay` cycles from now.
-    pub fn schedule_in(&mut self, delay: Cycles, payload: E) {
-        self.queue.schedule_in(delay, payload);
-    }
-
-    /// Send a cross-shard event, delivered at `at` (clamped to the
-    /// conservative horizon `now + lookahead`; an earlier request is a
-    /// lookahead violation and panics in debug builds).
-    pub fn send(&mut self, to: usize, at: Cycles, payload: E) {
-        let horizon = self.queue.now() + self.lookahead;
-        debug_assert!(
-            at >= horizon,
-            "cross-shard send violates lookahead: at={at}, horizon={horizon}"
-        );
-        self.mailbox.post(self.shard, to, at.max(horizon), payload);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::Level;
+
+    /// Fire one window the way Fig. 7 does: every shard pops its events at
+    /// the earliest pending time, in shard order.
+    fn fire_window<E>(k: &mut ShardedKernel<E>) -> Option<Vec<(usize, Cycles, E)>> {
+        let (_, w) = k.peek_next()?;
+        let mut fired = Vec::new();
+        for s in 0..k.shards.len() {
+            while let Some((t, e)) = k.shard_mut(s).pop_before(w) {
+                fired.push((s, t, e));
+            }
+        }
+        Some(fired)
+    }
 
     #[test]
     fn single_shard_kernel_matches_plain_queue_order() {
@@ -470,10 +295,15 @@ mod tests {
             q.schedule(Cycles(t), id);
             k.schedule(0, Cycles(t), id);
         }
-        while let Some((t, id)) = q.pop() {
-            assert_eq!(k.pop_next(), Some((0, t, id)));
+        let mut fired = Vec::new();
+        while let Some(w) = fire_window(&mut k) {
+            fired.extend(w);
         }
-        assert_eq!(k.pop_next(), None);
+        let mut want = Vec::new();
+        while let Some((t, id)) = q.pop() {
+            want.push((0, t, id));
+        }
+        assert_eq!(fired, want);
     }
 
     #[test]
@@ -484,20 +314,20 @@ mod tests {
         k.schedule(1, Cycles(5), "s1a");
         k.schedule(0, Cycles(5), "s0b");
         k.schedule(1, Cycles(3), "s1-early");
-        let mut order = Vec::new();
-        while let Some((s, t, e)) = k.pop_next() {
-            order.push((s, t, e));
-        }
         assert_eq!(
-            order,
+            fire_window(&mut k).unwrap(),
+            vec![(1, Cycles(3), "s1-early")]
+        );
+        assert_eq!(
+            fire_window(&mut k).unwrap(),
             vec![
-                (1, Cycles(3), "s1-early"),
                 (0, Cycles(5), "s0a"),
                 (0, Cycles(5), "s0b"),
                 (1, Cycles(5), "s1a"),
                 (2, Cycles(5), "s2a"),
             ]
         );
+        assert!(fire_window(&mut k).is_none());
     }
 
     #[test]
@@ -507,26 +337,31 @@ mod tests {
         mb.post(0, 1, Cycles(10), "from0#0");
         mb.post(2, 1, Cycles(7), "from2#1-earlier");
         mb.post(0, 2, Cycles(10), "from0#1");
-        assert_eq!(mb.pending(), 4);
         let order: Vec<&str> = mb.drain_sorted().into_iter().map(|e| e.payload).collect();
         assert_eq!(
             order,
             vec!["from2#1-earlier", "from0#0", "from0#1", "from2#0"]
         );
-        assert_eq!(mb.pending(), 0);
+        assert!(mb.drain_sorted().is_empty());
     }
 
     #[test]
     fn flush_delivers_in_canonical_order_with_fifo_ties() {
         let mut k = ShardedKernel::new(2);
         // Both shards post to shard 0 at the same delivery time; sender 0
-        // must land first regardless of post order.
+        // must come out first regardless of post order.
         k.send(1, 0, Cycles(4), "from1");
         k.send(0, 0, Cycles(4), "from0");
-        assert_eq!(k.pending_sends(), 2);
-        assert_eq!(k.flush_mailbox(), 2);
-        assert_eq!(k.pop_next(), Some((0, Cycles(4), "from0")));
-        assert_eq!(k.pop_next(), Some((0, Cycles(4), "from1")));
+        let order: Vec<(usize, usize, Cycles, &str)> = k
+            .drain_sends()
+            .into_iter()
+            .map(|e| (e.from, e.to, e.at, e.payload))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(0, 0, Cycles(4), "from0"), (1, 0, Cycles(4), "from1")]
+        );
+        assert!(k.drain_sends().is_empty());
     }
 
     #[test]
@@ -534,7 +369,7 @@ mod tests {
         let mut k = ShardedKernel::new(2);
         k.enable_flight_recorder(8);
         k.send(0, 1, Cycles(4), "hop");
-        k.flush_mailbox();
+        k.drain_sends();
         let sender = k.flight_recorder(0).unwrap();
         assert_eq!(sender.len(), 1);
         let e = sender.events().next().unwrap();
@@ -555,9 +390,13 @@ mod tests {
             let mut k = ShardedKernel::new(3);
             k.enable_flight_recorder(4);
             for i in 0..10u64 {
-                k.send((i % 3) as usize, ((i + 1) % 3) as usize, Cycles(i + 1), i);
-                k.flush_mailbox();
-                while k.pop_next().is_some() {}
+                k.schedule((i % 3) as usize, Cycles(i), i);
+                while let Some(fired) = fire_window(&mut k) {
+                    for (s, t, p) in fired {
+                        k.send(s, (s + 1) % 3, t + Cycles(1), p);
+                    }
+                }
+                k.drain_sends();
             }
             k.blackbox("replay")
         };
@@ -568,100 +407,9 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "violates lookahead")]
     fn lookahead_violation_panics_in_debug() {
-        let mut k: ShardedKernel<()> = ShardedKernel::with_lookahead(2, Cycles(10));
+        let mut k: ShardedKernel<()> = ShardedKernel::new(2);
         k.schedule(0, Cycles(50), ());
-        k.pop_next(); // shard 0 now at t=50
-        k.send(0, 1, Cycles(55), ()); // 55 < 50 + 10
-    }
-
-    #[test]
-    fn run_window_fires_only_within_the_lookahead_window() {
-        let mut k: ShardedKernel<u32> = ShardedKernel::with_lookahead(2, Cycles(10));
-        k.schedule(0, Cycles(0), 0);
-        k.schedule(1, Cycles(9), 1); // same window as t=0 (width 10)
-        k.schedule(0, Cycles(10), 2); // next window
-        let mut states = [Vec::new(), Vec::new()];
-        let fired = k.run_window(&mut states, |ctx, log, t, e| {
-            log.push((ctx.shard, t, e));
-        });
-        assert_eq!(fired, 2);
-        assert_eq!(states[0], vec![(0, Cycles(0), 0)]);
-        assert_eq!(states[1], vec![(1, Cycles(9), 1)]);
-        let fired = k.run_window(&mut states, |_, log, t, e| {
-            log.push((9, t, e));
-        });
-        assert_eq!(fired, 1);
-        assert_eq!(states[0].last(), Some(&(9, Cycles(10), 2)));
-    }
-
-    #[test]
-    fn windowed_cross_sends_arrive_after_the_barrier_deterministically() {
-        // A ping-pong over the mailbox: each shard, on receiving n,
-        // sends n+1 to the other shard one lookahead later. The full
-        // trajectory must be a pure function of the configuration.
-        let mut k: ShardedKernel<u64> = ShardedKernel::with_lookahead(2, Cycles(5));
-        k.schedule(0, Cycles(0), 0);
-        let mut states = [0u64, 0u64];
-        let mut hops = Vec::new();
-        loop {
-            let fired = k.run_window(&mut states, |ctx, seen, t, n| {
-                *seen += 1;
-                if n < 6 {
-                    let to = 1 - ctx.shard;
-                    ctx.send(to, t + Cycles(5), n + 1);
-                }
-            });
-            if fired == 0 {
-                break;
-            }
-            hops.push(fired);
-        }
-        // 7 deliveries (0..=6), strictly alternating shards, 5 cycles apart.
-        assert_eq!(states[0] + states[1], 7);
-        assert_eq!(states, [4, 3]);
-        assert!(k.is_empty());
-    }
-
-    #[test]
-    fn run_window_flushes_pending_sends_even_when_queues_are_empty() {
-        let mut k: ShardedKernel<&str> = ShardedKernel::new(2);
-        k.send(0, 1, Cycles(3), "late");
-        let mut states = [0u32, 0u32];
-        let fired = k.run_window(&mut states, |_, n, _, _| *n += 1);
-        assert_eq!(fired, 1, "the envelope must be delivered and fired");
-        assert_eq!(states, [0, 1]);
-    }
-
-    #[test]
-    fn cancellation_works_per_shard() {
-        let mut k = ShardedKernel::new(2);
-        let h = k.schedule_cancellable(1, Cycles(5), "doomed");
-        k.schedule(1, Cycles(6), "live");
-        assert!(k.cancel(1, h));
-        assert!(!k.cancel(1, h));
-        assert_eq!(k.pop_next(), Some((1, Cycles(6), "live")));
-    }
-
-    #[test]
-    fn stats_aggregate_and_publish_per_shard() {
-        let mut k = ShardedKernel::new(3);
-        k.schedule(0, Cycles(1), ());
-        k.schedule(2, Cycles(1), ());
-        k.schedule(2, Cycles(2), ());
-        while k.pop_next().is_some() {}
-        let st = k.stats();
-        assert_eq!((st.scheduled, st.popped), (3, 3));
-        let sink = Sink::on(Level::Counters);
-        k.publish_telemetry(&sink);
-        assert_eq!(sink.counter("core.evq.scheduled"), 3);
-        let snap = sink.snapshot().expect("sink on");
-        let sched = snap
-            .counters
-            .iter()
-            .find(|c| c.name == "core.evq.scheduled")
-            .expect("published");
-        // Per-shard breakdown mirrors the kernel's sharding: shard 0
-        // scheduled 1, shard 1 nothing, shard 2 two events.
-        assert_eq!(sched.per_cpu, vec![1, 0, 2]);
+        fire_window(&mut k); // shard 0 now at t=50
+        k.send(0, 1, Cycles(50), ()); // 50 < 50 + 1
     }
 }

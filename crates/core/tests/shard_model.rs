@@ -1,12 +1,16 @@
 //! Model-based property test for the sharded simulation kernel: a
-//! [`ShardedKernel`] driven through its merged driver must pop exactly the
+//! [`ShardedKernel`] driven the way the Fig. 7 engine drives it (find the
+//! window with `peek_next`, fire `shard_mut(s).pop_before(w)` shard by
+//! shard, drain the mailbox at the barrier) must fire exactly the
 //! `(time, shard, seq)`-ordered event sequence of a reference model — a
 //! flat merged event list with per-shard sequence counters, the
 //! specification of what "one big sequential [`EventQueue`] partitioned by
 //! shard" means — under arbitrary interleavings of shard-local schedules,
 //! cancellable schedules and cancels, cross-shard sends, mailbox barriers,
-//! and pops. This is the determinism contract the sharded engines build
+//! and windows. This is the determinism contract the sharded engines build
 //! on: partitioning is a scheduling decision, never an ordering one.
+//!
+//! [`EventQueue`]: interweave_core::EventQueue
 
 use interweave_core::{Cycles, EventHandle, ShardedKernel};
 use proptest::prelude::*;
@@ -23,10 +27,11 @@ enum Op {
     /// Cross-shard send `from % n → to % n` at the sender's lookahead
     /// horizon + delta, parked in the mailbox until the next barrier.
     Send(usize, usize, u64),
-    /// Mailbox barrier: deliver every pending envelope.
+    /// Mailbox barrier: drain every pending envelope and schedule each on
+    /// its target shard.
     Flush,
-    /// Pop the globally earliest event through the merged driver.
-    Pop,
+    /// Fire one window: every event at the globally earliest time.
+    Window,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -36,8 +41,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..64).prop_map(Op::Cancel),
         (0usize..8, 0usize..8, 0u64..5).prop_map(|(f, t, d)| Op::Send(f, t, d)),
         Just(Op::Flush),
-        Just(Op::Pop),
-        Just(Op::Pop),
+        Just(Op::Window),
+        Just(Op::Window),
     ]
 }
 
@@ -119,6 +124,46 @@ impl Model {
         self.now[s] = t;
         Some((s, t, p))
     }
+
+    /// Every event at the earliest pending time, popped in merged order.
+    fn pop_window(&mut self) -> Vec<(usize, u64, u64)> {
+        let Some(w) = self.pending.iter().map(|&(t, ..)| t).min() else {
+            return Vec::new();
+        };
+        let mut fired = Vec::new();
+        while self.pending.iter().any(|&(t, ..)| t == w) {
+            fired.extend(self.pop());
+        }
+        fired
+    }
+}
+
+/// One window of the Fig. 7 driver: `peek_next` names the window start,
+/// then each shard fires its events up to it, in shard order.
+fn fire_window(k: &mut ShardedKernel<u64>, shards: usize) -> Vec<(usize, u64, u64)> {
+    let Some((_, w)) = k.peek_next() else {
+        return Vec::new();
+    };
+    let mut fired = Vec::new();
+    for s in 0..shards {
+        while let Some((t, p)) = k.shard_mut(s).pop_before(w) {
+            fired.push((s, t.get(), p));
+        }
+    }
+    fired
+}
+
+/// The barrier: drain the mailbox in canonical order and schedule each
+/// envelope on its target shard, no earlier than that shard's clock.
+/// Returns `(at, from, to, payload)` per envelope, in drain order.
+fn flush(k: &mut ShardedKernel<u64>) -> Vec<(u64, usize, usize, u64)> {
+    let mut drained = Vec::new();
+    for env in k.drain_sends() {
+        drained.push((env.at.get(), env.from, env.to, env.payload));
+        let at = env.at.max(k.shard_mut(env.to).now());
+        k.schedule(env.to, at, env.payload);
+    }
+    drained
 }
 
 proptest! {
@@ -127,11 +172,11 @@ proptest! {
     #[test]
     fn sharded_kernel_equals_the_merged_sequential_model(
         shards in 1usize..8,
-        lookahead in 1u64..4,
         ops in prop::collection::vec(op_strategy(), 1..140),
     ) {
-        let mut k: ShardedKernel<u64> =
-            ShardedKernel::with_lookahead(shards, Cycles(lookahead));
+        // The kernel's conservative lookahead: one cycle.
+        let lookahead = 1;
+        let mut k: ShardedKernel<u64> = ShardedKernel::new(shards);
         let mut model = Model::new(shards);
         // Handles issued so far: (shard, kernel handle, model seq).
         let mut handles: Vec<(usize, EventHandle, u64)> = Vec::new();
@@ -143,8 +188,8 @@ proptest! {
                     let s = pick % shards;
                     let payload = next_payload;
                     next_payload += 1;
-                    let at = k.shard(s).now() + Cycles(delta);
-                    prop_assert_eq!(k.shard(s).now().get(), model.now[s]);
+                    let at = k.shard_mut(s).now() + Cycles(delta);
+                    prop_assert_eq!(k.shard_mut(s).now().get(), model.now[s]);
                     k.schedule(s, at, payload);
                     model.schedule(s, model.now[s] + delta, payload);
                 }
@@ -152,14 +197,15 @@ proptest! {
                     let s = pick % shards;
                     let payload = next_payload;
                     next_payload += 1;
-                    let h = k.schedule_cancellable(s, k.shard(s).now() + Cycles(delta), payload);
+                    let q = k.shard_mut(s);
+                    let h = q.schedule_cancellable(q.now() + Cycles(delta), payload);
                     let seq = model.schedule(s, model.now[s] + delta, payload);
                     handles.push((s, h, seq));
                 }
                 Op::Cancel(i) => {
                     if !handles.is_empty() {
                         let (s, h, seq) = handles[i % handles.len()];
-                        prop_assert_eq!(k.cancel(s, h), model.cancel(s, seq));
+                        prop_assert_eq!(k.shard_mut(s).cancel(h), model.cancel(s, seq));
                     }
                 }
                 Op::Send(f, t, delta) => {
@@ -168,35 +214,38 @@ proptest! {
                     next_payload += 1;
                     // At or past the conservative horizon, as the lookahead
                     // contract requires of senders.
-                    let at = k.shard(from).now() + Cycles(lookahead + delta);
+                    let at = k.shard_mut(from).now() + Cycles(lookahead + delta);
                     k.send(from, to, at, payload);
                     model.send(from, to, model.now[from] + lookahead + delta, payload);
-                    prop_assert_eq!(k.pending_sends(), model.outbox.len());
                 }
                 Op::Flush => {
-                    let delivered = k.flush_mailbox();
-                    prop_assert_eq!(delivered, model.outbox.len());
+                    let mut want = model.outbox.clone();
+                    want.sort_unstable_by_key(|&(at, from, seq, _, _)| (at, from, seq));
+                    let want: Vec<_> = want
+                        .into_iter()
+                        .map(|(at, from, _, to, p)| (at, from, to, p))
+                        .collect();
+                    prop_assert_eq!(flush(&mut k), want);
                     model.flush();
                 }
-                Op::Pop => {
-                    let got = k.pop_next().map(|(s, t, p)| (s, t.get(), p));
-                    prop_assert_eq!(got, model.pop());
+                Op::Window => {
+                    prop_assert_eq!(fire_window(&mut k, shards), model.pop_window());
                 }
             }
         }
 
         // Drain to quiescence: one final barrier, then the full remaining
-        // sequence must match event for event.
-        k.flush_mailbox();
+        // sequence must match window for window.
+        flush(&mut k);
         model.flush();
         loop {
-            let got = k.pop_next().map(|(s, t, p)| (s, t.get(), p));
-            let want = model.pop();
-            prop_assert_eq!(got, want);
-            if got.is_none() {
+            let got = fire_window(&mut k, shards);
+            prop_assert_eq!(&got, &model.pop_window());
+            if got.is_empty() {
                 break;
             }
         }
-        prop_assert!(k.is_empty());
+        prop_assert!(k.peek_next().is_none());
+        prop_assert!(k.drain_sends().is_empty());
     }
 }

@@ -20,12 +20,9 @@
 //!   and overheads.
 //! - [`study`]: the Fig. 4 experiment — switch-cost decomposition rows plus
 //!   measured granularity floors.
-//! - [`rt`]: the real-time corner of the figure — EDF-scheduled periodic
-//!   fibers executing real programs under admission control.
 
 #![warn(missing_docs)]
 
-pub mod rt;
 pub mod runtime;
 pub mod study;
 pub mod timing_pass;

@@ -10,7 +10,6 @@
 //! cross-CPU joins resolve in correct causal order.
 
 use crate::buddy::{AllocError, NumaAllocator};
-use crate::sched::TaskId;
 use crate::threads::{home_zone_for, switch_cost, SwitchKind, DEFAULT_STACK_BYTES};
 use crate::work::{Work, WorkStep};
 use interweave_core::interrupt::{self, DeliveryOutcome, IrqClass};
@@ -18,7 +17,7 @@ use interweave_core::machine::{CpuId, MachineConfig};
 use interweave_core::stack::OsPoint;
 use interweave_core::telemetry::{FlightRecorder, Key, Layer, Sink, Span, SpanKind, Unit};
 use interweave_core::time::Cycles;
-use interweave_core::{EventHandle, FaultPlan, ShardedKernel};
+use interweave_core::{EventHandle, EventQueue, FaultPlan};
 use std::collections::{HashMap, VecDeque};
 
 const KEY_PREEMPTIONS: Key = Key::new("kernel.sched.preemptions", Layer::Kernel, Unit::Count);
@@ -31,6 +30,9 @@ const KEY_WD_CHECKS: Key = Key::new("kernel.watchdog.checks", Layer::Kernel, Uni
 const KEY_WD_REKICKS: Key = Key::new("kernel.watchdog.rekicks", Layer::Kernel, Unit::Count);
 
 pub use crate::watchdog::{WatchdogPolicy, MAX_WATCHDOG_BACKOFF, MAX_WATCHDOG_REKICKS};
+
+/// Identifier of a spawned task: its index in spawn order.
+pub type TaskId = u64;
 
 enum TaskState {
     Ready,
@@ -124,12 +126,8 @@ pub struct Executor {
     cpus: Vec<Cpu>,
     waiters: HashMap<u64, Vec<TaskId>>,
     signalled: HashMap<u64, Cycles>,
-    /// The sharded event kernel driving simulated time. One shard by
-    /// default (bit-identical to the historical single-queue executor);
-    /// [`Executor::set_shards`] splits it so each CPU group owns its own
-    /// event-queue shard, with the merged (time, shard, seq) driver
-    /// keeping runs deterministic at every shard count.
-    events: ShardedKernel<ExecEvent>,
+    /// The event queue driving simulated time.
+    events: EventQueue<ExecEvent>,
     /// The cooperative-yield and timer-preemption context-switch costs of
     /// the OS point this kernel charges (see [`Executor::set_os`]), fixed
     /// for a run and cached so the dispatch loop does not recompute them
@@ -180,7 +178,7 @@ impl Executor {
             cpus,
             waiters: HashMap::new(),
             signalled: HashMap::new(),
-            events: ShardedKernel::new(1),
+            events: EventQueue::new(),
             yield_cost,
             preempt_cost,
             faults: None,
@@ -189,34 +187,6 @@ impl Executor {
             sink: Sink::off(),
             recorder: None,
             stats: ExecutorStats::default(),
-        }
-    }
-
-    /// Split the executor's event kernel into `n` shards, each owning the
-    /// dispatch events of a contiguous CPU block (CPU `c` lives on shard
-    /// `c·n / cores`). The merged driver pops in (time, shard, seq)
-    /// order, so a run is deterministic at every shard count, and one
-    /// shard (the default) is bit-identical to the historical
-    /// single-queue executor. Must be called before any task is spawned
-    /// or the watchdog is enabled.
-    pub fn set_shards(&mut self, n: usize) {
-        assert!(
-            self.tasks.is_empty() && self.events.is_empty(),
-            "set_shards must precede spawns and watchdog setup"
-        );
-        self.events = ShardedKernel::new(n.clamp(1, self.cpus.len()));
-    }
-
-    /// Number of event-queue shards the executor runs on.
-    pub fn shards(&self) -> usize {
-        self.events.shards()
-    }
-
-    /// The event-kernel shard owning `cpu`'s dispatch events.
-    fn shard_of(&self, cpu: CpuId) -> usize {
-        match self.events.shards() {
-            1 => 0,
-            n => cpu * n / self.cpus.len(),
         }
     }
 
@@ -275,10 +245,8 @@ impl Executor {
     /// no CPU has pending or rescuable work, so runs still quiesce.
     pub fn enable_watchdog(&mut self, period: Cycles) {
         if self.watchdog.is_none() {
-            // The watchdog is a global scan, not per-CPU work: it lives on
-            // shard 0.
             self.events
-                .schedule(0, self.events.now() + period, ExecEvent::Watchdog);
+                .schedule(self.events.now() + period, ExecEvent::Watchdog);
         }
         self.watchdog = Some(WatchdogPolicy::new(period));
     }
@@ -422,19 +390,16 @@ impl Executor {
             // pending far ahead, and a later kick with a shorter (or no)
             // delay lands before it.
             Some((_, handle)) => {
-                let shard = self.shard_of(cpu);
-                self.events.cancel(shard, handle);
-                let handle =
-                    self.events
-                        .schedule_cancellable(shard, t_eff, ExecEvent::Dispatch(cpu));
+                self.events.cancel(handle);
+                let handle = self
+                    .events
+                    .schedule_cancellable(t_eff, ExecEvent::Dispatch(cpu));
                 self.cpus[cpu].dispatch = Some((t_eff, handle));
             }
             None => {
-                let handle = self.events.schedule_cancellable(
-                    self.shard_of(cpu),
-                    t_eff,
-                    ExecEvent::Dispatch(cpu),
-                );
+                let handle = self
+                    .events
+                    .schedule_cancellable(t_eff, ExecEvent::Dispatch(cpu));
                 self.cpus[cpu].dispatch = Some((t_eff, handle));
             }
         }
@@ -456,7 +421,7 @@ impl Executor {
     /// Run to quiescence (all tasks done or irrecoverably blocked).
     /// Returns true if every task completed.
     pub fn run(&mut self) -> bool {
-        while let Some((_shard, at, ev)) = self.events.pop_next() {
+        while let Some((at, ev)) = self.events.pop() {
             match ev {
                 ExecEvent::Dispatch(cpu) => {
                     self.cpus[cpu].dispatch = None;
@@ -522,9 +487,7 @@ impl Executor {
                     makespan,
                 );
             }
-            // Each event-queue shard publishes under its own telemetry
-            // shard index (one shard → index 0, the historical behavior).
-            self.events.publish_telemetry(&self.sink);
+            self.events.publish_telemetry(&self.sink, 0);
         }
         self.tasks
             .iter()
@@ -582,7 +545,7 @@ impl Executor {
             .iter()
             .any(|c| c.dispatch.is_some() || (!c.queue.is_empty() && !wd.abandons(c.rekicks)));
         if live {
-            self.events.schedule(0, at + wd.period, ExecEvent::Watchdog);
+            self.events.schedule(at + wd.period, ExecEvent::Watchdog);
         }
     }
 
@@ -1150,61 +1113,5 @@ mod tests {
         };
         let speedup = solo.as_f64() / quad.as_f64();
         assert!(speedup > 3.5, "speedup {speedup:.2}");
-    }
-
-    #[test]
-    fn sharded_executor_completes_with_identical_results() {
-        // Per-CPU pinned work at every shard count: the merged
-        // (time, shard, seq) driver must complete the same workload with
-        // the same makespan and per-task compute totals. (Workloads with
-        // cross-CPU ties may legally permute within a timestamp across
-        // shard counts; per-CPU work pins the comparison down exactly.)
-        let run = |shards: usize| {
-            let mut e = exec(4, 2_000);
-            e.set_shards(shards);
-            assert_eq!(e.shards(), shards.clamp(1, 4));
-            for c in 0..4 {
-                e.spawn(
-                    c,
-                    Box::new(LoopWork::new(2, Cycles(3_000 + 500 * c as u64))),
-                );
-                e.spawn(
-                    c,
-                    Box::new(LoopWork::new(3, Cycles(1_000 + 100 * c as u64))),
-                );
-            }
-            assert!(e.run());
-            (e.stats.makespan, e.stats.task_executed.clone())
-        };
-        let base = run(1);
-        for shards in [2, 3, 4, 16] {
-            assert_eq!(run(shards), base, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_executor_is_deterministic_under_faults() {
-        // With a fault plan the kick order feeds a shared RNG stream, so
-        // the merged pop order is load-bearing: two identical multi-shard
-        // runs must agree event for event.
-        let run = || {
-            let mut cfg = interweave_core::FaultConfig::quiet(77);
-            cfg.drop_ipi = 0.4;
-            let mut e = exec(4, 1_500);
-            e.set_shards(2);
-            e.set_fault_plan(interweave_core::FaultPlan::new(cfg));
-            e.enable_watchdog(Cycles(4_000));
-            for c in 0..4 {
-                e.spawn(c, Box::new(LoopWork::new(3, Cycles(2_000))));
-            }
-            e.run();
-            (
-                e.stats.makespan,
-                e.stats.lost_kicks,
-                e.stats.watchdog_rekicks,
-                e.stats.stall_cycles,
-            )
-        };
-        assert_eq!(run(), run());
     }
 }

@@ -20,8 +20,6 @@
 //! - [`buddy`]: a real buddy allocator with NUMA zones (§III: "allocations
 //!   are done with buddy system allocators that are selected based on the
 //!   target zone").
-//! - [`sched`]: EDF scheduling with admission control (§III: "hard
-//!   real-time scheduling").
 //! - [`threads`]: context-switch cost composition for threads, fibers, and
 //!   compiler-timed fibers (the Fig. 4 decomposition).
 //! - [`os`]: the [`os::OsModel`] trait with [`os::NkModel`],
@@ -32,8 +30,6 @@
 //!   run on either kernel.
 //! - [`executor`]: a working preemptive multi-CPU scheduler over the Work
 //!   protocol (quantum preemption, yields, block/signal fork-join).
-//! - [`steering`]: interrupt routing policies and the per-CPU noise budget
-//!   they produce (§III's "fully steerable" claim, quantified).
 //! - [`numa`]: thread-state placement — Nautilus's bound-thread/local-zone
 //!   guarantee vs first-touch + migrations (§III's "most desirable zone").
 //! - [`watchdog`]: the watchdog's retry arithmetic as data
@@ -52,8 +48,6 @@ pub mod microbench;
 pub mod numa;
 pub mod os;
 pub mod paging;
-pub mod sched;
-pub mod steering;
 pub mod threads;
 pub mod watchdog;
 pub mod work;

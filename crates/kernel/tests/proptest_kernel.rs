@@ -1,10 +1,7 @@
 //! Property tests for kernel substrates: the buddy allocator's
-//! disjointness/coalescing invariants and EDF's no-missed-deadlines
-//! guarantee for admitted task sets.
+//! disjointness/coalescing invariants.
 
-use interweave_core::time::Cycles;
 use interweave_kernel::buddy::{BuddyZone, NumaAllocator};
-use interweave_kernel::sched::{edf_simulate, Edf, EdfTask};
 use proptest::prelude::*;
 
 /// A random interleaving of allocs (by size) and frees (by index into live
@@ -92,28 +89,5 @@ proptest! {
         for z in 0..4 {
             prop_assert!(n.zone(z).fully_coalesced());
         }
-    }
-
-    /// Any task set the admission controller accepts meets every deadline
-    /// under preemptive EDF (optimality on one CPU).
-    #[test]
-    fn edf_admitted_sets_never_miss(raw in prop::collection::vec((1u64..50, 50u64..500), 1..8)) {
-        // Build an admissible subset in order.
-        let mut q = Edf::new();
-        let mut admitted = Vec::new();
-        for (i, (slice, period)) in raw.into_iter().enumerate() {
-            let t = EdfTask {
-                id: i as u64,
-                deadline: Cycles(period),
-                period: Cycles(period),
-                slice: Cycles(slice.min(period)),
-            };
-            if q.admit(t) {
-                admitted.push(t);
-            }
-        }
-        prop_assume!(!admitted.is_empty());
-        let misses = edf_simulate(&admitted, Cycles(20_000));
-        prop_assert_eq!(misses, 0, "admitted set missed deadlines: {:?}", admitted);
     }
 }

@@ -21,8 +21,7 @@
 //!   small scale, centralized-queue contention at large scale ("not easily
 //!   summarized").
 //!
-//! Modules: [`schedule`] (loop-scheduling semantics: static/dynamic/
-//! guided), [`modes`] (per-design cost profiles), [`nas`] (BT/SP-like
+//! Modules: [`modes`] (per-design cost profiles), [`nas`] (BT/SP-like
 //! workload specifications), [`sim`] (the Fig. 6 scaling simulation), and
 //! [`epcc`] (EPCC-style overhead microbenchmarks).
 
@@ -31,7 +30,6 @@
 pub mod epcc;
 pub mod modes;
 pub mod nas;
-pub mod schedule;
 pub mod sim;
 
 pub use modes::OmpMode;
