@@ -1,11 +1,11 @@
 //! The experiment registry: one [`Figure`] value per paper figure or table.
 //!
-//! A figure is a name, the paper claim it checks, and a function from the
-//! shared command line to a [`Report`]. Everything that runs experiments
-//! runs these values: each binary in `src/bin/` is a one-line call to
-//! [`main`], `summary` builds its scoreboard from every report's headline
-//! ([`summary_main`]), and `tests/goldens.rs` compares every report's text
-//! to the committed `golden/<name>.stdout`. So a headline has exactly one
+//! A figure is a name, the paper claim it checks, the flags it reads, and
+//! a function from the shared command line to a [`Report`]. Everything
+//! that runs experiments runs these values: each binary in `src/bin/` is
+//! a one-line call to [`main`], `summary` builds its scoreboard from every
+//! report's headline ([`summary_main`]), and `tests/goldens.rs` compares
+//! every report's text to the committed `golden/<name>.stdout`. So a headline has exactly one
 //! code path, shared by the figure, the scoreboard and the golden check.
 
 use crate::harness::{write_output, Cli, RawJson, Report};
@@ -41,6 +41,9 @@ pub struct Figure {
     pub experiment: &'static str,
     /// The paper's claim the headline checks.
     pub claim: &'static str,
+    /// The flags `run` reads, besides the `--json` every figure writes;
+    /// the binary rejects any other.
+    pub reads: &'static [&'static str],
     /// Run the experiment under a command line.
     pub run: fn(&Cli) -> Report,
 }
@@ -51,78 +54,99 @@ pub const FIGURES: &[Figure] = &[
         name: "fig3_heartbeat",
         experiment: "Fig 3",
         claim: "NK and Aster sustain ♥=20µs; Linux cannot",
+        reads: &["--os"],
         run: fig3_heartbeat::run,
     },
     Figure {
         name: "fig4_fibers",
         experiment: "Fig 4",
         claim: "fiber granularity < 600 cycles",
+        reads: &[],
         run: fig4_fibers::run,
     },
     Figure {
         name: "fig6_openmp",
         experiment: "Fig 6",
         claim: "RTK ≈ +22% geomean over Linux",
+        reads: &[],
         run: fig6_openmp::run,
     },
     Figure {
         name: "fig7_coherence",
         experiment: "Fig 7",
         claim: "selective coherence ≈1.46x, −53% NoC energy",
+        reads: &["--shards"],
         run: fig7_coherence::run,
     },
     Figure {
         name: "tab_primitives",
         experiment: "§III",
         claim: "primitives orders of magnitude faster; Aster in between",
+        reads: &[],
         run: tab_primitives::run,
     },
     Figure {
         name: "tab_carat",
         experiment: "§IV-A",
         claim: "CARAT <6% geomean (naive is costly)",
+        reads: &[],
         run: tab_carat::run,
     },
     Figure {
         name: "tab_virtines",
         experiment: "§IV-D",
         claim: "virtine start-up ≈ 100 µs",
+        reads: &[],
         run: tab_virtines::run,
     },
     Figure {
         name: "tab_pipeline",
         experiment: "§V-D",
         claim: "dispatch 100–1000x cheaper",
+        reads: &[],
         run: tab_pipeline::run,
     },
     Figure {
         name: "tab_blend",
         experiment: "§V-C",
         claim: "polled drivers, zero interrupts",
+        reads: &[],
         run: tab_blend::run,
     },
     Figure {
         name: "tab_ablations",
         experiment: "§V-B/§V-F",
         claim: "selective coherence gains grow with disaggregation",
+        reads: &[],
         run: tab_ablations::run,
     },
     Figure {
         name: "tab_faults",
         experiment: "faults",
         claim: "every injected fault detected and recovered one layer up",
+        reads: &[],
         run: tab_faults::run,
     },
     Figure {
         name: "tab_profile",
         experiment: "telemetry",
         claim: "every cycle attributed across the OS axis",
+        reads: &["--trace-out"],
         run: tab_profile::run,
     },
     Figure {
         name: "tab_serve",
         experiment: "serving",
         claim: "chaos serving: bounded tails, balanced fault ledger",
+        reads: &[
+            "--shards",
+            "--offered-load",
+            "--duration-ms",
+            "--arrival",
+            "--metrics-out",
+            "--window-cycles",
+            "--trace-out",
+        ],
         run: tab_serve::run,
     },
 ];
@@ -164,12 +188,13 @@ pub fn figure(name: &str) -> &'static Figure {
 
 /// The whole of a figure binary: parse the shared command line, run the
 /// figure named `name`, print its text, and write every output its flags
-/// asked for. A flag whose document the run did not produce is a usage
-/// error: it is named on stderr and the binary exits with status 2,
-/// before anything is printed or written.
+/// asked for. A flag the figure does not read, or whose document the run
+/// did not produce, is a usage error: it is named on stderr and the
+/// binary exits with status 2, before anything is printed or written.
 pub fn main(name: &str) {
-    let cli = Cli::parse();
-    let report = (figure(name).run)(&cli);
+    let figure = figure(name);
+    let cli = Cli::parse(name, figure.reads);
+    let report = (figure.run)(&cli);
     let outputs = [
         (&cli.metrics_out, "metrics", report.metrics.as_deref()),
         (&cli.trace_out, "trace", report.trace.as_deref()),
@@ -267,7 +292,7 @@ pub struct BenchSummary {
 /// command line, print the scoreboard, and write `BENCH_summary.json` (or
 /// the `--json` path).
 pub fn summary_main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse("summary", &["--shards"]);
     let t0 = Instant::now();
     let runs: Vec<(&Figure, Report, f64)> = FIGURES
         .iter()

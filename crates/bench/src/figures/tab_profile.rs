@@ -29,7 +29,7 @@ use interweave_coherence::protocol::{CohMode, System, SystemConfig};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_core::telemetry::{
-    find_overlap, well_bracketed, AttributionRow, Layer, Level, Sink, Snapshot,
+    find_overlap, well_bracketed, AttributionRow, Layer, Sink, Snapshot,
 };
 use interweave_core::time::Cycles;
 use interweave_core::{FaultConfig, FaultPlan};
@@ -55,12 +55,12 @@ struct ProfileJson {
 
 /// Run the shared workload once under `stack`'s kernel switch costs, with
 /// the fault plan, watchdog, and stack allocator installed, recording into
-/// a fresh full-level sink. Returns the sink and the finished executor.
+/// a fresh enabled sink. Returns the sink and the finished executor.
 fn profile(stack: &ComposedStack) -> (Sink, Executor) {
     let mc = stack.machine();
     let mut e = Executor::new(mc.clone(), Cycles(10_000));
     e.set_os(stack.config.os);
-    let sink = Sink::on(Level::Full);
+    let sink = Sink::on();
     e.set_telemetry(sink.clone());
     e.set_stack_allocator(NumaAllocator::new(mc.sockets, 14, 4));
     e.set_fault_plan(FaultPlan::new(FaultConfig {

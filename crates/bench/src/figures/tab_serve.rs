@@ -217,7 +217,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     // ── Curve 1: goodput and tails vs offered load, interwoven pool vs
     // layered cold-boot serving, chaos scaling with load. ──
     let mut rows = Vec::new();
-    let mut knee: Option<ServeReport> = None;
+    let mut knee: Option<(String, ServeReport)> = None;
     let mut metrics_series: Option<MetricsSeries> = None;
     for &load_x in &loads {
         let iw = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 32, 2), shards);
@@ -241,8 +241,9 @@ pub(super) fn run(cli: &Cli) -> Report {
             "admitted p99 {} µs breaches the shedding bound at {load_x}x",
             iw.latency_us.p99()
         );
+        let label = f(load_x, 1) + "x";
         rows.push(vec![
-            f(load_x, 1) + "x",
+            label.clone(),
             s(iw.offered),
             f(100.0 * iw.goodput(), 1) + "%",
             f(iw.latency_us.p50(), 0),
@@ -255,7 +256,7 @@ pub(super) fn run(cli: &Cli) -> Report {
         json.push(json_row("interwoven", arrival, load_x, &iw));
         json.push(json_row("layered", arrival, load_x, &ly));
         if load_x >= 1.49 {
-            knee = Some(iw);
+            knee = Some((label, iw));
         }
     }
     h.table(
@@ -320,7 +321,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     // ── Ledger: where every injected fault landed, at the harshest point
     // of the sweep. ──
     let mut fault_ledger = Vec::new();
-    if let Some(peak) = &knee {
+    if let Some((load, peak)) = &knee {
         let mut injected_total = 0u64;
         for &class in FaultClass::ALL.iter() {
             let a = peak.account(class);
@@ -355,15 +356,19 @@ pub(super) fn run(cli: &Cli) -> Report {
             })
             .collect();
         h.table(
-            "TAB-SERVE — fault ledger at 1.5x load (injected == recovered + shed + absorbed)",
+            &format!(
+                "TAB-SERVE — fault ledger at {load} load (injected == recovered + shed + absorbed)"
+            ),
             &["fault class", "injected", "recovered", "shed", "absorbed"],
             &rows,
         );
         if injected_total == 0 {
-            h.note("no fault injected at the 1.5x point: the run is too short for the chaos plan to fire");
+            h.note(format!(
+                "no fault injected at the {load} point: the run is too short for the chaos plan to fire"
+            ));
         } else {
             h.note(format!(
-                "{injected_total} faults injected at the 1.5x point; every one recovered or accounted as shed; \
+                "{injected_total} faults injected at the {load} point; every one recovered or accounted as shed; \
                  admitted p99 stayed under {P99_BOUND_US:.0} µs at every load",
             ));
         }

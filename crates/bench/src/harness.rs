@@ -142,24 +142,37 @@ fn count<T: std::str::FromStr + PartialOrd + From<u8>>(value: &str) -> Option<T>
 }
 
 impl Cli {
-    /// Parse the process's own arguments. A rejected command line prints
-    /// the error and the usage text to stderr and exits with status 2.
-    pub fn parse() -> Cli {
-        Cli::from_args(std::env::args()).unwrap_or_else(|e| {
+    /// Parse the process's own arguments for the binary `bin`, which
+    /// reads `--json` and the flags in `reads`. A malformed command line
+    /// prints the error and the usage text to stderr, and a flag `bin`
+    /// does not read prints `error: <bin> does not read <flag>`; either
+    /// way the process exits with status 2.
+    pub fn parse(bin: &str, reads: &[&str]) -> Cli {
+        let (cli, given) = Cli::from_args(std::env::args()).unwrap_or_else(|e| {
             eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2)
-        })
+        });
+        if let Some(flag) = given.iter().find(|f| **f != "--json" && !reads.contains(f)) {
+            eprintln!("error: {bin} does not read {flag}");
+            std::process::exit(2);
+        }
+        cli
     }
 
     /// Parse an explicit argument list, program name first
-    /// (unit-testable). A repeated flag keeps its last value.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
+    /// (unit-testable), into the command line and the flags it gave. A
+    /// repeated flag keeps its last value.
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(Cli, Vec<&'static str>), CliError> {
         let mut cli = Cli::default();
+        let mut given = Vec::new();
         let mut args = args.into_iter().skip(1);
         while let Some(arg) = args.next() {
             let Some(&(flag, expects)) = FLAGS.iter().find(|(f, _)| *f == arg) else {
                 return Err(CliError::UnknownFlag(arg));
             };
+            given.push(flag);
             let value = args
                 .next()
                 .ok_or(CliError::MissingValue { flag, expects })?;
@@ -185,7 +198,7 @@ impl Cli {
                 _ => unreachable!("FLAGS lists only the flags matched here"),
             }
         }
-        Ok(cli)
+        Ok((cli, given))
     }
 }
 
@@ -494,7 +507,7 @@ mod tests {
     }
 
     fn parse(v: &[&str]) -> Cli {
-        Cli::from_args(args(v)).expect("valid command line")
+        Cli::from_args(args(v)).expect("valid command line").0
     }
 
     /// The rendered rejection of `v`, which must not parse.

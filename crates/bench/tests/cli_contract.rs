@@ -184,6 +184,68 @@ fn serve_too_short_for_any_fault_prints_the_zero_ledger() {
 }
 
 #[test]
+fn serve_ledger_names_the_load_it_measured() {
+    let out = run(
+        env!("CARGO_BIN_EXE_tab_serve"),
+        &["--offered-load", "2", "--duration-ms", "5"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("fault ledger at 2.0x load") && stdout.contains("at the 2.0x point"),
+        "stdout: {stdout}"
+    );
+    assert!(!stdout.contains("1.5x"), "stdout: {stdout}");
+}
+
+#[test]
+fn a_flag_the_figure_does_not_read_exits_2_naming_it() {
+    for (name, bin, args, flag) in [
+        (
+            "tab_pipeline",
+            env!("CARGO_BIN_EXE_tab_pipeline"),
+            &[
+                "--offered-load",
+                "2",
+                "--os",
+                "linux",
+                "--arrival",
+                "bursty",
+                "--window-cycles",
+                "5",
+            ][..],
+            "--offered-load",
+        ),
+        (
+            "fig6_openmp",
+            env!("CARGO_BIN_EXE_fig6_openmp"),
+            &["--os", "linux"],
+            "--os",
+        ),
+        (
+            "summary",
+            env!("CARGO_BIN_EXE_summary"),
+            &["--os", "linux"],
+            "--os",
+        ),
+    ] {
+        let out = run(bin, args);
+        assert_no_document(&out, name, flag);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let message = format!("error: {name} does not read {flag}");
+        assert!(stderr.contains(&message), "stderr: {stderr}");
+    }
+}
+
+#[test]
+fn a_flag_the_figure_reads_is_accepted() {
+    let out = run(env!("CARGO_BIN_EXE_fig3_heartbeat"), &["--os", "linux"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
+#[test]
 fn trace_out_on_a_figure_without_a_trace_exits_2_naming_it() {
     let root = scratch_dir("heartbeat-trace");
     let trace = root.join("trace.json");
@@ -214,8 +276,8 @@ fn serve_trace_out_without_metrics_out_exits_2_naming_it() {
     assert!(!trace.exists(), "no trace may be written");
 }
 
-/// `out` is a run of `bin` that exited 2, without panicking or printing
-/// its text, because its run produced no document for `flag`.
+/// `out` is a run of `bin` that refused `flag`: it exited 2, without
+/// panicking or printing its text.
 fn assert_no_document(out: &Output, bin: &str, flag: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");

@@ -107,9 +107,30 @@ fn every_binary_runs_a_registered_figure() {
     }
 }
 
+/// `tab_serve` asked for its `--metrics-out` document at `shards`.
+fn serve_metrics(shards: usize) -> Report {
+    let cli = Cli {
+        shards,
+        metrics_out: Some("metrics.json".into()),
+        ..Cli::default()
+    };
+    let report = run("tab_serve", cli);
+    assert!(
+        report.metrics.is_some(),
+        "--metrics-out must produce a document"
+    );
+    report
+}
+
+/// The unsharded `--metrics-out` run, once per test binary.
+fn serve_metrics_once() -> &'static Report {
+    static REPORT: OnceLock<Report> = OnceLock::new();
+    REPORT.get_or_init(|| serve_metrics(1))
+}
+
 /// The sharded kernels must not change a byte: at `--shards 4` both
 /// figures render the unsharded text, which the first test pins to the
-/// golden.
+/// golden, and `tab_serve`'s windowed metrics document is unchanged.
 #[test]
 fn four_shards_render_the_golden_text() {
     let cli = Cli {
@@ -119,10 +140,16 @@ fn four_shards_render_the_golden_text() {
     for name in ["fig7_coherence", "tab_serve"] {
         assert_same_text(name, default_report(name), &run(name, cli.clone()));
     }
+    let four = serve_metrics(4);
+    assert!(
+        serve_metrics_once().metrics == four.metrics,
+        "tab_serve: --metrics-out differs at 4 shards"
+    );
 }
 
 /// The seeded campaigns (injection sites, chaos, backoff jitter) replay
-/// bit-identically, `--json` rows included.
+/// bit-identically, `--json` rows and `tab_serve`'s windowed metrics
+/// included.
 #[test]
 fn seeded_campaigns_replay_identically() {
     for name in ["tab_faults", "tab_serve"] {
@@ -130,6 +157,11 @@ fn seeded_campaigns_replay_identically() {
         assert_same_text(name, first, &second);
         assert!(first.json == second.json, "{name}: --json rows differ");
     }
+    let again = serve_metrics(1);
+    assert!(
+        serve_metrics_once().metrics == again.metrics,
+        "tab_serve: --metrics-out differs on replay"
+    );
 }
 
 /// A full-span instrumented run replays bit-identically, trace included,

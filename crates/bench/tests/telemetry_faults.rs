@@ -9,7 +9,7 @@ use interweave_carat::defrag::fragmentation_demo;
 use interweave_carat::pik::PikSystem;
 use interweave_carat::quarantine_and_relocate;
 use interweave_core::machine::MachineConfig;
-use interweave_core::telemetry::{chrome_trace_json, Level, Sink};
+use interweave_core::telemetry::{chrome_trace_json, Sink};
 use interweave_core::time::Cycles;
 use interweave_core::{FaultClass, FaultConfig, FaultPlan};
 use interweave_ir::types::Val;
@@ -28,7 +28,7 @@ const SEED: u64 = 0xFA017;
 fn ipi_campaign_counters_match_stats() {
     let mc = MachineConfig::xeon_server_2s();
     let mut e = Executor::new(mc, Cycles(10_000));
-    let sink = Sink::on(Level::Counters);
+    let sink = Sink::on();
     e.set_telemetry(sink.clone());
     e.set_fault_plan(FaultPlan::new(FaultConfig {
         drop_ipi: 0.25,
@@ -78,7 +78,7 @@ fn ipi_campaign_counters_match_stats() {
 fn alloc_campaign_counters_match_stats() {
     let mc = MachineConfig::xeon_server_2s();
     let mut e = Executor::new(mc.clone(), Cycles(10_000));
-    let sink = Sink::on(Level::Counters);
+    let sink = Sink::on();
     e.set_telemetry(sink.clone());
     e.set_stack_allocator(NumaAllocator::new(mc.sockets, 14, 4));
     e.set_fault_plan(FaultPlan::new(FaultConfig {
@@ -119,7 +119,7 @@ fn carat_campaign_counters_match_report() {
         .admit(m, att, entry, vec![Val::I(64)])
         .expect("attested module admits");
     sys.processes[pid].run_to_yield(100_000);
-    let sink = Sink::on(Level::Counters);
+    let sink = Sink::on();
     let p = &mut sys.processes[pid];
     let holders = p.runtime.escape_holders();
     let mut plan = FaultPlan::new(FaultConfig {
@@ -163,7 +163,7 @@ fn virtine_campaign_counters_match_stats() {
     probe.invoke(&fibp.args, u64::MAX / 4);
     let budget = probe.guest_cycles + probe.guest_cycles / 3;
 
-    let sink = Sink::on(Level::Counters);
+    let sink = Sink::on();
     let mut faults = FaultPlan::new(FaultConfig {
         virtine_kill: 0.5,
         ..FaultConfig::quiet(SEED)
@@ -204,7 +204,7 @@ fn chrome_trace_export_parses_and_validates() {
 
     let mc = MachineConfig::xeon_server_2s().with_cores(4);
     let mut e = Executor::new(mc, Cycles(10_000));
-    let sink = Sink::on(Level::Full);
+    let sink = Sink::on();
     e.set_telemetry(sink.clone());
     for cpu in 0..4 {
         e.spawn(cpu, Box::new(LoopWork::new(10, Cycles(4_000))));

@@ -307,7 +307,7 @@ mod tests {
     use super::*;
     use crate::workloads::{consume_accesses, handoff_lines, produce_accesses, round_stream};
 
-    /// The retired sequential round loop, verbatim — the model against
+    /// The retired sequential round loop, less its capacity hint — the model against
     /// which the sharded engine is proven equal.
     fn run_one_sequential(
         mix: &WorkloadMix,
@@ -327,7 +327,6 @@ mod tests {
             sys.mesh = crate::noc::Mesh::disaggregated(cores, per_domain, penalty);
         }
         let layout = Layout::new(mix, cores);
-        sys.reserve_lines(layout.total_lines(mix));
         initialize_readonly(&mut sys, mix, &layout);
         if mode == CohMode::Selective {
             layout.classify(&mut sys, mix);

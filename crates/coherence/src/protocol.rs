@@ -397,21 +397,11 @@ impl System {
         }
     }
 
-    /// Pre-size the line-state table for `n` distinct line addresses, so a
-    /// sweep whose footprint is known up front (layout sizes) never rehashes
-    /// mid-run.
-    pub fn reserve_lines(&mut self, n: usize) {
-        self.lines
-            .spill
-            .reserve(n.saturating_sub(self.lines.spill.len()));
-    }
-
     /// Back the line range `[base, base + n)` with dense storage — in the
     /// line-state table and in every core's cache: every access to it
     /// becomes an array index instead of a hash lookup. Observationally
     /// identical to the spill map (sweeps with a known contiguous layout
-    /// call this instead of [`System::reserve_lines`]); any state the
-    /// range already accumulated migrates over.
+    /// call this); any state the range already accumulated migrates over.
     pub fn reserve_dense(&mut self, base: u64, n: usize) {
         for c in &mut self.caches {
             c.reserve_dense(base, n);
@@ -1199,26 +1189,5 @@ mod tests {
         assert!(s.stats.forwards >= 16, "forwards {}", s.stats.forwards);
         assert!(s.stats.invalidations > 0);
         s.check_swmr();
-    }
-
-    #[test]
-    fn reserve_lines_changes_no_observable_behavior() {
-        let run = |reserve: bool| {
-            let mut s = sys(CohMode::Full);
-            if reserve {
-                s.reserve_lines(4096);
-            }
-            let mut cycles = 0u64;
-            for i in 0..500u64 {
-                let core = (i % 4) as usize;
-                if i % 3 == 0 {
-                    cycles += s.write(core, i % 96);
-                } else {
-                    cycles += s.read(core, i % 96);
-                }
-            }
-            (cycles, s.stats.invalidations, s.stats.dram_fetches)
-        };
-        assert_eq!(run(false), run(true));
     }
 }

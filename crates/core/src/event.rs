@@ -237,11 +237,6 @@ impl<E> EventQueue<E> {
         seq
     }
 
-    /// Schedule `payload` `delay` cycles after the current time.
-    pub fn schedule_in(&mut self, delay: Cycles, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Cancel the event behind `handle`. Returns true if the event was
     /// still pending (and is now dead), false if it already fired, was
     /// already cancelled, or the handle belongs to no event of this queue.
@@ -400,15 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycles(10), "a");
-        q.pop();
-        q.schedule_in(Cycles(5), "b");
-        assert_eq!(q.pop(), Some((Cycles(15), "b")));
-    }
-
-    #[test]
     fn pop_before_respects_deadline() {
         let mut q = EventQueue::new();
         q.schedule(Cycles(100), "late");
@@ -549,7 +535,7 @@ mod tests {
 
     #[test]
     fn stats_count_and_publish_as_gauges() {
-        use crate::telemetry::{Level, Sink};
+        use crate::telemetry::Sink;
         let mut q = EventQueue::new();
         q.schedule(Cycles(10), 0);
         let h = q.schedule_cancellable(Cycles(20), 1);
@@ -558,7 +544,7 @@ mod tests {
         q.pop();
         let st = q.stats();
         assert_eq!((st.scheduled, st.popped, st.cancelled), (3, 1, 1), "{st:?}");
-        let sink = Sink::on(Level::Counters);
+        let sink = Sink::on();
         q.publish_telemetry(&sink, 0);
         q.publish_telemetry(&sink, 0); // gauge semantics: idempotent
         assert_eq!(sink.counter("core.evq.scheduled"), 3);

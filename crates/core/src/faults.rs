@@ -350,10 +350,10 @@ mod tests {
 
     #[test]
     fn sink_counts_injections_without_perturbing_decisions() {
-        use crate::telemetry::{Level, Sink};
+        use crate::telemetry::Sink;
         let mut plain = FaultPlan::new(noisy(13));
         let mut wired = FaultPlan::new(noisy(13));
-        let sink = Sink::on(Level::Counters);
+        let sink = Sink::on();
         wired.set_sink(sink.clone());
         for _ in 0..200 {
             assert_eq!(plain.drop_kick(), wired.drop_kick());

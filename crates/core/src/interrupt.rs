@@ -193,12 +193,12 @@ mod tests {
 
     #[test]
     fn present_on_counts_each_outcome() {
-        use crate::telemetry::{Level, Sink};
+        use crate::telemetry::Sink;
         let mut cfg = FaultConfig::quiet(4);
         cfg.drop_ipi = 0.5;
         cfg.delay_ipi = 0.5;
         let mut plan = FaultPlan::new(cfg);
-        let sink = Sink::on(Level::Counters);
+        let sink = Sink::on();
         let (mut delivered, mut delayed, mut dropped) = (0u64, 0u64, 0u64);
         for i in 0..200 {
             match present_on(IrqClass::Ipi, &mut plan, &sink, i % 4, Cycles(i as u64)) {

@@ -68,5 +68,5 @@ pub use machine::{CostModel, MachineConfig, Platform};
 pub use rng::SplitMix64;
 pub use shard::{Envelope, Mailbox, ShardedKernel};
 pub use stack::StackConfig;
-pub use telemetry::{FlightRecorder, Layer, Level, Sink, Span, SpanKind, TimeSeries};
+pub use telemetry::{FlightRecorder, Layer, Sink, Span, SpanKind, TimeSeries};
 pub use time::{Cycles, Freq, MicroSeconds};

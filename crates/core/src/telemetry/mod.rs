@@ -26,10 +26,11 @@
 //! Everything hangs off a [`Sink`]: a cheaply clonable handle that is
 //! either *off* (the default — every publish call is a single branch on a
 //! `None`, so disabled telemetry cannot perturb a simulation or its golden
-//! outputs) or *on* at a [`Level`]. The backing state is single-threaded
-//! (`Rc<RefCell>`): simulators in this workspace are deterministic
-//! single-threaded machines, and keeping telemetry on the same thread keeps
-//! snapshot ordering and span order a pure function of the run.
+//! outputs) or *on*, recording counters, attribution and spans. The
+//! backing state is single-threaded (`Rc<RefCell>`): simulators in this
+//! workspace are deterministic single-threaded machines, and keeping
+//! telemetry on the same thread keeps snapshot ordering and span order a
+//! pure function of the run.
 //!
 //! Determinism: counters live in `BTreeMap`s keyed by `'static` names, so
 //! snapshots iterate in name order; spans append in simulation order; no
@@ -568,38 +569,15 @@ pub fn chrome_trace_json(spans: &[Span], counters: &[CounterTrack], cycles_per_u
     out
 }
 
-/// How much the telemetry plane records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Level {
-    /// Counters and cycle attribution only; span publishes are dropped.
-    Counters,
-    /// Counters, attribution, and full span tracing.
-    Full,
-}
-
 /// The backing telemetry state behind an enabled [`Sink`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Telemetry {
-    /// Recording level.
-    pub level: Level,
     /// The counter/gauge registry.
     pub registry: Registry,
     /// The cycle-attribution ledger.
     pub attribution: Attribution,
-    /// Collected spans, in publish order (empty below [`Level::Full`]).
+    /// Collected spans, in publish order.
     pub spans: Vec<Span>,
-}
-
-impl Telemetry {
-    /// Fresh empty state at `level`.
-    pub fn new(level: Level) -> Telemetry {
-        Telemetry {
-            level,
-            registry: Registry::new(),
-            attribution: Attribution::new(),
-            spans: Vec::new(),
-        }
-    }
 }
 
 /// A serializable snapshot of the whole plane: every counter plus the
@@ -630,23 +608,16 @@ impl Sink {
         Sink::default()
     }
 
-    /// An enabled sink over fresh state at `level`.
-    pub fn on(level: Level) -> Sink {
+    /// An enabled sink over fresh state.
+    pub fn on() -> Sink {
         Sink {
-            inner: Some(Rc::new(RefCell::new(Telemetry::new(level)))),
+            inner: Some(Rc::new(RefCell::default())),
         }
     }
 
     /// Is this sink recording at all?
     pub fn is_on(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Is this sink recording spans (on, at [`Level::Full`])?
-    pub fn spans_on(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|t| t.borrow().level == Level::Full)
     }
 
     /// Add `n` to `key`'s shard for `cpu` (unstamped).
@@ -680,13 +651,12 @@ impl Sink {
         }
     }
 
-    /// Record a span (dropped below [`Level::Full`]). Zero-length spans
-    /// are dropped too: an instant is a counter's job.
+    /// Record a span. Zero-length spans are dropped: an instant is a
+    /// counter's job.
     pub fn span(&self, span: Span) {
         if let Some(t) = &self.inner {
-            let mut t = t.borrow_mut();
-            if t.level == Level::Full && span.end > span.start {
-                t.spans.push(span);
+            if span.end > span.start {
+                t.borrow_mut().spans.push(span);
             }
         }
     }
@@ -949,7 +919,6 @@ mod tests {
         s.charge(Layer::Kernel, "x", Cycles(5));
         s.span(sp(Layer::Kernel, 0, 0, 10));
         assert!(!s.is_on());
-        assert!(!s.spans_on());
         assert_eq!(s.counter("test.alpha"), 0);
         assert_eq!(s.attributed(), Cycles::ZERO);
         assert!(s.spans().is_empty());
@@ -958,18 +927,8 @@ mod tests {
     }
 
     #[test]
-    fn counters_level_drops_spans_but_keeps_counts() {
-        let s = Sink::on(Level::Counters);
-        s.count(&K_A, 1, 3);
-        s.span(sp(Layer::Kernel, 0, 0, 10));
-        assert!(s.is_on() && !s.spans_on());
-        assert_eq!(s.counter("test.alpha"), 3);
-        assert!(s.spans().is_empty());
-    }
-
-    #[test]
     fn clones_share_state() {
-        let s = Sink::on(Level::Full);
+        let s = Sink::on();
         let s2 = s.clone();
         s.count(&K_A, 0, 1);
         s2.count(&K_A, 0, 2);
@@ -983,7 +942,7 @@ mod tests {
 
     #[test]
     fn snapshot_serializes() {
-        let s = Sink::on(Level::Full);
+        let s = Sink::on();
         s.count_at(&K_A, 0, 2, Cycles(33));
         s.charge(Layer::Application, "compute", Cycles(10));
         let snap = s.snapshot().unwrap();

@@ -1295,6 +1295,86 @@ mod tests {
     }
 
     #[test]
+    fn multi_array_loadstore_sums_across_pages() {
+        // Eight live arrays of 32 Ki words each (64 pages apiece), their
+        // pointers parked in a directory: every pass writes each array
+        // four consecutive words per iteration, then sums it back.
+        const ARRAYS: i64 = 8;
+        const WORDS: i64 = 32_768;
+        const PASSES: i64 = 2;
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("main", 0);
+        let (n, nar, passes) = (fb.const_i(WORDS), fb.const_i(ARRAYS), fb.const_i(PASSES));
+        let (zero, one, four) = (fb.const_i(0), fb.const_i(1), fb.const_i(4));
+        let dsize = fb.const_i(ARRAYS * 8);
+        let dir = fb.alloc(dsize);
+        let (sum, p, a, i) = (fb.mov(zero), fb.mov(zero), fb.mov(zero), fb.mov(zero));
+        let [sh, sb, oh, exit] = [0; 4].map(|_| fb.new_block());
+        // Setup: allocate the arrays, parking each pointer in the directory.
+        fb.br(sh);
+        fb.switch_to(sh);
+        let sc = fb.cmp(CmpOp::Lt, a, nar);
+        fb.cond_br(sc, sb, oh);
+        fb.switch_to(sb);
+        let fresh = fb.alloc(n);
+        let slot = fb.gep(dir, a, 8, 0);
+        fb.store(slot, 0, fresh);
+        fb.bin_to(a, BinOp::Add, a, one);
+        fb.br(sh);
+        // Pass loop: one sweep writing every array, one reading them back.
+        fb.switch_to(oh);
+        let first = fb.new_block();
+        let oc = fb.cmp(CmpOp::Lt, p, passes);
+        fb.cond_br(oc, first, exit);
+        fb.switch_to(first);
+        for write in [true, false] {
+            let [ah, ab, wh, wb, anext, done] = [0; 6].map(|_| fb.new_block());
+            fb.mov_to(a, zero);
+            fb.br(ah);
+            fb.switch_to(ah);
+            let ac = fb.cmp(CmpOp::Lt, a, nar);
+            fb.cond_br(ac, ab, done);
+            fb.switch_to(ab);
+            let slot = fb.gep(dir, a, 8, 0);
+            let arr = fb.load(slot, 0);
+            fb.mov_to(i, zero);
+            fb.br(wh);
+            fb.switch_to(wh);
+            let wc = fb.cmp(CmpOp::Lt, i, n);
+            fb.cond_br(wc, wb, anext);
+            fb.switch_to(wb);
+            let addr = fb.gep(arr, i, 1, 0);
+            for off in 0..4 {
+                if write {
+                    fb.store(addr, off, i);
+                } else {
+                    let v = fb.load(addr, off);
+                    fb.bin_to(sum, BinOp::Add, sum, v);
+                }
+            }
+            fb.bin_to(i, BinOp::Add, i, four);
+            fb.br(wh);
+            fb.switch_to(anext);
+            fb.bin_to(a, BinOp::Add, a, one);
+            fb.br(ah);
+            fb.switch_to(done);
+        }
+        fb.bin_to(p, BinOp::Add, p, one);
+        fb.br(oh);
+        fb.switch_to(exit);
+        fb.ret(Some(sum));
+        m.add(fb.finish());
+
+        // Word w holds 4 * (w / 4), so one array sums to 8 * q * (q - 1)
+        // with q = WORDS / 4.
+        let q = WORDS / 4;
+        let (v, stats) = run_main(&m, &[]);
+        assert_eq!(v, Some(Val::I(PASSES * ARRAYS * 8 * q * (q - 1))));
+        assert_eq!(stats.stores, (ARRAYS + PASSES * ARRAYS * WORDS) as u64);
+        assert_eq!(stats.loads, (PASSES * ARRAYS * (2 + WORDS)) as u64);
+    }
+
+    #[test]
     fn recursive_fib() {
         // fib(n) = n < 2 ? n : fib(n-1) + fib(n-2)  — Fig. 5's kernel.
         let mut m = Module::new();

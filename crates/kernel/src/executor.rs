@@ -207,7 +207,7 @@ impl Executor {
     }
 
     /// Attach a telemetry sink: scheduler counters, watchdog activity, the
-    /// cycle-attribution ledger, and (at `Level::Full`) kernel spans all
+    /// cycle-attribution ledger, and kernel spans all
     /// publish into it. The sink also propagates to the fault plan and the
     /// stack allocator, installed before or after this call.
     pub fn set_telemetry(&mut self, sink: Sink) {
@@ -286,7 +286,7 @@ impl Executor {
         }
     }
 
-    /// Publish one kernel span (the sink drops it below `Level::Full`).
+    /// Publish one kernel span.
     fn record(&mut self, cpu: CpuId, task: u64, start: Cycles, end: Cycles, kind: SpanKind) {
         self.sink.span(Span {
             layer: Layer::Kernel,
@@ -788,9 +788,9 @@ mod tests {
 
     #[test]
     fn tracing_records_consistent_nonoverlapping_intervals() {
-        use interweave_core::telemetry::{chrome_trace_json, find_overlap, Level, Sink};
+        use interweave_core::telemetry::{chrome_trace_json, find_overlap, Sink};
         let mut e = exec(2, 1_000);
-        let sink = Sink::on(Level::Full);
+        let sink = Sink::on();
         e.set_telemetry(sink.clone());
         let a = e.spawn(0, Box::new(LoopWork::new(1, Cycles(5_000))));
         let b = e.spawn(0, Box::new(LoopWork::new(1, Cycles(5_000))));
@@ -814,14 +814,14 @@ mod tests {
 
     #[test]
     fn telemetry_attribution_sums_exactly_to_clock() {
-        use interweave_core::telemetry::{Level, Sink};
+        use interweave_core::telemetry::Sink;
         // A gnarly workload: faults, watchdog, blocks, yields, preemptions —
         // and still every simulated cycle lands in exactly one category.
         let mut cfg = interweave_core::FaultConfig::quiet(21);
         cfg.drop_ipi = 0.3;
         cfg.delay_ipi = 0.3;
         let mut e = exec(4, 2_000);
-        let sink = Sink::on(Level::Full);
+        let sink = Sink::on();
         e.set_telemetry(sink.clone());
         e.set_fault_plan(interweave_core::FaultPlan::new(cfg));
         e.enable_watchdog(Cycles(5_000));
@@ -871,7 +871,7 @@ mod tests {
 
     #[test]
     fn telemetry_off_run_is_bit_identical() {
-        use interweave_core::telemetry::{Level, Sink};
+        use interweave_core::telemetry::Sink;
         let run = |sink: Option<Sink>| {
             let mut cfg = interweave_core::FaultConfig::quiet(33);
             cfg.drop_ipi = 0.4;
@@ -892,7 +892,7 @@ mod tests {
             )
         };
         let off = run(None);
-        let on = run(Some(Sink::on(Level::Full)));
+        let on = run(Some(Sink::on()));
         assert_eq!(off, on, "telemetry must never perturb the simulation");
     }
 
@@ -1024,7 +1024,7 @@ mod tests {
 
     #[test]
     fn delayed_kick_overtaken_by_an_earlier_one_retracts_the_dispatch() {
-        use interweave_core::telemetry::{Level, Sink};
+        use interweave_core::telemetry::Sink;
         use interweave_core::{FaultConfig, FaultPlan};
         // Long IPI delays leave dispatches pending far ahead; a later kick
         // that lands earlier must retract and reschedule them (`kick`'s
@@ -1033,7 +1033,7 @@ mod tests {
         cfg.delay_ipi = 0.5;
         cfg.max_ipi_delay = Cycles(20_000);
         let mut e = exec(4, 2_000);
-        let sink = Sink::on(Level::Counters);
+        let sink = Sink::on();
         e.set_telemetry(sink.clone());
         e.set_fault_plan(FaultPlan::new(cfg));
         let mut expect = Vec::new();

@@ -2,7 +2,7 @@
 //! bounds, and trace well-formedness for arbitrary task sets.
 
 use interweave_core::machine::MachineConfig;
-use interweave_core::telemetry::{find_overlap, Level, Sink};
+use interweave_core::telemetry::{find_overlap, Sink};
 use interweave_core::time::Cycles;
 use interweave_kernel::executor::Executor;
 use interweave_kernel::work::LoopWork;
@@ -21,7 +21,7 @@ proptest! {
     ) {
         let mc = MachineConfig::test(4);
         let mut e = Executor::new(mc, Cycles(quantum));
-        let sink = Sink::on(Level::Full);
+        let sink = Sink::on();
         e.set_telemetry(sink.clone());
         let mut per_cpu = [0u64; 4];
         let mut per_task = Vec::new();

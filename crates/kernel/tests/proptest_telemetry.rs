@@ -3,7 +3,7 @@
 //! overlap, and an attached sink never perturbs the simulation.
 
 use interweave_core::machine::MachineConfig;
-use interweave_core::telemetry::{find_overlap, well_bracketed, Layer, Level, Sink};
+use interweave_core::telemetry::{find_overlap, well_bracketed, Layer, Sink};
 use interweave_core::time::Cycles;
 use interweave_core::{FaultConfig, FaultPlan};
 use interweave_kernel::executor::Executor;
@@ -62,7 +62,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let drop_ipi = [0.0, 0.2, 0.4][drop_sel];
-        let sink = Sink::on(Level::Full);
+        let sink = Sink::on();
         let e = run_workload(&tasks, &yields, quantum, drop_ipi, seed, sink.clone());
         prop_assert!(
             sink.verify_attribution(e.attribution_clock()).is_ok(),
@@ -86,10 +86,10 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let drop_ipi = [0.0, 0.2, 0.4][drop_sel];
-        let sink = Sink::on(Level::Full);
+        let sink = Sink::on();
         run_workload(&tasks, &[], quantum, drop_ipi, seed, sink.clone());
         let spans = sink.spans();
-        prop_assert!(!spans.is_empty(), "a full-level sink must collect spans");
+        prop_assert!(!spans.is_empty(), "an enabled sink must collect spans");
         prop_assert!(spans.iter().all(|s| s.layer == Layer::Kernel));
         if let Some((a, b)) = find_overlap(&spans) {
             prop_assert!(false, "overlap on cpu {}: {:?} vs {:?}", a.track, a, b);
@@ -108,7 +108,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let drop_ipi = [0.0, 0.2, 0.4][drop_sel];
-        let on = run_workload(&tasks, &[], quantum, drop_ipi, seed, Sink::on(Level::Full));
+        let on = run_workload(&tasks, &[], quantum, drop_ipi, seed, Sink::on());
         let off = run_workload(&tasks, &[], quantum, drop_ipi, seed, Sink::off());
         prop_assert_eq!(on.stats.makespan, off.stats.makespan);
         prop_assert_eq!(on.stats.preemptions, off.stats.preemptions);

@@ -190,7 +190,7 @@ impl Wasp {
     }
 
     /// Attach a telemetry sink: invocations, cold starts, pool reuses,
-    /// restarts, and detected faults are counted, and (at `Level::Full`)
+    /// restarts, and detected faults are counted, and
     /// each invocation becomes a `virtine` span — with a `fault` span
     /// enclosing every restart episode, so recovery shows up as properly
     /// nested intervals on the virtine track.
@@ -497,7 +497,7 @@ mod tests {
 
     #[test]
     fn telemetry_spans_nest_restarts_inside_recovery_episodes() {
-        use interweave_core::telemetry::{well_bracketed, Level, Sink, SpanKind};
+        use interweave_core::telemetry::{well_bracketed, Sink, SpanKind};
         use interweave_core::{FaultConfig, FaultPlan};
         let mut probe = Virtine::new(fib_image());
         probe.invoke(&[Val::I(12)], u64::MAX / 4);
@@ -508,7 +508,7 @@ mod tests {
             ..FaultConfig::quiet(42)
         });
         let mut w = Wasp::new(fib_image(), MachineConfig::xeon_server_2s());
-        let sink = Sink::on(Level::Full);
+        let sink = Sink::on();
         w.set_telemetry(sink.clone());
         for _ in 0..10 {
             let (outcome, _, _) = w.invoke_recovering(&[Val::I(12)], budget, &mut faults, 64);

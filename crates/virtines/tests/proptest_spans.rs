@@ -3,7 +3,7 @@
 //! overlapping), and registry counters track pool statistics exactly,
 //! for arbitrary kill probabilities and request mixes.
 
-use interweave_core::telemetry::{well_bracketed, Layer, Level, Sink, SpanKind};
+use interweave_core::telemetry::{well_bracketed, Layer, Sink, SpanKind};
 use interweave_core::{FaultConfig, FaultPlan};
 use interweave_virtines::context::VirtineOutcome;
 use interweave_virtines::extract::extract_one;
@@ -38,7 +38,7 @@ proptest! {
         });
         let mc = interweave_core::machine::MachineConfig::test(2);
         let mut w = Wasp::new(image, mc);
-        let sink = Sink::on(Level::Full);
+        let sink = Sink::on();
         w.set_telemetry(sink.clone());
         let mut restarts = 0u64;
         for _ in 0..reqs {

@@ -7,7 +7,7 @@
 //! version control).
 
 use interweave::core::machine::MachineConfig;
-use interweave::core::telemetry::{chrome_trace_json, find_overlap, Level, Sink};
+use interweave::core::telemetry::{chrome_trace_json, find_overlap, Sink};
 use interweave::core::Cycles;
 use interweave::kernel::executor::Executor;
 use interweave::kernel::work::{LoopWork, ScriptedWork, WorkStep};
@@ -16,7 +16,7 @@ fn main() {
     let mc = MachineConfig::xeon_server_2s().with_cores(4);
     let mhz = mc.freq.mhz;
     let mut e = Executor::new(mc, Cycles(20_000));
-    let sink = Sink::on(Level::Full);
+    let sink = Sink::on();
     e.set_telemetry(sink.clone());
 
     // A mixed workload: compute-bound tasks, a cooperative yielder, and a
