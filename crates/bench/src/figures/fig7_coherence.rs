@@ -2,9 +2,9 @@
 //! workloads, dual-socket 24-core machine, plus the interconnect-energy
 //! companion claim and the scale trend.
 //!
-//! `--shards <n>` runs the sweeps on `n` event-queue shards. The output is
-//! bit-identical at every shard count — `tests/goldens.rs` checks
-//! `--shards 4` against the golden text.
+//! Every sweep runs `experiment::fig7`'s round loop on one thread: all
+//! cores share one directory, so there is nothing to partition. The binary
+//! reads no flag besides `--json`.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
 use crate::{f, s};
@@ -34,8 +34,7 @@ pub(super) fn run(cli: &Cli) -> Report {
         ),
     ];
     let mut h = Harness::new(cli, scenarios);
-    let shards = cli.shards;
-    let rows_data = fig7(24, 11, 1, shards);
+    let rows_data = fig7(24, 11, 1);
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for r in &rows_data {
@@ -76,7 +75,7 @@ pub(super) fn run(cli: &Cli) -> Report {
         let r = if cores == 24 {
             rows_data.clone()
         } else {
-            fig7(cores, 11, 1, shards)
+            fig7(cores, 11, 1)
         };
         rows.push(vec![
             s(cores),

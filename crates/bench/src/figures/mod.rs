@@ -75,7 +75,7 @@ pub const FIGURES: &[Figure] = &[
         name: "fig7_coherence",
         experiment: "Fig 7",
         claim: "selective coherence ≈1.46x, −53% NoC energy",
-        reads: &["--shards"],
+        reads: &[],
         run: fig7_coherence::run,
     },
     Figure {
@@ -248,8 +248,9 @@ pub struct ExperimentSummary {
     pub measured: String,
     /// Wall-clock time to run the figure, in milliseconds.
     pub wall_ms: f64,
-    /// The `--shards` count the figure ran with (results are bit-identical
-    /// at every count).
+    /// The `--shards` count the figure ran with: the command line's count
+    /// for a figure that reads the flag, 1 for the rest (results are
+    /// bit-identical at every count).
     pub shards: usize,
     /// The figure's `--json` envelope: its scenarios and its rows.
     pub rows: RawJson,
@@ -307,7 +308,14 @@ pub fn summary_main() {
         total_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         experiments: runs
             .iter()
-            .map(|(f, r, ms)| ExperimentSummary::new(f, r, *ms, cli.shards))
+            .map(|(f, r, ms)| {
+                let shards = if f.reads.contains(&"--shards") {
+                    cli.shards
+                } else {
+                    1
+                };
+                ExperimentSummary::new(f, r, *ms, shards)
+            })
             .collect(),
     };
     let path = cli.json.as_deref().unwrap_or("BENCH_summary.json");

@@ -15,7 +15,7 @@
 
 use crate::harness::{Cli, Harness, Report, Scenario};
 use crate::{f, parallel_map, s};
-use interweave_coherence::experiment::run_one_sharded;
+use interweave_coherence::experiment::run_one_on_mesh;
 use interweave_coherence::protocol::{CohMode, ProtocolKind, System, SystemConfig};
 use interweave_coherence::workloads::fig7_mixes;
 use interweave_core::machine::MachineConfig;
@@ -84,8 +84,8 @@ fn disaggregation_sweep() -> Ablation {
     let penalties: Vec<u32> = vec![0, 8, 16, 32, 64];
     let rows = parallel_map(penalties, |pen| {
         let disagg = if pen == 0 { None } else { Some((8usize, pen)) };
-        let (full, full_e) = run_one_sharded(&mix, 16, CohMode::Full, 11, disagg, 1);
-        let (sel, sel_e) = run_one_sharded(&mix, 16, CohMode::Selective, 11, disagg, 1);
+        let (full, full_e) = run_one_on_mesh(&mix, 16, CohMode::Full, 11, disagg);
+        let (sel, sel_e) = run_one_on_mesh(&mix, 16, CohMode::Selective, 11, disagg);
         vec![
             s(pen),
             f(full as f64 / sel as f64, 3),

@@ -26,15 +26,17 @@ use serde::Serialize;
 /// The command-line contract shared by every figure binary. Every flag
 /// takes one value (the usage text [`Cli::parse`] prints lists them);
 /// any other argument is rejected. `--shards` changes wall-clock only:
-/// results are bit-identical at every count, which the golden check relies
-/// on. The golden runs pass no flags, so none affects pinned stdout.
+/// the serving plane's results are bit-identical at every worker-thread
+/// count, which the golden check relies on. The golden runs pass no flags,
+/// so none affects pinned stdout.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Path for the JSON results envelope, when requested.
     pub json: Option<String>,
     /// Path for the Perfetto trace export, when requested.
     pub trace_out: Option<String>,
-    /// Simulation-kernel shard count (`--shards <n>`, default 1).
+    /// Host threads the serving plane spreads its worker groups over
+    /// (`--shards <n>`, default 1).
     pub shards: usize,
     /// Offered load override for serving binaries, as a multiple of the
     /// calibrated saturation capacity (`--offered-load <x>`, x > 0).
@@ -115,7 +117,7 @@ const USAGE: &str = "\
 flags (all optional):
   --json <path>          write the JSON results envelope
   --trace-out <path>     write a Chrome/Perfetto trace
-  --shards <n>           simulation-kernel shard count (n >= 1)
+  --shards <n>           serving-plane worker threads (n >= 1)
   --os <name>            nk | nautilus | aster | linux
   --offered-load <x>     serving load, multiple of saturation (x > 0)
   --duration-ms <ms>     serving-run duration (ms > 0)

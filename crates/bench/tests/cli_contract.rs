@@ -224,6 +224,12 @@ fn a_flag_the_figure_does_not_read_exits_2_naming_it() {
             "--os",
         ),
         (
+            "fig7_coherence",
+            env!("CARGO_BIN_EXE_fig7_coherence"),
+            &["--shards", "4"],
+            "--shards",
+        ),
+        (
             "summary",
             env!("CARGO_BIN_EXE_summary"),
             &["--os", "linux"],
@@ -243,6 +249,40 @@ fn a_flag_the_figure_reads_is_accepted() {
     let out = run(env!("CARGO_BIN_EXE_fig3_heartbeat"), &["--os", "linux"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
+#[test]
+fn summary_records_shards_only_for_the_figures_that_read_them() {
+    let root = scratch_dir("summary-shards");
+    let path = root.join("summary.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_summary"),
+        &[
+            "--shards",
+            "4",
+            "--json",
+            path.to_str().expect("utf-8 temp path"),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&path).expect("summary written");
+    std::fs::remove_dir_all(&root).expect("remove scratch dir");
+    let doc = serde::json::parse(&json).expect("valid summary");
+    let Some(serde::json::JsonValue::Arr(experiments)) = doc.get("experiments") else {
+        panic!("summary must carry an experiments array");
+    };
+    for exp in experiments {
+        let figure = exp.get("figure").and_then(|v| v.as_str()).expect("figure");
+        let want = if figure == "tab_serve" { "4" } else { "1" };
+        match exp.get("shards") {
+            Some(serde::json::JsonValue::Num(n)) => assert_eq!(n, want, "{figure}"),
+            other => panic!("{figure}: shards must be a number, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -128,18 +128,20 @@ fn serve_metrics_once() -> &'static Report {
     REPORT.get_or_init(|| serve_metrics(1))
 }
 
-/// The sharded kernels must not change a byte: at `--shards 4` both
-/// figures render the unsharded text, which the first test pins to the
-/// golden, and `tab_serve`'s windowed metrics document is unchanged.
+/// Worker threads must not change a byte: at `--shards 4` `tab_serve`
+/// renders the one-thread text, which the first test pins to the golden,
+/// and its windowed metrics document is unchanged.
 #[test]
 fn four_shards_render_the_golden_text() {
     let cli = Cli {
         shards: 4,
         ..Cli::default()
     };
-    for name in ["fig7_coherence", "tab_serve"] {
-        assert_same_text(name, default_report(name), &run(name, cli.clone()));
-    }
+    assert_same_text(
+        "tab_serve",
+        default_report("tab_serve"),
+        &run("tab_serve", cli),
+    );
     let four = serve_metrics(4);
     assert!(
         serve_metrics_once().metrics == four.metrics,

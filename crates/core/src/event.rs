@@ -160,17 +160,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Publish the queue's lifetime counters into `sink`'s registry as
-    /// gauges under telemetry shard `shard`, stamped with the queue's
-    /// current time. A standalone queue publishes under shard 0; a queue
-    /// that is one shard of a [`crate::shard::ShardedKernel`] publishes
-    /// under its own shard index, so the registry's per-shard breakdown
-    /// mirrors the kernel's sharding. Gauge semantics make re-publishing
-    /// idempotent.
-    pub fn publish_telemetry(&self, sink: &Sink, shard: usize) {
-        sink.gauge_at(&KEY_SCHEDULED, shard, self.stats.scheduled, self.now);
-        sink.gauge_at(&KEY_POPPED, shard, self.stats.popped, self.now);
-        sink.gauge_at(&KEY_CANCELLED, shard, self.stats.cancelled, self.now);
-        sink.gauge_at(&KEY_COMPACTIONS, shard, self.stats.compactions, self.now);
+    /// gauges under telemetry shard 0, stamped with the queue's current
+    /// time. Gauge semantics make re-publishing idempotent.
+    pub fn publish_telemetry(&self, sink: &Sink) {
+        sink.gauge_at(&KEY_SCHEDULED, 0, self.stats.scheduled, self.now);
+        sink.gauge_at(&KEY_POPPED, 0, self.stats.popped, self.now);
+        sink.gauge_at(&KEY_CANCELLED, 0, self.stats.cancelled, self.now);
+        sink.gauge_at(&KEY_COMPACTIONS, 0, self.stats.compactions, self.now);
     }
 
     /// The time of the most recently popped event (the simulator's "now").
@@ -276,29 +272,6 @@ impl<E> EventQueue<E> {
         Some((s.at, s.payload))
     }
 
-    /// Pop the earliest event only if it fires at or before `deadline`.
-    pub fn pop_before(&mut self, deadline: Cycles) -> Option<(Cycles, E)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Advance `now` to `t` without firing anything (idle time).
-    ///
-    /// Panics (debug) if events earlier than `t` are pending — skipping over
-    /// pending work would silently corrupt a simulation.
-    pub fn advance_to(&mut self, t: Cycles) {
-        debug_assert!(
-            self.peek_time().is_none_or(|p| p >= t),
-            "advance_to({t}) would skip a pending event at {:?}",
-            self.peek_time()
-        );
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
     /// Restore the no-tombstone-at-top invariant and bound tombstone load.
     fn after_cancel(&mut self) {
         // Compact when tombstones exceed half the heap; otherwise just make
@@ -395,24 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycles(100), "late");
-        assert_eq!(q.pop_before(Cycles(50)), None);
-        assert_eq!(q.pop_before(Cycles(100)), Some((Cycles(100), "late")));
-    }
-
-    #[test]
-    fn advance_to_moves_idle_time() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.advance_to(Cycles(500));
-        assert_eq!(q.now(), Cycles(500));
-        // Going backwards is a no-op.
-        q.advance_to(Cycles(100));
-        assert_eq!(q.now(), Cycles(500));
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled in the past")]
     fn schedule_in_past_panics_in_debug() {
@@ -456,7 +411,6 @@ mod tests {
         assert!(q.cancel(h));
         // The cancelled event was the top: peek must see through it.
         assert_eq!(q.peek_time(), Some(Cycles(10)));
-        assert_eq!(q.pop_before(Cycles(7)), None);
         assert_eq!(q.pop(), Some((Cycles(10), "later")));
     }
 
@@ -505,35 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_past_tombstones_never_resurrects() {
-        // Regression guard: a cancelled event whose fire time lies behind an
-        // `advance_to` target must neither trip the skipped-event assertion
-        // (it is not pending work) nor ever pop afterwards.
-        let mut q = EventQueue::new();
-        let doomed = q.schedule_cancellable(Cycles(100), "doomed");
-        q.schedule(Cycles(300), "live");
-        assert!(q.cancel(doomed));
-        // Advancing beyond the tombstone's time is legal idle time...
-        q.advance_to(Cycles(200));
-        assert_eq!(q.now(), Cycles(200));
-        // ...and the dead event stays dead: only the live one ever pops.
-        assert_eq!(q.pop(), Some((Cycles(300), "live")));
-        assert_eq!(q.pop(), None);
-
-        // Same with the tombstone buried (not at the heap top): cancel,
-        // advance past it, and confirm no resurrection on later pops.
-        let mut q = EventQueue::new();
-        q.schedule(Cycles(10), "first");
-        let mid = q.schedule_cancellable(Cycles(20), "mid");
-        q.schedule(Cycles(30), "last");
-        assert!(q.cancel(mid));
-        assert_eq!(q.pop(), Some((Cycles(10), "first")));
-        q.advance_to(Cycles(25));
-        assert_eq!(q.pop(), Some((Cycles(30), "last")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn stats_count_and_publish_as_gauges() {
         use crate::telemetry::Sink;
         let mut q = EventQueue::new();
@@ -545,8 +470,8 @@ mod tests {
         let st = q.stats();
         assert_eq!((st.scheduled, st.popped, st.cancelled), (3, 1, 1), "{st:?}");
         let sink = Sink::on();
-        q.publish_telemetry(&sink, 0);
-        q.publish_telemetry(&sink, 0); // gauge semantics: idempotent
+        q.publish_telemetry(&sink);
+        q.publish_telemetry(&sink); // gauge semantics: idempotent
         assert_eq!(sink.counter("core.evq.scheduled"), 3);
         assert_eq!(sink.counter("core.evq.popped"), 1);
         assert_eq!(sink.counter("core.evq.cancelled"), 1);

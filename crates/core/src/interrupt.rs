@@ -34,13 +34,6 @@ pub enum DeliveryMode {
     PipelineBranch,
 }
 
-impl DeliveryMode {
-    /// True for the interwoven-hardware extension.
-    pub fn is_pipeline(self) -> bool {
-        matches!(self, DeliveryMode::PipelineBranch)
-    }
-}
-
 impl fmt::Display for DeliveryMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -66,17 +59,6 @@ pub enum IrqClass {
     /// General-protection style exception (#GP) — would support CARAT
     /// protection faults and transparent far memory.
     ProtectionFault,
-}
-
-impl IrqClass {
-    /// Whether the paper's proposed hardware can deliver this class as a
-    /// pipeline interrupt. All simple (no privilege change) classes qualify.
-    pub fn pipeline_capable(self) -> bool {
-        // In an interwoven stack there is no privilege change for any of
-        // these, so all qualify; the enum exists so experiments can enable
-        // the extension per class.
-        true
-    }
 }
 
 /// What the delivery fabric did with one interrupt once the fault plane had
@@ -145,25 +127,6 @@ mod tests {
     fn display_names() {
         assert_eq!(DeliveryMode::Idt.to_string(), "IDT");
         assert_eq!(DeliveryMode::PipelineBranch.to_string(), "pipeline-branch");
-    }
-
-    #[test]
-    fn pipeline_predicate() {
-        assert!(!DeliveryMode::Idt.is_pipeline());
-        assert!(DeliveryMode::PipelineBranch.is_pipeline());
-    }
-
-    #[test]
-    fn all_classes_pipeline_capable() {
-        for c in [
-            IrqClass::LapicTimer,
-            IrqClass::Ipi,
-            IrqClass::Device,
-            IrqClass::MathFault,
-            IrqClass::ProtectionFault,
-        ] {
-            assert!(c.pipeline_capable());
-        }
     }
 
     #[test]

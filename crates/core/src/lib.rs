@@ -32,18 +32,14 @@
 //! - [`faults`]: the seeded fault-injection plane ([`faults::FaultPlan`])
 //!   that higher layers consult to inject lost IPIs, allocation failures,
 //!   memory bit-flips, and virtine crashes — deterministically.
-//! - [`shard`]: the sharded discrete-event kernel — per-CPU [`EventQueue`]
-//!   shards advancing under conservative-lookahead synchronization, with a
-//!   deterministic cross-shard mailbox (merge order: time, shard, sequence)
-//!   so sharded runs are bit-identical to sequential ones.
 //! - [`telemetry`]: the cross-layer observability plane — a counter/gauge
 //!   registry, a cycle-attribution ledger whose categories must sum exactly
 //!   to the machine clock, and unified span tracing exported as
 //!   Chrome/Perfetto JSON with one track per layer (plus counter tracks).
 //!   Zero-cost when off. Streaming additions: windowed
-//!   [`telemetry::TimeSeries`] roll-ups over simulated cycles and the
-//!   bounded [`telemetry::FlightRecorder`] blackbox, both mergeable
-//!   bit-identically across shards.
+//!   [`telemetry::TimeSeries`] roll-ups over simulated cycles, mergeable
+//!   bit-identically across the serving plane's worker groups, and the
+//!   bounded [`telemetry::FlightRecorder`] blackbox.
 
 #![warn(missing_docs)]
 
@@ -54,7 +50,6 @@ pub mod faults;
 pub mod interrupt;
 pub mod machine;
 pub mod rng;
-pub mod shard;
 pub mod stack;
 pub mod stats;
 pub mod telemetry;
@@ -66,7 +61,6 @@ pub use faults::{FaultClass, FaultConfig, FaultPlan, FaultRecord};
 pub use interrupt::DeliveryMode;
 pub use machine::{CostModel, MachineConfig, Platform};
 pub use rng::SplitMix64;
-pub use shard::{Envelope, Mailbox, ShardedKernel};
 pub use stack::StackConfig;
 pub use telemetry::{FlightRecorder, Layer, Sink, Span, SpanKind, TimeSeries};
 pub use time::{Cycles, Freq, MicroSeconds};

@@ -312,11 +312,6 @@ impl MachineConfig {
         let per = self.cores.div_ceil(self.sockets);
         (cpu / per).min(self.sockets - 1)
     }
-
-    /// True when two CPUs share a socket (used for NUMA-aware costs).
-    pub fn same_socket(&self, a: CpuId, b: CpuId) -> bool {
-        self.socket_of(a) == self.socket_of(b)
-    }
 }
 
 #[cfg(test)]
@@ -354,8 +349,6 @@ mod tests {
         assert_eq!(m.socket_of(11), 0);
         assert_eq!(m.socket_of(12), 1);
         assert_eq!(m.socket_of(23), 1);
-        assert!(m.same_socket(0, 11));
-        assert!(!m.same_socket(0, 12));
     }
 
     #[test]

@@ -458,13 +458,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (log_sum / xs.len() as f64).exp()
 }
 
-/// Geometric-mean *speedup* of paired (baseline, variant) times: values >1
-/// mean `variant` is faster. Convenience used by Figs. 6 and 7 reports.
-pub fn geomean_speedup(pairs: &[(f64, f64)]) -> f64 {
-    let ratios: Vec<f64> = pairs.iter().map(|&(base, var)| base / var).collect();
-    geomean(&ratios)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,12 +678,5 @@ mod tests {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    fn geomean_speedup_pairs() {
-        // Variant twice as fast in both cases → speedup 2.
-        let s = geomean_speedup(&[(10.0, 5.0), (4.0, 2.0)]);
-        assert!((s - 2.0).abs() < 1e-12);
     }
 }

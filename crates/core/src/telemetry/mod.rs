@@ -20,7 +20,7 @@
 //!   counters/gauges/quantile sketches into per-window trajectories over
 //!   simulated cycles, mergeable bit-identically across shards;
 //! - a bounded **[`FlightRecorder`]** blackbox (see [`recorder`]) that
-//!   keeps the last N events per shard and dumps deterministically when an
+//!   keeps the last N events per worker or CPU and dumps deterministically when an
 //!   invariant trips.
 //!
 //! Everything hangs off a [`Sink`]: a cheaply clonable handle that is

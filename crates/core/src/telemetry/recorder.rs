@@ -3,15 +3,16 @@
 //! Chaos campaigns fail rarely and late — a fault-ledger imbalance at
 //! invocation 900k of a million-invocation run is unreproducible by
 //! staring and expensive to re-run under a debugger. The flight recorder
-//! is the blackbox answer: every shard/worker/executor keeps a bounded
-//! ring of its most recent events (admissions, sheds, watchdog reclaims,
-//! message hops), paying O(1) per event and a fixed few KiB of memory.
-//! When an invariant trips — a ledger assertion, a watchdog abandon — the
-//! ring is dumped *deterministically* (same run, same dump, byte for
-//! byte) so the failure reads like a story instead of a stack trace.
+//! is the blackbox answer: the serving plane and the kernel executor each
+//! keep a bounded ring of their most recent events (sheds, watchdog
+//! reclaims, lost kicks, re-kicks), paying O(1) per event and a fixed few
+//! KiB of memory. When an invariant trips — a ledger assertion, a
+//! watchdog abandon — the ring is dumped *deterministically* (same run,
+//! same dump, byte for byte) so the failure reads like a story instead of
+//! a stack trace.
 //!
 //! Events carry a monotone per-recorder sequence number, the simulated
-//! cycle stamp, a numeric track (worker/CPU/shard index), a `'static`
+//! cycle stamp, a numeric track (worker or CPU index), a `'static`
 //! label, and two bare `u64` operands — no allocation, no formatting on
 //! the hot path. The ring never blocks and never reallocates after
 //! construction; when full, the oldest event is evicted and counted, so a
@@ -29,7 +30,7 @@ pub struct FlightEvent {
     pub seq: u64,
     /// Simulated cycle stamp.
     pub at: Cycles,
-    /// Which worker/CPU/shard the event belongs to.
+    /// Which worker or CPU the event belongs to.
     pub track: usize,
     /// Static event label, e.g. `"shed-queue"` or `"wd-reclaim"`.
     pub what: &'static str,

@@ -57,17 +57,6 @@ impl Cycles {
         Cycles(self.0.max(other.0))
     }
 
-    /// Interpret this duration as a fraction of `total`, in percent.
-    /// Returns 0.0 when `total` is zero.
-    #[inline]
-    pub fn percent_of(self, total: Cycles) -> f64 {
-        if total.0 == 0 {
-            0.0
-        } else {
-            100.0 * self.0 as f64 / total.0 as f64
-        }
-    }
-
     /// This duration as an `f64` cycle count (for statistics).
     #[inline]
     pub fn as_f64(self) -> f64 {
@@ -228,12 +217,6 @@ mod tests {
         assert_eq!(b - a, Cycles(0));
         assert_eq!(a * 3, Cycles(300));
         assert_eq!(a / 4, Cycles(25));
-    }
-
-    #[test]
-    fn cycles_percent() {
-        assert_eq!(Cycles(25).percent_of(Cycles(100)), 25.0);
-        assert_eq!(Cycles(25).percent_of(Cycles(0)), 0.0);
     }
 
     #[test]

@@ -20,8 +20,6 @@ enum Op {
     Cancel(usize),
     /// Pop the earliest event.
     Pop,
-    /// Pop only if the earliest event is within now + delta.
-    PopBefore(u64),
     /// Cancel every handle ever issued whose payload % 3 == r — a bulk
     /// retraction that piles up tombstones and stresses prune/compaction.
     CancelBatch(u64),
@@ -33,7 +31,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..6).prop_map(Op::ScheduleCancellable),
         (0usize..64).prop_map(Op::Cancel),
         Just(Op::Pop),
-        (0u64..8).prop_map(Op::PopBefore),
         (0u64..3).prop_map(Op::CancelBatch),
     ]
 }
@@ -120,15 +117,6 @@ proptest! {
                 Op::Pop => {
                     let got = q.pop().map(|(t, p)| (t.get(), p));
                     prop_assert_eq!(got, model.pop());
-                }
-                Op::PopBefore(delta) => {
-                    let deadline = q.now() + Cycles(delta);
-                    let want = match model.peek_time() {
-                        Some(t) if t <= model.now + delta => model.pop(),
-                        _ => None,
-                    };
-                    let got = q.pop_before(deadline).map(|(t, p)| (t.get(), p));
-                    prop_assert_eq!(got, want);
                 }
                 Op::CancelBatch(r) => {
                     // Every cancel in the batch must agree with the model,

@@ -487,7 +487,7 @@ impl Executor {
                     makespan,
                 );
             }
-            self.events.publish_telemetry(&self.sink, 0);
+            self.events.publish_telemetry(&self.sink);
         }
         self.tasks
             .iter()

@@ -161,9 +161,6 @@ pub enum TranslationSetup {
     Carat {
         /// Per-call costs of the tracking runtime.
         costs: GuardCosts,
-        /// Run the guard-elision/hoisting optimizer passes (§IV-A's
-        /// "optimized" row) or keep naive instrumentation.
-        optimize: bool,
     },
 }
 
@@ -178,12 +175,13 @@ impl TranslationSetup {
     }
 
     /// Apply this regime's compile-time component to a module: the CARAT
-    /// guard pipeline instruments it (returning per-pass statistics);
+    /// guard pipeline, optimizer passes included, instruments it
+    /// (returning per-pass statistics);
     /// paging and identity mapping need no compiler work and return an
     /// empty pass list.
     pub fn instrument(&self, m: &mut Module) -> Vec<(String, PassStats)> {
         match self {
-            TranslationSetup::Carat { optimize, .. } => interweave_carat::instrument(m, *optimize),
+            TranslationSetup::Carat { .. } => interweave_carat::instrument(m, true),
             TranslationSetup::Paging(_) | TranslationSetup::Identity => Vec::new(),
         }
     }
@@ -256,24 +254,12 @@ impl ComposedStack {
 pub struct StackBuilder {
     config: StackConfig,
     machine: MachineConfig,
-    carat_optimize: bool,
 }
 
 impl StackBuilder {
     /// A builder for `config` on `machine`.
     pub fn new(config: StackConfig, machine: MachineConfig) -> StackBuilder {
-        StackBuilder {
-            config,
-            machine,
-            carat_optimize: true,
-        }
-    }
-
-    /// Whether a CARAT composition runs the guard optimizer passes
-    /// (default) or keeps naive instrumentation (§IV-A's ablation).
-    pub fn carat_optimize(mut self, optimize: bool) -> StackBuilder {
-        self.carat_optimize = optimize;
-        self
+        StackBuilder { config, machine }
     }
 
     /// Check the configuration against the machine without building
@@ -305,18 +291,13 @@ impl StackBuilder {
     /// Materialize the composition, or return the first broken rule.
     pub fn build(self) -> Result<ComposedStack, ComposeError> {
         self.validate()?;
-        let StackBuilder {
-            config,
-            machine,
-            carat_optimize,
-        } = self;
+        let StackBuilder { config, machine } = self;
         let os: Box<dyn OsModel> = model_for(config.os, machine.clone());
         let translation = match config.translation {
             Translation::Paging => TranslationSetup::Paging(PagingModel::new(&machine.cost)),
             Translation::Identity => TranslationSetup::Identity,
             Translation::Carat => TranslationSetup::Carat {
                 costs: GuardCosts::default(),
-                optimize: carat_optimize,
             },
         };
         let coherence = match config.coherence {
@@ -386,10 +367,7 @@ mod tests {
 
         let i = compose(StackConfig::interwoven(), mc()).unwrap();
         assert_eq!(i.os.name(), "Nautilus");
-        assert!(matches!(
-            i.translation,
-            TranslationSetup::Carat { optimize: true, .. }
-        ));
+        assert!(matches!(i.translation, TranslationSetup::Carat { .. }));
         assert_eq!(i.coherence, CohMode::Selective);
         assert_eq!(i.isolation, LaunchPath::VirtineSnapshot);
         assert_eq!(i.omp_mode(), None, "interwoven is not an OpenMP stack");

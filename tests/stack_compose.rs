@@ -8,7 +8,7 @@
 //! composition rules (first match in check order wins) so a drift in
 //! either place fails loudly.
 
-use interweave::compose::{compose, ComposeError, StackBuilder, TranslationSetup};
+use interweave::compose::{compose, ComposeError, StackBuilder};
 use interweave::core::machine::MachineConfig;
 use interweave::core::stack::{
     CoherencePolicy, Isolation, OsPoint, StackConfig, TimingSource, Translation,
@@ -122,18 +122,6 @@ fn every_rejection_rule_fires_and_names_itself() {
         ],
         "every ComposeError variant must be reachable from the design space"
     );
-}
-
-#[test]
-fn carat_optimize_knob_reaches_the_translation_setup() {
-    let naive = StackBuilder::new(StackConfig::pik(), MachineConfig::xeon_server_2s())
-        .carat_optimize(false)
-        .build()
-        .expect("pik builds");
-    match naive.translation {
-        TranslationSetup::Carat { optimize, .. } => assert!(!optimize),
-        other => panic!("pik must compose carat translation, got {}", other.name()),
-    }
 }
 
 #[test]
