@@ -139,7 +139,6 @@ pub const FIGURES: &[Figure] = &[
         experiment: "serving",
         claim: "chaos serving: bounded tails, balanced fault ledger",
         reads: &[
-            "--shards",
             "--offered-load",
             "--duration-ms",
             "--arrival",
@@ -248,17 +247,13 @@ pub struct ExperimentSummary {
     pub measured: String,
     /// Wall-clock time to run the figure, in milliseconds.
     pub wall_ms: f64,
-    /// The `--shards` count the figure ran with: the command line's count
-    /// for a figure that reads the flag, 1 for the rest (results are
-    /// bit-identical at every count).
-    pub shards: usize,
     /// The figure's `--json` envelope: its scenarios and its rows.
     pub rows: RawJson,
 }
 
 impl ExperimentSummary {
     /// The entry for `figure`'s `report`.
-    pub fn new(figure: &Figure, report: &Report, wall_ms: f64, shards: usize) -> Self {
+    pub fn new(figure: &Figure, report: &Report, wall_ms: f64) -> Self {
         let headline = report
             .scenarios
             .iter()
@@ -274,7 +269,6 @@ impl ExperimentSummary {
             os: stack.os.name().to_string(),
             measured: report.headline.clone(),
             wall_ms,
-            shards,
             rows: RawJson(report.json.clone()),
         }
     }
@@ -293,7 +287,7 @@ pub struct BenchSummary {
 /// command line, print the scoreboard, and write `BENCH_summary.json` (or
 /// the `--json` path).
 pub fn summary_main() {
-    let cli = Cli::parse("summary", &["--shards"]);
+    let cli = Cli::parse("summary", &[]);
     let t0 = Instant::now();
     let runs: Vec<(&Figure, Report, f64)> = FIGURES
         .iter()
@@ -308,14 +302,7 @@ pub fn summary_main() {
         total_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         experiments: runs
             .iter()
-            .map(|(f, r, ms)| {
-                let shards = if f.reads.contains(&"--shards") {
-                    cli.shards
-                } else {
-                    1
-                };
-                ExperimentSummary::new(f, r, *ms, shards)
-            })
+            .map(|(f, r, ms)| ExperimentSummary::new(f, r, *ms))
             .collect(),
     };
     let path = cli.json.as_deref().unwrap_or("BENCH_summary.json");

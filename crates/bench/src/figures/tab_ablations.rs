@@ -14,11 +14,12 @@
 //! The `--json` rows are the four tables as printed.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, parallel_map, s};
+use crate::{f, s};
 use interweave_coherence::experiment::run_one_on_mesh;
 use interweave_coherence::protocol::{CohMode, ProtocolKind, System, SystemConfig};
 use interweave_coherence::workloads::fig7_mixes;
 use interweave_core::machine::MachineConfig;
+use interweave_core::par::{host_threads, parallel_map};
 use interweave_core::stack::StackConfig;
 use serde::Serialize;
 
@@ -82,7 +83,7 @@ fn disaggregation_sweep() -> Ablation {
     let mut mix = fig7_mixes()[0].clone();
     mix.accesses_per_round /= 2;
     let penalties: Vec<u32> = vec![0, 8, 16, 32, 64];
-    let rows = parallel_map(penalties, |pen| {
+    let rows = parallel_map(penalties, host_threads(), |pen| {
         let disagg = if pen == 0 { None } else { Some((8usize, pen)) };
         let (full, full_e) = run_one_on_mesh(&mix, 16, CohMode::Full, 11, disagg);
         let (sel, sel_e) = run_one_on_mesh(&mix, 16, CohMode::Selective, 11, disagg);
@@ -148,7 +149,7 @@ fn guard_cost_sensitivity() -> Ablation {
     use interweave_ir::programs;
 
     let guard_costs: Vec<u64> = vec![1, 3, 6, 12];
-    let rows = parallel_map(guard_costs, |g| {
+    let rows = parallel_map(guard_costs, host_threads(), |g| {
         let rows: Vec<interweave_carat::overhead::OverheadRow> = programs::suite(3)
             .iter()
             .map(|p| {

@@ -29,7 +29,7 @@ use interweave_kernel::work::LoopWork;
 use interweave_kernel::{Executor, NumaAllocator};
 use interweave_virtines::context::Virtine;
 use interweave_virtines::extract::extract_one;
-use interweave_virtines::wasp::{startup, Wasp};
+use interweave_virtines::wasp::{startup, LaunchPath, Wasp};
 use serde::Serialize;
 
 /// The campaign seed. Fixed: the whole point is a bit-reproducible run.
@@ -152,8 +152,8 @@ fn alloc_row(stack: &ComposedStack) -> Row {
 
 /// A seeded bit-flip in a pointer word, caught by the CARAT escape audit
 /// and healed by quarantine-and-relocate. The layered cost restarts the
-/// process through the commodity stack's isolation path.
-fn bit_flip_row(mc: &MachineConfig, layered: &ComposedStack) -> Row {
+/// process with fork+exec, the commodity stack's isolation path.
+fn bit_flip_row(mc: &MachineConfig) -> Row {
     let n = 64i64;
     let p = &mut super::quiesced_list(n);
     let holders = p.runtime.escape_holders();
@@ -185,7 +185,7 @@ fn bit_flip_row(mc: &MachineConfig, layered: &ComposedStack) -> Row {
     // Layered scrub: page-granularity, so the scrubber reads the entire
     // resident set; then the corrupted process is killed and restarted.
     let resident_words = p.interp.mem.resident_pages() as u64 * 4096 / 8;
-    let layered = resident_words * 2 + startup(layered.isolation).total_cycles(mc).get();
+    let layered = resident_words * 2 + startup(LaunchPath::Process).total_cycles(mc).get();
     super::finish_list(p, n);
     Row {
         class: FaultClass::BitFlip,
@@ -199,8 +199,9 @@ fn bit_flip_row(mc: &MachineConfig, layered: &ComposedStack) -> Row {
 }
 
 /// Virtines killed mid-call, restarted from the snapshot pool; the layered
-/// comparison re-launches through the commodity stack's isolation path.
-fn virtine_row(mc: &MachineConfig, layered: &ComposedStack) -> Row {
+/// comparison re-launches with fork+exec, the commodity stack's isolation
+/// path.
+fn virtine_row(mc: &MachineConfig) -> Row {
     let fibp = interweave_ir::programs::fib(18);
     let image = extract_one(&fibp.module, fibp.entry);
     let mut probe = Virtine::new(image.clone());
@@ -249,7 +250,7 @@ fn virtine_row(mc: &MachineConfig, layered: &ComposedStack) -> Row {
         interwoven: (t_fault - t_quiet) / restarts,
         // Legacy FaaS isolation restarts with fork+exec and re-runs the
         // whole request.
-        layered: startup(layered.isolation).total_cycles(mc).get() + guest,
+        layered: startup(LaunchPath::Process).total_cycles(mc).get() + guest,
         note: "snapshot restart vs fork+exec re-run",
     }
 }
@@ -262,14 +263,13 @@ pub(super) fn run(cli: &Cli) -> Report {
     ];
     let mut h = Harness::new(cli, scenarios);
     let interwoven = h.stack("interwoven");
-    let layered = h.stack("layered");
     let (lost, delayed) = ipi_rows(&mc);
     let rows_data = vec![
         lost,
         delayed,
         alloc_row(&interwoven),
-        bit_flip_row(&mc, &layered),
-        virtine_row(&mc, &layered),
+        bit_flip_row(&mc),
+        virtine_row(&mc),
     ];
 
     let advantage = |r: &Row| r.layered as f64 / r.interwoven as f64;

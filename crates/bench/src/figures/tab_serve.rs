@@ -1,10 +1,10 @@
 //! TAB-SERVE — open-loop virtine serving under chaos.
 //!
 //! A serving plane pushes seeded open-loop arrivals (requests do not wait
-//! for completions, so queueing collapse is observable) through a sharded
-//! executor over a calibrated Wasp-pool model, and sweeps offered load
-//! across the saturation knee while a [`FaultConfig`] chaos plan scales
-//! with it. Robustness machinery under test:
+//! for completions, so queueing collapse is observable) through
+//! independent FIFO workers over a calibrated Wasp-pool model, and sweeps
+//! offered load across the saturation knee while a [`FaultConfig`] chaos
+//! plan scales with it. Robustness machinery under test:
 //!
 //! - admission control: per-worker queue-depth caps plus predicted-wait
 //!   deadline shedding — overload degrades into *accounted* shedding, the
@@ -21,9 +21,9 @@
 //!
 //! Every fault class keeps a ledger: `injected == recovered + shed +
 //! absorbed`, asserted per class. The whole sweep is driven by one fixed
-//! seed and the serving kernel is shard-invariant: two runs — and runs at
-//! any `--shards` count — are byte-identical, which `tests/goldens.rs`
-//! asserts for a second run and for `--shards 4`.
+//! seed, and the workers run on the host's cores but merge in worker
+//! order: two runs — on any host, at any thread count — are
+//! byte-identical, which `tests/goldens.rs` asserts for a second run.
 //!
 //! Knobs (golden runs pass none): `--offered-load <x>` serves a single
 //! load point at `x`× the calibrated saturation capacity instead of the
@@ -41,6 +41,7 @@ use crate::harness::{Cli, Harness, MetricsSeries, Report, Scenario};
 use crate::{f, s};
 use interweave_core::arrivals::ArrivalKind;
 use interweave_core::machine::MachineConfig;
+use interweave_core::par::host_threads;
 use interweave_core::stack::StackConfig;
 use interweave_core::time::Cycles;
 use interweave_core::{FaultClass, FaultConfig};
@@ -66,8 +67,8 @@ const BASE_KILL: f64 = 0.10;
 const BASE_DROP_KICK: f64 = 0.05;
 const BASE_CACHE_OOM: f64 = 0.05;
 
-/// Logical serving workers. Fixed — the report is identical at every
-/// `--shards` count, so this is a model parameter, not a thread count.
+/// Logical serving workers. Fixed — the report is identical at every host
+/// thread count, so this is a model parameter, not a thread count.
 const WORKERS: usize = 8;
 
 /// Tail bound the admission control must hold for admitted requests at
@@ -154,7 +155,7 @@ pub(super) fn run(cli: &Cli) -> Report {
         Scenario::new("layered", StackConfig::commodity(), mc.clone()),
     ];
     let mut h = Harness::new(cli, scenarios);
-    let shards = cli.shards;
+    let threads = host_threads();
 
     // Calibrate the service from one real isolated execution, then derive
     // the saturation capacity from the warm-path arithmetic the pool model
@@ -220,8 +221,8 @@ pub(super) fn run(cli: &Cli) -> Report {
     let mut knee: Option<(String, ServeReport)> = None;
     let mut metrics_series: Option<MetricsSeries> = None;
     for &load_x in &loads {
-        let iw = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 32, 2), shards);
-        let ly = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 0, 0), shards);
+        let iw = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 32, 2), threads);
+        let ly = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 0, 0), threads);
         if let Some(ts) = &iw.series {
             metrics_series = Some(MetricsSeries::from_series(ts));
         }
@@ -286,7 +287,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     if cli.offered_load.is_none() {
         let mut rows = Vec::new();
         for &kind in ArrivalKind::ALL.iter() {
-            let r = run_serve(&image, &args, &mc, &cfg_at(kind, 0.9, 32, 2), shards);
+            let r = run_serve(&image, &args, &mc, &cfg_at(kind, 0.9, 32, 2), threads);
             assert!(
                 r.accounts_balanced(),
                 "ledger must balance for {}",

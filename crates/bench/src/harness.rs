@@ -2,7 +2,7 @@
 //!
 //! Each experiment declares *what* it measures — a set of [`Scenario`]s
 //! naming a [`StackConfig`] on a machine preset — and the harness owns the
-//! rest: composing the stack through the facade's `StackBuilder` (so a
+//! rest: composing the stack through the facade's `compose` (so a
 //! figure cannot measure a composition that could not exist), the shared
 //! CLI contract (`--json <path>`, `--trace-out <path>`, ...), parallel
 //! sweeps over the composed stack, table rendering, and the
@@ -14,10 +14,11 @@
 //! optional trace and metrics documents and the headline the scoreboard
 //! shows. Nothing here prints or writes files; `figures::main` does.
 
-use crate::{parallel_map, table_text};
+use crate::table_text;
 use interweave::compose::ComposedStack;
 use interweave_core::arrivals::ArrivalKind;
 use interweave_core::machine::MachineConfig;
+use interweave_core::par::{host_threads, parallel_map};
 use interweave_core::stack::{OsPoint, StackConfig};
 use interweave_core::telemetry::{chrome_trace_json, CounterTrack, Layer, Span, TimeSeries};
 use interweave_core::time::Cycles;
@@ -25,19 +26,16 @@ use serde::Serialize;
 
 /// The command-line contract shared by every figure binary. Every flag
 /// takes one value (the usage text [`Cli::parse`] prints lists them);
-/// any other argument is rejected. `--shards` changes wall-clock only:
-/// the serving plane's results are bit-identical at every worker-thread
-/// count, which the golden check relies on. The golden runs pass no flags,
-/// so none affects pinned stdout.
-#[derive(Debug, Clone)]
+/// any other argument is rejected. The golden runs pass no flags, so none
+/// affects pinned stdout. How many host threads a run uses is not a flag:
+/// runs fan out on the host's cores, and their output is bit-identical at
+/// every thread count.
+#[derive(Debug, Clone, Default)]
 pub struct Cli {
     /// Path for the JSON results envelope, when requested.
     pub json: Option<String>,
     /// Path for the Perfetto trace export, when requested.
     pub trace_out: Option<String>,
-    /// Host threads the serving plane spreads its worker groups over
-    /// (`--shards <n>`, default 1).
-    pub shards: usize,
     /// Offered load override for serving binaries, as a multiple of the
     /// calibrated saturation capacity (`--offered-load <x>`, x > 0).
     pub offered_load: Option<f64>,
@@ -57,37 +55,21 @@ pub struct Cli {
     pub os: Option<OsPoint>,
 }
 
-impl Default for Cli {
-    fn default() -> Cli {
-        Cli {
-            json: None,
-            trace_out: None,
-            shards: 1,
-            offered_load: None,
-            duration_ms: None,
-            arrival: None,
-            metrics_out: None,
-            window_cycles: None,
-            os: None,
-        }
-    }
-}
-
 /// A rejected command line: which flag, and what it takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
     /// A value-taking flag was the last argument.
     MissingValue {
-        /// The flag, e.g. `--shards`.
+        /// The flag, e.g. `--window-cycles`.
         flag: &'static str,
-        /// What the flag takes, e.g. "a positive count".
+        /// What the flag takes, e.g. "a positive cycle count".
         expects: &'static str,
     },
     /// A flag's value did not parse or is out of range.
     InvalidValue {
-        /// The flag, e.g. `--shards`.
+        /// The flag, e.g. `--window-cycles`.
         flag: &'static str,
-        /// What the flag takes, e.g. "a positive count".
+        /// What the flag takes, e.g. "a positive cycle count".
         expects: &'static str,
         /// The value given.
         value: String,
@@ -117,7 +99,6 @@ const USAGE: &str = "\
 flags (all optional):
   --json <path>          write the JSON results envelope
   --trace-out <path>     write a Chrome/Perfetto trace
-  --shards <n>           serving-plane worker threads (n >= 1)
   --os <name>            nk | nautilus | aster | linux
   --offered-load <x>     serving load, multiple of saturation (x > 0)
   --duration-ms <ms>     serving-run duration (ms > 0)
@@ -126,10 +107,9 @@ flags (all optional):
   --window-cycles <n>    metrics window width in cycles (n >= 1)";
 
 /// Every flag [`Cli::from_args`] accepts, with what its one value must be.
-const FLAGS: [(&str, &str); 9] = [
+const FLAGS: [(&str, &str); 8] = [
     ("--json", "a path"),
     ("--trace-out", "a path"),
-    ("--shards", "a positive count"),
     ("--os", "nk, nautilus, aster, or linux"),
     ("--offered-load", "a positive number"),
     ("--duration-ms", "a positive number"),
@@ -139,8 +119,8 @@ const FLAGS: [(&str, &str); 9] = [
 ];
 
 /// `value` as a count of at least one.
-fn count<T: std::str::FromStr + PartialOrd + From<u8>>(value: &str) -> Option<T> {
-    value.parse().ok().filter(|n| *n >= T::from(1))
+fn count(value: &str) -> Option<u64> {
+    value.parse().ok().filter(|n| *n >= 1)
 }
 
 impl Cli {
@@ -191,7 +171,6 @@ impl Cli {
                 "--json" => cli.json = Some(value.clone()),
                 "--trace-out" => cli.trace_out = Some(value.clone()),
                 "--metrics-out" => cli.metrics_out = Some(value.clone()),
-                "--shards" => cli.shards = count(&value).ok_or_else(bad)?,
                 "--window-cycles" => cli.window_cycles = Some(count(&value).ok_or_else(bad)?),
                 "--offered-load" => cli.offered_load = Some(number()?),
                 "--duration-ms" => cli.duration_ms = Some(number()?),
@@ -244,7 +223,7 @@ impl Scenario {
         F: Fn(&ComposedStack, T) -> R + Sync,
     {
         let stack = self.compose();
-        parallel_map(items, |item| f(&stack, item))
+        parallel_map(items, host_threads(), |item| f(&stack, item))
     }
 }
 
@@ -355,7 +334,7 @@ impl Harness {
 
     /// When `--metrics-out` was passed, render the windowed series as
     /// JSON. The document is a pure function of the simulated run, so CI
-    /// can byte-compare it across shard counts and repeated runs.
+    /// can byte-compare it across hosts and repeated runs.
     pub fn metrics(&mut self, series: &MetricsSeries) {
         if self.cli.metrics_out.is_some() {
             self.metrics =
@@ -529,36 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn cli_shards_defaults_to_one_and_parses() {
-        assert_eq!(parse(&["bin"]).shards, 1);
-        assert_eq!(Cli::default().shards, 1);
-        let cli = parse(&["bin", "--shards", "4", "--json", "r.json"]);
-        assert_eq!(cli.shards, 4);
-        assert_eq!(cli.json.as_deref(), Some("r.json"));
-    }
-
-    #[test]
-    fn cli_rejects_zero_shards() {
-        assert_eq!(
-            Cli::from_args(args(&["bin", "--shards", "0"])).unwrap_err(),
-            CliError::InvalidValue {
-                flag: "--shards",
-                expects: "a positive count",
-                value: "0".into(),
-            }
-        );
-        assert_eq!(
-            reject(&["bin", "--shards", "0"]),
-            "--shards takes a positive count, got \"0\""
-        );
-    }
-
-    #[test]
     fn cli_rejects_each_flag_missing_its_value_under_its_own_name() {
         for (flag, expects) in [
             ("--json", "a path"),
             ("--trace-out", "a path"),
-            ("--shards", "a positive count"),
             ("--offered-load", "a positive number"),
             ("--duration-ms", "a positive number"),
             ("--arrival", "poisson, bursty, or diurnal"),

@@ -32,62 +32,6 @@ pub mod figures;
 pub mod harness;
 
 use std::fmt::Display;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Run `f` over `items` on a bounded pool of scoped worker threads,
-/// preserving input order in the output.
-///
-/// The pool is capped at [`std::thread::available_parallelism`] (and at the
-/// item count), and workers pull work items from a shared index — so a
-/// 200-point sweep occupies exactly the host's cores instead of spawning
-/// 200 threads and oversubscribing the scheduler. The simulators are
-/// deterministic and independent per run, so fan-out changes nothing but
-/// wall-clock time.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    // Items are taken by index; results land in their input slot, so the
-    // output order is the input order regardless of completion order.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("item slot")
-                    .take()
-                    .expect("each index is claimed once");
-                let r = f(item);
-                *results[i].lock().expect("result slot") = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot").expect("worker filled"))
-        .collect()
-}
 
 /// A boxed table as text: a blank line, the `== title ==` banner, then
 /// the aligned header and rows, one per line.
@@ -154,18 +98,6 @@ pub fn s(v: impl Display) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_input_order() {
-        let out = parallel_map((0..500u64).collect(), |x| x * 3);
-        assert_eq!(out, (0..500u64).map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        assert_eq!(parallel_map(Vec::<u64>::new(), |x| x), Vec::<u64>::new());
-        assert_eq!(parallel_map(vec![7u64], |x| x + 1), vec![8]);
-    }
 
     #[test]
     fn render_table_aligns_header_sized_rows() {

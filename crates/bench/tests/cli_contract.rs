@@ -27,14 +27,17 @@ fn assert_rejected(out: &Output, message: &str) {
 
 #[test]
 fn a_flag_missing_its_value_exits_2_with_that_flags_message() {
-    let out = run(env!("CARGO_BIN_EXE_tab_serve"), &["--shards"]);
-    assert_rejected(&out, "error: --shards takes a positive count");
+    let out = run(env!("CARGO_BIN_EXE_tab_serve"), &["--window-cycles"]);
+    assert_rejected(&out, "error: --window-cycles takes a positive cycle count");
 }
 
 #[test]
 fn an_invalid_flag_value_exits_2_with_the_value_named() {
-    let out = run(env!("CARGO_BIN_EXE_fig7_coherence"), &["--shards", "0"]);
-    assert_rejected(&out, "error: --shards takes a positive count, got \"0\"");
+    let out = run(env!("CARGO_BIN_EXE_tab_serve"), &["--window-cycles", "0"]);
+    assert_rejected(
+        &out,
+        "error: --window-cycles takes a positive cycle count, got \"0\"",
+    );
 }
 
 #[test]
@@ -49,6 +52,15 @@ fn an_unknown_flag_exits_2_instead_of_being_ignored() {
     assert_rejected(&out, "error: unknown flag \"--bogus\"");
     let out = run(env!("CARGO_BIN_EXE_fig7_coherence"), &["--shard", "4"]);
     assert_rejected(&out, "error: unknown flag \"--shard\"");
+    // Host threads are sized from the host, not by a flag: not even the
+    // serving figure or the scoreboard accepts `--shards`.
+    for bin in [
+        env!("CARGO_BIN_EXE_tab_serve"),
+        env!("CARGO_BIN_EXE_summary"),
+    ] {
+        let out = run(bin, &["--shards", "4"]);
+        assert_rejected(&out, "error: unknown flag \"--shards\"");
+    }
 }
 
 #[test]
@@ -224,12 +236,6 @@ fn a_flag_the_figure_does_not_read_exits_2_naming_it() {
             "--os",
         ),
         (
-            "fig7_coherence",
-            env!("CARGO_BIN_EXE_fig7_coherence"),
-            &["--shards", "4"],
-            "--shards",
-        ),
-        (
             "summary",
             env!("CARGO_BIN_EXE_summary"),
             &["--os", "linux"],
@@ -249,40 +255,6 @@ fn a_flag_the_figure_reads_is_accepted() {
     let out = run(env!("CARGO_BIN_EXE_fig3_heartbeat"), &["--os", "linux"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-}
-
-#[test]
-fn summary_records_shards_only_for_the_figures_that_read_them() {
-    let root = scratch_dir("summary-shards");
-    let path = root.join("summary.json");
-    let out = run(
-        env!("CARGO_BIN_EXE_summary"),
-        &[
-            "--shards",
-            "4",
-            "--json",
-            path.to_str().expect("utf-8 temp path"),
-        ],
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::fs::read_to_string(&path).expect("summary written");
-    std::fs::remove_dir_all(&root).expect("remove scratch dir");
-    let doc = serde::json::parse(&json).expect("valid summary");
-    let Some(serde::json::JsonValue::Arr(experiments)) = doc.get("experiments") else {
-        panic!("summary must carry an experiments array");
-    };
-    for exp in experiments {
-        let figure = exp.get("figure").and_then(|v| v.as_str()).expect("figure");
-        let want = if figure == "tab_serve" { "4" } else { "1" };
-        match exp.get("shards") {
-            Some(serde::json::JsonValue::Num(n)) => assert_eq!(n, want, "{figure}"),
-            other => panic!("{figure}: shards must be a number, got {other:?}"),
-        }
-    }
 }
 
 #[test]

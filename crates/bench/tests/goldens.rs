@@ -2,7 +2,7 @@
 //! flags, must render exactly its committed `golden/<name>.stdout`, and the
 //! scoreboard rendered from those same reports must match
 //! `golden/summary.stdout`. The determinism properties are assertions
-//! here too: shard invariance, seeded replay, and a replayable trace.
+//! here too: seeded replay and a replayable trace.
 //!
 //! On drift the failure names the first differing line and writes the
 //! fresh text under `CARGO_TARGET_TMPDIR`, so `diff -u` shows the whole
@@ -107,10 +107,9 @@ fn every_binary_runs_a_registered_figure() {
     }
 }
 
-/// `tab_serve` asked for its `--metrics-out` document at `shards`.
-fn serve_metrics(shards: usize) -> Report {
+/// `tab_serve` asked for its `--metrics-out` document.
+fn serve_metrics() -> Report {
     let cli = Cli {
-        shards,
         metrics_out: Some("metrics.json".into()),
         ..Cli::default()
     };
@@ -120,33 +119,6 @@ fn serve_metrics(shards: usize) -> Report {
         "--metrics-out must produce a document"
     );
     report
-}
-
-/// The unsharded `--metrics-out` run, once per test binary.
-fn serve_metrics_once() -> &'static Report {
-    static REPORT: OnceLock<Report> = OnceLock::new();
-    REPORT.get_or_init(|| serve_metrics(1))
-}
-
-/// Worker threads must not change a byte: at `--shards 4` `tab_serve`
-/// renders the one-thread text, which the first test pins to the golden,
-/// and its windowed metrics document is unchanged.
-#[test]
-fn four_shards_render_the_golden_text() {
-    let cli = Cli {
-        shards: 4,
-        ..Cli::default()
-    };
-    assert_same_text(
-        "tab_serve",
-        default_report("tab_serve"),
-        &run("tab_serve", cli),
-    );
-    let four = serve_metrics(4);
-    assert!(
-        serve_metrics_once().metrics == four.metrics,
-        "tab_serve: --metrics-out differs at 4 shards"
-    );
 }
 
 /// The seeded campaigns (injection sites, chaos, backoff jitter) replay
@@ -159,9 +131,8 @@ fn seeded_campaigns_replay_identically() {
         assert_same_text(name, first, &second);
         assert!(first.json == second.json, "{name}: --json rows differ");
     }
-    let again = serve_metrics(1);
     assert!(
-        serve_metrics_once().metrics == again.metrics,
+        serve_metrics().metrics == serve_metrics().metrics,
         "tab_serve: --metrics-out differs on replay"
     );
 }

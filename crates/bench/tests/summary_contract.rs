@@ -42,7 +42,7 @@ fn summary_file(entries: Vec<ExperimentSummary>) -> Vec<JsonValue> {
 }
 
 /// One entry per stack in [`stacks`], each a harness report whose
-/// headline measures that stack, with shard count `i + 1`.
+/// headline measures that stack.
 fn scoreboard() -> Vec<JsonValue> {
     let entries = stacks()
         .into_iter()
@@ -51,7 +51,7 @@ fn scoreboard() -> Vec<JsonValue> {
             let mc = MachineConfig::xeon_server_2s();
             let h = Harness::new(&Cli::default(), vec![Scenario::new("s", stack, mc)]);
             let report = h.finish(&vec![i], "s", "1.0x".into());
-            ExperimentSummary::new(&FIGURES[i], &report, 0.25, i + 1)
+            ExperimentSummary::new(&FIGURES[i], &report, 0.25)
         })
         .collect();
     summary_file(entries)
@@ -60,7 +60,7 @@ fn scoreboard() -> Vec<JsonValue> {
 /// The rows `name`'s default run embeds in its summary entry.
 fn embedded_rows(name: &str) -> JsonValue {
     let f = figure(name);
-    let entry = ExperimentSummary::new(f, &(f.run)(&Cli::default()), 0.0, 1);
+    let entry = ExperimentSummary::new(f, &(f.run)(&Cli::default()), 0.0);
     let envelope = summary_file(vec![entry])[0].get("rows").cloned();
     let envelope = envelope.expect("every entry embeds its --json envelope");
     assert!(envelope.get("scenarios").is_some());
@@ -101,7 +101,6 @@ fn summary_file_keeps_its_bookkeeping_fields() {
         "os",
         "measured",
         "wall_ms",
-        "shards",
         "rows",
     ] {
         assert!(exp.get(field).is_some(), "missing field {field}");
@@ -138,14 +137,6 @@ fn primitive_table_round_trips_all_three_os_columns() {
         assert_eq!(num(row, "linux_cycles"), want.costs[0].get());
         assert_eq!(num(row, "aster_cycles"), want.costs[1].get());
         assert_eq!(num(row, "nautilus_cycles"), want.costs[2].get());
-    }
-}
-
-#[test]
-fn shard_counts_round_trip_through_the_summary_file() {
-    // Each record reports the shard count its figure ran with.
-    for (i, exp) in scoreboard().iter().enumerate() {
-        assert_eq!(num(exp, "shards"), i as u64 + 1);
     }
 }
 

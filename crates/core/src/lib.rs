@@ -14,7 +14,7 @@
 //!
 //! - [`time`]: cycle-granularity simulated time and frequency conversion.
 //! - [`event`]: a deterministic discrete-event queue, generic over the event
-//!   payload, used by every simulator in the workspace.
+//!   payload, driving the kernel's preemptive executor.
 //! - [`machine`]: machine topology ([`machine::MachineConfig`]) and the cost
 //!   model ([`machine::CostModel`]) with presets for the platforms the paper
 //!   evaluates on (Xeon Phi KNL, dual-socket x64 server, 8-socket 192-core).
@@ -40,6 +40,9 @@
 //!   [`telemetry::TimeSeries`] roll-ups over simulated cycles, mergeable
 //!   bit-identically across the serving plane's worker groups, and the
 //!   bounded [`telemetry::FlightRecorder`] blackbox.
+//! - [`par`]: the one host-thread pool ([`par::parallel_map`], capped by
+//!   the caller, input-ordered) that figure sweeps and the serving plane's
+//!   independent workers fan out on.
 
 #![warn(missing_docs)]
 
@@ -49,6 +52,7 @@ pub mod event;
 pub mod faults;
 pub mod interrupt;
 pub mod machine;
+pub mod par;
 pub mod rng;
 pub mod stack;
 pub mod stats;

@@ -241,8 +241,7 @@ impl StackConfig {
     /// Every point in the design space: the cartesian product of all five
     /// axes (2 × 3 × 3 × 2 × 5 = 180 compositions), in a fixed
     /// lexicographic order. Not every point is a *coherent* stack — the
-    /// facade's `StackBuilder` validates and rejects the incoherent ones
-    /// with typed errors.
+    /// facade's `compose` rejects the incoherent ones with typed errors.
     pub fn enumerate() -> impl Iterator<Item = StackConfig> {
         TimingSource::ALL.into_iter().flat_map(|timing| {
             OsPoint::ALL.into_iter().flat_map(move |os| {

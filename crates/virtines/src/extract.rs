@@ -22,29 +22,6 @@ pub struct VirtineImage {
     pub module: Module,
 }
 
-impl VirtineImage {
-    /// Serialize the image in the IR text format (shippable artifact: the
-    /// host can store/attest images as text and rehydrate at launch).
-    pub fn to_text(&self) -> String {
-        format!(
-            "; virtine image: {}\n{}",
-            self.name,
-            interweave_ir::text::print_module(&self.module)
-        )
-    }
-
-    /// Rehydrate an image from its text form.
-    pub fn from_text(src: &str) -> Result<VirtineImage, interweave_ir::text::ParseError> {
-        let module = interweave_ir::text::parse_module(src)?;
-        let name = module
-            .funcs
-            .first()
-            .map(|f| f.name.clone())
-            .unwrap_or_default();
-        Ok(VirtineImage { name, module })
-    }
-}
-
 /// Extract every `virtine`-annotated function in `m` into its own image.
 pub fn extract_virtines(m: &Module) -> Vec<VirtineImage> {
     m.virtine_funcs()
@@ -192,23 +169,6 @@ mod tests {
             }
         }
         assert_eq!(self_calls, 2);
-    }
-
-    #[test]
-    fn images_round_trip_through_text() {
-        let m = host_module();
-        let img = &extract_virtines(&m)[0];
-        let text = img.to_text();
-        let back = VirtineImage::from_text(&text).expect("parses");
-        assert_eq!(back.module, img.module);
-        assert_eq!(back.name, img.name);
-        // The rehydrated image still executes.
-        let mut it = Interp::new(InterpConfig::default());
-        it.start(&back.module, FuncId(0), &[Val::I(8)]);
-        assert_eq!(
-            it.run_to_completion(&back.module, &mut NullHooks),
-            Some(Val::I(21))
-        );
     }
 
     #[test]

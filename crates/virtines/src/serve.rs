@@ -18,7 +18,7 @@
 //!   backoff + deterministic jitter ([`RetryPolicy`]) on top of the
 //!   snapshot-restart recovery `Wasp` performs; exhaustion surfaces as the
 //!   typed [`ServeError::RetriesExhausted`] instead of looping.
-//! - [`run_serve`]: the sharded open-loop server. A global arrival stream
+//! - [`run_serve`]: the open-loop server. A global arrival stream
 //!   ([`ArrivalGen`]) is dealt round-robin to a fixed set of logical
 //!   workers; each worker is an independent FIFO queue with admission
 //!   control (queue-depth cap + predicted-wait deadline shedding) over its
@@ -27,13 +27,13 @@
 //!   ([`WatchdogPolicy::next_scan_after`]) — the executor's actual
 //!   recovery schedule, not a copy of it.
 //!
-//! **Determinism and shard invariance.** Every worker's simulation is a
+//! **Determinism and thread invariance.** Every worker's simulation is a
 //! pure function of `(profile, config, worker index, its arrival slice)`:
 //! per-worker RNG streams are derived from the config seed and the worker
-//! index, never from execution order. `--shards` only chooses how worker
-//! simulations are grouped onto host threads; reports are merged in worker
-//! index order regardless, so the result is bit-identical at every shard
-//! count — the property the CI gate byte-compares.
+//! index, never from execution order. The workers run on the shared host
+//! pool ([`parallel_map`]) and their reports are merged in worker index
+//! order, so the result is bit-identical at every thread count — the
+//! property the CI gate's pinned hash checks across hosts.
 //!
 //! **Fault accounting.** Every injected fault must land somewhere. Per
 //! class, the invariant `injected == recovered + shed + absorbed` holds
@@ -50,6 +50,7 @@ use crate::extract::VirtineImage;
 use crate::wasp::{snapshot_restore, startup, LaunchPath};
 use interweave_core::arrivals::{ArrivalGen, ArrivalKind};
 use interweave_core::machine::MachineConfig;
+use interweave_core::par::parallel_map;
 use interweave_core::rng::SplitMix64;
 use interweave_core::stats::Sketch;
 use interweave_core::telemetry::{FlightRecorder, TimeSeries};
@@ -418,7 +419,8 @@ pub struct ServeConfig {
     pub duration_us: f64,
     /// Seed for arrivals and all per-worker streams.
     pub seed: u64,
-    /// Logical workers (fixed — shard-count independent).
+    /// Logical workers: a model parameter, independent of how many host
+    /// threads run them.
     pub workers: usize,
     /// Admission cap on per-worker in-flight requests (incl. in service).
     pub queue_cap: usize,
@@ -444,7 +446,7 @@ pub struct ServeConfig {
 }
 
 /// The merged result of a serving run. `PartialEq` holds bit-exactly, so
-/// shard-invariance and double-run determinism are testable as `==`.
+/// thread invariance and double-run determinism are testable as `==`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Requests the arrival process offered.
@@ -467,7 +469,7 @@ pub struct ServeReport {
     /// Windowed trajectories (offered/completed/shed counters, queue-depth
     /// gauge, latency sketch per window), present under
     /// [`MetricsPolicy::Windowed`]. Merged window-by-window in canonical
-    /// worker order, so it is bit-identical at every shard count.
+    /// worker order, so it is bit-identical at every thread count.
     pub series: Option<TimeSeries>,
     /// Per-class fault ledger, in [`FaultClass::ALL`] order.
     pub faults: Vec<FaultAccount>,
@@ -556,7 +558,7 @@ impl ServeReport {
 
 /// Decorrelation salt for per-worker streams: worker `w`'s fault and
 /// backoff seeds are derived from the config seed and `w`, never from
-/// execution order — the heart of the shard-invariance argument.
+/// execution order — the heart of the thread-invariance argument.
 fn worker_salt(w: usize) -> u64 {
     (w as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)
 }
@@ -703,15 +705,15 @@ fn simulate_worker(
 
 /// Run the open-loop serving simulation: calibrate the service profile
 /// with one real execution, deal the global arrival stream round-robin to
-/// `cfg.workers` independent FIFO workers, simulate them on `shards` host
-/// threads (contiguous worker groups), and merge reports in worker index
-/// order — bit-identical at every `shards` value.
+/// `cfg.workers` independent FIFO workers, simulate them on at most
+/// `threads` host threads, and merge reports in worker index order —
+/// bit-identical at every `threads` value (1 runs inline).
 pub fn run_serve(
     image: &VirtineImage,
     args: &[Val],
     mc: &MachineConfig,
     cfg: &ServeConfig,
-    shards: usize,
+    threads: usize,
 ) -> ServeReport {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(cfg.queue_cap >= 1, "queue cap must admit at least one");
@@ -730,31 +732,13 @@ pub fn run_serve(
         slices[i % cfg.workers].push(t);
     }
 
-    let shards = shards.clamp(1, cfg.workers);
-    let group_of = |w: usize| w * shards / cfg.workers;
-    let mut reports: Vec<Option<ServeReport>> = vec![None; cfg.workers];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..shards)
-            .map(|g| {
-                let slices = &slices;
-                s.spawn(move || {
-                    (0..cfg.workers)
-                        .filter(|&w| group_of(w) == g)
-                        .map(|w| (w, simulate_worker(w, &slices[w], profile, mc, cfg)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            for (w, rep) in h.join().expect("worker group panicked") {
-                reports[w] = Some(rep);
-            }
-        }
+    let reports = parallel_map((0..cfg.workers).collect(), threads, |w| {
+        simulate_worker(w, &slices[w], profile, mc, cfg)
     });
 
     let mut merged = ServeReport::empty(cfg.metrics);
-    for rep in reports.into_iter().flatten() {
-        merged.absorb(&rep);
+    for rep in &reports {
+        merged.absorb(rep);
     }
     assert!(
         merged.accounts_balanced(),
@@ -1023,8 +1007,8 @@ mod tests {
         let one = run_serve(&image, &args, &mc, &cfg, 1);
         let three = run_serve(&image, &args, &mc, &cfg, 3);
         let six = run_serve(&image, &args, &mc, &cfg, 6);
-        assert_eq!(one, three, "1 vs 3 shards must be bit-identical");
-        assert_eq!(one, six, "1 vs 6 shards must be bit-identical");
+        assert_eq!(one, three, "1 vs 3 threads must be bit-identical");
+        assert_eq!(one, six, "1 vs 6 threads must be bit-identical");
         let again = run_serve(&image, &args, &mc, &cfg, 1);
         assert_eq!(one, again, "double run must be bit-identical");
         assert!(one.offered > 500, "the run must carry real load");
@@ -1096,7 +1080,7 @@ mod tests {
         cfg.blackbox = 32;
         let one = run_serve(&image, &args, &mc, &cfg, 1);
         let six = run_serve(&image, &args, &mc, &cfg, 6);
-        assert_eq!(one, six, "windowed report must be shard-invariant");
+        assert_eq!(one, six, "windowed report must be thread-invariant");
         let series = one.series.as_ref().expect("windowed policy fills series");
         assert!(series.len() > 3, "the run must span several windows");
         let sum = |name: &str| -> u64 { series.iter().map(|(_, w)| w.counter(name)).sum() };

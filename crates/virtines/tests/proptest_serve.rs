@@ -1,5 +1,5 @@
 //! Property tests for the serving plane: for arbitrary load, chaos rates,
-//! arrival shapes, and topology, a serving run is shard-invariant and
+//! arrival shapes, and topology, a serving run is thread-invariant and
 //! deterministic, its fault ledger balances, and its request conservation
 //! holds (offered == completed + shed).
 
@@ -61,14 +61,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any configuration — with or without windowed metrics — yields a report that is bit-identical
-    /// across shard counts and across repeated runs, conserves requests,
+    /// across host thread counts and across repeated runs, conserves requests,
     /// and keeps every fault class's ledger balanced.
     #[test]
     fn serve_is_shard_invariant_conserving_and_balanced(
         arrival_sel in 0usize..3,
         gap_sel in 0usize..3,
         workers in 1usize..7,
-        shards in 1usize..5,
+        threads in 1usize..5,
         kill_sel in 0usize..3,
         metrics_sel in 0usize..2,
         seed in 0u64..1_000,
@@ -90,8 +90,8 @@ proptest! {
         let c = cfg(arrival, mean_gap_us, seed, workers, (kill, 0.04, 0.04), budget, metrics);
 
         let base = run_serve(&image, &args, &mc, &c, 1);
-        let sharded = run_serve(&image, &args, &mc, &c, shards);
-        prop_assert_eq!(&base, &sharded, "shard count changed the report");
+        let threaded = run_serve(&image, &args, &mc, &c, threads);
+        prop_assert_eq!(&base, &threaded, "thread count changed the report");
         let again = run_serve(&image, &args, &mc, &c, 1);
         prop_assert_eq!(&base, &again, "double run diverged");
 

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use interweave::carat;
-use interweave::compose::{compose, StackBuilder};
+use interweave::compose::compose;
 use interweave::core::machine::MachineConfig;
 use interweave::core::stack::{OsPoint, StackConfig, Translation};
 use interweave::core::Cycles;
@@ -20,8 +20,8 @@ use interweave::ir::programs;
 use interweave::kernel::threads::SwitchKind;
 
 fn main() {
-    // 1. The design space: the paper's interweaving axes as data, and the
-    // builder that turns a point in that space into a composed stack.
+    // 1. The design space: the paper's interweaving axes as data, and
+    // `compose`, which turns a point in that space into a composed stack.
     let commodity = StackConfig::commodity();
     let interwoven = StackConfig::interwoven();
     println!("commodity stack:  {commodity}");
@@ -32,9 +32,8 @@ fn main() {
         interwoven.interweaving_degree()
     );
     let machine = MachineConfig::xeon_server_2s();
-    let stack = StackBuilder::new(interwoven, machine.clone())
-        .build()
-        .expect("the interwoven preset is a coherent stack");
+    let stack =
+        compose(interwoven, machine.clone()).expect("the interwoven preset is a coherent stack");
     println!(
         "composed: os={}, translation={}, delivery={:?}",
         stack.os.name(),
@@ -43,8 +42,7 @@ fn main() {
     );
     // The OS axis has a mid-point: the Aster-like framekernel composes
     // like any other stack point.
-    let fk = StackBuilder::new(StackConfig::framekernel(), machine.clone())
-        .build()
+    let fk = compose(StackConfig::framekernel(), machine.clone())
         .expect("the framekernel preset is a coherent stack");
     println!("framekernel:      os={}", fk.os.name());
     // Incoherent combinations come back as typed errors, not panics:

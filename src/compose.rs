@@ -2,13 +2,13 @@
 //!
 //! The paper's Figure 1 thesis is that the *composition of the stack* is
 //! the experimental variable. [`StackConfig`] names the five axes; this
-//! module makes each named point buildable: [`StackBuilder`] takes a
+//! module makes each named point buildable: [`compose`] takes a
 //! configuration plus a [`MachineConfig`] preset and materializes the
-//! actual composed objects — the OS personality ([`OsModel`]), the
-//! interrupt [`DeliveryMode`], the translation regime (paging model,
-//! identity mapping, or the CARAT guard pipeline), the coherence policy,
-//! and the isolation launch path — after rejecting incoherent axis
-//! combinations with a typed [`ComposeError`].
+//! composed objects its callers read — the OS personality ([`OsModel`]),
+//! the interrupt [`DeliveryMode`], the translation regime (paging model,
+//! identity mapping, or CARAT's guard runtime) and the coherence policy —
+//! after rejecting incoherent axis combinations with a typed
+//! [`ComposeError`].
 //!
 //! Every harness-run experiment routes its stack selection through here,
 //! so a figure binary cannot measure a composition that could not exist:
@@ -17,7 +17,7 @@
 //! scenarios instead of hand-rolled per-binary machine setup.
 //!
 //! ```
-//! use interweave::compose::{compose, ComposeError, StackBuilder};
+//! use interweave::compose::{compose, ComposeError};
 //! use interweave::prelude::*;
 //!
 //! // The fully interwoven stack builds...
@@ -31,9 +31,7 @@
 //! // ...while CARAT translation on the commodity kernel is rejected.
 //! let mut broken = StackConfig::commodity();
 //! broken.translation = interweave::core::stack::Translation::Carat;
-//! let err = StackBuilder::new(broken, MachineConfig::xeon_server_2s())
-//!     .build()
-//!     .unwrap_err();
+//! let err = compose(broken, MachineConfig::xeon_server_2s()).unwrap_err();
 //! assert_eq!(err, ComposeError::CaratOnCommodityKernel);
 //! ```
 
@@ -44,13 +42,9 @@ use interweave_core::machine::MachineConfig;
 use interweave_core::stack::{
     CoherencePolicy, Isolation, OsPoint, StackConfig, TimingSource, Translation,
 };
-use interweave_ir::passes::PassStats;
-use interweave_ir::Module;
 use interweave_kernel::os::{model_for, OsModel};
 use interweave_kernel::paging::PagingModel;
 use interweave_omp::OmpMode;
-use interweave_virtines::bespoke::BespokeSpec;
-use interweave_virtines::wasp::LaunchPath;
 use std::fmt;
 
 /// An incoherent axis combination, rejected at composition time.
@@ -155,9 +149,8 @@ pub enum TranslationSetup {
     /// Raw identity mapping with the largest page size: translation is
     /// free and unprotected (§III).
     Identity,
-    /// CARAT: the compiler guard pipeline plus the tracking runtime's cost
-    /// table. Call [`TranslationSetup::instrument`] to run the pipeline on
-    /// a module before admitting it.
+    /// CARAT: compiler guards (`interweave_carat::instrument`) priced by
+    /// the tracking runtime's cost table.
     Carat {
         /// Per-call costs of the tracking runtime.
         costs: GuardCosts,
@@ -173,22 +166,10 @@ impl TranslationSetup {
             TranslationSetup::Carat { .. } => "carat",
         }
     }
-
-    /// Apply this regime's compile-time component to a module: the CARAT
-    /// guard pipeline, optimizer passes included, instruments it
-    /// (returning per-pass statistics);
-    /// paging and identity mapping need no compiler work and return an
-    /// empty pass list.
-    pub fn instrument(&self, m: &mut Module) -> Vec<(String, PassStats)> {
-        match self {
-            TranslationSetup::Carat { .. } => interweave_carat::instrument(m, true),
-            TranslationSetup::Paging(_) | TranslationSetup::Identity => Vec::new(),
-        }
-    }
 }
 
-/// One runtime composition: every object a `StackConfig` names, built and
-/// ready to price an experiment.
+/// One runtime composition: the objects a `StackConfig` names that
+/// experiments price against, built and ready.
 pub struct ComposedStack {
     /// The configuration this stack was built from.
     pub config: StackConfig,
@@ -201,10 +182,6 @@ pub struct ComposedStack {
     pub translation: TranslationSetup,
     /// The coherence policy, in the protocol simulator's terms.
     pub coherence: CohMode,
-    /// The isolation launch path, in the virtine pool's terms. `Virtine`
-    /// composes to the snapshot path (the steady-state serving mechanism);
-    /// `Bespoke` to a minimal synthesized context.
-    pub isolation: LaunchPath,
 }
 
 impl fmt::Debug for ComposedStack {
@@ -215,7 +192,6 @@ impl fmt::Debug for ComposedStack {
             .field("delivery", &self.delivery)
             .field("translation", &self.translation.name())
             .field("coherence", &self.coherence)
-            .field("isolation", &self.isolation.name())
             .finish()
     }
 }
@@ -249,82 +225,48 @@ impl ComposedStack {
     }
 }
 
-/// Builds a [`ComposedStack`] from a configuration and a machine preset.
-#[derive(Debug, Clone)]
-pub struct StackBuilder {
-    config: StackConfig,
-    machine: MachineConfig,
-}
-
-impl StackBuilder {
-    /// A builder for `config` on `machine`.
-    pub fn new(config: StackConfig, machine: MachineConfig) -> StackBuilder {
-        StackBuilder { config, machine }
-    }
-
-    /// Check the configuration against the machine without building
-    /// anything. Rules are checked in a fixed order (translation,
-    /// coherence, isolation, delivery) so rejections are deterministic.
-    pub fn validate(&self) -> Result<(), ComposeError> {
-        let c = &self.config;
-        if c.os == OsPoint::AsterLike && c.translation != Translation::Paging {
-            return Err(ComposeError::FramekernelRequiresPaging);
-        }
-        if c.translation == Translation::Carat && c.os == OsPoint::LinuxLike {
-            return Err(ComposeError::CaratOnCommodityKernel);
-        }
-        if c.translation == Translation::Identity && c.os == OsPoint::LinuxLike {
-            return Err(ComposeError::IdentityOnCommodityKernel);
-        }
-        if c.coherence == CoherencePolicy::Selective && c.timing != TimingSource::CompilerInjected {
-            return Err(ComposeError::SelectiveCoherenceWithoutCompilerToolchain);
-        }
-        if c.isolation == Isolation::Bespoke && c.timing != TimingSource::CompilerInjected {
-            return Err(ComposeError::BespokeWithoutCompilerToolchain);
-        }
-        if self.machine.delivery == DeliveryMode::PipelineBranch && c.os != OsPoint::NkLike {
-            return Err(ComposeError::PipelineDeliveryRequiresNkKernel);
-        }
-        Ok(())
-    }
-
-    /// Materialize the composition, or return the first broken rule.
-    pub fn build(self) -> Result<ComposedStack, ComposeError> {
-        self.validate()?;
-        let StackBuilder { config, machine } = self;
-        let os: Box<dyn OsModel> = model_for(config.os, machine.clone());
-        let translation = match config.translation {
-            Translation::Paging => TranslationSetup::Paging(PagingModel::new(&machine.cost)),
-            Translation::Identity => TranslationSetup::Identity,
-            Translation::Carat => TranslationSetup::Carat {
-                costs: GuardCosts::default(),
-            },
-        };
-        let coherence = match config.coherence {
-            CoherencePolicy::FullMesi => CohMode::Full,
-            CoherencePolicy::Selective => CohMode::Selective,
-        };
-        let isolation = match config.isolation {
-            Isolation::Process => LaunchPath::Process,
-            Isolation::Container => LaunchPath::Container,
-            Isolation::FullVm => LaunchPath::FullVm,
-            Isolation::Virtine => LaunchPath::VirtineSnapshot,
-            Isolation::Bespoke => LaunchPath::Bespoke(BespokeSpec::minimal()),
-        };
-        Ok(ComposedStack {
-            config,
-            delivery: machine.delivery,
-            os,
-            translation,
-            coherence,
-            isolation,
-        })
-    }
-}
-
-/// Compose `config` on `machine` with default builder knobs.
+/// Compose `config` on `machine`: materialize the composition, or return
+/// the first broken rule. Rules are checked in a fixed order (framekernel
+/// premise, translation, coherence, isolation, delivery) so rejections
+/// are deterministic.
 pub fn compose(config: StackConfig, machine: MachineConfig) -> Result<ComposedStack, ComposeError> {
-    StackBuilder::new(config, machine).build()
+    let c = &config;
+    if c.os == OsPoint::AsterLike && c.translation != Translation::Paging {
+        return Err(ComposeError::FramekernelRequiresPaging);
+    }
+    if c.translation == Translation::Carat && c.os == OsPoint::LinuxLike {
+        return Err(ComposeError::CaratOnCommodityKernel);
+    }
+    if c.translation == Translation::Identity && c.os == OsPoint::LinuxLike {
+        return Err(ComposeError::IdentityOnCommodityKernel);
+    }
+    if c.coherence == CoherencePolicy::Selective && c.timing != TimingSource::CompilerInjected {
+        return Err(ComposeError::SelectiveCoherenceWithoutCompilerToolchain);
+    }
+    if c.isolation == Isolation::Bespoke && c.timing != TimingSource::CompilerInjected {
+        return Err(ComposeError::BespokeWithoutCompilerToolchain);
+    }
+    if machine.delivery == DeliveryMode::PipelineBranch && c.os != OsPoint::NkLike {
+        return Err(ComposeError::PipelineDeliveryRequiresNkKernel);
+    }
+    let translation = match config.translation {
+        Translation::Paging => TranslationSetup::Paging(PagingModel::new(&machine.cost)),
+        Translation::Identity => TranslationSetup::Identity,
+        Translation::Carat => TranslationSetup::Carat {
+            costs: GuardCosts::default(),
+        },
+    };
+    let coherence = match config.coherence {
+        CoherencePolicy::FullMesi => CohMode::Full,
+        CoherencePolicy::Selective => CohMode::Selective,
+    };
+    Ok(ComposedStack {
+        config,
+        delivery: machine.delivery,
+        os: model_for(config.os, machine),
+        translation,
+        coherence,
+    })
 }
 
 #[cfg(test)]
@@ -357,7 +299,6 @@ mod tests {
         assert_eq!(c.os.name(), "Linux");
         assert!(matches!(c.translation, TranslationSetup::Paging(_)));
         assert_eq!(c.coherence, CohMode::Full);
-        assert_eq!(c.isolation, LaunchPath::Process);
         assert_eq!(c.omp_mode(), Some(OmpMode::LinuxUser));
 
         let fk = compose(StackConfig::framekernel(), mc()).unwrap();
@@ -369,7 +310,6 @@ mod tests {
         assert_eq!(i.os.name(), "Nautilus");
         assert!(matches!(i.translation, TranslationSetup::Carat { .. }));
         assert_eq!(i.coherence, CohMode::Selective);
-        assert_eq!(i.isolation, LaunchPath::VirtineSnapshot);
         assert_eq!(i.omp_mode(), None, "interwoven is not an OpenMP stack");
     }
 
@@ -429,19 +369,6 @@ mod tests {
                 "{translation:?}"
             );
         }
-    }
-
-    #[test]
-    fn carat_instrument_runs_the_guard_pipeline() {
-        let prog = interweave_ir::programs::stream_triad(16);
-        let stack = compose(StackConfig::interwoven(), mc()).unwrap();
-        let mut m = prog.module.clone();
-        let stats = stack.translation.instrument(&mut m);
-        assert!(!stats.is_empty(), "carat must run passes");
-        // Paging stacks need no compiler work.
-        let commodity = compose(StackConfig::commodity(), mc()).unwrap();
-        let mut m2 = prog.module.clone();
-        assert!(commodity.translation.instrument(&mut m2).is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub use interweave_virtines as virtines;
 
 /// Common imports for working with the laboratory.
 pub mod prelude {
-    pub use crate::compose::{compose, ComposeError, ComposedStack, StackBuilder};
+    pub use crate::compose::{compose, ComposeError, ComposedStack};
     pub use interweave_core::machine::{CostModel, MachineConfig, Platform};
     pub use interweave_core::stack::StackConfig;
     pub use interweave_core::{Cycles, DeliveryMode, Freq};
