@@ -9,24 +9,12 @@
 //! `--os <name>` restricts the sweep to one point of the axis.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{f, pct, s, Cell};
 use interweave::compose::ComposedStack;
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_core::Cycles;
 use interweave_heartbeat::sim::{fig3_benchmarks, run_heartbeat, HeartbeatConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonRow {
-    bench: String,
-    target_us: f64,
-    mechanism: String,
-    fraction_of_target: f64,
-    interbeat_cv: f64,
-    overhead_pct: f64,
-    coalesced: u64,
-}
 
 /// The figure's heartbeat setup for one composed stack: the stack picks
 /// the signaling mechanism and the machine (including delivery mode).
@@ -59,7 +47,6 @@ pub(super) fn run(cli: &Cli) -> Report {
         .cloned()
         .collect();
 
-    let mut json = Vec::new();
     let mut headline = String::new();
     for &target_us in &[100.0, 20.0] {
         // One parallel sweep per mechanism over the benchmark suite.
@@ -86,24 +73,15 @@ pub(super) fn run(cli: &Cli) -> Report {
             for swept in &results {
                 let (bench, mechanism, r) = &swept[i];
                 rows.push(vec![
-                    s(bench),
-                    s(mechanism),
+                    s(*bench),
+                    s(*mechanism),
                     f(r.target_rate, 1),
                     f(r.achieved_rate, 1),
-                    f(100.0 * r.fraction_of_target(), 1) + "%",
+                    pct(100.0 * r.fraction_of_target(), 1),
                     f(r.interbeat_cv, 3),
-                    f(r.overhead_pct, 2) + "%",
+                    pct(r.overhead_pct, 2),
                     s(r.coalesced),
                 ]);
-                json.push(JsonRow {
-                    bench: (*bench).into(),
-                    target_us,
-                    mechanism: (*mechanism).into(),
-                    fraction_of_target: r.fraction_of_target(),
-                    interbeat_cv: r.interbeat_cv,
-                    overhead_pct: r.overhead_pct,
-                    coalesced: r.coalesced,
-                });
             }
         }
         h.table(
@@ -118,7 +96,7 @@ pub(super) fn run(cli: &Cli) -> Report {
                 "overhead",
                 "coalesced",
             ],
-            &rows,
+            rows,
         );
     }
 
@@ -128,9 +106,9 @@ pub(super) fn run(cli: &Cli) -> Report {
     h.table(
         "§V-D ablation — Nautilus heartbeat overhead at ♥ = 20 µs by delivery mode",
         &["delivery", "overhead"],
-        &[
-            vec![s("IDT dispatch"), f(idt.overhead_pct, 2) + "%"],
-            vec![s("pipeline-branch dispatch"), f(pipe.overhead_pct, 2) + "%"],
+        vec![
+            vec![s("IDT dispatch"), pct(idt.overhead_pct, 2)],
+            vec![s("pipeline-branch dispatch"), pct(pipe.overhead_pct, 2)],
         ],
     );
 
@@ -139,22 +117,18 @@ pub(super) fn run(cli: &Cli) -> Report {
     use interweave_heartbeat::scaling::{scaling_sweep, ScalingConfig};
     let cfg = ScalingConfig::default_nk();
     let pts = scaling_sweep(&cfg, &[1, 2, 4, 8, 16]);
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
-            vec![
-                s(p.workers),
-                f(p.speedup, 2) + "x",
-                s(p.promotions),
-                s(p.steals),
-                f(100.0 * p.overhead_fraction, 2) + "%",
-            ]
-        })
-        .collect();
     h.table(
         "Heartbeat scheduling payoff — loop speedup via promotion (NK path, ♥=20 µs)",
         &["workers", "speedup", "promotions", "steals", "overhead"],
-        &rows,
+        pts.iter().map(|p| {
+            vec![
+                s(p.workers),
+                Cell::float(p.speedup, 2, "x"),
+                s(p.promotions),
+                s(p.steals),
+                pct(100.0 * p.overhead_fraction, 2),
+            ]
+        }),
     );
 
     h.note(
@@ -166,5 +140,5 @@ pub(super) fn run(cli: &Cli) -> Report {
     );
     // The headline measures the NK end of the axis, or the `--os` point.
     let measured = mechanisms.last().expect("--os names a point on the axis");
-    h.finish(&json, measured.id, headline)
+    h.finish(measured.id, headline)
 }

@@ -4,24 +4,11 @@
 //! compositions and composed through the harness.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{f, pct, s, Cell};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::{StackConfig, TimingSource};
 use interweave_fibers::study::{analytic_rows, floor_cycles, overhead_sweep};
 use interweave_kernel::threads::SwitchKind;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonRow {
-    label: String,
-    entry: u64,
-    state: u64,
-    sched: u64,
-    fp: u64,
-    boundary: u64,
-    ret: u64,
-    total: u64,
-}
 
 pub(super) fn run(cli: &Cli) -> Report {
     let knl = MachineConfig::phi_knl();
@@ -49,31 +36,6 @@ pub(super) fn run(cli: &Cli) -> Report {
 
     // The figure's bars: cost decomposition per configuration.
     let rows_data = analytic_rows(mc);
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for r in &rows_data {
-        let b = r.breakdown;
-        rows.push(vec![
-            s(&r.label),
-            s(b.entry.get()),
-            s(b.state.get()),
-            s(b.sched.get()),
-            s(b.fp.get()),
-            s(b.boundary.get()),
-            s(b.ret.get()),
-            s(b.total().get()),
-        ]);
-        json.push(JsonRow {
-            label: r.label.clone(),
-            entry: b.entry.get(),
-            state: b.state.get(),
-            sched: b.sched.get(),
-            fp: b.fp.get(),
-            boundary: b.boundary.get(),
-            ret: b.ret.get(),
-            total: b.total().get(),
-        });
-    }
     h.table(
         "Fig. 4 — context-switch cost decomposition (cycles, Phi KNL preset)",
         &[
@@ -86,7 +48,19 @@ pub(super) fn run(cli: &Cli) -> Report {
             "ret",
             "TOTAL",
         ],
-        &rows,
+        rows_data.iter().map(|r| {
+            let b = r.breakdown;
+            vec![
+                s(&r.label),
+                s(b.entry.get()),
+                s(b.state.get()),
+                s(b.sched.get()),
+                s(b.fp.get()),
+                s(b.boundary.get()),
+                s(b.ret.get()),
+                s(b.total().get()),
+            ]
+        }),
     );
 
     // Headline ratios the figure calls out.
@@ -98,7 +72,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     h.table(
         "Fig. 4 callouts",
         &["quantity", "value"],
-        &[
+        vec![
             vec![s("Linux non-RT FP switch (paper ≈5000 cyc)"), s(linux_fp)],
             vec![
                 s("Aster thread FP switch (framekernel mid-point)"),
@@ -107,12 +81,15 @@ pub(super) fn run(cli: &Cli) -> Report {
             vec![s("NK thread FP switch (paper: ≈half of Linux)"), s(nk_fp)],
             vec![
                 s("CompTime fiber FP switch (paper: 2.3× below threads)"),
-                format!("{fib_fp}  (ratio {:.1}×)", nk_fp as f64 / fib_fp as f64),
+                s(format!(
+                    "{fib_fp}  (ratio {:.1}×)",
+                    nk_fp as f64 / fib_fp as f64
+                )),
             ],
             vec![s("Granularity floor, no-FP (paper: <600 cyc)"), s(fib_nofp)],
             vec![
                 s("Granularity vs Linux (paper: >4× smaller)"),
-                f(linux_fp as f64 / fib_fp as f64, 1) + "×",
+                Cell::float(linux_fp as f64 / fib_fp as f64, 1, "×"),
             ],
         ],
     );
@@ -120,23 +97,6 @@ pub(super) fn run(cli: &Cli) -> Report {
     // Measured overhead sweep: mechanism overhead vs quantum.
     let quanta = [1_000u64, 2_000, 5_000, 10_000, 50_000, 200_000];
     let pts = overhead_sweep(mc, &quanta);
-    let mut rows = Vec::new();
-    for &q in &quanta {
-        let find = |m| {
-            pts.iter()
-                .find(|p| p.quantum == q && p.mode == m)
-                .expect("swept")
-        };
-        let ct = find(interweave_fibers::PreemptMode::CompilerTimed);
-        let hw = find(interweave_fibers::PreemptMode::HardwareTimer);
-        rows.push(vec![
-            s(q),
-            f(100.0 * ct.overhead, 2) + "%",
-            f(100.0 * hw.overhead, 2) + "%",
-            s(ct.switches),
-            s(hw.switches),
-        ]);
-    }
     h.table(
         "Measured mechanism overhead vs preemption quantum (mixed workload)",
         &[
@@ -146,12 +106,27 @@ pub(super) fn run(cli: &Cli) -> Report {
             "ct switches",
             "hw switches",
         ],
-        &rows,
+        quanta.map(|q| {
+            let find = |m| {
+                pts.iter()
+                    .find(|p| p.quantum == q && p.mode == m)
+                    .expect("swept")
+            };
+            let ct = find(interweave_fibers::PreemptMode::CompilerTimed);
+            let hw = find(interweave_fibers::PreemptMode::HardwareTimer);
+            vec![
+                s(q),
+                pct(100.0 * ct.overhead, 2),
+                pct(100.0 * hw.overhead, 2),
+                s(ct.switches),
+                s(hw.switches),
+            ]
+        }),
     );
 
     let headline = format!(
         "{fib_nofp}-cycle fiber floor without FP; {}× below a Linux FP switch",
         f(linux_fp as f64 / fib_fp as f64, 1)
     );
-    h.finish(&json, "nautilus+comptime", headline)
+    h.finish("nautilus+comptime", headline)
 }

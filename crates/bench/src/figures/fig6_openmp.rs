@@ -6,22 +6,13 @@
 //! mid-point appears as its own column.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{f, s, Cell};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_omp::epcc::{epcc_table, Construct};
 use interweave_omp::nas::fig6_specs;
 use interweave_omp::sim::{fig6_series, geomean_rel, knl_cpu_counts};
 use interweave_omp::OmpMode;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonPoint {
-    bench: String,
-    cpus: usize,
-    mode: String,
-    relative: f64,
-}
 
 pub(super) fn run(cli: &Cli) -> Report {
     let knl = MachineConfig::phi_knl();
@@ -47,7 +38,6 @@ pub(super) fn run(cli: &Cli) -> Report {
 
     let counts = knl_cpu_counts();
     let mut all_points = Vec::new();
-    let mut json = Vec::new();
 
     for spec in fig6_specs() {
         let pts = fig6_series(&spec, &knl, &counts, &modes, 42);
@@ -71,20 +61,12 @@ pub(super) fn run(cli: &Cli) -> Report {
                 spec.name, knl.name
             ),
             &header,
-            &rows,
+            rows,
         );
-        for r in &pts {
-            json.push(JsonPoint {
-                bench: r.bench.into(),
-                cpus: r.cpus,
-                mode: r.mode.name().into(),
-                relative: r.relative,
-            });
-        }
         all_points.extend(pts);
     }
 
-    let geomean_rows = |points: &[interweave_omp::sim::RelPerf]| -> Vec<Vec<String>> {
+    let geomean_rows = |points: &[interweave_omp::sim::RelPerf]| -> Vec<Vec<Cell>> {
         modes
             .iter()
             .map(|&m| vec![s(m.name()), f(geomean_rel(points, m), 3)])
@@ -93,7 +75,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     h.table(
         "Geometric means across scales and benchmarks (paper: RTK ≈ +22 %)",
         &["mode", "geomean rel. perf."],
-        &geomean_rows(&all_points),
+        geomean_rows(&all_points),
     );
 
     // The 192-core repetition (§V-A: "~20% for RTK and PIK").
@@ -107,40 +89,38 @@ pub(super) fn run(cli: &Cli) -> Report {
     h.table(
         &format!("Repetition on {} (paper: ~20 % for RTK and PIK)", big.name),
         &["mode", "geomean rel. perf."],
-        &geomean_rows(&big_points),
+        geomean_rows(&big_points),
     );
 
     // EPCC construct overheads.
-    let rows: Vec<Vec<String>> = epcc_table(&knl, &[2, 8, 32, 64])
-        .into_iter()
-        .filter(|r| r.construct == Construct::Barrier || r.threads == 64)
-        .map(|r| {
-            vec![
-                s(r.construct.name()),
-                s(r.mode.name()),
-                s(r.threads),
-                s(r.overhead.get()),
-            ]
-        })
-        .collect();
     h.table(
         "EPCC-style construct overheads (cycles)",
         &["construct", "mode", "threads", "overhead"],
-        &rows,
+        epcc_table(&knl, &[2, 8, 32, 64])
+            .into_iter()
+            .filter(|r| r.construct == Construct::Barrier || r.threads == 64)
+            .map(|r| {
+                vec![
+                    s(r.construct.name()),
+                    s(r.mode.name()),
+                    s(r.threads),
+                    s(r.overhead.get()),
+                ]
+            }),
     );
 
     // Noise-sensitivity ablation.
     use interweave_omp::sim::noise_sensitivity;
     let spec = interweave_omp::nas::bt();
     let pts = noise_sensitivity(&spec, &knl, 32, &[0.0, 0.5, 1.0, 2.0, 4.0], 42);
-    let rows: Vec<Vec<String>> = pts
+    let rows: Vec<Vec<Cell>> = pts
         .iter()
-        .map(|(scale, rel)| vec![f(*scale, 1) + "x", f(*rel, 3)])
+        .map(|(scale, rel)| vec![Cell::float(*scale, 1, "x"), f(*rel, 3)])
         .collect();
     h.table(
         "Noise-sensitivity ablation — RTK advantage vs Linux noise level (BT, 32 CPUs)",
         &["noise scale", "RTK relative perf"],
-        &rows,
+        rows,
     );
     h.note(
         "Even a hypothetical noiseless Linux loses on primitive costs; real\n\
@@ -153,5 +133,5 @@ noise amplifies through barriers into the bulk of Fig. 6's gap.",
         f(rtk, 3),
         100.0 * (rtk - 1.0)
     );
-    h.finish(&json, "rtk", headline)
+    h.finish("rtk", headline)
 }

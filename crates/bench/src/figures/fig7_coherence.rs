@@ -7,18 +7,10 @@
 //! reads no flag besides `--json`.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{f, pct, s};
 use interweave_coherence::experiment::{fig7, mean_energy_reduction, mean_speedup};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonRow {
-    bench: String,
-    speedup: f64,
-    noc_energy_reduction: f64,
-}
 
 pub(super) fn run(cli: &Cli) -> Report {
     let scenarios = vec![
@@ -35,22 +27,6 @@ pub(super) fn run(cli: &Cli) -> Report {
     ];
     let mut h = Harness::new(cli, scenarios);
     let rows_data = fig7(24, 11, 1);
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for r in &rows_data {
-        rows.push(vec![
-            s(r.name),
-            s(r.full_cycles),
-            s(r.selective_cycles),
-            f(r.speedup(), 3),
-            f(100.0 * r.energy_reduction(), 1) + "%",
-        ]);
-        json.push(JsonRow {
-            bench: r.name.into(),
-            speedup: r.speedup(),
-            noc_energy_reduction: r.energy_reduction(),
-        });
-    }
     h.table(
         "Fig. 7 — selective coherence deactivation, 24-core dual-socket preset",
         &[
@@ -60,7 +36,15 @@ pub(super) fn run(cli: &Cli) -> Report {
             "speedup",
             "NoC energy cut",
         ],
-        &rows,
+        rows_data.iter().map(|r| {
+            vec![
+                s(r.name),
+                s(r.full_cycles),
+                s(r.selective_cycles),
+                f(r.speedup(), 3),
+                pct(100.0 * r.energy_reduction(), 1),
+            ]
+        }),
     );
     let speedup = f(mean_speedup(&rows_data), 3);
     let energy_cut = f(100.0 * mean_energy_reduction(&rows_data), 1);
@@ -70,42 +54,25 @@ pub(super) fn run(cli: &Cli) -> Report {
 
     // Scale trend (§V-B: "benefits grow with scale"). The 24-core row is
     // the main table's run — fig7 is deterministic, so reuse it.
-    let mut rows = Vec::new();
-    for cores in [8usize, 16, 24, 48] {
-        let r = if cores == 24 {
-            rows_data.clone()
-        } else {
-            fig7(cores, 11, 1)
-        };
-        rows.push(vec![
-            s(cores),
-            f(mean_speedup(&r), 3),
-            f(100.0 * mean_energy_reduction(&r), 1) + "%",
-        ]);
-    }
     h.table(
         "Scale trend",
         &["cores", "mean speedup", "mean NoC energy cut"],
-        &rows,
+        [8usize, 16, 24, 48].map(|cores| {
+            let r = if cores == 24 {
+                rows_data.clone()
+            } else {
+                fig7(cores, 11, 1)
+            };
+            vec![
+                s(cores),
+                f(mean_speedup(&r), 3),
+                pct(100.0 * mean_energy_reduction(&r), 1),
+            ]
+        }),
     );
 
     // §V-B's other half: memory-ordering selectivity.
     use interweave_coherence::ordering::{run_ordering, FencePolicy, OrderingConfig};
-    let mut rows = Vec::new();
-    for unrelated in [0usize, 8, 24, 48] {
-        let cfg = OrderingConfig {
-            unrelated_writes: unrelated,
-            ..OrderingConfig::default()
-        };
-        let tso = run_ordering(&cfg, FencePolicy::TsoTotal);
-        let sel = run_ordering(&cfg, FencePolicy::SelectiveRelease);
-        rows.push(vec![
-            s(unrelated),
-            f(tso.mean_stall, 1),
-            f(sel.mean_stall, 1),
-            f(tso.mean_stall - sel.mean_stall, 1),
-        ]);
-    }
     h.table(
         "Ordering selectivity — fence stall (cycles/fence) vs unrelated store traffic",
         &[
@@ -114,7 +81,20 @@ pub(super) fn run(cli: &Cli) -> Report {
             "selective release",
             "stall removed",
         ],
-        &rows,
+        [0usize, 8, 24, 48].map(|unrelated| {
+            let cfg = OrderingConfig {
+                unrelated_writes: unrelated,
+                ..OrderingConfig::default()
+            };
+            let tso = run_ordering(&cfg, FencePolicy::TsoTotal);
+            let sel = run_ordering(&cfg, FencePolicy::SelectiveRelease);
+            vec![
+                s(unrelated),
+                f(tso.mean_stall, 1),
+                f(sel.mean_stall, 1),
+                f(tso.mean_stall - sel.mean_stall, 1),
+            ]
+        }),
     );
     h.note(
         "§V-B: \"a fence ... also orders all other writes the thread issued, even if\n\
@@ -122,5 +102,5 @@ pub(super) fn run(cli: &Cli) -> Report {
     );
 
     let headline = format!("{speedup}x mean speedup, −{energy_cut}% NoC energy");
-    h.finish(&json, "selective", headline)
+    h.finish("selective", headline)
 }

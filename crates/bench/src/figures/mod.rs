@@ -8,8 +8,8 @@
 //! every report's text to the committed `golden/<name>.stdout`. So a headline has exactly one
 //! code path, shared by the figure, the scoreboard and the golden check.
 
-use crate::harness::{write_output, Cli, RawJson, Report};
-use crate::{s, table_text};
+use crate::harness::{write_output, Cli, Envelope, Report};
+use crate::{s, table_text, Cell};
 use interweave_carat::defrag::fragmentation_demo;
 use interweave_carat::pik::{PikProcess, PikSystem};
 use interweave_core::stack::StackConfig;
@@ -194,10 +194,11 @@ pub fn main(name: &str) {
     let figure = figure(name);
     let cli = Cli::parse(name, figure.reads);
     let report = (figure.run)(&cli);
+    let json = report.json();
     let outputs = [
         (&cli.metrics_out, "metrics", report.metrics.as_deref()),
         (&cli.trace_out, "trace", report.trace.as_deref()),
-        (&cli.json, "json", Some(report.json.as_str())),
+        (&cli.json, "json", Some(json.as_str())),
     ];
     for (path, what, doc) in &outputs {
         // Only `--metrics-out` and `--trace-out` can lack a document.
@@ -217,7 +218,7 @@ pub fn main(name: &str) {
 /// The scoreboard text: one row per figure, each from its report's
 /// headline.
 pub fn scoreboard<'a>(runs: impl IntoIterator<Item = (&'a Figure, &'a Report)>) -> String {
-    let rows: Vec<Vec<String>> = runs
+    let rows: Vec<Vec<Cell>> = runs
         .into_iter()
         .map(|(f, r)| vec![s(f.experiment), s(f.name), s(f.claim), s(&r.headline)])
         .collect();
@@ -247,20 +248,21 @@ pub struct ExperimentSummary {
     pub measured: String,
     /// Wall-clock time to run the figure, in milliseconds.
     pub wall_ms: f64,
-    /// The figure's `--json` envelope: its scenarios and its rows.
-    pub rows: RawJson,
+    /// The figure's `--json` envelope: its scenarios and its tables.
+    pub rows: Envelope,
 }
 
 impl ExperimentSummary {
     /// The entry for `figure`'s `report`.
     pub fn new(figure: &Figure, report: &Report, wall_ms: f64) -> Self {
         let headline = report
+            .envelope
             .scenarios
             .iter()
             .find(|sc| sc.id == report.headline_scenario);
         let stack = headline
             .expect("finish checked the headline scenario")
-            .config;
+            .stack;
         ExperimentSummary {
             experiment: figure.experiment.to_string(),
             figure: figure.name.to_string(),
@@ -269,7 +271,7 @@ impl ExperimentSummary {
             os: stack.os.name().to_string(),
             measured: report.headline.clone(),
             wall_ms,
-            rows: RawJson(report.json.clone()),
+            rows: report.envelope.clone(),
         }
     }
 }

@@ -10,29 +10,17 @@
 //!    no mitigation tax: the *relative* interweaving wins shift.
 //! 4. **CARAT guard-cost sensitivity** — how the <6 % geomean depends on
 //!    the per-guard cost the runtime achieves.
-//!
-//! The `--json` rows are the four tables as printed.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{f, pct, s, Cell};
 use interweave_coherence::experiment::run_one_on_mesh;
 use interweave_coherence::protocol::{CohMode, ProtocolKind, System, SystemConfig};
 use interweave_coherence::workloads::fig7_mixes;
 use interweave_core::machine::MachineConfig;
 use interweave_core::par::{host_threads, parallel_map};
 use interweave_core::stack::StackConfig;
-use serde::Serialize;
 
-/// One ablation's table, plus the note printed under it.
-#[derive(Serialize)]
-struct Ablation {
-    title: &'static str,
-    header: &'static [&'static str],
-    rows: Vec<Vec<String>>,
-    note: Option<&'static str>,
-}
-
-fn msi_vs_mesi() -> Ablation {
+fn msi_vs_mesi() -> Vec<Vec<Cell>> {
     // Private read-then-write traffic on one core.
     let run = |protocol, mode| {
         let mut sys = System::new(SystemConfig {
@@ -57,91 +45,58 @@ fn msi_vs_mesi() -> Ablation {
     let (msi, msi_dir) = run(ProtocolKind::Msi, CohMode::Full);
     let (mesi, mesi_dir) = run(ProtocolKind::Mesi, CohMode::Full);
     let (sel, sel_dir) = run(ProtocolKind::Mesi, CohMode::Selective);
-    Ablation {
-        title: "Ablation 1 — protocol family on private read→write traffic (8 cores)",
-        header: &["protocol", "cycles", "directory lookups", "vs MSI"],
-        rows: vec![
-            vec![s("MSI"), s(msi), s(msi_dir), s("1.00x")],
-            vec![
-                s("MESI (E state)"),
-                s(mesi),
-                s(mesi_dir),
-                f(msi as f64 / mesi as f64, 2) + "x",
-            ],
-            vec![
-                s("MESI + selective deactivation"),
-                s(sel),
-                s(sel_dir),
-                f(msi as f64 / sel as f64, 2) + "x",
-            ],
+    let vs_msi = |cycles: u64| Cell::float(msi as f64 / cycles as f64, 2, "x");
+    vec![
+        vec![s("MSI"), s(msi), s(msi_dir), vs_msi(msi)],
+        vec![s("MESI (E state)"), s(mesi), s(mesi_dir), vs_msi(mesi)],
+        vec![
+            s("MESI + selective deactivation"),
+            s(sel),
+            s(sel_dir),
+            vs_msi(sel),
         ],
-        note: None,
-    }
+    ]
 }
 
-fn disaggregation_sweep() -> Ablation {
+fn disaggregation_sweep() -> Vec<Vec<Cell>> {
     let mut mix = fig7_mixes()[0].clone();
     mix.accesses_per_round /= 2;
     let penalties: Vec<u32> = vec![0, 8, 16, 32, 64];
-    let rows = parallel_map(penalties, host_threads(), |pen| {
+    parallel_map(penalties, host_threads(), |pen| {
         let disagg = if pen == 0 { None } else { Some((8usize, pen)) };
         let (full, full_e) = run_one_on_mesh(&mix, 16, CohMode::Full, 11, disagg);
         let (sel, sel_e) = run_one_on_mesh(&mix, 16, CohMode::Selective, 11, disagg);
         vec![
             s(pen),
             f(full as f64 / sel as f64, 3),
-            f(100.0 * (1.0 - sel_e / full_e), 1) + "%",
+            pct(100.0 * (1.0 - sel_e / full_e), 1),
         ]
-    });
-    Ablation {
-        title: "Ablation 2 — disaggregation (extra cross-domain hops, 16 cores, samplesort)",
-        header: &[
-            "cross-domain penalty (hops)",
-            "selective speedup",
-            "NoC energy cut",
-        ],
-        rows,
-        note: None,
-    }
+    })
 }
 
-fn riscv_vs_x64_fig4() -> Ablation {
+fn riscv_vs_x64_fig4() -> Vec<Vec<Cell>> {
     use interweave_core::stack::OsPoint;
     use interweave_kernel::threads::{switch_cost, SwitchKind};
     let machines = [MachineConfig::phi_knl(), MachineConfig::riscv_openpiton()];
-    let mut rows = Vec::new();
-    for mc in &machines {
-        let cost = |os, kind| switch_cost(mc, os, kind, false, true).total();
-        let thread = cost(OsPoint::LinuxLike, SwitchKind::ThreadInterrupt);
-        let nk = cost(OsPoint::NkLike, SwitchKind::ThreadInterrupt);
-        let fiber = cost(OsPoint::NkLike, SwitchKind::FiberCompilerTimed);
-        rows.push(vec![
-            s(&mc.name),
-            s(thread.get()),
-            s(nk.get()),
-            s(fiber.get()),
-            f(thread.as_f64() / fiber.as_f64(), 1) + "x",
-        ]);
-    }
-    Ablation {
-        title: "Ablation 3 — Fig. 4 on open hardware (§V-F): switch costs (FP, cycles)",
-        header: &[
-            "machine",
-            "Linux thread",
-            "NK thread",
-            "comp-timed fiber",
-            "end-to-end gain",
-        ],
-        rows,
-        note: Some(
-            "Open hardware starts closer to the interwoven ideal (lean traps, no\n\
-             mitigations), so the same software design wins by a smaller factor —\n\
-             the kind of co-design insight §V-F expects the port to expose.",
-        ),
-    }
+    machines
+        .iter()
+        .map(|mc| {
+            let cost = |os, kind| switch_cost(mc, os, kind, false, true).total();
+            let thread = cost(OsPoint::LinuxLike, SwitchKind::ThreadInterrupt);
+            let nk = cost(OsPoint::NkLike, SwitchKind::ThreadInterrupt);
+            let fiber = cost(OsPoint::NkLike, SwitchKind::FiberCompilerTimed);
+            vec![
+                s(&mc.name),
+                s(thread.get()),
+                s(nk.get()),
+                s(fiber.get()),
+                Cell::float(thread.as_f64() / fiber.as_f64(), 1, "x"),
+            ]
+        })
+        .collect()
 }
 
-fn guard_cost_sensitivity() -> Ablation {
+fn guard_cost_sensitivity() -> Vec<Vec<Cell>> {
     use interweave_carat::instrument;
     use interweave_carat::overhead::geomean_overheads;
     use interweave_carat::runtime::{CaratRuntime, GuardCosts};
@@ -149,7 +104,7 @@ fn guard_cost_sensitivity() -> Ablation {
     use interweave_ir::programs;
 
     let guard_costs: Vec<u64> = vec![1, 3, 6, 12];
-    let rows = parallel_map(guard_costs, host_threads(), |g| {
+    parallel_map(guard_costs, host_threads(), |g| {
         let rows: Vec<interweave_carat::overhead::OverheadRow> = programs::suite(3)
             .iter()
             .map(|p| {
@@ -186,18 +141,8 @@ fn guard_cost_sensitivity() -> Ablation {
             })
             .collect();
         let (naive, opt) = geomean_overheads(&rows);
-        vec![s(g), f(naive, 2) + "%", f(opt, 2) + "%"]
-    });
-    Ablation {
-        title: "Ablation 4 — CARAT sensitivity to per-guard cost (geomean overheads)",
-        header: &["guard cost (cycles)", "naive", "optimized"],
-        rows,
-        note: Some(
-            "Optimization flattens the slope ~4x: hoisting removed the guards that\n\
-             multiply the per-guard cost. The residual sensitivity is the pointer-\n\
-             chase outlier, whose data-dependent guards cannot hoist.",
-        ),
-    }
+        vec![s(g), pct(naive, 2), pct(opt, 2)]
+    })
 }
 
 pub(super) fn run(cli: &Cli) -> Report {
@@ -211,23 +156,51 @@ pub(super) fn run(cli: &Cli) -> Report {
         Scenario::new("carat", StackConfig::pik(), xeon),
     ];
     let mut h = Harness::new(cli, scenarios);
-    let ablations = vec![
+    h.table(
+        "Ablation 1 — protocol family on private read→write traffic (8 cores)",
+        &["protocol", "cycles", "directory lookups", "vs MSI"],
         msi_vs_mesi(),
-        disaggregation_sweep(),
-        riscv_vs_x64_fig4(),
-        guard_cost_sensitivity(),
-    ];
-    for a in &ablations {
-        h.table(a.title, a.header, &a.rows);
-        if let Some(note) = a.note {
-            h.note(note);
-        }
-    }
-    let disagg = &ablations[1].rows;
+    );
+    let disagg = disaggregation_sweep();
     let (flat, far) = (&disagg[0], &disagg[disagg.len() - 1]);
     let headline = format!(
         "selective speedup {}x on a flat mesh → {}x at {}-hop links",
         flat[1], far[1], far[0]
     );
-    h.finish(&ablations, "selective", headline)
+    h.table(
+        "Ablation 2 — disaggregation (extra cross-domain hops, 16 cores, samplesort)",
+        &[
+            "cross-domain penalty (hops)",
+            "selective speedup",
+            "NoC energy cut",
+        ],
+        disagg,
+    );
+    h.table(
+        "Ablation 3 — Fig. 4 on open hardware (§V-F): switch costs (FP, cycles)",
+        &[
+            "machine",
+            "Linux thread",
+            "NK thread",
+            "comp-timed fiber",
+            "end-to-end gain",
+        ],
+        riscv_vs_x64_fig4(),
+    );
+    h.note(
+        "Open hardware starts closer to the interwoven ideal (lean traps, no\n\
+         mitigations), so the same software design wins by a smaller factor —\n\
+         the kind of co-design insight §V-F expects the port to expose.",
+    );
+    h.table(
+        "Ablation 4 — CARAT sensitivity to per-guard cost (geomean overheads)",
+        &["guard cost (cycles)", "naive", "optimized"],
+        guard_cost_sensitivity(),
+    );
+    h.note(
+        "Optimization flattens the slope ~4x: hoisting removed the guards that\n\
+         multiply the per-guard cost. The residual sensitivity is the pointer-\n\
+         chase outlier, whose data-dependent guards cannot hoist.",
+    );
+    h.finish("selective", headline)
 }

@@ -2,22 +2,12 @@
 //! handling, and the page- vs. object-granularity far-memory sweep.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{f, s, Cell};
 use interweave_blend::farmem::{density_sweep, FarMemConfig};
 use interweave_blend::polling::{run_device_experiment, DeviceConfig, DriveMode};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_ir::programs;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonDevice {
-    mean_gap: u64,
-    mode: String,
-    mean_latency: f64,
-    device_cycles_per_event: f64,
-    interrupts: u64,
-}
 
 pub(super) fn run(cli: &Cli) -> Report {
     let scenarios = vec![
@@ -35,7 +25,6 @@ pub(super) fn run(cli: &Cli) -> Report {
     let mut h = Harness::new(cli, scenarios);
     let mc = h.scenario("blended").machine.clone();
     let program = programs::stencil1d(128, 32);
-    let mut json = Vec::new();
 
     // Device latency/cost vs event rate.
     let mut rows = Vec::new();
@@ -66,13 +55,6 @@ pub(super) fn run(cli: &Cli) -> Report {
                 f(per_event, 0),
                 s(r.interrupts),
             ]);
-            json.push(JsonDevice {
-                mean_gap: gap,
-                mode: format!("{mode:?}"),
-                mean_latency: r.latency.mean(),
-                device_cycles_per_event: per_event,
-                interrupts: r.interrupts,
-            });
         }
     }
     h.table(
@@ -86,7 +68,7 @@ pub(super) fn run(cli: &Cli) -> Report {
             "dev cyc/event",
             "interrupts",
         ],
-        &rows,
+        rows,
     );
     h.note(
         "Paper: polled devices \"appear to behave as if they were interrupt-driven,\n\
@@ -95,23 +77,6 @@ pub(super) fn run(cli: &Cli) -> Report {
 
     // Far-memory density sweep.
     let series = density_sweep(&FarMemConfig::default());
-    let rows: Vec<Vec<String>> = series
-        .iter()
-        .map(|(hot, page, obj)| {
-            vec![
-                s(hot),
-                s(page.bytes_moved),
-                s(obj.bytes_moved),
-                s(page.stall_cycles),
-                s(obj.stall_cycles),
-                s(if obj.stall_cycles < page.stall_cycles {
-                    "object"
-                } else {
-                    "page"
-                }),
-            ]
-        })
-        .collect();
     h.table(
         "Far memory: page vs object granularity by hot-object density (per 4 KiB page)",
         &[
@@ -122,7 +87,20 @@ pub(super) fn run(cli: &Cli) -> Report {
             "object stalls",
             "winner",
         ],
-        &rows,
+        series.iter().map(|(hot, page, obj)| {
+            vec![
+                s(*hot),
+                s(page.bytes_moved),
+                s(obj.bytes_moved),
+                s(page.stall_cycles),
+                s(obj.stall_cycles),
+                s(if obj.stall_cycles < page.stall_cycles {
+                    "object"
+                } else {
+                    "page"
+                }),
+            ]
+        }),
     );
     // Block device: blended polling vs the commodity stack's own best
     // fix, interrupt coalescing.
@@ -145,12 +123,12 @@ pub(super) fn run(cli: &Cli) -> Report {
             CompletionMode::BlendedPolling { poll_gap: 400 },
         ),
     ];
-    let rows: Vec<Vec<String>> = modes
+    let rows: Vec<Vec<Cell>> = modes
         .iter()
         .map(|(name, mode)| {
             let r = run_block(&bcfg, &mc, *mode);
             vec![
-                s(name),
+                s(*name),
                 f(r.latency.mean(), 0),
                 f(r.latency.max(), 0),
                 s(r.interrupts),
@@ -167,9 +145,9 @@ pub(super) fn run(cli: &Cli) -> Report {
             "interrupts",
             "delivery cyc",
         ],
-        &rows,
+        rows,
     );
 
     let headline = format!("{polled} polled events, {polled_interrupts} interrupts");
-    h.finish(&json, "blended", headline)
+    h.finish("blended", headline)
 }

@@ -3,21 +3,10 @@
 //! comparison. Also demonstrates defragmentation at a quiescent point.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{pct, s};
 use interweave_carat::overhead::{geomean_overheads, run_suite};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonRow {
-    bench: String,
-    naive_pct: f64,
-    opt_pct: f64,
-    paging_pct: f64,
-    dyn_guards_naive: u64,
-    dyn_guards_opt: u64,
-}
 
 pub(super) fn run(cli: &Cli) -> Report {
     let scenarios = vec![
@@ -30,27 +19,6 @@ pub(super) fn run(cli: &Cli) -> Report {
     ];
     let mut h = Harness::new(cli, scenarios);
     let rows_data = run_suite(6);
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for r in &rows_data {
-        rows.push(vec![
-            s(&r.name),
-            s(r.base_cycles),
-            f(r.naive_pct(), 2) + "%",
-            f(r.opt_pct(), 2) + "%",
-            f(r.paging_pct(), 2) + "%",
-            format!("{} → {}", r.static_guards_naive, r.static_guards_opt),
-            format!("{} → {}", r.dyn_guards_naive, r.dyn_guards_opt),
-        ]);
-        json.push(JsonRow {
-            bench: r.name.clone(),
-            naive_pct: r.naive_pct(),
-            opt_pct: r.opt_pct(),
-            paging_pct: r.paging_pct(),
-            dyn_guards_naive: r.dyn_guards_naive,
-            dyn_guards_opt: r.dyn_guards_opt,
-        });
-    }
     h.table(
         "TAB-CARAT — instrumentation overhead per kernel",
         &[
@@ -62,7 +30,20 @@ pub(super) fn run(cli: &Cli) -> Report {
             "static guards",
             "dynamic guards",
         ],
-        &rows,
+        rows_data.iter().map(|r| {
+            vec![
+                s(&r.name),
+                s(r.base_cycles),
+                pct(r.naive_pct(), 2),
+                pct(r.opt_pct(), 2),
+                pct(r.paging_pct(), 2),
+                s(format!(
+                    "{} → {}",
+                    r.static_guards_naive, r.static_guards_opt
+                )),
+                s(format!("{} → {}", r.dyn_guards_naive, r.dyn_guards_opt)),
+            ]
+        }),
     );
     let (naive_gm, opt_gm) = geomean_overheads(&rows_data);
     h.note(format!(
@@ -78,7 +59,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     h.table(
         "CARAT defragmentation at a PIK quiescent point",
         &["metric", "value"],
-        &[
+        vec![
             vec![s("allocations moved"), s(report.moves)],
             vec![s("bytes relocated"), s(report.bytes_moved)],
             vec![s("registers patched"), s(report.regs_patched)],
@@ -92,5 +73,5 @@ pub(super) fn run(cli: &Cli) -> Report {
     h.note(format!("post-defrag list walk: sum = {v} (correct)"));
 
     let headline = format!("{opt_gm:.2}% optimized / {naive_gm:.2}% naive geomean");
-    h.finish(&json, "carat", headline)
+    h.finish("carat", headline)
 }

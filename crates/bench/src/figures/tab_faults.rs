@@ -18,7 +18,7 @@
 //! asserts.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{f, s, Cell};
 use interweave::compose::ComposedStack;
 use interweave_carat::quarantine_and_relocate;
 use interweave_core::machine::MachineConfig;
@@ -30,7 +30,6 @@ use interweave_kernel::{Executor, NumaAllocator};
 use interweave_virtines::context::Virtine;
 use interweave_virtines::extract::extract_one;
 use interweave_virtines::wasp::{startup, LaunchPath, Wasp};
-use serde::Serialize;
 
 /// The campaign seed. Fixed: the whole point is a bit-reproducible run.
 const SEED: u64 = 0xFA017;
@@ -51,16 +50,6 @@ struct Row {
     interwoven: u64,
     layered: u64,
     note: &'static str,
-}
-
-#[derive(Serialize)]
-struct JsonRow {
-    class: String,
-    injected: u64,
-    detected: u64,
-    recovered: u64,
-    interwoven_cycles: u64,
-    layered_cycles: u64,
 }
 
 /// Lost + delayed kick IPIs, recovered by the kernel watchdog.
@@ -264,7 +253,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     let mut h = Harness::new(cli, scenarios);
     let interwoven = h.stack("interwoven");
     let (lost, delayed) = ipi_rows(&mc);
-    let rows_data = vec![
+    let rows_data = [
         lost,
         delayed,
         alloc_row(&interwoven),
@@ -273,30 +262,6 @@ pub(super) fn run(cli: &Cli) -> Report {
     ];
 
     let advantage = |r: &Row| r.layered as f64 / r.interwoven as f64;
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for r in &rows_data {
-        assert!(r.injected > 0, "every class must inject");
-        assert!(r.recovered > 0, "every class must recover");
-        rows.push(vec![
-            s(r.class.name()),
-            s(r.injected),
-            s(r.detected),
-            s(r.recovered),
-            s(r.interwoven),
-            s(r.layered),
-            f(advantage(r), 1) + "x",
-            s(r.note),
-        ]);
-        json.push(JsonRow {
-            class: r.class.name().to_string(),
-            injected: r.injected,
-            detected: r.detected,
-            recovered: r.recovered,
-            interwoven_cycles: r.interwoven,
-            layered_cycles: r.layered,
-        });
-    }
     h.table(
         &format!("TAB-FAULTS — recovery cost per fault class (seed {SEED:#x})"),
         &[
@@ -309,7 +274,20 @@ pub(super) fn run(cli: &Cli) -> Report {
             "advantage",
             "recovery path",
         ],
-        &rows,
+        rows_data.iter().map(|r| {
+            assert!(r.injected > 0, "every class must inject");
+            assert!(r.recovered > 0, "every class must recover");
+            vec![
+                s(r.class.name()),
+                s(r.injected),
+                s(r.detected),
+                s(r.recovered),
+                s(r.interwoven),
+                s(r.layered),
+                Cell::float(advantage(r), 1, "x"),
+                s(r.note),
+            ]
+        }),
     );
     let total: u64 = rows_data.iter().map(|r| r.injected).sum();
     h.note(format!(
@@ -326,5 +304,5 @@ pub(super) fn run(cli: &Cli) -> Report {
         rows_data.len(),
         f(least, 1)
     );
-    h.finish(&json, "interwoven", headline)
+    h.finish("interwoven", headline)
 }

@@ -4,21 +4,12 @@
 //! subsystem.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{f, s, Cell};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::{OsPoint, StackConfig};
 use interweave_core::Cycles;
 use interweave_heartbeat::sim::{run_heartbeat, HeartbeatConfig};
 use interweave_kernel::threads::{switch_cost, SwitchKind};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonRow {
-    quantity: String,
-    idt: f64,
-    pipeline: f64,
-    ratio: f64,
-}
 
 pub(super) fn run(cli: &Cli) -> Report {
     let scenarios = vec![
@@ -36,15 +27,8 @@ pub(super) fn run(cli: &Cli) -> Report {
     let mut h = Harness::new(cli, scenarios);
     let idt = &h.scenario("idt").machine.clone();
     let pipe = &h.scenario("pipeline").machine.clone();
-    let mut json = Vec::new();
-    let push = |q: &str, a: f64, b: f64, json: &mut Vec<JsonRow>| {
-        json.push(JsonRow {
-            quantity: q.into(),
-            idt: a,
-            pipeline: b,
-            ratio: a / b.max(1e-9),
-        });
-        vec![s(q), f(a, 1), f(b, 1), f(a / b.max(1e-9), 0) + "×"]
+    let row = |q: &str, a: f64, b: f64| {
+        vec![s(q), f(a, 1), f(b, 1), Cell::float(a / b.max(1e-9), 0, "×")]
     };
 
     let nk_switch = |mc| {
@@ -58,44 +42,41 @@ pub(super) fn run(cli: &Cli) -> Report {
         c.total().as_f64()
     };
     let rows = vec![
-        push(
+        row(
             "interrupt dispatch (cycles)",
             idt.dispatch_cost().as_f64(),
             pipe.dispatch_cost().as_f64(),
-            &mut json,
         ),
-        push(
+        row(
             "NK thread switch, no-FP (cycles)",
             nk_switch(idt),
             nk_switch(pipe),
-            &mut json,
         ),
         {
             let h_idt = run_heartbeat(&HeartbeatConfig::fig3(OsPoint::NkLike, 20.0, Cycles(1000)));
             let mut cfg = HeartbeatConfig::fig3(OsPoint::NkLike, 20.0, Cycles(1000));
             cfg.machine = cfg.machine.with_pipeline_interrupts();
             let h_pipe = run_heartbeat(&cfg);
-            push(
+            row(
                 "heartbeat overhead @ 20 µs (%)",
                 h_idt.overhead_pct,
                 h_pipe.overhead_pct,
-                &mut json,
             )
         },
     ];
-    h.table(
-        "TAB-PIPE — §V-D pipeline interrupts (IDT vs pipeline-branch delivery)",
-        &["quantity", "IDT", "pipeline", "improvement"],
-        &rows,
-    );
-    h.note(
-        "\nPaper: dispatch ≈1000 cycles today; pipeline delivery \"would be similar\n\
-         to that of a correctly predicted branch, 100–1000× better\".",
-    );
     let dispatch = &rows[0];
     let headline = format!(
         "dispatch {} cheaper ({} → {} cycles)",
         dispatch[3], dispatch[1], dispatch[2]
     );
-    h.finish(&json, "pipeline", headline)
+    h.table(
+        "TAB-PIPE — §V-D pipeline interrupts (IDT vs pipeline-branch delivery)",
+        &["quantity", "IDT", "pipeline", "improvement"],
+        rows,
+    );
+    h.note(
+        "\nPaper: dispatch ≈1000 cycles today; pipeline delivery \"would be similar\n\
+         to that of a correctly predicted branch, 100–1000× better\".",
+    );
+    h.finish("pipeline", headline)
 }

@@ -4,22 +4,11 @@
 //! server and KNL presets.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{f, pct, s, Cell};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_kernel::microbench::primitive_table;
 use interweave_kernel::os::{AsterModel, LinuxModel, NkModel};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonRow {
-    machine: String,
-    primitive: String,
-    linux_cycles: u64,
-    aster_cycles: u64,
-    nautilus_cycles: u64,
-    speedup: f64,
-}
 
 pub(super) fn run(cli: &Cli) -> Report {
     let machines = [MachineConfig::xeon_server_2s(), MachineConfig::phi_knl()];
@@ -34,31 +23,22 @@ pub(super) fn run(cli: &Cli) -> Report {
         scenarios.push(Scenario::new("nautilus", StackConfig::nautilus(), mc));
     }
     let mut h = Harness::new(cli, scenarios);
-    let mut json = Vec::new();
     let mut headline = String::new();
     for mc in machines {
         let lx = LinuxModel::new(mc.clone());
         let fk = AsterModel::new(mc.clone());
         let nk = NkModel::new(mc.clone());
         let table = primitive_table(&[("Linux", &lx), ("Aster", &fk), ("Nautilus", &nk)]);
-        let rows: Vec<Vec<String>> = table
+        let rows: Vec<Vec<Cell>> = table
             .iter()
             .map(|r| {
-                json.push(JsonRow {
-                    machine: mc.name.clone(),
-                    primitive: r.name.into(),
-                    linux_cycles: r.costs[0].get(),
-                    aster_cycles: r.costs[1].get(),
-                    nautilus_cycles: r.costs[2].get(),
-                    speedup: r.speedup(0, 2),
-                });
                 vec![
                     s(r.name),
                     s(r.costs[0].get()),
                     s(r.costs[1].get()),
                     s(r.costs[2].get()),
-                    f(r.speedup(0, 2), 1) + "×",
-                    format!("{}", mc.freq.us(r.costs[2])),
+                    Cell::float(r.speedup(0, 2), 1, "×"),
+                    s(mc.freq.us(r.costs[2]).to_string()),
                 ]
             })
             .collect();
@@ -85,24 +65,11 @@ pub(super) fn run(cli: &Cli) -> Report {
                 "NK speedup",
                 "Nautilus wall",
             ],
-            &rows,
+            rows,
         );
     }
     // §III's NUMA claim: thread state "always in the most desirable zone".
     use interweave_kernel::numa::placement_comparison;
-    let mut rows = Vec::new();
-    for mc in [
-        MachineConfig::xeon_server_2s(),
-        MachineConfig::big_server_8s(),
-    ] {
-        let (nk, lx) = placement_comparison(&mc, 7);
-        rows.push(vec![
-            s(&mc.name),
-            f(100.0 * nk.remote_fraction, 1) + "%",
-            f(100.0 * lx.remote_fraction, 1) + "%",
-            f(lx.penalty_per_quantum, 0),
-        ]);
-    }
     h.table(
         "NUMA placement of thread state (remote fraction; penalty cyc/quantum)",
         &[
@@ -111,7 +78,19 @@ pub(super) fn run(cli: &Cli) -> Report {
             "first-touch + balancer",
             "commodity penalty",
         ],
-        &rows,
+        [
+            MachineConfig::xeon_server_2s(),
+            MachineConfig::big_server_8s(),
+        ]
+        .map(|mc| {
+            let (nk, lx) = placement_comparison(&mc, 7);
+            vec![
+                s(&mc.name),
+                pct(100.0 * nk.remote_fraction, 1),
+                pct(100.0 * lx.remote_fraction, 1),
+                f(lx.penalty_per_quantum, 0),
+            ]
+        }),
     );
 
     h.note(
@@ -121,5 +100,5 @@ pub(super) fn run(cli: &Cli) -> Report {
          primitive except the uncontended mutex (its checked RAII lock is\n\
          fatter than the futex fast path).",
     );
-    h.finish(&json, "nautilus", headline)
+    h.finish("nautilus", headline)
 }

@@ -23,35 +23,21 @@
 //! trace included, which `tests/goldens.rs` asserts.
 
 use crate::harness::{Cli, Harness, Report, Scenario};
-use crate::{f, s};
+use crate::{pct, s};
 use interweave::compose::ComposedStack;
 use interweave_coherence::protocol::{CohMode, System, SystemConfig};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
-use interweave_core::telemetry::{
-    find_overlap, well_bracketed, AttributionRow, Layer, Sink, Snapshot,
-};
+use interweave_core::telemetry::{find_overlap, well_bracketed, AttributionRow, Layer, Sink};
 use interweave_core::time::Cycles;
 use interweave_core::{FaultConfig, FaultPlan};
 use interweave_kernel::work::{LoopWork, ScriptedWork, WorkStep};
 use interweave_kernel::{Executor, NumaAllocator};
 use interweave_virtines::extract::extract_one;
 use interweave_virtines::wasp::Wasp;
-use serde::Serialize;
 
 /// The campaign seed. Fixed: the whole point is a bit-reproducible run.
 const SEED: u64 = 0x0050_F11E;
-
-#[derive(Serialize)]
-struct ProfileJson {
-    /// Full registry + attribution snapshot of the interwoven run.
-    interwoven: Snapshot,
-    /// Attribution table of the framekernel run (same workload, Aster
-    /// costs).
-    framekernel: Vec<AttributionRow>,
-    /// Attribution table of the layered run (same workload, Linux costs).
-    layered: Vec<AttributionRow>,
-}
 
 /// Run the shared workload once under `stack`'s kernel switch costs, with
 /// the fault plan, watchdog, and stack allocator installed, recording into
@@ -211,24 +197,6 @@ pub(super) fn run(cli: &Cli) -> Report {
             .map(|r| r.cycles)
             .unwrap_or(0)
     };
-    let rows: Vec<Vec<String>> = cats
-        .iter()
-        .map(|&cat| {
-            let a = lookup(&nk_rows, cat);
-            let m = lookup(&fk_rows, cat);
-            let b = lookup(&lx_rows, cat);
-            vec![
-                s(cat.0),
-                s(cat.1),
-                s(a),
-                f(100.0 * a as f64 / nk_clock, 1) + "%",
-                s(m),
-                f(100.0 * m as f64 / fk_clock, 1) + "%",
-                s(b),
-                f(100.0 * b as f64 / lx_clock, 1) + "%",
-            ]
-        })
-        .collect();
     h.table(
         &format!("TAB-PROFILE — cycle attribution across the OS axis (seed {SEED:#x})"),
         &[
@@ -241,7 +209,21 @@ pub(super) fn run(cli: &Cli) -> Report {
             "layered (cyc)",
             "share",
         ],
-        &rows,
+        cats.iter().map(|&cat| {
+            let a = lookup(&nk_rows, cat);
+            let m = lookup(&fk_rows, cat);
+            let b = lookup(&lx_rows, cat);
+            vec![
+                s(cat.0),
+                s(cat.1),
+                s(a),
+                pct(100.0 * a as f64 / nk_clock, 1),
+                s(m),
+                pct(100.0 * m as f64 / fk_clock, 1),
+                s(b),
+                pct(100.0 * b as f64 / lx_clock, 1),
+            ]
+        }),
     );
     h.note(format!(
         "all three ledgers sum exactly to makespan × {} CPUs: interwoven {} over {}, framekernel {} over {}, layered {} over {}",
@@ -256,10 +238,10 @@ pub(super) fn run(cli: &Cli) -> Report {
 
     // Unified counter registry: every layer publishes into one namespace.
     let snap = nk_sink.snapshot().expect("sink is on");
-    let counter_rows: Vec<Vec<String>> = snap
-        .counters
-        .iter()
-        .map(|c| {
+    h.table(
+        "counter registry snapshot (interwoven run, all layers)",
+        &["counter", "layer", "unit", "total", "last cycle"],
+        snap.counters.iter().map(|c| {
             vec![
                 s(&c.name),
                 s(c.layer),
@@ -267,12 +249,7 @@ pub(super) fn run(cli: &Cli) -> Report {
                 s(c.total),
                 s(c.last_cycle),
             ]
-        })
-        .collect();
-    h.table(
-        "counter registry snapshot (interwoven run, all layers)",
-        &["counter", "layer", "unit", "total", "last cycle"],
-        &counter_rows,
+        }),
     );
 
     // Trace well-formedness: kernel lanes are strict schedules; virtine
@@ -307,10 +284,5 @@ pub(super) fn run(cli: &Cli) -> Report {
         snap.counters.len(),
         nk_sink.attributed()
     );
-    let rows = ProfileJson {
-        interwoven: snap,
-        framekernel: fk_rows,
-        layered: lx_rows,
-    };
-    h.finish(&rows, "interwoven", headline)
+    h.finish("interwoven", headline)
 }

@@ -38,7 +38,7 @@
 //! counter tracks.
 
 use crate::harness::{Cli, Harness, MetricsSeries, Report, Scenario};
-use crate::{f, s};
+use crate::{f, pct, s, Cell};
 use interweave_core::arrivals::ArrivalKind;
 use interweave_core::machine::MachineConfig;
 use interweave_core::par::host_threads;
@@ -53,7 +53,6 @@ use interweave_virtines::serve::{
     run_serve, MetricsPolicy, PoolOptions, RetryPolicy, ServeConfig, ServeReport, ServiceProfile,
 };
 use interweave_virtines::wasp::snapshot_restore;
-use serde::Serialize;
 
 /// The campaign seed. Fixed: the whole point is a bit-reproducible run.
 const SEED: u64 = 0x5E4E;
@@ -85,58 +84,6 @@ const DEFAULT_WINDOW_CYCLES: u64 = 6_600_000;
 /// it surfaces only in the blackbox dump attached to a fault-ledger
 /// panic — so keeping it armed costs nothing on pinned stdout.
 const BLACKBOX_EVENTS: usize = 64;
-
-/// The `--json` rows: every serving run, then the per-class fault ledger
-/// at the 1.5x point (`injected == recovered + shed + absorbed`).
-#[derive(Serialize)]
-struct ServeJson {
-    runs: Vec<JsonRow>,
-    fault_ledger: Vec<LedgerRow>,
-}
-
-#[derive(Serialize)]
-struct LedgerRow {
-    class: String,
-    injected: u64,
-    recovered: u64,
-    shed: u64,
-    absorbed: u64,
-}
-
-#[derive(Serialize)]
-struct JsonRow {
-    scenario: String,
-    arrival: String,
-    load_x: f64,
-    offered: u64,
-    completed: u64,
-    shed_queue: u64,
-    shed_deadline: u64,
-    shed_retry: u64,
-    wd_reclaims: u64,
-    goodput: f64,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-}
-
-fn json_row(scenario: &str, arrival: ArrivalKind, load_x: f64, r: &ServeReport) -> JsonRow {
-    JsonRow {
-        scenario: scenario.to_string(),
-        arrival: arrival.name().to_string(),
-        load_x,
-        offered: r.offered,
-        completed: r.completed,
-        shed_queue: r.shed_queue,
-        shed_deadline: r.shed_deadline,
-        shed_retry: r.shed_retry,
-        wd_reclaims: r.wd_reclaims,
-        goodput: r.goodput(),
-        p50_us: r.latency_us.p50(),
-        p99_us: r.latency_us.p99(),
-        p999_us: r.latency_us.p999(),
-    }
-}
 
 /// The chaos plan at `load_x`× saturation.
 fn chaos(load_x: f64) -> FaultConfig {
@@ -213,12 +160,10 @@ pub(super) fn run(cli: &Cli) -> Report {
             blackbox: BLACKBOX_EVENTS,
         };
 
-    let mut json = Vec::new();
-
     // ── Curve 1: goodput and tails vs offered load, interwoven pool vs
     // layered cold-boot serving, chaos scaling with load. ──
     let mut rows = Vec::new();
-    let mut knee: Option<(String, ServeReport)> = None;
+    let mut knee: Option<(Cell, ServeReport)> = None;
     let mut metrics_series: Option<MetricsSeries> = None;
     for &load_x in &loads {
         let iw = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 32, 2), threads);
@@ -242,24 +187,28 @@ pub(super) fn run(cli: &Cli) -> Report {
             "admitted p99 {} µs breaches the shedding bound at {load_x}x",
             iw.latency_us.p99()
         );
-        let label = f(load_x, 1) + "x";
+        let label = Cell::float(load_x, 1, "x");
         rows.push(vec![
             label.clone(),
             s(iw.offered),
-            f(100.0 * iw.goodput(), 1) + "%",
+            pct(100.0 * iw.goodput(), 1),
             f(iw.latency_us.p50(), 0),
             f(iw.latency_us.p99(), 0),
             f(iw.latency_us.p999(), 0),
-            format!("{}/{}/{}", iw.shed_queue, iw.shed_deadline, iw.shed_retry),
-            f(100.0 * ly.goodput(), 1) + "%",
+            s(format!(
+                "{}/{}/{}",
+                iw.shed_queue, iw.shed_deadline, iw.shed_retry
+            )),
+            pct(100.0 * ly.goodput(), 1),
             f(ly.latency_us.p99(), 0),
         ]);
-        json.push(json_row("interwoven", arrival, load_x, &iw));
-        json.push(json_row("layered", arrival, load_x, &ly));
         if load_x >= 1.49 {
             knee = Some((label, iw));
         }
     }
+    // The headline is the last (harshest) load point of the curve.
+    let last = rows.last().expect("at least one load point");
+    let mut headline = format!("{} goodput, p99 {} µs at {}", last[2], last[4], last[0]);
     h.table(
         &format!(
             "TAB-SERVE — open-loop {} serving vs offered load (seed {SEED:#x}, {WORKERS} workers, chaos scales with load)",
@@ -276,12 +225,8 @@ pub(super) fn run(cli: &Cli) -> Report {
             "layered goodput",
             "layered p99 µs",
         ],
-        &rows,
+        rows,
     );
-
-    // The headline is the last (harshest) load point of the curve.
-    let last = rows.last().expect("at least one load point");
-    let mut headline = format!("{} goodput, p99 {} µs at {}", last[2], last[4], last[0]);
 
     // ── Curve 2: arrival-shape sensitivity at the 0.9× knee. ──
     if cli.offered_load.is_none() {
@@ -296,13 +241,12 @@ pub(super) fn run(cli: &Cli) -> Report {
             rows.push(vec![
                 s(kind.name()),
                 s(r.offered),
-                f(100.0 * r.goodput(), 1) + "%",
+                pct(100.0 * r.goodput(), 1),
                 f(r.latency_us.p50(), 0),
                 f(r.latency_us.p99(), 0),
                 f(r.latency_us.p999(), 0),
                 s(r.wd_reclaims),
             ]);
-            json.push(json_row("interwoven", kind, 0.9, &r));
         }
         h.table(
             "TAB-SERVE — arrival-shape sensitivity at 0.9x load",
@@ -315,53 +259,42 @@ pub(super) fn run(cli: &Cli) -> Report {
                 "p999 µs",
                 "wd reclaims",
             ],
-            &rows,
+            rows,
         );
     }
 
     // ── Ledger: where every injected fault landed, at the harshest point
     // of the sweep. ──
-    let mut fault_ledger = Vec::new();
     if let Some((load, peak)) = &knee {
-        let mut injected_total = 0u64;
-        for &class in FaultClass::ALL.iter() {
-            let a = peak.account(class);
+        let accounts = FaultClass::ALL.map(|class| (class, peak.account(class)));
+        for (class, a) in &accounts {
             assert_eq!(
                 a.injected,
                 a.recovered + a.shed + a.absorbed,
                 "{} ledger must balance",
                 class.name()
             );
-            injected_total += a.injected;
-            fault_ledger.push(LedgerRow {
-                class: class.name().to_string(),
-                injected: a.injected,
-                recovered: a.recovered,
-                shed: a.shed,
-                absorbed: a.absorbed,
-            });
         }
+        let injected_total: u64 = accounts.iter().map(|(_, a)| a.injected).sum();
         // Classes that never fired are left out, unless none did: a run
         // too short for the chaos plan to fire shows its all-zero ledger.
-        let rows: Vec<Vec<String>> = fault_ledger
-            .iter()
-            .filter(|l| l.injected > 0 || injected_total == 0)
-            .map(|l| {
-                vec![
-                    s(&l.class),
-                    s(l.injected),
-                    s(l.recovered),
-                    s(l.shed),
-                    s(l.absorbed),
-                ]
-            })
-            .collect();
         h.table(
             &format!(
                 "TAB-SERVE — fault ledger at {load} load (injected == recovered + shed + absorbed)"
             ),
             &["fault class", "injected", "recovered", "shed", "absorbed"],
-            &rows,
+            accounts
+                .iter()
+                .filter(|(_, a)| a.injected > 0 || injected_total == 0)
+                .map(|(class, a)| {
+                    vec![
+                        s(class.name()),
+                        s(a.injected),
+                        s(a.recovered),
+                        s(a.shed),
+                        s(a.absorbed),
+                    ]
+                }),
         );
         if injected_total == 0 {
             h.note(format!(
@@ -387,9 +320,5 @@ pub(super) fn run(cli: &Cli) -> Report {
         );
     }
 
-    let rows = ServeJson {
-        runs: json,
-        fault_ledger,
-    };
-    h.finish(&rows, "interwoven", headline)
+    h.finish("interwoven", headline)
 }

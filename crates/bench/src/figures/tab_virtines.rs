@@ -11,16 +11,6 @@ use interweave_ir::types::Val;
 use interweave_virtines::bespoke::synthesize;
 use interweave_virtines::extract::extract_one;
 use interweave_virtines::wasp::{startup, LaunchPath, Wasp};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct JsonRow {
-    path: String,
-    create_us: f64,
-    image_us: f64,
-    boot_us: f64,
-    total_us: f64,
-}
 
 pub(super) fn run(cli: &Cli) -> Report {
     let scenarios = vec![
@@ -50,7 +40,6 @@ pub(super) fn run(cli: &Cli) -> Report {
         LaunchPath::Bespoke(spec),
     ];
     let mut rows = Vec::new();
-    let mut json = Vec::new();
     let mut headline = Vec::new();
     for p in paths {
         let b = startup(p);
@@ -64,24 +53,17 @@ pub(super) fn run(cli: &Cli) -> Report {
             f(b.boot_us, 1),
             f(b.total().get(), 1),
         ]);
-        json.push(JsonRow {
-            path: p.name().into(),
-            create_us: b.create_us,
-            image_us: b.image_us,
-            boot_us: b.boot_us,
-            total_us: b.total().get(),
-        });
     }
     h.table(
         "TAB-VIRT — isolated-launch start-up latency (µs)",
         &["launch path", "create", "image", "boot", "TOTAL"],
-        &rows,
+        rows,
     );
     h.note("Paper (§IV-D): virtine start-up overheads \"as low as 100 µs\".");
     h.table(
         "Bespoke synthesis for the fib image (§V-E)",
         &["feature", "needed?"],
-        &[
+        vec![
             vec![s("FP unit"), s(spec.needs_fp)],
             vec![s("heap"), s(spec.needs_heap)],
             vec![s("I/O"), s(spec.needs_io)],
@@ -92,20 +74,18 @@ pub(super) fn run(cli: &Cli) -> Report {
     // End-to-end: invoke fib(20) repeatedly through the pool.
     let mc = h.scenario("virtine").machine.clone();
     let mut wasp = Wasp::new(image, mc.clone());
-    let mut rows = Vec::new();
-    for i in 0..4 {
-        let (outcome, cycles) = wasp.invoke(&[Val::I(20)], u64::MAX / 4);
-        rows.push(vec![
-            s(i + 1),
-            format!("{outcome:?}"),
-            s(cycles.get()),
-            format!("{}", mc.freq.us(cycles)),
-        ]);
-    }
     h.table(
         "Wasp pool: virtine fib(20) invocations (first is cold)",
         &["invocation", "outcome", "cycles", "wall"],
-        &rows,
+        (1..=4).map(|i| {
+            let (outcome, cycles) = wasp.invoke(&[Val::I(20)], u64::MAX / 4);
+            vec![
+                s(i),
+                s(format!("{outcome:?}")),
+                s(cycles.get()),
+                s(mc.freq.us(cycles).to_string()),
+            ]
+        }),
     );
     h.note(format!(
         "pool stats: {} cold start(s), {} reuse(s)",
@@ -116,32 +96,11 @@ pub(super) fn run(cli: &Cli) -> Report {
     let fib12 = programs::fib(12);
     let echo_img = extract_one(&fib12.module, fib12.entry);
     let cfg = EchoConfig::default();
-    let mut rows = Vec::new();
-    for mode in [
+    let modes = [
         ServeMode::ProcessPerRequest,
         ServeMode::VirtineCold,
         ServeMode::VirtinePooled,
-    ] {
-        let r = run_echo(&echo_img, &mc, &cfg, mode);
-        // A clamped p99 is only a lower bound (the rank overflowed the
-        // sketch range) — print it as one, with the overflow share.
-        let p99 = if r.p99_clamped {
-            format!(
-                ">={} ({}% over range)",
-                f(r.p99_us, 1),
-                f(100.0 * r.tail_overflow, 1)
-            )
-        } else {
-            f(r.p99_us, 1)
-        };
-        rows.push(vec![
-            s(mode.name()),
-            s(r.served),
-            f(r.latency_us.mean(), 1),
-            p99,
-            s(r.cold_starts),
-        ]);
-    }
+    ];
     h.table(
         "Echo service, Poisson arrivals (mean gap 150 µs), single worker",
         &[
@@ -151,7 +110,27 @@ pub(super) fn run(cli: &Cli) -> Report {
             "p99 (µs)",
             "cold starts",
         ],
-        &rows,
+        modes.map(|mode| {
+            let r = run_echo(&echo_img, &mc, &cfg, mode);
+            // A clamped p99 is only a lower bound (the rank overflowed the
+            // sketch range) — print it as one, with the overflow share.
+            let p99 = if r.p99_clamped {
+                s(format!(
+                    ">={} ({}% over range)",
+                    f(r.p99_us, 1),
+                    f(100.0 * r.tail_overflow, 1)
+                ))
+            } else {
+                f(r.p99_us, 1)
+            };
+            vec![
+                s(mode.name()),
+                s(r.served),
+                f(r.latency_us.mean(), 1),
+                p99,
+                s(r.cold_starts),
+            ]
+        }),
     );
 
     // The isolation spectrum end-to-end: for a *trusted* (attested)
@@ -176,24 +155,24 @@ pub(super) fn run(cli: &Cli) -> Report {
     h.table(
         "Isolation spectrum: invoking attested vs untrusted fib(18)",
         &["mechanism", "trust basis", "cycles", "wall"],
-        &[
+        vec![
             vec![
                 s("PIK process (guards, §IV-A)"),
                 s("compiler attestation + coverage proof"),
                 s(pik_cycles),
-                format!("{}", mc.freq.us(interweave_core::Cycles(pik_cycles))),
+                s(mc.freq.us(interweave_core::Cycles(pik_cycles)).to_string()),
             ],
             vec![
                 s("virtine, warm (§IV-D)"),
                 s("hardware VM boundary"),
                 s(virt_warm.get()),
-                format!("{}", mc.freq.us(virt_warm)),
+                s(mc.freq.us(virt_warm).to_string()),
             ],
             vec![
                 s("virtine, cold"),
                 s("hardware VM boundary"),
                 s(virt_cold.get()),
-                format!("{}", mc.freq.us(virt_cold)),
+                s(mc.freq.us(virt_cold).to_string()),
             ],
         ],
     );
@@ -202,5 +181,5 @@ pub(super) fn run(cli: &Cli) -> Report {
 attested code pays guard costs instead of VM transitions.",
     );
 
-    h.finish(&json, "virtine", headline.join(", "))
+    h.finish("virtine", headline.join(", "))
 }

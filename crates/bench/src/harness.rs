@@ -5,16 +5,18 @@
 //! rest: composing the stack through the facade's `compose` (so a
 //! figure cannot measure a composition that could not exist), the shared
 //! CLI contract (`--json <path>`, `--trace-out <path>`, ...), parallel
-//! sweeps over the composed stack, table rendering, and the
-//! machine-readable results envelope that embeds every scenario's
-//! `StackConfig`.
+//! sweeps over the composed stack, and table rendering. A table is a
+//! value ([`Table`] of typed [`Cell`]s): the same value prints as text and
+//! is written, unrounded, into the machine-readable results envelope
+//! beside every scenario's `StackConfig`.
 //!
 //! A figure renders into its [`Harness`] and hands back a [`Report`]: a
-//! value holding the exact stdout text, the `--json` envelope, the
-//! optional trace and metrics documents and the headline the scoreboard
-//! shows. Nothing here prints or writes files; `figures::main` does.
+//! value holding the exact stdout text, the tables behind it (its
+//! `--json` envelope), the optional trace and metrics documents and the
+//! headline the scoreboard shows. Nothing here prints or writes files;
+//! `figures::main` does.
 
-use crate::table_text;
+use crate::{table_text, Cell, Table};
 use interweave::compose::ComposedStack;
 use interweave_core::arrivals::ArrivalKind;
 use interweave_core::machine::MachineConfig;
@@ -229,41 +231,35 @@ impl Scenario {
 
 /// One scenario as the `--json` envelope names it: its id, its machine
 /// preset's display name, and its full, round-trippable stack.
-#[derive(Serialize)]
-struct ScenarioMeta {
-    id: String,
-    machine: String,
-    stack: StackConfig,
+#[derive(Debug, Clone, Serialize)]
+pub struct ScenarioMeta {
+    /// The scenario id.
+    pub id: String,
+    /// The machine preset's display name.
+    pub machine: String,
+    /// The stack composition.
+    pub stack: StackConfig,
 }
 
-/// A JSON document embedded verbatim in a larger one.
-pub struct RawJson(pub String);
-
-impl Serialize for RawJson {
-    fn serialize_json(&self, out: &mut String) {
-        out.push_str(&self.0);
-    }
-}
-
-/// The `--json` results envelope: which compositions were measured, then
-/// the experiment's own rows, in its own schema.
-#[derive(Serialize)]
-struct RunSummary {
-    scenarios: Vec<ScenarioMeta>,
-    rows: RawJson,
+/// The `--json` results envelope, one schema for every figure: which
+/// compositions were measured, then every table as printed.
+#[derive(Debug, Clone, Serialize)]
+pub struct Envelope {
+    /// The declared scenarios, in declaration order.
+    pub scenarios: Vec<ScenarioMeta>,
+    /// Every table the text prints, in printed order.
+    pub tables: Vec<Table>,
 }
 
 /// What one figure run produced, as a value: the exact stdout text, the
-/// `--json` envelope, the trace and metrics documents its flags asked
-/// for, and the one-line headline the scoreboard shows.
+/// `--json` envelope behind it, the trace and metrics documents its flags
+/// asked for, and the one-line headline the scoreboard shows.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// The declared scenarios, in declaration order.
-    pub scenarios: Vec<Scenario>,
     /// The exact stdout text (every table and note, nothing else).
     pub text: String,
-    /// The `--json` results envelope (scenarios plus the figure's rows).
-    pub json: String,
+    /// The scenarios and the tables the text prints.
+    pub envelope: Envelope,
     /// The Perfetto trace document, when `--trace-out` asked for one.
     pub trace: Option<String>,
     /// The windowed-metrics document, when `--metrics-out` asked for one.
@@ -274,14 +270,22 @@ pub struct Report {
     pub headline_scenario: &'static str,
 }
 
+impl Report {
+    /// The `--json` document: the [`Envelope`], pretty-printed.
+    pub fn json(&self) -> String {
+        serde_json::to_string_pretty(&self.envelope).expect("serializable envelope")
+    }
+}
+
 /// The driver a figure hands its scenarios to. It accumulates the
-/// figure's text and documents, and [`Harness::finish`] turns them into
-/// a [`Report`].
+/// figure's text, tables and documents, and [`Harness::finish`] turns
+/// them into a [`Report`].
 #[derive(Default)]
 pub struct Harness {
     cli: Cli,
     scenarios: Vec<Scenario>,
     text: String,
+    tables: Vec<Table>,
     trace: Option<String>,
     metrics: Option<String>,
 }
@@ -314,9 +318,21 @@ impl Harness {
         self.scenario(id).compose()
     }
 
-    /// Render one boxed table (title banner, aligned header and rows).
-    pub fn table(&mut self, title: &str, header: &[&str], rows: &[Vec<String>]) {
-        self.text.push_str(&table_text(title, header, rows));
+    /// Render one boxed table (title banner, aligned header and rows)
+    /// and record it for the `--json` envelope.
+    pub fn table(
+        &mut self,
+        title: &str,
+        header: &[&str],
+        rows: impl IntoIterator<Item = Vec<Cell>>,
+    ) {
+        let rows: Vec<Vec<Cell>> = rows.into_iter().collect();
+        self.text.push_str(&table_text(title, header, &rows));
+        self.tables.push(Table {
+            title: title.to_string(),
+            header: header.iter().map(|h| h.to_string()).collect(),
+            rows,
+        });
     }
 
     /// Append one line of prose (a `println!` into the report).
@@ -342,15 +358,10 @@ impl Harness {
         }
     }
 
-    /// Finish the run: `rows` become the `--json` envelope, and `headline`
-    /// is what the scoreboard shows for the scenario `headline_scenario`.
-    /// Every declared scenario must compose, measured or not.
-    pub fn finish<T: Serialize>(
-        self,
-        rows: &T,
-        headline_scenario: &'static str,
-        headline: String,
-    ) -> Report {
+    /// Finish the run: `headline` is what the scoreboard shows for the
+    /// scenario `headline_scenario`. Every declared scenario must
+    /// compose, measured or not.
+    pub fn finish(self, headline_scenario: &'static str, headline: String) -> Report {
         self.scenario(headline_scenario);
         let scenarios = self.scenarios.iter().map(|sc| {
             sc.compose();
@@ -360,14 +371,12 @@ impl Harness {
                 stack: sc.config,
             }
         });
-        let envelope = RunSummary {
-            scenarios: scenarios.collect(),
-            rows: RawJson(serde_json::to_string(rows).expect("serializable rows")),
-        };
         Report {
-            json: serde_json::to_string_pretty(&envelope).expect("serializable envelope"),
-            scenarios: self.scenarios,
             text: self.text,
+            envelope: Envelope {
+                scenarios: scenarios.collect(),
+                tables: self.tables,
+            },
             trace: self.trace,
             metrics: self.metrics,
             headline,
@@ -706,7 +715,7 @@ mod tests {
 
     #[test]
     fn envelope_embeds_every_scenario_stack() {
-        let h = Harness::new(
+        let mut h = Harness::new(
             &Cli::default(),
             vec![
                 Scenario::new(
@@ -717,11 +726,12 @@ mod tests {
                 Scenario::new("nk", StackConfig::nautilus(), MachineConfig::phi_knl()),
             ],
         );
-        #[derive(Serialize)]
-        struct Row {
-            v: u64,
-        }
-        let json = h.finish(&vec![Row { v: 7 }], "nk", String::new()).json;
+        h.table(
+            "t",
+            &["key", "v"],
+            vec![vec![crate::s("a"), crate::s(7u64)]],
+        );
+        let json = h.finish("nk", String::new()).json();
         let v = serde::json::parse(&json).expect("valid envelope");
         let scenarios = match v.get("scenarios") {
             Some(serde::json::JsonValue::Arr(a)) => a,
@@ -732,6 +742,6 @@ mod tests {
         use serde::Deserialize;
         let parsed = StackConfig::deserialize_json(stack).expect("round-trips");
         assert_eq!(parsed, StackConfig::nautilus());
-        assert!(json.contains("\"rows\""));
+        assert!(json.contains("\"tables\""));
     }
 }

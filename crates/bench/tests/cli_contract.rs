@@ -79,9 +79,11 @@ fn ablations_json_writes_the_envelope() {
     let json = std::fs::read_to_string(&path).expect("envelope written");
     std::fs::remove_dir_all(&root).expect("remove scratch dir");
     let v = serde::json::parse(&json).expect("valid envelope");
-    match v.get("rows") {
-        Some(serde::json::JsonValue::Arr(rows)) => assert_eq!(rows.len(), 4, "one per ablation"),
-        other => panic!("envelope must carry a rows array, got {other:?}"),
+    match v.get("tables") {
+        Some(serde::json::JsonValue::Arr(tables)) => {
+            assert_eq!(tables.len(), 4, "one per ablation")
+        }
+        other => panic!("envelope must carry a tables array, got {other:?}"),
     }
 }
 
@@ -115,13 +117,20 @@ fn json_writes_the_results_envelope() {
 
 /// `json` is `tab_pipeline`'s results envelope.
 fn assert_envelope(json: &str) {
+    use serde::json::JsonValue;
     let v = serde::json::parse(json).expect("valid envelope");
-    match (v.get("scenarios"), v.get("rows")) {
-        (Some(serde::json::JsonValue::Arr(scenarios)), Some(serde::json::JsonValue::Arr(rows))) => {
+    match (v.get("scenarios"), v.get("tables")) {
+        (Some(JsonValue::Arr(scenarios)), Some(JsonValue::Arr(tables))) => {
             assert_eq!(scenarios.len(), 2, "idt and pipeline scenarios");
-            assert_eq!(rows.len(), 3, "one row per compared quantity");
+            assert_eq!(tables.len(), 1, "the one TAB-PIPE table");
+            match tables[0].get("rows") {
+                Some(JsonValue::Arr(rows)) => {
+                    assert_eq!(rows.len(), 3, "one row per compared quantity")
+                }
+                other => panic!("the table must carry a rows array, got {other:?}"),
+            }
         }
-        other => panic!("envelope must carry scenarios and rows arrays, got {other:?}"),
+        other => panic!("envelope must carry scenarios and tables arrays, got {other:?}"),
     }
 }
 

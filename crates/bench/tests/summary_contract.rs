@@ -2,10 +2,12 @@
 //! `summary` binary writes to `BENCH_summary.json` must be parseable JSON,
 //! every experiment's embedded [`StackConfig`] must deserialize back to
 //! exactly the composition that was serialized — bookkeeping scripts key
-//! on it — and every entry carries its figure's `--json` rows.
+//! on it — and every entry carries its figure's `--json` envelope, whose
+//! tables are the figure's printed tables.
 
 use interweave_bench::figures::{figure, BenchSummary, ExperimentSummary, FIGURES};
 use interweave_bench::harness::{Cli, Harness, Scenario};
+use interweave_bench::s;
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_core::FaultClass;
@@ -49,28 +51,51 @@ fn scoreboard() -> Vec<JsonValue> {
         .enumerate()
         .map(|(i, stack)| {
             let mc = MachineConfig::xeon_server_2s();
-            let h = Harness::new(&Cli::default(), vec![Scenario::new("s", stack, mc)]);
-            let report = h.finish(&vec![i], "s", "1.0x".into());
+            let mut h = Harness::new(&Cli::default(), vec![Scenario::new("s", stack, mc)]);
+            h.table("stack", &["index"], vec![vec![s(i)]]);
+            let report = h.finish("s", "1.0x".into());
             ExperimentSummary::new(&FIGURES[i], &report, 0.25)
         })
         .collect();
     summary_file(entries)
 }
 
-/// The rows `name`'s default run embeds in its summary entry.
-fn embedded_rows(name: &str) -> JsonValue {
+/// The tables `name`'s default run embeds in its summary entry.
+fn embedded_tables(name: &str) -> Vec<JsonValue> {
     let f = figure(name);
     let entry = ExperimentSummary::new(f, &(f.run)(&Cli::default()), 0.0);
     let envelope = summary_file(vec![entry])[0].get("rows").cloned();
     let envelope = envelope.expect("every entry embeds its --json envelope");
     assert!(envelope.get("scenarios").is_some());
-    envelope.get("rows").expect("the figure's rows").clone()
+    array(&envelope, "tables").to_vec()
 }
 
-fn num(row: &JsonValue, field: &str) -> u64 {
-    match row.get(field) {
-        Some(JsonValue::Num(n)) => n.parse().expect("integral"),
-        other => panic!("{field} must be a number, got {other:?}"),
+fn array<'a>(v: &'a JsonValue, field: &str) -> &'a [JsonValue] {
+    match v.get(field) {
+        Some(JsonValue::Arr(a)) => a,
+        other => panic!("{field} must be an array, got {other:?}"),
+    }
+}
+
+/// The rows of the one table in `tables` whose title starts with
+/// `prefix`, each as its cells.
+fn rows_titled<'a>(tables: &'a [JsonValue], prefix: &str) -> Vec<&'a [JsonValue]> {
+    let mut titled = tables
+        .iter()
+        .filter(|t| string(t, "title").starts_with(prefix));
+    let table = titled.next().expect("a table with that title");
+    assert!(titled.next().is_none(), "one table titled {prefix:?}");
+    let rows = array(table, "rows").iter().map(|r| match r {
+        JsonValue::Arr(cells) => cells.as_slice(),
+        other => panic!("a row must be an array, got {other:?}"),
+    });
+    rows.collect()
+}
+
+fn num(cell: &JsonValue) -> u64 {
+    match cell {
+        JsonValue::Num(n) => n.parse().expect("integral"),
+        other => panic!("cell must be a number, got {other:?}"),
     }
 }
 
@@ -118,47 +143,50 @@ fn experiment_os_field_matches_the_embedded_stack() {
 
 #[test]
 fn primitive_table_round_trips_all_three_os_columns() {
-    let rows = match embedded_rows("tab_primitives") {
-        JsonValue::Arr(a) => a,
-        other => panic!("tab_primitives rows must be an array, got {other:?}"),
-    };
-    let mc = MachineConfig::xeon_server_2s();
-    let (lx, fk, nk) = (
-        LinuxModel::new(mc.clone()),
-        AsterModel::new(mc.clone()),
-        NkModel::new(mc.clone()),
-    );
-    let table = primitive_table(&[("Linux", &lx), ("Aster", &fk), ("Nautilus", &nk)]);
-    // Two machines, server first; the server rows are exactly the table.
-    assert_eq!(rows.len(), 2 * table.len());
-    for (row, want) in rows.iter().zip(&table) {
-        assert_eq!(string(row, "machine"), mc.name);
-        assert_eq!(string(row, "primitive"), want.name);
-        assert_eq!(num(row, "linux_cycles"), want.costs[0].get());
-        assert_eq!(num(row, "aster_cycles"), want.costs[1].get());
-        assert_eq!(num(row, "nautilus_cycles"), want.costs[2].get());
+    let tables = embedded_tables("tab_primitives");
+    // One TAB-NK table per machine, each named in its title; each table's
+    // rows are exactly that machine's primitive table.
+    for mc in [MachineConfig::xeon_server_2s(), MachineConfig::phi_knl()] {
+        let (lx, fk, nk) = (
+            LinuxModel::new(mc.clone()),
+            AsterModel::new(mc.clone()),
+            NkModel::new(mc.clone()),
+        );
+        let table = primitive_table(&[("Linux", &lx), ("Aster", &fk), ("Nautilus", &nk)]);
+        let rows = rows_titled(
+            &tables,
+            &format!("TAB-NK — kernel primitives on {}", mc.name),
+        );
+        assert_eq!(rows.len(), table.len());
+        for (row, want) in rows.iter().zip(&table) {
+            assert_eq!(row[0].as_str(), Some(want.name));
+            assert_eq!(num(&row[1]), want.costs[0].get());
+            assert_eq!(num(&row[2]), want.costs[1].get());
+            assert_eq!(num(&row[3]), want.costs[2].get());
+        }
     }
 }
 
 #[test]
 fn fault_breakdown_round_trips_per_class_and_balances() {
-    let ledger = match embedded_rows("tab_serve").get("fault_ledger") {
-        Some(JsonValue::Arr(a)) => a.clone(),
-        other => panic!("fault_ledger must be an array, got {other:?}"),
-    };
-    assert_eq!(ledger.len(), FaultClass::ALL.len());
+    let tables = embedded_tables("tab_serve");
+    let ledger = rows_titled(&tables, "TAB-SERVE — fault ledger");
+    // The ledger lists the classes that fired, each once, by name.
+    let mut seen = Vec::new();
     let mut injected = 0;
-    for (row, class) in ledger.iter().zip(FaultClass::ALL) {
-        assert_eq!(string(row, "class"), class.name());
+    for row in &ledger {
+        let class = row[0].as_str().expect("a class name");
+        assert!(
+            FaultClass::ALL.iter().any(|c| c.name() == class),
+            "{class:?} is not a fault class"
+        );
+        assert!(!seen.contains(&class), "{class:?} listed twice");
+        seen.push(class);
         // The robustness invariant the ledger exists to expose: no fault
         // vanishes unaccounted.
-        let (recovered, shed, absorbed) = (
-            num(row, "recovered"),
-            num(row, "shed"),
-            num(row, "absorbed"),
-        );
-        assert_eq!(num(row, "injected"), recovered + shed + absorbed);
-        injected += num(row, "injected");
+        let (recovered, shed, absorbed) = (num(&row[2]), num(&row[3]), num(&row[4]));
+        assert_eq!(num(&row[1]), recovered + shed + absorbed);
+        injected += num(&row[1]);
     }
     assert!(injected > 0, "the 1.5x point must inject faults");
 }

@@ -52,7 +52,7 @@ use std::rc::Rc;
 
 /// The stack layer a counter or span belongs to. One Perfetto process
 /// track per layer; the attribution table groups by layer first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Layer {
     /// Simulated hardware: idle cycles, interrupt fabric, event machinery.
     Hardware,
@@ -105,7 +105,7 @@ impl Layer {
 }
 
 /// What a counter's value measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Unit {
     /// Plain event count.
     Count,

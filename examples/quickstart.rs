@@ -35,10 +35,10 @@ fn main() {
     let stack =
         compose(interwoven, machine.clone()).expect("the interwoven preset is a coherent stack");
     println!(
-        "composed: os={}, translation={}, delivery={:?}",
+        "composed: os={}, translation={:?}, delivery={:?}",
         stack.os.name(),
-        stack.translation.name(),
-        stack.delivery
+        stack.config.translation,
+        stack.machine().delivery
     );
     // The OS axis has a mid-point: the Aster-like framekernel composes
     // like any other stack point.

@@ -4,11 +4,9 @@
 //! the experimental variable. [`StackConfig`] names the five axes; this
 //! module makes each named point buildable: [`compose`] takes a
 //! configuration plus a [`MachineConfig`] preset and materializes the
-//! composed objects its callers read — the OS personality ([`OsModel`]),
-//! the interrupt [`DeliveryMode`], the translation regime (paging model,
-//! identity mapping, or CARAT's guard runtime) and the coherence policy —
-//! after rejecting incoherent axis combinations with a typed
-//! [`ComposeError`].
+//! composed objects its callers read — the OS personality ([`OsModel`])
+//! on the machine, and the coherence policy — after rejecting incoherent
+//! axis combinations with a typed [`ComposeError`].
 //!
 //! Every harness-run experiment routes its stack selection through here,
 //! so a figure binary cannot measure a composition that could not exist:
@@ -35,7 +33,6 @@
 //! assert_eq!(err, ComposeError::CaratOnCommodityKernel);
 //! ```
 
-use interweave_carat::runtime::GuardCosts;
 use interweave_coherence::protocol::CohMode;
 use interweave_core::interrupt::DeliveryMode;
 use interweave_core::machine::MachineConfig;
@@ -43,7 +40,6 @@ use interweave_core::stack::{
     CoherencePolicy, Isolation, OsPoint, StackConfig, TimingSource, Translation,
 };
 use interweave_kernel::os::{model_for, OsModel};
-use interweave_kernel::paging::PagingModel;
 use interweave_omp::OmpMode;
 use std::fmt;
 
@@ -141,33 +137,6 @@ impl fmt::Display for ComposeError {
 
 impl std::error::Error for ComposeError {}
 
-/// The materialized translation regime of a composed stack.
-pub enum TranslationSetup {
-    /// Conventional paging: a TLB + demand-fault model priced from the
-    /// machine's cost model.
-    Paging(PagingModel),
-    /// Raw identity mapping with the largest page size: translation is
-    /// free and unprotected (§III).
-    Identity,
-    /// CARAT: compiler guards (`interweave_carat::instrument`) priced by
-    /// the tracking runtime's cost table.
-    Carat {
-        /// Per-call costs of the tracking runtime.
-        costs: GuardCosts,
-    },
-}
-
-impl TranslationSetup {
-    /// Display name for tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TranslationSetup::Paging(_) => "paging",
-            TranslationSetup::Identity => "identity",
-            TranslationSetup::Carat { .. } => "carat",
-        }
-    }
-}
-
 /// One runtime composition: the objects a `StackConfig` names that
 /// experiments price against, built and ready.
 pub struct ComposedStack {
@@ -176,10 +145,6 @@ pub struct ComposedStack {
     /// The kernel personality (the `OsPoint` axis materialized) on the
     /// machine.
     pub os: Box<dyn OsModel>,
-    /// How the machine delivers interrupts (IDT or §V-D pipeline branch).
-    pub delivery: DeliveryMode,
-    /// The translation regime.
-    pub translation: TranslationSetup,
     /// The coherence policy, in the protocol simulator's terms.
     pub coherence: CohMode,
 }
@@ -189,8 +154,6 @@ impl fmt::Debug for ComposedStack {
         f.debug_struct("ComposedStack")
             .field("config", &self.config)
             .field("os", &self.os.name())
-            .field("delivery", &self.delivery)
-            .field("translation", &self.translation.name())
             .field("coherence", &self.coherence)
             .finish()
     }
@@ -249,22 +212,13 @@ pub fn compose(config: StackConfig, machine: MachineConfig) -> Result<ComposedSt
     if machine.delivery == DeliveryMode::PipelineBranch && c.os != OsPoint::NkLike {
         return Err(ComposeError::PipelineDeliveryRequiresNkKernel);
     }
-    let translation = match config.translation {
-        Translation::Paging => TranslationSetup::Paging(PagingModel::new(&machine.cost)),
-        Translation::Identity => TranslationSetup::Identity,
-        Translation::Carat => TranslationSetup::Carat {
-            costs: GuardCosts::default(),
-        },
-    };
     let coherence = match config.coherence {
         CoherencePolicy::FullMesi => CohMode::Full,
         CoherencePolicy::Selective => CohMode::Selective,
     };
     Ok(ComposedStack {
         config,
-        delivery: machine.delivery,
         os: model_for(config.os, machine),
-        translation,
         coherence,
     })
 }
@@ -297,18 +251,15 @@ mod tests {
     fn composed_objects_track_the_axes() {
         let c = compose(StackConfig::commodity(), mc()).unwrap();
         assert_eq!(c.os.name(), "Linux");
-        assert!(matches!(c.translation, TranslationSetup::Paging(_)));
         assert_eq!(c.coherence, CohMode::Full);
         assert_eq!(c.omp_mode(), Some(OmpMode::LinuxUser));
 
         let fk = compose(StackConfig::framekernel(), mc()).unwrap();
         assert_eq!(fk.os.name(), "Aster");
-        assert!(matches!(fk.translation, TranslationSetup::Paging(_)));
         assert_eq!(fk.omp_mode(), Some(OmpMode::AsterUser));
 
         let i = compose(StackConfig::interwoven(), mc()).unwrap();
         assert_eq!(i.os.name(), "Nautilus");
-        assert!(matches!(i.translation, TranslationSetup::Carat { .. }));
         assert_eq!(i.coherence, CohMode::Selective);
         assert_eq!(i.omp_mode(), None, "interwoven is not an OpenMP stack");
     }
@@ -351,7 +302,7 @@ mod tests {
             ComposeError::PipelineDeliveryRequiresNkKernel
         );
         let nk = compose(StackConfig::nautilus(), pipeline).unwrap();
-        assert_eq!(nk.delivery, DeliveryMode::PipelineBranch);
+        assert_eq!(nk.machine().delivery, DeliveryMode::PipelineBranch);
     }
 
     #[test]

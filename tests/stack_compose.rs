@@ -61,15 +61,7 @@ fn every_axis_combination_builds_or_is_rejected_with_the_predicted_error() {
                     // The composition mirrors the configuration it came from.
                     assert_eq!(stack.config, cfg);
                     assert_eq!(stack.os.name(), cfg.os.name());
-                    assert_eq!(
-                        stack.translation.name(),
-                        match cfg.translation {
-                            Translation::Paging => "paging",
-                            Translation::Identity => "identity",
-                            Translation::Carat => "carat",
-                        }
-                    );
-                    assert_eq!(stack.delivery, machine.delivery);
+                    assert_eq!(stack.machine().delivery, machine.delivery);
                     built += 1;
                 }
                 Some(err) => {
