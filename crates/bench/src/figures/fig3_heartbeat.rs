@@ -8,10 +8,11 @@
 //! declared as stack compositions and composed through the harness;
 //! `--os <name>` restricts the sweep to one point of the axis.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, pct, s, Cell};
 use interweave::compose::ComposedStack;
 use interweave_core::machine::MachineConfig;
+use interweave_core::par::{host_threads, parallel_map};
 use interweave_core::stack::StackConfig;
 use interweave_core::Cycles;
 use interweave_heartbeat::sim::{fig3_benchmarks, run_heartbeat, HeartbeatConfig};
@@ -24,9 +25,9 @@ fn cfg_for(stack: &ComposedStack, target_us: f64, handler: Cycles) -> HeartbeatC
     cfg
 }
 
-pub(super) fn run(cli: &Cli) -> Report {
+pub(super) fn scenarios() -> Vec<Scenario> {
     let mc = MachineConfig::xeon_server_2s().with_cores(16);
-    let scenarios = vec![
+    vec![
         Scenario::new("linux", StackConfig::commodity(), mc.clone()),
         Scenario::new("aster", StackConfig::framekernel(), mc.clone()),
         Scenario::new("nautilus", StackConfig::nautilus(), mc.clone()),
@@ -37,14 +38,16 @@ pub(super) fn run(cli: &Cli) -> Report {
             StackConfig::nautilus(),
             mc.with_pipeline_interrupts(),
         ),
-    ];
-    let mut h = Harness::new(cli, scenarios);
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
     // The figure's mechanism columns: the whole OS axis, or the one point
     // `--os` selects.
-    let mechanisms: Vec<Scenario> = h.scenarios()[..3]
+    let mechanisms: Vec<&Composed> = sc[..3]
         .iter()
-        .filter(|sc| cli.os.is_none_or(|os| sc.config.os == os))
-        .cloned()
+        .filter(|point| cli.os.is_none_or(|os| point.stack.config.os == os))
         .collect();
 
     let mut headline = String::new();
@@ -52,8 +55,9 @@ pub(super) fn run(cli: &Cli) -> Report {
         // One parallel sweep per mechanism over the benchmark suite.
         let results: Vec<Vec<_>> = mechanisms
             .iter()
-            .map(|sc| {
-                sc.sweep(fig3_benchmarks(), |stack, (bench, handler)| {
+            .map(|point| {
+                let stack = &point.stack;
+                parallel_map(fig3_benchmarks(), host_threads(), |(bench, handler)| {
                     let r = run_heartbeat(&cfg_for(stack, target_us, handler));
                     (bench, stack.config.os.name(), r)
                 })
@@ -101,8 +105,8 @@ pub(super) fn run(cli: &Cli) -> Report {
     }
 
     // §V-D ablation: pipeline interrupts on the Nautilus path.
-    let idt = run_heartbeat(&cfg_for(&h.stack("nautilus"), 20.0, Cycles(1000)));
-    let pipe = run_heartbeat(&cfg_for(&h.stack("nautilus+pipeline"), 20.0, Cycles(1000)));
+    let idt = run_heartbeat(&cfg_for(&sc[2].stack, 20.0, Cycles(1000)));
+    let pipe = run_heartbeat(&cfg_for(&sc[3].stack, 20.0, Cycles(1000)));
     h.table(
         "§V-D ablation — Nautilus heartbeat overhead at ♥ = 20 µs by delivery mode",
         &["delivery", "overhead"],
@@ -140,5 +144,5 @@ pub(super) fn run(cli: &Cli) -> Report {
     );
     // The headline measures the NK end of the axis, or the `--os` point.
     let measured = mechanisms.last().expect("--os names a point on the axis");
-    h.finish(measured.id, headline)
+    Ok(h.finish(measured, headline))
 }

@@ -1,18 +1,18 @@
 //! Fig. 4: context-switch costs for threads, fibers, and compiler-timed
 //! fibers on the Phi KNL preset, plus measured overhead sweeps and
-//! granularity floors. The kernels compared are declared as stack
-//! compositions and composed through the harness.
+//! granularity floors. Each callout's switch is its scenario's kernel, of
+//! the kind its timing source preempts, on its machine.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, pct, s, Cell};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::{StackConfig, TimingSource};
 use interweave_fibers::study::{analytic_rows, floor_cycles, overhead_sweep};
 use interweave_kernel::threads::SwitchKind;
 
-pub(super) fn run(cli: &Cli) -> Report {
+pub(super) fn scenarios() -> Vec<Scenario> {
     let knl = MachineConfig::phi_knl();
-    let scenarios = vec![
+    vec![
         Scenario::new("linux", StackConfig::commodity(), knl.clone()),
         Scenario::new("aster", StackConfig::framekernel(), knl.clone()),
         Scenario::new("nautilus", StackConfig::nautilus(), knl.clone()),
@@ -26,13 +26,19 @@ pub(super) fn run(cli: &Cli) -> Report {
             },
             knl,
         ),
-    ];
-    let mut h = Harness::new(cli, scenarios);
-    let mc = &h.scenario("nautilus").machine.clone();
-    let linux = h.stack("linux").config.os;
-    let aster = h.stack("aster").config.os;
-    let nk = h.stack("nautilus").config.os;
-    let comptime = h.stack("nautilus+comptime").config.os;
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
+    let mc = sc[2].stack.machine();
+    // A scenario's granularity floor: its kernel's switch, of the kind its
+    // timing source preempts (threads by timer, fibers by compiler).
+    let floor = |point: &Composed, fp| {
+        let stack = &point.stack;
+        let kind = SwitchKind::preempting(stack.config.timing);
+        floor_cycles(stack.machine(), kind, stack.config.os, fp)
+    };
 
     // The figure's bars: cost decomposition per configuration.
     let rows_data = analytic_rows(mc);
@@ -64,11 +70,8 @@ pub(super) fn run(cli: &Cli) -> Report {
     );
 
     // Headline ratios the figure calls out.
-    let linux_fp = floor_cycles(mc, SwitchKind::ThreadInterrupt, linux, true);
-    let aster_fp = floor_cycles(mc, SwitchKind::ThreadInterrupt, aster, true);
-    let nk_fp = floor_cycles(mc, SwitchKind::ThreadInterrupt, nk, true);
-    let fib_fp = floor_cycles(mc, SwitchKind::FiberCompilerTimed, comptime, true);
-    let fib_nofp = floor_cycles(mc, SwitchKind::FiberCompilerTimed, comptime, false);
+    let [linux_fp, aster_fp, nk_fp, fib_fp] = [0, 1, 2, 3].map(|i| floor(&sc[i], true));
+    let fib_nofp = floor(&sc[3], false);
     h.table(
         "Fig. 4 callouts",
         &["quantity", "value"],
@@ -128,5 +131,5 @@ pub(super) fn run(cli: &Cli) -> Report {
         "{fib_nofp}-cycle fiber floor without FP; {}× below a Linux FP switch",
         f(linux_fp as f64 / fib_fp as f64, 1)
     );
-    h.finish("nautilus+comptime", headline)
+    Ok(h.finish(&sc[3], headline))
 }

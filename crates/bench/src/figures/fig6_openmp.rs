@@ -1,11 +1,12 @@
 //! Fig. 6: kernel-OpenMP performance relative to Linux as a function of
 //! CPUs — NAS BT and SP on the Phi KNL preset, plus the 8-socket/192-core
-//! repetition and the EPCC overhead table. The Aster/RTK/PIK/CCK designs
-//! are declared as stack compositions; their OpenMP modes (and the table
-//! columns) derive from the composed stacks, so the OS axis's framekernel
-//! mid-point appears as its own column.
+//! repetition and the EPCC overhead table. The Linux baseline and the
+//! Aster/RTK/PIK/CCK designs are declared as stack compositions; their
+//! OpenMP modes (the baseline and the table columns) derive from the
+//! composed stacks' os, translation and timing axes, so the OS axis's
+//! framekernel mid-point appears as its own column.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, s, Cell};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
@@ -14,33 +15,37 @@ use interweave_omp::nas::fig6_specs;
 use interweave_omp::sim::{fig6_series, geomean_rel, knl_cpu_counts};
 use interweave_omp::OmpMode;
 
-pub(super) fn run(cli: &Cli) -> Report {
+pub(super) fn scenarios() -> Vec<Scenario> {
     let knl = MachineConfig::phi_knl();
-    let scenarios = vec![
+    vec![
         Scenario::new("linux", StackConfig::commodity(), knl.clone()),
         Scenario::new("aster", StackConfig::framekernel(), knl.clone()),
-        Scenario::new("rtk", StackConfig::rtk(), knl.clone()),
+        Scenario::new("rtk", StackConfig::nautilus(), knl.clone()),
         Scenario::new("pik", StackConfig::pik(), knl.clone()),
-        Scenario::new("cck", StackConfig::cck(), knl.clone()),
-    ];
-    let mut h = Harness::new(cli, scenarios);
-    // The kernel modes under comparison, derived from the compositions
-    // (the Linux scenario is the baseline inside fig6_series).
-    let modes: Vec<OmpMode> = h.scenarios()[1..]
-        .iter()
-        .map(|sc| {
-            sc.compose()
-                .omp_mode()
-                .unwrap_or_else(|| panic!("scenario {:?} is not an OpenMP stack", sc.id))
+        Scenario::new("cck", StackConfig::cck(), knl),
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    // Every scenario's OpenMP mode derives from its composition: the first
+    // is the baseline, the rest are the columns under comparison.
+    let modes = sc.iter().map(|point| {
+        point.stack.omp_mode().ok_or(ScenarioError::Unsupported {
+            id: point.id,
+            needs: "an OpenMP stack (os, translation and timing of one of its modes)",
         })
-        .collect();
+    });
+    let series = modes.collect::<Result<Vec<OmpMode>, _>>()?;
+    let (baseline, measured, modes) = (series[0], series[2], &series[1..]);
     let mode_names: Vec<&'static str> = modes.iter().map(|m| m.name()).collect();
+    let knl = sc[0].stack.machine();
+    let mut h = Harness::new(cli, sc);
 
     let counts = knl_cpu_counts();
     let mut all_points = Vec::new();
 
     for spec in fig6_specs() {
-        let pts = fig6_series(&spec, &knl, &counts, &modes, 42);
+        let pts = fig6_series(&spec, knl, &counts, &series, 42);
         let mut rows = Vec::new();
         for &p in &counts {
             let get = |m: OmpMode| {
@@ -57,8 +62,10 @@ pub(super) fn run(cli: &Cli) -> Report {
         header.extend(&mode_names);
         h.table(
             &format!(
-                "Fig. 6 — NAS {} on {}: performance relative to Linux (1.0 = baseline)",
-                spec.name, knl.name
+                "Fig. 6 — NAS {} on {}: performance relative to {} (1.0 = baseline)",
+                spec.name,
+                knl.name,
+                baseline.name()
             ),
             &header,
             rows,
@@ -84,7 +91,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     let mut big_points = Vec::new();
     for spec in fig6_specs() {
         let spec = spec.scaled(8);
-        big_points.extend(fig6_series(&spec, &big, &big_counts, &modes, 7));
+        big_points.extend(fig6_series(&spec, &big, &big_counts, &series, 7));
     }
     h.table(
         &format!("Repetition on {} (paper: ~20 % for RTK and PIK)", big.name),
@@ -96,7 +103,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     h.table(
         "EPCC-style construct overheads (cycles)",
         &["construct", "mode", "threads", "overhead"],
-        epcc_table(&knl, &[2, 8, 32, 64])
+        epcc_table(knl, &[2, 8, 32, 64])
             .into_iter()
             .filter(|r| r.construct == Construct::Barrier || r.threads == 64)
             .map(|r| {
@@ -112,7 +119,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     // Noise-sensitivity ablation.
     use interweave_omp::sim::noise_sensitivity;
     let spec = interweave_omp::nas::bt();
-    let pts = noise_sensitivity(&spec, &knl, 32, &[0.0, 0.5, 1.0, 2.0, 4.0], 42);
+    let pts = noise_sensitivity(&spec, knl, 32, &[0.0, 0.5, 1.0, 2.0, 4.0], 42);
     let rows: Vec<Vec<Cell>> = pts
         .iter()
         .map(|(scale, rel)| vec![Cell::float(*scale, 1, "x"), f(*rel, 3)])
@@ -127,11 +134,13 @@ pub(super) fn run(cli: &Cli) -> Report {
 noise amplifies through barriers into the bulk of Fig. 6's gap.",
     );
 
-    let rtk = geomean_rel(&all_points, OmpMode::Rtk);
+    let gain = geomean_rel(&all_points, measured);
     let headline = format!(
-        "RTK geomean {} of Linux ({:+.1}%)",
-        f(rtk, 3),
-        100.0 * (rtk - 1.0)
+        "{} geomean {} of {} ({:+.1}%)",
+        measured.name(),
+        f(gain, 3),
+        baseline.name(),
+        100.0 * (gain - 1.0)
     );
-    h.finish("rtk", headline)
+    Ok(h.finish(&sc[2], headline))
 }

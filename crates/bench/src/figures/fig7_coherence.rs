@@ -2,33 +2,47 @@
 //! workloads, dual-socket 24-core machine, plus the interconnect-energy
 //! companion claim and the scale trend.
 //!
-//! Every sweep runs `experiment::fig7`'s round loop on one thread: all
-//! cores share one directory, so there is nothing to partition. The binary
+//! The two scenarios differ only on the coherence axis: each run's
+//! `CohMode` is its scenario's, and the core count its machine's. The
+//! (core count × benchmark) runs fan out on the host's cores. The binary
 //! reads no flag besides `--json`.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, pct, s};
 use interweave_coherence::experiment::{fig7, mean_energy_reduction, mean_speedup};
 use interweave_core::machine::MachineConfig;
-use interweave_core::stack::StackConfig;
+use interweave_core::stack::{CoherencePolicy, StackConfig};
 
-pub(super) fn run(cli: &Cli) -> Report {
-    let scenarios = vec![
-        Scenario::new(
-            "full-mesi",
-            StackConfig::commodity(),
-            MachineConfig::xeon_server_2s(),
-        ),
-        Scenario::new(
-            "selective",
-            StackConfig::interwoven(),
-            MachineConfig::xeon_server_2s(),
-        ),
-    ];
-    let mut h = Harness::new(cli, scenarios);
-    let rows_data = fig7(24, 11, 1);
+pub(super) fn scenarios() -> Vec<Scenario> {
+    let xeon = MachineConfig::xeon_server_2s();
+    let full = StackConfig {
+        coherence: CoherencePolicy::FullMesi,
+        ..StackConfig::interwoven()
+    };
+    vec![
+        Scenario::new("full-mesi", full, xeon.clone()),
+        Scenario::new("selective", StackConfig::interwoven(), xeon),
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let (base, compared) = (&sc[0], &sc[1]);
+    let mut h = Harness::new(cli, sc);
+    let modes = [base.stack.coherence, compared.stack.coherence];
+    let cores = compared.stack.machine().cores;
+    // Scale trend (§V-B: "benefits grow with scale"): the main table's
+    // run is one of its points. Largest first, so the heaviest runs start
+    // first on the pool.
+    let trend = [48usize, 24, 16, 8];
+    let mut counts = trend.to_vec();
+    if !counts.contains(&cores) {
+        counts.push(cores);
+    }
+    let runs = fig7(&counts, modes, 11, 1);
+    let at = |n| &runs[counts.iter().position(|&c| c == n).expect("run at n cores")];
+    let rows_data = at(cores);
     h.table(
-        "Fig. 7 — selective coherence deactivation, 24-core dual-socket preset",
+        &format!("Fig. 7 — selective coherence deactivation, {cores}-core dual-socket preset"),
         &[
             "benchmark",
             "MESI cycles",
@@ -39,34 +53,27 @@ pub(super) fn run(cli: &Cli) -> Report {
         rows_data.iter().map(|r| {
             vec![
                 s(r.name),
-                s(r.full_cycles),
-                s(r.selective_cycles),
+                s(r.base_cycles),
+                s(r.cycles),
                 f(r.speedup(), 3),
                 pct(100.0 * r.energy_reduction(), 1),
             ]
         }),
     );
-    let speedup = f(mean_speedup(&rows_data), 3);
-    let energy_cut = f(100.0 * mean_energy_reduction(&rows_data), 1);
+    let speedup = f(mean_speedup(rows_data), 3);
+    let energy_cut = f(100.0 * mean_energy_reduction(rows_data), 1);
     h.note(format!(
         "mean speedup: {speedup}  (paper: ~1.46)\nmean interconnect-energy reduction: {energy_cut}%  (paper: ~53%)"
     ));
 
-    // Scale trend (§V-B: "benefits grow with scale"). The 24-core row is
-    // the main table's run — fig7 is deterministic, so reuse it.
     h.table(
         "Scale trend",
         &["cores", "mean speedup", "mean NoC energy cut"],
-        [8usize, 16, 24, 48].map(|cores| {
-            let r = if cores == 24 {
-                rows_data.clone()
-            } else {
-                fig7(cores, 11, 1)
-            };
+        trend.into_iter().rev().map(|n| {
             vec![
-                s(cores),
-                f(mean_speedup(&r), 3),
-                pct(100.0 * mean_energy_reduction(&r), 1),
+                s(n),
+                f(mean_speedup(at(n)), 3),
+                pct(100.0 * mean_energy_reduction(at(n)), 1),
             ]
         }),
     );
@@ -102,5 +109,5 @@ pub(super) fn run(cli: &Cli) -> Report {
     );
 
     let headline = format!("{speedup}x mean speedup, −{energy_cut}% NoC energy");
-    h.finish("selective", headline)
+    Ok(h.finish(compared, headline))
 }

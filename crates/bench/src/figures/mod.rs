@@ -1,14 +1,17 @@
 //! The experiment registry: one [`Figure`] value per paper figure or table.
 //!
-//! A figure is a name, the paper claim it checks, the flags it reads, and
-//! a function from the shared command line to a [`Report`]. Everything
+//! A figure is a name, the paper claim it checks, the flags it reads, the
+//! scenarios it declares, and a function from the shared command line and
+//! those scenarios, composed, to a [`Report`]. Everything
 //! that runs experiments runs these values: each binary in `src/bin/` is
 //! a one-line call to [`main`], `summary` builds its scoreboard from every
 //! report's headline ([`summary_main`]), and `tests/goldens.rs` compares
 //! every report's text to the committed `golden/<name>.stdout`. So a headline has exactly one
 //! code path, shared by the figure, the scoreboard and the golden check.
 
-use crate::harness::{write_output, Cli, Envelope, Report};
+use crate::harness::{
+    compose_all, write_output, Cli, Composed, Envelope, Report, Scenario, ScenarioError,
+};
 use crate::{s, table_text, Cell};
 use interweave_carat::defrag::fragmentation_demo;
 use interweave_carat::pik::{PikProcess, PikSystem};
@@ -44,8 +47,27 @@ pub struct Figure {
     /// The flags `run` reads, besides the `--json` every figure writes;
     /// the binary rejects any other.
     pub reads: &'static [&'static str],
-    /// Run the experiment under a command line.
-    pub run: fn(&Cli) -> Report,
+    /// The scenarios the experiment compares; `run` reads them by
+    /// position.
+    pub scenarios: fn() -> Vec<Scenario>,
+    /// Run the experiment under a command line on composed scenarios.
+    pub run: fn(&Cli, &[Composed]) -> Result<Report, ScenarioError>,
+}
+
+impl Figure {
+    /// Run the experiment on its declared scenarios.
+    pub fn report(&self, cli: &Cli) -> Result<Report, ScenarioError> {
+        self.report_on(cli, &(self.scenarios)())
+    }
+
+    /// Run the experiment on the declared scenarios with their axes
+    /// edited: `scenarios` keeps the declared list's length and order,
+    /// since `run` reads it by position. Every scenario is composed first:
+    /// an incoherent stack or a repeated id is rejected before anything
+    /// runs.
+    pub fn report_on(&self, cli: &Cli, scenarios: &[Scenario]) -> Result<Report, ScenarioError> {
+        (self.run)(cli, &compose_all(scenarios)?)
+    }
 }
 
 /// Every registered figure, in scoreboard order.
@@ -55,6 +77,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "Fig 3",
         claim: "NK and Aster sustain ♥=20µs; Linux cannot",
         reads: &["--os"],
+        scenarios: fig3_heartbeat::scenarios,
         run: fig3_heartbeat::run,
     },
     Figure {
@@ -62,6 +85,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "Fig 4",
         claim: "fiber granularity < 600 cycles",
         reads: &[],
+        scenarios: fig4_fibers::scenarios,
         run: fig4_fibers::run,
     },
     Figure {
@@ -69,6 +93,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "Fig 6",
         claim: "RTK ≈ +22% geomean over Linux",
         reads: &[],
+        scenarios: fig6_openmp::scenarios,
         run: fig6_openmp::run,
     },
     Figure {
@@ -76,6 +101,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "Fig 7",
         claim: "selective coherence ≈1.46x, −53% NoC energy",
         reads: &[],
+        scenarios: fig7_coherence::scenarios,
         run: fig7_coherence::run,
     },
     Figure {
@@ -83,6 +109,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "§III",
         claim: "primitives orders of magnitude faster; Aster in between",
         reads: &[],
+        scenarios: tab_primitives::scenarios,
         run: tab_primitives::run,
     },
     Figure {
@@ -90,6 +117,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "§IV-A",
         claim: "CARAT <6% geomean (naive is costly)",
         reads: &[],
+        scenarios: tab_carat::scenarios,
         run: tab_carat::run,
     },
     Figure {
@@ -97,6 +125,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "§IV-D",
         claim: "virtine start-up ≈ 100 µs",
         reads: &[],
+        scenarios: tab_virtines::scenarios,
         run: tab_virtines::run,
     },
     Figure {
@@ -104,6 +133,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "§V-D",
         claim: "dispatch 100–1000x cheaper",
         reads: &[],
+        scenarios: tab_pipeline::scenarios,
         run: tab_pipeline::run,
     },
     Figure {
@@ -111,6 +141,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "§V-C",
         claim: "polled drivers, zero interrupts",
         reads: &[],
+        scenarios: tab_blend::scenarios,
         run: tab_blend::run,
     },
     Figure {
@@ -118,6 +149,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "§V-B/§V-F",
         claim: "selective coherence gains grow with disaggregation",
         reads: &[],
+        scenarios: tab_ablations::scenarios,
         run: tab_ablations::run,
     },
     Figure {
@@ -125,6 +157,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "faults",
         claim: "every injected fault detected and recovered one layer up",
         reads: &[],
+        scenarios: tab_faults::scenarios,
         run: tab_faults::run,
     },
     Figure {
@@ -132,6 +165,7 @@ pub const FIGURES: &[Figure] = &[
         experiment: "telemetry",
         claim: "every cycle attributed across the OS axis",
         reads: &["--trace-out"],
+        scenarios: tab_profile::scenarios,
         run: tab_profile::run,
     },
     Figure {
@@ -146,6 +180,7 @@ pub const FIGURES: &[Figure] = &[
             "--window-cycles",
             "--trace-out",
         ],
+        scenarios: tab_serve::scenarios,
         run: tab_serve::run,
     },
 ];
@@ -185,15 +220,25 @@ pub fn figure(name: &str) -> &'static Figure {
         .unwrap_or_else(|| panic!("no figure named {name:?}"))
 }
 
+/// `figure`'s report under `cli`; a scenario it cannot run is named on
+/// stderr and the process exits with status 2.
+fn report_or_exit(figure: &Figure, cli: &Cli) -> Report {
+    figure.report(cli).unwrap_or_else(|e| {
+        eprintln!("error: {}: {e}", figure.name);
+        std::process::exit(2)
+    })
+}
+
 /// The whole of a figure binary: parse the shared command line, run the
 /// figure named `name`, print its text, and write every output its flags
-/// asked for. A flag the figure does not read, or whose document the run
-/// did not produce, is a usage error: it is named on stderr and the
-/// binary exits with status 2, before anything is printed or written.
+/// asked for. A flag the figure does not read, a document the run did
+/// not produce, or a scenario the figure cannot run is a usage error: it
+/// is named on stderr and the binary exits with status 2, before anything
+/// is printed or written.
 pub fn main(name: &str) {
     let figure = figure(name);
     let cli = Cli::parse(name, figure.reads);
-    let report = (figure.run)(&cli);
+    let report = report_or_exit(figure, &cli);
     let json = report.json();
     let outputs = [
         (&cli.metrics_out, "metrics", report.metrics.as_deref()),
@@ -295,7 +340,7 @@ pub fn summary_main() {
         .iter()
         .map(|f| {
             let t = Instant::now();
-            let report = (f.run)(&cli);
+            let report = report_or_exit(f, &cli);
             (f, report, t.elapsed().as_secs_f64() * 1e3)
         })
         .collect();

@@ -11,14 +11,14 @@
 //! 4. **CARAT guard-cost sensitivity** — how the <6 % geomean depends on
 //!    the per-guard cost the runtime achieves.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, pct, s, Cell};
 use interweave_coherence::experiment::run_one_on_mesh;
 use interweave_coherence::protocol::{CohMode, ProtocolKind, System, SystemConfig};
 use interweave_coherence::workloads::fig7_mixes;
 use interweave_core::machine::MachineConfig;
 use interweave_core::par::{host_threads, parallel_map};
-use interweave_core::stack::StackConfig;
+use interweave_core::stack::{CoherencePolicy, StackConfig, TimingSource};
 
 fn msi_vs_mesi() -> Vec<Vec<Cell>> {
     // Private read-then-write traffic on one core.
@@ -58,14 +58,19 @@ fn msi_vs_mesi() -> Vec<Vec<Cell>> {
     ]
 }
 
-fn disaggregation_sweep() -> Vec<Vec<Cell>> {
+/// Selective's advantage per cross-domain penalty: each run's coherence
+/// mode and core count are its scenario's.
+fn disaggregation_sweep(base: &Composed, compared: &Composed) -> Vec<Vec<Cell>> {
     let mut mix = fig7_mixes()[0].clone();
     mix.accesses_per_round /= 2;
     let penalties: Vec<u32> = vec![0, 8, 16, 32, 64];
     parallel_map(penalties, host_threads(), |pen| {
         let disagg = if pen == 0 { None } else { Some((8usize, pen)) };
-        let (full, full_e) = run_one_on_mesh(&mix, 16, CohMode::Full, 11, disagg);
-        let (sel, sel_e) = run_one_on_mesh(&mix, 16, CohMode::Selective, 11, disagg);
+        let run = |sc: &Composed| {
+            let cores = sc.stack.machine().cores;
+            run_one_on_mesh(&mix, cores, sc.stack.coherence, 11, disagg)
+        };
+        let ((full, full_e), (sel, sel_e)) = (run(base), run(compared));
         vec![
             s(pen),
             f(full as f64 / sel as f64, 3),
@@ -74,19 +79,22 @@ fn disaggregation_sweep() -> Vec<Vec<Cell>> {
     })
 }
 
-fn riscv_vs_x64_fig4() -> Vec<Vec<Cell>> {
-    use interweave_core::stack::OsPoint;
+/// Fig. 4's switch costs per machine, each column its scenario's kernel
+/// and timing source on that scenario's machine: a Linux thread, an NK
+/// thread and an NK compiler-timed fiber.
+fn riscv_vs_x64_fig4(machines: &[Composed]) -> Vec<Vec<Cell>> {
     use interweave_kernel::threads::{switch_cost, SwitchKind};
-    let machines = [MachineConfig::phi_knl(), MachineConfig::riscv_openpiton()];
+    let cost = |sc: &Composed| {
+        let stack = &sc.stack;
+        let kind = SwitchKind::preempting(stack.config.timing);
+        switch_cost(stack.machine(), stack.config.os, kind, false, true).total()
+    };
     machines
-        .iter()
-        .map(|mc| {
-            let cost = |os, kind| switch_cost(mc, os, kind, false, true).total();
-            let thread = cost(OsPoint::LinuxLike, SwitchKind::ThreadInterrupt);
-            let nk = cost(OsPoint::NkLike, SwitchKind::ThreadInterrupt);
-            let fiber = cost(OsPoint::NkLike, SwitchKind::FiberCompilerTimed);
+        .chunks(3)
+        .map(|columns| {
+            let [thread, nk, fiber] = [0, 1, 2].map(|i| cost(&columns[i]));
             vec![
-                s(&mc.name),
+                s(&columns[0].stack.machine().name),
                 s(thread.get()),
                 s(nk.get()),
                 s(fiber.get()),
@@ -103,19 +111,28 @@ fn guard_cost_sensitivity() -> Vec<Vec<Cell>> {
     use interweave_ir::interp::{Interp, InterpConfig, NullHooks};
     use interweave_ir::programs;
 
+    // The uninstrumented runs and the instrumented modules do not depend
+    // on the guard cost: build them once.
+    let suite: Vec<_> = programs::suite(3)
+        .into_iter()
+        .map(|p| {
+            let mut base_it = Interp::new(InterpConfig::default());
+            base_it.start(&p.module, p.entry, &p.args);
+            base_it.run_to_completion(&p.module, &mut NullHooks);
+            let guarded = [false, true].map(|optimize| {
+                let mut m = p.module.clone();
+                instrument(&mut m, optimize);
+                m
+            });
+            (p, base_it.stats.cycles, guarded)
+        })
+        .collect();
     let guard_costs: Vec<u64> = vec![1, 3, 6, 12];
     parallel_map(guard_costs, host_threads(), |g| {
-        let rows: Vec<interweave_carat::overhead::OverheadRow> = programs::suite(3)
+        let rows: Vec<interweave_carat::overhead::OverheadRow> = suite
             .iter()
-            .map(|p| {
-                let mut base_it = Interp::new(InterpConfig::default());
-                base_it.start(&p.module, p.entry, &p.args);
-                base_it.run_to_completion(&p.module, &mut NullHooks);
-                let base = base_it.stats.cycles;
-
-                let measure = |optimize: bool| {
-                    let mut m = p.module.clone();
-                    instrument(&mut m, optimize);
+            .map(|(p, base, guarded)| {
+                let [naive, opt] = guarded.each_ref().map(|m| {
                     let mut rt = CaratRuntime::new();
                     rt.costs = GuardCosts {
                         guard: g,
@@ -123,16 +140,16 @@ fn guard_cost_sensitivity() -> Vec<Vec<Cell>> {
                         ..GuardCosts::default()
                     };
                     let mut it = Interp::new(InterpConfig::default());
-                    it.start(&m, p.entry, &p.args);
-                    it.run_to_completion(&m, &mut rt);
+                    it.start(m, p.entry, &p.args);
+                    it.run_to_completion(m, &mut rt);
                     it.stats.cycles
-                };
+                });
                 interweave_carat::overhead::OverheadRow {
                     name: p.name.clone(),
-                    base_cycles: base,
-                    naive_cycles: measure(false),
-                    opt_cycles: measure(true),
-                    paging_cycles: base,
+                    base_cycles: *base,
+                    naive_cycles: naive,
+                    opt_cycles: opt,
+                    paging_cycles: *base,
                     static_guards_naive: 0,
                     static_guards_opt: 0,
                     dyn_guards_naive: 0,
@@ -145,30 +162,56 @@ fn guard_cost_sensitivity() -> Vec<Vec<Cell>> {
     })
 }
 
-pub(super) fn run(cli: &Cli) -> Report {
-    let xeon = MachineConfig::xeon_server_2s();
-    let riscv = MachineConfig::riscv_openpiton();
-    let scenarios = vec![
-        Scenario::new("full-mesi", StackConfig::commodity(), xeon.clone()),
-        Scenario::new("selective", StackConfig::interwoven(), xeon.clone()),
-        Scenario::new("riscv-linux", StackConfig::commodity(), riscv.clone()),
-        Scenario::new("riscv-nautilus", StackConfig::nautilus(), riscv),
-        Scenario::new("carat", StackConfig::pik(), xeon),
+pub(super) fn scenarios() -> Vec<Scenario> {
+    let xeon = MachineConfig::xeon_server_2s().with_cores(16);
+    let full = StackConfig {
+        coherence: CoherencePolicy::FullMesi,
+        ..StackConfig::interwoven()
+    };
+    let comptime = StackConfig {
+        timing: TimingSource::CompilerInjected,
+        ..StackConfig::nautilus()
+    };
+    let mut scenarios = vec![
+        Scenario::new("full-mesi", full, xeon.clone()),
+        Scenario::new("selective", StackConfig::interwoven(), xeon),
     ];
-    let mut h = Harness::new(cli, scenarios);
+    for (machine, ids) in [
+        (
+            MachineConfig::phi_knl(),
+            ["knl-linux", "knl-nautilus", "knl-comptime"],
+        ),
+        (
+            MachineConfig::riscv_openpiton(),
+            ["riscv-linux", "riscv-nautilus", "riscv-comptime"],
+        ),
+    ] {
+        let stacks = [StackConfig::commodity(), StackConfig::nautilus(), comptime];
+        for (id, config) in ids.into_iter().zip(stacks) {
+            scenarios.push(Scenario::new(id, config, machine.clone()));
+        }
+    }
+    scenarios
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
     h.table(
         "Ablation 1 — protocol family on private read→write traffic (8 cores)",
         &["protocol", "cycles", "directory lookups", "vs MSI"],
         msi_vs_mesi(),
     );
-    let disagg = disaggregation_sweep();
+    let disagg = disaggregation_sweep(&sc[0], &sc[1]);
     let (flat, far) = (&disagg[0], &disagg[disagg.len() - 1]);
     let headline = format!(
         "selective speedup {}x on a flat mesh → {}x at {}-hop links",
         flat[1], far[1], far[0]
     );
     h.table(
-        "Ablation 2 — disaggregation (extra cross-domain hops, 16 cores, samplesort)",
+        &format!(
+            "Ablation 2 — disaggregation (extra cross-domain hops, {} cores, samplesort)",
+            sc[1].stack.machine().cores
+        ),
         &[
             "cross-domain penalty (hops)",
             "selective speedup",
@@ -185,7 +228,7 @@ pub(super) fn run(cli: &Cli) -> Report {
             "comp-timed fiber",
             "end-to-end gain",
         ],
-        riscv_vs_x64_fig4(),
+        riscv_vs_x64_fig4(&sc[2..]),
     );
     h.note(
         "Open hardware starts closer to the interwoven ideal (lean traps, no\n\
@@ -202,5 +245,5 @@ pub(super) fn run(cli: &Cli) -> Report {
          multiply the per-guard cost. The residual sensitivity is the pointer-\n\
          chase outlier, whose data-dependent guards cannot hoist.",
     );
-    h.finish("selective", headline)
+    Ok(h.finish(&sc[1], headline))
 }

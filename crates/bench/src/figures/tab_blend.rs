@@ -1,36 +1,42 @@
 //! §V-C: blending — blended (polled) device drivers vs. interrupt-driven
 //! handling, and the page- vs. object-granularity far-memory sweep.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, s, Cell};
 use interweave_blend::farmem::{density_sweep, FarMemConfig};
 use interweave_blend::polling::{run_device_experiment, DeviceConfig, DriveMode};
 use interweave_core::machine::MachineConfig;
-use interweave_core::stack::StackConfig;
+use interweave_core::stack::{StackConfig, TimingSource};
 use interweave_ir::programs;
 
-pub(super) fn run(cli: &Cli) -> Report {
-    let scenarios = vec![
-        Scenario::new(
-            "interrupt-driven",
-            StackConfig::commodity(),
-            MachineConfig::xeon_server_2s(),
-        ),
-        Scenario::new(
-            "blended",
-            StackConfig::interwoven(),
-            MachineConfig::xeon_server_2s(),
-        ),
-    ];
-    let mut h = Harness::new(cli, scenarios);
-    let mc = h.scenario("blended").machine.clone();
+pub(super) fn scenarios() -> Vec<Scenario> {
+    let xeon = MachineConfig::xeon_server_2s();
+    // The two stacks differ only on the timing axis.
+    let blended = StackConfig {
+        timing: TimingSource::CompilerInjected,
+        ..StackConfig::commodity()
+    };
+    vec![
+        Scenario::new("interrupt-driven", StackConfig::commodity(), xeon.clone()),
+        Scenario::new("blended", blended, xeon),
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
+    let mc = sc[1].stack.machine();
     let program = programs::stencil1d(128, 32);
 
-    // Device latency/cost vs event rate.
+    // Device latency/cost vs event rate. A stack on hardware timers takes
+    // device interrupts; one whose compiler injects timing polls instead.
     let mut rows = Vec::new();
     let (mut polled, mut polled_interrupts) = (0, 0);
     for &gap in &[1_500u64, 4_000, 16_000] {
-        for mode in [DriveMode::InterruptDriven, DriveMode::BlendedPolling] {
+        for point in sc {
+            let mode = match point.stack.config.timing {
+                TimingSource::HardwareTimer => DriveMode::InterruptDriven,
+                TimingSource::CompilerInjected => DriveMode::BlendedPolling,
+            };
             let r = run_device_experiment(
                 &program,
                 &DeviceConfig {
@@ -38,7 +44,7 @@ pub(super) fn run(cli: &Cli) -> Report {
                     handler: 250,
                     seed: 21,
                 },
-                &mc,
+                point.stack.machine(),
                 mode,
             );
             let per_event = r.device_cycles as f64 / r.serviced.max(1) as f64;
@@ -126,7 +132,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     let rows: Vec<Vec<Cell>> = modes
         .iter()
         .map(|(name, mode)| {
-            let r = run_block(&bcfg, &mc, *mode);
+            let r = run_block(&bcfg, mc, *mode);
             vec![
                 s(*name),
                 f(r.latency.mean(), 0),
@@ -149,5 +155,5 @@ pub(super) fn run(cli: &Cli) -> Report {
     );
 
     let headline = format!("{polled} polled events, {polled_interrupts} interrupts");
-    h.finish("blended", headline)
+    Ok(h.finish(&sc[1], headline))
 }

@@ -2,23 +2,32 @@
 //! per benchmark kernel, geometric means, guard statistics, and the paging
 //! comparison. Also demonstrates defragmentation at a quiescent point.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{pct, s};
 use interweave_carat::overhead::{geomean_overheads, run_suite};
 use interweave_core::machine::MachineConfig;
-use interweave_core::stack::StackConfig;
+use interweave_core::stack::{StackConfig, Translation};
 
-pub(super) fn run(cli: &Cli) -> Report {
-    let scenarios = vec![
-        Scenario::new(
-            "paging",
-            StackConfig::commodity(),
-            MachineConfig::xeon_server_2s(),
-        ),
-        Scenario::new("carat", StackConfig::pik(), MachineConfig::xeon_server_2s()),
-    ];
-    let mut h = Harness::new(cli, scenarios);
-    let rows_data = run_suite(6);
+pub(super) fn scenarios() -> Vec<Scenario> {
+    let xeon = MachineConfig::xeon_server_2s();
+    // The two stacks differ only on the translation axis.
+    let paging = StackConfig {
+        translation: Translation::Paging,
+        ..StackConfig::pik()
+    };
+    vec![
+        Scenario::new("paging", paging, xeon.clone()),
+        Scenario::new("carat", StackConfig::pik(), xeon),
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
+    // The paging column under the first scenario's translation, the guard
+    // pipeline under the second's, each priced on its machine.
+    let [paging, carat] =
+        [&sc[0].stack, &sc[1].stack].map(|stack| (stack.config.translation, &stack.machine().cost));
+    let rows_data = run_suite(6, carat, paging);
     h.table(
         "TAB-CARAT — instrumentation overhead per kernel",
         &[
@@ -73,5 +82,5 @@ pub(super) fn run(cli: &Cli) -> Report {
     h.note(format!("post-defrag list walk: sum = {v} (correct)"));
 
     let headline = format!("{opt_gm:.2}% optimized / {naive_gm:.2}% naive geomean");
-    h.finish("carat", headline)
+    Ok(h.finish(&sc[1], headline))
 }

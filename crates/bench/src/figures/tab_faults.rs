@@ -17,7 +17,7 @@
 //! one fixed seed: two runs are byte-identical, which `tests/goldens.rs`
 //! asserts.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, s, Cell};
 use interweave::compose::ComposedStack;
 use interweave_carat::quarantine_and_relocate;
@@ -52,8 +52,9 @@ struct Row {
     note: &'static str,
 }
 
-/// Lost + delayed kick IPIs, recovered by the kernel watchdog.
-fn ipi_rows(mc: &MachineConfig) -> (Row, Row) {
+/// Lost + delayed kick IPIs, recovered by the kernel watchdog of `stack`.
+fn ipi_rows(stack: &ComposedStack) -> (Row, Row) {
+    let mc = stack.machine();
     let cfg = FaultConfig {
         drop_ipi: 0.25,
         delay_ipi: 0.25,
@@ -61,6 +62,7 @@ fn ipi_rows(mc: &MachineConfig) -> (Row, Row) {
     };
     let max_delay = cfg.max_ipi_delay;
     let mut e = Executor::new(mc.clone(), Cycles(10_000));
+    e.set_os(stack.config.os);
     e.set_fault_plan(FaultPlan::new(cfg));
     e.enable_watchdog(Cycles(5_000));
     for cpu in 0..8 {
@@ -103,6 +105,7 @@ fn ipi_rows(mc: &MachineConfig) -> (Row, Row) {
 fn alloc_row(stack: &ComposedStack) -> Row {
     let mc = stack.machine();
     let mut e = Executor::new(mc.clone(), Cycles(10_000));
+    e.set_os(stack.config.os);
     // 2 zones × 16 × 16 KiB stacks: capacity for every spawn that the
     // fault plane lets through.
     e.set_stack_allocator(NumaAllocator::new(mc.sockets, 14, 4));
@@ -244,21 +247,25 @@ fn virtine_row(mc: &MachineConfig) -> Row {
     }
 }
 
-pub(super) fn run(cli: &Cli) -> Report {
-    let mc = MachineConfig::xeon_server_2s();
-    let scenarios = vec![
-        Scenario::new("interwoven", StackConfig::nautilus(), mc.clone()),
-        Scenario::new("layered", StackConfig::commodity(), mc.clone()),
-    ];
-    let mut h = Harness::new(cli, scenarios);
-    let interwoven = h.stack("interwoven");
-    let (lost, delayed) = ipi_rows(&mc);
+pub(super) fn scenarios() -> Vec<Scenario> {
+    vec![Scenario::new(
+        "interwoven",
+        StackConfig::nautilus(),
+        MachineConfig::xeon_server_2s(),
+    )]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
+    let interwoven = &sc[0].stack;
+    let mc = interwoven.machine();
+    let (lost, delayed) = ipi_rows(interwoven);
     let rows_data = [
         lost,
         delayed,
-        alloc_row(&interwoven),
-        bit_flip_row(&mc),
-        virtine_row(&mc),
+        alloc_row(interwoven),
+        bit_flip_row(mc),
+        virtine_row(mc),
     ];
 
     let advantage = |r: &Row| r.layered as f64 / r.interwoven as f64;
@@ -304,5 +311,5 @@ pub(super) fn run(cli: &Cli) -> Report {
         rows_data.len(),
         f(least, 1)
     );
-    h.finish("interwoven", headline)
+    Ok(h.finish(&sc[0], headline))
 }

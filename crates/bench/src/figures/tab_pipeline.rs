@@ -3,7 +3,7 @@
 //! improvement) and its downstream effect on every interrupt-consuming
 //! subsystem.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, s, Cell};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::{OsPoint, StackConfig};
@@ -11,8 +11,8 @@ use interweave_core::Cycles;
 use interweave_heartbeat::sim::{run_heartbeat, HeartbeatConfig};
 use interweave_kernel::threads::{switch_cost, SwitchKind};
 
-pub(super) fn run(cli: &Cli) -> Report {
-    let scenarios = vec![
+pub(super) fn scenarios() -> Vec<Scenario> {
+    vec![
         Scenario::new(
             "idt",
             StackConfig::nautilus(),
@@ -23,10 +23,12 @@ pub(super) fn run(cli: &Cli) -> Report {
             StackConfig::nautilus(),
             MachineConfig::xeon_server_2s().with_pipeline_interrupts(),
         ),
-    ];
-    let mut h = Harness::new(cli, scenarios);
-    let idt = &h.scenario("idt").machine.clone();
-    let pipe = &h.scenario("pipeline").machine.clone();
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
+    let (idt, pipe) = (sc[0].stack.machine(), sc[1].stack.machine());
     let row = |q: &str, a: f64, b: f64| {
         vec![s(q), f(a, 1), f(b, 1), Cell::float(a / b.max(1e-9), 0, "×")]
     };
@@ -78,5 +80,5 @@ pub(super) fn run(cli: &Cli) -> Report {
         "\nPaper: dispatch ≈1000 cycles today; pipeline delivery \"would be similar\n\
          to that of a correctly predicted branch, 100–1000× better\".",
     );
-    h.finish("pipeline", headline)
+    Ok(h.finish(&sc[1], headline))
 }

@@ -3,32 +3,45 @@
 //! Nautilus-like; "orders of magnitude faster" at the NK end), on both
 //! server and KNL presets.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, pct, s, Cell};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_kernel::microbench::primitive_table;
-use interweave_kernel::os::{AsterModel, LinuxModel, NkModel};
 
-pub(super) fn run(cli: &Cli) -> Report {
-    let machines = [MachineConfig::xeon_server_2s(), MachineConfig::phi_knl()];
+pub(super) fn scenarios() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
-    for mc in machines.clone() {
-        scenarios.push(Scenario::new("linux", StackConfig::commodity(), mc.clone()));
-        scenarios.push(Scenario::new(
-            "aster",
+    for (mc, ids) in [
+        (
+            MachineConfig::xeon_server_2s(),
+            ["xeon-linux", "xeon-aster", "xeon-nautilus"],
+        ),
+        (
+            MachineConfig::phi_knl(),
+            ["knl-linux", "knl-aster", "knl-nautilus"],
+        ),
+    ] {
+        let stacks = [
+            StackConfig::commodity(),
             StackConfig::framekernel(),
-            mc.clone(),
-        ));
-        scenarios.push(Scenario::new("nautilus", StackConfig::nautilus(), mc));
+            StackConfig::nautilus(),
+        ];
+        for (id, config) in ids.into_iter().zip(stacks) {
+            scenarios.push(Scenario::new(id, config, mc.clone()));
+        }
     }
-    let mut h = Harness::new(cli, scenarios);
+    scenarios
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
     let mut headline = String::new();
-    for mc in machines {
-        let lx = LinuxModel::new(mc.clone());
-        let fk = AsterModel::new(mc.clone());
-        let nk = NkModel::new(mc.clone());
-        let table = primitive_table(&[("Linux", &lx), ("Aster", &fk), ("Nautilus", &nk)]);
+    // One table per machine, its columns that machine's three scenarios'
+    // kernels.
+    for columns in sc.chunks(3) {
+        let mc = columns[2].stack.machine();
+        let kernels: Vec<_> = columns.iter().map(|point| &*point.stack.os).collect();
+        let table = primitive_table(&kernels);
         let rows: Vec<Vec<Cell>> = table
             .iter()
             .map(|r| {
@@ -100,5 +113,5 @@ pub(super) fn run(cli: &Cli) -> Report {
          primitive except the uncontended mutex (its checked RAII lock is\n\
          fatter than the futex fast path).",
     );
-    h.finish("nautilus", headline)
+    Ok(h.finish(&sc[2], headline))
 }

@@ -22,7 +22,7 @@
 //! Everything is driven by one fixed seed: two runs are byte-identical,
 //! trace included, which `tests/goldens.rs` asserts.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{pct, s};
 use interweave::compose::ComposedStack;
 use interweave_coherence::protocol::{CohMode, System, SystemConfig};
@@ -105,7 +105,8 @@ fn profile(stack: &ComposedStack) -> (Sink, Executor) {
 /// Share the interwoven run's sink with the other layers so the registry
 /// snapshot spans the whole stack: coherence gauges, CARAT runtime gauges,
 /// heartbeat delivery gauges, and live virtine counters + spans.
-fn cross_layer_publishers(sink: &Sink, mc: &MachineConfig) {
+fn cross_layer_publishers(sink: &Sink, stack: &ComposedStack) {
+    let mc = stack.machine();
     // Coherence: a small shared-then-private access mix.
     let mut sys = System::new(SystemConfig::test(8, CohMode::Selective));
     for l in 0..64u64 {
@@ -121,11 +122,11 @@ fn cross_layer_publishers(sink: &Sink, mc: &MachineConfig) {
     assert!(corruptions.is_empty(), "no faults injected here");
     p.runtime.publish_telemetry(sink);
 
-    // Heartbeat: a short NK broadcast run at the paper's 20 µs target.
+    // Heartbeat: a short run of the stack's kernel at the paper's 20 µs
+    // target.
     {
-        use interweave_core::stack::OsPoint;
         use interweave_heartbeat::sim::{run_heartbeat, HeartbeatConfig};
-        let mut cfg = HeartbeatConfig::fig3(OsPoint::NkLike, 20.0, Cycles(1_000));
+        let mut cfg = HeartbeatConfig::fig3(stack.config.os, 20.0, Cycles(1_000));
         cfg.duration_us = 5_000.0;
         run_heartbeat(&cfg).publish_telemetry(sink);
     }
@@ -158,18 +159,22 @@ fn cross_layer_publishers(sink: &Sink, mc: &MachineConfig) {
     assert!(restarts > 0, "p=0.5 kills over 6 requests must land");
 }
 
-pub(super) fn run(cli: &Cli) -> Report {
+pub(super) fn scenarios() -> Vec<Scenario> {
     let mc = MachineConfig::xeon_server_2s().with_cores(8);
-    let scenarios = vec![
+    vec![
         Scenario::new("interwoven", StackConfig::nautilus(), mc.clone()),
         Scenario::new("framekernel", StackConfig::framekernel(), mc.clone()),
         Scenario::new("layered", StackConfig::commodity(), mc.clone()),
-    ];
-    let mut h = Harness::new(cli, scenarios);
-    let (nk_sink, nk) = profile(&h.stack("interwoven"));
-    let (fk_sink, fk) = profile(&h.stack("framekernel"));
-    let (lx_sink, lx) = profile(&h.stack("layered"));
-    cross_layer_publishers(&nk_sink, &mc);
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
+    let mc = sc[0].stack.machine();
+    let (nk_sink, nk) = profile(&sc[0].stack);
+    let (fk_sink, fk) = profile(&sc[1].stack);
+    let (lx_sink, lx) = profile(&sc[2].stack);
+    cross_layer_publishers(&nk_sink, &sc[0].stack);
     // The publishers above count and gauge but never charge the ledger, so
     // the attribution invariant still holds against the executor's clock.
     nk_sink
@@ -284,5 +289,5 @@ pub(super) fn run(cli: &Cli) -> Report {
         snap.counters.len(),
         nk_sink.attributed()
     );
-    h.finish("interwoven", headline)
+    Ok(h.finish(&sc[0], headline))
 }

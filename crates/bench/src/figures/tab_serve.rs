@@ -37,7 +37,7 @@
 //! `--trace-out <path>` additionally exports the trajectory as Perfetto
 //! counter tracks.
 
-use crate::harness::{Cli, Harness, MetricsSeries, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, MetricsSeries, Report, Scenario, ScenarioError};
 use crate::{f, pct, s, Cell};
 use interweave_core::arrivals::ArrivalKind;
 use interweave_core::machine::MachineConfig;
@@ -95,13 +95,17 @@ fn chaos(load_x: f64) -> FaultConfig {
     }
 }
 
-pub(super) fn run(cli: &Cli) -> Report {
+pub(super) fn scenarios() -> Vec<Scenario> {
     let mc = MachineConfig::xeon_server_2s();
-    let scenarios = vec![
+    vec![
         Scenario::new("interwoven", StackConfig::interwoven(), mc.clone()),
         Scenario::new("layered", StackConfig::commodity(), mc.clone()),
-    ];
-    let mut h = Harness::new(cli, scenarios);
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
+    let mc = sc[0].stack.machine();
     let threads = host_threads();
 
     // Calibrate the service from one real isolated execution, then derive
@@ -113,7 +117,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     let profile = ServiceProfile::calibrate(&image, &args, u64::MAX / 4);
     assert!(profile.ok, "calibration run must return");
     let warm =
-        snapshot_restore(profile.dirty_pages).total_cycles(&mc) + Cycles(profile.guest_cycles);
+        snapshot_restore(profile.dirty_pages).total_cycles(mc) + Cycles(profile.guest_cycles);
     let warm_us = mc.freq.us(warm).get();
     // WORKERS warm servers drain one request per `warm_us` each: offered
     // load 1.0× means a global mean gap of `warm_us / WORKERS`.
@@ -166,8 +170,8 @@ pub(super) fn run(cli: &Cli) -> Report {
     let mut knee: Option<(Cell, ServeReport)> = None;
     let mut metrics_series: Option<MetricsSeries> = None;
     for &load_x in &loads {
-        let iw = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 32, 2), threads);
-        let ly = run_serve(&image, &args, &mc, &cfg_at(arrival, load_x, 0, 0), threads);
+        let iw = run_serve(&image, &args, mc, &cfg_at(arrival, load_x, 32, 2), threads);
+        let ly = run_serve(&image, &args, mc, &cfg_at(arrival, load_x, 0, 0), threads);
         if let Some(ts) = &iw.series {
             metrics_series = Some(MetricsSeries::from_series(ts));
         }
@@ -232,7 +236,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     if cli.offered_load.is_none() {
         let mut rows = Vec::new();
         for &kind in ArrivalKind::ALL.iter() {
-            let r = run_serve(&image, &args, &mc, &cfg_at(kind, 0.9, 32, 2), threads);
+            let r = run_serve(&image, &args, mc, &cfg_at(kind, 0.9, 32, 2), threads);
             assert!(
                 r.accounts_balanced(),
                 "ledger must balance for {}",
@@ -320,5 +324,5 @@ pub(super) fn run(cli: &Cli) -> Report {
         );
     }
 
-    h.finish("interwoven", headline)
+    Ok(h.finish(&sc[0], headline))
 }

@@ -2,7 +2,7 @@
 //! cold virtine, snapshotted virtine, bespoke context — plus an end-to-end
 //! Fig.-5-style fib invocation through the Wasp pool.
 
-use crate::harness::{Cli, Harness, Report, Scenario};
+use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, s};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
@@ -12,8 +12,8 @@ use interweave_virtines::bespoke::synthesize;
 use interweave_virtines::extract::extract_one;
 use interweave_virtines::wasp::{startup, LaunchPath, Wasp};
 
-pub(super) fn run(cli: &Cli) -> Report {
-    let scenarios = vec![
+pub(super) fn scenarios() -> Vec<Scenario> {
+    vec![
         Scenario::new(
             "process",
             StackConfig::commodity(),
@@ -24,8 +24,11 @@ pub(super) fn run(cli: &Cli) -> Report {
             StackConfig::interwoven(),
             MachineConfig::xeon_server_2s(),
         ),
-    ];
-    let mut h = Harness::new(cli, scenarios);
+    ]
+}
+
+pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
+    let mut h = Harness::new(cli, sc);
     // Fig. 5's fib as the virtine image.
     let fib = programs::fib(20);
     let image = extract_one(&fib.module, fib.entry);
@@ -72,7 +75,7 @@ pub(super) fn run(cli: &Cli) -> Report {
     );
 
     // End-to-end: invoke fib(20) repeatedly through the pool.
-    let mc = h.scenario("virtine").machine.clone();
+    let mc = sc[1].stack.machine().clone();
     let mut wasp = Wasp::new(image, mc.clone());
     h.table(
         "Wasp pool: virtine fib(20) invocations (first is cold)",
@@ -181,5 +184,5 @@ pub(super) fn run(cli: &Cli) -> Report {
 attested code pays guard costs instead of VM transitions.",
     );
 
-    h.finish("virtine", headline.join(", "))
+    Ok(h.finish(&sc[1], headline.join(", ")))
 }

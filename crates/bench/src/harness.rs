@@ -1,11 +1,13 @@
 //! One declarative harness for every registered figure.
 //!
 //! Each experiment declares *what* it measures — a set of [`Scenario`]s
-//! naming a [`StackConfig`] on a machine preset — and the harness owns the
-//! rest: composing the stack through the facade's `compose` (so a
-//! figure cannot measure a composition that could not exist), the shared
-//! CLI contract (`--json <path>`, `--trace-out <path>`, ...), parallel
-//! sweeps over the composed stack, and table rendering. A table is a
+//! naming a [`StackConfig`] on a machine preset — and runs on them once
+//! composed: [`compose_all`] builds every stack through the facade's
+//! `compose` before the figure runs, so a figure cannot measure a
+//! composition that could not exist, and a scenario list it cannot run is
+//! a typed [`ScenarioError`] naming the scenario. The harness also owns
+//! the shared CLI contract (`--json <path>`, `--trace-out <path>`, ...)
+//! and table rendering. A table is a
 //! value ([`Table`] of typed [`Cell`]s): the same value prints as text and
 //! is written, unrounded, into the machine-readable results envelope
 //! beside every scenario's `StackConfig`.
@@ -17,10 +19,9 @@
 //! `figures::main` does.
 
 use crate::{table_text, Cell, Table};
-use interweave::compose::ComposedStack;
+use interweave::compose::{ComposeError, ComposedStack};
 use interweave_core::arrivals::ArrivalKind;
 use interweave_core::machine::MachineConfig;
-use interweave_core::par::{host_threads, parallel_map};
 use interweave_core::stack::{OsPoint, StackConfig};
 use interweave_core::telemetry::{chrome_trace_json, CounterTrack, Layer, Span, TimeSeries};
 use interweave_core::time::Cycles;
@@ -207,27 +208,74 @@ impl Scenario {
         }
     }
 
-    /// Materialize the composed stack. An experiment declaring an
-    /// incoherent composition is a bug in the experiment, so the typed
-    /// rejection becomes a panic naming the scenario.
-    pub fn compose(&self) -> ComposedStack {
-        interweave::compose::compose(self.config, self.machine.clone())
-            .unwrap_or_else(|e| panic!("scenario {:?} is not a coherent stack: {e}", self.id))
-    }
-
-    /// Run `f` over `items` on the bounded worker pool, every worker
-    /// sharing one composed stack. Output order is input order, and the
-    /// simulators are deterministic, so fan-out changes wall-clock only.
-    pub fn sweep<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&ComposedStack, T) -> R + Sync,
-    {
-        let stack = self.compose();
-        parallel_map(items, host_threads(), |item| f(&stack, item))
+    /// Materialize the composed stack, or name this scenario in the
+    /// rejection.
+    pub fn compose(&self) -> Result<Composed, ScenarioError> {
+        let stack = interweave::compose::compose(self.config, self.machine.clone())
+            .map_err(|error| ScenarioError::Incoherent { id: self.id, error })?;
+        Ok(Composed { id: self.id, stack })
     }
 }
+
+/// A scenario with its stack built: what a figure runs on.
+#[derive(Debug)]
+pub struct Composed {
+    /// The scenario id.
+    pub id: &'static str,
+    /// The composed stack.
+    pub stack: ComposedStack,
+}
+
+/// Compose every scenario, in order. Ids must be unique, since the
+/// envelope and the scoreboard name scenarios by id.
+pub fn compose_all(scenarios: &[Scenario]) -> Result<Vec<Composed>, ScenarioError> {
+    for (i, sc) in scenarios.iter().enumerate() {
+        if scenarios[..i].iter().any(|earlier| earlier.id == sc.id) {
+            return Err(ScenarioError::DuplicateId(sc.id));
+        }
+    }
+    scenarios.iter().map(Scenario::compose).collect()
+}
+
+/// A scenario list a figure cannot run, naming the scenario at fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// Two scenarios share this id.
+    DuplicateId(&'static str),
+    /// The scenario's stack is incoherent.
+    Incoherent {
+        /// The scenario id.
+        id: &'static str,
+        /// The broken composition rule.
+        error: ComposeError,
+    },
+    /// The stack composes, but the figure has no experiment for it.
+    Unsupported {
+        /// The scenario id.
+        id: &'static str,
+        /// What the figure needs from the stack.
+        needs: &'static str,
+    },
+}
+
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScenarioError::DuplicateId(id) => write!(f, "scenario {id:?} is declared twice"),
+            ScenarioError::Incoherent { id, error } => {
+                write!(f, "scenario {id:?} is not a coherent stack: {error}")
+            }
+            ScenarioError::Unsupported { id, needs } => {
+                write!(
+                    f,
+                    "scenario {id:?} cannot run here: the figure needs {needs}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
 
 /// One scenario as the `--json` envelope names it: its id, its machine
 /// preset's display name, and its full, round-trippable stack.
@@ -277,13 +325,12 @@ impl Report {
     }
 }
 
-/// The driver a figure hands its scenarios to. It accumulates the
-/// figure's text, tables and documents, and [`Harness::finish`] turns
-/// them into a [`Report`].
+/// What a figure renders into: it accumulates the figure's text, tables
+/// and documents, and [`Harness::finish`] turns them into a [`Report`].
 #[derive(Default)]
 pub struct Harness {
     cli: Cli,
-    scenarios: Vec<Scenario>,
+    scenarios: Vec<ScenarioMeta>,
     text: String,
     tables: Vec<Table>,
     trace: Option<String>,
@@ -291,31 +338,18 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// A harness over `scenarios` for a run under `cli`.
-    pub fn new(cli: &Cli, scenarios: Vec<Scenario>) -> Harness {
+    /// A harness for a run under `cli` on the composed `scenarios`.
+    pub fn new(cli: &Cli, scenarios: &[Composed]) -> Harness {
+        let scenarios = scenarios.iter().map(|sc| ScenarioMeta {
+            id: sc.id.to_string(),
+            machine: sc.stack.machine().name.to_string(),
+            stack: sc.stack.config,
+        });
         Harness {
             cli: cli.clone(),
-            scenarios,
+            scenarios: scenarios.collect(),
             ..Harness::default()
         }
-    }
-
-    /// The declared scenarios, in declaration order.
-    pub fn scenarios(&self) -> &[Scenario] {
-        &self.scenarios
-    }
-
-    /// Look up a scenario by id; unknown ids are experiment bugs.
-    pub fn scenario(&self, id: &str) -> &Scenario {
-        self.scenarios
-            .iter()
-            .find(|sc| sc.id == id)
-            .unwrap_or_else(|| panic!("no scenario {id:?} declared"))
-    }
-
-    /// Compose one scenario's stack by id.
-    pub fn stack(&self, id: &str) -> ComposedStack {
-        self.scenario(id).compose()
     }
 
     /// Render one boxed table (title banner, aligned header and rows)
@@ -359,28 +393,18 @@ impl Harness {
     }
 
     /// Finish the run: `headline` is what the scoreboard shows for the
-    /// scenario `headline_scenario`. Every declared scenario must
-    /// compose, measured or not.
-    pub fn finish(self, headline_scenario: &'static str, headline: String) -> Report {
-        self.scenario(headline_scenario);
-        let scenarios = self.scenarios.iter().map(|sc| {
-            sc.compose();
-            ScenarioMeta {
-                id: sc.id.to_string(),
-                machine: sc.machine.name.to_string(),
-                stack: sc.config,
-            }
-        });
+    /// scenario `measured`.
+    pub fn finish(self, measured: &Composed, headline: String) -> Report {
         Report {
             text: self.text,
             envelope: Envelope {
-                scenarios: scenarios.collect(),
+                scenarios: self.scenarios,
                 tables: self.tables,
             },
             trace: self.trace,
             metrics: self.metrics,
             headline,
-            headline_scenario,
+            headline_scenario: measured.id,
         }
     }
 }
@@ -687,51 +711,61 @@ mod tests {
         assert_eq!((w1.p50_us, w1.p99_us), (0.0, 0.0));
     }
 
-    #[test]
-    fn scenario_composes_and_sweeps_in_order() {
-        let sc = Scenario::new(
-            "nk",
-            StackConfig::nautilus(),
-            MachineConfig::xeon_server_2s(),
-        );
-        assert_eq!(sc.compose().os.name(), "Nautilus");
-        let costs = sc.sweep((0..64u64).collect(), |stack, i| {
-            stack.os.ctx_switch(false, false).get() + i
-        });
-        let base = sc.compose().os.ctx_switch(false, false).get();
-        assert_eq!(costs, (0..64u64).map(|i| base + i).collect::<Vec<_>>());
+    fn xeon(id: &'static str, config: StackConfig) -> Scenario {
+        Scenario::new(id, config, MachineConfig::xeon_server_2s())
     }
 
     #[test]
-    #[should_panic(expected = "not a coherent stack")]
-    fn scenario_with_an_incoherent_stack_panics_with_its_id() {
+    fn an_incoherent_scenario_is_a_typed_error_naming_it() {
         use interweave_core::stack::Translation;
         let broken = StackConfig {
             translation: Translation::Carat,
             ..StackConfig::commodity()
         };
-        Scenario::new("broken", broken, MachineConfig::xeon_server_2s()).compose();
+        let scenarios = [xeon("ok", StackConfig::nautilus()), xeon("broken", broken)];
+        let e = compose_all(&scenarios).expect_err("carat on linux must not compose");
+        assert_eq!(
+            e,
+            ScenarioError::Incoherent {
+                id: "broken",
+                error: ComposeError::CaratOnCommodityKernel
+            }
+        );
+        assert!(e
+            .to_string()
+            .starts_with("scenario \"broken\" is not a coherent stack"));
+    }
+
+    #[test]
+    fn a_duplicate_scenario_id_is_a_typed_error_naming_it() {
+        let scenarios = [
+            xeon("linux", StackConfig::commodity()),
+            xeon("nk", StackConfig::nautilus()),
+            xeon("linux", StackConfig::framekernel()),
+        ];
+        let e = compose_all(&scenarios).expect_err("ids must be unique");
+        assert_eq!(e, ScenarioError::DuplicateId("linux"));
+        assert_eq!(e.to_string(), "scenario \"linux\" is declared twice");
+        let composed = compose_all(&scenarios[..2]).expect("distinct ids compose");
+        assert_eq!(composed[1].stack.os.name(), "Nautilus");
     }
 
     #[test]
     fn envelope_embeds_every_scenario_stack() {
-        let mut h = Harness::new(
-            &Cli::default(),
-            vec![
-                Scenario::new(
-                    "linux",
-                    StackConfig::commodity(),
-                    MachineConfig::xeon_server_2s(),
-                ),
-                Scenario::new("nk", StackConfig::nautilus(), MachineConfig::phi_knl()),
-            ],
-        );
+        let scenarios = compose_all(&[
+            xeon("linux", StackConfig::commodity()),
+            Scenario::new("nk", StackConfig::nautilus(), MachineConfig::phi_knl()),
+        ])
+        .expect("coherent scenarios");
+        let mut h = Harness::new(&Cli::default(), &scenarios);
         h.table(
             "t",
             &["key", "v"],
             vec![vec![crate::s("a"), crate::s(7u64)]],
         );
-        let json = h.finish("nk", String::new()).json();
+        let report = h.finish(&scenarios[1], String::new());
+        assert_eq!(report.headline_scenario, "nk");
+        let json = report.json();
         let v = serde::json::parse(&json).expect("valid envelope");
         let scenarios = match v.get("scenarios") {
             Some(serde::json::JsonValue::Arr(a)) => a,

@@ -11,8 +11,12 @@
 //! the committed texts instead: bless only a deliberate repin, and explain
 //! the moved numbers in the same change.
 
-use interweave_bench::figures::{figure, scoreboard, FIGURES};
-use interweave_bench::harness::{Cli, Report};
+use interweave_bench::figures::{figure, scoreboard, Figure, FIGURES};
+use interweave_bench::harness::{Cli, Report, ScenarioError};
+use interweave_bench::{s, table_text};
+use interweave_core::stack::{
+    CoherencePolicy, Isolation, OsPoint, StackConfig, TimingSource, Translation,
+};
 use serde::json::JsonValue;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -20,7 +24,7 @@ use std::sync::OnceLock;
 /// Every figure's report under `Cli::default()`, run once per test binary.
 fn default_reports() -> &'static [Report] {
     static REPORTS: OnceLock<Vec<Report>> = OnceLock::new();
-    REPORTS.get_or_init(|| FIGURES.iter().map(|f| (f.run)(&Cli::default())).collect())
+    REPORTS.get_or_init(|| FIGURES.iter().map(|f| report(f, &Cli::default())).collect())
 }
 
 fn default_report(name: &str) -> &'static Report {
@@ -28,27 +32,97 @@ fn default_report(name: &str) -> &'static Report {
     &default_reports()[i.expect("registered figure")]
 }
 
-fn run(name: &str, cli: Cli) -> Report {
-    (figure(name).run)(&cli)
+fn report(f: &Figure, cli: &Cli) -> Report {
+    let report = f.report(cli);
+    report.unwrap_or_else(|e| panic!("{}: {e}", f.name))
 }
 
-/// Where two texts first differ, by line.
+fn run(name: &str, cli: Cli) -> Report {
+    report(figure(name), &cli)
+}
+
+/// Where two texts first differ: the line, and when it falls in a
+/// table, the cell that moved.
 fn first_difference(want: &str, got: &str) -> String {
     let (w, g): (Vec<&str>, Vec<&str>) = (want.split('\n').collect(), got.split('\n').collect());
     let n = (0..w.len().max(g.len())).find(|&i| w.get(i) != g.get(i));
     let n = n.expect("the texts differ");
+    let cell = moved_cell(&w, &g, n).map_or(String::new(), |c| format!(" ({c})"));
     format!(
-        "first difference at line {}:\n  want {:?}\n  got  {:?}",
+        "first difference at line {}{cell}:\n  want {:?}\n  got  {:?}",
         n + 1,
         w.get(n),
         g.get(n)
     )
 }
 
+fn is_banner(line: &str) -> bool {
+    line.starts_with("== ") && line.ends_with(" ==")
+}
+
+/// The char offsets where a table's columns start: the starts of the
+/// runs of its `---  ---` rule.
+fn rule_starts(rule: &str) -> Vec<usize> {
+    let rule = rule.as_bytes();
+    (0..rule.len())
+        .filter(|&i| rule[i] == b'-' && (i == 0 || rule[i - 1] == b' '))
+        .collect()
+}
+
+/// The first cell that differs in the table around line `n`, as `table
+/// "title", row "key", column "name": "was" → "is"`. Walks back from
+/// `n` to the `== title ==` banner, then splits both texts' rows at their
+/// own rule's column starts, so a widened column still compares cell by
+/// cell. `None` when line `n` is not in a table both texts print under
+/// the same banner, or the tables differ only in their row count.
+fn moved_cell(want: &[&str], got: &[&str], n: usize) -> Option<String> {
+    let banner = (0..=n.min(want.len() - 1))
+        .rev()
+        .find(|&i| is_banner(want[i]))?;
+    if got.get(banner) != Some(&want[banner]) {
+        return None;
+    }
+    let grid = |text: &[&str]| {
+        let starts = rule_starts(text.get(banner + 2)?);
+        let rows = text.get(banner + 3..)?.iter();
+        let rows: Vec<Vec<String>> = rows.map_while(|l| printed_cells(l, &starts)).collect();
+        Some((starts, rows))
+    };
+    let ((starts, want_rows), (_, got_rows)) = (grid(want)?, grid(got)?);
+    let (row, col) = want_rows
+        .iter()
+        .zip(&got_rows)
+        .enumerate()
+        .find_map(|(r, (a, b))| {
+            let col = (0..a.len().max(b.len())).find(|&c| a.get(c) != b.get(c));
+            col.map(|c| (r, c))
+        })?;
+    // The header may be narrower than the rows: take its on-grid columns.
+    let header = (1..=starts.len())
+        .rev()
+        .find_map(|m| printed_cells(want[banner + 1], &starts[..m]))?;
+    let column = header
+        .get(col)
+        .map_or(format!("#{}", col + 1), |h| h.clone());
+    let cell = |rows: &[Vec<String>]| rows[row].get(col).cloned().unwrap_or_default();
+    Some(format!(
+        "table {:?}, row {:?}, column {column:?}: {:?} → {:?}",
+        &want[banner][3..want[banner].len() - 3],
+        want_rows[row][0],
+        cell(&want_rows),
+        cell(&got_rows)
+    ))
+}
+
+/// The committed text `golden/<name>.stdout`.
+fn golden_path(name: &str) -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("golden/{name}.stdout"))
+}
+
 /// Compare `fresh` with the committed text `golden/<name>.stdout`, or
 /// rewrite that text under `BLESS=1`. Returns the drift, if any.
 fn check_golden(name: &str, fresh: &str) -> Option<String> {
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("golden/{name}.stdout"));
+    let golden = golden_path(name);
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(&golden, fresh).expect("writable golden text");
         return None;
@@ -213,9 +287,7 @@ fn every_json_table_is_the_table_its_text_prints() {
         let doc = serde::json::parse(&r.json()).expect("valid envelope");
         let tables = array(&doc, "tables");
         let lines: Vec<&str> = r.text.lines().collect();
-        let banners: Vec<usize> = (0..lines.len())
-            .filter(|&i| lines[i].starts_with("== ") && lines[i].ends_with(" =="))
-            .collect();
+        let banners: Vec<usize> = (0..lines.len()).filter(|&i| is_banner(lines[i])).collect();
         let printed: Vec<&str> = banners
             .iter()
             .map(|&i| &lines[i][3..lines[i].len() - 3])
@@ -229,10 +301,7 @@ fn every_json_table_is_the_table_its_text_prints() {
             let block = &lines[title + 1..];
             let at = format!("{}: table {:?}", f.name, lines[*title]);
             // The `---  ---` rule is ASCII: its byte offsets are chars.
-            let rule = block[1].as_bytes();
-            let starts: Vec<usize> = (0..rule.len())
-                .filter(|&i| rule[i] == b'-' && (i == 0 || rule[i - 1] == b' '))
-                .collect();
+            let starts = rule_starts(block[1]);
             let want: Vec<&str> = array(table, "header")
                 .iter()
                 .filter_map(JsonValue::as_str)
@@ -266,4 +335,160 @@ fn every_json_table_is_the_table_its_text_prints() {
             );
         }
     }
+}
+
+#[test]
+fn a_moved_cell_is_named_by_table_row_and_column() {
+    let want = "note\n\n== T ==\nkey  a    b\n---  ---  -\nx    1    2\ny    3    4\n";
+    // `y`'s `a` widens its column: every later line moves, one cell changed.
+    let got = "note\n\n== T ==\nkey  a     b\n---  ----  -\nx    1     2\ny    3.5   4\n";
+    assert_eq!(
+        first_difference(want, got),
+        "first difference at line 4 (table \"T\", row \"y\", column \"a\": \"3\" → \"3.5\"):\n  \
+         want Some(\"key  a    b\")\n  got  Some(\"key  a     b\")"
+    );
+    // Outside a table the line alone is named.
+    assert_eq!(
+        first_difference("a\nb", "a\nc"),
+        "first difference at line 2:\n  want Some(\"b\")\n  got  Some(\"c\")"
+    );
+}
+
+#[test]
+fn no_figure_repeats_a_scenario_id() {
+    for f in FIGURES {
+        let ids: Vec<&str> = (f.scenarios)().iter().map(|sc| sc.id).collect();
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "{}: {id:?} declared twice", f.name);
+        }
+    }
+}
+
+#[test]
+fn a_figure_rejects_a_stack_it_cannot_run_naming_the_scenario() {
+    let mut scenarios = (figure("fig6_openmp").scenarios)();
+    // Compiler-injected timing under user-level libomp: no OpenMP mode.
+    scenarios[0].config.timing = TimingSource::CompilerInjected;
+    let e = figure("fig6_openmp").report_on(&Cli::default(), &scenarios);
+    let e = e.expect_err("no OpenMP mode");
+    assert!(
+        matches!(e, ScenarioError::Unsupported { id: "linux", .. }),
+        "{e}"
+    );
+}
+
+/// The read map's columns: each axis and its number of values.
+const AXES: [(&str, usize); 5] = [
+    ("timing", TimingSource::ALL.len()),
+    ("os", OsPoint::ALL.len()),
+    ("translation", Translation::ALL.len()),
+    ("coherence", CoherencePolicy::ALL.len()),
+    ("isolation", Isolation::ALL.len()),
+];
+
+/// `c` with axis `axis` (an index into [`AXES`]) moved `k` values along
+/// its `ALL` order, wrapping around.
+fn flipped(mut c: StackConfig, axis: usize, k: usize) -> StackConfig {
+    fn step<T: Copy + PartialEq>(all: &[T], v: &mut T, k: usize) {
+        let i = all
+            .iter()
+            .position(|x| x == v)
+            .expect("a value of its axis");
+        *v = all[(i + k) % all.len()];
+    }
+    match axis {
+        0 => step(&TimingSource::ALL, &mut c.timing, k),
+        1 => step(&OsPoint::ALL, &mut c.os, k),
+        2 => step(&Translation::ALL, &mut c.translation, k),
+        3 => step(&CoherencePolicy::ALL, &mut c.coherence, k),
+        _ => step(&Isolation::ALL, &mut c.isolation, k),
+    }
+    c
+}
+
+/// Which axes drive which output, measured: every declared scenario of
+/// every figure has each axis flipped to the next value that composes and
+/// that the figure accepts, and the figure re-runs. A cell is `R` when the
+/// stdout changed, `.` when it stayed byte-identical, and `x` when no
+/// other value composes and is accepted. The map is pinned in
+/// `golden/axes.stdout`, so a figure whose scenarios slide back to labels
+/// shows up as a diff, and a cell that turns from `.` to `R` names the
+/// output cell the flip moved.
+#[test]
+fn every_axis_flip_reads_as_the_pinned_map() {
+    let jobs: Vec<(usize, usize, usize)> = (0..FIGURES.len())
+        .flat_map(|f| {
+            let n = (FIGURES[f].scenarios)().len();
+            (0..n).flat_map(move |sc| (0..AXES.len()).map(move |axis| (f, sc, axis)))
+        })
+        .collect();
+    // One flip at a time: the figures fan their own runs out over the
+    // host's threads.
+    let flips: Vec<Option<String>> = jobs
+        .iter()
+        .map(|&(f, sc, axis)| {
+            let figure = &FIGURES[f];
+            let mut scenarios = (figure.scenarios)();
+            let config = scenarios[sc].config;
+            (1..AXES[axis].1).find_map(|k| {
+                scenarios[sc].config = flipped(config, axis, k);
+                let report = figure.report_on(&Cli::default(), &scenarios);
+                report.ok().map(|r| r.text)
+            })
+        })
+        .collect();
+    let mut cells = jobs.iter().zip(&flips);
+    let mut map = String::new();
+    let mut moved = Vec::new();
+    for (f, figure) in FIGURES.iter().enumerate() {
+        let base = &default_reports()[f].text;
+        let mut rows = Vec::new();
+        for sc in (figure.scenarios)() {
+            let mut row = vec![s(sc.id)];
+            for ((_, _, axis), flip) in cells.by_ref().take(AXES.len()) {
+                row.push(s(match flip {
+                    None => "x",
+                    Some(text) if text == base => ".",
+                    Some(text) => {
+                        moved.push((f, sc.id, *axis, text));
+                        "R"
+                    }
+                }));
+            }
+            rows.push(row);
+        }
+        let mut header = vec!["scenario"];
+        header.extend(AXES.map(|(axis, _)| axis));
+        map.push_str(&table_text(figure.name, &header, &rows));
+    }
+    let Some(drift) = check_golden("axes", &map) else {
+        return;
+    };
+    // A cell pinned as `.` that now reads `R` names what its flip moved.
+    let pinned = std::fs::read_to_string(golden_path("axes")).unwrap_or_default();
+    let pinned_mark = |f: usize, sc: &str, axis: usize| {
+        let banner = format!("{} ==", FIGURES[f].name);
+        let table = pinned.split("\n== ").find(|t| t.starts_with(&banner))?;
+        let row = table
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(sc))?;
+        row.split_whitespace().nth(1 + axis)
+    };
+    let named: Vec<String> = moved
+        .into_iter()
+        .filter(|&(f, sc, axis, _)| pinned_mark(f, sc, axis) == Some("."))
+        .map(|(f, sc, axis, text)| {
+            let was = &default_reports()[f].text;
+            let name = FIGURES[f].name;
+            format!(
+                "{name} {sc} × {}: {}",
+                AXES[axis].0,
+                first_difference(was, text)
+            )
+        })
+        .collect();
+    panic!(
+        "axis read map drift (BLESS=1 rewrites it):\n{drift}\n{}",
+        named.join("\n")
+    );
 }

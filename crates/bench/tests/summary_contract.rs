@@ -20,7 +20,7 @@ fn stacks() -> Vec<StackConfig> {
     vec![
         StackConfig::commodity(),
         StackConfig::nautilus(),
-        StackConfig::rtk(),
+        StackConfig::framekernel(),
         StackConfig::pik(),
         StackConfig::cck(),
         StackConfig::interwoven(),
@@ -51,9 +51,10 @@ fn scoreboard() -> Vec<JsonValue> {
         .enumerate()
         .map(|(i, stack)| {
             let mc = MachineConfig::xeon_server_2s();
-            let mut h = Harness::new(&Cli::default(), vec![Scenario::new("s", stack, mc)]);
+            let sc = Scenario::new("s", stack, mc).compose().expect("coherent");
+            let mut h = Harness::new(&Cli::default(), std::slice::from_ref(&sc));
             h.table("stack", &["index"], vec![vec![s(i)]]);
-            let report = h.finish("s", "1.0x".into());
+            let report = h.finish(&sc, "1.0x".into());
             ExperimentSummary::new(&FIGURES[i], &report, 0.25)
         })
         .collect();
@@ -63,7 +64,7 @@ fn scoreboard() -> Vec<JsonValue> {
 /// The tables `name`'s default run embeds in its summary entry.
 fn embedded_tables(name: &str) -> Vec<JsonValue> {
     let f = figure(name);
-    let entry = ExperimentSummary::new(f, &(f.run)(&Cli::default()), 0.0);
+    let entry = ExperimentSummary::new(f, &f.report(&Cli::default()).expect("runs"), 0.0);
     let envelope = summary_file(vec![entry])[0].get("rows").cloned();
     let envelope = envelope.expect("every entry embeds its --json envelope");
     assert!(envelope.get("scenarios").is_some());
@@ -152,7 +153,7 @@ fn primitive_table_round_trips_all_three_os_columns() {
             AsterModel::new(mc.clone()),
             NkModel::new(mc.clone()),
         );
-        let table = primitive_table(&[("Linux", &lx), ("Aster", &fk), ("Nautilus", &nk)]);
+        let table = primitive_table(&[&lx, &fk, &nk]);
         let rows = rows_titled(
             &tables,
             &format!("TAB-NK — kernel primitives on {}", mc.name),

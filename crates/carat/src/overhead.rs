@@ -13,12 +13,20 @@
 //!    costs (TLB misses + demand faults) through the kernel crate's
 //!    [`PagingModel`].
 //!
+//! Columns 2–3 and column 4 each run under a translation scheme priced on
+//! a machine's cost model ([`measure`]); the table's are CARAT and paging,
+//! and any scheme fills either: identity mapping runs bare, paging charges
+//! the TLB, CARAT instruments.
+//!
 //! Every variant must produce the identical program result — asserted on
 //! each run, making the whole table double as a correctness test of the
 //! transformation pipeline.
 
 use crate::instrument;
 use crate::runtime::CaratRuntime;
+use interweave_core::machine::CostModel;
+use interweave_core::par::{host_threads, parallel_map};
+use interweave_core::stack::Translation;
 use interweave_core::stats::geomean;
 use interweave_ir::interp::{HookAction, Interp, InterpConfig, Memory, RuntimeHooks, Trap};
 use interweave_ir::programs::{self, Program};
@@ -33,13 +41,10 @@ pub struct PagingHooks {
 }
 
 impl PagingHooks {
-    /// Paging with the given TLB geometry (entries, page size in bytes).
-    pub fn new(tlb_entries: usize, page_size: u64) -> PagingHooks {
-        let mut cost = interweave_core::machine::CostModel::x64_default();
-        cost.tlb_entries = tlb_entries;
-        cost.page_size = page_size;
+    /// Paging priced on `cost`: its TLB geometry, walk and fault costs.
+    pub fn new(cost: &CostModel) -> PagingHooks {
         PagingHooks {
-            model: PagingModel::new(&cost),
+            model: PagingModel::new(cost),
         }
     }
 }
@@ -80,7 +85,7 @@ pub struct OverheadRow {
     pub naive_cycles: u64,
     /// Cycles with optimized CARAT instrumentation.
     pub opt_cycles: u64,
-    /// Cycles under conventional paging.
+    /// Cycles under the paging column's scheme (conventional paging).
     pub paging_cycles: u64,
     /// Static guard count before optimization.
     pub static_guards_naive: u64,
@@ -138,59 +143,83 @@ fn count_guards(m: &interweave_ir::Module) -> u64 {
         .sum()
 }
 
-/// Measure one program under all four regimes. `tlb_entries`/`page_size`
-/// configure the paging baseline.
-pub fn measure(p: &Program, tlb_entries: usize, page_size: u64) -> OverheadRow {
-    use interweave_ir::interp::NullHooks;
+/// Run `p` under `translation` priced on `cost`: identity mapping runs it
+/// bare, paging charges `cost`'s TLB and demand faults, CARAT runs it
+/// instrumented with guards `optimize`d (hoisted and elided) or naive.
+/// Returns the result, the cycles, and the static and dynamic guards.
+fn translated(
+    p: &Program,
+    translation: Translation,
+    cost: &CostModel,
+    optimize: bool,
+) -> (Option<Val>, u64, u64, u64) {
+    let mut m = p.module.clone();
+    let (value, cycles, dyn_guards) = match translation {
+        Translation::Identity => {
+            let (v, cycles) = run_with(&m, p, &mut interweave_ir::interp::NullHooks);
+            (v, cycles, 0)
+        }
+        Translation::Paging => {
+            let (v, cycles) = run_with(&m, p, &mut PagingHooks::new(cost));
+            (v, cycles, 0)
+        }
+        Translation::Carat => {
+            instrument(&mut m, optimize);
+            let mut rt = CaratRuntime::new();
+            let (v, cycles) = run_with(&m, p, &mut rt);
+            (v, cycles, rt.stats.guards + rt.stats.range_guards)
+        }
+    };
+    (value, cycles, count_guards(&m), dyn_guards)
+}
 
-    let (base_v, base_cycles) = run_with(&p.module, p, &mut NullHooks);
-
-    let mut naive_m = p.module.clone();
-    instrument(&mut naive_m, false);
-    let mut naive_rt = CaratRuntime::new();
-    let (naive_v, naive_cycles) = run_with(&naive_m, p, &mut naive_rt);
-
-    let mut opt_m = p.module.clone();
-    instrument(&mut opt_m, true);
-    let mut opt_rt = CaratRuntime::new();
-    let (opt_v, opt_cycles) = run_with(&opt_m, p, &mut opt_rt);
-
-    let mut paging = PagingHooks::new(tlb_entries, page_size);
-    let (paging_v, paging_cycles) = run_with(&p.module, p, &mut paging);
-
-    assert_eq!(
-        naive_v, base_v,
-        "{}: naive CARAT changed the result",
-        p.name
-    );
-    assert_eq!(
-        opt_v, base_v,
-        "{}: optimized CARAT changed the result",
-        p.name
-    );
-    assert_eq!(paging_v, base_v, "{}: paging changed the result", p.name);
-
+/// Measure one program: the bare baseline, the naive and optimized
+/// columns under `guarded` and the paging column under `paged`, each a
+/// translation scheme priced on a cost model.
+pub fn measure(
+    p: &Program,
+    guarded: (Translation, &CostModel),
+    paged: (Translation, &CostModel),
+) -> OverheadRow {
+    let (base, base_cycles, ..) = translated(p, Translation::Identity, paged.1, false);
+    let naive = translated(p, guarded.0, guarded.1, false);
+    let opt = translated(p, guarded.0, guarded.1, true);
+    let paging = translated(p, paged.0, paged.1, true);
+    for (column, run) in [("naive", &naive), ("optimized", &opt), ("paging", &paging)] {
+        assert_eq!(run.0, base, "{}: {column} changed the result", p.name);
+    }
     OverheadRow {
         name: p.name.clone(),
         base_cycles,
-        naive_cycles,
-        opt_cycles,
-        paging_cycles,
-        static_guards_naive: count_guards(&naive_m),
-        static_guards_opt: count_guards(&opt_m),
-        dyn_guards_naive: naive_rt.stats.guards + naive_rt.stats.range_guards,
-        dyn_guards_opt: opt_rt.stats.guards + opt_rt.stats.range_guards,
+        naive_cycles: naive.1,
+        opt_cycles: opt.1,
+        paging_cycles: paging.1,
+        static_guards_naive: naive.2,
+        static_guards_opt: opt.2,
+        dyn_guards_naive: naive.3,
+        dyn_guards_opt: opt.3,
     }
 }
 
-/// Run the whole suite at a scale factor. The paging baseline uses a
-/// deliberately small TLB so capacity effects appear at laptop scale (the
-/// real machines have proportionally larger footprints).
-pub fn run_suite(scale: i64) -> Vec<OverheadRow> {
-    programs::suite(scale)
-        .iter()
-        .map(|p| measure(p, 64, 4096))
-        .collect()
+/// Run the whole suite at a scale factor, each column's scheme priced as
+/// in [`measure`]. Both cost models run on a deliberately small TLB (64
+/// entries of 4 KiB) so capacity effects appear at laptop scale (the real
+/// machines have proportionally larger footprints). The programs run on
+/// the host's threads; rows come back in suite order.
+pub fn run_suite(
+    scale: i64,
+    guarded: (Translation, &CostModel),
+    paged: (Translation, &CostModel),
+) -> Vec<OverheadRow> {
+    let small = |cost: &CostModel| CostModel {
+        tlb_entries: 64,
+        page_size: 4096,
+        ..cost.clone()
+    };
+    let (guard_cost, paging_cost) = (small(guarded.1), small(paged.1));
+    parallel_map(programs::suite(scale), host_threads(), |p| {
+        measure(&p, (guarded.0, &guard_cost), (paged.0, &paging_cost))
+    })
 }
 
 /// Geometric-mean overhead percentages `(naive, optimized)` across rows,
@@ -214,11 +243,21 @@ pub fn geomean_overheads(rows: &[OverheadRow]) -> (f64, f64) {
 mod tests {
     use super::*;
 
+    /// The suite as the table runs it: CARAT against paging on x64 costs.
+    fn suite(scale: i64) -> Vec<OverheadRow> {
+        let x64 = CostModel::x64_default();
+        run_suite(
+            scale,
+            (Translation::Carat, &x64),
+            (Translation::Paging, &x64),
+        )
+    }
+
     #[test]
     fn optimized_overhead_is_under_the_papers_bound() {
         // §IV-A: "the overheads are <6 % (geometric mean)". Allow a small
         // margin for the synthetic suite's irregular members.
-        let rows = run_suite(2);
+        let rows = suite(2);
         let (naive, opt) = geomean_overheads(&rows);
         assert!(
             opt < 8.0,
@@ -237,7 +276,7 @@ mod tests {
     fn dense_kernels_are_nearly_free_after_optimization() {
         // Larger scale so one-time tracking costs (alloc/free bookkeeping)
         // amortize the way they do on real inputs.
-        let rows = run_suite(6);
+        let rows = suite(6);
         for r in &rows {
             if ["stream-triad", "matvec", "histogram"].contains(&r.name.as_str()) {
                 assert!(
@@ -252,7 +291,7 @@ mod tests {
 
     #[test]
     fn optimization_reduces_dynamic_guards_massively() {
-        let rows = run_suite(2);
+        let rows = suite(2);
         let total_naive: u64 = rows.iter().map(|r| r.dyn_guards_naive).sum();
         let total_opt: u64 = rows.iter().map(|r| r.dyn_guards_opt).sum();
         assert!(
@@ -265,7 +304,7 @@ mod tests {
     fn paging_costs_more_than_optimized_carat() {
         // The motivating comparison: compiler-based translation beats
         // hardware paging once TLB capacity is exceeded.
-        let rows = run_suite(2);
+        let rows = suite(2);
         let (_, opt) = geomean_overheads(&rows);
         let paging_gm: f64 = {
             let ratios: Vec<f64> = rows
@@ -283,7 +322,8 @@ mod tests {
     #[test]
     fn fib_has_zero_memory_overhead() {
         let p = programs::fib(12);
-        let row = measure(&p, 64, 4096);
+        let x64 = CostModel::x64_default();
+        let row = measure(&p, (Translation::Carat, &x64), (Translation::Paging, &x64));
         assert_eq!(row.base_cycles, row.opt_cycles);
         assert_eq!(row.dyn_guards_opt, 0);
     }

@@ -1,8 +1,9 @@
 //! The Fig. 7 experiment: speedup and interconnect energy of selective
 //! coherence deactivation.
 //!
-//! Each benchmark runs twice — full MESI and selective — on the same
-//! machine with the same access streams. Per round, each core's accesses
+//! Each benchmark runs twice — under a baseline and a compared coherence
+//! mode, full MESI against selective in the paper — on the same machine
+//! with the same access streams. Per round, each core's accesses
 //! accumulate latency on its own clock; the round ends at the slowest core
 //! (fork-join barrier), and in selective mode the producer→consumer
 //! hand-offs reclassify at the boundary (charged to the handing core).
@@ -24,31 +25,32 @@ use crate::protocol::{Class, CohMode, ProtocolKind, System, SystemConfig};
 use crate::workloads::{
     fig7_mixes, handoff_range, initialize_readonly, round_stream_into, Access, Layout, WorkloadMix,
 };
+use interweave_core::par::{host_threads, parallel_map};
 
-/// One benchmark's outcome under both policies.
+/// One benchmark's outcome under a baseline and a compared policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Row {
     /// Benchmark name.
     pub name: &'static str,
-    /// Full-MESI makespan (cycles).
-    pub full_cycles: u64,
-    /// Selective makespan (cycles).
-    pub selective_cycles: u64,
-    /// Full-MESI interconnect energy (pJ).
-    pub full_noc_energy: f64,
-    /// Selective interconnect energy (pJ).
-    pub selective_noc_energy: f64,
+    /// Baseline makespan (cycles).
+    pub base_cycles: u64,
+    /// Compared makespan (cycles).
+    pub cycles: u64,
+    /// Baseline interconnect energy (pJ).
+    pub base_noc_energy: f64,
+    /// Compared interconnect energy (pJ).
+    pub noc_energy: f64,
 }
 
 impl Fig7Row {
-    /// Selective speedup over full MESI (Fig. 7's y-axis).
+    /// Speedup of the compared policy over the baseline (Fig. 7's y-axis).
     pub fn speedup(&self) -> f64 {
-        self.full_cycles as f64 / self.selective_cycles as f64
+        self.base_cycles as f64 / self.cycles as f64
     }
 
-    /// Interconnect-energy reduction (1 − selective/full).
+    /// Interconnect-energy reduction (1 − compared/baseline).
     pub fn energy_reduction(&self) -> f64 {
-        1.0 - self.selective_noc_energy / self.full_noc_energy
+        1.0 - self.noc_energy / self.base_noc_energy
     }
 }
 
@@ -163,43 +165,70 @@ fn run_rounds(
     (makespan, sys.energy.interconnect.get())
 }
 
-/// All Fig. 7 rows on `cores` cores, with each benchmark's access volume
-/// divided by `div` (the figure runs `div = 1`; tests run a fraction of
-/// the simulation cost with the same qualitative bands).
-pub fn fig7(cores: usize, seed: u64, div: usize) -> Vec<Fig7Row> {
-    fig7_mixes()
+/// One benchmark's [`fig7`] row on `cores` cores.
+fn fig7_row(
+    mix: &WorkloadMix,
+    cores: usize,
+    modes: [CohMode; 2],
+    seed: u64,
+    div: usize,
+) -> Fig7Row {
+    let mut mix = mix.clone();
+    mix.accesses_per_round = (mix.accesses_per_round / div.max(1)).max(200);
+    // Both coherence modes replay the identical access streams: generate
+    // them once.
+    let layout = Layout::new(&mix, cores);
+    let mut streams = vec![Vec::new(); mix.rounds * cores];
+    for round in 0..mix.rounds {
+        for core in 0..cores {
+            round_stream_into(
+                &mix,
+                &layout,
+                core,
+                round,
+                seed,
+                &mut streams[round * cores + core],
+            );
+        }
+    }
+    let run = |mode| run_rounds(&mix, cores, mode, seed, None, Some(&streams));
+    let (base_cycles, base_noc_energy) = run(modes[0]);
+    let (cycles, noc_energy) = if modes[1] == modes[0] {
+        (base_cycles, base_noc_energy)
+    } else {
+        run(modes[1])
+    };
+    Fig7Row {
+        name: mix.name,
+        base_cycles,
+        cycles,
+        base_noc_energy,
+        noc_energy,
+    }
+}
+
+/// Every benchmark's row at each core count in `core_counts`, one row
+/// list per count: each benchmark runs under `modes` (baseline, then
+/// compared) with its access volume divided by `div` (the figure runs
+/// `div = 1`; tests run a fraction of the simulation cost with the same
+/// qualitative bands). The (core count × benchmark) runs fan out on the
+/// host's cores and come back in order, so the rows are the same at any
+/// thread count.
+pub fn fig7(
+    core_counts: &[usize],
+    modes: [CohMode; 2],
+    seed: u64,
+    div: usize,
+) -> Vec<Vec<Fig7Row>> {
+    let mixes = fig7_mixes();
+    let runs: Vec<(usize, &WorkloadMix)> = core_counts
         .iter()
-        .map(|mix| {
-            let mut mix = mix.clone();
-            mix.accesses_per_round = (mix.accesses_per_round / div.max(1)).max(200);
-            // Both coherence modes replay the identical access streams:
-            // generate them once.
-            let layout = Layout::new(&mix, cores);
-            let mut streams = vec![Vec::new(); mix.rounds * cores];
-            for round in 0..mix.rounds {
-                for core in 0..cores {
-                    round_stream_into(
-                        &mix,
-                        &layout,
-                        core,
-                        round,
-                        seed,
-                        &mut streams[round * cores + core],
-                    );
-                }
-            }
-            let run = |mode| run_rounds(&mix, cores, mode, seed, None, Some(&streams));
-            let (full_cycles, full_noc_energy) = run(CohMode::Full);
-            let (selective_cycles, selective_noc_energy) = run(CohMode::Selective);
-            Fig7Row {
-                name: mix.name,
-                full_cycles,
-                selective_cycles,
-                full_noc_energy,
-                selective_noc_energy,
-            }
-        })
-        .collect()
+        .flat_map(|&cores| mixes.iter().map(move |mix| (cores, mix)))
+        .collect();
+    let rows = parallel_map(runs, host_threads(), |(cores, mix)| {
+        fig7_row(mix, cores, modes, seed, div)
+    });
+    rows.chunks(mixes.len()).map(<[Fig7Row]>::to_vec).collect()
 }
 
 /// Mean speedup across rows (the paper's "average speedup is ~46 %").
@@ -216,6 +245,13 @@ pub fn mean_energy_reduction(rows: &[Fig7Row]) -> f64 {
 mod tests {
     use super::*;
     use crate::workloads::{consume_accesses, handoff_lines, produce_accesses, round_stream};
+
+    const FULL_VS_SELECTIVE: [CohMode; 2] = [CohMode::Full, CohMode::Selective];
+
+    /// Every benchmark's row on `cores` cores, full MESI against selective.
+    fn rows(cores: usize, seed: u64, div: usize) -> Vec<Fig7Row> {
+        fig7(&[cores], FULL_VS_SELECTIVE, seed, div).remove(0)
+    }
 
     /// The round loop written over the collected per-phase access lists,
     /// with no dense backing and no stream reuse — the oracle the engine is
@@ -311,30 +347,21 @@ mod tests {
     #[test]
     fn fig7_rows_match_the_reference_bit_for_bit() {
         // Streams generated once per benchmark and replayed for both modes.
-        let rows = fig7(8, 11, 8);
+        let rows = rows(8, 11, 8);
         for (mix, row) in fig7_mixes().iter().zip(&rows) {
             let mut mix = mix.clone();
             mix.accesses_per_round = (mix.accesses_per_round / 8).max(200);
             let (full_mk, full_e) = run_one_sequential(&mix, 8, CohMode::Full, 11, None);
             let (sel_mk, sel_e) = run_one_sequential(&mix, 8, CohMode::Selective, 11, None);
-            assert_eq!(row.full_cycles, full_mk, "{}: full makespan", row.name);
+            assert_eq!(row.base_cycles, full_mk, "{}: full makespan", row.name);
+            assert_eq!(row.cycles, sel_mk, "{}: selective makespan", row.name);
             assert_eq!(
-                row.selective_cycles, sel_mk,
-                "{}: selective makespan",
-                row.name
-            );
-            assert_eq!(
-                row.full_noc_energy.to_bits(),
+                row.base_noc_energy.to_bits(),
                 full_e.to_bits(),
                 "{}",
                 row.name
             );
-            assert_eq!(
-                row.selective_noc_energy.to_bits(),
-                sel_e.to_bits(),
-                "{}",
-                row.name
-            );
+            assert_eq!(row.noc_energy.to_bits(), sel_e.to_bits(), "{}", row.name);
         }
     }
 
@@ -353,7 +380,7 @@ mod tests {
 
     #[test]
     fn selective_wins_on_every_benchmark() {
-        for row in fig7(8, 11, 4) {
+        for row in rows(8, 11, 4) {
             assert!(
                 row.speedup() > 1.0,
                 "{}: speedup {:.3}",
@@ -374,7 +401,7 @@ mod tests {
         // Paper: "the average speedup is ~46%, while the interconnect
         // energy ... is reduced by ~53%" on the 24-core machine. Accept a
         // generous band around both.
-        let rows = fig7(24, 11, 3);
+        let rows = rows(24, 11, 3);
         let sp = mean_speedup(&rows);
         let er = mean_energy_reduction(&rows);
         assert!(
@@ -390,8 +417,8 @@ mod tests {
     #[test]
     fn benefits_grow_with_scale() {
         // §V-B: "The benefits grow with scale and disaggregation."
-        let small = mean_speedup(&fig7(8, 11, 4));
-        let large = mean_speedup(&fig7(24, 11, 4));
+        let small = mean_speedup(&rows(8, 11, 4));
+        let large = mean_speedup(&rows(24, 11, 4));
         assert!(
             large > small,
             "speedup should grow with scale: 8c {small:.3} vs 24c {large:.3}"
@@ -420,11 +447,11 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = fig7(8, 3, 4);
-        let b = fig7(8, 3, 4);
+        let a = rows(8, 3, 4);
+        let b = rows(8, 3, 4);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.full_cycles, y.full_cycles);
-            assert_eq!(x.selective_cycles, y.selective_cycles);
+            assert_eq!(x.base_cycles, y.base_cycles);
+            assert_eq!(x.cycles, y.cycles);
         }
     }
 }

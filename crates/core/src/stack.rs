@@ -205,26 +205,15 @@ impl StackConfig {
         }
     }
 
-    /// The RTK composition of §V-A: the OpenMP *runtime in the kernel*.
-    /// Structurally this is the raw Nautilus stack — identity mapping,
-    /// kernel-mode workers kicked by IPI — with the runtime linked in.
-    pub fn rtk() -> StackConfig {
-        StackConfig {
-            timing: TimingSource::HardwareTimer,
-            os: OsPoint::NkLike,
-            translation: Translation::Identity,
-            coherence: CoherencePolicy::FullMesi,
-            isolation: Isolation::Process,
-        }
-    }
-
     /// The PIK composition of §V-A: an unmodified *process in the kernel*,
     /// kept safe without paging by CARAT-style compiler guards and
-    /// attestation (the `carat::pik` admission path).
+    /// attestation (the `carat::pik` admission path). The RTK composition
+    /// (the OpenMP *runtime in the kernel*) is raw [`StackConfig::nautilus`]
+    /// with the runtime linked in.
     pub fn pik() -> StackConfig {
         StackConfig {
             translation: Translation::Carat,
-            ..StackConfig::rtk()
+            ..StackConfig::nautilus()
         }
     }
 
@@ -343,7 +332,6 @@ mod tests {
             StackConfig::interwoven(),
             StackConfig::nautilus(),
             StackConfig::framekernel(),
-            StackConfig::rtk(),
             StackConfig::pik(),
             StackConfig::cck(),
         ] {
@@ -353,8 +341,11 @@ mod tests {
 
     #[test]
     fn omp_presets_differ_only_on_the_expected_axes() {
-        assert_eq!(StackConfig::rtk(), StackConfig::nautilus());
-        let (rtk, pik, cck) = (StackConfig::rtk(), StackConfig::pik(), StackConfig::cck());
+        let (rtk, pik, cck) = (
+            StackConfig::nautilus(),
+            StackConfig::pik(),
+            StackConfig::cck(),
+        );
         assert_eq!(pik.translation, Translation::Carat);
         assert_eq!(
             StackConfig {

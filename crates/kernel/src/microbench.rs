@@ -31,16 +31,17 @@ impl PrimitiveRow {
 /// A named cost probe against one kernel model.
 type Probe = (&'static str, fn(&dyn OsModel) -> Cycles);
 
-/// Evaluate the primitive suite over a set of named kernel columns (all on
-/// the same machine). Column order in every row matches the input order.
-pub fn primitive_table(columns: &[(&'static str, &dyn OsModel)]) -> Vec<PrimitiveRow> {
+/// Evaluate the primitive suite over a set of kernel columns (all on the
+/// same machine). Column order in every row matches the input order.
+pub fn primitive_table(columns: &[&dyn OsModel]) -> Vec<PrimitiveRow> {
     assert!(!columns.is_empty(), "at least one kernel column required");
-    let machine = &columns[0].1.machine().name;
-    for (name, os) in columns {
+    let machine = &columns[0].machine().name;
+    for os in columns {
         assert_eq!(
             &os.machine().name,
             machine,
-            "primitive comparison requires the same machine (column {name})"
+            "primitive comparison requires the same machine (column {})",
+            os.name()
         );
     }
     let probes: [Probe; 10] = [
@@ -59,7 +60,7 @@ pub fn primitive_table(columns: &[(&'static str, &dyn OsModel)]) -> Vec<Primitiv
         .iter()
         .map(|&(name, probe)| PrimitiveRow {
             name,
-            costs: columns.iter().map(|&(_, os)| probe(os)).collect(),
+            costs: columns.iter().map(|&os| probe(os)).collect(),
         })
         .collect()
 }
@@ -77,7 +78,7 @@ mod tests {
         let lx = LinuxModel::new(mc.clone());
         let fk = AsterModel::new(mc.clone());
         let nk = NkModel::new(mc);
-        primitive_table(&[("Linux", &lx), ("Aster", &fk), ("Nautilus", &nk)])
+        primitive_table(&[&lx, &fk, &nk])
     }
 
     #[test]
@@ -139,6 +140,6 @@ mod tests {
     fn mismatched_machines_rejected() {
         let a = LinuxModel::new(MachineConfig::xeon_server_2s());
         let b = NkModel::new(MachineConfig::phi_knl());
-        let _ = primitive_table(&[("Linux", &a), ("Nautilus", &b)]);
+        let _ = primitive_table(&[&a, &b]);
     }
 }

@@ -37,8 +37,13 @@ pub struct NoiseEvent {
 /// Models are plain cost tables (`Send + Sync`), so a composed stack can be
 /// shared across the harness's parallel sweep workers.
 pub trait OsModel: Send + Sync {
+    /// The point of the OS axis this kernel is.
+    fn point(&self) -> OsPoint;
+
     /// Display name ("Linux", "Nautilus").
-    fn name(&self) -> &'static str;
+    fn name(&self) -> &'static str {
+        self.point().name()
+    }
 
     /// The machine this kernel runs on.
     fn machine(&self) -> &MachineConfig;
@@ -82,7 +87,10 @@ pub trait OsModel: Send + Sync {
     fn sample_noise(&self, rng: &mut SplitMix64) -> Option<NoiseEvent>;
 
     /// Context-switch cost in this kernel (threads, interrupt-timed).
-    fn ctx_switch(&self, rt: bool, fp: bool) -> Cycles;
+    fn ctx_switch(&self, rt: bool, fp: bool) -> Cycles {
+        let kind = SwitchKind::ThreadInterrupt;
+        switch_cost(self.machine(), self.point(), kind, rt, fp).total()
+    }
 
     /// An uncontended mutex lock+unlock.
     fn mutex_uncontended(&self) -> Cycles;
@@ -103,8 +111,8 @@ impl NkModel {
 }
 
 impl OsModel for NkModel {
-    fn name(&self) -> &'static str {
-        "Nautilus"
+    fn point(&self) -> OsPoint {
+        OsPoint::NkLike
     }
 
     fn machine(&self) -> &MachineConfig {
@@ -164,17 +172,6 @@ impl OsModel for NkModel {
 
     fn sample_noise(&self, _rng: &mut SplitMix64) -> Option<NoiseEvent> {
         None
-    }
-
-    fn ctx_switch(&self, rt: bool, fp: bool) -> Cycles {
-        switch_cost(
-            &self.mc,
-            OsPoint::NkLike,
-            SwitchKind::ThreadInterrupt,
-            rt,
-            fp,
-        )
-        .total()
     }
 
     fn mutex_uncontended(&self) -> Cycles {
@@ -254,8 +251,8 @@ impl LinuxModel {
 }
 
 impl OsModel for LinuxModel {
-    fn name(&self) -> &'static str {
-        "Linux"
+    fn point(&self) -> OsPoint {
+        OsPoint::LinuxLike
     }
 
     fn machine(&self) -> &MachineConfig {
@@ -342,17 +339,6 @@ impl OsModel for LinuxModel {
         })
     }
 
-    fn ctx_switch(&self, rt: bool, fp: bool) -> Cycles {
-        switch_cost(
-            &self.mc,
-            OsPoint::LinuxLike,
-            SwitchKind::ThreadInterrupt,
-            rt,
-            fp,
-        )
-        .total()
-    }
-
     fn mutex_uncontended(&self) -> Cycles {
         Cycles(90) // futex fast path stays in user space but is fatter
     }
@@ -405,8 +391,8 @@ impl AsterModel {
 }
 
 impl OsModel for AsterModel {
-    fn name(&self) -> &'static str {
-        "Aster"
+    fn point(&self) -> OsPoint {
+        OsPoint::AsterLike
     }
 
     fn machine(&self) -> &MachineConfig {
@@ -492,17 +478,6 @@ impl OsModel for AsterModel {
             after: self.mc.freq.cycles_per_us(after_us),
             duration: self.mc.freq.cycles_per_us(dur_us),
         })
-    }
-
-    fn ctx_switch(&self, rt: bool, fp: bool) -> Cycles {
-        switch_cost(
-            &self.mc,
-            OsPoint::AsterLike,
-            SwitchKind::ThreadInterrupt,
-            rt,
-            fp,
-        )
-        .total()
     }
 
     fn mutex_uncontended(&self) -> Cycles {

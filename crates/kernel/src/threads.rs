@@ -23,7 +23,7 @@
 //!   fair-scheduler pick.
 
 use interweave_core::machine::MachineConfig;
-use interweave_core::stack::OsPoint;
+use interweave_core::stack::{OsPoint, TimingSource};
 use interweave_core::time::Cycles;
 
 /// Fraction of full FP save/restore a fiber switch pays: at a compiler-
@@ -55,6 +55,17 @@ pub enum SwitchKind {
     FiberCooperative,
     /// Fiber preempted by compiler-injected time checks (§IV-C).
     FiberCompilerTimed,
+}
+
+impl SwitchKind {
+    /// The switch a stack's timing source preempts with: a hardware timer
+    /// interrupts threads, compiler-injected time checks switch fibers.
+    pub fn preempting(timing: TimingSource) -> SwitchKind {
+        match timing {
+            TimingSource::HardwareTimer => SwitchKind::ThreadInterrupt,
+            TimingSource::CompilerInjected => SwitchKind::FiberCompilerTimed,
+        }
+    }
 }
 
 /// A context-switch cost broken into the components Fig. 4 discusses.

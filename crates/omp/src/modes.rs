@@ -53,10 +53,6 @@ impl OmpMode {
             OmpMode::Cck,
         ]
     }
-
-    /// The kernel-interwoven designs Fig. 6 plots against the Linux
-    /// baseline, in the figure's column order.
-    pub const KERNEL: [OmpMode; 3] = [OmpMode::Rtk, OmpMode::Pik, OmpMode::Cck];
 }
 
 /// Priced runtime events for one mode on one machine.

@@ -103,8 +103,8 @@ pub fn run_omp(
     }
 }
 
-/// One Fig. 6 data point: mode performance relative to Linux at the same
-/// scale (higher is better).
+/// One Fig. 6 data point: mode performance relative to the baseline at
+/// the same scale (higher is better).
 #[derive(Debug, Clone)]
 pub struct RelPerf {
     /// Benchmark name.
@@ -113,13 +113,13 @@ pub struct RelPerf {
     pub cpus: usize,
     /// Execution design.
     pub mode: OmpMode,
-    /// Linux time / mode time.
+    /// Baseline time / mode time.
     pub relative: f64,
 }
 
 /// Produce the Fig. 6 series for one workload across CPU counts: each mode
-/// in `modes` relative to the Linux baseline at the same scale. The figure
-/// uses [`OmpMode::KERNEL`]; ablations can pass a subset.
+/// in `modes` after the first relative to the first, the baseline (the
+/// paper's is Linux), at the same scale.
 pub fn fig6_series(
     spec: &WorkloadSpec,
     mc: &MachineConfig,
@@ -129,14 +129,14 @@ pub fn fig6_series(
 ) -> Vec<RelPerf> {
     let mut out = Vec::new();
     for &p in cpu_counts {
-        let linux = run_omp(spec, OmpMode::LinuxUser, p, mc, seed);
-        for &mode in modes {
+        let base = run_omp(spec, modes[0], p, mc, seed);
+        for &mode in &modes[1..] {
             let r = run_omp(spec, mode, p, mc, seed);
             out.push(RelPerf {
                 bench: spec.name,
                 cpus: p,
                 mode,
-                relative: linux.total.as_f64() / r.total.as_f64(),
+                relative: base.total.as_f64() / r.total.as_f64(),
             });
         }
     }
@@ -237,7 +237,7 @@ mod tests {
                 &spec,
                 &knl(),
                 &knl_cpu_counts(),
-                &OmpMode::KERNEL,
+                &OmpMode::all(),
                 42,
             ));
         }
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn gains_grow_with_scale() {
         let spec = bt();
-        let pts = fig6_series(&spec, &knl(), &knl_cpu_counts(), &OmpMode::KERNEL, 42);
+        let pts = fig6_series(&spec, &knl(), &knl_cpu_counts(), &OmpMode::all(), 42);
         let rel = |p: usize| {
             pts.iter()
                 .find(|r| r.cpus == p && r.mode == OmpMode::Rtk)
@@ -288,7 +288,7 @@ mod tests {
         // §V-A's wording: CCK helps at small scale (cheap tasking) and
         // hurts at large scale (centralized queue) — i.e. it crosses RTK.
         let spec = sp();
-        let pts = fig6_series(&spec, &knl(), &knl_cpu_counts(), &OmpMode::KERNEL, 42);
+        let pts = fig6_series(&spec, &knl(), &knl_cpu_counts(), &OmpMode::all(), 42);
         let get = |p: usize, m: OmpMode| {
             pts.iter()
                 .find(|r| r.cpus == p && r.mode == m)
@@ -312,7 +312,7 @@ mod tests {
         let mut pts = Vec::new();
         for spec in fig6_specs() {
             let spec = spec.scaled(8);
-            pts.extend(fig6_series(&spec, &mc, &counts, &OmpMode::KERNEL, 7));
+            pts.extend(fig6_series(&spec, &mc, &counts, &OmpMode::all(), 7));
         }
         let rtk = geomean_rel(&pts, OmpMode::Rtk);
         assert!(

@@ -165,25 +165,23 @@ impl ComposedStack {
         self.os.machine()
     }
 
-    /// The OpenMP mode this composition corresponds to, when it is one of
-    /// the named OpenMP stacks (`commodity` ↦ Linux user-level libomp,
-    /// [`StackConfig::framekernel`] ↦ unmodified libomp on the framekernel,
-    /// [`StackConfig::rtk`]/[`StackConfig::pik`]/[`StackConfig::cck`] ↦
-    /// the kernel modes). Other compositions have no OpenMP incarnation.
+    /// The OpenMP mode this composition runs, derived from its OS,
+    /// translation and timing axes: user-level libomp on paged Linux or on
+    /// the paged framekernel; in the NK kernel, the runtime in the kernel
+    /// (RTK) on identity mapping, a process in the kernel (PIK) once CARAT
+    /// guards replace paging, and custom compilation for the kernel (CCK)
+    /// when the compiler also owns timing. Every mode but CCK runs on
+    /// hardware timers. Other compositions have no OpenMP incarnation.
     pub fn omp_mode(&self) -> Option<OmpMode> {
+        use {OsPoint::*, TimingSource::*, Translation::*};
         let c = self.config;
-        if c == StackConfig::commodity() {
-            Some(OmpMode::LinuxUser)
-        } else if c == StackConfig::framekernel() {
-            Some(OmpMode::AsterUser)
-        } else if c == StackConfig::rtk() {
-            Some(OmpMode::Rtk)
-        } else if c == StackConfig::pik() {
-            Some(OmpMode::Pik)
-        } else if c == StackConfig::cck() {
-            Some(OmpMode::Cck)
-        } else {
-            None
+        match (c.os, c.translation, c.timing) {
+            (LinuxLike, Paging, HardwareTimer) => Some(OmpMode::LinuxUser),
+            (AsterLike, Paging, HardwareTimer) => Some(OmpMode::AsterUser),
+            (NkLike, Identity, HardwareTimer) => Some(OmpMode::Rtk),
+            (NkLike, Carat, HardwareTimer) => Some(OmpMode::Pik),
+            (NkLike, Carat, CompilerInjected) => Some(OmpMode::Cck),
+            _ => None,
         }
     }
 }
@@ -238,7 +236,6 @@ mod tests {
             StackConfig::interwoven(),
             StackConfig::nautilus(),
             StackConfig::framekernel(),
-            StackConfig::rtk(),
             StackConfig::pik(),
             StackConfig::cck(),
         ] {
@@ -261,16 +258,25 @@ mod tests {
         let i = compose(StackConfig::interwoven(), mc()).unwrap();
         assert_eq!(i.os.name(), "Nautilus");
         assert_eq!(i.coherence, CohMode::Selective);
-        assert_eq!(i.omp_mode(), None, "interwoven is not an OpenMP stack");
+        // NK kernel, CARAT guards, compiler timing: the CCK design.
+        assert_eq!(i.omp_mode(), Some(OmpMode::Cck));
+        let timed = StackConfig {
+            timing: TimingSource::CompilerInjected,
+            ..StackConfig::commodity()
+        };
+        assert_eq!(compose(timed, mc()).unwrap().omp_mode(), None);
     }
 
     #[test]
     fn omp_presets_map_to_their_modes() {
-        let modes: Vec<Option<OmpMode>> =
-            [StackConfig::rtk(), StackConfig::pik(), StackConfig::cck()]
-                .into_iter()
-                .map(|c| compose(c, mc()).unwrap().omp_mode())
-                .collect();
+        let modes: Vec<Option<OmpMode>> = [
+            StackConfig::nautilus(),
+            StackConfig::pik(),
+            StackConfig::cck(),
+        ]
+        .into_iter()
+        .map(|c| compose(c, mc()).unwrap().omp_mode())
+        .collect();
         assert_eq!(
             modes,
             vec![Some(OmpMode::Rtk), Some(OmpMode::Pik), Some(OmpMode::Cck)]

@@ -45,8 +45,19 @@ fn interweaving_wins_on_every_axis() {
 
     // §IV-A translation overhead: optimized CARAT below paging.
     use interweave::carat::overhead::measure;
+    use interweave::core::machine::CostModel;
+    use interweave::core::stack::Translation;
     use interweave::ir::programs;
-    let row = measure(&programs::matvec(16), 64, 4096);
+    let small_tlb = CostModel {
+        tlb_entries: 64,
+        ..CostModel::x64_default()
+    };
+    let carat = (Translation::Carat, &small_tlb);
+    let row = measure(
+        &programs::matvec(16),
+        carat,
+        (Translation::Paging, &small_tlb),
+    );
     assert!(row.opt_cycles < row.paging_cycles);
 
     // §V-A OpenMP: RTK above Linux at scale.
