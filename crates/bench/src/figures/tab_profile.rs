@@ -25,7 +25,7 @@
 use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{pct, s};
 use interweave::compose::ComposedStack;
-use interweave_coherence::protocol::{CohMode, System, SystemConfig};
+use interweave_coherence::protocol::{System, SystemConfig};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_core::telemetry::{find_overlap, well_bracketed, AttributionRow, Layer, Sink};
@@ -107,8 +107,9 @@ fn profile(stack: &ComposedStack) -> (Sink, Executor) {
 /// heartbeat delivery gauges, and live virtine counters + spans.
 fn cross_layer_publishers(sink: &Sink, stack: &ComposedStack) {
     let mc = stack.machine();
-    // Coherence: a small shared-then-private access mix.
-    let mut sys = System::new(SystemConfig::test(8, CohMode::Selective));
+    // Coherence: a small access mix under the stack's policy. It
+    // classifies no region, so every line resolves Shared in either mode.
+    let mut sys = System::new(SystemConfig::test(8, stack.coherence));
     for l in 0..64u64 {
         sys.write((l % 8) as usize, l);
         sys.read(((l + 1) % 8) as usize, l);

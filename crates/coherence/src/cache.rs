@@ -6,16 +6,16 @@
 //! the tests prove reads observe the latest write, i.e. that the protocol
 //! is actually coherent rather than just charged for.
 //!
-//! Storage is a dense slot array over the workload's contiguous line
-//! range (see [`Cache::reserve_dense`]): a probe is one bounds check and
-//! one indexed load instead of a hash lookup. The dense side is laid out
-//! as parallel primitive vectors whose all-zero initial state means
-//! "empty" — `vec![0; n]` lowers to a zeroed (lazily mapped) allocation,
-//! so reserving a large range costs pages only for lines actually
-//! touched. Lines outside the dense range spill into a hash map, so the
-//! cache behaves identically for arbitrary addresses. A side list of
-//! resident lines (with swap-remove back-pointers) makes `len`,
-//! `resident` and `entries` O(residents) rather than O(range).
+//! Storage is sized by capacity, not by footprint: every resident line
+//! lives in one frame of a `frames` array that never holds more than
+//! `capacity` entries. A line finds its frame through an index — a dense
+//! `Vec<u32>` of frame index + 1 over the workload's contiguous line range
+//! (see [`Cache::reserve_dense`]), so a probe is one bounds check and two
+//! indexed loads, with lines outside the range spilling into a hash map.
+//! Dense and spilled lines share the frames, so every operation is one
+//! `frame_of` lookup followed by frame arithmetic. An evicted victim's
+//! frame is reused in place; an invalidation swap-removes its frame,
+//! keeping `frames` exactly the resident set.
 
 use crate::linehash::LineMap;
 use std::collections::VecDeque;
@@ -47,39 +47,64 @@ fn bits_state(b: u8) -> Mesi {
     }
 }
 
-/// Reference bit within the dense metadata byte (low two bits: state).
+/// Reference bit within a frame's metadata byte (low two bits: state).
 const META_REF: u8 = 4;
 
-/// One resident line.
-#[derive(Debug, Clone, Copy)]
+/// One resident line, as seen by the protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Entry {
     /// Coherence state.
     pub state: Mesi,
     /// Version of the data held (monotonic per line).
     pub version: u64,
-    ref_bit: bool,
-    /// Back-pointer into the resident list.
-    res_idx: u32,
+}
+
+/// One occupied cache frame. Versions are `u32`, as in the protocol's
+/// line table: round-structured sweeps write any one line a few thousand
+/// times at most.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    line: u64,
+    version: u32,
+    /// State bits (low 2) plus [`META_REF`].
+    meta: u8,
+}
+
+impl Frame {
+    fn new(line: u64, state: Mesi, version: u64) -> Frame {
+        debug_assert!(version <= u32::MAX as u64, "version overflow on a line");
+        // Fresh lines start unreferenced: one probe earns clock protection
+        // (second-chance discipline); re-inserts also reset the bit.
+        Frame {
+            line,
+            version: version as u32,
+            meta: state_bits(state),
+        }
+    }
+
+    fn entry(&self) -> Entry {
+        Entry {
+            state: bits_state(self.meta),
+            version: self.version as u64,
+        }
+    }
 }
 
 /// A private cache of fixed line capacity.
 #[derive(Debug, Clone)]
 pub struct Cache {
     base: u64,
-    /// Dense slot occupancy: `res_idx + 1`, `0` = empty slot. Kept as its
-    /// own primitive vector so `reserve_dense` gets a zeroed allocation.
-    dense_res: Vec<u32>,
-    dense_ver: Vec<u64>,
-    /// State bits (low 2) plus [`META_REF`].
-    dense_meta: Vec<u8>,
-    spill: LineMap<Entry>,
-    residents: Vec<u64>,
+    /// Dense line index: frame index + 1 per line of the reserved range,
+    /// `0` = not resident. A primitive vector, so reserving zeroes 4 B a
+    /// line.
+    index: Vec<u32>,
+    /// Frame index of each resident line outside the dense range.
+    spill: LineMap<u32>,
+    /// The resident lines, at most `capacity` of them, in no order.
+    frames: Vec<Frame>,
+    /// Clock ring of line addresses; invalidated lines are skipped lazily.
     clock: VecDeque<u64>,
     capacity: usize,
-    /// Hits observed.
-    pub hits: u64,
-    /// Misses observed.
-    pub misses: u64,
 }
 
 impl Cache {
@@ -88,244 +113,157 @@ impl Cache {
         assert!(capacity > 0);
         Cache {
             base: 0,
-            dense_res: Vec::new(),
-            dense_ver: Vec::new(),
-            dense_meta: Vec::new(),
+            index: Vec::new(),
             spill: LineMap::default(),
-            residents: Vec::new(),
+            frames: Vec::with_capacity(capacity),
             clock: VecDeque::new(),
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// Back the line range `[base, base + n)` with dense slots. Must be
-    /// called before any line is inserted; lines outside the range keep
-    /// working through the spill map.
+    /// Index the line range `[base, base + n)` densely. Must be called
+    /// before any line is inserted; lines outside the range keep working
+    /// through the spill map.
     pub fn reserve_dense(&mut self, base: u64, n: usize) {
-        assert!(
-            self.residents.is_empty(),
-            "reserve_dense on a populated cache"
-        );
+        assert!(self.frames.is_empty(), "reserve_dense on a populated cache");
         self.base = base;
-        self.dense_res = vec![0; n];
-        self.dense_ver = vec![0; n];
-        self.dense_meta = vec![0; n];
+        self.index = vec![0; n];
     }
 
     #[inline]
     fn dense_idx(&self, line: u64) -> Option<usize> {
         let off = line.wrapping_sub(self.base);
-        if off < self.dense_res.len() as u64 {
+        if off < self.index.len() as u64 {
             Some(off as usize)
         } else {
             None
         }
     }
 
+    /// The frame holding `line`, if it is resident.
     #[inline]
-    fn dense_entry(&self, i: usize) -> Option<Entry> {
-        let res = self.dense_res[i];
-        if res == 0 {
-            return None;
+    fn frame_of(&self, line: u64) -> Option<usize> {
+        match self.dense_idx(line) {
+            Some(i) => self.index[i].checked_sub(1).map(|f| f as usize),
+            None => self.spill.get(&line).map(|&f| f as usize),
         }
-        let meta = self.dense_meta[i];
-        Some(Entry {
-            state: bits_state(meta),
-            version: self.dense_ver[i],
-            ref_bit: meta & META_REF != 0,
-            res_idx: res - 1,
-        })
     }
 
-    /// Remove `line`'s entry, patching the resident list's swap-remove
-    /// back-pointer. The clock ring lazily skips removed lines.
-    fn remove_line(&mut self, line: u64) -> Option<Entry> {
-        let e = match self.dense_idx(line) {
-            Some(i) => {
-                let e = self.dense_entry(i)?;
-                self.dense_res[i] = 0;
-                e
-            }
-            None => self.spill.remove(&line)?,
-        };
-        let ri = e.res_idx as usize;
-        self.residents.swap_remove(ri);
-        if let Some(&moved) = self.residents.get(ri) {
-            match self.dense_idx(moved) {
-                Some(j) => self.dense_res[j] = ri as u32 + 1,
-                None => {
-                    self.spill
-                        .get_mut(&moved)
-                        .expect("resident is present")
-                        .res_idx = ri as u32;
-                }
+    /// Point `line`'s index entry at frame `f`.
+    fn map(&mut self, line: u64, f: usize) {
+        match self.dense_idx(line) {
+            Some(i) => self.index[i] = f as u32 + 1,
+            None => {
+                self.spill.insert(line, f as u32);
             }
         }
-        Some(e)
+    }
+
+    /// Clear `line`'s index entry.
+    fn unmap(&mut self, line: u64) {
+        match self.dense_idx(line) {
+            Some(i) => self.index[i] = 0,
+            None => {
+                self.spill.remove(&line);
+            }
+        }
     }
 
     /// Look up a line, setting its reference bit on hit.
     #[inline]
     pub fn probe(&mut self, line: u64) -> Option<Entry> {
-        let hit = match self.dense_idx(line) {
-            Some(i) => {
-                let e = self.dense_entry(i);
-                if e.is_some() {
-                    self.dense_meta[i] |= META_REF;
-                }
-                e
-            }
-            None => self.spill.get_mut(&line).map(|e| {
-                e.ref_bit = true;
-                *e
-            }),
-        };
-        match hit {
-            Some(e) => {
-                self.hits += 1;
-                Some(e)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let f = self.frame_of(line)?;
+        let fr = &mut self.frames[f];
+        fr.meta |= META_REF;
+        Some(fr.entry())
     }
 
-    /// Peek without statistics or reference-bit effects.
+    /// Peek without reference-bit effects.
     #[inline]
     pub fn peek(&self, line: u64) -> Option<Entry> {
-        match self.dense_idx(line) {
-            Some(i) => self.dense_entry(i),
-            None => self.spill.get(&line).copied(),
-        }
+        self.frame_of(line).map(|f| self.frames[f].entry())
     }
 
     /// Change the state of a resident line (downgrade/upgrade).
     pub fn set_state(&mut self, line: u64, state: Mesi) {
-        match self.dense_idx(line) {
-            Some(i) => {
-                if self.dense_res[i] != 0 {
-                    let meta = self.dense_meta[i];
-                    self.dense_meta[i] = (meta & META_REF) | state_bits(state);
-                }
-            }
-            None => {
-                if let Some(e) = self.spill.get_mut(&line) {
-                    e.state = state;
-                }
-            }
+        if let Some(f) = self.frame_of(line) {
+            let fr = &mut self.frames[f];
+            fr.meta = (fr.meta & META_REF) | state_bits(state);
         }
     }
 
     /// Bump the version of a resident line (a write hit) and mark M.
     pub fn write_hit(&mut self, line: u64, version: u64) {
-        match self.dense_idx(line) {
-            Some(i) => {
-                debug_assert_ne!(self.dense_res[i], 0, "write_hit on absent line");
-                let meta = self.dense_meta[i];
-                self.dense_meta[i] = (meta & META_REF) | state_bits(Mesi::M);
-                self.dense_ver[i] = version;
-            }
-            None => {
-                let e = self.spill.get_mut(&line).expect("write_hit on absent line");
-                e.state = Mesi::M;
-                e.version = version;
-            }
-        }
+        debug_assert!(version <= u32::MAX as u64, "version overflow on a line");
+        let f = self.frame_of(line).expect("write_hit on absent line");
+        let fr = &mut self.frames[f];
+        fr.meta = (fr.meta & META_REF) | state_bits(Mesi::M);
+        fr.version = version as u32;
     }
 
-    /// Remove a line (invalidation); returns its entry if present.
+    /// Remove a line (invalidation); returns its entry if present. The
+    /// last frame moves into the freed one, so `frames` stays dense; the
+    /// clock ring skips the line lazily.
     pub fn invalidate(&mut self, line: u64) -> Option<Entry> {
-        self.remove_line(line)
+        let f = self.frame_of(line)?;
+        self.unmap(line);
+        let gone = self.frames.swap_remove(f);
+        if let Some(moved) = self.frames.get(f) {
+            self.map(moved.line, f);
+        }
+        Some(gone.entry())
     }
 
     /// Insert a line, evicting by clock if full. Returns the evicted
     /// `(line, entry)` if any.
     pub fn insert(&mut self, line: u64, state: Mesi, version: u64) -> Option<(u64, Entry)> {
+        let fresh = Frame::new(line, state, version);
+        if let Some(f) = self.frame_of(line) {
+            self.frames[f] = fresh;
+            return None;
+        }
         let mut victim = None;
-        let existing = self.peek(line);
-        if existing.is_none() && self.residents.len() >= self.capacity {
+        let f = if self.frames.len() < self.capacity {
+            self.frames.push(fresh);
+            self.frames.len() - 1
+        } else {
             // Clock: skip referenced or already-invalidated entries.
             loop {
                 let cand = self.clock.pop_front().expect("clock tracks residents");
-                match self.peek(cand) {
-                    None => continue, // invalidated earlier; drop lazily
-                    Some(e) if e.ref_bit => {
-                        // Second chance: clear the bit, recycle.
-                        match self.dense_idx(cand) {
-                            Some(i) => self.dense_meta[i] &= !META_REF,
-                            None => {
-                                self.spill.get_mut(&cand).expect("present").ref_bit = false;
-                            }
-                        }
-                        self.clock.push_back(cand);
-                    }
-                    Some(_) => {
-                        let e = self.remove_line(cand).expect("present");
-                        victim = Some((cand, e));
-                        break;
-                    }
+                let Some(f) = self.frame_of(cand) else {
+                    continue; // invalidated earlier; drop lazily
+                };
+                if self.frames[f].meta & META_REF != 0 {
+                    // Second chance: clear the bit, recycle.
+                    self.frames[f].meta &= !META_REF;
+                    self.clock.push_back(cand);
+                    continue;
                 }
-            }
-        }
-        let fresh = existing.is_none();
-        let res_idx = match existing {
-            Some(e) => e.res_idx,
-            None => {
-                self.residents.push(line);
-                (self.residents.len() - 1) as u32
+                victim = Some((cand, self.frames[f].entry()));
+                self.unmap(cand);
+                self.frames[f] = fresh;
+                break f;
             }
         };
-        // Fresh lines start unreferenced: one probe earns clock protection
-        // (second-chance discipline); re-inserts also reset the bit.
-        match self.dense_idx(line) {
-            Some(i) => {
-                self.dense_res[i] = res_idx + 1;
-                self.dense_ver[i] = version;
-                self.dense_meta[i] = state_bits(state);
-            }
-            None => {
-                self.spill.insert(
-                    line,
-                    Entry {
-                        state,
-                        version,
-                        ref_bit: false,
-                        res_idx,
-                    },
-                );
-            }
-        }
-        if fresh {
-            self.clock.push_back(line);
-        }
+        self.map(line, f);
+        self.clock.push_back(line);
         victim
     }
 
     /// Resident line count.
     pub fn len(&self) -> usize {
-        self.residents.len()
+        self.frames.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.residents.is_empty()
+        self.frames.is_empty()
     }
 
-    /// All resident lines (for flushes).
-    pub fn resident(&self) -> Vec<u64> {
-        self.residents.clone()
-    }
-
-    /// Iterate resident `(line, entry)` pairs, in no particular order —
-    /// callers that care about order (the SWMR checker) must sort.
+    /// Iterate resident `(line, entry)` pairs in frame order (no
+    /// particular line order).
     pub fn entries(&self) -> impl Iterator<Item = (u64, Entry)> + '_ {
-        self.residents
-            .iter()
-            .map(|&l| (l, self.peek(l).expect("resident is present")))
+        self.frames.iter().map(|fr| (fr.line, fr.entry()))
     }
 }
 
@@ -338,9 +276,14 @@ mod tests {
         let mut c = Cache::new(4);
         assert!(c.probe(1).is_none());
         c.insert(1, Mesi::E, 0);
-        assert!(c.probe(1).is_some());
-        assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 1);
+        assert_eq!(
+            c.probe(1),
+            Some(Entry {
+                state: Mesi::E,
+                version: 0
+            })
+        );
+        assert!(c.probe(2).is_none());
     }
 
     #[test]
@@ -391,9 +334,15 @@ mod tests {
         assert_eq!(c.len(), 2);
     }
 
+    fn sorted_entries(c: &Cache) -> Vec<(u64, Entry)> {
+        let mut v: Vec<(u64, Entry)> = c.entries().collect();
+        v.sort_unstable_by_key(|&(l, _)| l);
+        v
+    }
+
     #[test]
     fn dense_and_spill_storage_agree() {
-        // Same operation sequence against a dense-backed cache and a
+        // Same operation sequence against a dense-indexed cache and a
         // spill-only cache: externally identical at every step.
         let mut dense = Cache::new(4);
         dense.reserve_dense(100, 50);
@@ -401,22 +350,16 @@ mod tests {
         // Mix of in-range (100..150) and out-of-range lines.
         let ops = [120u64, 99, 120, 130, 151, 140, 145, 120, 99, 130];
         for (i, &l) in ops.iter().enumerate() {
-            if i % 3 == 2 {
-                assert_eq!(dense.invalidate(l).is_some(), plain.invalidate(l).is_some());
-            } else {
-                let ve = dense.insert(l, Mesi::E, i as u64).map(|(v, _)| v);
-                let vp = plain.insert(l, Mesi::E, i as u64).map(|(v, _)| v);
-                assert_eq!(ve, vp, "op {i}: divergent victim");
+            match i % 3 {
+                2 => assert_eq!(dense.invalidate(l), plain.invalidate(l), "op {i}"),
+                1 => assert_eq!(dense.probe(l), plain.probe(l), "op {i}"),
+                _ => {}
             }
-            assert_eq!(dense.len(), plain.len(), "op {i}");
-            let mut a: Vec<u64> = dense.resident();
-            let mut b: Vec<u64> = plain.resident();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "op {i}");
+            let ve = dense.insert(l, Mesi::E, i as u64);
+            let vp = plain.insert(l, Mesi::E, i as u64);
+            assert_eq!(ve, vp, "op {i}: divergent victim");
+            assert_eq!(sorted_entries(&dense), sorted_entries(&plain), "op {i}");
         }
-        assert_eq!(dense.hits, plain.hits);
-        assert_eq!(dense.misses, plain.misses);
     }
 
     #[test]

@@ -464,10 +464,6 @@ impl System {
         }
     }
 
-    fn class_of(&self, line: u64) -> Class {
-        self.resolve_class(&self.line_state(line))
-    }
-
     #[inline]
     fn charge_msg(&mut self, hops: u32, flits: u32) {
         self.energy.charge_noc(&self.emodel, hops.max(1), flits);
@@ -891,59 +887,31 @@ impl System {
 
     /// Verify the single-writer/multiple-reader invariant and directory
     /// consistency for Shared-class lines. Panics on violation.
+    ///
+    /// One walk over every cache's frames, asking each Shared-class copy
+    /// that the directory names its holder: an M/E copy at core `c` needs
+    /// `Exclusive(c)`, an S copy needs `Sharers` with `c`'s bit set. That
+    /// implies SWMR (two M/E holders, or an M/E holder beside a sharer,
+    /// would need two directory states at once) and also rejects a stale
+    /// sharer the directory does not list.
     pub fn check_swmr(&self) {
-        // One sorted sweep over every resident (line, core, state) row,
-        // grouped by line. The per-line holder sets are identical to probing
-        // each cache per line, but the cost is one iteration plus a sort
-        // instead of residents × cores hash lookups.
-        let mut rows: Vec<(u64, usize, Mesi)> = Vec::new();
-        for (ci, c) in self.caches.iter().enumerate() {
-            rows.extend(c.entries().map(|(l, e)| (l, ci, e.state)));
-        }
-        rows.sort_unstable_by_key(|&(l, c, _)| (l, c));
-        let mut i = 0;
-        while i < rows.len() {
-            let line = rows[i].0;
-            let mut j = i;
-            while j < rows.len() && rows[j].0 == line {
-                j += 1;
-            }
-            let group = &rows[i..j];
-            i = j;
-            if self.class_of(line) != Class::Shared {
-                continue;
-            }
-            let mut exclusive_holders = Vec::new();
-            let mut shared_holders = Vec::new();
-            for &(_, ci, state) in group {
-                match state {
-                    Mesi::M | Mesi::E => exclusive_holders.push(ci),
-                    Mesi::S => shared_holders.push(ci),
+        for (core, cache) in self.caches.iter().enumerate() {
+            for (line, e) in cache.entries() {
+                let st = self.line_state(line);
+                if self.resolve_class(&st) != Class::Shared {
+                    continue;
                 }
-            }
-            assert!(
-                exclusive_holders.len() <= 1,
-                "line {line:#x}: multiple exclusive holders {exclusive_holders:?}"
-            );
-            let dir = self.line_state(line).dir();
-            if let Some(&x) = exclusive_holders.first() {
+                let dir = st.dir();
+                let listed = match (e.state, dir) {
+                    (Mesi::M | Mesi::E, Dir::Exclusive(x)) => x == core,
+                    (Mesi::S, Dir::Sharers(mask)) => mask & (1 << core) != 0,
+                    _ => false,
+                };
                 assert!(
-                    shared_holders.is_empty(),
-                    "line {line:#x}: exclusive at {x} with sharers {shared_holders:?}"
+                    listed,
+                    "line {line:#x}: core {core} holds it {:?} but the directory says {dir:?}",
+                    e.state
                 );
-                assert_eq!(
-                    dir,
-                    Dir::Exclusive(x),
-                    "line {line:#x}: directory out of sync with exclusive holder"
-                );
-            }
-            if let Dir::Sharers(mask) = dir {
-                for &s in &shared_holders {
-                    assert!(
-                        mask & (1 << s) != 0,
-                        "line {line:#x}: sharer {s} missing from directory"
-                    );
-                }
             }
         }
     }
@@ -980,6 +948,17 @@ mod tests {
         // Reader 0 must re-miss and see the new version.
         let lat = s.read(0, 7);
         assert!(lat > s.cfg.lat.l1_hit);
+        s.check_swmr();
+    }
+
+    #[test]
+    #[should_panic(expected = "directory says Uncached")]
+    fn stale_sharer_behind_an_uncached_directory_panics() {
+        // Plant an S copy the directory never granted: line 7 stays
+        // Uncached, so core 1's copy is one no write would invalidate.
+        let mut s = sys(CohMode::Full);
+        s.read(0, 8);
+        s.caches[1].insert(7, Mesi::S, 0);
         s.check_swmr();
     }
 
