@@ -172,36 +172,50 @@ impl MemCell {
     }
 }
 
-/// Word cells per page. Each cell covers one *byte address* (the IR's loads
-/// and stores are 8-byte words at arbitrary byte addresses, and two words at
-/// overlapping addresses are independent cells, exactly as in the original
-/// word-map representation), so a page spans `PAGE_CELLS` consecutive byte
-/// addresses.
-const PAGE_CELLS: usize = 512;
-const PAGE_SHIFT: u32 = PAGE_CELLS.trailing_zeros();
-const PAGE_MASK: u64 = PAGE_CELLS as u64 - 1;
+/// Byte addresses per page. Loads and stores move 8-byte words at
+/// arbitrary byte addresses, and two words at overlapping addresses are
+/// independent cells (exactly as in the original word-map representation),
+/// so a page spans `PAGE_BYTES` byte addresses: its word-aligned cells sit
+/// in the page itself, and the rare unaligned ones in
+/// [`Memory::unaligned`].
+const PAGE_BYTES: u64 = 512;
+const PAGE_SHIFT: u32 = PAGE_BYTES.trailing_zeros();
+const PAGE_MASK: u64 = PAGE_BYTES - 1;
+/// Bytes per word, and the mask of a word-aligned address's low bits.
+const WORD_BYTES: u64 = 8;
+const WORD_MASK: u64 = WORD_BYTES - 1;
+/// Word-aligned cells per page.
+const PAGE_WORDS: usize = (PAGE_BYTES / WORD_BYTES) as usize;
 
-/// One resident page: its cells plus a dirty watermark — the inclusive-lo /
-/// exclusive-hi range of cell indices that may hold a non-zero word. Every
-/// write path widens the watermark, so `free` can clear (and the provenance
-/// patch sweep can scan) only the written span, keeping both proportional
-/// to stored words — matching the word-map layout's cost — rather than to
-/// the byte range.
+/// One resident page: its word-aligned cells plus a dirty watermark — the
+/// inclusive-lo / exclusive-hi range of word indices that may hold a
+/// non-zero word. Every write path widens the watermark, so `free` can
+/// clear (and the provenance patch sweep can scan) only the written span,
+/// keeping both proportional to stored words rather than to the byte range.
 #[derive(Clone)]
 struct Page {
-    cells: Box<[MemCell]>,
-    /// Lowest possibly-dirty cell index (`PAGE_CELLS` when clean).
+    words: Box<[MemCell; PAGE_WORDS]>,
+    /// Lowest possibly-dirty word index (`PAGE_WORDS` when clean).
     lo: u32,
-    /// One past the highest possibly-dirty cell index (0 when clean).
+    /// One past the highest possibly-dirty word index (0 when clean).
     hi: u32,
 }
 
 impl Page {
     fn new() -> Page {
         Page {
-            cells: vec![MemCell::ZERO; PAGE_CELLS].into_boxed_slice(),
-            lo: PAGE_CELLS as u32,
+            words: Box::new([MemCell::ZERO; PAGE_WORDS]),
+            lo: PAGE_WORDS as u32,
             hi: 0,
+        }
+    }
+
+    /// The live slice of the page: the words inside its watermark.
+    fn dirty_mut(&mut self) -> &mut [MemCell] {
+        if self.lo < self.hi {
+            &mut self.words[self.lo as usize..self.hi as usize]
+        } else {
+            &mut []
         }
     }
 }
@@ -217,35 +231,55 @@ pub struct Allocation {
     pub size: u64,
 }
 
+impl Allocation {
+    /// An empty allocation-cache entry: size 0 contains no address.
+    const NONE: Allocation = Allocation {
+        id: AllocId(0),
+        base: 0,
+        size: 0,
+    };
+}
+
+/// Entries in the allocation cache in front of `containing()`: enough for
+/// the two or three arrays a streaming kernel alternates between.
+const ALLOC_CACHE: usize = 4;
+
 /// Flat physical memory with an allocator and provenance tracking.
 ///
 /// Addresses are bytes; loads and stores move 8-byte words (the IR's only
 /// access width). The allocator is first-fit over a free list with a bump
 /// fallback — deliberately fragmentation-prone, because CARAT's
 /// defragmentation experiment needs fragmentation to repair.
-/// Words live in fixed-size pages allocated on first touch (zero-filled,
-/// like fresh pages from an OS), so a load or store is index arithmetic
-/// rather than a tree lookup. A last-hit cache in front of the allocation
-/// map makes the bounds check on the hot path a single range compare, and an
-/// `AllocId → base` index lets defragmentation find an allocation without
-/// scanning the live set.
+/// Word-aligned words live densely in fixed-size pages allocated on first
+/// touch (zero-filled, like fresh pages from an OS), so a load or store is
+/// index arithmetic rather than a tree lookup; words at unaligned addresses
+/// live in an ordered side map. A small cache of recently hit allocations
+/// in front of the allocation map makes the bounds check on the hot path a
+/// few range compares, and an `AllocId → base` index lets defragmentation
+/// find an allocation without scanning the live set.
 #[derive(Clone)]
 pub struct Memory {
     /// Sparse page table: `pages[(addr - page_origin) >> PAGE_SHIFT]`.
-    /// Absent pages read as zero; they materialise on first store.
+    /// Absent pages read as zero; they materialise on first store, aligned
+    /// or not.
     pages: Vec<Option<Page>>,
-    /// Address of cell 0 of page 0 (`heap_base` rounded down to a page
+    /// Cells at byte addresses that are not word-aligned, by address. The
+    /// IR's programs access aligned words, so this is almost always empty.
+    unaligned: BTreeMap<u64, MemCell>,
+    /// Address of byte 0 of page 0 (`heap_base` rounded down to a page
     /// boundary).
     page_origin: u64,
     /// Live allocations keyed by base address.
     allocs: BTreeMap<u64, Allocation>,
     /// O(1) id → base index (kept in lockstep with `allocs`).
     base_by_id: IdMap,
-    /// Last allocation that answered `containing()` — the interpreter's
-    /// accesses are strongly clustered, so this hits almost always.
-    /// Invalidated on free and move (see those methods); plain `alloc` never
-    /// relocates a live allocation, so it only ever *replaces* the entry.
-    last_hit: Cell<Option<Allocation>>,
+    /// Allocations that recently answered `containing()` (empty entries
+    /// are [`Allocation::NONE`]). Every entry is a live allocation: `alloc`
+    /// primes it, `free` drops the freed base's entry, and a move re-primes
+    /// the new home (see those methods).
+    recent: [Cell<Allocation>; ALLOC_CACHE],
+    /// The entry a cache miss overwrites next (round robin).
+    recent_next: Cell<usize>,
     /// Free blocks keyed by base address → size.
     free: BTreeMap<u64, u64>,
     bump: u64,
@@ -273,10 +307,12 @@ impl Memory {
     pub fn new(cfg: &InterpConfig) -> Memory {
         Memory {
             pages: Vec::new(),
+            unaligned: BTreeMap::new(),
             page_origin: cfg.heap_base & !PAGE_MASK,
             allocs: BTreeMap::new(),
             base_by_id: IdMap::default(),
-            last_hit: Cell::new(None),
+            recent: [const { Cell::new(Allocation::NONE) }; ALLOC_CACHE],
+            recent_next: Cell::new(0),
             free: BTreeMap::new(),
             bump: cfg.heap_base,
             limit: cfg.heap_base + cfg.heap_size,
@@ -285,62 +321,85 @@ impl Memory {
         }
     }
 
-    /// Read the cell at `addr` (absent pages read as the zero word).
+    #[inline]
+    fn page_index(&self, addr: u64) -> usize {
+        ((addr - self.page_origin) >> PAGE_SHIFT) as usize
+    }
+
+    /// Read the cell at `addr` (absent cells read as the zero word).
     #[inline]
     fn cell(&self, addr: u64) -> MemCell {
-        let pi = ((addr - self.page_origin) >> PAGE_SHIFT) as usize;
-        match self.pages.get(pi) {
-            Some(Some(page)) => page.cells[(addr & PAGE_MASK) as usize],
+        if addr & WORD_MASK != 0 {
+            return self.unaligned.get(&addr).copied().unwrap_or(MemCell::ZERO);
+        }
+        match self.pages.get(self.page_index(addr)) {
+            Some(Some(page)) => page.words[((addr & PAGE_MASK) / WORD_BYTES) as usize],
             _ => MemCell::ZERO,
         }
     }
 
-    /// Mutable cell at `addr`, materialising its page on first touch and
-    /// widening the page's dirty watermark over the handed-out cell.
+    /// Mutable cell at `addr`, materialising its page on first touch (an
+    /// unaligned write materialises the page too, so the resident count
+    /// does not depend on alignment) and widening the page's dirty
+    /// watermark over a handed-out aligned word.
     #[inline]
     fn cell_mut(&mut self, addr: u64) -> &mut MemCell {
-        let pi = ((addr - self.page_origin) >> PAGE_SHIFT) as usize;
+        let pi = self.page_index(addr);
         if pi >= self.pages.len() {
             self.pages.resize_with(pi + 1, || None);
         }
         let page = self.pages[pi].get_or_insert_with(Page::new);
-        let ci = (addr & PAGE_MASK) as usize;
-        page.lo = page.lo.min(ci as u32);
-        page.hi = page.hi.max(ci as u32 + 1);
-        &mut page.cells[ci]
+        if addr & WORD_MASK != 0 {
+            return self.unaligned.entry(addr).or_insert(MemCell::ZERO);
+        }
+        let wi = ((addr & PAGE_MASK) / WORD_BYTES) as u32;
+        page.lo = page.lo.min(wi);
+        page.hi = page.hi.max(wi + 1);
+        &mut page.words[wi as usize]
     }
 
     /// Reset every cell in `[start, end)` to the never-written word,
-    /// touching only resident pages — O(range), not O(live words).
+    /// touching only resident pages and the side map's range — O(range /
+    /// word), not O(live words).
     fn zero_range(&mut self, start: u64, end: u64) {
         let mut addr = start;
         while addr < end {
-            let page_end = (addr & !PAGE_MASK) + PAGE_CELLS as u64;
-            let chunk_end = end.min(page_end);
-            let pi = ((addr - self.page_origin) >> PAGE_SHIFT) as usize;
+            let page_start = addr & !PAGE_MASK;
+            let chunk_end = end.min(page_start + PAGE_BYTES);
+            let pi = self.page_index(addr);
             if let Some(Some(page)) = self.pages.get_mut(pi) {
-                let s = (addr & PAGE_MASK) as usize;
-                let e = s + (chunk_end - addr) as usize;
-                // Only cells inside the dirty watermark can be non-zero, so
+                // The aligned words starting inside [addr, chunk_end).
+                let s = (addr - page_start).div_ceil(WORD_BYTES) as u32;
+                let e = (chunk_end - page_start).div_ceil(WORD_BYTES) as u32;
+                // Only words inside the dirty watermark can be non-zero, so
                 // clamp the clear to it: free's cost tracks the words
                 // actually written, not the freed byte range.
-                let cs = s.max(page.lo as usize);
-                let ce = e.min(page.hi as usize);
+                let (cs, ce) = (s.max(page.lo), e.min(page.hi));
                 if cs < ce {
-                    page.cells[cs..ce].fill(MemCell::ZERO);
+                    page.words[cs as usize..ce as usize].fill(MemCell::ZERO);
                 }
                 // A clear covering the whole dirty range leaves the page
                 // clean; partial clears leave the watermark conservative.
-                if s <= page.lo as usize && page.hi as usize <= e {
-                    page.lo = PAGE_CELLS as u32;
+                if s <= page.lo && page.hi <= e {
+                    page.lo = PAGE_WORDS as u32;
                     page.hi = 0;
                 }
             }
             addr = chunk_end;
         }
+        if self.unaligned.range(start..end).next().is_some() {
+            let mut tail = self.unaligned.split_off(&start);
+            let mut kept = tail.split_off(&end);
+            self.unaligned.append(&mut kept);
+        }
     }
 
-    /// Number of materialised pages (observability: the touched footprint).
+    /// Number of materialised pages: the distinct `PAGE_BYTES`-byte spans
+    /// (512 bytes, aligned from the heap's page origin) that any write has
+    /// touched since this memory was created. A page is never released,
+    /// not even when `free` clears every word in it. Note the span is 512
+    /// bytes, not a 4 KiB guest page: a caller that scales this count by
+    /// 4096 bytes overstates the footprint by up to 8×.
     pub fn resident_pages(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
@@ -348,6 +407,21 @@ impl Memory {
     /// Base address of the live allocation with id `id`, in O(1).
     pub fn base_of(&self, id: AllocId) -> Option<u64> {
         self.base_by_id.get(&id.0).copied()
+    }
+
+    /// Cache `a` as a recent hit. An entry with the same base is updated in
+    /// place (a move's new home is cached under its transient id first);
+    /// otherwise the round-robin victim is overwritten.
+    fn remember(&self, a: Allocation) {
+        let slot = match self.recent.iter().position(|e| e.get().base == a.base) {
+            Some(i) => i,
+            None => {
+                let i = self.recent_next.get();
+                self.recent_next.set((i + 1) % ALLOC_CACHE);
+                i
+            }
+        };
+        self.recent[slot].set(a);
     }
 
     /// Allocate `size` bytes (rounded up to 8); returns the allocation.
@@ -381,8 +455,8 @@ impl Memory {
         self.next_id += 1;
         self.allocs.insert(base, a);
         self.base_by_id.insert(a.id.0, base);
-        // The fresh allocation is the most likely next access target.
-        self.last_hit.set(Some(a));
+        // The fresh allocation is a likely next access target.
+        self.remember(a);
         self.live_bytes += size;
         Ok(a)
     }
@@ -393,8 +467,10 @@ impl Memory {
         self.base_by_id.remove(&a.id.0);
         // A cached hit into the freed region must not survive (compare by
         // base: during a move the same id is briefly live at two bases).
-        if self.last_hit.get().is_some_and(|h| h.base == a.base) {
-            self.last_hit.set(None);
+        for e in &self.recent {
+            if e.get().base == a.base {
+                e.set(Allocation::NONE);
+            }
         }
         // Reset its words and return the range to the free list.
         self.zero_range(a.base, a.base + a.size);
@@ -423,10 +499,12 @@ impl Memory {
         }
     }
 
-    /// The allocation containing `addr`, if any. The last hit is cached, so
-    /// clustered accesses cost one range compare.
+    /// The allocation containing `addr`, if any. Recent hits are cached, so
+    /// accesses alternating among a few allocations cost a few range
+    /// compares.
     pub fn containing(&self, addr: u64) -> Option<Allocation> {
-        if let Some(a) = self.last_hit.get() {
+        for e in &self.recent {
+            let a = e.get();
             if addr.wrapping_sub(a.base) < a.size {
                 return Some(a);
             }
@@ -437,7 +515,7 @@ impl Memory {
             .next_back()
             .map(|(_, &a)| a)
             .filter(|a| addr < a.base + a.size)?;
-        self.last_hit.set(Some(a));
+        self.remember(a);
         Some(a)
     }
 
@@ -506,15 +584,26 @@ impl Memory {
         let new_base = new.base;
         self.allocs.get_mut(&new_base).expect("just inserted").id = id;
         self.base_by_id.remove(&new.id.0);
-        // Copy words (the new home is all-zero: it came from freed or
-        // never-touched space, so copying the full range is exact).
-        let mut addr = old.base;
-        while addr < old.base + size {
+        // Copy the non-zero cells (the new home is all-zero: it came from
+        // freed or never-touched space): every aligned word of the old
+        // range, then the side map's cells inside it.
+        let (start, end) = (old.base, old.base + size);
+        let mut addr = start.next_multiple_of(WORD_BYTES);
+        while addr < end {
             let c = self.cell(addr);
             if c != MemCell::ZERO {
-                *self.cell_mut(new_base + (addr - old.base)) = c;
+                *self.cell_mut(new_base + (addr - start)) = c;
             }
-            addr += 1;
+            addr += WORD_BYTES;
+        }
+        let odd: Vec<(u64, MemCell)> = self
+            .unaligned
+            .range(start..end)
+            .filter(|(_, &c)| c != MemCell::ZERO)
+            .map(|(&a, &c)| (a, c))
+            .collect();
+        for (a, c) in odd {
+            *self.cell_mut(new_base + (a - start)) = c;
         }
         // Release the old region (also resets the old words). `free` drops
         // the id → base entry and any cached hit for the *old* base; the
@@ -526,21 +615,16 @@ impl Memory {
             size,
         };
         self.base_by_id.insert(id.0, new_base);
-        self.last_hit.set(Some(moved));
+        self.remember(moved);
         // Patch every stored pointer into the moved allocation: scan the
-        // resident pages for cells carrying its provenance (the same full
-        // sweep the word-map layout performed, now a linear pass).
-        for page in self.pages.iter_mut().flatten() {
-            if page.lo >= page.hi {
-                continue;
-            }
-            // Patching rewrites cells that are already non-zero, so the
-            // watermark needs no widening here.
-            for c in page.cells[page.lo as usize..page.hi as usize].iter_mut() {
-                if c.prov_raw == id.0 {
-                    let off = (c.val.as_i() as u64).wrapping_sub(old.base);
-                    c.val = Val::I((new_base + off) as i64);
-                }
+        // resident pages' dirty words and the side map for cells carrying
+        // its provenance. Patching rewrites cells that are already
+        // non-zero, so no watermark needs widening.
+        let cells = self.pages.iter_mut().flatten().flat_map(Page::dirty_mut);
+        for c in cells.chain(self.unaligned.values_mut()) {
+            if c.prov_raw == id.0 {
+                let off = (c.val.as_i() as u64).wrapping_sub(old.base);
+                c.val = Val::I((new_base + off) as i64);
             }
         }
         Ok((old.base, new_base))
@@ -551,8 +635,11 @@ impl Memory {
     /// memory corruption: the word changes but its provenance tag does
     /// *not*, which is exactly the inconsistency CARAT's escape audit
     /// detects. Returns `None` for float cells (no meaningful bit index in
-    /// the modeled word) — callers pick another site.
+    /// the modeled word) — callers pick another site — and for an address
+    /// outside every live allocation, leaving memory untouched: free space
+    /// must keep reading zero when it is next allocated.
     pub fn flip_bit(&mut self, addr: u64, bit: u32) -> Option<(i64, i64)> {
+        self.containing(addr)?;
         let c = self.cell_mut(addr);
         match c.val {
             Val::I(v) => {
@@ -1188,6 +1275,65 @@ mod tests {
         // Float cells are not flippable.
         mem.store(a.base + 8, Val::F(1.5), None).expect("store");
         assert!(mem.flip_bit(a.base + 8, 0).is_none());
+    }
+
+    #[test]
+    fn flip_bit_outside_live_allocations_leaves_memory_untouched() {
+        let mut mem = Memory::new(&InterpConfig::default());
+        let a = mem.alloc(64).expect("alloc");
+        let pin = mem.alloc(64).expect("alloc");
+        mem.free(a.base).expect("free");
+        let pages = mem.resident_pages();
+        // Freed space and never-allocated space past the bump pointer.
+        assert!(mem.flip_bit(a.base + 8, 3).is_none());
+        assert!(mem.flip_bit(pin.base + 4096, 3).is_none());
+        assert_eq!(mem.resident_pages(), pages, "no page materialised");
+        // The next allocation in the hole still reads zero.
+        let b = mem.alloc(64).expect("alloc");
+        assert_eq!(b.base, a.base);
+        assert_eq!(mem.load(a.base + 8).expect("load"), (Val::I(0), None));
+    }
+
+    #[test]
+    fn move_allocation_carries_unaligned_cells_and_patches_them() {
+        let mut mem = Memory::new(&InterpConfig::default());
+        let a = mem.alloc(64).expect("alloc");
+        let holder = mem.alloc(64).expect("alloc");
+        // Overlapping words inside `a`: an aligned one and one a byte past it.
+        mem.store(a.base + 16, Val::I(7), None).expect("store");
+        mem.store(a.base + 17, Val::I(9), None).expect("store");
+        // An unaligned pointer word into `a`, held outside it.
+        mem.store(holder.base + 3, Val::I((a.base + 17) as i64), Some(a.id))
+            .expect("store");
+
+        let (old, new) = mem.move_allocation(a.id).expect("move");
+        assert_eq!(mem.load(new + 16).expect("load"), (Val::I(7), None));
+        assert_eq!(mem.load(new + 17).expect("load"), (Val::I(9), None));
+        assert_eq!(
+            mem.load(holder.base + 3).expect("load"),
+            (Val::I((new + 17) as i64), Some(a.id)),
+            "the unaligned pointer word is patched"
+        );
+        assert!(mem.load(old + 17).is_err(), "old home is dead");
+    }
+
+    #[test]
+    fn free_clears_unaligned_cells_in_range_only() {
+        let mut mem = Memory::new(&InterpConfig::default());
+        let a = mem.alloc(64).expect("alloc");
+        let b = mem.alloc(64).expect("alloc");
+        mem.store(a.base + 5, Val::I(1), Some(b.id)).expect("store");
+        mem.store(a.base + 63, Val::I(2), None).expect("store");
+        mem.store(b.base + 1, Val::I(3), None).expect("store");
+        mem.store(b.base, Val::I(4), None).expect("store");
+        mem.free(a.base).expect("free");
+
+        let again = mem.alloc(64).expect("alloc");
+        assert_eq!(again.base, a.base, "first fit reclaims the hole");
+        assert_eq!(mem.load(a.base + 5).expect("load"), (Val::I(0), None));
+        assert_eq!(mem.load(a.base + 63).expect("load"), (Val::I(0), None));
+        assert_eq!(mem.load(b.base + 1).expect("load"), (Val::I(3), None));
+        assert_eq!(mem.load(b.base).expect("load"), (Val::I(4), None));
     }
 
     #[test]
