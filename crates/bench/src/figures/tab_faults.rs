@@ -25,6 +25,7 @@ use interweave_core::machine::MachineConfig;
 use interweave_core::stack::StackConfig;
 use interweave_core::time::Cycles;
 use interweave_core::{FaultClass, FaultConfig, FaultPlan};
+use interweave_ir::interp::GUEST_PAGE_BYTES;
 use interweave_kernel::work::LoopWork;
 use interweave_kernel::{Executor, NumaAllocator};
 use interweave_virtines::context::Virtine;
@@ -176,7 +177,7 @@ fn bit_flip_row(mc: &MachineConfig) -> Row {
         (report.bytes_moved / 8) * 2 + report.regs_patched as u64 + report.repaired_words as u64;
     // Layered scrub: page-granularity, so the scrubber reads the entire
     // resident set; then the corrupted process is killed and restarted.
-    let resident_words = p.interp.mem.resident_pages() as u64 * 4096 / 8;
+    let resident_words = p.interp.mem.resident_pages() as u64 * GUEST_PAGE_BYTES / 8;
     let layered = resident_words * 2 + startup(LaunchPath::Process).total_cycles(mc).get();
     super::finish_list(p, n);
     Row {

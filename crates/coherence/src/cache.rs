@@ -8,16 +8,14 @@
 //!
 //! Storage is sized by capacity, not by footprint: every resident line
 //! lives in one frame of a `frames` array that never holds more than
-//! `capacity` entries. A line finds its frame through an index — a dense
-//! `Vec<u32>` of frame index + 1 over the workload's contiguous line range
-//! (see [`Cache::reserve_dense`]), so a probe is one bounds check and two
-//! indexed loads, with lines outside the range spilling into a hash map.
-//! Dense and spilled lines share the frames, so every operation is one
-//! `frame_of` lookup followed by frame arithmetic. An evicted victim's
-//! frame is reused in place; an invalidation swap-removes its frame,
-//! keeping `frames` exactly the resident set.
+//! `capacity` entries. A line finds its frame through an index — a
+//! `Vec<u32>` of frame index + 1 indexed by line address and grown when a
+//! line past its end is mapped — so a probe is one bounds check and two
+//! indexed loads, and every operation is one `frame_of` lookup followed by
+//! frame arithmetic. An evicted victim's frame is reused in place; an
+//! invalidation swap-removes its frame, keeping `frames` exactly the
+//! resident set.
 
-use crate::linehash::LineMap;
 use std::collections::VecDeque;
 
 /// MESI states.
@@ -93,13 +91,9 @@ impl Frame {
 /// A private cache of fixed line capacity.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    base: u64,
-    /// Dense line index: frame index + 1 per line of the reserved range,
-    /// `0` = not resident. A primitive vector, so reserving zeroes 4 B a
-    /// line.
+    /// Line index: frame index + 1 per line address, `0` = not resident;
+    /// lines past the end are not resident either.
     index: Vec<u32>,
-    /// Frame index of each resident line outside the dense range.
-    spill: LineMap<u32>,
     /// The resident lines, at most `capacity` of them, in no order.
     frames: Vec<Frame>,
     /// Clock ring of line addresses; invalidated lines are skipped lazily.
@@ -112,61 +106,33 @@ impl Cache {
     pub fn new(capacity: usize) -> Cache {
         assert!(capacity > 0);
         Cache {
-            base: 0,
             index: Vec::new(),
-            spill: LineMap::default(),
             frames: Vec::with_capacity(capacity),
             clock: VecDeque::new(),
             capacity,
         }
     }
 
-    /// Index the line range `[base, base + n)` densely. Must be called
-    /// before any line is inserted; lines outside the range keep working
-    /// through the spill map.
-    pub fn reserve_dense(&mut self, base: u64, n: usize) {
-        assert!(self.frames.is_empty(), "reserve_dense on a populated cache");
-        self.base = base;
-        self.index = vec![0; n];
-    }
-
-    #[inline]
-    fn dense_idx(&self, line: u64) -> Option<usize> {
-        let off = line.wrapping_sub(self.base);
-        if off < self.index.len() as u64 {
-            Some(off as usize)
-        } else {
-            None
-        }
-    }
-
     /// The frame holding `line`, if it is resident.
     #[inline]
     fn frame_of(&self, line: u64) -> Option<usize> {
-        match self.dense_idx(line) {
-            Some(i) => self.index[i].checked_sub(1).map(|f| f as usize),
-            None => self.spill.get(&line).map(|&f| f as usize),
-        }
+        let slot = *self.index.get(line as usize)?;
+        slot.checked_sub(1).map(|f| f as usize)
     }
 
-    /// Point `line`'s index entry at frame `f`.
+    /// Point `line`'s index entry at frame `f`, growing the index to cover
+    /// the line.
     fn map(&mut self, line: u64, f: usize) {
-        match self.dense_idx(line) {
-            Some(i) => self.index[i] = f as u32 + 1,
-            None => {
-                self.spill.insert(line, f as u32);
-            }
+        let i = line as usize;
+        if i >= self.index.len() {
+            self.index.resize(i + 1, 0);
         }
+        self.index[i] = f as u32 + 1;
     }
 
-    /// Clear `line`'s index entry.
+    /// Clear `line`'s index entry (the line is resident, so it is mapped).
     fn unmap(&mut self, line: u64) {
-        match self.dense_idx(line) {
-            Some(i) => self.index[i] = 0,
-            None => {
-                self.spill.remove(&line);
-            }
-        }
+        self.index[line as usize] = 0;
     }
 
     /// Look up a line, setting its reference bit on hit.
@@ -334,40 +300,11 @@ mod tests {
         assert_eq!(c.len(), 2);
     }
 
-    fn sorted_entries(c: &Cache) -> Vec<(u64, Entry)> {
-        let mut v: Vec<(u64, Entry)> = c.entries().collect();
-        v.sort_unstable_by_key(|&(l, _)| l);
-        v
-    }
-
-    #[test]
-    fn dense_and_spill_storage_agree() {
-        // Same operation sequence against a dense-indexed cache and a
-        // spill-only cache: externally identical at every step.
-        let mut dense = Cache::new(4);
-        dense.reserve_dense(100, 50);
-        let mut plain = Cache::new(4);
-        // Mix of in-range (100..150) and out-of-range lines.
-        let ops = [120u64, 99, 120, 130, 151, 140, 145, 120, 99, 130];
-        for (i, &l) in ops.iter().enumerate() {
-            match i % 3 {
-                2 => assert_eq!(dense.invalidate(l), plain.invalidate(l), "op {i}"),
-                1 => assert_eq!(dense.probe(l), plain.probe(l), "op {i}"),
-                _ => {}
-            }
-            let ve = dense.insert(l, Mesi::E, i as u64);
-            let vp = plain.insert(l, Mesi::E, i as u64);
-            assert_eq!(ve, vp, "op {i}: divergent victim");
-            assert_eq!(sorted_entries(&dense), sorted_entries(&plain), "op {i}");
-        }
-    }
-
     #[test]
     fn entries_reports_every_resident_exactly_once() {
         let mut c = Cache::new(8);
-        c.reserve_dense(0, 10);
         c.insert(3, Mesi::S, 1);
-        c.insert(20, Mesi::M, 2); // spill
+        c.insert(20, Mesi::M, 2);
         c.insert(5, Mesi::E, 3);
         c.invalidate(3);
         let mut got: Vec<(u64, u64)> = c.entries().map(|(l, e)| (l, e.version)).collect();

@@ -95,9 +95,6 @@ fn run_rounds(
         sys.mesh = crate::noc::Mesh::disaggregated(cores, per_domain, penalty);
     }
     let layout = Layout::new(mix, cores);
-    // The footprint is known up front and contiguous from the layout base:
-    // back it with dense storage so the measured region never hashes.
-    sys.reserve_dense(0x1000, layout.total_lines(mix));
     // Initialization phase (not measured, matching the paper's region-of-
     // interest methodology): build the read-only input, then classify.
     initialize_readonly(&mut sys, mix, &layout);
@@ -254,8 +251,8 @@ mod tests {
     }
 
     /// The round loop written over the collected per-phase access lists,
-    /// with no dense backing and no stream reuse — the oracle the engine is
-    /// proven equal to, for both stream sources.
+    /// with no stream reuse — the oracle the engine is proven equal to, for
+    /// both stream sources.
     fn run_one_sequential(
         mix: &WorkloadMix,
         cores: usize,

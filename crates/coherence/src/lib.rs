@@ -16,9 +16,8 @@
 //! simulator over a 2D-mesh NoC with per-action energy accounting, plus the
 //! deactivation extension:
 //!
-//! - [`cache`]: per-core private caches (clock-LRU).
-//! - [`linehash`]: the fast deterministic line-address hasher the hot
-//!   tables use in place of SipHash.
+//! - [`cache`]: per-core private caches (clock-LRU), each finding a
+//!   line's frame through one index by line address, grown on demand.
 //! - [`noc`]: the mesh topology, hop latency, and flit energy.
 //! - [`protocol`]: the coherence engine — full MESI and the selective
 //!   extension (private regions homed at the owner's slice with no
@@ -35,7 +34,6 @@
 
 pub mod cache;
 pub mod experiment;
-pub mod linehash;
 pub mod noc;
 pub mod ordering;
 pub mod protocol;

@@ -21,11 +21,11 @@
 //!
 //! All per-line protocol state (directory entry, L3 residency, ground-truth
 //! version, region class) lives in one `LineState` record in a single
-//! pre-sizable table, so an access resolves its line with one hash lookup
-//! instead of consulting four parallel maps.
+//! table indexed by line address and grown on demand, so an access
+//! resolves its line with one indexed load instead of consulting four
+//! parallel maps.
 
 use crate::cache::{Cache, Entry, Mesi};
-use crate::linehash::LineMap;
 use crate::noc::Mesh;
 use interweave_core::energy::{EnergyLedger, EnergyModel};
 
@@ -137,12 +137,12 @@ enum Dir {
 /// All protocol state for one line, held in the unified line table.
 ///
 /// One record replaces what used to be four parallel maps (directory, L3
-/// residency, latest version, class), so the hot access paths pay one hash
-/// lookup and one write-back per miss instead of four lookups plus up to
-/// four inserts. The record is packed to 24 bytes (the naive enum layout
-/// is 56): the table is the sweep's biggest randomly-accessed structure,
-/// and the miss paths are bound by real-CPU cache misses on it, so
-/// footprint is latency. Versions are `u32` internally — round-structured
+/// residency, latest version, class), so the hot access paths pay one
+/// indexed load and one write-back per miss instead of four lookups plus
+/// up to four inserts. The record is packed to 24 bytes (the naive enum
+/// layout is 56): the table is the sweep's biggest randomly-accessed
+/// structure, and the miss paths are bound by real-CPU cache misses on it,
+/// so footprint is latency. Versions are `u32` internally — round-structured
 /// sweeps write any one line a few thousand times at most.
 #[derive(Debug, Clone, Copy, Default)]
 struct LineState {
@@ -242,58 +242,36 @@ impl LineState {
     }
 }
 
-/// The unified line-state table: a dense array over the layout's
-/// contiguous line range (reserved up front by sweeps whose footprint is
-/// known), with a hash-map spill for addresses outside it. Absent
-/// entries read as the cold [`LineState`] either way, so dense and spill
-/// storage are observationally identical — the dense path just turns the
-/// two map operations on every access into two array indexes.
+/// The unified line-state table: one vector indexed by line address,
+/// grown on the first write to a line past its end. Lines past the end
+/// read as the cold [`LineState`], so a lookup is one bounds check and
+/// one indexed load.
 #[derive(Debug, Default)]
 struct LineTable {
-    base: u64,
-    dense: Vec<LineState>,
-    spill: LineMap<LineState>,
+    lines: Vec<LineState>,
 }
 
 impl LineTable {
-    /// Index into the dense range, if `line` falls inside it.
-    #[inline]
-    fn dense_idx(&self, line: u64) -> Option<usize> {
-        let off = line.wrapping_sub(self.base);
-        if off < self.dense.len() as u64 {
-            Some(off as usize)
-        } else {
-            None
-        }
-    }
-
     /// The line's state, defaulting cold.
     #[inline]
     fn get(&self, line: u64) -> LineState {
-        match self.dense_idx(line) {
-            Some(i) => self.dense[i],
-            None => self.spill.get(&line).copied().unwrap_or_default(),
-        }
+        self.lines.get(line as usize).copied().unwrap_or_default()
     }
 
     /// Store the line's state.
     #[inline]
     fn set(&mut self, line: u64, st: LineState) {
-        match self.dense_idx(line) {
-            Some(i) => self.dense[i] = st,
-            None => {
-                self.spill.insert(line, st);
-            }
-        }
+        *self.state_mut(line) = st;
     }
 
-    /// Mutable access, creating the cold default if absent.
+    /// Mutable access, growing the table to cover the line.
     #[inline]
     fn state_mut(&mut self, line: u64) -> &mut LineState {
-        match self.dense_idx(line) {
-            Some(i) => &mut self.dense[i],
-            None => self.spill.entry(line).or_default(),
+        let i = line as usize;
+        if i >= self.lines.len() {
+            self.lines.resize(i + 1, LineState::default());
         }
+        &mut self.lines[i]
     }
 
     /// Advance the line's ground-truth version in place (write fast path:
@@ -308,10 +286,7 @@ impl LineTable {
     /// The line's class alone, without materializing the record.
     #[inline]
     fn class(&self, line: u64) -> Option<Class> {
-        match self.dense_idx(line) {
-            Some(i) => self.dense[i].class(),
-            None => self.spill.get(&line).and_then(|st| st.class()),
-        }
+        self.lines.get(line as usize).and_then(LineState::class)
     }
 }
 
@@ -395,29 +370,6 @@ impl System {
             stats: CohStats::default(),
             cfg,
         }
-    }
-
-    /// Back the line range `[base, base + n)` with dense storage — in the
-    /// line-state table and in every core's cache: every access to it
-    /// becomes an array index instead of a hash lookup. Observationally
-    /// identical to the spill map (sweeps with a known contiguous layout
-    /// call this); any state the range already accumulated migrates over.
-    pub fn reserve_dense(&mut self, base: u64, n: usize) {
-        for c in &mut self.caches {
-            c.reserve_dense(base, n);
-        }
-        let mut dense = vec![LineState::default(); n];
-        self.lines.spill.retain(|&line, st| {
-            let off = line.wrapping_sub(base);
-            if off < n as u64 {
-                dense[off as usize] = *st;
-                false
-            } else {
-                true
-            }
-        });
-        self.lines.base = base;
-        self.lines.dense = dense;
     }
 
     /// Publish this system's protocol statistics into `sink`'s registry as

@@ -165,14 +165,6 @@ impl Layout {
         }
     }
 
-    /// Total distinct lines the layout can touch: every core's private
-    /// heap plus the read-only input plus the shared set. Used to pre-size
-    /// the system's line-state table before a run.
-    pub fn total_lines(&self, mix: &WorkloadMix) -> usize {
-        (self.private_base.len() as u64 * mix.private_lines + mix.readonly_lines + mix.shared_lines)
-            as usize
-    }
-
     /// Announce the regions to a selective-mode system. The read-only
     /// region transitions through `reclassify` so copies dirtied during
     /// initialization are flushed first (MPL's initialize-then-freeze).

@@ -108,7 +108,7 @@ impl Default for InterpConfig {
 /// An execution fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Trap {
-    /// Access to an address outside every live allocation.
+    /// A word access not wholly inside one live allocation.
     BadAccess {
         /// Faulting address.
         addr: u64,
@@ -186,6 +186,8 @@ const WORD_BYTES: u64 = 8;
 const WORD_MASK: u64 = WORD_BYTES - 1;
 /// Word-aligned cells per page.
 const PAGE_WORDS: usize = (PAGE_BYTES / WORD_BYTES) as usize;
+/// Bytes per guest page: the unit [`Memory::resident_pages`] counts in.
+pub const GUEST_PAGE_BYTES: u64 = 4096;
 
 /// One resident page: its word-aligned cells plus a dirty watermark — the
 /// inclusive-lo / exclusive-hi range of word indices that may hold a
@@ -394,14 +396,22 @@ impl Memory {
         }
     }
 
-    /// Number of materialised pages: the distinct `PAGE_BYTES`-byte spans
-    /// (512 bytes, aligned from the heap's page origin) that any write has
-    /// touched since this memory was created. A page is never released,
-    /// not even when `free` clears every word in it. Note the span is 512
-    /// bytes, not a 4 KiB guest page: a caller that scales this count by
-    /// 4096 bytes overstates the footprint by up to 8×.
+    /// Number of resident 4 KiB guest pages: the distinct
+    /// [`GUEST_PAGE_BYTES`]-aligned pages holding a materialised
+    /// `PAGE_BYTES` storage span, that is, a span any write has touched
+    /// since this memory was created. A span is never released, not even
+    /// when `free` clears every word in it.
     pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
+        let mut count = 0;
+        let mut last = None;
+        for (i, _) in self.pages.iter().enumerate().filter(|(_, p)| p.is_some()) {
+            let guest = (self.page_origin + ((i as u64) << PAGE_SHIFT)) / GUEST_PAGE_BYTES;
+            if last != Some(guest) {
+                count += 1;
+                last = Some(guest);
+            }
+        }
+        count
     }
 
     /// Base address of the live allocation with id `id`, in O(1).
@@ -519,19 +529,29 @@ impl Memory {
         Some(a)
     }
 
-    /// Load the word at `addr` (must lie in a live allocation; reads of
-    /// never-written words are zero, like fresh pages).
+    /// True when the whole 8-byte word at `addr` lies in one live
+    /// allocation (sizes are multiples of 8, so `size - 8` cannot wrap).
+    #[inline]
+    fn word_in_bounds(&self, addr: u64) -> bool {
+        self.containing(addr)
+            .is_some_and(|a| addr - a.base <= a.size - WORD_BYTES)
+    }
+
+    /// Load the word at `addr` (all eight bytes must lie in one live
+    /// allocation; reads of never-written words are zero, like fresh
+    /// pages).
     pub fn load(&self, addr: u64) -> Result<(Val, Option<AllocId>), Trap> {
-        if self.containing(addr).is_none() {
+        if !self.word_in_bounds(addr) {
             return Err(Trap::BadAccess { addr, write: false });
         }
         let c = self.cell(addr);
         Ok((c.val, c.prov()))
     }
 
-    /// Store a word (with provenance) at `addr`.
+    /// Store a word (with provenance) at `addr`; like [`Memory::load`],
+    /// all eight bytes must lie in one live allocation.
     pub fn store(&mut self, addr: u64, val: Val, prov: Option<AllocId>) -> Result<(), Trap> {
-        if self.containing(addr).is_none() {
+        if !self.word_in_bounds(addr) {
             return Err(Trap::BadAccess { addr, write: true });
         }
         *self.cell_mut(addr) = MemCell {
@@ -1278,6 +1298,38 @@ mod tests {
     }
 
     #[test]
+    fn a_word_must_lie_wholly_inside_one_allocation() {
+        let mut mem = Memory::new(&InterpConfig::default());
+        let a = mem.alloc(64).expect("alloc");
+        let b = mem.alloc(64).expect("alloc");
+        assert_eq!(b.base, a.base + a.size, "adjacent allocations");
+        // The last whole word of `a` is in bounds.
+        let last = a.base + a.size - 8;
+        mem.store(last, Val::I(7), None).expect("last word stores");
+        assert_eq!(mem.load(last), Ok((Val::I(7), None)));
+        // A word starting at its last byte spills seven bytes into `b`.
+        let over = a.base + a.size - 1;
+        assert_eq!(
+            mem.store(over, Val::I(9), None),
+            Err(Trap::BadAccess {
+                addr: over,
+                write: true
+            })
+        );
+        assert_eq!(
+            mem.load(over),
+            Err(Trap::BadAccess {
+                addr: over,
+                write: false
+            })
+        );
+        // Past the bump pointer's last allocation, too.
+        let tail = b.base + b.size - 1;
+        assert!(mem.load(tail).is_err());
+        assert!(mem.store(tail, Val::I(1), None).is_err());
+    }
+
+    #[test]
     fn flip_bit_outside_live_allocations_leaves_memory_untouched() {
         let mut mem = Memory::new(&InterpConfig::default());
         let a = mem.alloc(64).expect("alloc");
@@ -1323,7 +1375,8 @@ mod tests {
         let a = mem.alloc(64).expect("alloc");
         let b = mem.alloc(64).expect("alloc");
         mem.store(a.base + 5, Val::I(1), Some(b.id)).expect("store");
-        mem.store(a.base + 63, Val::I(2), None).expect("store");
+        // The last unaligned word wholly inside `a`.
+        mem.store(a.base + 55, Val::I(2), None).expect("store");
         mem.store(b.base + 1, Val::I(3), None).expect("store");
         mem.store(b.base, Val::I(4), None).expect("store");
         mem.free(a.base).expect("free");
@@ -1331,7 +1384,7 @@ mod tests {
         let again = mem.alloc(64).expect("alloc");
         assert_eq!(again.base, a.base, "first fit reclaims the hole");
         assert_eq!(mem.load(a.base + 5).expect("load"), (Val::I(0), None));
-        assert_eq!(mem.load(a.base + 63).expect("load"), (Val::I(0), None));
+        assert_eq!(mem.load(a.base + 55).expect("load"), (Val::I(0), None));
         assert_eq!(mem.load(b.base + 1).expect("load"), (Val::I(3), None));
         assert_eq!(mem.load(b.base).expect("load"), (Val::I(4), None));
     }
@@ -1451,7 +1504,7 @@ mod tests {
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("main", 0);
         let (n, nar, passes) = (fb.const_i(WORDS), fb.const_i(ARRAYS), fb.const_i(PASSES));
-        let (zero, one, four) = (fb.const_i(0), fb.const_i(1), fb.const_i(4));
+        let (zero, one, four, eight) = (fb.const_i(0), fb.const_i(1), fb.const_i(4), fb.const_i(8));
         let dsize = fb.const_i(ARRAYS * 8);
         let dir = fb.alloc(dsize);
         let (sum, p, a, i) = (fb.mov(zero), fb.mov(zero), fb.mov(zero), fb.mov(zero));
@@ -1462,7 +1515,8 @@ mod tests {
         let sc = fb.cmp(CmpOp::Lt, a, nar);
         fb.cond_br(sc, sb, oh);
         fb.switch_to(sb);
-        let fresh = fb.alloc(n);
+        let bytes = fb.bin(BinOp::Mul, n, eight);
+        let fresh = fb.alloc(bytes);
         let slot = fb.gep(dir, a, 8, 0);
         fb.store(slot, 0, fresh);
         fb.bin_to(a, BinOp::Add, a, one);
@@ -1489,8 +1543,8 @@ mod tests {
             let wc = fb.cmp(CmpOp::Lt, i, n);
             fb.cond_br(wc, wb, anext);
             fb.switch_to(wb);
-            let addr = fb.gep(arr, i, 1, 0);
-            for off in 0..4 {
+            let addr = fb.gep(arr, i, 8, 0);
+            for off in (0..32).step_by(8) {
                 if write {
                     fb.store(addr, off, i);
                 } else {

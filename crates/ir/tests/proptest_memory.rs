@@ -23,16 +23,16 @@ use std::collections::{BTreeMap, BTreeSet};
 const HEAP_BASE: u64 = 0x10_000;
 const HEAP_SIZE: u64 = 1 << 30;
 
-/// Bytes per resident page span of [`Memory`].
-const PAGE_BYTES: u64 = 512;
+/// Bytes per guest page, the unit [`Memory::resident_pages`] counts.
+const GUEST_PAGE_BYTES: u64 = 4096;
 
 /// The seed-layout reference: word map + linear allocation list.
 struct ModelMemory {
     /// Words by byte address: words at overlapping addresses are
     /// independent entries.
     words: BTreeMap<u64, (i64, Option<u64>)>,
-    /// The distinct `PAGE_BYTES`-byte spans a write has touched (the heap
-    /// base is span-aligned): a store, or a move copying a non-zero word.
+    /// The distinct 4 KiB guest pages a write has touched (the heap base
+    /// is page-aligned): a store, or a move copying a non-zero word.
     touched: BTreeSet<u64>,
     /// Live allocations as `(id, base, size)` in creation order — lookups
     /// are linear scans, as in the pre-page implementation's
@@ -124,17 +124,25 @@ impl ModelMemory {
             .find(|&(_, b, s)| addr >= b && addr < b + s)
     }
 
+    /// The whole 8-byte word at `addr` lies in one live allocation.
+    fn word_in_bounds(&self, addr: u64) -> bool {
+        self.containing(addr)
+            .is_some_and(|(_, b, s)| addr - b <= s - 8)
+    }
+
     fn load(&self, addr: u64) -> Option<(i64, Option<u64>)> {
-        self.containing(addr)?;
+        if !self.word_in_bounds(addr) {
+            return None;
+        }
         Some(self.words.get(&addr).copied().unwrap_or((0, None)))
     }
 
     fn store(&mut self, addr: u64, val: i64, prov: Option<u64>) -> bool {
-        if self.containing(addr).is_none() {
+        if !self.word_in_bounds(addr) {
             return false;
         }
         self.words.insert(addr, (val, prov));
-        self.touched.insert(addr / PAGE_BYTES);
+        self.touched.insert(addr / GUEST_PAGE_BYTES);
         true
     }
 
@@ -156,7 +164,7 @@ impl ModelMemory {
             let to = new_base + (k - old_base);
             self.words.insert(to, *c);
             if *c != (0, None) {
-                self.touched.insert(to / PAGE_BYTES);
+                self.touched.insert(to / GUEST_PAGE_BYTES);
             }
         }
         self.free(old_base)?;
@@ -482,7 +490,8 @@ fn check_against_model(ops: &[Op]) -> Result<(), TestCaseError> {
                 }
                 let (_, base, size) = live[idx % live.len()];
                 let a = base + (slot * 8 + byte) % size;
-                if a + 1 >= base + size {
+                // Both words must lie wholly inside the allocation.
+                if a + 1 > base + size - 8 {
                     continue;
                 }
                 for (addr, val) in [(a, first), (a + 1, second)] {
@@ -582,7 +591,7 @@ proptest! {
     }
 
     /// Large sparse allocations spanning many pages: `resident_pages()`
-    /// equals the number of distinct 512-byte spans that writes touched.
+    /// equals the number of distinct 4 KiB guest pages that writes touched.
     #[test]
     fn resident_pages_count_touched_spans(
         ops in prop::collection::vec(unaligned_op_strategy(8192, 1024), 1..80)
