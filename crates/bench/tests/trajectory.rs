@@ -2,9 +2,15 @@
 //! trajectory at the repository root: one record per performance change,
 //! each holding the paired parent/change measurements it cites. Every
 //! record must be well formed, so a claim in the docs can point at numbers
-//! that parse and add up.
+//! that parse and add up, and a claimed gain must rest on at least
+//! [`MIN_GAIN_PAIRS`] alternating pairs.
 
 use serde::json::JsonValue;
+
+/// Fewest alternating parent/change pairs a `"claim": "gain"` measurement
+/// may cite: host speed drifts by tens of percent from one sitting to the
+/// next, so a gain read off fewer pairs is indistinguishable from noise.
+const MIN_GAIN_PAIRS: f64 = 8.0;
 
 fn trajectory() -> JsonValue {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trajectory.json");
@@ -111,10 +117,17 @@ fn every_trajectory_record_is_well_formed() {
             }
             let (p, c) = (side(m, "parent"), side(m, "change"));
             match text(m, "claim") {
-                "gain" => assert!(
-                    if higher { c > p } else { c < p },
-                    "{name}: a claimed gain must have the better median ({p} → {c})"
-                ),
+                "gain" => {
+                    assert!(
+                        if higher { c > p } else { c < p },
+                        "{name}: a claimed gain must have the better median ({p} → {c})"
+                    );
+                    assert!(
+                        pairs >= MIN_GAIN_PAIRS,
+                        "{name}: a claimed gain needs at least {MIN_GAIN_PAIRS} alternating \
+                         pairs, got {pairs}"
+                    );
+                }
                 "noise" => {}
                 other => panic!("{name}: claim must be gain or noise, got {other:?}"),
             }

@@ -1,9 +1,10 @@
 //! A deterministic discrete-event queue.
 //!
-//! Every simulator in the workspace (kernel scheduler, heartbeat signaling,
-//! coherence protocol, device models) advances simulated time by popping the
-//! earliest pending event from an [`EventQueue`]. Determinism matters: the
-//! paper's comparisons (Linux vs. Nautilus stacks running *the same
+//! The kernel's preemptive executor (`interweave_kernel::executor`) is the
+//! one simulator that advances simulated time by popping the earliest
+//! pending event from an [`EventQueue`]; the heartbeat, coherence and other
+//! models step their own clocks. Determinism matters: the paper's
+//! comparisons (Linux vs. Nautilus stacks running *the same
 //! workload*) are only meaningful if a run is a pure function of its
 //! configuration, so ties in event time are broken by insertion order
 //! (FIFO), never by heap internals.

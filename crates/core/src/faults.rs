@@ -76,7 +76,8 @@ impl FaultClass {
         }
     }
 
-    fn index(self) -> usize {
+    /// This class's position in [`FaultClass::ALL`].
+    pub fn index(self) -> usize {
         match self {
             FaultClass::LostIpi => 0,
             FaultClass::DelayedIpi => 1,

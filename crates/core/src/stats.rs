@@ -9,7 +9,6 @@
 //! geometric-mean helpers.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Online mean/variance accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -235,9 +234,15 @@ impl PartialEq for Samples {
 /// is exactly order-insensitive: any merge tree over the same observations
 /// yields a bit-identical sketch, which makes sharded reports bit-identical
 /// at every shard count. Memory is hard-capped at
-/// [`Sketch::max_buckets`] entries regardless of observation count; the
-/// backing map is sparse, so a workload touching few distinct magnitudes
-/// pays only for the buckets it hits.
+/// [`Sketch::max_buckets`] slots regardless of observation count.
+///
+/// Bucket counts are stored densely: one `u64` slot per bucket over the
+/// whole octaves spanning the lowest to the highest bucket touched so far,
+/// grown on demand in either direction. Counts never decrease, so that
+/// range is a function of the observations alone, not of their order:
+/// the layout is canonical and the derived `PartialEq` is value equality.
+/// A workload touching few distinct magnitudes pays only for the octaves
+/// between its extremes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sketch {
     /// Mantissa bits per octave: each power of two splits into
@@ -254,8 +259,11 @@ pub struct Sketch {
     under: u64,
     /// Observations at or above `2^(hi_exp+1)` (incl. +inf).
     over: u64,
-    /// Sparse bucket counts, keyed by `(exp - lo_exp) << sub_bits | sub`.
-    buckets: BTreeMap<u32, u64>,
+    /// Bucket index of `buckets[0]`, a multiple of `2^sub_bits`. A
+    /// bucket's index is `(exp - lo_exp) << sub_bits | sub`.
+    base: u32,
+    /// Dense bucket counts over whole octaves from `base`.
+    buckets: Vec<u64>,
     total: u64,
 }
 
@@ -276,7 +284,8 @@ impl Sketch {
             zero: 0,
             under: 0,
             over: 0,
-            buckets: BTreeMap::new(),
+            base: 0,
+            buckets: Vec::new(),
             total: 0,
         }
     }
@@ -307,8 +316,36 @@ impl Sketch {
         } else {
             let sub = ((bits >> (52 - self.sub_bits)) & ((1 << self.sub_bits) - 1)) as u32;
             let idx = (((exp - self.lo_exp) as u32) << self.sub_bits) | sub;
-            *self.buckets.entry(idx).or_insert(0) += 1;
+            match self.buckets.get_mut(idx.wrapping_sub(self.base) as usize) {
+                Some(n) => *n += 1,
+                None => {
+                    self.cover(idx, idx);
+                    self.buckets[(idx - self.base) as usize] += 1;
+                }
+            }
         }
+    }
+
+    /// Widen the held range to the whole octaves covering bucket indices
+    /// `lo..=hi` and every bucket already held. A widened range is
+    /// allocated at exactly its length: ranges grow by whole octaves, so
+    /// reallocations are few, and no sketch holds spare capacity.
+    fn cover(&mut self, lo: u32, hi: u32) {
+        let mask = (1u32 << self.sub_bits) - 1;
+        let held = self.base + self.buckets.len() as u32;
+        if self.buckets.is_empty() {
+            self.base = lo & !mask;
+        } else if self.base <= lo && hi < held {
+            return;
+        }
+        let lo = (lo & !mask).min(self.base);
+        let end = ((hi | mask) + 1).max(held);
+        let mut grown = Vec::with_capacity((end - lo) as usize);
+        grown.resize((self.base - lo) as usize, 0);
+        grown.extend_from_slice(&self.buckets);
+        grown.resize((end - lo) as usize, 0);
+        self.buckets = grown;
+        self.base = lo;
     }
 
     /// Absorb every observation of `other`. Panics if the two sketches
@@ -331,8 +368,13 @@ impl Sketch {
         self.under += other.under;
         self.over += other.over;
         self.total += other.total;
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        if other.buckets.is_empty() {
+            return;
+        }
+        self.cover(other.base, other.base + other.buckets.len() as u32 - 1);
+        let at = (other.base - self.base) as usize;
+        for (mine, &n) in self.buckets[at..].iter_mut().zip(&other.buckets) {
+            *mine += n;
         }
     }
 
@@ -387,7 +429,7 @@ impl Sketch {
             // Below the tracked range: report its floor.
             return Some((Sketch::exp2_exact(self.lo_exp), false));
         }
-        for (&idx, &n) in &self.buckets {
+        for (idx, &n) in (self.base..).zip(&self.buckets) {
             seen += n;
             if seen >= rank {
                 return Some((self.bucket_upper_edge(idx), false));
@@ -428,19 +470,17 @@ impl Sketch {
         }
     }
 
-    /// Hard cap on distinct buckets, fixed by the geometry: the sketch can
-    /// never hold more entries than this no matter how many observations
+    /// Hard cap on held buckets, fixed by the geometry: the sketch can
+    /// never hold more slots than this no matter how many observations
     /// arrive.
     pub fn max_buckets(&self) -> usize {
         ((self.hi_exp - self.lo_exp + 1) as usize) << self.sub_bits
     }
 
-    /// Approximate heap bytes held — bounded by
-    /// `max_buckets() × per-entry cost`, independent of observation count.
+    /// Bytes held: the struct plus 8 B per held bucket slot, so at most
+    /// `size_of::<Sketch>() + max_buckets() × 8` at any observation count.
     pub fn bytes(&self) -> usize {
-        // BTreeMap per-entry overhead is node-dependent; 32 B per entry is
-        // a conservative flat estimate (12 B payload + node bookkeeping).
-        std::mem::size_of::<Sketch>() + self.buckets.len() * 32
+        std::mem::size_of::<Sketch>() + self.buckets.len() * 8
     }
 }
 
@@ -652,7 +692,7 @@ mod tests {
         }
         assert_eq!(s.count(), 1_000_000);
         assert!(s.buckets.len() <= s.max_buckets());
-        assert!(s.bytes() <= std::mem::size_of::<Sketch>() + s.max_buckets() * 32);
+        assert!(s.bytes() <= std::mem::size_of::<Sketch>() + s.max_buckets() * 8);
     }
 
     #[test]

@@ -233,6 +233,13 @@ pub struct WaspPool {
     mc: MachineConfig,
     profile: ServiceProfile,
     opts: PoolOptions,
+    /// Start-up cycles of a cold boot.
+    cold: Cycles,
+    /// Start-up cycles of restoring a prewarmed snapshot (dirty 0).
+    restore_clean: Cycles,
+    /// Start-up cycles of restoring a snapshot a served request left
+    /// behind (`profile.dirty_pages` dirty).
+    restore_served: Cycles,
     /// Dirty footprints of cached snapshots (LIFO, like `Wasp`'s pool).
     cached: Vec<u64>,
     /// Jitter stream for retry backoff.
@@ -252,6 +259,9 @@ impl WaspPool {
     ) -> WaspPool {
         assert!(opts.retry.max_attempts >= 1, "at least one attempt");
         WaspPool {
+            cold: startup(LaunchPath::VirtineCold).total_cycles(&mc),
+            restore_clean: snapshot_restore(0).total_cycles(&mc),
+            restore_served: snapshot_restore(profile.dirty_pages).total_cycles(&mc),
             mc,
             profile,
             opts,
@@ -276,17 +286,30 @@ impl WaspPool {
         self.cached.len()
     }
 
+    /// Start-up cycles of restoring a cached snapshot with `dirty` pages:
+    /// the price taken once in [`WaspPool::new`] for the two footprints
+    /// the cache holds, else priced afresh.
+    fn restore_cycles(&self, dirty: u64) -> Cycles {
+        if dirty == 0 {
+            self.restore_clean
+        } else if dirty == self.profile.dirty_pages {
+            self.restore_served
+        } else {
+            snapshot_restore(dirty).total_cycles(&self.mc)
+        }
+    }
+
     /// One modelled attempt: returns (completed-ok, latency, kill landed,
     /// kill absorbed).
     fn attempt(&mut self, budget: u64, kill_at: Option<u64>) -> (bool, Cycles, bool, bool) {
         let start = match self.cached.pop() {
             Some(dirty) => {
                 self.stats.reuses += 1;
-                snapshot_restore(dirty)
+                self.restore_cycles(dirty)
             }
             None => {
                 self.stats.cold_starts += 1;
-                startup(LaunchPath::VirtineCold)
+                self.cold
             }
         };
         self.stats.invocations += 1;
@@ -303,7 +326,7 @@ impl WaspPool {
         let ok = finished && self.profile.ok;
         let landed = kill_at.is_some() && !finished;
         let absorbed = kill_at.is_some() && finished;
-        let latency = start.total_cycles(&self.mc) + Cycles(consumed);
+        let latency = start + Cycles(consumed);
         if ok && self.cached.len() < self.opts.cache_capacity {
             self.cached.push(self.profile.dirty_pages);
         }
@@ -494,10 +517,7 @@ impl ServeReport {
 
     /// The ledger row for `class`.
     pub fn account(&self, class: FaultClass) -> &FaultAccount {
-        &self.faults[FaultClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("ALL covers every class")]
+        &self.faults[class.index()]
     }
 
     /// True when every class's ledger balances (`injected == recovered +
@@ -592,16 +612,10 @@ fn simulate_worker(
     // server per worker: front finishes first).
     let mut fifo: VecDeque<Cycles> = VecDeque::new();
     let deadline = freq.cycles_per_us(cfg.deadline_slack_us);
-    let idx = |class: FaultClass| {
-        FaultClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("ALL covers every class")
-    };
     let (vk, li, af) = (
-        idx(FaultClass::VirtineKill),
-        idx(FaultClass::LostIpi),
-        idx(FaultClass::AllocFail),
+        FaultClass::VirtineKill.index(),
+        FaultClass::LostIpi.index(),
+        FaultClass::AllocFail.index(),
     );
 
     for &t_us in arrivals {
@@ -732,14 +746,17 @@ pub fn run_serve(
         slices[i % cfg.workers].push(t);
     }
 
-    let reports = parallel_map((0..cfg.workers).collect(), threads, |w| {
+    // Fold the reports into worker 0's in worker order, each freed once
+    // absorbed, so no merged copy of a worker's windows sits beside it.
+    let merged = parallel_map((0..cfg.workers).collect(), threads, |w| {
         simulate_worker(w, &slices[w], profile, mc, cfg)
-    });
-
-    let mut merged = ServeReport::empty(cfg.metrics);
-    for rep in &reports {
-        merged.absorb(rep);
-    }
+    })
+    .into_iter()
+    .reduce(|mut merged, rep| {
+        merged.absorb(&rep);
+        merged
+    })
+    .expect("at least one worker");
     assert!(
         merged.accounts_balanced(),
         "merged fault ledger out of balance"
