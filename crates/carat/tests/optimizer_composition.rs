@@ -1,8 +1,9 @@
 //! Instrumentation must survive a cleanup optimizer: constant folding and
 //! DCE run *after* the CARAT pipeline may not delete guards, tracking, or
-//! the flag constants they use — and the combined output must still compute
-//! the right answers and still catch protection bugs.
+//! the flag constants they use — and the combined output must still pass the
+//! static coverage proof, compute the right answers and catch protection bugs.
 
+use interweave_carat::coverage::verify_coverage;
 use interweave_carat::instrument;
 use interweave_carat::runtime::CaratRuntime;
 use interweave_ir::interp::{ExecStatus, Interp, InterpConfig, NullHooks, Trap};
@@ -45,6 +46,7 @@ fn optimizer_preserves_guards_and_results() {
             "{}: the optimizer deleted guards",
             prog.name
         );
+        assert_eq!(verify_coverage(&m), vec![], "{}", prog.name);
 
         let mut rt = CaratRuntime::new();
         let mut it = Interp::new(InterpConfig::default());

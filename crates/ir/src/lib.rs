@@ -18,6 +18,8 @@
 //! - [`verify`]: structural validation (used by every pass test).
 //! - [`analysis`]: CFG, dominators, natural loops, definition points.
 //! - [`passes`]: the pass manager and shared pass utilities.
+//! - [`opt`]: constant folding and DCE, the cleanup optimizer that the
+//!   instrumentation passes must survive.
 //! - [`interp`]: the interpreter — segmented flat memory, runtime hooks for
 //!   intrinsics and per-access policies, fuel-bounded execution slices.
 //! - [`programs`]: benchmark-kernel builders shared by the experiment crates.
@@ -26,14 +28,12 @@
 
 pub mod analysis;
 pub mod func;
-pub mod inline;
 pub mod inst;
 pub mod interp;
 pub mod module;
 pub mod opt;
 pub mod passes;
 pub mod programs;
-pub mod text;
 pub mod types;
 pub mod verify;
 

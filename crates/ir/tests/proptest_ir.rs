@@ -158,36 +158,3 @@ proptest! {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Text-format properties.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Printing then parsing reproduces random expression modules exactly.
-    #[test]
-    fn text_round_trips_random_modules(e in expr()) {
-        let mut m = Module::new();
-        let mut fb = FunctionBuilder::new("e", 2);
-        let r = compile(&e, &mut fb);
-        fb.ret(Some(r));
-        m.add(fb.finish());
-        let text = interweave_ir::text::print_module(&m);
-        let back = interweave_ir::text::parse_module(&text).expect("round trip parses");
-        prop_assert_eq!(back, m);
-    }
-
-    /// The parser never panics on arbitrary input: it returns Ok or Err.
-    #[test]
-    fn parser_is_panic_free_on_garbage(src in ".{0,400}") {
-        let _ = interweave_ir::text::parse_module(&src);
-    }
-
-    /// Structured-looking garbage (valid header, junk body) is also safe.
-    #[test]
-    fn parser_is_panic_free_on_near_miss_input(body in "[%a-z0-9 =,\\[\\]+-]{0,120}") {
-        let src = format!("fn @f(params=0, regs=4) {{\nbb0:\n  {body}\n  ret\n}}\n");
-        let _ = interweave_ir::text::parse_module(&src);
-    }
-}

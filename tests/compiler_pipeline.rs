@@ -5,9 +5,10 @@
 //! instrumentation, timing injection, and device-poll injection on one
 //! program, runs it under hooks that implement all three runtimes at once,
 //! and checks that (a) the program's result is unchanged, (b) every
-//! mechanism actually fired.
+//! mechanism actually fired, and (c) every access is still proven guarded.
 
 use interweave::blend::polling::InjectPolling;
+use interweave::carat::coverage::verify_coverage;
 use interweave::carat::runtime::CaratRuntime;
 use interweave::fibers::timing_pass::InjectTiming;
 use interweave::ir::interp::{
@@ -90,6 +91,7 @@ fn three_interweaving_passes_compose_on_one_module() {
         InjectTiming::default().run(&mut m);
         InjectPolling::default().run(&mut m);
         assert_valid(&m);
+        assert_eq!(verify_coverage(&m), vec![], "{}", prog.name);
 
         let mut rt = CombinedRuntime {
             carat: CaratRuntime::new(),
