@@ -14,9 +14,7 @@
 use interweave_bench::figures::{figure, scoreboard, Figure, FIGURES};
 use interweave_bench::harness::{Cli, Report, ScenarioError};
 use interweave_bench::{s, table_text};
-use interweave_core::stack::{
-    CoherencePolicy, Isolation, OsPoint, StackConfig, TimingSource, Translation,
-};
+use interweave_core::stack::{CoherencePolicy, OsPoint, StackConfig, TimingSource, Translation};
 use serde::json::JsonValue;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -378,12 +376,11 @@ fn a_figure_rejects_a_stack_it_cannot_run_naming_the_scenario() {
 }
 
 /// The read map's columns: each axis and its number of values.
-const AXES: [(&str, usize); 5] = [
+const AXES: [(&str, usize); 4] = [
     ("timing", TimingSource::ALL.len()),
     ("os", OsPoint::ALL.len()),
     ("translation", Translation::ALL.len()),
     ("coherence", CoherencePolicy::ALL.len()),
-    ("isolation", Isolation::ALL.len()),
 ];
 
 /// `c` with axis `axis` (an index into [`AXES`]) moved `k` values along
@@ -400,8 +397,7 @@ fn flipped(mut c: StackConfig, axis: usize, k: usize) -> StackConfig {
         0 => step(&TimingSource::ALL, &mut c.timing, k),
         1 => step(&OsPoint::ALL, &mut c.os, k),
         2 => step(&Translation::ALL, &mut c.translation, k),
-        3 => step(&CoherencePolicy::ALL, &mut c.coherence, k),
-        _ => step(&Isolation::ALL, &mut c.isolation, k),
+        _ => step(&CoherencePolicy::ALL, &mut c.coherence, k),
     }
     c
 }
@@ -413,7 +409,8 @@ fn flipped(mut c: StackConfig, axis: usize, k: usize) -> StackConfig {
 /// other value composes and is accepted. The map is pinned in
 /// `golden/axes.stdout`, so a figure whose scenarios slide back to labels
 /// shows up as a diff, and a cell that turns from `.` to `R` names the
-/// output cell the flip moved.
+/// output cell the flip moved. Every axis must read `R` somewhere: an axis
+/// that no flip of any scenario moves is a label, not a stack axis.
 #[test]
 fn every_axis_flip_reads_as_the_pinned_map() {
     let jobs: Vec<(usize, usize, usize)> = (0..FIGURES.len())
@@ -461,6 +458,17 @@ fn every_axis_flip_reads_as_the_pinned_map() {
         header.extend(AXES.map(|(axis, _)| axis));
         map.push_str(&table_text(figure.name, &header, &rows));
     }
+    let inert: Vec<&str> = AXES
+        .iter()
+        .enumerate()
+        .filter(|&(axis, _)| !moved.iter().any(|m| m.2 == axis))
+        .map(|(_, (name, _))| *name)
+        .collect();
+    assert!(
+        inert.is_empty(),
+        "no flip of any scenario moves an output of axes {inert:?}: \
+         each axis must drive some figure or be deleted"
+    );
     let Some(drift) = check_golden("axes", &map) else {
         return;
     };

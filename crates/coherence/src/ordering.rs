@@ -134,14 +134,6 @@ pub fn run_ordering(cfg: &OrderingConfig, policy: FencePolicy) -> OrderingReport
     }
 }
 
-/// Convenience: the stall reduction of selective release over TSO for a
-/// configuration (1.0 = no benefit removed… 0.0 = all stall removed).
-pub fn stall_ratio(cfg: &OrderingConfig) -> f64 {
-    let tso = run_ordering(cfg, FencePolicy::TsoTotal);
-    let sel = run_ordering(cfg, FencePolicy::SelectiveRelease);
-    sel.fence_stall_cycles as f64 / tso.fence_stall_cycles.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +156,10 @@ mod tests {
         // With hot publication buffers and miss-prone private traffic, TSO
         // pays for ordering it never needed — the paper's exact complaint.
         let cfg = OrderingConfig::default();
-        let ratio = stall_ratio(&cfg);
+        let tso = run_ordering(&cfg, FencePolicy::TsoTotal);
+        let sel = run_ordering(&cfg, FencePolicy::SelectiveRelease);
+        // 1.0: selective removes no stall; 0.0: it removes all of it.
+        let ratio = sel.fence_stall_cycles as f64 / tso.fence_stall_cycles.max(1) as f64;
         assert!(
             ratio < 0.4,
             "selective should remove most fence stall, ratio {ratio:.2}"

@@ -20,9 +20,10 @@
 //!   evaluates on (Xeon Phi KNL, dual-socket x64 server, 8-socket 192-core).
 //! - [`interrupt`]: interrupt delivery modes, including the paper's proposed
 //!   *pipeline interrupts* (§V-D) delivered at predicted-branch cost.
-//! - [`stack`]: the interweaving axes as data — which timing source,
-//!   signaling path, address translation, coherence policy, and isolation
-//!   mechanism a stack composition uses.
+//! - [`stack`]: the interweaving axes as data — which timing source, OS
+//!   point, address translation and coherence policy a stack composition
+//!   uses. How a function is launched is not an axis: the virtines crate
+//!   prices each launch mechanism as a `LaunchPath`.
 //! - [`stats`]: online statistics, the quantile sketch, and geometric means
 //!   used to report every figure and table.
 //! - [`energy`]: interconnect/cache energy accounting (Fig. 7).

@@ -111,32 +111,6 @@ impl CoherencePolicy {
     pub const ALL: [CoherencePolicy; 2] = [CoherencePolicy::FullMesi, CoherencePolicy::Selective];
 }
 
-/// Isolation mechanism for launching functions/tasks (§IV-D, virtines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Isolation {
-    /// Conventional OS process.
-    Process,
-    /// Container (namespaced process with image setup).
-    Container,
-    /// Full virtual machine with a general-purpose guest.
-    FullVm,
-    /// A virtine: minimal VM context with custom stack, compiler-created.
-    Virtine,
-    /// A bespoke context (§V-E): synthesized runtime, possibly no OS at all.
-    Bespoke,
-}
-
-impl Isolation {
-    /// Every value of this axis, in declaration order.
-    pub const ALL: [Isolation; 5] = [
-        Isolation::Process,
-        Isolation::Container,
-        Isolation::FullVm,
-        Isolation::Virtine,
-        Isolation::Bespoke,
-    ];
-}
-
 /// A complete stack composition: one point in the interweaving design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct StackConfig {
@@ -148,33 +122,28 @@ pub struct StackConfig {
     pub translation: Translation,
     /// Cache-coherence policy.
     pub coherence: CoherencePolicy,
-    /// Isolation mechanism for task launch.
-    pub isolation: Isolation,
 }
 
 impl StackConfig {
     /// The commodity layered stack the paper's figures use as a baseline:
-    /// Linux-like kernel, hardware timers, signals, paging, full coherence,
-    /// process isolation.
+    /// Linux-like kernel, hardware timers, signals, paging, full coherence.
     pub fn commodity() -> StackConfig {
         StackConfig {
             timing: TimingSource::HardwareTimer,
             os: OsPoint::LinuxLike,
             translation: Translation::Paging,
             coherence: CoherencePolicy::FullMesi,
-            isolation: Isolation::Process,
         }
     }
 
     /// The fully interwoven stack of Fig. 1: compiler timing, NK-like
-    /// kernel, CARAT translation, selective coherence, virtine isolation.
+    /// kernel, CARAT translation, selective coherence.
     pub fn interwoven() -> StackConfig {
         StackConfig {
             timing: TimingSource::CompilerInjected,
             os: OsPoint::NkLike,
             translation: Translation::Carat,
             coherence: CoherencePolicy::Selective,
-            isolation: Isolation::Virtine,
         }
     }
 
@@ -186,22 +155,20 @@ impl StackConfig {
             os: OsPoint::NkLike,
             translation: Translation::Identity,
             coherence: CoherencePolicy::FullMesi,
-            isolation: Isolation::Process,
         }
     }
 
     /// The framekernel mid-point (ROADMAP item 4): an Asterinas-like
     /// safe-Rust kernel. Real page tables (the framekernel premise is
     /// enforced in-kernel isolation, so `Paging` is mandatory), hardware
-    /// timers, full coherence, process-grade isolation — everything the
-    /// commodity stack offers, minus the user/kernel world switch.
+    /// timers, full coherence — everything the commodity stack offers,
+    /// minus the user/kernel world switch.
     pub fn framekernel() -> StackConfig {
         StackConfig {
             timing: TimingSource::HardwareTimer,
             os: OsPoint::AsterLike,
             translation: Translation::Paging,
             coherence: CoherencePolicy::FullMesi,
-            isolation: Isolation::Process,
         }
     }
 
@@ -227,25 +194,22 @@ impl StackConfig {
         }
     }
 
-    /// Every point in the design space: the cartesian product of all five
-    /// axes (2 × 3 × 3 × 2 × 5 = 180 compositions), in a fixed
+    /// Every point in the design space: the cartesian product of all four
+    /// axes (2 × 3 × 3 × 2 = 36 compositions), in a fixed
     /// lexicographic order. Not every point is a *coherent* stack — the
     /// facade's `compose` rejects the incoherent ones with typed errors.
     pub fn enumerate() -> impl Iterator<Item = StackConfig> {
         TimingSource::ALL.into_iter().flat_map(|timing| {
             OsPoint::ALL.into_iter().flat_map(move |os| {
                 Translation::ALL.into_iter().flat_map(move |translation| {
-                    CoherencePolicy::ALL.into_iter().flat_map(move |coherence| {
-                        Isolation::ALL
-                            .into_iter()
-                            .map(move |isolation| StackConfig {
-                                timing,
-                                os,
-                                translation,
-                                coherence,
-                                isolation,
-                            })
-                    })
+                    CoherencePolicy::ALL
+                        .into_iter()
+                        .map(move |coherence| StackConfig {
+                            timing,
+                            os,
+                            translation,
+                            coherence,
+                        })
                 })
             })
         })
@@ -259,7 +223,6 @@ impl StackConfig {
             + usize::from(self.os != c.os)
             + usize::from(self.translation != c.translation)
             + usize::from(self.coherence != c.coherence)
-            + usize::from(self.isolation != c.isolation)
     }
 }
 
@@ -267,8 +230,8 @@ impl fmt::Display for StackConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "timing={:?} os={:?} translation={:?} coherence={:?} isolation={:?}",
-            self.timing, self.os, self.translation, self.coherence, self.isolation
+            "timing={:?} os={:?} translation={:?} coherence={:?}",
+            self.timing, self.os, self.translation, self.coherence
         )
     }
 }
@@ -284,13 +247,13 @@ mod tests {
 
     #[test]
     fn interwoven_differs_on_every_axis() {
-        assert_eq!(StackConfig::interwoven().interweaving_degree(), 5);
+        assert_eq!(StackConfig::interwoven().interweaving_degree(), 4);
     }
 
     #[test]
     fn nautilus_is_partially_interwoven() {
         let d = StackConfig::nautilus().interweaving_degree();
-        assert!(d > 0 && d < 5, "nautilus degree = {d}");
+        assert!(d > 0 && d < 4, "nautilus degree = {d}");
     }
 
     #[test]
@@ -321,8 +284,8 @@ mod tests {
     #[test]
     fn enumerate_covers_the_whole_design_space() {
         let all: Vec<StackConfig> = StackConfig::enumerate().collect();
-        assert_eq!(all.len(), 2 * 3 * 3 * 2 * 5);
-        assert_eq!(all.len(), 180);
+        assert_eq!(all.len(), 2 * 3 * 3 * 2);
+        assert_eq!(all.len(), 36);
         // No duplicates, and every named preset is in the space.
         for (i, a) in all.iter().enumerate() {
             assert!(!all[i + 1..].contains(a), "duplicate composition {a}");

@@ -90,14 +90,6 @@ impl LoopForest {
         LoopForest { loops }
     }
 
-    /// The innermost loop containing `b`, if any (smallest body wins).
-    pub fn innermost_containing(&self, b: BlockId) -> Option<&Loop> {
-        self.loops
-            .iter()
-            .filter(|l| l.contains(b))
-            .min_by_key(|l| l.body.len())
-    }
-
     /// Loop depth of a block (0 = not in any loop).
     pub fn depth(&self, b: BlockId) -> usize {
         self.loops.iter().filter(|l| l.contains(b)).count()
@@ -206,7 +198,13 @@ mod tests {
         let cfg = Cfg::build(&f);
         let dom = Dominators::compute(&cfg);
         let forest = LoopForest::find(&cfg, &dom);
-        let inner = forest.innermost_containing(BlockId(4)).unwrap();
+        // The innermost loop holding the inner body: the smallest one.
+        let inner = forest
+            .loops
+            .iter()
+            .filter(|l| l.contains(BlockId(4)))
+            .min_by_key(|l| l.body.len())
+            .unwrap();
         assert_eq!(inner.header, BlockId(3));
         // The inner loop's preheader is the outer body block.
         assert_eq!(inner.preheader, Some(BlockId(2)));

@@ -202,14 +202,6 @@ impl Inst {
         matches!(self, Inst::Load(_, _, _) | Inst::Store(_, _, _))
     }
 
-    /// The address register of a load/store, if this is one.
-    pub fn access_addr(&self) -> Option<Reg> {
-        match *self {
-            Inst::Load(_, a, _) | Inst::Store(a, _, _) => Some(a),
-            _ => None,
-        }
-    }
-
     /// True if this instruction uses floating point (Fig. 4's FP-state
     /// criterion).
     pub fn touches_fp(&self) -> bool {
@@ -280,7 +272,6 @@ mod tests {
         let s = Inst::Store(Reg(4), 8, Reg(5));
         assert_eq!(s.def(), None);
         assert!(s.is_mem_access());
-        assert_eq!(s.access_addr(), Some(Reg(4)));
     }
 
     #[test]

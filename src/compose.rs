@@ -1,7 +1,7 @@
 //! Cross-layer stack composition: make [`StackConfig`] load-bearing.
 //!
 //! The paper's Figure 1 thesis is that the *composition of the stack* is
-//! the experimental variable. [`StackConfig`] names the five axes; this
+//! the experimental variable. [`StackConfig`] names the four axes; this
 //! module makes each named point buildable: [`compose`] takes a
 //! configuration plus a [`MachineConfig`] preset and materializes the
 //! composed objects its callers read — the OS personality ([`OsModel`])
@@ -36,9 +36,7 @@
 use interweave_coherence::protocol::CohMode;
 use interweave_core::interrupt::DeliveryMode;
 use interweave_core::machine::MachineConfig;
-use interweave_core::stack::{
-    CoherencePolicy, Isolation, OsPoint, StackConfig, TimingSource, Translation,
-};
+use interweave_core::stack::{CoherencePolicy, OsPoint, StackConfig, TimingSource, Translation};
 use interweave_kernel::os::{model_for, OsModel};
 use interweave_omp::OmpMode;
 use std::fmt;
@@ -71,10 +69,6 @@ pub enum ComposeError {
     /// `CoherencePolicy::Selective` requires
     /// `TimingSource::CompilerInjected` (the compiler-interwoven toolchain).
     SelectiveCoherenceWithoutCompilerToolchain,
-    /// Bespoke contexts (§V-E) are *synthesized by the compiler* from the
-    /// workload, so `Isolation::Bespoke` requires
-    /// `TimingSource::CompilerInjected`.
-    BespokeWithoutCompilerToolchain,
     /// Pipeline interrupts (§V-D) inject delivery into instruction fetch
     /// with no privilege-level change — only sound when every recipient
     /// runs raw kernel-mode with nothing to revalidate on entry. The
@@ -92,7 +86,6 @@ impl ComposeError {
             ComposeError::CaratOnCommodityKernel => "carat-needs-nk",
             ComposeError::IdentityOnCommodityKernel => "identity-needs-nk",
             ComposeError::SelectiveCoherenceWithoutCompilerToolchain => "selective-needs-compiler",
-            ComposeError::BespokeWithoutCompilerToolchain => "bespoke-needs-compiler",
             ComposeError::PipelineDeliveryRequiresNkKernel => "pipeline-needs-nk",
         }
     }
@@ -122,10 +115,6 @@ impl fmt::Display for ComposeError {
             ComposeError::SelectiveCoherenceWithoutCompilerToolchain => write!(
                 f,
                 "selective coherence needs language-level sharing knowledge (compiler timing)"
-            ),
-            ComposeError::BespokeWithoutCompilerToolchain => write!(
-                f,
-                "bespoke contexts are compiler-synthesized (compiler timing required)"
             ),
             ComposeError::PipelineDeliveryRequiresNkKernel => write!(
                 f,
@@ -188,7 +177,7 @@ impl ComposedStack {
 
 /// Compose `config` on `machine`: materialize the composition, or return
 /// the first broken rule. Rules are checked in a fixed order (framekernel
-/// premise, translation, coherence, isolation, delivery) so rejections
+/// premise, translation, coherence, delivery) so rejections
 /// are deterministic.
 pub fn compose(config: StackConfig, machine: MachineConfig) -> Result<ComposedStack, ComposeError> {
     let c = &config;
@@ -203,9 +192,6 @@ pub fn compose(config: StackConfig, machine: MachineConfig) -> Result<ComposedSt
     }
     if c.coherence == CoherencePolicy::Selective && c.timing != TimingSource::CompilerInjected {
         return Err(ComposeError::SelectiveCoherenceWithoutCompilerToolchain);
-    }
-    if c.isolation == Isolation::Bespoke && c.timing != TimingSource::CompilerInjected {
-        return Err(ComposeError::BespokeWithoutCompilerToolchain);
     }
     if machine.delivery == DeliveryMode::PipelineBranch && c.os != OsPoint::NkLike {
         return Err(ComposeError::PipelineDeliveryRequiresNkKernel);

@@ -4,7 +4,7 @@
 //! use interweave::prelude::*;
 //!
 //! // The design space the paper names, as data:
-//! assert_eq!(StackConfig::interwoven().interweaving_degree(), 5);
+//! assert_eq!(StackConfig::interwoven().interweaving_degree(), 4);
 //! // A machine to price mechanisms on:
 //! let knl = MachineConfig::phi_knl();
 //! assert_eq!(knl.dispatch_cost(), Cycles(1000)); // §V-D's measured cost

@@ -150,7 +150,7 @@ fn pipeline_interrupts_propagate_through_the_whole_stack() {
 #[test]
 fn stack_config_axes_are_all_implemented() {
     let iw = StackConfig::interwoven();
-    assert_eq!(iw.interweaving_degree(), 5);
+    assert_eq!(iw.interweaving_degree(), 4);
     // One subsystem per axis has been exercised in the test above; here we
     // spot-check the remaining combination helpers.
     let nautilus = StackConfig::nautilus();
