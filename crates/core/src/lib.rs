@@ -13,8 +13,8 @@
 //! measurable. This crate provides it:
 //!
 //! - [`time`]: cycle-granularity simulated time and frequency conversion.
-//! - [`event`]: a deterministic discrete-event queue, generic over the event
-//!   payload, driving the kernel's preemptive executor.
+//! - [`event`]: deterministic per-id timers ([`event::TimerQueue`]), one
+//!   per CPU plus the watchdog, driving the kernel's preemptive executor.
 //! - [`machine`]: machine topology ([`machine::MachineConfig`]) and the cost
 //!   model ([`machine::CostModel`]) with presets for the platforms the paper
 //!   evaluates on (Xeon Phi KNL, dual-socket x64 server, 8-socket 192-core).
@@ -61,7 +61,7 @@ pub mod telemetry;
 pub mod time;
 
 pub use arrivals::{ArrivalGen, ArrivalKind};
-pub use event::{EventHandle, EventQueue, EvqStats};
+pub use event::TimerQueue;
 pub use faults::{FaultClass, FaultConfig, FaultPlan, FaultRecord};
 pub use interrupt::DeliveryMode;
 pub use machine::{CostModel, MachineConfig, Platform};

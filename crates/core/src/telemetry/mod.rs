@@ -616,6 +616,7 @@ impl Sink {
     }
 
     /// Is this sink recording at all?
+    #[inline]
     pub fn is_on(&self) -> bool {
         self.inner.is_some()
     }
@@ -626,10 +627,19 @@ impl Sink {
     }
 
     /// Add `n` to `key`'s shard for `cpu`, stamped with the cycle `now`.
+    #[inline]
     pub fn count_at(&self, key: &Key, cpu: usize, n: u64, now: Cycles) {
         if let Some(t) = &self.inner {
-            t.borrow_mut().registry.add(key, cpu, n, now);
+            Self::add(t, key, cpu, n, now);
         }
+    }
+
+    // The recording bodies below stay out of line, so that a publish on an
+    // off sink inlines to one branch at every call site without copying the
+    // on path into each of them.
+    #[inline(never)]
+    fn add(t: &RefCell<Telemetry>, key: &Key, cpu: usize, n: u64, now: Cycles) {
+        t.borrow_mut().registry.add(key, cpu, n, now);
     }
 
     /// Set `key`'s shard for `cpu` to `v` (gauge semantics, unstamped).
@@ -638,26 +648,44 @@ impl Sink {
     }
 
     /// Set `key`'s shard for `cpu` to `v`, stamped with the cycle `now`.
+    #[inline]
     pub fn gauge_at(&self, key: &Key, cpu: usize, v: u64, now: Cycles) {
         if let Some(t) = &self.inner {
-            t.borrow_mut().registry.set(key, cpu, v, now);
+            Self::set(t, key, cpu, v, now);
         }
     }
 
+    #[inline(never)]
+    fn set(t: &RefCell<Telemetry>, key: &Key, cpu: usize, v: u64, now: Cycles) {
+        t.borrow_mut().registry.set(key, cpu, v, now);
+    }
+
     /// Charge `cycles` to the `(layer, mechanism)` attribution category.
+    #[inline]
     pub fn charge(&self, layer: Layer, mechanism: &'static str, cycles: Cycles) {
         if let Some(t) = &self.inner {
-            t.borrow_mut().attribution.charge(layer, mechanism, cycles);
+            Self::attribute(t, layer, mechanism, cycles);
         }
+    }
+
+    #[inline(never)]
+    fn attribute(t: &RefCell<Telemetry>, layer: Layer, mechanism: &'static str, cycles: Cycles) {
+        t.borrow_mut().attribution.charge(layer, mechanism, cycles);
     }
 
     /// Record a span. Zero-length spans are dropped: an instant is a
     /// counter's job.
+    #[inline]
     pub fn span(&self, span: Span) {
         if let Some(t) = &self.inner {
-            if span.end > span.start {
-                t.borrow_mut().spans.push(span);
-            }
+            Self::push_span(t, span);
+        }
+    }
+
+    #[inline(never)]
+    fn push_span(t: &RefCell<Telemetry>, span: Span) {
+        if span.end > span.start {
+            t.borrow_mut().spans.push(span);
         }
     }
 

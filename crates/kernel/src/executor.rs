@@ -6,7 +6,7 @@
 //! charge the interrupt-driven context-switch cost, voluntary yields charge
 //! the cheaper cooperative switch. `Block(tag)` parks a task until `tag` is
 //! signalled; a task's completion signals its own id, giving fork/join.
-//! Time is a per-CPU clock stitched together by a global event queue, so
+//! Time is a per-CPU clock stitched together by one timer queue, so
 //! cross-CPU joins resolve in correct causal order.
 
 use crate::buddy::{AllocError, NumaAllocator};
@@ -17,7 +17,7 @@ use interweave_core::machine::{CpuId, MachineConfig};
 use interweave_core::stack::OsPoint;
 use interweave_core::telemetry::{FlightRecorder, Key, Layer, Sink, Span, SpanKind, Unit};
 use interweave_core::time::Cycles;
-use interweave_core::{EventHandle, EventQueue, FaultPlan};
+use interweave_core::{FaultPlan, TimerQueue};
 use std::collections::{HashMap, VecDeque};
 
 const KEY_PREEMPTIONS: Key = Key::new("kernel.sched.preemptions", Layer::Kernel, Unit::Count);
@@ -52,16 +52,6 @@ struct Task {
     executed: Cycles,
 }
 
-/// What the executor's event queue carries: per-CPU dispatch kicks plus the
-/// optional watchdog heartbeat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecEvent {
-    /// Run the dispatch loop on this CPU.
-    Dispatch(CpuId),
-    /// Periodic watchdog scan for stalled CPUs.
-    Watchdog,
-}
-
 /// Per-CPU bookkeeping.
 struct Cpu {
     now: Cycles,
@@ -69,9 +59,8 @@ struct Cpu {
     queue: VecDeque<TaskId>,
     busy: Cycles,
     switch_cycles: Cycles,
-    /// The pending dispatch event for this CPU, if one is scheduled:
-    /// its fire time plus the queue handle that can retract it.
-    dispatch: Option<(Cycles, EventHandle)>,
+    /// The fire time of this CPU's pending dispatch timer, if one is set.
+    dispatch: Option<Cycles>,
     /// When a dropped kick left this CPU with runnable work and no pending
     /// dispatch (cleared by the next successful dispatch).
     stalled_since: Option<Cycles>,
@@ -126,8 +115,9 @@ pub struct Executor {
     cpus: Vec<Cpu>,
     waiters: HashMap<u64, Vec<TaskId>>,
     signalled: HashMap<u64, Cycles>,
-    /// The event queue driving simulated time.
-    events: EventQueue<ExecEvent>,
+    /// The timers driving simulated time: timer `cpu` runs that CPU's
+    /// dispatch loop, and timer `cpus.len()` is the watchdog heartbeat.
+    events: TimerQueue,
     /// The cooperative-yield and timer-preemption context-switch costs of
     /// the OS point this kernel charges (see [`Executor::set_os`]), fixed
     /// for a run and cached so the dispatch loop does not recompute them
@@ -171,6 +161,7 @@ impl Executor {
             })
             .collect();
         let (yield_cost, preempt_cost) = switch_costs(&mc, OsPoint::NkLike);
+        let events = TimerQueue::new(mc.cores + 1);
         Executor {
             mc,
             quantum,
@@ -178,7 +169,7 @@ impl Executor {
             cpus,
             waiters: HashMap::new(),
             signalled: HashMap::new(),
-            events: EventQueue::new(),
+            events,
             yield_cost,
             preempt_cost,
             faults: None,
@@ -245,8 +236,8 @@ impl Executor {
     /// no CPU has pending or rescuable work, so runs still quiesce.
     pub fn enable_watchdog(&mut self, period: Cycles) {
         if self.watchdog.is_none() {
-            self.events
-                .schedule(self.events.now() + period, ExecEvent::Watchdog);
+            let wd = self.cpus.len();
+            self.events.set(wd, self.events.now() + period);
         }
         self.watchdog = Some(WatchdogPolicy::new(period));
     }
@@ -351,10 +342,8 @@ impl Executor {
         // A dispatch already pending no later than this kick covers it: the
         // kick coalesces and no IPI goes on the wire (so the fault plane is
         // not consulted — there is nothing to lose).
-        if let Some((pending, _)) = self.cpus[cpu].dispatch {
-            if pending <= t {
-                return;
-            }
+        if self.cpus[cpu].dispatch.is_some_and(|pending| pending <= t) {
+            return;
         }
         // An IPI is actually sent: present it to the delivery fabric.
         let t_eff = match self.faults.as_mut() {
@@ -380,29 +369,20 @@ impl Executor {
             },
             None => t,
         };
-        match self.cpus[cpu].dispatch {
-            // A delivery delay can push the kick past an already-pending
-            // dispatch, in which case that event covers it.
-            Some((pending, _)) if pending <= t_eff => {}
-            // A strictly earlier kick retracts the pending dispatch and
-            // reschedules, so a CPU never idles past a wakeup. Delayed IPIs
-            // reach this arm: a kick delivered late leaves a dispatch
-            // pending far ahead, and a later kick with a shorter (or no)
-            // delay lands before it.
-            Some((_, handle)) => {
-                self.events.cancel(handle);
-                let handle = self
-                    .events
-                    .schedule_cancellable(t_eff, ExecEvent::Dispatch(cpu));
-                self.cpus[cpu].dispatch = Some((t_eff, handle));
-            }
-            None => {
-                let handle = self
-                    .events
-                    .schedule_cancellable(t_eff, ExecEvent::Dispatch(cpu));
-                self.cpus[cpu].dispatch = Some((t_eff, handle));
-            }
+        // A delivery delay can push the kick past an already-pending
+        // dispatch, in which case that timer covers it. Otherwise setting the
+        // timer retracts any pending dispatch, so a CPU never idles past a
+        // wakeup. Delayed IPIs reach the retraction: a kick delivered late
+        // leaves a dispatch pending far ahead, and a later kick with a
+        // shorter (or no) delay lands before it.
+        if self.cpus[cpu]
+            .dispatch
+            .is_some_and(|pending| pending <= t_eff)
+        {
+            return;
         }
+        self.events.set(cpu, t_eff);
+        self.cpus[cpu].dispatch = Some(t_eff);
     }
 
     fn signal(&mut self, tag: u64, at: Cycles) {
@@ -421,49 +401,48 @@ impl Executor {
     /// Run to quiescence (all tasks done or irrecoverably blocked).
     /// Returns true if every task completed.
     pub fn run(&mut self) -> bool {
-        while let Some((at, ev)) = self.events.pop() {
-            match ev {
-                ExecEvent::Dispatch(cpu) => {
-                    self.cpus[cpu].dispatch = None;
-                    // Work is flowing on this CPU again: close any open
-                    // stall window and reset the watchdog backoff.
-                    let since = self.cpus[cpu].stalled_since.take();
-                    if let Some(since) = since {
-                        self.stats.recovered_stalls += 1;
-                        self.stats.stall_cycles += at - since;
-                    }
-                    // Attribute the gap this CPU is about to skip over
-                    // (dispatch advances its clock to `at`): the part after
-                    // the lost kick was a stall, the rest plain idle.
-                    let prev = self.cpus[cpu].now;
-                    if self.sink.is_on() && at > prev {
-                        let gap = at - prev;
-                        let stall = match since {
-                            Some(s) => (at - s.max(prev)).min(gap),
-                            None => Cycles::ZERO,
-                        };
-                        self.sink.charge(Layer::Hardware, "stall", stall);
-                        self.sink.charge(Layer::Hardware, "idle", gap - stall);
-                        if stall > Cycles::ZERO {
-                            self.sink.span(Span {
-                                layer: Layer::Kernel,
-                                track: cpu,
-                                id: u64::MAX,
-                                kind: SpanKind::Stall,
-                                start: at - stall,
-                                end: at,
-                            });
-                        }
-                    }
-                    self.sink.count_at(&KEY_DISPATCHES, cpu, 1, at);
-                    self.cpus[cpu].backoff = 1;
-                    self.cpus[cpu].next_retry = Cycles::ZERO;
-                    self.cpus[cpu].rekicks = 0;
-                    self.cpus[cpu].abandon_logged = false;
-                    self.dispatch(cpu, at);
-                }
-                ExecEvent::Watchdog => self.watchdog_tick(at),
+        while let Some((at, cpu)) = self.events.pop() {
+            if cpu == self.cpus.len() {
+                self.watchdog_tick(at);
+                continue;
             }
+            self.cpus[cpu].dispatch = None;
+            // Work is flowing on this CPU again: close any open
+            // stall window and reset the watchdog backoff.
+            let since = self.cpus[cpu].stalled_since.take();
+            if let Some(since) = since {
+                self.stats.recovered_stalls += 1;
+                self.stats.stall_cycles += at - since;
+            }
+            // Attribute the gap this CPU is about to skip over
+            // (dispatch advances its clock to `at`): the part after
+            // the lost kick was a stall, the rest plain idle.
+            let prev = self.cpus[cpu].now;
+            if self.sink.is_on() && at > prev {
+                let gap = at - prev;
+                let stall = match since {
+                    Some(s) => (at - s.max(prev)).min(gap),
+                    None => Cycles::ZERO,
+                };
+                self.sink.charge(Layer::Hardware, "stall", stall);
+                self.sink.charge(Layer::Hardware, "idle", gap - stall);
+                if stall > Cycles::ZERO {
+                    self.sink.span(Span {
+                        layer: Layer::Kernel,
+                        track: cpu,
+                        id: u64::MAX,
+                        kind: SpanKind::Stall,
+                        start: at - stall,
+                        end: at,
+                    });
+                }
+            }
+            self.sink.count_at(&KEY_DISPATCHES, cpu, 1, at);
+            self.cpus[cpu].backoff = 1;
+            self.cpus[cpu].next_retry = Cycles::ZERO;
+            self.cpus[cpu].rekicks = 0;
+            self.cpus[cpu].abandon_logged = false;
+            self.dispatch(cpu, at);
         }
         self.stats.makespan = self
             .cpus
@@ -545,7 +524,7 @@ impl Executor {
             .iter()
             .any(|c| c.dispatch.is_some() || (!c.queue.is_empty() && !wd.abandons(c.rekicks)));
         if live {
-            self.events.schedule(at + wd.period, ExecEvent::Watchdog);
+            self.events.set(self.cpus.len(), at + wd.period);
         }
     }
 

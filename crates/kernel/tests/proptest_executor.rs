@@ -1,11 +1,13 @@
 //! Property tests for the preemptive executor: work conservation, makespan
-//! bounds, and trace well-formedness for arbitrary task sets.
+//! bounds, trace well-formedness, and timer-queue accounting for arbitrary
+//! task sets.
 
 use interweave_core::machine::MachineConfig;
 use interweave_core::telemetry::{find_overlap, Sink};
 use interweave_core::time::Cycles;
+use interweave_core::{FaultConfig, FaultPlan};
 use interweave_kernel::executor::Executor;
-use interweave_kernel::work::LoopWork;
+use interweave_kernel::work::{LoopWork, ScriptedWork, WorkStep};
 use proptest::prelude::*;
 
 proptest! {
@@ -67,6 +69,65 @@ proptest! {
             e.stats.preemptions,
             total,
             quantum
+        );
+    }
+
+    /// Under lost and late kicks with the watchdog on, the timer queue's
+    /// counters account for every timer: each one fired is a dispatch or a
+    /// watchdog scan, and each one set either fired or was retracted by a
+    /// kick that landed earlier. The run stays exact: every task computes
+    /// its submitted work and the ledger sums to makespan × CPUs.
+    #[test]
+    fn timer_counters_account_for_every_dispatch_and_retraction(
+        tasks in prop::collection::vec((0usize..4, 1u64..12, 50u64..3_000), 1..10),
+        joiners in prop::collection::vec((0usize..4, 0usize..10, 100u64..2_000), 0..4),
+        quantum in 1_000u64..20_000,
+        drop_sel in 0usize..3,
+        delay_sel in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        let mut e = Executor::new(MachineConfig::test(4), Cycles(quantum));
+        let sink = Sink::on();
+        e.set_telemetry(sink.clone());
+        e.set_fault_plan(FaultPlan::new(FaultConfig {
+            drop_ipi: [0.0, 0.1, 0.3][drop_sel],
+            delay_ipi: [0.0, 0.3, 0.6][delay_sel],
+            ..FaultConfig::quiet(seed)
+        }));
+        e.enable_watchdog(Cycles(quantum / 2 + 100));
+        let mut expect = Vec::new();
+        for &(cpu, iters, cost) in &tasks {
+            e.spawn(cpu, Box::new(LoopWork::new(iters, Cycles(cost))));
+            expect.push(iters * cost);
+        }
+        // Joiners block on a loop task, usually one on another CPU.
+        for &(cpu, target, cost) in &joiners {
+            let target = (target % tasks.len()) as u64;
+            e.spawn(cpu, Box::new(ScriptedWork::new(vec![
+                WorkStep::Compute(Cycles(cost)),
+                WorkStep::Yield,
+                WorkStep::Block(target),
+                WorkStep::Compute(Cycles(cost)),
+                WorkStep::Done,
+            ])));
+            expect.push(2 * cost);
+        }
+        prop_assert!(e.run(), "the watchdog rescues every lost kick");
+        let executed: Vec<u64> = e.stats.task_executed.iter().map(|c| c.get()).collect();
+        prop_assert_eq!(executed, expect);
+        prop_assert!(sink.verify_attribution(e.attribution_clock()).is_ok());
+        let checks = sink.counter("kernel.watchdog.checks");
+        prop_assert_eq!(checks, e.stats.watchdog_checks);
+        prop_assert_eq!(
+            sink.counter("core.evq.popped"),
+            sink.counter("kernel.sched.dispatches") + checks
+        );
+        // The watchdog sets one timer per scan (the enabling one, then one
+        // per scan but the last) and never retracts it, so every retraction
+        // is a kick's.
+        prop_assert_eq!(
+            sink.counter("core.evq.scheduled"),
+            sink.counter("core.evq.popped") + sink.counter("core.evq.cancelled")
         );
     }
 }
