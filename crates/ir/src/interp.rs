@@ -694,36 +694,24 @@ impl Memory {
     }
 }
 
-/// One call frame.
-#[derive(Debug, Clone)]
-pub struct Frame {
+/// One call frame. Its registers live in the interpreter's register stack
+/// at `base..base + n_regs` of the function it runs; the innermost frame's
+/// sit at the top.
+struct Frame {
     func: FuncId,
     block: BlockId,
+    /// Next instruction of `block`; its length means the terminator.
     ip: usize,
-    /// Register file.
-    pub regs: Vec<Val>,
-    /// Pointer provenance of each register.
-    pub prov: Vec<Option<AllocId>>,
+    /// Index of the frame's register 0 in the register stack.
+    base: usize,
     /// Register to receive the callee's return value.
     ret_to: Option<Reg>,
 }
 
-impl Frame {
-    #[inline]
-    fn val(&self, r: Reg) -> Val {
-        self.regs[r.0 as usize]
-    }
-
-    #[inline]
-    fn get(&self, r: Reg) -> (Val, Option<AllocId>) {
-        (self.regs[r.0 as usize], self.prov[r.0 as usize])
-    }
-
-    #[inline]
-    fn set(&mut self, d: Reg, v: Val, p: Option<AllocId>) {
-        self.regs[d.0 as usize] = v;
-        self.prov[d.0 as usize] = p;
-    }
+/// A register's index in its frame's window of the register stack.
+#[inline]
+fn at(r: Reg) -> usize {
+    r.0 as usize
 }
 
 /// Result of an intrinsic hook.
@@ -831,12 +819,19 @@ pub struct ExecStats {
     pub trace: Vec<i64>,
 }
 
-/// The interpreter: a module, a memory, a frame stack, and statistics.
+/// The interpreter: a module, a memory, a frame stack over one register
+/// stack, and statistics.
 pub struct Interp {
     cfg: InterpConfig,
     /// Program memory (public so runtimes can inspect/move allocations).
     pub mem: Memory,
     frames: Vec<Frame>,
+    /// Register stack: every live frame's registers, outermost first. A
+    /// call grows it and a return truncates it, so once warm a call
+    /// allocates nothing.
+    regs: Vec<Val>,
+    /// Pointer provenance of each register, parallel to `regs`.
+    prov: Vec<Option<AllocId>>,
     /// Execution statistics.
     pub stats: ExecStats,
     done_value: Option<Val>,
@@ -855,13 +850,15 @@ impl Interp {
             cfg,
             mem,
             frames: Vec::new(),
+            regs: Vec::new(),
+            prov: Vec::new(),
             stats: ExecStats::default(),
             done_value: None,
         }
     }
 
     /// Begin a call to `f` with integer/float arguments. Replaces any
-    /// existing call stack.
+    /// existing call stack, registers included.
     pub fn start(&mut self, module: &Module, f: FuncId, args: &[Val]) {
         let func = module.func(f);
         assert_eq!(
@@ -871,17 +868,19 @@ impl Interp {
             func.name,
             func.n_params
         );
-        let mut regs = vec![Val::I(0); func.n_regs];
-        let prov = vec![None; func.n_regs];
-        regs[..args.len()].copy_from_slice(args);
-        self.frames = vec![Frame {
+        self.regs.clear();
+        self.regs.resize(func.n_regs, Val::I(0));
+        self.regs[..args.len()].copy_from_slice(args);
+        self.prov.clear();
+        self.prov.resize(func.n_regs, None);
+        self.frames.clear();
+        self.frames.push(Frame {
             func: f,
             block: BlockId(0),
             ip: 0,
-            regs,
-            prov,
+            base: 0,
             ret_to: None,
-        }];
+        });
         self.done_value = None;
     }
 
@@ -910,13 +909,11 @@ impl Interp {
     /// [`Memory::move_allocation`] to complete a defragmentation step.
     pub fn patch_provenance(&mut self, id: AllocId, old_base: u64, new_base: u64) -> usize {
         let mut patched = 0;
-        for fr in &mut self.frames {
-            for (r, p) in fr.regs.iter_mut().zip(fr.prov.iter()) {
-                if *p == Some(id) {
-                    let off = (r.as_i() as u64).wrapping_sub(old_base);
-                    *r = Val::I((new_base + off) as i64);
-                    patched += 1;
-                }
+        for (r, p) in self.regs.iter_mut().zip(&self.prov) {
+            if *p == Some(id) {
+                let off = (r.as_i() as u64).wrapping_sub(old_base);
+                *r = Val::I((new_base + off) as i64);
+                patched += 1;
             }
         }
         patched
@@ -925,29 +922,335 @@ impl Interp {
     /// Run until completion, yield, trap, or `fuel` cycles are consumed.
     /// Resumable: calling `run` again continues where the last call left
     /// off (after a yield or out-of-fuel return).
-    pub fn run(&mut self, module: &Module, hooks: &mut dyn RuntimeHooks, fuel: u64) -> ExecStatus {
-        let start_cycles = self.stats.cycles;
-        loop {
-            if self.frames.is_empty() {
-                return ExecStatus::Done(self.done_value);
+    ///
+    /// The loop resolves the frame, its function and its register window
+    /// once per frame entry (a call, a return, a resumption) and the block
+    /// once per branch, then runs the block's instructions with the
+    /// instruction pointer in a local. The fuel check still precedes every
+    /// instruction and terminator, and the frame's place is written back
+    /// before every exit and every call, so an interrupted run resumes at
+    /// exactly the instruction it stopped before. Instructions are decoded
+    /// by reference straight out of the module, with `self` split into
+    /// disjoint field borrows.
+    pub fn run<H: RuntimeHooks + ?Sized>(
+        &mut self,
+        module: &Module,
+        hooks: &mut H,
+        fuel: u64,
+    ) -> ExecStatus {
+        let Interp {
+            cfg,
+            mem,
+            frames,
+            regs,
+            prov,
+            stats,
+            done_value,
+        } = self;
+        let limit = stats.cycles.saturating_add(fuel);
+        'frame: loop {
+            let Some(&Frame {
+                func,
+                mut block,
+                mut ip,
+                base,
+                ..
+            }) = frames.last()
+            else {
+                return ExecStatus::Done(*done_value);
+            };
+            let func = module.func(func);
+            // Record where the innermost frame stands, then return.
+            macro_rules! suspend {
+                ($status:expr) => {{
+                    let fr = frames.last_mut().expect("live frame");
+                    fr.block = block;
+                    fr.ip = ip;
+                    return $status;
+                }};
             }
-            if self.stats.cycles - start_cycles >= fuel {
-                return ExecStatus::OutOfFuel;
-            }
-            match self.step(module, hooks) {
-                StepOut::Continue => {}
-                StepOut::Yield => return ExecStatus::Yielded,
-                StepOut::Trap(t) => return ExecStatus::Trapped(t),
+            let (rv, rp) = (&mut regs[base..], &mut prov[base..]);
+            loop {
+                let blk = &func.blocks[block.index()];
+                while let Some(inst) = blk.insts.get(ip) {
+                    if stats.cycles >= limit {
+                        suspend!(ExecStatus::OutOfFuel);
+                    }
+                    ip += 1;
+                    stats.insts += 1;
+                    match inst {
+                        Inst::ConstI(d, v) => {
+                            stats.cycles += cfg.cost_arith;
+                            rv[at(*d)] = Val::I(*v);
+                            rp[at(*d)] = None;
+                        }
+                        Inst::ConstF(d, v) => {
+                            stats.cycles += cfg.cost_arith;
+                            rv[at(*d)] = Val::F(*v);
+                            rp[at(*d)] = None;
+                        }
+                        Inst::Mov(d, s) => {
+                            stats.cycles += cfg.cost_arith;
+                            rv[at(*d)] = rv[at(*s)];
+                            rp[at(*d)] = rp[at(*s)];
+                        }
+                        Inst::Bin(d, op, a, b) => {
+                            stats.cycles += cfg.cost_arith;
+                            let (va, vb) = (rv[at(*a)], rv[at(*b)]);
+                            let val = match op {
+                                BinOp::Add => Val::I(va.as_i().wrapping_add(vb.as_i())),
+                                BinOp::Sub => Val::I(va.as_i().wrapping_sub(vb.as_i())),
+                                BinOp::Mul => Val::I(va.as_i().wrapping_mul(vb.as_i())),
+                                BinOp::Div => {
+                                    if vb.as_i() == 0 {
+                                        suspend!(ExecStatus::Trapped(Trap::DivByZero));
+                                    }
+                                    Val::I(va.as_i().wrapping_div(vb.as_i()))
+                                }
+                                BinOp::Rem => {
+                                    if vb.as_i() == 0 {
+                                        suspend!(ExecStatus::Trapped(Trap::DivByZero));
+                                    }
+                                    Val::I(va.as_i().wrapping_rem(vb.as_i()))
+                                }
+                                BinOp::And => Val::I(va.as_i() & vb.as_i()),
+                                BinOp::Or => Val::I(va.as_i() | vb.as_i()),
+                                BinOp::Xor => Val::I(va.as_i() ^ vb.as_i()),
+                                BinOp::Shl => Val::I(va.as_i().wrapping_shl(vb.as_i() as u32)),
+                                BinOp::Shr => Val::I(va.as_i().wrapping_shr(vb.as_i() as u32)),
+                                BinOp::FAdd => Val::F(va.as_f() + vb.as_f()),
+                                BinOp::FSub => Val::F(va.as_f() - vb.as_f()),
+                                BinOp::FMul => Val::F(va.as_f() * vb.as_f()),
+                                BinOp::FDiv => Val::F(va.as_f() / vb.as_f()),
+                            };
+                            // Pointer arithmetic through Add/Sub keeps
+                            // provenance when exactly one operand is a pointer.
+                            let p = match op {
+                                BinOp::Add | BinOp::Sub => match (rp[at(*a)], rp[at(*b)]) {
+                                    (Some(p), None) | (None, Some(p)) => Some(p),
+                                    _ => None,
+                                },
+                                _ => None,
+                            };
+                            rv[at(*d)] = val;
+                            rp[at(*d)] = p;
+                        }
+                        Inst::Cmp(d, op, a, b) => {
+                            stats.cycles += cfg.cost_arith;
+                            let (va, vb) = (rv[at(*a)], rv[at(*b)]);
+                            let r = match (va, vb) {
+                                (Val::F(_), _) | (_, Val::F(_)) => {
+                                    let (x, y) = (va.as_f(), vb.as_f());
+                                    match op {
+                                        CmpOp::Eq => x == y,
+                                        CmpOp::Ne => x != y,
+                                        CmpOp::Lt => x < y,
+                                        CmpOp::Le => x <= y,
+                                        CmpOp::Gt => x > y,
+                                        CmpOp::Ge => x >= y,
+                                    }
+                                }
+                                (Val::I(x), Val::I(y)) => match op {
+                                    CmpOp::Eq => x == y,
+                                    CmpOp::Ne => x != y,
+                                    CmpOp::Lt => x < y,
+                                    CmpOp::Le => x <= y,
+                                    CmpOp::Gt => x > y,
+                                    CmpOp::Ge => x >= y,
+                                },
+                            };
+                            rv[at(*d)] = Val::I(r as i64);
+                            rp[at(*d)] = None;
+                        }
+                        Inst::Select(d, c, a, b) => {
+                            stats.cycles += cfg.cost_arith;
+                            let s = if rv[at(*c)].is_true() { a } else { b };
+                            rv[at(*d)] = rv[at(*s)];
+                            rp[at(*d)] = rp[at(*s)];
+                        }
+                        Inst::Alloc(d, s) => {
+                            stats.cycles += cfg.cost_alloc;
+                            let size = rv[at(*s)].as_i().max(0) as u64;
+                            match mem.alloc(size) {
+                                Ok(a) => {
+                                    hooks.on_alloc(a);
+                                    rv[at(*d)] = Val::I(a.base as i64);
+                                    rp[at(*d)] = Some(a.id);
+                                }
+                                Err(t) => suspend!(ExecStatus::Trapped(t)),
+                            }
+                        }
+                        Inst::Free(p) => {
+                            stats.cycles += cfg.cost_free;
+                            match mem.free(rv[at(*p)].as_ptr()) {
+                                Ok(a) => hooks.on_free(a),
+                                Err(t) => suspend!(ExecStatus::Trapped(t)),
+                            }
+                        }
+                        Inst::Load(d, a, off) => {
+                            stats.cycles += cfg.cost_load;
+                            stats.loads += 1;
+                            // Wraps like `Gep`: an address past the top of
+                            // the space is a bad access, not an overflow.
+                            let addr = rv[at(*a)].as_i().wrapping_add(*off) as u64;
+                            match hooks.check_access(addr, false, stats.cycles) {
+                                Ok(extra) => stats.cycles += extra,
+                                Err(t) => suspend!(ExecStatus::Trapped(t)),
+                            }
+                            match mem.load(addr) {
+                                Ok((v, p)) => {
+                                    rv[at(*d)] = v;
+                                    rp[at(*d)] = p;
+                                }
+                                Err(t) => suspend!(ExecStatus::Trapped(t)),
+                            }
+                        }
+                        Inst::Store(a, off, v) => {
+                            stats.cycles += cfg.cost_store;
+                            stats.stores += 1;
+                            let addr = rv[at(*a)].as_i().wrapping_add(*off) as u64;
+                            match hooks.check_access(addr, true, stats.cycles) {
+                                Ok(extra) => stats.cycles += extra,
+                                Err(t) => suspend!(ExecStatus::Trapped(t)),
+                            }
+                            if let Err(t) = mem.store(addr, rv[at(*v)], rp[at(*v)]) {
+                                suspend!(ExecStatus::Trapped(t));
+                            }
+                        }
+                        Inst::Gep(d, b, i, scale, off) => {
+                            stats.cycles += cfg.cost_gep;
+                            let addr = rv[at(*b)]
+                                .as_i()
+                                .wrapping_add(rv[at(*i)].as_i().wrapping_mul(*scale))
+                                .wrapping_add(*off);
+                            rv[at(*d)] = Val::I(addr);
+                            rp[at(*d)] = rp[at(*b)];
+                        }
+                        Inst::Call(dst, g, args) => {
+                            stats.cycles += cfg.cost_call;
+                            if frames.len() >= cfg.max_depth {
+                                suspend!(ExecStatus::Trapped(Trap::StackOverflow));
+                            }
+                            let callee = module.func(*g);
+                            debug_assert_eq!(
+                                args.len(),
+                                callee.n_params,
+                                "arity mismatch calling {}",
+                                callee.name
+                            );
+                            let caller = frames.last_mut().expect("live frame");
+                            caller.block = block;
+                            caller.ip = ip;
+                            // The callee's window starts at the top of the
+                            // stack; its parameters are the first registers.
+                            let top = regs.len();
+                            regs.resize(top + callee.n_regs, Val::I(0));
+                            prov.resize(top + callee.n_regs, None);
+                            for (i, &r) in args.iter().enumerate() {
+                                regs[top + i] = regs[base + at(r)];
+                                prov[top + i] = prov[base + at(r)];
+                            }
+                            frames.push(Frame {
+                                func: *g,
+                                block: BlockId(0),
+                                ip: 0,
+                                base: top,
+                                ret_to: *dst,
+                            });
+                            continue 'frame;
+                        }
+                        Inst::Intr(dst, which, args) => {
+                            let which = *which;
+                            // Intrinsics take at most a handful of arguments;
+                            // marshal them through a stack buffer so the hot
+                            // path stays allocation-free.
+                            let mut buf = [Val::I(0); 4];
+                            let heap: Vec<Val>;
+                            let argv: &[Val] = if args.len() <= buf.len() {
+                                for (slot, &r) in buf.iter_mut().zip(args) {
+                                    *slot = rv[at(r)];
+                                }
+                                &buf[..args.len()]
+                            } else {
+                                heap = args.iter().map(|&r| rv[at(r)]).collect();
+                                &heap
+                            };
+                            if which.is_injected() {
+                                stats.injected_intrinsics += 1;
+                            }
+                            let action = hooks.intrinsic(which, argv, mem, stats.cycles);
+                            if which == Intrinsic::Trace {
+                                if let Some(v) = argv.first() {
+                                    stats.trace.push(v.as_i());
+                                }
+                            }
+                            let (cycles, value, yielded) = match action {
+                                HookAction::Continue { value, cycles } => {
+                                    (cycles, value.unwrap_or(Val::I(0)), false)
+                                }
+                                HookAction::Yield { cycles } => (cycles, Val::I(0), true),
+                                HookAction::Trap(t) => suspend!(ExecStatus::Trapped(t)),
+                            };
+                            stats.cycles += cycles;
+                            if which.is_injected() {
+                                stats.injected_cycles += cycles;
+                            }
+                            if let Some(d) = dst {
+                                rv[at(*d)] = value;
+                                rp[at(*d)] = None;
+                            }
+                            if yielded {
+                                suspend!(ExecStatus::Yielded);
+                            }
+                        }
+                    }
+                }
+
+                if stats.cycles >= limit {
+                    suspend!(ExecStatus::OutOfFuel);
+                }
+                stats.insts += 1;
+                match blk.term.as_ref().expect("verified IR") {
+                    Term::Br(t) => {
+                        stats.cycles += cfg.cost_branch;
+                        block = *t;
+                    }
+                    Term::CondBr(c, t, e) => {
+                        stats.cycles += cfg.cost_branch;
+                        block = if rv[at(*c)].is_true() { *t } else { *e };
+                    }
+                    Term::Ret(v) => {
+                        stats.cycles += cfg.cost_ret;
+                        let (val, p) = match v {
+                            Some(r) => (Some(rv[at(*r)]), rp[at(*r)]),
+                            None => (None, None),
+                        };
+                        let ret_to = frames.pop().expect("live frame").ret_to;
+                        regs.truncate(base);
+                        prov.truncate(base);
+                        match frames.last() {
+                            Some(caller) => {
+                                if let Some(d) = ret_to {
+                                    regs[caller.base + at(d)] = val.unwrap_or(Val::I(0));
+                                    prov[caller.base + at(d)] = p;
+                                }
+                            }
+                            None => *done_value = val,
+                        }
+                        continue 'frame;
+                    }
+                }
+                ip = 0;
             }
         }
     }
 
     /// Run to completion with a generous default budget; panics on traps.
     /// Convenience for tests and single-shot program execution.
-    pub fn run_to_completion(
+    pub fn run_to_completion<H: RuntimeHooks + ?Sized>(
         &mut self,
         module: &Module,
-        hooks: &mut dyn RuntimeHooks,
+        hooks: &mut H,
     ) -> Option<Val> {
         loop {
             match self.run(module, hooks, u64::MAX / 4) {
@@ -958,313 +1261,6 @@ impl Interp {
             }
         }
     }
-
-    /// One instruction (or terminator). Decodes by reference straight out of
-    /// the module — no per-instruction clone — with `self` split into
-    /// disjoint field borrows so frame mutation, memory traffic, and cycle
-    /// accounting coexist with the borrowed instruction.
-    fn step(&mut self, module: &Module, hooks: &mut dyn RuntimeHooks) -> StepOut {
-        let Interp {
-            cfg,
-            mem,
-            frames,
-            stats,
-            done_value,
-        } = self;
-        let fi = frames.len() - 1;
-        let (func_id, block, ip) = {
-            let fr = &frames[fi];
-            (fr.func, fr.block, fr.ip)
-        };
-        let func = module.func(func_id);
-        let blk = &func.blocks[block.index()];
-
-        if ip >= blk.insts.len() {
-            // Execute the terminator.
-            stats.insts += 1;
-            match blk.term.as_ref().expect("verified IR") {
-                Term::Br(t) => {
-                    stats.cycles += cfg.cost_branch;
-                    let fr = &mut frames[fi];
-                    fr.block = *t;
-                    fr.ip = 0;
-                }
-                Term::CondBr(c, t, e) => {
-                    stats.cycles += cfg.cost_branch;
-                    let fr = &mut frames[fi];
-                    fr.block = if fr.val(*c).is_true() { *t } else { *e };
-                    fr.ip = 0;
-                }
-                Term::Ret(v) => {
-                    stats.cycles += cfg.cost_ret;
-                    let fr = &frames[fi];
-                    let (val, prov) = match v {
-                        Some(r) => {
-                            let (v, p) = fr.get(*r);
-                            (Some(v), p)
-                        }
-                        None => (None, None),
-                    };
-                    let ret_to = fr.ret_to;
-                    frames.pop();
-                    match frames.last_mut() {
-                        Some(caller) => {
-                            if let Some(dst) = ret_to {
-                                caller.set(dst, val.unwrap_or(Val::I(0)), prov);
-                            }
-                        }
-                        None => *done_value = val,
-                    }
-                }
-            }
-            return StepOut::Continue;
-        }
-
-        let inst = &blk.insts[ip];
-        frames[fi].ip += 1;
-        stats.insts += 1;
-
-        match inst {
-            Inst::ConstI(d, v) => {
-                stats.cycles += cfg.cost_arith;
-                frames[fi].set(*d, Val::I(*v), None);
-            }
-            Inst::ConstF(d, v) => {
-                stats.cycles += cfg.cost_arith;
-                frames[fi].set(*d, Val::F(*v), None);
-            }
-            Inst::Mov(d, s) => {
-                stats.cycles += cfg.cost_arith;
-                let fr = &mut frames[fi];
-                let (v, p) = fr.get(*s);
-                fr.set(*d, v, p);
-            }
-            Inst::Bin(d, op, a, b) => {
-                stats.cycles += cfg.cost_arith;
-                let fr = &mut frames[fi];
-                let (va, vb) = (fr.val(*a), fr.val(*b));
-                let val = match op {
-                    BinOp::Add => Val::I(va.as_i().wrapping_add(vb.as_i())),
-                    BinOp::Sub => Val::I(va.as_i().wrapping_sub(vb.as_i())),
-                    BinOp::Mul => Val::I(va.as_i().wrapping_mul(vb.as_i())),
-                    BinOp::Div => {
-                        if vb.as_i() == 0 {
-                            return StepOut::Trap(Trap::DivByZero);
-                        }
-                        Val::I(va.as_i().wrapping_div(vb.as_i()))
-                    }
-                    BinOp::Rem => {
-                        if vb.as_i() == 0 {
-                            return StepOut::Trap(Trap::DivByZero);
-                        }
-                        Val::I(va.as_i().wrapping_rem(vb.as_i()))
-                    }
-                    BinOp::And => Val::I(va.as_i() & vb.as_i()),
-                    BinOp::Or => Val::I(va.as_i() | vb.as_i()),
-                    BinOp::Xor => Val::I(va.as_i() ^ vb.as_i()),
-                    BinOp::Shl => Val::I(va.as_i().wrapping_shl(vb.as_i() as u32)),
-                    BinOp::Shr => Val::I(va.as_i().wrapping_shr(vb.as_i() as u32)),
-                    BinOp::FAdd => Val::F(va.as_f() + vb.as_f()),
-                    BinOp::FSub => Val::F(va.as_f() - vb.as_f()),
-                    BinOp::FMul => Val::F(va.as_f() * vb.as_f()),
-                    BinOp::FDiv => Val::F(va.as_f() / vb.as_f()),
-                };
-                // Pointer arithmetic through Add/Sub keeps provenance when
-                // exactly one operand is a pointer.
-                let p = match op {
-                    BinOp::Add | BinOp::Sub => {
-                        match (fr.prov[a.0 as usize], fr.prov[b.0 as usize]) {
-                            (Some(p), None) => Some(p),
-                            (None, Some(p)) => Some(p),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                };
-                fr.set(*d, val, p);
-            }
-            Inst::Cmp(d, op, a, b) => {
-                stats.cycles += cfg.cost_arith;
-                let fr = &mut frames[fi];
-                let (va, vb) = (fr.val(*a), fr.val(*b));
-                let r = match (va, vb) {
-                    (Val::F(_), _) | (_, Val::F(_)) => {
-                        let (x, y) = (va.as_f(), vb.as_f());
-                        match op {
-                            CmpOp::Eq => x == y,
-                            CmpOp::Ne => x != y,
-                            CmpOp::Lt => x < y,
-                            CmpOp::Le => x <= y,
-                            CmpOp::Gt => x > y,
-                            CmpOp::Ge => x >= y,
-                        }
-                    }
-                    (Val::I(x), Val::I(y)) => match op {
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
-                    },
-                };
-                fr.set(*d, Val::I(r as i64), None);
-            }
-            Inst::Select(d, c, a, b) => {
-                stats.cycles += cfg.cost_arith;
-                let fr = &mut frames[fi];
-                let (v, p) = if fr.val(*c).is_true() {
-                    fr.get(*a)
-                } else {
-                    fr.get(*b)
-                };
-                fr.set(*d, v, p);
-            }
-            Inst::Alloc(d, s) => {
-                stats.cycles += cfg.cost_alloc;
-                let size = frames[fi].val(*s).as_i().max(0) as u64;
-                match mem.alloc(size) {
-                    Ok(a) => {
-                        hooks.on_alloc(a);
-                        frames[fi].set(*d, Val::I(a.base as i64), Some(a.id));
-                    }
-                    Err(t) => return StepOut::Trap(t),
-                }
-            }
-            Inst::Free(p) => {
-                stats.cycles += cfg.cost_free;
-                let addr = frames[fi].val(*p).as_ptr();
-                match mem.free(addr) {
-                    Ok(a) => hooks.on_free(a),
-                    Err(t) => return StepOut::Trap(t),
-                }
-            }
-            Inst::Load(d, a, off) => {
-                stats.cycles += cfg.cost_load;
-                stats.loads += 1;
-                let addr = (frames[fi].val(*a).as_i() + off) as u64;
-                match hooks.check_access(addr, false, stats.cycles) {
-                    Ok(extra) => stats.cycles += extra,
-                    Err(t) => return StepOut::Trap(t),
-                }
-                match mem.load(addr) {
-                    Ok((v, p)) => frames[fi].set(*d, v, p),
-                    Err(t) => return StepOut::Trap(t),
-                }
-            }
-            Inst::Store(a, off, v) => {
-                stats.cycles += cfg.cost_store;
-                stats.stores += 1;
-                let addr = (frames[fi].val(*a).as_i() + off) as u64;
-                match hooks.check_access(addr, true, stats.cycles) {
-                    Ok(extra) => stats.cycles += extra,
-                    Err(t) => return StepOut::Trap(t),
-                }
-                let (val, p) = frames[fi].get(*v);
-                if let Err(t) = mem.store(addr, val, p) {
-                    return StepOut::Trap(t);
-                }
-            }
-            Inst::Gep(d, b, i, scale, off) => {
-                stats.cycles += cfg.cost_gep;
-                let fr = &mut frames[fi];
-                let base = fr.val(*b).as_i();
-                let idx = fr.val(*i).as_i();
-                let addr = base
-                    .wrapping_add(idx.wrapping_mul(*scale))
-                    .wrapping_add(*off);
-                let p = fr.prov[b.0 as usize];
-                fr.set(*d, Val::I(addr), p);
-            }
-            Inst::Call(dst, g, args) => {
-                stats.cycles += cfg.cost_call;
-                if frames.len() >= cfg.max_depth {
-                    return StepOut::Trap(Trap::StackOverflow);
-                }
-                let callee = module.func(*g);
-                debug_assert_eq!(
-                    args.len(),
-                    callee.n_params,
-                    "arity mismatch calling {}",
-                    callee.name
-                );
-                let mut regs = vec![Val::I(0); callee.n_regs];
-                let mut prov = vec![None; callee.n_regs];
-                let caller = &frames[fi];
-                for (i, &r) in args.iter().enumerate() {
-                    let (v, p) = caller.get(r);
-                    regs[i] = v;
-                    prov[i] = p;
-                }
-                frames.push(Frame {
-                    func: *g,
-                    block: BlockId(0),
-                    ip: 0,
-                    regs,
-                    prov,
-                    ret_to: *dst,
-                });
-            }
-            Inst::Intr(dst, which, args) => {
-                let which = *which;
-                // Intrinsics take at most a handful of arguments; marshal
-                // them through a stack buffer so the hot path stays
-                // allocation-free.
-                let mut buf = [Val::I(0); 4];
-                let mut heap: Vec<Val> = Vec::new();
-                let argv: &[Val] = {
-                    let fr = &frames[fi];
-                    if args.len() <= buf.len() {
-                        for (i, &r) in args.iter().enumerate() {
-                            buf[i] = fr.val(r);
-                        }
-                        &buf[..args.len()]
-                    } else {
-                        heap.extend(args.iter().map(|&r| fr.val(r)));
-                        &heap
-                    }
-                };
-                if which.is_injected() {
-                    stats.injected_intrinsics += 1;
-                }
-                let action = hooks.intrinsic(which, argv, mem, stats.cycles);
-                if which == Intrinsic::Trace {
-                    if let Some(v) = argv.first() {
-                        stats.trace.push(v.as_i());
-                    }
-                }
-                match action {
-                    HookAction::Continue { value, cycles } => {
-                        stats.cycles += cycles;
-                        if which.is_injected() {
-                            stats.injected_cycles += cycles;
-                        }
-                        if let Some(d) = dst {
-                            frames[fi].set(*d, value.unwrap_or(Val::I(0)), None);
-                        }
-                    }
-                    HookAction::Yield { cycles } => {
-                        stats.cycles += cycles;
-                        if which.is_injected() {
-                            stats.injected_cycles += cycles;
-                        }
-                        if let Some(d) = dst {
-                            frames[fi].set(*d, Val::I(0), None);
-                        }
-                        return StepOut::Yield;
-                    }
-                    HookAction::Trap(t) => return StepOut::Trap(t),
-                }
-            }
-        }
-        StepOut::Continue
-    }
-}
-
-enum StepOut {
-    Continue,
-    Yield,
-    Trap(Trap),
 }
 
 #[cfg(test)]
@@ -1801,5 +1797,143 @@ mod tests {
         let p = it.run_to_completion(&m, &mut NullHooks).unwrap().as_ptr();
         let (v, _) = it.mem.load(p + 8).unwrap();
         assert_eq!(v, Val::I(1));
+    }
+
+    #[test]
+    fn overflowing_effective_address_traps() {
+        // The effective address wraps like `Gep`'s: past the top of the
+        // space it is a bad access, never an arithmetic overflow.
+        let wrapped = i64::MAX.wrapping_add(8) as u64;
+        for write in [false, true] {
+            let mut m = Module::new();
+            let mut fb = FunctionBuilder::new("main", 0);
+            let top = fb.const_i(i64::MAX);
+            if write {
+                fb.store(top, 8, top);
+            } else {
+                let _ = fb.load(top, 8);
+            }
+            fb.ret(None);
+            m.add(fb.finish());
+            let mut it = Interp::new(InterpConfig::default());
+            it.start(&m, FuncId(0), &[]);
+            assert_eq!(
+                it.run(&m, &mut NullHooks, u64::MAX / 4),
+                ExecStatus::Trapped(Trap::BadAccess {
+                    addr: wrapped,
+                    write
+                })
+            );
+        }
+    }
+
+    /// Yields at every `Yield` intrinsic; no other behaviour.
+    struct YieldHooks;
+
+    impl RuntimeHooks for YieldHooks {
+        fn intrinsic(
+            &mut self,
+            which: Intrinsic,
+            _args: &[Val],
+            _mem: &mut Memory,
+            _now: u64,
+        ) -> HookAction {
+            match which {
+                Intrinsic::Yield => HookAction::Yield { cycles: 2 },
+                _ => HookAction::Continue {
+                    value: None,
+                    cycles: 0,
+                },
+            }
+        }
+    }
+
+    #[test]
+    fn patch_provenance_relocates_every_suspended_frame() {
+        // main: p = alloc 64; p[8] = 41; r = callee(p); return r + p[8].
+        // callee(x): y = &x[1]; yield; return *y + 1.
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("main", 0);
+        let size = fb.const_i(64);
+        let p = fb.alloc(size);
+        let v = fb.const_i(41);
+        fb.store(p, 8, v);
+        let r = fb.call(FuncId(1), &[p]);
+        let w = fb.load(p, 8);
+        let s = fb.bin(BinOp::Add, r, w);
+        fb.ret(Some(s));
+        m.add(fb.finish());
+        let mut fb = FunctionBuilder::new("callee", 1);
+        let x = fb.param(0);
+        let one = fb.const_i(1);
+        let y = fb.gep(x, one, 8, 0);
+        fb.intr_void(Intrinsic::Yield, &[]);
+        let got = fb.load(y, 0);
+        let r1 = fb.bin(BinOp::Add, got, one);
+        fb.ret(Some(r1));
+        m.add(fb.finish());
+
+        let mut it = Interp::new(InterpConfig::default());
+        it.start(&m, FuncId(0), &[]);
+        assert_eq!(
+            it.run(&m, &mut YieldHooks, u64::MAX / 4),
+            ExecStatus::Yielded
+        );
+        assert_eq!(it.frames.len(), 2, "suspended inside the callee");
+        let reg = |it: &Interp, frame: usize, r: Reg| it.regs[it.frames[frame].base + at(r)];
+        let id = it.prov[it.frames[0].base + at(p)].expect("p is a pointer");
+        let old = reg(&it, 0, p).as_ptr();
+        let (moved_from, new) = it.mem.move_allocation(id).expect("move");
+        assert_eq!(moved_from, old);
+        assert_ne!(new, old);
+        // The caller's `p` and the callee's `x` and `y`.
+        assert_eq!(it.patch_provenance(id, old, new), 3);
+        assert_eq!(reg(&it, 0, p), Val::I(new as i64));
+        assert_eq!(reg(&it, 1, x), Val::I(new as i64));
+        assert_eq!(reg(&it, 1, y), Val::I(new as i64 + 8));
+        assert_eq!(
+            it.run(&m, &mut YieldHooks, u64::MAX / 4),
+            ExecStatus::Done(Some(Val::I(83)))
+        );
+    }
+
+    #[test]
+    fn interpreter_is_reusable_after_a_trap_mid_recursion() {
+        // down(n) = down(n + 1): overflows the call stack, leaving frames
+        // and their registers behind.
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("down", 1);
+        let n = fb.param(0);
+        let one = fb.const_i(1);
+        let next = fb.bin(BinOp::Add, n, one);
+        let r = fb.call(FuncId(0), &[next]);
+        fb.ret(Some(r));
+        m.add(fb.finish());
+        let cfg = InterpConfig {
+            max_depth: 64,
+            ..InterpConfig::default()
+        };
+        let mut it = Interp::new(cfg.clone());
+        it.start(&m, FuncId(0), &[Val::I(0)]);
+        assert_eq!(
+            it.run(&m, &mut NullHooks, u64::MAX / 4),
+            ExecStatus::Trapped(Trap::StackOverflow)
+        );
+        assert_eq!(it.frames.len(), 64);
+
+        let fib = crate::programs::fib(12);
+        let mut fresh = Interp::new(cfg);
+        fresh.start(&fib.module, fib.entry, &fib.args);
+        let want = fresh.run_to_completion(&fib.module, &mut NullHooks);
+
+        it.stats = ExecStats::default();
+        it.start(&fib.module, fib.entry, &fib.args);
+        assert_eq!(it.frames.len(), 1, "start drops the trapped frames");
+        assert_eq!(it.regs.len(), fib.module.func(fib.entry).n_regs);
+        assert_eq!(it.prov.len(), it.regs.len());
+        assert_eq!(it.run_to_completion(&fib.module, &mut NullHooks), want);
+        assert_eq!(want, Some(Val::I(144)));
+        assert_eq!(it.stats, fresh.stats);
+        assert!(it.regs.is_empty() && it.prov.is_empty());
     }
 }

@@ -1,8 +1,10 @@
 //! Property tests for the IR: interpreter arithmetic against a reference
-//! evaluator, the memory model against a reference map, and allocation
-//! movement preserving contents and pointers.
+//! evaluator, the memory model against a reference map, allocation
+//! movement preserving contents and pointers, and fuel-sliced execution
+//! matching an uninterrupted run.
 
-use interweave_ir::interp::{Interp, InterpConfig, Memory, NullHooks};
+use interweave_ir::interp::{ExecStatus, Interp, InterpConfig, Memory, NullHooks};
+use interweave_ir::programs::{self, Program};
 use interweave_ir::types::{FuncId, Val};
 use interweave_ir::{BinOp, FunctionBuilder, Module};
 use proptest::prelude::*;
@@ -156,5 +158,50 @@ proptest! {
             prop_assert!(pv >= new && pv < new + target.size, "unpatched pointer {pv:#x}");
             prop_assert_eq!(prov, Some(target.id));
         }
+    }
+}
+
+/// The kernels perfbench's `interp` workload runs, at small sizes.
+fn small_kernel(which: usize, n: i64) -> Program {
+    match which {
+        0 => programs::stream_triad(n),
+        1 => programs::dot(n),
+        2 => programs::matvec(n),
+        3 => programs::transpose(n),
+        4 => programs::fib(n),
+        5 => programs::nqueens(4 + n % 3),
+        _ => programs::bfs(n),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A run cut into random fuel slices ends exactly like one
+    /// uninterrupted run: same value and the same statistics, so every
+    /// out-of-fuel return resumes at the instruction it stopped before.
+    #[test]
+    fn fuel_sliced_run_equals_uninterrupted_run(
+        which in 0usize..7,
+        n in 2i64..12,
+        slices in prop::collection::vec(1u64..=64, 1..16),
+    ) {
+        let p = small_kernel(which, n);
+        let mut whole = Interp::new(InterpConfig::default());
+        whole.start(&p.module, p.entry, &p.args);
+        let want = whole.run_to_completion(&p.module, &mut NullHooks);
+
+        let mut sliced = Interp::new(InterpConfig::default());
+        sliced.start(&p.module, p.entry, &p.args);
+        let mut fuel = slices.iter().cycle();
+        let got = loop {
+            match sliced.run(&p.module, &mut NullHooks, *fuel.next().expect("cycled")) {
+                ExecStatus::Done(v) => break v,
+                ExecStatus::OutOfFuel => {}
+                other => panic!("{}: unexpected {other:?}", p.name),
+            }
+        };
+        prop_assert_eq!(got, want, "{}({})", &p.name, n);
+        prop_assert_eq!(&sliced.stats, &whole.stats, "{}({})", &p.name, n);
     }
 }
