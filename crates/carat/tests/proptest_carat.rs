@@ -165,60 +165,104 @@ fn run_plain(m: &Module) -> Option<Val> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Naive and optimized instrumentation are both result-transparent, and
+/// neither ever raises a false protection fault on a correct program.
+fn check_instrumentation_is_transparent(ops: &[HeapOp]) -> Result<(), TestCaseError> {
+    let m = compile(ops);
+    interweave_ir::verify::assert_valid(&m);
+    let expected = run_plain(&m);
 
-    /// Naive and optimized instrumentation are both result-transparent, and
-    /// neither ever raises a false protection fault on a correct program.
-    #[test]
-    fn instrumentation_is_transparent(ops in heap_ops()) {
-        let m = compile(&ops);
-        interweave_ir::verify::assert_valid(&m);
-        let expected = run_plain(&m);
-
-        for optimize in [false, true] {
-            let mut inst = m.clone();
-            instrument(&mut inst, optimize);
-            interweave_ir::verify::assert_valid(&inst);
-            let mut rt = CaratRuntime::new();
-            let mut it = Interp::new(InterpConfig::default());
-            it.start(&inst, FuncId(0), &[]);
-            let got = loop {
-                match it.run(&inst, &mut rt, u64::MAX / 4) {
-                    ExecStatus::Done(v) => break v,
-                    ExecStatus::Yielded => continue,
-                    other => panic!("instrumented(opt={optimize}) diverged: {other:?}"),
-                }
-            };
-            prop_assert_eq!(got, expected, "opt={}", optimize);
-            prop_assert_eq!(rt.stats.faults, 0);
-        }
-    }
-
-    /// Compacting at every quiescent point changes nothing about the final
-    /// result, and a second compaction finds no work.
-    #[test]
-    fn defrag_at_quiescent_points_is_transparent(ops in heap_ops()) {
-        let m = compile(&ops);
-        let expected = run_plain(&m);
-
+    for optimize in [false, true] {
         let mut inst = m.clone();
-        instrument(&mut inst, true);
+        instrument(&mut inst, optimize);
+        interweave_ir::verify::assert_valid(&inst);
         let mut rt = CaratRuntime::new();
         let mut it = Interp::new(InterpConfig::default());
         it.start(&inst, FuncId(0), &[]);
         let got = loop {
             match it.run(&inst, &mut rt, u64::MAX / 4) {
                 ExecStatus::Done(v) => break v,
-                ExecStatus::Yielded => {
-                    let first = compact(&mut it, &mut rt);
-                    let second = compact(&mut it, &mut rt);
-                    prop_assert_eq!(second.moves, 0, "compaction not idempotent after {:?}", first);
-                }
-                other => panic!("diverged: {other:?}"),
+                ExecStatus::Yielded => continue,
+                other => panic!("instrumented(opt={optimize}) diverged: {other:?}"),
             }
         };
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(got, expected, "opt={}", optimize);
         prop_assert_eq!(rt.stats.faults, 0);
+    }
+    Ok(())
+}
+
+/// Compacting at every quiescent point changes nothing about the final
+/// result, and a second compaction finds no work.
+fn check_defrag_is_transparent(ops: &[HeapOp]) -> Result<(), TestCaseError> {
+    let m = compile(ops);
+    let expected = run_plain(&m);
+
+    let mut inst = m.clone();
+    instrument(&mut inst, true);
+    let mut rt = CaratRuntime::new();
+    let mut it = Interp::new(InterpConfig::default());
+    it.start(&inst, FuncId(0), &[]);
+    let got = loop {
+        match it.run(&inst, &mut rt, u64::MAX / 4) {
+            ExecStatus::Done(v) => break v,
+            ExecStatus::Yielded => {
+                let first = compact(&mut it, &mut rt);
+                let second = compact(&mut it, &mut rt);
+                prop_assert_eq!(second.moves, 0, "compaction not idempotent after {first:?}");
+            }
+            other => panic!("diverged: {other:?}"),
+        }
+    };
+    prop_assert_eq!(got, expected);
+    prop_assert_eq!(rt.stats.faults, 0);
+    Ok(())
+}
+
+// Two minimal counterexamples a shrinking proptest once recorded against
+// this file, replayed under both properties.
+
+#[test]
+fn recorded_read_of_a_word_holding_a_pointer() -> Result<(), TestCaseError> {
+    use HeapOp::*;
+    let ops = [
+        Alloc(1, 0),
+        Alloc(0, 0),
+        Alloc(3, 0),
+        Free(1),
+        Link(0, 3, 4),
+        Read(0, 4),
+        Quiesce,
+    ];
+    check_instrumentation_is_transparent(&ops)?;
+    check_defrag_is_transparent(&ops)
+}
+
+#[test]
+fn recorded_deref_of_a_self_link_after_a_quiescent_point() -> Result<(), TestCaseError> {
+    use HeapOp::*;
+    let ops = [
+        Alloc(0, 0),
+        Alloc(3, 0),
+        Link(3, 3, 0),
+        Free(0),
+        Quiesce,
+        Deref(3, 0),
+    ];
+    check_instrumentation_is_transparent(&ops)?;
+    check_defrag_is_transparent(&ops)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn instrumentation_is_transparent(ops in heap_ops()) {
+        check_instrumentation_is_transparent(&ops)?;
+    }
+
+    #[test]
+    fn defrag_at_quiescent_points_is_transparent(ops in heap_ops()) {
+        check_defrag_is_transparent(&ops)?;
     }
 }

@@ -9,12 +9,13 @@
 //! Storage is sized by capacity, not by footprint: every resident line
 //! lives in one frame of a `frames` array that never holds more than
 //! `capacity` entries. A line finds its frame through an index — a
-//! `Vec<u32>` of frame index + 1 indexed by line address and grown when a
-//! line past its end is mapped — so a probe is one bounds check and two
-//! indexed loads, and every operation is one `frame_of` lookup followed by
-//! frame arithmetic. An evicted victim's frame is reused in place; an
-//! invalidation swap-removes its frame, keeping `frames` exactly the
-//! resident set.
+//! `Vec<u16>` of frame index + 1 (so at most 65,534 frames) indexed by
+//! line address and grown when a line past its end is mapped — so a probe
+//! is one bounds check and two indexed loads, and every operation is one
+//! `frame_of` lookup followed by frame arithmetic (a write hit reuses the
+//! [`Slot`] its probe found). An evicted victim's frame is reused in
+//! place; an invalidation swap-removes its frame, keeping `frames`
+//! exactly the resident set.
 
 use std::collections::VecDeque;
 
@@ -88,12 +89,18 @@ impl Frame {
     }
 }
 
+/// A resident line's frame, as found by [`Cache::probe`]. It stays valid
+/// until the cache's next insert or invalidation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(usize);
+
 /// A private cache of fixed line capacity.
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// Line index: frame index + 1 per line address, `0` = not resident;
-    /// lines past the end are not resident either.
-    index: Vec<u32>,
+    /// lines past the end are not resident either. At 2 B per line a
+    /// Fig. 7 core's index stays under glibc's 128 KiB mmap threshold.
+    index: Vec<u16>,
     /// The resident lines, at most `capacity` of them, in no order.
     frames: Vec<Frame>,
     /// Clock ring of line addresses; invalidated lines are skipped lazily.
@@ -102,9 +109,13 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// A cache holding up to `capacity` lines.
+    /// A cache holding up to `capacity` lines, 1 to 65,534 (the `u16`
+    /// index stores frame + 1).
     pub fn new(capacity: usize) -> Cache {
-        assert!(capacity > 0);
+        assert!(
+            (1..u16::MAX as usize).contains(&capacity),
+            "cache capacity {capacity} is outside 1..=65534, the frames a u16 line index holds"
+        );
         Cache {
             index: Vec::new(),
             frames: Vec::with_capacity(capacity),
@@ -127,7 +138,7 @@ impl Cache {
         if i >= self.index.len() {
             self.index.resize(i + 1, 0);
         }
-        self.index[i] = f as u32 + 1;
+        self.index[i] = f as u16 + 1;
     }
 
     /// Clear `line`'s index entry (the line is resident, so it is mapped).
@@ -135,13 +146,14 @@ impl Cache {
         self.index[line as usize] = 0;
     }
 
-    /// Look up a line, setting its reference bit on hit.
+    /// Look up a line, setting its reference bit on hit; the slot lets a
+    /// write hit skip a second lookup.
     #[inline]
-    pub fn probe(&mut self, line: u64) -> Option<Entry> {
+    pub fn probe(&mut self, line: u64) -> Option<(Slot, Entry)> {
         let f = self.frame_of(line)?;
         let fr = &mut self.frames[f];
         fr.meta |= META_REF;
-        Some(fr.entry())
+        Some((Slot(f), fr.entry()))
     }
 
     /// Peek without reference-bit effects.
@@ -158,11 +170,11 @@ impl Cache {
         }
     }
 
-    /// Bump the version of a resident line (a write hit) and mark M.
-    pub fn write_hit(&mut self, line: u64, version: u64) {
+    /// Bump the version of the line in `slot` (a write hit) and mark M.
+    #[inline]
+    pub fn write_hit(&mut self, slot: Slot, version: u64) {
         debug_assert!(version <= u32::MAX as u64, "version overflow on a line");
-        let f = self.frame_of(line).expect("write_hit on absent line");
-        let fr = &mut self.frames[f];
+        let fr = &mut self.frames[slot.0];
         fr.meta = (fr.meta & META_REF) | state_bits(Mesi::M);
         fr.version = version as u32;
     }
@@ -243,7 +255,7 @@ mod tests {
         assert!(c.probe(1).is_none());
         c.insert(1, Mesi::E, 0);
         assert_eq!(
-            c.probe(1),
+            c.probe(1).map(|(_, e)| e),
             Some(Entry {
                 state: Mesi::E,
                 version: 0
@@ -278,7 +290,8 @@ mod tests {
     fn eviction_returns_dirty_entry() {
         let mut c = Cache::new(1);
         c.insert(7, Mesi::E, 0);
-        c.write_hit(7, 3);
+        let (slot, _) = c.probe(7).expect("resident");
+        c.write_hit(slot, 3);
         let (line, e) = c.insert(8, Mesi::E, 0).expect("eviction");
         assert_eq!(line, 7);
         assert_eq!(e.state, Mesi::M);
@@ -298,6 +311,30 @@ mod tests {
         c.insert(1001, Mesi::S, 0);
         c.insert(1002, Mesi::S, 0);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=65534, the frames a u16 line index holds")]
+    fn capacity_past_the_u16_index_is_refused() {
+        Cache::new(u16::MAX as usize);
+    }
+
+    #[test]
+    fn the_largest_capacity_maps_probes_and_evicts_its_last_frame() {
+        const CAP: u64 = u16::MAX as u64 - 1;
+        let mut c = Cache::new(CAP as usize);
+        for l in 0..CAP {
+            assert!(c.insert(l, Mesi::S, l).is_none());
+        }
+        // Reference every line but the last (frame 65,533, index entry
+        // 65,534), so the clock passes them all and evicts it.
+        for l in 0..CAP - 1 {
+            assert!(c.probe(l).is_some());
+        }
+        let (victim, e) = c.insert(CAP, Mesi::E, 7).expect("full cache evicts");
+        assert_eq!((victim, e.version), (CAP - 1, CAP - 1));
+        assert!(c.peek(CAP - 1).is_none());
+        assert_eq!(c.probe(CAP).map(|(_, e)| e.version), Some(7));
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //! ascending core order: consume the predecessor's buffer, then the round's
 //! access stream plus the produce phase, then (selective mode) the
 //! round-boundary hand-offs. The round closes with the SWMR check. That
-//! fixed order is what makes the makespan and the order-sensitive f64
-//! energy sum a pure function of `(mix, cores, mode, seed)`; a test below
-//! pins the loop against a reference built from the collected
-//! per-phase access lists.
+//! fixed order is what makes the makespan a pure function of `(mix, cores,
+//! mode, seed)`; the NoC energy is a flit-hop count, priced once, so it
+//! has no summation order to fix. A test below pins the loop against a
+//! reference built from the collected per-phase access lists.
 
-use crate::protocol::{Class, CohMode, ProtocolKind, System, SystemConfig};
+use crate::protocol::{Class, CohMode, System, SystemConfig};
 use crate::workloads::{
     fig7_mixes, handoff_range, initialize_readonly, round_stream_into, Access, Layout, WorkloadMix,
 };
@@ -72,6 +72,32 @@ pub fn run_one_on_mesh(
     run_rounds(mix, cores, mode, seed, disaggregation, None)
 }
 
+/// A Fig. 7 machine of `cores` cores under `mode`, past the unmeasured
+/// initialization (the paper's region-of-interest methodology: build the
+/// read-only input, then classify) with its NoC count reset, so the ROI is
+/// what a run reports.
+fn initialized(
+    mix: &WorkloadMix,
+    cores: usize,
+    mode: CohMode,
+    disaggregation: Option<(usize, u32)>,
+) -> (System, Layout) {
+    let mut sys = System::new(SystemConfig {
+        cores,
+        ..SystemConfig::fig7(mode)
+    });
+    if let Some((per_domain, penalty)) = disaggregation {
+        sys.mesh = crate::noc::Mesh::disaggregated(cores, per_domain, penalty);
+    }
+    let layout = Layout::new(mix, cores);
+    initialize_readonly(&mut sys, mix, &layout);
+    if mode == CohMode::Selective {
+        layout.classify(&mut sys, mix);
+    }
+    sys.flit_hops = 0;
+    (sys, layout)
+}
+
 /// The round loop behind [`run_one_on_mesh`]. `streams`, when given, holds
 /// the pre-generated access stream for `[round * cores + core]` — the
 /// streams depend only on `(mix, cores, seed)`, so [`fig7`] generates them
@@ -84,25 +110,7 @@ fn run_rounds(
     disaggregation: Option<(usize, u32)>,
     streams: Option<&[Vec<Access>]>,
 ) -> (u64, f64) {
-    let mut sys = System::new(SystemConfig {
-        cores,
-        l1_lines: 512,
-        mode,
-        protocol: ProtocolKind::Mesi,
-        lat: Default::default(),
-    });
-    if let Some((per_domain, penalty)) = disaggregation {
-        sys.mesh = crate::noc::Mesh::disaggregated(cores, per_domain, penalty);
-    }
-    let layout = Layout::new(mix, cores);
-    // Initialization phase (not measured, matching the paper's region-of-
-    // interest methodology): build the read-only input, then classify.
-    initialize_readonly(&mut sys, mix, &layout);
-    if mode == CohMode::Selective {
-        layout.classify(&mut sys, mix);
-    }
-    // Reset energy after init so the ROI is what we report.
-    sys.energy = Default::default();
+    let (mut sys, layout) = initialized(mix, cores, mode, disaggregation);
 
     let mut makespan = 0u64;
     let mut per_core = vec![0u64; cores];
@@ -159,7 +167,7 @@ fn run_rounds(
         makespan += per_core.iter().max().copied().unwrap_or(0) + handoff_max;
         sys.check_swmr();
     }
-    (makespan, sys.energy.interconnect.get())
+    (makespan, sys.noc_energy())
 }
 
 /// One benchmark's [`fig7`] row on `cores` cores.
@@ -260,22 +268,7 @@ mod tests {
         seed: u64,
         disaggregation: Option<(usize, u32)>,
     ) -> (u64, f64) {
-        let mut sys = System::new(SystemConfig {
-            cores,
-            l1_lines: 512,
-            mode,
-            protocol: ProtocolKind::Mesi,
-            lat: Default::default(),
-        });
-        if let Some((per_domain, penalty)) = disaggregation {
-            sys.mesh = crate::noc::Mesh::disaggregated(cores, per_domain, penalty);
-        }
-        let layout = Layout::new(mix, cores);
-        initialize_readonly(&mut sys, mix, &layout);
-        if mode == CohMode::Selective {
-            layout.classify(&mut sys, mix);
-        }
-        sys.energy = Default::default();
+        let (mut sys, layout) = initialized(mix, cores, mode, disaggregation);
 
         let mut makespan = 0u64;
         let mut per_core = vec![0u64; cores];
@@ -325,7 +318,7 @@ mod tests {
             makespan += round_max;
             sys.check_swmr();
         }
-        (makespan, sys.energy.interconnect.get())
+        (makespan, sys.noc_energy())
     }
 
     #[test]

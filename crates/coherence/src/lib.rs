@@ -13,12 +13,12 @@
 //! dual-socket 24-core machine (Fig. 7).
 //!
 //! This crate is the Sniper substitute: a directory-MESI multicore
-//! simulator over a 2D-mesh NoC with per-action energy accounting, plus the
-//! deactivation extension:
+//! simulator over a 2D-mesh NoC that counts its traffic in flit-hops
+//! (priced once as interconnect energy), plus the deactivation extension:
 //!
 //! - [`cache`]: per-core private caches (clock-LRU), each finding a
-//!   line's frame through one index by line address, grown on demand.
-//! - [`noc`]: the mesh topology, hop latency, and flit energy.
+//!   line's frame through a 2-byte-per-line index grown on demand.
+//! - [`noc`]: the mesh topology, hop latency, and flit counts.
 //! - [`protocol`]: the coherence engine — full MESI and the selective
 //!   extension (private regions homed at the owner's slice with no
 //!   directory involvement; read-only regions served from the nearest

@@ -1,7 +1,8 @@
 //! The 2D-mesh network-on-chip: topology, hop latency, flit counts.
 //!
 //! Fig. 7's energy claim is about this network: every coherence message is
-//! flits × hops of router+link energy. Cores and L3/directory slices are
+//! flits × hops of router+link energy, counted as flit-hops by the
+//! protocol and priced by `interweave_core::energy::EnergyModel`. Cores and L3/directory slices are
 //! co-located one per tile; the home slice of a line is its address hash.
 
 /// Mesh geometry and message parameters.

@@ -25,9 +25,9 @@
 //! resolves its line with one indexed load instead of consulting four
 //! parallel maps.
 
-use crate::cache::{Cache, Entry, Mesi};
+use crate::cache::{Cache, Entry, Mesi, Slot};
 use crate::noc::Mesh;
-use interweave_core::energy::{EnergyLedger, EnergyModel};
+use interweave_core::energy::EnergyModel;
 
 /// Coherence policy under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,9 +350,8 @@ pub struct System {
     caches: Vec<Cache>,
     /// The unified line-state table: line address → all per-line state.
     lines: LineTable,
-    emodel: EnergyModel,
-    /// Energy accounting.
-    pub energy: EnergyLedger,
+    /// NoC traffic so far, in flit-hops.
+    pub(crate) flit_hops: u64,
     /// Protocol statistics.
     pub stats: CohStats,
 }
@@ -365,8 +364,7 @@ impl System {
             caches: (0..cfg.cores).map(|_| Cache::new(cfg.l1_lines)).collect(),
             mesh,
             lines: LineTable::default(),
-            emodel: EnergyModel::default(),
-            energy: EnergyLedger::new(),
+            flit_hops: 0,
             stats: CohStats::default(),
             cfg,
         }
@@ -390,6 +388,13 @@ impl System {
         for (key, v) in COH_KEYS.iter().zip(vals) {
             sink.gauge(key, 0, v);
         }
+    }
+
+    /// Interconnect energy of the traffic so far, in picojoules: each
+    /// message's `max(hops, 1) × flits` flit-hops, summed as an integer
+    /// (no summation order) and priced once by the default [`EnergyModel`].
+    pub fn noc_energy(&self) -> f64 {
+        EnergyModel::default().noc_pj(self.flit_hops)
     }
 
     /// Classify a range of lines. Honoured only in `Selective` mode; the
@@ -418,35 +423,17 @@ impl System {
 
     #[inline]
     fn charge_msg(&mut self, hops: u32, flits: u32) {
-        self.energy.charge_noc(&self.emodel, hops.max(1), flits);
-    }
-
-    #[inline]
-    fn charge_dir(&mut self) {
-        self.stats.dir_lookups += 1;
-        self.energy.directory += self.emodel.directory_access;
-    }
-
-    #[inline]
-    fn charge_l1(&mut self) {
-        self.energy.caches += self.emodel.l1_access;
-    }
-
-    #[inline]
-    fn charge_l3(&mut self) {
-        self.energy.caches += self.emodel.l3_access;
+        self.flit_hops += u64::from(hops.max(1) * flits);
     }
 
     /// Fetch a line's data at its home slice, returning `(latency, version)`
-    /// and charging L3/DRAM. Operates on the caller's in-flight state
+    /// and counting DRAM fetches. Operates on the caller's in-flight state
     /// record; a DRAM fetch fills the L3 in place.
     fn fetch_at_home(&mut self, st: &mut LineState) -> (u64, u64) {
-        self.charge_l3();
         match st.l3() {
             Some(v) => (self.cfg.lat.l3, v),
             None => {
                 self.stats.dram_fetches += 1;
-                self.energy.dram += self.emodel.dram_access;
                 let v = st.latest();
                 st.set_l3(v);
                 (self.cfg.lat.l3 + self.cfg.lat.dram, v)
@@ -466,7 +453,6 @@ impl System {
                     self.stats.writebacks += 1;
                     st.set_l3(e.version);
                     self.charge_msg(0, self.mesh.data_flits);
-                    self.charge_l3();
                     self.lines.set(line, st);
                 }
             }
@@ -474,12 +460,11 @@ impl System {
             Class::Shared => {
                 let home = self.mesh.home(line);
                 let hops = self.mesh.hops(core, home);
-                self.charge_dir();
+                self.stats.dir_lookups += 1;
                 if e.state == Mesi::M {
                     self.stats.writebacks += 1;
                     st.set_l3(e.version);
                     self.charge_msg(hops, self.mesh.data_flits);
-                    self.charge_l3();
                     st.set_dir(Dir::Uncached);
                 } else {
                     // Eviction notice keeps the directory exact.
@@ -515,17 +500,15 @@ impl System {
     #[inline]
     pub fn read(&mut self, core: usize, line: u64) -> u64 {
         self.stats.reads += 1;
-        self.charge_l1();
         // Hits never touch the line table (the probe alone decides), so
         // the table read is deferred to the miss path.
-        if let Some(e) = self.caches[core].probe(line) {
+        if let Some((_, e)) = self.caches[core].probe(line) {
             self.stats.l1_hits += 1;
             debug_assert_eq!(
                 e.version,
                 self.line_state(line).latest(),
                 "stale read of line {line:#x} at core {core}"
             );
-            let _ = e;
             return self.cfg.lat.l1_hit;
         }
         self.read_miss(core, line)
@@ -558,7 +541,7 @@ impl System {
                 let home = self.mesh.home(line);
                 let req_hops = self.mesh.hops(core, home);
                 self.charge_msg(req_hops, self.mesh.control_flits);
-                self.charge_dir();
+                self.stats.dir_lookups += 1;
                 let mut lat = self.cfg.lat.l1_hit + self.mesh.latency(req_hops) + self.cfg.lat.dir;
                 match st.dir() {
                     Dir::Uncached => {
@@ -610,7 +593,6 @@ impl System {
                         self.stats.writebacks += 1;
                         st.set_l3(v);
                         self.charge_msg(self.mesh.hops(owner, home), self.mesh.data_flits);
-                        self.charge_l3();
                         lat +=
                             self.mesh.latency(fwd) + self.cfg.lat.l1_hit + self.mesh.latency(back);
                         st.set_dir(Dir::Sharers((1 << owner) | (1 << core)));
@@ -640,7 +622,6 @@ impl System {
     #[inline]
     pub fn write(&mut self, core: usize, line: u64) -> u64 {
         self.stats.writes += 1;
-        self.charge_l1();
         let class = match self.cfg.mode {
             CohMode::Full => Class::Shared,
             CohMode::Selective => self.lines.class(line).unwrap_or(Class::Shared),
@@ -649,10 +630,10 @@ impl System {
             Class::Private(owner) => {
                 debug_assert_eq!(owner, core, "disentanglement violation on {line:#x}");
                 self.stats.deactivated += 1;
-                if self.caches[core].probe(line).is_some() {
+                if let Some((slot, _)) = self.caches[core].probe(line) {
                     self.stats.l1_hits += 1;
                     let v = self.lines.bump_latest(line);
-                    self.caches[core].write_hit(line, v);
+                    self.caches[core].write_hit(slot, v);
                     self.cfg.lat.l1_hit
                 } else {
                     let mut st = self.line_state(line);
@@ -661,18 +642,19 @@ impl System {
                     let (fetch, _) = self.fetch_at_home(&mut st);
                     self.charge_msg(0, self.mesh.data_flits);
                     self.lines.set(line, st);
-                    self.insert_line(core, line, Mesi::E, v);
-                    self.caches[core].write_hit(line, v);
+                    // A fresh frame is unreferenced, so this is the E fill
+                    // plus write hit of the miss in one step.
+                    self.insert_line(core, line, Mesi::M, v);
                     self.cfg.lat.l1_hit + fetch
                 }
             }
             Class::ReadOnly => panic!("write to read-only region: line {line:#x}"),
             Class::Shared => match self.caches[core].probe(line) {
-                Some(e) if e.state == Mesi::M || e.state == Mesi::E => {
+                Some((slot, e)) if e.state == Mesi::M || e.state == Mesi::E => {
                     // M hit, or silent E→M upgrade.
                     self.stats.l1_hits += 1;
                     let v = self.lines.bump_latest(line);
-                    self.caches[core].write_hit(line, v);
+                    self.caches[core].write_hit(slot, v);
                     self.cfg.lat.l1_hit
                 }
                 probed => self.write_shared_slow(core, line, probed),
@@ -683,7 +665,7 @@ impl System {
     /// The non-fast-path half of a Shared-class write: an S-state upgrade
     /// or a full write miss (RFO through the directory). `probed` is the
     /// already-taken cache probe result.
-    fn write_shared_slow(&mut self, core: usize, line: u64, probed: Option<Entry>) -> u64 {
+    fn write_shared_slow(&mut self, core: usize, line: u64, probed: Option<(Slot, Entry)>) -> u64 {
         let mut st = self.line_state(line);
         let v = st.latest() + 1;
         st.set_latest(v);
@@ -691,22 +673,23 @@ impl System {
             let home = self.mesh.home(line);
             let req_hops = self.mesh.hops(core, home);
             match probed {
-                Some(_) => {
-                    // S → upgrade: invalidate other sharers via home.
+                Some((slot, _)) => {
+                    // S → upgrade: invalidate other sharers via home (the
+                    // other caches only, so `slot` stays valid).
                     self.stats.l1_hits += 1;
                     self.charge_msg(req_hops, self.mesh.control_flits);
-                    self.charge_dir();
+                    self.stats.dir_lookups += 1;
                     let mut lat =
                         self.cfg.lat.l1_hit + self.mesh.latency(req_hops) + self.cfg.lat.dir;
                     lat += self.invalidate_others(&st, line, core, home);
                     st.set_dir(Dir::Exclusive(core));
-                    self.caches[core].write_hit(line, v);
+                    self.caches[core].write_hit(slot, v);
                     lat
                 }
                 None => {
                     // Write miss: RFO through the directory.
                     self.charge_msg(req_hops, self.mesh.control_flits);
-                    self.charge_dir();
+                    self.stats.dir_lookups += 1;
                     let mut lat =
                         self.cfg.lat.l1_hit + self.mesh.latency(req_hops) + self.cfg.lat.dir;
                     match st.dir() {
@@ -778,7 +761,6 @@ impl System {
                     _ => self.mesh.hops(c, self.mesh.home(line)),
                 };
                 self.charge_msg(hops, self.mesh.data_flits);
-                self.charge_l3();
                 return self.mesh.latency(hops) + self.cfg.lat.l3;
             }
         }
@@ -915,6 +897,37 @@ mod tests {
     }
 
     #[test]
+    fn noc_energy_prices_a_hand_counted_flit_hop_total() {
+        // 2×2 mesh: tile t at (t % 2, t / 2); line l homes at tile l % 4;
+        // control messages are 1 flit, data messages 5.
+        let script = [
+            // (core, line, write, flit-hops). Cold miss, 1 hop to home 1:
+            // request 1×1, data 1×5.
+            (0, 5, false, 6),
+            // Miss on an owned line, 1 hop to home: request 1×1, forward
+            // 1→0 1×1, data 0→3 2×5, the owner's writeback 0→1 1×5.
+            (3, 5, false, 17),
+            // Write miss on a shared line, 2 hops: request 2×1, data 2×5,
+            // an invalidation and an ack to each of cores 0 and 3 (1 hop).
+            (2, 5, true, 16),
+            // A hit sends nothing.
+            (2, 5, true, 0),
+            // Home is the requester's own tile: each message counts 1 hop.
+            (1, 1, false, 6),
+        ];
+        let mut s = sys(CohMode::Full);
+        for (core, line, write, flit_hops) in script {
+            let before = s.flit_hops;
+            (if write { System::write } else { System::read })(&mut s, core, line);
+            assert_eq!(s.flit_hops - before, flit_hops, "core {core} line {line}");
+        }
+        assert_eq!((s.stats.forwards, s.stats.invalidations), (1, 2));
+        // 45 flit-hops at (1.5 + 2.0) pJ each, exactly.
+        assert_eq!(s.noc_energy().to_bits(), (45.0f64 * 3.5).to_bits());
+        s.check_swmr();
+    }
+
+    #[test]
     fn modified_line_forwards_to_reader() {
         let mut s = sys(CohMode::Full);
         s.write(1, 42);
@@ -998,14 +1011,13 @@ mod tests {
             let mut s = sys(mode);
             s.classify(0..256, Class::Private(1));
             let mut cycles = 0;
-            for rep in 0..4 {
+            for _ in 0..4 {
                 for l in 0..256 {
                     cycles += s.write(1, l);
                     cycles += s.read(1, l);
                 }
-                let _ = rep;
             }
-            (cycles, s.energy.interconnect.get())
+            (cycles, s.noc_energy())
         };
         let (full_cyc, full_e) = run(CohMode::Full);
         let (sel_cyc, sel_e) = run(CohMode::Selective);
@@ -1108,14 +1120,13 @@ mod tests {
         // Producer writes, consumer reads, repeatedly: every round is a
         // forward + invalidate dance.
         let mut s = sys(CohMode::Full);
-        for round in 0..10 {
+        for _ in 0..10 {
             for l in 0..16 {
                 s.write(0, l);
             }
             for l in 0..16 {
                 s.read(1, l);
             }
-            let _ = round;
         }
         assert!(s.stats.forwards >= 16, "forwards {}", s.stats.forwards);
         assert!(s.stats.invalidations > 0);

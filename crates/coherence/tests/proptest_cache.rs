@@ -43,12 +43,14 @@ impl Model {
         }
     }
 
+    /// A write hit: its probe sets the reference bit, then it marks M.
     fn write_hit(&mut self, line: u64, version: u64) {
         let i = self.pos(line).expect("resident");
         self.lines[i].1 = Entry {
             state: Mesi::M,
             version,
         };
+        self.lines[i].2 = true;
     }
 
     fn invalidate(&mut self, line: u64) -> Option<Entry> {
@@ -147,7 +149,7 @@ proptest! {
             };
             let got = match op {
                 Op::Insert(l, s, v) => format!("{:?}", c.insert(l, s, v)),
-                Op::Probe(l) => format!("{:?}", c.probe(l)),
+                Op::Probe(l) => format!("{:?}", c.probe(l).map(|(_, e)| e)),
                 Op::Peek(l) => format!("{:?}", c.peek(l)),
                 Op::Invalidate(l) => format!("{:?}", c.invalidate(l)),
                 Op::SetState(l, s) => {
@@ -155,7 +157,8 @@ proptest! {
                     String::new()
                 }
                 Op::WriteHit(l, v) => {
-                    c.write_hit(l, v);
+                    let (slot, _) = c.probe(l).expect("resident");
+                    c.write_hit(slot, v);
                     String::new()
                 }
             };

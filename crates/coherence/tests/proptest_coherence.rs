@@ -111,7 +111,7 @@ proptest! {
                     s.read(0, a.line);
                 }
             }
-            s.energy.interconnect.get()
+            s.noc_energy()
         };
         let full = run(CohMode::Full);
         let sel = run(CohMode::Selective);

@@ -1,128 +1,35 @@
-//! Interconnect and cache energy accounting.
+//! Interconnect energy pricing.
 //!
 //! Fig. 7's companion claim is that selective coherence deactivation cuts
-//! interconnect energy by ~53 %. The coherence simulator charges energy per
-//! architectural action through this accounting type; per-action costs are
-//! in picojoules, loosely calibrated to published NoC/cache models (link
-//! traversal and router energy dominate; cache array accesses are cheaper).
+//! interconnect energy by ~53 %. The coherence simulator counts NoC
+//! traffic in flit-hops (one flit crossing one router and one link); this
+//! model prices the count once, when a report reads it, with per-flit
+//! costs loosely calibrated to published NoC models. The defaults are
+//! dyadic (1.5 + 2.0 = 3.5 pJ per flit-hop), so the price of any count
+//! below 2⁵⁰ is exact: the bits a per-message `f64` sum in any order has.
 
-use serde::{Deserialize, Serialize};
-use std::ops::{Add, AddAssign};
-
-/// Energy in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct PicoJoules(pub f64);
-
-impl PicoJoules {
-    /// Zero energy.
-    pub const ZERO: PicoJoules = PicoJoules(0.0);
-
-    /// Raw value.
-    pub fn get(self) -> f64 {
-        self.0
-    }
-}
-
-impl Add for PicoJoules {
-    type Output = PicoJoules;
-    fn add(self, rhs: PicoJoules) -> PicoJoules {
-        PicoJoules(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for PicoJoules {
-    fn add_assign(&mut self, rhs: PicoJoules) {
-        self.0 += rhs.0;
-    }
-}
-
-/// Per-action energy costs for the on-chip network and cache hierarchy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Per-flit energy costs of the on-chip network, in picojoules.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
     /// One flit traversing one router (buffering + arbitration + crossbar).
-    pub router_per_flit: PicoJoules,
+    pub router_per_flit: f64,
     /// One flit traversing one inter-router link.
-    pub link_per_flit: PicoJoules,
-    /// One L1 array access.
-    pub l1_access: PicoJoules,
-    /// One L2 array access.
-    pub l2_access: PicoJoules,
-    /// One L3-slice array access.
-    pub l3_access: PicoJoules,
-    /// One directory lookup/update.
-    pub directory_access: PicoJoules,
-    /// DRAM access (per cache line).
-    pub dram_access: PicoJoules,
+    pub link_per_flit: f64,
 }
 
 impl Default for EnergyModel {
     fn default() -> EnergyModel {
         EnergyModel {
-            router_per_flit: PicoJoules(1.5),
-            link_per_flit: PicoJoules(2.0),
-            l1_access: PicoJoules(10.0),
-            l2_access: PicoJoules(25.0),
-            l3_access: PicoJoules(60.0),
-            directory_access: PicoJoules(15.0),
-            dram_access: PicoJoules(640.0),
+            router_per_flit: 1.5,
+            link_per_flit: 2.0,
         }
     }
 }
 
-/// Accumulated energy, split by component so reports can isolate the
-/// interconnect reduction Fig. 7 claims.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct EnergyLedger {
-    /// Network-on-chip energy (routers + links).
-    pub interconnect: PicoJoules,
-    /// Cache array energy (L1+L2+L3).
-    pub caches: PicoJoules,
-    /// Directory energy.
-    pub directory: PicoJoules,
-    /// DRAM energy.
-    pub dram: PicoJoules,
-}
-
-impl EnergyLedger {
-    /// A zeroed ledger.
-    pub fn new() -> EnergyLedger {
-        EnergyLedger::default()
-    }
-
-    /// Charge a message traversing `hops` routers/links carrying `flits`
-    /// flits.
-    pub fn charge_noc(&mut self, model: &EnergyModel, hops: u32, flits: u32) {
-        let per_flit = model.router_per_flit + model.link_per_flit;
-        self.interconnect += PicoJoules(per_flit.0 * hops as f64 * flits as f64);
-    }
-
-    /// Total energy across all components.
-    pub fn total(&self) -> PicoJoules {
-        self.interconnect + self.caches + self.directory + self.dram
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn noc_charge_scales_with_hops_and_flits() {
-        let model = EnergyModel::default();
-        let mut a = EnergyLedger::new();
-        let mut b = EnergyLedger::new();
-        a.charge_noc(&model, 1, 1);
-        b.charge_noc(&model, 3, 2);
-        assert!((b.interconnect.get() - 6.0 * a.interconnect.get()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_sums_components() {
-        let mut l = EnergyLedger::new();
-        l.interconnect = PicoJoules(1.0);
-        l.caches = PicoJoules(2.0);
-        l.directory = PicoJoules(3.0);
-        l.dram = PicoJoules(4.0);
-        assert!((l.total().get() - 10.0).abs() < 1e-12);
+impl EnergyModel {
+    /// The energy of `flit_hops` flit-hops in picojoules: (router + link)
+    /// × count.
+    pub fn noc_pj(&self, flit_hops: u64) -> f64 {
+        (self.router_per_flit + self.link_per_flit) * flit_hops as f64
     }
 }

@@ -26,7 +26,7 @@
 //!   prices each launch mechanism as a `LaunchPath`.
 //! - [`stats`]: online statistics, the quantile sketch, and geometric means
 //!   used to report every figure and table.
-//! - [`energy`]: interconnect/cache energy accounting (Fig. 7).
+//! - [`energy`]: interconnect energy pricing of a flit-hop count (Fig. 7).
 //! - [`rng`]: a small deterministic RNG so all experiments are reproducible.
 //! - [`arrivals`]: seeded open-loop arrival processes (Poisson, bursty
 //!   MMPP on/off, diurnal) driving the request-serving experiments.

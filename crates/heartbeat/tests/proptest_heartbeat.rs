@@ -1,7 +1,10 @@
 //! Property tests for the heartbeat scheduler: deque conservation and the
 //! exactly-once execution guarantee of promotion-based loop splitting.
 
+use interweave_core::stack::OsPoint;
+use interweave_core::Cycles;
 use interweave_heartbeat::deque::WorkDeque;
+use interweave_heartbeat::sim::{run_heartbeat, HeartbeatConfig};
 use interweave_heartbeat::tpal::Tpal;
 use proptest::prelude::*;
 
@@ -96,29 +99,40 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Timing-simulation properties.
 
+/// The Nautilus path never overshoots its target rate and never loses
+/// beats.
+fn check_nk_path_is_exact(target_us: f64, handler: u64) -> Result<(), TestCaseError> {
+    let mut cfg = HeartbeatConfig::fig3(OsPoint::NkLike, target_us, Cycles(handler));
+    // Window scaled to the period so end-of-window quantization stays
+    // below a percent (the property is about the mechanism, not about
+    // fencepost effects at tiny windows).
+    cfg.duration_us = target_us * 200.0;
+    let r = run_heartbeat(&cfg);
+    let f = r.fraction_of_target();
+    prop_assert!(f <= 1.02, "overshoot {f}");
+    prop_assert!(f >= 0.98, "undershoot {f}");
+    prop_assert!(r.interbeat_cv < 1e-6);
+    prop_assert_eq!(r.coalesced, 0);
+    Ok(())
+}
+
+/// A minimal counterexample a shrinking proptest once recorded against
+/// this file: a long period with the smallest handler.
+#[test]
+fn recorded_nk_period_of_419_5_us_with_a_200_cycle_handler() -> Result<(), TestCaseError> {
+    check_nk_path_is_exact(419.5118317150186, 200)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The Nautilus path never overshoots its target rate and never loses
-    /// beats, for any feasible period and handler size.
+    /// [`check_nk_path_is_exact`] for any feasible period and handler size.
     #[test]
     fn nk_path_is_exact_for_any_feasible_period(
         target_us in 10.0f64..500.0,
         handler in 200u64..2_000,
     ) {
-        use interweave_core::stack::OsPoint;
-        use interweave_core::Cycles;
-        use interweave_heartbeat::sim::{run_heartbeat, HeartbeatConfig};
-        let mut cfg = HeartbeatConfig::fig3(OsPoint::NkLike, target_us, Cycles(handler));
-        // Window scaled to the period so end-of-window quantization stays
-        // below a percent (the property is about the mechanism, not about
-        // fencepost effects at tiny windows).
-        cfg.duration_us = target_us * 200.0;
-        let r = run_heartbeat(&cfg);
-        prop_assert!(r.fraction_of_target() <= 1.02, "overshoot {}", r.fraction_of_target());
-        prop_assert!(r.fraction_of_target() >= 0.98, "undershoot {}", r.fraction_of_target());
-        prop_assert!(r.interbeat_cv < 1e-6);
-        prop_assert_eq!(r.coalesced, 0);
+        check_nk_path_is_exact(target_us, handler)?;
     }
 
     /// The Linux path never *beats* the Nautilus path on any metric, under
@@ -128,9 +142,6 @@ proptest! {
         target_us in 10.0f64..200.0,
         handler in 200u64..2_000,
     ) {
-        use interweave_core::stack::OsPoint;
-        use interweave_core::Cycles;
-        use interweave_heartbeat::sim::{run_heartbeat, HeartbeatConfig};
         let mut lx_cfg = HeartbeatConfig::fig3(OsPoint::LinuxLike, target_us, Cycles(handler));
         lx_cfg.duration_us = target_us * 200.0;
         let mut nk_cfg = HeartbeatConfig::fig3(OsPoint::NkLike, target_us, Cycles(handler));
@@ -149,9 +160,6 @@ proptest! {
         target_us in 10.0f64..200.0,
         handler in 200u64..2_000,
     ) {
-        use interweave_core::stack::OsPoint;
-        use interweave_core::Cycles;
-        use interweave_heartbeat::sim::{run_heartbeat, HeartbeatConfig};
         let mk = |os| {
             let mut cfg = HeartbeatConfig::fig3(os, target_us, Cycles(handler));
             cfg.duration_us = target_us * 200.0;

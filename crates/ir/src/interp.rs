@@ -884,11 +884,6 @@ impl Interp {
         self.done_value = None;
     }
 
-    /// True when the program has finished or trapped (nothing to resume).
-    pub fn finished(&self) -> bool {
-        self.frames.is_empty()
-    }
-
     /// Swap this interpreter's memory for another, returning the previous
     /// one. This is how a *shared single address space* is modelled (the
     /// PIK kernel, §IV-A): the kernel owns one [`Memory`] and lends it to

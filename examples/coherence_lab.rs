@@ -55,7 +55,7 @@ fn scenario(mode: CohMode) {
         sys.stats.dir_lookups,
         sys.stats.forwards,
         sys.stats.invalidations,
-        sys.energy.interconnect.get(),
+        sys.noc_energy(),
     );
 }
 
