@@ -25,6 +25,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Hasher for the id → base index. Allocation ids are already unique dense
 /// integers, so a single multiplicative scramble beats the default SipHash
@@ -186,17 +187,25 @@ const WORD_BYTES: u64 = 8;
 const WORD_MASK: u64 = WORD_BYTES - 1;
 /// Word-aligned cells per page.
 const PAGE_WORDS: usize = (PAGE_BYTES / WORD_BYTES) as usize;
+/// Index of the word-aligned cell at `addr` within its page.
+#[inline]
+fn word_index(addr: u64) -> usize {
+    ((addr & PAGE_MASK) / WORD_BYTES) as usize
+}
+
 /// Bytes per guest page: the unit [`Memory::resident_pages`] counts in.
 pub const GUEST_PAGE_BYTES: u64 = 4096;
 
-/// One resident page: its word-aligned cells plus a dirty watermark — the
-/// inclusive-lo / exclusive-hi range of word indices that may hold a
-/// non-zero word. Every write path widens the watermark, so `free` can
-/// clear (and the provenance patch sweep can scan) only the written span,
-/// keeping both proportional to stored words rather than to the byte range.
-#[derive(Clone)]
+/// One resident page: where its word-aligned cells sit in the arena
+/// (`Memory::words`) plus a dirty watermark — the inclusive-lo /
+/// exclusive-hi range of word indices that may hold a non-zero word. Every
+/// write path widens the watermark, so `free` can clear (and the
+/// provenance patch sweep can scan) only the written span, keeping both
+/// proportional to stored words rather than to the byte range.
+#[derive(Clone, Copy)]
 struct Page {
-    words: Box<[MemCell; PAGE_WORDS]>,
+    /// Arena index of the page's word 0.
+    at: usize,
     /// Lowest possibly-dirty word index (`PAGE_WORDS` when clean).
     lo: u32,
     /// One past the highest possibly-dirty word index (0 when clean).
@@ -204,20 +213,12 @@ struct Page {
 }
 
 impl Page {
-    fn new() -> Page {
-        Page {
-            words: Box::new([MemCell::ZERO; PAGE_WORDS]),
-            lo: PAGE_WORDS as u32,
-            hi: 0,
-        }
-    }
-
-    /// The live slice of the page: the words inside its watermark.
-    fn dirty_mut(&mut self) -> &mut [MemCell] {
+    /// The arena range of the words inside the page's watermark.
+    fn dirty(self) -> Range<usize> {
         if self.lo < self.hi {
-            &mut self.words[self.lo as usize..self.hi as usize]
+            self.at + self.lo as usize..self.at + self.hi as usize
         } else {
-            &mut []
+            0..0
         }
     }
 }
@@ -252,19 +253,23 @@ const ALLOC_CACHE: usize = 4;
 /// access width). The allocator is first-fit over a free list with a bump
 /// fallback — deliberately fragmentation-prone, because CARAT's
 /// defragmentation experiment needs fragmentation to repair.
-/// Word-aligned words live densely in fixed-size pages allocated on first
-/// touch (zero-filled, like fresh pages from an OS), so a load or store is
-/// index arithmetic rather than a tree lookup; words at unaligned addresses
-/// live in an ordered side map. A small cache of recently hit allocations
-/// in front of the allocation map makes the bounds check on the hot path a
-/// few range compares, and an `AllocId → base` index lets defragmentation
-/// find an allocation without scanning the live set.
+/// Word-aligned words live densely in fixed-size pages materialised on
+/// first touch (zero-filled, like fresh pages from an OS), every page's
+/// words in one arena, so a load or store is index arithmetic rather than a
+/// tree lookup; words at unaligned addresses live in an ordered side map.
+/// A small cache of recently hit allocations in front of the allocation
+/// map makes the bounds check on the hot path a few range compares, and an
+/// `AllocId → base` index lets defragmentation find an allocation without
+/// scanning the live set.
 #[derive(Clone)]
 pub struct Memory {
     /// Sparse page table: `pages[(addr - page_origin) >> PAGE_SHIFT]`.
     /// Absent pages read as zero; they materialise on first store, aligned
     /// or not.
     pages: Vec<Option<Page>>,
+    /// Every resident page's `PAGE_WORDS` word-aligned cells, in the order
+    /// the pages materialised (not address order).
+    words: Vec<MemCell>,
     /// Cells at byte addresses that are not word-aligned, by address. The
     /// IR's programs access aligned words, so this is almost always empty.
     unaligned: BTreeMap<u64, MemCell>,
@@ -309,6 +314,7 @@ impl Memory {
     pub fn new(cfg: &InterpConfig) -> Memory {
         Memory {
             pages: Vec::new(),
+            words: Vec::new(),
             unaligned: BTreeMap::new(),
             page_origin: cfg.heap_base & !PAGE_MASK,
             allocs: BTreeMap::new(),
@@ -335,7 +341,7 @@ impl Memory {
             return self.unaligned.get(&addr).copied().unwrap_or(MemCell::ZERO);
         }
         match self.pages.get(self.page_index(addr)) {
-            Some(Some(page)) => page.words[((addr & PAGE_MASK) / WORD_BYTES) as usize],
+            Some(Some(page)) => self.words[page.at + word_index(addr)],
             _ => MemCell::ZERO,
         }
     }
@@ -347,17 +353,33 @@ impl Memory {
     #[inline]
     fn cell_mut(&mut self, addr: u64) -> &mut MemCell {
         let pi = self.page_index(addr);
-        if pi >= self.pages.len() {
-            self.pages.resize_with(pi + 1, || None);
+        if !matches!(self.pages.get(pi), Some(Some(_))) {
+            self.materialise(pi);
         }
-        let page = self.pages[pi].get_or_insert_with(Page::new);
         if addr & WORD_MASK != 0 {
             return self.unaligned.entry(addr).or_insert(MemCell::ZERO);
         }
-        let wi = ((addr & PAGE_MASK) / WORD_BYTES) as u32;
-        page.lo = page.lo.min(wi);
-        page.hi = page.hi.max(wi + 1);
-        &mut page.words[wi as usize]
+        let page = self.pages[pi].as_mut().expect("materialised");
+        let wi = word_index(addr);
+        page.lo = page.lo.min(wi as u32);
+        page.hi = page.hi.max(wi as u32 + 1);
+        &mut self.words[page.at + wi]
+    }
+
+    /// Make page `pi` resident: append its `PAGE_WORDS` zero words to the
+    /// arena, growing the page table if `pi` lies past its end.
+    #[cold]
+    fn materialise(&mut self, pi: usize) {
+        if pi >= self.pages.len() {
+            self.pages.resize(pi + 1, None);
+        }
+        let at = self.words.len();
+        self.words.resize(at + PAGE_WORDS, MemCell::ZERO);
+        self.pages[pi] = Some(Page {
+            at,
+            lo: PAGE_WORDS as u32,
+            hi: 0,
+        });
     }
 
     /// Reset every cell in `[start, end)` to the never-written word,
@@ -378,7 +400,7 @@ impl Memory {
                 // actually written, not the freed byte range.
                 let (cs, ce) = (s.max(page.lo), e.min(page.hi));
                 if cs < ce {
-                    page.words[cs as usize..ce as usize].fill(MemCell::ZERO);
+                    self.words[page.at + cs as usize..page.at + ce as usize].fill(MemCell::ZERO);
                 }
                 // A clear covering the whole dirty range leaves the page
                 // clean; partial clears leave the watermark conservative.
@@ -512,6 +534,7 @@ impl Memory {
     /// The allocation containing `addr`, if any. Recent hits are cached, so
     /// accesses alternating among a few allocations cost a few range
     /// compares.
+    #[inline]
     pub fn containing(&self, addr: u64) -> Option<Allocation> {
         for e in &self.recent {
             let a = e.get();
@@ -519,6 +542,12 @@ impl Memory {
                 return Some(a);
             }
         }
+        self.containing_uncached(addr)
+    }
+
+    /// `containing` past the cache: a range query on the allocation map,
+    /// caching the hit.
+    fn containing_uncached(&self, addr: u64) -> Option<Allocation> {
         let a = self
             .allocs
             .range(..=addr)
@@ -540,6 +569,7 @@ impl Memory {
     /// Load the word at `addr` (all eight bytes must lie in one live
     /// allocation; reads of never-written words are zero, like fresh
     /// pages).
+    #[inline]
     pub fn load(&self, addr: u64) -> Result<(Val, Option<AllocId>), Trap> {
         if !self.word_in_bounds(addr) {
             return Err(Trap::BadAccess { addr, write: false });
@@ -550,6 +580,7 @@ impl Memory {
 
     /// Store a word (with provenance) at `addr`; like [`Memory::load`],
     /// all eight bytes must lie in one live allocation.
+    #[inline]
     pub fn store(&mut self, addr: u64, val: Val, prov: Option<AllocId>) -> Result<(), Trap> {
         if !self.word_in_bounds(addr) {
             return Err(Trap::BadAccess { addr, write: true });
@@ -640,13 +671,16 @@ impl Memory {
         // resident pages' dirty words and the side map for cells carrying
         // its provenance. Patching rewrites cells that are already
         // non-zero, so no watermark needs widening.
-        let cells = self.pages.iter_mut().flatten().flat_map(Page::dirty_mut);
-        for c in cells.chain(self.unaligned.values_mut()) {
+        let patch = |c: &mut MemCell| {
             if c.prov_raw == id.0 {
                 let off = (c.val.as_i() as u64).wrapping_sub(old.base);
                 c.val = Val::I((new_base + off) as i64);
             }
+        };
+        for page in self.pages.iter().flatten() {
+            self.words[page.dirty()].iter_mut().for_each(patch);
         }
+        self.unaligned.values_mut().for_each(patch);
         Ok((old.base, new_base))
     }
 
@@ -924,9 +958,11 @@ impl Interp {
     /// instruction pointer in a local. The fuel check still precedes every
     /// instruction and terminator, and the frame's place is written back
     /// before every exit and every call, so an interrupted run resumes at
-    /// exactly the instruction it stopped before. Instructions are decoded
-    /// by reference straight out of the module, with `self` split into
-    /// disjoint field borrows.
+    /// exactly the instruction it stopped before. The cycle and instruction
+    /// counters live in locals, written back to [`Interp::stats`] at every
+    /// exit; hooks receive the local cycle count as `now`. Instructions are
+    /// decoded by reference straight out of the module, with `self` split
+    /// into disjoint field borrows.
     pub fn run<H: RuntimeHooks + ?Sized>(
         &mut self,
         module: &Module,
@@ -942,7 +978,8 @@ impl Interp {
             stats,
             done_value,
         } = self;
-        let limit = stats.cycles.saturating_add(fuel);
+        let (mut cycles, mut insts) = (stats.cycles, stats.insts);
+        let limit = cycles.saturating_add(fuel);
         'frame: loop {
             let Some(&Frame {
                 func,
@@ -952,6 +989,7 @@ impl Interp {
                 ..
             }) = frames.last()
             else {
+                (stats.cycles, stats.insts) = (cycles, insts);
                 return ExecStatus::Done(*done_value);
             };
             let func = module.func(func);
@@ -961,6 +999,7 @@ impl Interp {
                     let fr = frames.last_mut().expect("live frame");
                     fr.block = block;
                     fr.ip = ip;
+                    (stats.cycles, stats.insts) = (cycles, insts);
                     return $status;
                 }};
             }
@@ -968,29 +1007,29 @@ impl Interp {
             loop {
                 let blk = &func.blocks[block.index()];
                 while let Some(inst) = blk.insts.get(ip) {
-                    if stats.cycles >= limit {
+                    if cycles >= limit {
                         suspend!(ExecStatus::OutOfFuel);
                     }
                     ip += 1;
-                    stats.insts += 1;
+                    insts += 1;
                     match inst {
                         Inst::ConstI(d, v) => {
-                            stats.cycles += cfg.cost_arith;
+                            cycles += cfg.cost_arith;
                             rv[at(*d)] = Val::I(*v);
                             rp[at(*d)] = None;
                         }
                         Inst::ConstF(d, v) => {
-                            stats.cycles += cfg.cost_arith;
+                            cycles += cfg.cost_arith;
                             rv[at(*d)] = Val::F(*v);
                             rp[at(*d)] = None;
                         }
                         Inst::Mov(d, s) => {
-                            stats.cycles += cfg.cost_arith;
+                            cycles += cfg.cost_arith;
                             rv[at(*d)] = rv[at(*s)];
                             rp[at(*d)] = rp[at(*s)];
                         }
                         Inst::Bin(d, op, a, b) => {
-                            stats.cycles += cfg.cost_arith;
+                            cycles += cfg.cost_arith;
                             let (va, vb) = (rv[at(*a)], rv[at(*b)]);
                             let val = match op {
                                 BinOp::Add => Val::I(va.as_i().wrapping_add(vb.as_i())),
@@ -1031,7 +1070,7 @@ impl Interp {
                             rp[at(*d)] = p;
                         }
                         Inst::Cmp(d, op, a, b) => {
-                            stats.cycles += cfg.cost_arith;
+                            cycles += cfg.cost_arith;
                             let (va, vb) = (rv[at(*a)], rv[at(*b)]);
                             let r = match (va, vb) {
                                 (Val::F(_), _) | (_, Val::F(_)) => {
@@ -1058,13 +1097,13 @@ impl Interp {
                             rp[at(*d)] = None;
                         }
                         Inst::Select(d, c, a, b) => {
-                            stats.cycles += cfg.cost_arith;
+                            cycles += cfg.cost_arith;
                             let s = if rv[at(*c)].is_true() { a } else { b };
                             rv[at(*d)] = rv[at(*s)];
                             rp[at(*d)] = rp[at(*s)];
                         }
                         Inst::Alloc(d, s) => {
-                            stats.cycles += cfg.cost_alloc;
+                            cycles += cfg.cost_alloc;
                             let size = rv[at(*s)].as_i().max(0) as u64;
                             match mem.alloc(size) {
                                 Ok(a) => {
@@ -1076,20 +1115,20 @@ impl Interp {
                             }
                         }
                         Inst::Free(p) => {
-                            stats.cycles += cfg.cost_free;
+                            cycles += cfg.cost_free;
                             match mem.free(rv[at(*p)].as_ptr()) {
                                 Ok(a) => hooks.on_free(a),
                                 Err(t) => suspend!(ExecStatus::Trapped(t)),
                             }
                         }
                         Inst::Load(d, a, off) => {
-                            stats.cycles += cfg.cost_load;
+                            cycles += cfg.cost_load;
                             stats.loads += 1;
                             // Wraps like `Gep`: an address past the top of
                             // the space is a bad access, not an overflow.
                             let addr = rv[at(*a)].as_i().wrapping_add(*off) as u64;
-                            match hooks.check_access(addr, false, stats.cycles) {
-                                Ok(extra) => stats.cycles += extra,
+                            match hooks.check_access(addr, false, cycles) {
+                                Ok(extra) => cycles += extra,
                                 Err(t) => suspend!(ExecStatus::Trapped(t)),
                             }
                             match mem.load(addr) {
@@ -1101,11 +1140,11 @@ impl Interp {
                             }
                         }
                         Inst::Store(a, off, v) => {
-                            stats.cycles += cfg.cost_store;
+                            cycles += cfg.cost_store;
                             stats.stores += 1;
                             let addr = rv[at(*a)].as_i().wrapping_add(*off) as u64;
-                            match hooks.check_access(addr, true, stats.cycles) {
-                                Ok(extra) => stats.cycles += extra,
+                            match hooks.check_access(addr, true, cycles) {
+                                Ok(extra) => cycles += extra,
                                 Err(t) => suspend!(ExecStatus::Trapped(t)),
                             }
                             if let Err(t) = mem.store(addr, rv[at(*v)], rp[at(*v)]) {
@@ -1113,7 +1152,7 @@ impl Interp {
                             }
                         }
                         Inst::Gep(d, b, i, scale, off) => {
-                            stats.cycles += cfg.cost_gep;
+                            cycles += cfg.cost_gep;
                             let addr = rv[at(*b)]
                                 .as_i()
                                 .wrapping_add(rv[at(*i)].as_i().wrapping_mul(*scale))
@@ -1122,7 +1161,7 @@ impl Interp {
                             rp[at(*d)] = rp[at(*b)];
                         }
                         Inst::Call(dst, g, args) => {
-                            stats.cycles += cfg.cost_call;
+                            cycles += cfg.cost_call;
                             if frames.len() >= cfg.max_depth {
                                 suspend!(ExecStatus::Trapped(Trap::StackOverflow));
                             }
@@ -1173,22 +1212,22 @@ impl Interp {
                             if which.is_injected() {
                                 stats.injected_intrinsics += 1;
                             }
-                            let action = hooks.intrinsic(which, argv, mem, stats.cycles);
+                            let action = hooks.intrinsic(which, argv, mem, cycles);
                             if which == Intrinsic::Trace {
                                 if let Some(v) = argv.first() {
                                     stats.trace.push(v.as_i());
                                 }
                             }
-                            let (cycles, value, yielded) = match action {
+                            let (charged, value, yielded) = match action {
                                 HookAction::Continue { value, cycles } => {
                                     (cycles, value.unwrap_or(Val::I(0)), false)
                                 }
                                 HookAction::Yield { cycles } => (cycles, Val::I(0), true),
                                 HookAction::Trap(t) => suspend!(ExecStatus::Trapped(t)),
                             };
-                            stats.cycles += cycles;
+                            cycles += charged;
                             if which.is_injected() {
-                                stats.injected_cycles += cycles;
+                                stats.injected_cycles += charged;
                             }
                             if let Some(d) = dst {
                                 rv[at(*d)] = value;
@@ -1201,21 +1240,21 @@ impl Interp {
                     }
                 }
 
-                if stats.cycles >= limit {
+                if cycles >= limit {
                     suspend!(ExecStatus::OutOfFuel);
                 }
-                stats.insts += 1;
+                insts += 1;
                 match blk.term.as_ref().expect("verified IR") {
                     Term::Br(t) => {
-                        stats.cycles += cfg.cost_branch;
+                        cycles += cfg.cost_branch;
                         block = *t;
                     }
                     Term::CondBr(c, t, e) => {
-                        stats.cycles += cfg.cost_branch;
+                        cycles += cfg.cost_branch;
                         block = if rv[at(*c)].is_true() { *t } else { *e };
                     }
                     Term::Ret(v) => {
-                        stats.cycles += cfg.cost_ret;
+                        cycles += cfg.cost_ret;
                         let (val, p) = match v {
                             Some(r) => (Some(rv[at(*r)]), rp[at(*r)]),
                             None => (None, None),
@@ -1930,5 +1969,159 @@ mod tests {
         assert_eq!(want, Some(Val::I(144)));
         assert_eq!(it.stats, fresh.stats);
         assert!(it.regs.is_empty() && it.prov.is_empty());
+    }
+
+    #[test]
+    fn pages_materialised_out_of_address_order_keep_their_words() {
+        let mut mem = Memory::new(&InterpConfig::default());
+        let big = mem.alloc(3 * GUEST_PAGE_BYTES).expect("alloc");
+        let target = mem.alloc(64).expect("alloc");
+        // A pointer into `target` on each guest page of `big`: the high
+        // page first, then the low one, then the middle one.
+        let slots = [2, 0, 1].map(|g| big.base + g * GUEST_PAGE_BYTES + 8 * (g + 1));
+        let aimed = |k: usize, base: u64| Val::I((base + 8 * k as u64) as i64);
+        for (k, &slot) in slots.iter().enumerate() {
+            mem.store(slot, aimed(k, target.base), Some(target.id))
+                .expect("store");
+        }
+        // An unaligned word on a storage page of its own.
+        let odd = big.base + GUEST_PAGE_BYTES + 2 * PAGE_BYTES + 3;
+        mem.store(odd, Val::I(-7), None).expect("store");
+        assert_eq!(
+            mem.pages[mem.page_index(slots[0])].map(|p| p.at),
+            Some(0),
+            "the first page touched owns the arena's first words"
+        );
+        assert_eq!(mem.words.len(), 4 * PAGE_WORDS);
+        assert_eq!(mem.resident_pages(), 3);
+        for (k, &slot) in slots.iter().enumerate() {
+            assert_eq!(mem.load(slot), Ok((aimed(k, target.base), Some(target.id))));
+        }
+        assert_eq!(mem.load(odd), Ok((Val::I(-7), None)));
+        assert_eq!(mem.load(slots[0] + 8), Ok((Val::I(0), None)), "resident");
+        assert_eq!(
+            mem.load(big.base + PAGE_BYTES),
+            Ok((Val::I(0), None)),
+            "absent"
+        );
+
+        let snapshot = mem.clone();
+        let (_, new) = mem.move_allocation(target.id).expect("move");
+        for (k, &slot) in slots.iter().enumerate() {
+            assert_eq!(mem.load(slot), Ok((aimed(k, new), Some(target.id))));
+            assert_eq!(
+                snapshot.load(slot),
+                Ok((aimed(k, target.base), Some(target.id))),
+                "a clone keeps its own arena"
+            );
+        }
+
+        mem.free(big.base).expect("free");
+        assert!(mem.load(slots[0]).is_err());
+        assert_eq!(mem.resident_pages(), 3, "free releases no page");
+        let again = mem.alloc(big.size).expect("alloc");
+        assert_eq!(again.base, big.base, "first fit reclaims the hole");
+        for addr in (again.base..again.base + again.size).step_by(WORD_BYTES as usize) {
+            assert_eq!(mem.load(addr), Ok((Val::I(0), None)), "{addr:#x}");
+        }
+        assert_eq!(mem.load(odd), Ok((Val::I(0), None)));
+        assert_eq!(snapshot.load(odd), Ok((Val::I(-7), None)));
+    }
+
+    /// Logs the `now` every hook call receives, with what called it
+    /// (`Some(write)` for an access check, `None` for an intrinsic), and
+    /// charges cycles on both so the log sees the hooks' own charges too.
+    #[derive(Default)]
+    struct NowLog {
+        seen: Vec<(Option<bool>, u64)>,
+    }
+
+    impl RuntimeHooks for NowLog {
+        fn intrinsic(
+            &mut self,
+            _which: Intrinsic,
+            _args: &[Val],
+            _mem: &mut Memory,
+            now: u64,
+        ) -> HookAction {
+            self.seen.push((None, now));
+            HookAction::Continue {
+                value: Some(Val::I(now as i64)),
+                cycles: 5,
+            }
+        }
+
+        fn check_access(&mut self, _addr: u64, write: bool, now: u64) -> Result<u64, Trap> {
+            self.seen.push((Some(write), now));
+            Ok(2)
+        }
+    }
+
+    #[test]
+    fn hooks_read_the_cycle_count_of_the_instruction_calling_them() {
+        // main(n): a = alloc 8n; for i < n { a[i] = i; s += a[i] + timer }.
+        const N: i64 = 16;
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("main", 1);
+        let n = fb.param(0);
+        let (zero, one, eight) = (fb.const_i(0), fb.const_i(1), fb.const_i(8));
+        let bytes = fb.bin(BinOp::Mul, n, eight);
+        let a = fb.alloc(bytes);
+        let (i, sum) = (fb.mov(zero), fb.mov(zero));
+        let [head, body, exit] = [0; 3].map(|_| fb.new_block());
+        fb.br(head);
+        fb.switch_to(head);
+        let c = fb.cmp(CmpOp::Lt, i, n);
+        fb.cond_br(c, body, exit);
+        fb.switch_to(body);
+        let p = fb.gep(a, i, 8, 0);
+        fb.store(p, 0, i);
+        let t = fb.intr(Intrinsic::ReadTimer, &[]);
+        let v = fb.load(p, 0);
+        fb.bin_to(sum, BinOp::Add, sum, v);
+        fb.bin_to(sum, BinOp::Add, sum, t);
+        fb.bin_to(i, BinOp::Add, i, one);
+        fb.br(head);
+        fb.switch_to(exit);
+        fb.ret(Some(sum));
+        m.add(fb.finish());
+
+        let cfg = InterpConfig::default();
+        let own_cost = |caller: Option<bool>| match caller {
+            Some(true) => cfg.cost_store,
+            Some(false) => cfg.cost_load,
+            None => 0,
+        };
+        let fresh = || {
+            let mut it = Interp::new(cfg.clone());
+            it.start(&m, FuncId(0), &[Val::I(N)]);
+            it
+        };
+        let (mut whole, mut whole_log) = (fresh(), NowLog::default());
+        let want = whole.run(&m, &mut whole_log, u64::MAX / 4);
+
+        // Fuel 1 runs exactly one instruction per slice (each costs at
+        // least a cycle), so each slice's hook call, if any, is that
+        // instruction's: its `now` is the count before it plus its own cost.
+        let (mut sliced, mut log) = (fresh(), NowLog::default());
+        let got = loop {
+            let (before, calls) = (sliced.stats.cycles, log.seen.len());
+            let status = sliced.run(&m, &mut log, 1);
+            assert!(log.seen.len() <= calls + 1, "one instruction per slice");
+            if let Some(&(caller, now)) = log.seen.get(calls) {
+                assert_eq!(now, before + own_cost(caller), "call {calls}");
+            }
+            if status != ExecStatus::OutOfFuel {
+                break status;
+            }
+        };
+        assert_eq!(got, want);
+        assert!(matches!(want, ExecStatus::Done(Some(_))));
+        assert_eq!(log.seen, whole_log.seen);
+        assert_eq!(sliced.stats, whole.stats);
+        for caller in [Some(true), Some(false), None] {
+            let calls = log.seen.iter().filter(|&&(c, _)| c == caller).count();
+            assert_eq!(calls, N as usize, "{caller:?}");
+        }
     }
 }
