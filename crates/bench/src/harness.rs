@@ -2,7 +2,7 @@
 //!
 //! Each experiment declares *what* it measures — a set of [`Scenario`]s
 //! naming a [`StackConfig`] on a machine preset — and runs on them once
-//! composed: [`compose_all`] builds every stack through the facade's
+//! composed: `compose_all` builds every stack through the facade's
 //! `compose` before the figure runs, so a figure cannot measure a
 //! composition that could not exist, and a scenario list it cannot run is
 //! a typed [`ScenarioError`] naming the scenario. The harness also owns
@@ -28,7 +28,7 @@ use interweave_core::time::Cycles;
 use serde::Serialize;
 
 /// The command-line contract shared by every figure binary. Every flag
-/// takes one value (the usage text [`Cli::parse`] prints lists them);
+/// takes one value (the usage text `Cli::parse` prints lists them);
 /// any other argument is rejected. The golden runs pass no flags, so none
 /// affects pinned stdout. How many host threads a run uses is not a flag:
 /// runs fan out on the host's cores, and their output is bit-identical at
@@ -60,7 +60,7 @@ pub struct Cli {
 
 /// A rejected command line: which flag, and what it takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CliError {
+pub(crate) enum CliError {
     /// A value-taking flag was the last argument.
     MissingValue {
         /// The flag, e.g. `--window-cycles`.
@@ -132,7 +132,7 @@ impl Cli {
     /// prints the error and the usage text to stderr, and a flag `bin`
     /// does not read prints `error: <bin> does not read <flag>`; either
     /// way the process exits with status 2.
-    pub fn parse(bin: &str, reads: &[&str]) -> Cli {
+    pub(crate) fn parse(bin: &str, reads: &[&str]) -> Cli {
         let (cli, given) = Cli::from_args(std::env::args()).unwrap_or_else(|e| {
             eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2)
@@ -147,7 +147,7 @@ impl Cli {
     /// Parse an explicit argument list, program name first
     /// (unit-testable), into the command line and the flags it gave. A
     /// repeated flag keeps its last value.
-    pub fn from_args(
+    pub(crate) fn from_args(
         args: impl IntoIterator<Item = String>,
     ) -> Result<(Cli, Vec<&'static str>), CliError> {
         let mut cli = Cli::default();
@@ -228,7 +228,7 @@ pub struct Composed {
 
 /// Compose every scenario, in order. Ids must be unique, since the
 /// envelope and the scoreboard name scenarios by id.
-pub fn compose_all(scenarios: &[Scenario]) -> Result<Vec<Composed>, ScenarioError> {
+pub(crate) fn compose_all(scenarios: &[Scenario]) -> Result<Vec<Composed>, ScenarioError> {
     for (i, sc) in scenarios.iter().enumerate() {
         if scenarios[..i].iter().any(|earlier| earlier.id == sc.id) {
             return Err(ScenarioError::DuplicateId(sc.id));
@@ -370,13 +370,13 @@ impl Harness {
     }
 
     /// Append one line of prose (a `println!` into the report).
-    pub fn note(&mut self, line: impl std::fmt::Display) {
+    pub(crate) fn note(&mut self, line: impl std::fmt::Display) {
         self.text.push_str(&format!("{line}\n"));
     }
 
     /// When `--trace-out` was passed, render `spans` and `counters` as one
     /// Chrome trace (see [`chrome_trace_json`]).
-    pub fn trace(&mut self, spans: &[Span], counters: &[CounterTrack], cycles_per_us: u64) {
+    pub(crate) fn trace(&mut self, spans: &[Span], counters: &[CounterTrack], cycles_per_us: u64) {
         if self.cli.trace_out.is_some() {
             self.trace = Some(chrome_trace_json(spans, counters, cycles_per_us));
         }
@@ -385,7 +385,7 @@ impl Harness {
     /// When `--metrics-out` was passed, render the windowed series as
     /// JSON. The document is a pure function of the simulated run, so CI
     /// can byte-compare it across hosts and repeated runs.
-    pub fn metrics(&mut self, series: &MetricsSeries) {
+    pub(crate) fn metrics(&mut self, series: &MetricsSeries) {
         if self.cli.metrics_out.is_some() {
             self.metrics =
                 Some(serde_json::to_string_pretty(series).expect("serializable metrics"));
@@ -429,7 +429,7 @@ pub(crate) fn write_output(path: &str, what: &str, contents: &str) {
 /// One fixed-width window of the serving plane's streaming telemetry, as
 /// written by `--metrics-out`.
 #[derive(Debug, Clone, Serialize)]
-pub struct MetricsWindow {
+pub(crate) struct MetricsWindow {
     /// Absolute window index (`cycle / window_cycles`).
     pub window: u64,
     /// First simulated cycle the window covers.
@@ -453,7 +453,7 @@ pub struct MetricsWindow {
 /// The `--metrics-out` file schema: the window width plus one row per
 /// populated window, in ascending window order.
 #[derive(Debug, Clone, Serialize)]
-pub struct MetricsSeries {
+pub(crate) struct MetricsSeries {
     /// Roll-up window width in simulated cycles.
     pub window_cycles: u64,
     /// Populated windows, ascending by index.
@@ -462,7 +462,7 @@ pub struct MetricsSeries {
 
 impl MetricsSeries {
     /// Roll a [`TimeSeries`] from the serving plane into the export rows.
-    pub fn from_series(series: &TimeSeries) -> MetricsSeries {
+    pub(crate) fn from_series(series: &TimeSeries) -> MetricsSeries {
         let width = series.width().0;
         let windows = series
             .iter()
@@ -490,7 +490,7 @@ impl MetricsSeries {
     /// start stamp. Queue depth rides the kernel track (it is
     /// admission-queue state); the request counters and the tail ride the
     /// virtine track.
-    pub fn counter_tracks(&self) -> Vec<CounterTrack> {
+    pub(crate) fn counter_tracks(&self) -> Vec<CounterTrack> {
         let track = |name, layer, value: fn(&MetricsWindow) -> f64| CounterTrack {
             name,
             layer,

@@ -38,7 +38,7 @@ use serde::Serialize;
 use std::fmt;
 
 /// The suffixes a float cell may print after its digits.
-pub const SUFFIXES: [&str; 4] = ["", "%", "x", "×"];
+pub(crate) const SUFFIXES: [&str; 4] = ["", "%", "x", "×"];
 
 /// One table cell. [`Display`](fmt::Display) renders it exactly as the
 /// table prints it; [`Serialize`] writes the value behind that text: an
@@ -48,7 +48,7 @@ pub enum Cell {
     /// An integer, printed in full.
     Int(i64),
     /// A float, printed with `decimals` places and then `suffix` (one of
-    /// [`SUFFIXES`]).
+    /// `""`, `%`, `x` and `×`).
     Float {
         /// The unrounded value.
         value: f64,
@@ -63,7 +63,7 @@ pub enum Cell {
 
 impl Cell {
     /// A float cell printing `decimals` places and then `suffix`.
-    pub fn float(value: f64, decimals: usize, suffix: &'static str) -> Cell {
+    pub(crate) fn float(value: f64, decimals: usize, suffix: &'static str) -> Cell {
         debug_assert!(SUFFIXES.contains(&suffix), "unknown suffix {suffix:?}");
         Cell::Float {
             value,
@@ -119,7 +119,7 @@ cells_from!(Text(t => t.to_string()): &str, String, &String, bool);
 pub struct Table {
     /// The banner text.
     pub title: String,
-    /// Column names; rows may be wider (see [`render_table`]).
+    /// Column names; rows may be wider (`render_table` widens the grid).
     pub header: Vec<String>,
     /// The data rows, in printed order.
     pub rows: Vec<Vec<Cell>>,
@@ -141,7 +141,7 @@ pub fn table_text(title: &str, header: &[&str], rows: &[Vec<Cell>]) -> String {
 
 /// The aligned lines of a table (header, rule, data rows), without the
 /// title banner. Split out so formatting is unit-testable.
-pub fn render_table(header: &[&str], rows: &[Vec<Cell>]) -> Vec<String> {
+pub(crate) fn render_table(header: &[&str], rows: &[Vec<Cell>]) -> Vec<String> {
     let rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| r.iter().map(Cell::to_string).collect())
@@ -182,12 +182,12 @@ pub fn render_table(header: &[&str], rows: &[Vec<Cell>]) -> Vec<String> {
 }
 
 /// A float cell with fixed decimals and no suffix.
-pub fn f(value: f64, decimals: usize) -> Cell {
+pub(crate) fn f(value: f64, decimals: usize) -> Cell {
     Cell::float(value, decimals, "")
 }
 
 /// A percentage cell: fixed decimals, then `%`.
-pub fn pct(value: f64, decimals: usize) -> Cell {
+pub(crate) fn pct(value: f64, decimals: usize) -> Cell {
     Cell::float(value, decimals, "%")
 }
 

@@ -33,7 +33,7 @@ pub struct DefragReport {
 /// (ascending base) with a strictly lower free hole that fits it. `None`
 /// means the heap is fully compacted. Shared by per-process [`compact`] and
 /// the PIK kernel's whole-system defragmentation.
-pub fn compaction_candidate(mem: &Memory) -> Option<Allocation> {
+pub(crate) fn compaction_candidate(mem: &Memory) -> Option<Allocation> {
     let holes = mem.free_blocks();
     mem.allocations().into_iter().find(|a| {
         holes
@@ -90,7 +90,7 @@ pub struct RecoveryReport {
 /// corrupted word from the runtime's record, then move every allocation
 /// that held a corrupted word to a fresh frame — reusing the compaction
 /// machinery ([`Memory::move_allocation`] + provenance/register patching +
-/// [`CaratRuntime::relocate`]) — and quarantine the suspect old frame on
+/// `CaratRuntime::relocate`) — and quarantine the suspect old frame on
 /// both sides (free list and guard table) so it is never handed out again.
 ///
 /// This is the §IV-A claim inverted: because the interwoven runtime manages

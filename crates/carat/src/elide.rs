@@ -21,7 +21,7 @@ use interweave_ir::Module;
 
 /// The elision pass. Run after injection (and hoisting, if enabled).
 #[derive(Debug, Default, Clone)]
-pub struct ElideGuards;
+pub(crate) struct ElideGuards;
 
 #[derive(Clone, PartialEq)]
 struct GuardSet {

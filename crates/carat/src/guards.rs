@@ -27,12 +27,12 @@ use interweave_ir::{Function, Module};
 
 /// The injection pass.
 #[derive(Debug, Default, Clone)]
-pub struct InjectGuards;
+pub(crate) struct InjectGuards;
 
 /// Find the value of the write-flag register `w` (0 = read, 1 = write) by
 /// looking at its unique `ConstI` definition. Shared helper for the elide
 /// and hoist passes.
-pub fn flag_value(f: &Function, defs: &DefInfo, w: Reg) -> Option<i64> {
+pub(crate) fn flag_value(f: &Function, defs: &DefInfo, w: Reg) -> Option<i64> {
     if !defs.is_single_def(w) {
         return None;
     }

@@ -27,7 +27,7 @@ use interweave_ir::Module;
 
 /// The hoisting pass. Run between injection and elision.
 #[derive(Debug, Default, Clone)]
-pub struct HoistGuards;
+pub(crate) struct HoistGuards;
 
 impl Pass for HoistGuards {
     fn name(&self) -> &'static str {

@@ -12,12 +12,12 @@
 //! arbitrary-granularity data movement possible.
 //!
 //! The pipeline mirrors the paper:
-//! 1. [`guards::InjectGuards`] — a guard before every load/store, tracking
+//! 1. `guards::InjectGuards` — a guard before every load/store, tracking
 //!    after every allocation/free, escape tracking after every store of a
-//!    pointer (identified by the static [`taint`] analysis).
-//! 2. [`elide::ElideGuards`] — forward must-dataflow removes guards
+//!    pointer (identified by the static `taint` analysis).
+//! 2. `elide::ElideGuards` — forward must-dataflow removes guards
 //!    dominated by an equivalent guard with no intervening redefinition.
-//! 3. [`hoist::HoistGuards`] — loop-invariant object guards move to the
+//! 3. `hoist::HoistGuards` — loop-invariant object guards move to the
 //!    preheader as a single range guard ("aggregate and hoist protection
 //!    and tracking code ... out of the critical path").
 //! 4. [`runtime::CaratRuntime`] — the tracking/protection runtime the
@@ -36,16 +36,15 @@
 
 pub mod coverage;
 pub mod defrag;
-pub mod elide;
-pub mod guards;
-pub mod hoist;
+pub(crate) mod elide;
+pub(crate) mod guards;
+pub(crate) mod hoist;
 pub mod overhead;
 pub mod pik;
 pub mod runtime;
-pub mod taint;
+pub(crate) mod taint;
 
 pub use defrag::{quarantine_and_relocate, RecoveryReport};
-pub use guards::InjectGuards;
 pub use runtime::{CaratRuntime, EscapeCorruption, GuardCosts};
 
 use interweave_ir::passes::{PassManager, PassStats};

@@ -35,14 +35,14 @@ use interweave_ir::Intrinsic;
 use interweave_kernel::paging::PagingModel;
 
 /// Hooks that charge conventional paging/TLB costs on every access.
-pub struct PagingHooks {
+pub(crate) struct PagingHooks {
     /// The TLB + demand-fault model.
     pub model: PagingModel,
 }
 
 impl PagingHooks {
     /// Paging priced on `cost`: its TLB geometry, walk and fault costs.
-    pub fn new(cost: &CostModel) -> PagingHooks {
+    pub(crate) fn new(cost: &CostModel) -> PagingHooks {
         PagingHooks {
             model: PagingModel::new(cost),
         }

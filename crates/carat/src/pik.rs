@@ -40,7 +40,7 @@ pub enum AdmitError {
 
 /// Static check: every memory access sits in a function that carries
 /// guards, and every allocation/free is tracked.
-pub fn is_fully_instrumented(m: &Module) -> bool {
+pub(crate) fn is_fully_instrumented(m: &Module) -> bool {
     for f in &m.funcs {
         let has_access = f
             .blocks
@@ -251,7 +251,7 @@ impl SharedPikKernel {
     /// "can perform per-'process' and whole system memory defragmentation").
     /// Compacts the single shared space at a quiescent point; every move
     /// patches *all* admitted processes — registers via provenance, runtime
-    /// tracking tables via [`CaratRuntime::relocate`] (a no-op for
+    /// tracking tables via `CaratRuntime::relocate` (a no-op for
     /// processes that do not own the moved allocation).
     pub fn defrag_all(&mut self) -> crate::defrag::DefragReport {
         let mut shared = self.memory.take().expect("memory present between slices");

@@ -41,13 +41,6 @@ impl Default for GuardCosts {
     }
 }
 
-/// One tracked allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Tracked {
-    size: u64,
-    writable: bool,
-}
-
 /// Counters the experiments report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CaratStats {
@@ -81,16 +74,17 @@ pub struct EscapeCorruption {
     pub found: u64,
 }
 
-/// The runtime: allocation map, permissions, escape records.
+/// The runtime: allocation map, escape records, quarantine.
 #[derive(Debug, Clone, Default)]
 pub struct CaratRuntime {
-    table: BTreeMap<u64, Tracked>,
+    /// Tracked allocations: base → size.
+    table: BTreeMap<u64, u64>,
     /// Last allocation a guard resolved, checked before the tree (guards
     /// are strongly repetitive: a loop typically hammers one allocation).
     /// Invalidated whenever the cached entry could go stale: free,
-    /// relocation, and permission changes. The costs charged per guard are
+    /// relocation and quarantine. The costs charged per guard are
     /// fixed, so the cache changes wall-clock only, never simulated cycles.
-    last_hit: Cell<Option<(u64, Tracked)>>,
+    last_hit: Cell<Option<(u64, u64)>>,
     /// Escape records: holder-word address → stored pointer value (the
     /// runtime's view; defragmentation cross-checks it against interpreter
     /// provenance).
@@ -112,47 +106,22 @@ impl CaratRuntime {
     }
 
     /// The tracked allocation containing `addr` (last-hit cache first).
-    fn containing(&self, addr: u64) -> Option<(u64, Tracked)> {
-        if let Some((b, t)) = self.last_hit.get() {
-            if addr.wrapping_sub(b) < t.size {
-                return Some((b, t));
+    fn containing(&self, addr: u64) -> Option<(u64, u64)> {
+        if let Some((b, size)) = self.last_hit.get() {
+            if addr.wrapping_sub(b) < size {
+                return Some((b, size));
             }
         }
         let hit = self
             .table
             .range(..=addr)
             .next_back()
-            .map(|(&b, &t)| (b, t))
-            .filter(|&(b, t)| addr < b + t.size);
+            .map(|(&b, &size)| (b, size))
+            .filter(|&(b, size)| addr < b + size);
         if hit.is_some() {
             self.last_hit.set(hit);
         }
         hit
-    }
-
-    /// Mark the allocation based at `base` read-only (protection, e.g. for
-    /// attested code or kernel data). Returns false if untracked.
-    pub fn protect_readonly(&mut self, base: u64) -> bool {
-        match self.table.get_mut(&base) {
-            Some(t) => {
-                t.writable = false;
-                self.invalidate_cached(base);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Restore write permission.
-    pub fn unprotect(&mut self, base: u64) -> bool {
-        match self.table.get_mut(&base) {
-            Some(t) => {
-                t.writable = true;
-                self.invalidate_cached(base);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Drop the guard cache if it holds the entry based at `base`.
@@ -163,13 +132,12 @@ impl CaratRuntime {
     }
 
     /// Relocate tracking state after a defragmentation move.
-    pub fn relocate(&mut self, old_base: u64, new_base: u64) {
+    pub(crate) fn relocate(&mut self, old_base: u64, new_base: u64) {
         self.invalidate_cached(old_base);
-        if let Some(t) = self.table.remove(&old_base) {
+        if let Some(size) = self.table.remove(&old_base) {
             // Escape records whose *stored value* pointed into the moved
             // allocation are updated (mirrors the patching the memory layer
             // performed).
-            let size = t.size;
             for (_, v) in self.escapes.iter_mut() {
                 if *v >= old_base && *v < old_base + size {
                     *v = new_base + (*v - old_base);
@@ -185,7 +153,7 @@ impl CaratRuntime {
                 self.escapes.remove(&k);
                 self.escapes.insert(new_base + (k - old_base), v);
             }
-            self.table.insert(new_base, t);
+            self.table.insert(new_base, size);
         }
     }
 
@@ -229,7 +197,7 @@ impl CaratRuntime {
     /// Withdraw `(base, size)` from service: subsequent guards covering any
     /// part of it fault. Used after a corrupted allocation is relocated so
     /// the damaged frame is never handed out or validated again.
-    pub fn quarantine(&mut self, base: u64, size: u64) {
+    pub(crate) fn quarantine(&mut self, base: u64, size: u64) {
         self.invalidate_cached(base);
         self.quarantined.push((base, size));
     }
@@ -271,7 +239,7 @@ impl CaratRuntime {
         }
     }
 
-    fn check(&mut self, addr: u64, write: bool) -> Result<(), Trap> {
+    fn check(&mut self, addr: u64) -> Result<(), Trap> {
         // Healthy runs take one not-taken branch here; only after a
         // quarantine does the scan run at all.
         if !self.quarantined.is_empty()
@@ -283,12 +251,11 @@ impl CaratRuntime {
             self.stats.faults += 1;
             return Err(Trap::ProtectionFault { addr });
         }
-        match self.containing(addr) {
-            Some((_, t)) if !write || t.writable => Ok(()),
-            _ => {
-                self.stats.faults += 1;
-                Err(Trap::ProtectionFault { addr })
-            }
+        if self.containing(addr).is_some() {
+            Ok(())
+        } else {
+            self.stats.faults += 1;
+            Err(Trap::ProtectionFault { addr })
         }
     }
 }
@@ -305,8 +272,7 @@ impl RuntimeHooks for CaratRuntime {
             Intrinsic::CaratGuard => {
                 self.stats.guards += 1;
                 let addr = args[0].as_ptr();
-                let write = args.get(1).map(|v| v.as_i() == 1).unwrap_or(false);
-                match self.check(addr, write) {
+                match self.check(addr) {
                     Ok(()) => HookAction::Continue {
                         value: None,
                         cycles: self.costs.guard,
@@ -317,8 +283,7 @@ impl RuntimeHooks for CaratRuntime {
             Intrinsic::CaratGuardRange => {
                 self.stats.range_guards += 1;
                 let base = args[0].as_ptr();
-                let write = args.get(1).map(|v| v.as_i() == 1).unwrap_or(false);
-                match self.check(base, write) {
+                match self.check(base) {
                     Ok(()) => HookAction::Continue {
                         value: None,
                         cycles: self.costs.guard_range,
@@ -380,13 +345,9 @@ impl RuntimeHooks for CaratRuntime {
     }
 
     fn on_alloc(&mut self, a: Allocation) {
-        let t = Tracked {
-            size: a.size,
-            writable: true,
-        };
-        self.table.insert(a.base, t);
+        self.table.insert(a.base, a.size);
         // The guards most likely to run next target the fresh allocation.
-        self.last_hit.set(Some((a.base, t)));
+        self.last_hit.set(Some((a.base, a.size)));
     }
 
     fn on_free(&mut self, a: Allocation) {
@@ -456,47 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn readonly_protection_blocks_writes_but_not_reads() {
-        // Program: read a[0]; write a[0] — with `a` protected read-only the
-        // write guard must fault.
-        let mut m = Module::new();
-        let mut fb = FunctionBuilder::new("f", 1);
-        let a = fb.param(0);
-        let v = fb.load(a, 0);
-        fb.store(a, 0, v);
-        fb.ret(None);
-        m.add(fb.finish());
-        instrument(&mut m, false);
-
-        let mut rt = CaratRuntime::new();
-        let mut it = Interp::new(InterpConfig::default());
-        // Pre-create the allocation through the interpreter's memory so the
-        // runtime tracks it, then protect it.
-        let alloc = it.mem.alloc(64).unwrap();
-        rt.on_alloc(alloc);
-        assert!(rt.protect_readonly(alloc.base));
-
-        it.start(&m, interweave_ir::FuncId(0), &[Val::I(alloc.base as i64)]);
-        match it.run(&m, &mut rt, u64::MAX / 4) {
-            ExecStatus::Trapped(Trap::ProtectionFault { addr }) => {
-                assert_eq!(addr, alloc.base)
-            }
-            other => panic!("expected write fault, got {other:?}"),
-        }
-        // The read executed; the write did not.
-        assert_eq!(it.stats.loads, 1);
-        assert_eq!(it.stats.stores, 0);
-
-        // Unprotect and re-run: completes.
-        assert!(rt.unprotect(alloc.base));
-        it.start(&m, interweave_ir::FuncId(0), &[Val::I(alloc.base as i64)]);
-        assert!(matches!(
-            it.run(&m, &mut rt, u64::MAX / 4),
-            ExecStatus::Done(None)
-        ));
-    }
-
-    #[test]
     fn escape_records_accumulate_and_die_with_frees() {
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("f", 0);
@@ -519,27 +439,19 @@ mod tests {
     }
 
     #[test]
-    fn guard_cache_respects_permission_changes_and_relocation() {
+    fn guard_cache_respects_relocation() {
         let mut rt = CaratRuntime::new();
         let mut it = Interp::new(InterpConfig::default());
         let a = it.mem.alloc(64).unwrap();
         rt.on_alloc(a);
 
-        // Warm the cache with a passing write check, then flip permissions:
-        // the cached entry must not mask the change.
-        assert!(rt.check(a.base, true).is_ok());
-        assert!(rt.protect_readonly(a.base));
-        assert!(rt.check(a.base, true).is_err());
-        assert!(rt.check(a.base, false).is_ok());
-        assert!(rt.unprotect(a.base));
-        assert!(rt.check(a.base, true).is_ok());
-
-        // Relocation: the old base stops validating immediately, the new
-        // base validates.
+        // Warm the cache with a passing check, then relocate: the old base
+        // stops validating immediately, the new base validates.
+        assert!(rt.check(a.base).is_ok());
         let (old, new) = it.mem.move_allocation(a.id).expect("live");
         rt.relocate(old, new);
-        assert!(rt.check(old, false).is_err());
-        assert!(rt.check(new, false).is_ok());
+        assert!(rt.check(old).is_err());
+        assert!(rt.check(new).is_ok());
     }
 
     #[test]
@@ -579,10 +491,10 @@ mod tests {
         let mut it = Interp::new(InterpConfig::default());
         let a = it.mem.alloc(64).unwrap();
         rt.on_alloc(a);
-        assert!(rt.check(a.base + 8, false).is_ok());
+        assert!(rt.check(a.base + 8).is_ok());
         rt.quarantine(a.base, 64);
-        assert!(rt.check(a.base + 8, false).is_err());
-        assert!(rt.check(a.base, true).is_err());
+        assert!(rt.check(a.base + 8).is_err());
+        assert!(rt.check(a.base).is_err());
         assert_eq!(rt.quarantined_count(), 1);
     }
 

@@ -20,13 +20,13 @@ use interweave_ir::Function;
 
 /// Per-register pointer-likeness for one function (union over all defs).
 #[derive(Debug, Clone)]
-pub struct PointerLikeness {
+pub(crate) struct PointerLikeness {
     ptr: Vec<bool>,
 }
 
 impl PointerLikeness {
     /// Analyse `f` to a fixpoint.
-    pub fn compute(f: &Function) -> PointerLikeness {
+    pub(crate) fn compute(f: &Function) -> PointerLikeness {
         let mut ptr = vec![false; f.n_regs];
         let mut changed = true;
         while changed {
@@ -59,7 +59,7 @@ impl PointerLikeness {
     }
 
     /// True when `r` may hold a pointer.
-    pub fn is_pointer(&self, r: Reg) -> bool {
+    pub(crate) fn is_pointer(&self, r: Reg) -> bool {
         self.ptr[r.0 as usize]
     }
 }

@@ -249,7 +249,6 @@ pub fn mean_energy_reduction(rows: &[Fig7Row]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::{consume_accesses, handoff_lines, produce_accesses, round_stream};
 
     const FULL_VS_SELECTIVE: [CohMode; 2] = [CohMode::Full, CohMode::Selective];
 
@@ -276,27 +275,26 @@ mod tests {
             per_core.iter_mut().for_each(|t| *t = 0);
             if round > 0 {
                 for (core, pc) in per_core.iter_mut().enumerate() {
+                    // Consume: read the buffer the predecessor produced.
+                    let prev = (core + cores - 1) % cores;
+                    let lines: Vec<u64> = handoff_range(mix, &layout, prev).collect();
                     let mut t = 0u64;
-                    for acc in consume_accesses(mix, &layout, core, cores) {
-                        t += match acc {
-                            Access::Read(l) => sys.read(core, l),
-                            Access::Write(l) => sys.write(core, l),
-                        };
+                    for &l in &lines {
+                        t += sys.read(core, l);
                     }
                     if mode == CohMode::Selective {
-                        let prev = (core + cores - 1) % cores;
-                        let lines = handoff_lines(mix, &layout, prev);
                         t += sys.reclassify(&lines, Class::Private(prev));
                     }
                     *pc += t;
                 }
             }
             for (core, pc) in per_core.iter_mut().enumerate() {
+                let mut stream = Vec::new();
+                round_stream_into(mix, &layout, core, round, seed, &mut stream);
+                // Produce: fill this core's own hand-off buffer.
+                let produce = handoff_range(mix, &layout, core).map(Access::Write);
                 let mut t = 0u64;
-                for acc in round_stream(mix, &layout, core, round, seed)
-                    .into_iter()
-                    .chain(produce_accesses(mix, &layout, core))
-                {
+                for acc in stream.into_iter().chain(produce) {
                     t += match acc {
                         Access::Read(l) => sys.read(core, l),
                         Access::Write(l) => sys.write(core, l),
@@ -308,7 +306,7 @@ mod tests {
             if mode == CohMode::Selective {
                 let mut handoff_max = 0u64;
                 for core in 0..cores {
-                    let lines = handoff_lines(mix, &layout, core);
+                    let lines: Vec<u64> = handoff_range(mix, &layout, core).collect();
                     let new_owner = (core + 1) % cores;
                     let cost = sys.reclassify(&lines, Class::Private(new_owner));
                     handoff_max = handoff_max.max(cost);

@@ -18,7 +18,7 @@
 //!
 //! - [`cache`]: per-core private caches (clock-LRU), each finding a
 //!   line's frame through a 2-byte-per-line index grown on demand.
-//! - [`noc`]: the mesh topology, hop latency, and flit counts.
+//! - `noc`: the mesh topology, hop latency, and flit counts.
 //! - [`protocol`]: the coherence engine — full MESI and the selective
 //!   extension (private regions homed at the owner's slice with no
 //!   directory involvement; read-only regions served from the nearest
@@ -34,7 +34,7 @@
 
 pub mod cache;
 pub mod experiment;
-pub mod noc;
+pub(crate) mod noc;
 pub mod ordering;
 pub mod protocol;
 pub mod workloads;

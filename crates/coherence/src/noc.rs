@@ -34,7 +34,7 @@ pub struct Mesh {
 
 impl Mesh {
     /// A mesh sized for `cores` tiles (squarish factorization).
-    pub fn for_cores(cores: usize) -> Mesh {
+    pub(crate) fn for_cores(cores: usize) -> Mesh {
         let mut w = (cores as f64).sqrt().ceil() as usize;
         w = w.max(1);
         let h = cores.div_ceil(w);
@@ -55,7 +55,7 @@ impl Mesh {
 
     /// A disaggregated variant: `tiles_per_domain` tiles per socket/drawer,
     /// with `penalty` extra hop-equivalents across domains.
-    pub fn disaggregated(cores: usize, tiles_per_domain: usize, penalty: u32) -> Mesh {
+    pub(crate) fn disaggregated(cores: usize, tiles_per_domain: usize, penalty: u32) -> Mesh {
         let mut m = Mesh::for_cores(cores);
         m.tiles_per_domain = tiles_per_domain.max(1);
         m.cross_domain_hops = penalty;
@@ -95,20 +95,20 @@ impl Mesh {
     /// Manhattan hop distance between two tiles, plus the cross-domain
     /// penalty when they live in different coherence domains.
     #[inline]
-    pub fn hops(&self, a: usize, b: usize) -> u32 {
+    pub(crate) fn hops(&self, a: usize, b: usize) -> u32 {
         self.hops_tab[a * self.width * self.height + b]
     }
 
     /// Latency of a message over `hops` hops (zero-hop messages stay in the
     /// tile: one router traversal).
     #[inline]
-    pub fn latency(&self, hops: u32) -> u64 {
+    pub(crate) fn latency(&self, hops: u32) -> u64 {
         self.cycles_per_hop * hops as u64 + 1
     }
 
     /// The home tile (L3 slice + directory bank) of a line address.
     #[inline]
-    pub fn home(&self, line: u64) -> usize {
+    pub(crate) fn home(&self, line: u64) -> usize {
         // Spread lines across all tiles: `line % tiles`, computed by
         // Lemire's multiply-shift fast modulo (exact for operands < 2³²,
         // which line addresses comfortably are).

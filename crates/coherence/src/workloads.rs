@@ -14,7 +14,7 @@ use interweave_core::rng::SplitMix64;
 
 /// One access in a core's stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
+pub(crate) enum Access {
     /// Read a line.
     Read(u64),
     /// Write a line.
@@ -137,7 +137,7 @@ pub fn fig7_mixes() -> Vec<WorkloadMix> {
 /// Line-address layout for one run: private heaps per core, then read-only
 /// input, then shared data. Regions are disjoint by construction.
 #[derive(Debug, Clone)]
-pub struct Layout {
+pub(crate) struct Layout {
     /// Private heap base per core.
     pub private_base: Vec<u64>,
     /// Read-only region base.
@@ -148,7 +148,7 @@ pub struct Layout {
 
 impl Layout {
     /// Build the layout for `cores` cores under `mix`.
-    pub fn new(mix: &WorkloadMix, cores: usize) -> Layout {
+    pub(crate) fn new(mix: &WorkloadMix, cores: usize) -> Layout {
         let mut next = 0x1000u64;
         let mut private_base = Vec::with_capacity(cores);
         for _ in 0..cores {
@@ -168,7 +168,7 @@ impl Layout {
     /// Announce the regions to a selective-mode system. The read-only
     /// region transitions through `reclassify` so copies dirtied during
     /// initialization are flushed first (MPL's initialize-then-freeze).
-    pub fn classify(&self, sys: &mut System, mix: &WorkloadMix) {
+    pub(crate) fn classify(&self, sys: &mut System, mix: &WorkloadMix) {
         for (c, &base) in self.private_base.iter().enumerate() {
             sys.classify(base..base + mix.private_lines, Class::Private(c));
         }
@@ -178,24 +178,11 @@ impl Layout {
     }
 }
 
-/// Generate one core's access stream for one round. Deterministic given
-/// the seed components. Private accesses are locality-skewed (70 % to a hot
-/// eighth of the heap).
-pub fn round_stream(
-    mix: &WorkloadMix,
-    layout: &Layout,
-    core: usize,
-    round: usize,
-    seed: u64,
-) -> Vec<Access> {
-    let mut out = Vec::new();
-    round_stream_into(mix, layout, core, round, seed, &mut out);
-    out
-}
-
-/// [`round_stream`] into a caller-provided buffer (cleared first), so the
-/// hot loop reuses one allocation across every core and round.
-pub fn round_stream_into(
+/// Generate one core's access stream for one round into `out` (cleared
+/// first, so the hot loop reuses one allocation across every core and
+/// round). Deterministic given the seed components. Private accesses are
+/// locality-skewed (70 % to a hot eighth of the heap).
+pub(crate) fn round_stream_into(
     mix: &WorkloadMix,
     layout: &Layout,
     core: usize,
@@ -241,42 +228,19 @@ pub fn round_stream_into(
 
 /// The line range core `c` hands to core `(c+1) % cores` at a round
 /// boundary: the tail of its private heap (the hand-off buffer).
-pub fn handoff_range(mix: &WorkloadMix, layout: &Layout, core: usize) -> std::ops::Range<u64> {
+pub(crate) fn handoff_range(
+    mix: &WorkloadMix,
+    layout: &Layout,
+    core: usize,
+) -> std::ops::Range<u64> {
     let base = layout.private_base[core];
     let start = base + mix.private_lines - mix.handoff_lines.min(mix.private_lines);
     start..base + mix.private_lines
 }
 
-/// [`handoff_range`] collected (for callers that need a slice).
-pub fn handoff_lines(mix: &WorkloadMix, layout: &Layout, core: usize) -> Vec<u64> {
-    handoff_range(mix, layout, core).collect()
-}
-
-/// Producer phase: core `c` fills its hand-off buffer (writes).
-pub fn produce_accesses(mix: &WorkloadMix, layout: &Layout, core: usize) -> Vec<Access> {
-    handoff_lines(mix, layout, core)
-        .into_iter()
-        .map(Access::Write)
-        .collect()
-}
-
-/// Consumer phase: core `c` reads the buffer produced by its predecessor.
-pub fn consume_accesses(
-    mix: &WorkloadMix,
-    layout: &Layout,
-    core: usize,
-    cores: usize,
-) -> Vec<Access> {
-    let prev = (core + cores - 1) % cores;
-    handoff_lines(mix, layout, prev)
-        .into_iter()
-        .map(Access::Read)
-        .collect()
-}
-
 /// Pre-initialize the read-only input (writes happen *before* the region is
 /// classified read-only, matching MPL's initialize-then-freeze discipline).
-pub fn initialize_readonly(sys: &mut System, mix: &WorkloadMix, layout: &Layout) {
+pub(crate) fn initialize_readonly(sys: &mut System, mix: &WorkloadMix, layout: &Layout) {
     for l in layout.readonly_base..layout.readonly_base + mix.readonly_lines {
         sys.write(0, l);
     }
@@ -320,8 +284,10 @@ mod tests {
     fn streams_are_deterministic_and_in_region() {
         let mix = &fig7_mixes()[1];
         let layout = Layout::new(mix, 4);
-        let a = round_stream(mix, &layout, 2, 1, 99);
-        let b = round_stream(mix, &layout, 2, 1, 99);
+        // `b` starts non-empty: the stream clears its buffer first.
+        let (mut a, mut b) = (Vec::new(), vec![Access::Read(0)]);
+        round_stream_into(mix, &layout, 2, 1, 99, &mut a);
+        round_stream_into(mix, &layout, 2, 1, 99, &mut b);
         assert_eq!(a, b);
         for acc in &a {
             let line = match acc {
@@ -350,7 +316,9 @@ mod tests {
         let layout = Layout::new(mix, 4);
         for core in 0..4 {
             for round in 0..mix.rounds {
-                for acc in round_stream(mix, &layout, core, round, 5) {
+                let mut stream = Vec::new();
+                round_stream_into(mix, &layout, core, round, 5, &mut stream);
+                for acc in stream {
                     if let Access::Write(l) = acc {
                         assert!(
                             !(l >= layout.readonly_base

@@ -89,7 +89,7 @@ impl FaultClass {
 
     /// The registry key under which injections of this class are counted
     /// when the plan carries a telemetry sink.
-    pub fn key(self) -> &'static Key {
+    pub(crate) fn key(self) -> &'static Key {
         &FAULT_KEYS[self.index()]
     }
 }
@@ -188,13 +188,8 @@ impl FaultPlan {
         FaultPlan::new(FaultConfig::quiet(seed))
     }
 
-    /// The configuration this plan was built from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Attach a telemetry sink: every injection is additionally counted
-    /// under its class key ([`FaultClass::key`]). Decisions are unchanged —
+    /// under its class key (`FaultClass::key`). Decisions are unchanged —
     /// the sink observes, it never perturbs the decision streams.
     pub fn set_sink(&mut self, sink: Sink) {
         self.sink = sink;
@@ -223,7 +218,7 @@ impl FaultPlan {
     }
 
     /// Extra delivery latency injected into this IPI/kick, if any.
-    pub fn kick_delay(&mut self) -> Option<Cycles> {
+    pub(crate) fn kick_delay(&mut self) -> Option<Cycles> {
         if !self.decide(FaultClass::DelayedIpi, self.cfg.delay_ipi) {
             return None;
         }

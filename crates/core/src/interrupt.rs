@@ -15,11 +15,11 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Registry key: interrupts delivered on time.
-pub const KEY_DELIVERED: Key = Key::new("core.irq.delivered", Layer::Hardware, Unit::Count);
+pub(crate) const KEY_DELIVERED: Key = Key::new("core.irq.delivered", Layer::Hardware, Unit::Count);
 /// Registry key: interrupts delivered late (fault plane delay).
-pub const KEY_DELAYED: Key = Key::new("core.irq.delayed", Layer::Hardware, Unit::Count);
+pub(crate) const KEY_DELAYED: Key = Key::new("core.irq.delayed", Layer::Hardware, Unit::Count);
 /// Registry key: interrupts dropped by the fabric.
-pub const KEY_DROPPED: Key = Key::new("core.irq.dropped", Layer::Hardware, Unit::Count);
+pub(crate) const KEY_DROPPED: Key = Key::new("core.irq.dropped", Layer::Hardware, Unit::Count);
 
 /// How the hardware delivers interrupts to a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -81,7 +81,7 @@ pub enum DeliveryOutcome {
 /// Only fabric-crossing classes ([`IrqClass::Ipi`], [`IrqClass::Device`])
 /// can be lost or delayed — core-local traps (timer, math/protection
 /// faults) have no wire to drop them on, so they always deliver.
-pub fn present(class: IrqClass, plan: &mut FaultPlan) -> DeliveryOutcome {
+pub(crate) fn present(class: IrqClass, plan: &mut FaultPlan) -> DeliveryOutcome {
     match class {
         IrqClass::Ipi | IrqClass::Device => {
             if plan.drop_kick() {
@@ -98,7 +98,7 @@ pub fn present(class: IrqClass, plan: &mut FaultPlan) -> DeliveryOutcome {
     }
 }
 
-/// [`present`], publishing the outcome into `sink`'s registry under the
+/// `present`, publishing the outcome into `sink`'s registry under the
 /// target CPU's shard, stamped at `now`. With the sink off this is exactly
 /// `present`.
 pub fn present_on(

@@ -13,7 +13,7 @@
 //! measurable. This crate provides it:
 //!
 //! - [`time`]: cycle-granularity simulated time and frequency conversion.
-//! - [`event`]: deterministic per-id timers ([`event::TimerQueue`]), one
+//! - `event`: deterministic per-id timers ([`event::TimerQueue`]), one
 //!   per CPU plus the watchdog, driving the kernel's preemptive executor.
 //! - [`machine`]: machine topology ([`machine::MachineConfig`]) and the cost
 //!   model ([`machine::CostModel`]) with presets for the platforms the paper
@@ -30,7 +30,7 @@
 //! - [`rng`]: a small deterministic RNG so all experiments are reproducible.
 //! - [`arrivals`]: seeded open-loop arrival processes (Poisson, bursty
 //!   MMPP on/off, diurnal) driving the request-serving experiments.
-//! - [`faults`]: the seeded fault-injection plane ([`faults::FaultPlan`])
+//! - `faults`: the seeded fault-injection plane ([`faults::FaultPlan`])
 //!   that higher layers consult to inject lost IPIs, allocation failures,
 //!   memory bit-flips, and virtine crashes — deterministically.
 //! - [`telemetry`]: the cross-layer observability plane — a counter/gauge
@@ -40,7 +40,8 @@
 //!   Zero-cost when off. Streaming additions: windowed
 //!   [`telemetry::TimeSeries`] roll-ups over simulated cycles, mergeable
 //!   bit-identically across the serving plane's worker groups, and the
-//!   bounded [`telemetry::FlightRecorder`] blackbox.
+//!   bounded [`telemetry::FlightRecorder`] blackbox each serving worker
+//!   keeps.
 //! - [`par`]: the one host-thread pool ([`par::parallel_map`], capped by
 //!   the caller, input-ordered) that figure sweeps and the serving plane's
 //!   independent workers fan out on.
@@ -49,8 +50,8 @@
 
 pub mod arrivals;
 pub mod energy;
-pub mod event;
-pub mod faults;
+pub(crate) mod event;
+pub(crate) mod faults;
 pub mod interrupt;
 pub mod machine;
 pub mod par;

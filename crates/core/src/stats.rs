@@ -66,7 +66,7 @@ impl Summary {
     }
 
     /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -233,8 +233,8 @@ impl PartialEq for Samples {
 /// Counts are pure integers, so [`Sketch::merge`] (bucket-wise `u64` add)
 /// is exactly order-insensitive: any merge tree over the same observations
 /// yields a bit-identical sketch, which makes sharded reports bit-identical
-/// at every shard count. Memory is hard-capped at
-/// [`Sketch::max_buckets`] slots regardless of observation count.
+/// at every shard count. Memory is hard-capped at one slot per
+/// sub-bucket of every exponent in range, regardless of observation count.
 ///
 /// Bucket counts are stored densely: one `u64` slot per bucket over the
 /// whole octaves spanning the lowest to the highest bucket touched so far,
@@ -270,7 +270,7 @@ pub struct Sketch {
 impl Sketch {
     /// A sketch tracking `[2^lo_exp, 2^(hi_exp+1))` with `2^sub_bits`
     /// sub-buckets per octave.
-    pub fn new(lo_exp: i32, hi_exp: i32, sub_bits: u32) -> Sketch {
+    pub(crate) fn new(lo_exp: i32, hi_exp: i32, sub_bits: u32) -> Sketch {
         assert!(lo_exp <= hi_exp, "empty exponent range");
         assert!(
             (-1022..=1022).contains(&lo_exp) && (-1022..=1022).contains(&hi_exp),
@@ -383,11 +383,6 @@ impl Sketch {
         self.total
     }
 
-    /// True when no observations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// Exact power of two `2^e` for `e` in normal-f64 range, built from
     /// bits so no libm rounding is involved.
     fn exp2_exact(e: i32) -> f64 {
@@ -470,22 +465,17 @@ impl Sketch {
         }
     }
 
-    /// Hard cap on held buckets, fixed by the geometry: the sketch can
-    /// never hold more slots than this no matter how many observations
-    /// arrive.
-    pub fn max_buckets(&self) -> usize {
-        ((self.hi_exp - self.lo_exp + 1) as usize) << self.sub_bits
-    }
-
-    /// Bytes held: the struct plus 8 B per held bucket slot, so at most
-    /// `size_of::<Sketch>() + max_buckets() × 8` at any observation count.
+    /// Bytes held: the struct plus 8 B per held bucket slot. The geometry
+    /// caps the slots at one per sub-bucket of every exponent in range, so
+    /// memory stays bounded at any observation count.
     pub fn bytes(&self) -> usize {
         std::mem::size_of::<Sketch>() + self.buckets.len() * 8
     }
 }
 
 /// Geometric mean of strictly positive values. Returns 0.0 for an empty
-/// slice; ignores non-positive entries are a caller bug and panic in debug.
+/// slice. A non-positive entry is a caller bug: a debug build panics on it,
+/// and a release build clamps it to `f64::MIN_POSITIVE`.
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
@@ -686,19 +676,21 @@ mod tests {
     #[test]
     fn sketch_memory_is_hard_capped() {
         let mut s = Sketch::for_latency_us();
-        assert_eq!(s.max_buckets(), 41 * 128);
+        // One slot per sub-bucket of every exponent in range.
+        let cap = ((s.hi_exp - s.lo_exp + 1) as usize) << s.sub_bits;
+        assert_eq!(cap, 41 * 128);
         for i in 0..1_000_000u64 {
             s.add((i % 100_000) as f64 / 7.0 + 0.001);
         }
         assert_eq!(s.count(), 1_000_000);
-        assert!(s.buckets.len() <= s.max_buckets());
-        assert!(s.bytes() <= std::mem::size_of::<Sketch>() + s.max_buckets() * 8);
+        assert!(s.buckets.len() <= cap);
+        assert!(s.bytes() <= std::mem::size_of::<Sketch>() + cap * 8);
     }
 
     #[test]
     fn sketch_empty_is_none_or_zero() {
         let s = Sketch::for_latency_us();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.5), None);
         assert_eq!(s.p999(), 0.0);
         assert_eq!(s.overflow_fraction(), 0.0);

@@ -6,22 +6,22 @@
 //! checks, coherence traffic. This module turns that question into data
 //! every crate can answer the same way:
 //!
-//! - a **counter/gauge [`Registry`]** with typed [`Key`]s, per-CPU shards,
+//! - a **counter/gauge `Registry`** with typed [`Key`]s, per-CPU shards,
 //!   and cycle stamps, that core, kernel, coherence, CARAT, heartbeat, and
 //!   virtine code all publish into;
-//! - a **cycle-[`Attribution`] ledger** that charges every simulated cycle
+//! - a **cycle-`Attribution` ledger** that charges every simulated cycle
 //!   to a ([`Layer`], mechanism) category, with an invariant check that the
 //!   charged categories sum *exactly* to the machine clock;
 //! - **unified [`Span`] tracing** generalizing the kernel-only scheduler
 //!   timeline into cross-layer intervals (interrupt delivery, fault
 //!   recovery, virtine invocations, coherence epochs) exported as
 //!   Chrome/Perfetto trace-event JSON with one process track per layer;
-//! - **windowed [`TimeSeries`]** roll-ups (see [`timeseries`]) turning
+//! - **windowed [`TimeSeries`]** roll-ups (see `timeseries`) turning
 //!   counters/gauges/quantile sketches into per-window trajectories over
 //!   simulated cycles, mergeable bit-identically across shards;
-//! - a bounded **[`FlightRecorder`]** blackbox (see [`recorder`]) that
-//!   keeps the last N events per worker or CPU and dumps deterministically when an
-//!   invariant trips.
+//! - a bounded **[`FlightRecorder`]** blackbox (see `recorder`) that
+//!   keeps a serving worker's last N events and dumps deterministically
+//!   when its fault ledger fails to balance.
 //!
 //! Everything hangs off a [`Sink`]: a cheaply clonable handle that is
 //! either *off* (the default — every publish call is a single branch on a
@@ -37,8 +37,8 @@
 //! wall-clock or host state is ever read. Two runs of the same seed produce
 //! byte-identical snapshots and traces.
 
-pub mod recorder;
-pub mod timeseries;
+pub(crate) mod recorder;
+pub(crate) mod timeseries;
 
 pub use recorder::{FlightEvent, FlightRecorder};
 pub use timeseries::TimeSeries;
@@ -70,7 +70,7 @@ pub enum Layer {
 
 impl Layer {
     /// Every layer, in track order (also the Perfetto `pid` for each).
-    pub const ALL: [Layer; 6] = [
+    pub(crate) const ALL: [Layer; 6] = [
         Layer::Hardware,
         Layer::Coherence,
         Layer::Kernel,
@@ -80,7 +80,7 @@ impl Layer {
     ];
 
     /// Display name (also the Perfetto process name).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Layer::Hardware => "hardware",
             Layer::Coherence => "coherence",
@@ -92,7 +92,7 @@ impl Layer {
     }
 
     /// Stable index: the Perfetto `pid` and the attribution sort key.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Layer::Hardware => 0,
             Layer::Coherence => 1,
@@ -117,7 +117,7 @@ pub enum Unit {
 
 impl Unit {
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Unit::Count => "count",
             Unit::Cycles => "cycles",
@@ -180,16 +180,11 @@ pub struct CounterEntry {
 /// Counters are created lazily on first publish; snapshots iterate in name
 /// order, so registry output is deterministic regardless of publish order.
 #[derive(Debug, Clone, Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     cells: BTreeMap<&'static str, Cell>,
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
     fn cell(&mut self, key: &Key, cpu: usize) -> &mut Cell {
         let cell = self.cells.entry(key.name).or_insert_with(|| Cell {
             layer: key.layer,
@@ -204,37 +199,29 @@ impl Registry {
     }
 
     /// Add `n` to `key`'s shard for `cpu`, stamping the update at `now`.
-    pub fn add(&mut self, key: &Key, cpu: usize, n: u64, now: Cycles) {
+    pub(crate) fn add(&mut self, key: &Key, cpu: usize, n: u64, now: Cycles) {
         let cell = self.cell(key, cpu);
         cell.per_cpu[cpu] += n;
         cell.last = cell.last.max(now);
     }
 
     /// Set `key`'s shard for `cpu` to `v` (gauge semantics), stamped `now`.
-    pub fn set(&mut self, key: &Key, cpu: usize, v: u64, now: Cycles) {
+    pub(crate) fn set(&mut self, key: &Key, cpu: usize, v: u64, now: Cycles) {
         let cell = self.cell(key, cpu);
         cell.per_cpu[cpu] = v;
         cell.last = cell.last.max(now);
     }
 
     /// Total of `name` across all shards (0 for an unknown counter).
-    pub fn total(&self, name: &str) -> u64 {
+    pub(crate) fn total(&self, name: &str) -> u64 {
         self.cells
             .get(name)
             .map(|c| c.per_cpu.iter().sum())
             .unwrap_or(0)
     }
 
-    /// Value of `name`'s shard for `cpu` (0 when absent).
-    pub fn shard(&self, name: &str, cpu: usize) -> u64 {
-        self.cells
-            .get(name)
-            .and_then(|c| c.per_cpu.get(cpu).copied())
-            .unwrap_or(0)
-    }
-
     /// Deterministic snapshot: every counter, in name order.
-    pub fn snapshot(&self) -> Vec<CounterEntry> {
+    pub(crate) fn snapshot(&self) -> Vec<CounterEntry> {
         self.cells
             .iter()
             .map(|(name, c)| CounterEntry {
@@ -286,41 +273,25 @@ impl std::fmt::Display for AttributionImbalance {
 /// the categories sum *exactly* to the machine clock, so a "where the
 /// cycles went" table is an audit, not an estimate.
 #[derive(Debug, Clone, Default)]
-pub struct Attribution {
+pub(crate) struct Attribution {
     cells: BTreeMap<(usize, &'static str), u64>,
 }
 
 impl Attribution {
-    /// An empty ledger.
-    pub fn new() -> Attribution {
-        Attribution::default()
-    }
-
     /// Charge `cycles` to `(layer, mechanism)`.
-    pub fn charge(&mut self, layer: Layer, mechanism: &'static str, cycles: Cycles) {
+    pub(crate) fn charge(&mut self, layer: Layer, mechanism: &'static str, cycles: Cycles) {
         if cycles > Cycles::ZERO {
             *self.cells.entry((layer.index(), mechanism)).or_insert(0) += cycles.get();
         }
     }
 
     /// Total cycles charged across all categories.
-    pub fn total(&self) -> Cycles {
+    pub(crate) fn total(&self) -> Cycles {
         Cycles(self.cells.values().sum())
     }
 
-    /// Cycles charged to one `(layer, mechanism)` category.
-    pub fn get(&self, layer: Layer, mechanism: &str) -> Cycles {
-        Cycles(
-            self.cells
-                .iter()
-                .filter(|((l, m), _)| *l == layer.index() && *m == mechanism)
-                .map(|(_, v)| *v)
-                .sum(),
-        )
-    }
-
     /// The table rows, ordered by layer track then mechanism name.
-    pub fn rows(&self) -> Vec<AttributionRow> {
+    pub(crate) fn rows(&self) -> Vec<AttributionRow> {
         self.cells
             .iter()
             .map(|((l, m), v)| AttributionRow {
@@ -332,7 +303,7 @@ impl Attribution {
     }
 
     /// The invariant check: charged cycles must equal `clock` exactly.
-    pub fn verify(&self, clock: Cycles) -> Result<(), AttributionImbalance> {
+    pub(crate) fn verify(&self, clock: Cycles) -> Result<(), AttributionImbalance> {
         let attributed = self.total();
         if attributed == clock {
             Ok(())
@@ -365,7 +336,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// The Perfetto `cat` string.
-    pub fn cat(self) -> &'static str {
+    pub(crate) fn cat(self) -> &'static str {
         match self {
             SpanKind::Run => "run",
             SpanKind::Switch => "sched",
@@ -410,7 +381,7 @@ impl Span {
     }
 
     /// Display name (the Perfetto `name` field).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self.kind {
             SpanKind::Run => format!("task{}", self.id),
             SpanKind::Switch => "switch".to_string(),
@@ -571,7 +542,7 @@ pub fn chrome_trace_json(spans: &[Span], counters: &[CounterTrack], cycles_per_u
 
 /// The backing telemetry state behind an enabled [`Sink`].
 #[derive(Debug, Default)]
-pub struct Telemetry {
+pub(crate) struct Telemetry {
     /// The counter/gauge registry.
     pub registry: Registry,
     /// The cycle-attribution ledger.
@@ -592,7 +563,7 @@ pub struct Snapshot {
 
 /// The handle every publisher holds: either off (default; publishing is a
 /// single branch and records nothing) or a shared reference to one
-/// [`Telemetry`].
+/// `Telemetry`.
 ///
 /// Clones share the same backing state, so one sink threaded through the
 /// executor, its allocator, its fault plan, a CARAT runtime, and a Wasp
@@ -762,14 +733,11 @@ mod tests {
 
     #[test]
     fn registry_shards_and_stamps() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.add(&K_A, 0, 2, Cycles(10));
         r.add(&K_A, 3, 5, Cycles(40));
         r.add(&K_A, 0, 1, Cycles(20));
         assert_eq!(r.total("test.alpha"), 8);
-        assert_eq!(r.shard("test.alpha", 0), 3);
-        assert_eq!(r.shard("test.alpha", 3), 5);
-        assert_eq!(r.shard("test.alpha", 1), 0);
         let snap = r.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].last_cycle, 40);
@@ -778,7 +746,7 @@ mod tests {
 
     #[test]
     fn registry_gauge_sets_instead_of_adding() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.set(&K_B, 0, 7, Cycles(1));
         r.set(&K_B, 0, 3, Cycles(2));
         assert_eq!(r.total("test.beta"), 3);
@@ -786,7 +754,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_name_ordered_regardless_of_publish_order() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.add(&K_B, 0, 1, Cycles::ZERO);
         r.add(&K_A, 0, 1, Cycles::ZERO);
         let names: Vec<String> = r.snapshot().into_iter().map(|e| e.name).collect();
@@ -795,7 +763,7 @@ mod tests {
 
     #[test]
     fn attribution_verifies_exact_sum() {
-        let mut a = Attribution::new();
+        let mut a = Attribution::default();
         a.charge(Layer::Application, "compute", Cycles(70));
         a.charge(Layer::Kernel, "context-switch", Cycles(20));
         a.charge(Layer::Hardware, "idle", Cycles(10));
@@ -808,7 +776,7 @@ mod tests {
 
     #[test]
     fn attribution_rows_sorted_by_layer_then_mechanism() {
-        let mut a = Attribution::new();
+        let mut a = Attribution::default();
         a.charge(Layer::Application, "compute", Cycles(1));
         a.charge(Layer::Kernel, "z-mech", Cycles(1));
         a.charge(Layer::Kernel, "a-mech", Cycles(1));

@@ -3,16 +3,15 @@
 //! Chaos campaigns fail rarely and late — a fault-ledger imbalance at
 //! invocation 900k of a million-invocation run is unreproducible by
 //! staring and expensive to re-run under a debugger. The flight recorder
-//! is the blackbox answer: the serving plane and the kernel executor each
-//! keep a bounded ring of their most recent events (sheds, watchdog
-//! reclaims, lost kicks, re-kicks), paying O(1) per event and a fixed few
-//! KiB of memory. When an invariant trips — a ledger assertion, a
-//! watchdog abandon — the ring is dumped *deterministically* (same run,
-//! same dump, byte for byte) so the failure reads like a story instead of
-//! a stack trace.
+//! is the blackbox answer: each serving-plane worker keeps a bounded ring
+//! of its most recent events (sheds, watchdog reclaims), paying O(1) per
+//! event and a fixed few KiB of memory. When an invariant trips — a
+//! fault-ledger assertion — the ring is dumped *deterministically* (same
+//! run, same dump, byte for byte) so the failure reads like a story
+//! instead of a stack trace.
 //!
 //! Events carry a monotone per-recorder sequence number, the simulated
-//! cycle stamp, a numeric track (worker or CPU index), a `'static`
+//! cycle stamp, a numeric track (the worker index), a `'static`
 //! label, and two bare `u64` operands — no allocation, no formatting on
 //! the hot path. The ring never blocks and never reallocates after
 //! construction; when full, the oldest event is evicted and counted, so a

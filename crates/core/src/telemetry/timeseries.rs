@@ -49,11 +49,6 @@ impl Window {
         self.sketches.get(name)
     }
 
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
     fn merge(&mut self, other: &Window) {
         for (&k, &v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;
@@ -161,11 +156,6 @@ impl TimeSeries {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Window)> + '_ {
         self.windows.iter().map(|(&idx, w)| (idx, w))
     }
-
-    /// The window at absolute index `idx`, if it has data.
-    pub fn window(&self, idx: u64) -> Option<&Window> {
-        self.windows.get(&idx)
-    }
 }
 
 #[cfg(test)]
@@ -184,10 +174,10 @@ mod tests {
         ts.add(at(100), "done", 1);
         ts.add(at(250), "done", 4);
         assert_eq!(ts.len(), 3);
-        assert_eq!(ts.window(0).unwrap().counter("done"), 2);
-        assert_eq!(ts.window(1).unwrap().counter("done"), 1);
-        assert_eq!(ts.window(2).unwrap().counter("done"), 4);
-        assert_eq!(ts.window(3), None);
+        assert_eq!(ts.windows.get(&0).unwrap().counter("done"), 2);
+        assert_eq!(ts.windows.get(&1).unwrap().counter("done"), 1);
+        assert_eq!(ts.windows.get(&2).unwrap().counter("done"), 4);
+        assert_eq!(ts.windows.get(&3), None);
     }
 
     #[test]
@@ -196,8 +186,8 @@ mod tests {
         ts.gauge_max(at(1), "queue", 3);
         ts.gauge_max(at(2), "queue", 7);
         ts.gauge_max(at(3), "queue", 5);
-        assert_eq!(ts.window(0).unwrap().gauge_max("queue"), Some(7));
-        assert_eq!(ts.window(0).unwrap().gauge_max("absent"), None);
+        assert_eq!(ts.windows.get(&0).unwrap().gauge_max("queue"), Some(7));
+        assert_eq!(ts.windows.get(&0).unwrap().gauge_max("absent"), None);
     }
 
     #[test]

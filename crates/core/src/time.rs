@@ -24,37 +24,11 @@ pub struct Cycles(pub u64);
 impl Cycles {
     /// Zero cycles.
     pub const ZERO: Cycles = Cycles(0);
-    /// The maximum representable time; used as an "infinitely far" deadline.
-    pub const MAX: Cycles = Cycles(u64::MAX);
 
     /// The raw cycle count.
     #[inline]
     pub fn get(self) -> u64 {
         self.0
-    }
-
-    /// Saturating subtraction: `a.saturating_sub(b)` is 0 if `b > a`.
-    #[inline]
-    pub fn saturating_sub(self, other: Cycles) -> Cycles {
-        Cycles(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, other: Cycles) -> Option<Cycles> {
-        self.0.checked_sub(other.0).map(Cycles)
-    }
-
-    /// The minimum of two times.
-    #[inline]
-    pub fn min(self, other: Cycles) -> Cycles {
-        Cycles(self.0.min(other.0))
-    }
-
-    /// The maximum of two times.
-    #[inline]
-    pub fn max(self, other: Cycles) -> Cycles {
-        Cycles(self.0.max(other.0))
     }
 
     /// This duration as an `f64` cycle count (for statistics).
@@ -163,15 +137,10 @@ pub struct Freq {
 
 impl Freq {
     /// Construct from GHz (e.g., `Freq::ghz(1.4)` for KNL).
-    pub fn ghz(g: f64) -> Freq {
+    pub(crate) fn ghz(g: f64) -> Freq {
         Freq {
             mhz: (g * 1000.0).round() as u64,
         }
-    }
-
-    /// Construct from MHz.
-    pub fn mhz(m: u64) -> Freq {
-        Freq { mhz: m }
     }
 
     /// Cycles elapsed in `us` microseconds at this frequency.
@@ -184,12 +153,6 @@ impl Freq {
     #[inline]
     pub fn us(self, c: Cycles) -> MicroSeconds {
         MicroSeconds(c.0 as f64 / self.mhz as f64)
-    }
-
-    /// Cycles per second (Hz × 1 — useful for rates).
-    #[inline]
-    pub fn hz(self) -> u64 {
-        self.mhz * 1_000_000
     }
 }
 

@@ -15,7 +15,7 @@
 //!
 //! - [`timing_pass`]: the injection pass (loop headers, function entries,
 //!   long straight-line runs) with its placement-bound guarantee.
-//! - [`runtime`]: a single-CPU fiber runtime multiplexing interpreted
+//! - `runtime`: a single-CPU fiber runtime multiplexing interpreted
 //!   programs under either preemption mechanism, measuring slice lengths
 //!   and overheads.
 //! - [`study`]: the Fig. 4 experiment — switch-cost decomposition rows plus
@@ -23,9 +23,9 @@
 
 #![warn(missing_docs)]
 
-pub mod runtime;
+pub(crate) mod runtime;
 pub mod study;
 pub mod timing_pass;
 
-pub use runtime::{run_fibers, FiberReport, PreemptMode};
+pub use runtime::PreemptMode;
 pub use timing_pass::InjectTiming;

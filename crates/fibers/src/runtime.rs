@@ -77,11 +77,7 @@ impl RuntimeHooks for QuantumHooks {
 
 /// Outcome of multiplexing a workload to completion.
 #[derive(Debug, Clone)]
-pub struct FiberReport {
-    /// Preemption mechanism used.
-    pub mode: PreemptMode,
-    /// Quantum in cycles.
-    pub quantum: u64,
+pub(crate) struct FiberReport {
     /// Context switches performed.
     pub switches: u64,
     /// Cycles spent inside switches (mechanism cost).
@@ -100,13 +96,13 @@ pub struct FiberReport {
 
 impl FiberReport {
     /// Mechanism overhead as a fraction of total time.
-    pub fn overhead_fraction(&self) -> f64 {
+    pub(crate) fn overhead_fraction(&self) -> f64 {
         (self.switch_cycles + self.check_cycles) as f64 / self.total_cycles as f64
     }
 }
 
 /// Run `programs` to completion on one CPU with the given quantum.
-pub fn run_fibers(
+pub(crate) fn run_fibers(
     programs: &[Program],
     quantum: u64,
     mc: &MachineConfig,
@@ -148,8 +144,6 @@ pub fn run_fibers(
         .collect();
 
     let mut report = FiberReport {
-        mode,
-        quantum,
         switches: 0,
         switch_cycles: 0,
         check_cycles: 0,

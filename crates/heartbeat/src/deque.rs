@@ -62,16 +62,6 @@ impl<T> WorkDeque<T> {
         t
     }
 
-    /// Queued task count.
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
     /// Conservation invariant: everything pushed is either still queued or
     /// was taken exactly once.
     pub fn conserved(&self) -> bool {

@@ -67,7 +67,7 @@ pub struct ScalingPoint {
 
 /// Run the scaling experiment at one worker count; returns wall cycles and
 /// the scheduler's counters.
-pub fn run_scaling(cfg: &ScalingConfig, workers: usize) -> ScalingPoint {
+pub(crate) fn run_scaling(cfg: &ScalingConfig, workers: usize) -> ScalingPoint {
     assert!(workers >= 1);
     let freq = cfg.machine.freq;
     let beat_period = freq.cycles_per_us(cfg.target_us);

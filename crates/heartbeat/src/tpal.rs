@@ -24,12 +24,12 @@ pub struct LoopTask {
 
 impl LoopTask {
     /// Remaining iterations.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.hi - self.lo
     }
 
     /// True when exhausted.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.lo >= self.hi
     }
 }
@@ -71,14 +71,14 @@ impl Tpal {
     }
 
     /// Submit the root loop to worker 0 (the program enters sequentially).
-    pub fn submit(&mut self, t: LoopTask) {
+    pub(crate) fn submit(&mut self, t: LoopTask) {
         self.workers[0].deque.push(t);
     }
 
     /// Deliver a heartbeat to worker `w`: promote if its current task still
     /// has at least `grain` iterations. Returns true if a promotion
     /// happened. This is the *only* place parallelism is created.
-    pub fn beat(&mut self, w: usize) -> bool {
+    pub(crate) fn beat(&mut self, w: usize) -> bool {
         let worker = &mut self.workers[w];
         if let Some(cur) = worker.current.as_mut() {
             if cur.len() >= self.grain {
@@ -98,7 +98,7 @@ impl Tpal {
 
     /// Ensure worker `w` has a current task: pop its own deque, else steal
     /// round-robin. Returns false if no work exists anywhere for it.
-    pub fn acquire(&mut self, w: usize) -> bool {
+    pub(crate) fn acquire(&mut self, w: usize) -> bool {
         if self.workers[w]
             .current
             .as_ref()
@@ -125,7 +125,7 @@ impl Tpal {
 
     /// Execute up to `budget` iterations of worker `w`'s current task,
     /// marking them in `done`. Returns iterations executed.
-    pub fn execute(&mut self, w: usize, budget: u64, done: &mut [bool]) -> u64 {
+    pub(crate) fn execute(&mut self, w: usize, budget: u64, done: &mut [bool]) -> u64 {
         let Some(cur) = self.workers[w].current.as_mut() else {
             return 0;
         };

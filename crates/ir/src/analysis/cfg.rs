@@ -68,18 +68,13 @@ impl Cfg {
     }
 
     /// True if the block is reachable from the entry.
-    pub fn reachable(&self, b: BlockId) -> bool {
+    pub(crate) fn reachable(&self, b: BlockId) -> bool {
         self.rpo_pos[b.index()] != usize::MAX
     }
 
     /// Number of blocks (including unreachable ones).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.succs.len()
-    }
-
-    /// True when the function has no blocks (cannot happen for verified IR).
-    pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
     }
 }
 

@@ -74,7 +74,7 @@ impl Dominators {
     }
 
     /// True if `a` dominates `b` (reflexive).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+    pub(crate) fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         let mut cur = b;
         loop {
             if cur == a {
@@ -84,14 +84,6 @@ impl Dominators {
                 Some(d) if d != cur => cur = d,
                 _ => return false,
             }
-        }
-    }
-
-    /// Immediate dominator of `b` (`None` at the entry or unreachable).
-    pub fn idom_of(&self, b: BlockId) -> Option<BlockId> {
-        match self.idom[b.index()] {
-            Some(d) if d != b => Some(d),
-            _ => None,
         }
     }
 }
@@ -130,8 +122,7 @@ mod tests {
         assert!(dom.dominates(entry, t));
         assert!(!dom.dominates(t, j)); // join reachable around `t`
         assert!(!dom.dominates(e, j));
-        assert_eq!(dom.idom_of(j), Some(entry));
-        assert_eq!(dom.idom_of(entry), None);
+        assert!(!dom.dominates(j, entry));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct Loop {
 
 impl Loop {
     /// True if `b` is inside the loop.
-    pub fn contains(&self, b: BlockId) -> bool {
+    pub(crate) fn contains(&self, b: BlockId) -> bool {
         self.body.contains(&b)
     }
 }

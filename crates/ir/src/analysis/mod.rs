@@ -5,16 +5,16 @@
 //! timing calls "so that they occur dynamically at some desired rate
 //! regardless of the code path taken":
 //!
-//! - [`mod@cfg`]: predecessors/successors and reverse postorder.
-//! - [`dom`]: dominator tree (Cooper–Harvey–Kennedy).
-//! - [`loops`]: natural-loop detection with preheader identification.
-//! - [`defs`]: register definition counting (single-assignment discovery for
+//! - `mod@cfg`: predecessors/successors and reverse postorder.
+//! - `dom`: dominator tree (Cooper–Harvey–Kennedy).
+//! - `loops`: natural-loop detection with preheader identification.
+//! - `defs`: register definition counting (single-assignment discovery for
 //!   the mutable-register IR).
 
-pub mod cfg;
-pub mod defs;
-pub mod dom;
-pub mod loops;
+pub(crate) mod cfg;
+pub(crate) mod defs;
+pub(crate) mod dom;
+pub(crate) mod loops;
 
 pub use cfg::Cfg;
 pub use defs::DefInfo;

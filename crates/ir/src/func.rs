@@ -16,7 +16,7 @@ pub struct Block {
 
 impl Block {
     /// An empty, unterminated block.
-    pub fn new() -> Block {
+    pub(crate) fn new() -> Block {
         Block {
             insts: Vec::new(),
             term: None,
@@ -48,7 +48,7 @@ pub struct Function {
 
 impl Function {
     /// Total instruction count (excluding terminators).
-    pub fn inst_count(&self) -> usize {
+    pub(crate) fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
@@ -159,11 +159,6 @@ impl FunctionBuilder {
         self.cur = b;
     }
 
-    /// The current insertion block.
-    pub fn current(&self) -> BlockId {
-        self.cur
-    }
-
     fn push(&mut self, i: Inst) {
         let b = &mut self.f.blocks[self.cur.index()];
         assert!(
@@ -186,7 +181,7 @@ impl FunctionBuilder {
     }
 
     /// `const` float.
-    pub fn const_f(&mut self, v: f64) -> Reg {
+    pub(crate) fn const_f(&mut self, v: f64) -> Reg {
         let d = self.def();
         self.push(Inst::ConstF(d, v));
         d
@@ -265,18 +260,6 @@ impl FunctionBuilder {
     pub fn call(&mut self, f: FuncId, args: &[Reg]) -> Reg {
         let d = self.def();
         self.push(Inst::Call(Some(d), f, args.to_vec()));
-        d
-    }
-
-    /// Call a function, ignoring any return value.
-    pub fn call_void(&mut self, f: FuncId, args: &[Reg]) {
-        self.push(Inst::Call(None, f, args.to_vec()));
-    }
-
-    /// Invoke an intrinsic with a result.
-    pub fn intr(&mut self, i: Intrinsic, args: &[Reg]) -> Reg {
-        let d = self.def();
-        self.push(Inst::Intr(Some(d), i, args.to_vec()));
         d
     }
 

@@ -39,7 +39,7 @@ pub enum BinOp {
 impl BinOp {
     /// True for the floating-point operators — used by the fiber study
     /// (Fig. 4) to decide whether a function touches FP state.
-    pub fn is_float(self) -> bool {
+    pub(crate) fn is_float(self) -> bool {
         matches!(self, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
     }
 }
@@ -104,7 +104,7 @@ pub enum Intrinsic {
 impl Intrinsic {
     /// True for the intrinsics injected by interweaving passes (as opposed
     /// to ones a source program may contain organically).
-    pub fn is_injected(self) -> bool {
+    pub(crate) fn is_injected(self) -> bool {
         matches!(
             self,
             Intrinsic::CaratGuard
@@ -169,7 +169,7 @@ impl Inst {
     }
 
     /// Registers this instruction reads, appended to `out`.
-    pub fn uses(&self, out: &mut Vec<Reg>) {
+    pub(crate) fn uses(&self, out: &mut Vec<Reg>) {
         match self {
             Inst::ConstI(_, _) | Inst::ConstF(_, _) => {}
             Inst::Mov(_, s) => out.push(*s),
@@ -204,7 +204,7 @@ impl Inst {
 
     /// True if this instruction uses floating point (Fig. 4's FP-state
     /// criterion).
-    pub fn touches_fp(&self) -> bool {
+    pub(crate) fn touches_fp(&self) -> bool {
         match self {
             Inst::ConstF(_, _) => true,
             Inst::Bin(_, op, _, _) => op.is_float(),
@@ -248,7 +248,7 @@ pub enum Term {
 
 impl Term {
     /// Successor blocks of this terminator.
-    pub fn succs(&self) -> Vec<BlockId> {
+    pub(crate) fn succs(&self) -> Vec<BlockId> {
         match *self {
             Term::Br(b) => vec![b],
             Term::CondBr(_, t, e) => vec![t, e],

@@ -928,11 +928,6 @@ impl Interp {
         std::mem::replace(&mut self.mem, mem)
     }
 
-    /// The value returned by the outermost call once finished.
-    pub fn result(&self) -> Option<Val> {
-        self.done_value
-    }
-
     /// Patch every register (in every live frame) whose provenance is `id`,
     /// relocating it from `old_base` to `new_base`. Pairs with
     /// [`Memory::move_allocation`] to complete a defragmentation step.
@@ -1692,7 +1687,7 @@ mod tests {
     fn stack_overflow_traps() {
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("main", 0);
-        fb.call_void(FuncId(0), &[]);
+        fb.call(FuncId(0), &[]);
         fb.ret(None);
         m.add(fb.finish());
         let mut it = Interp::new(InterpConfig::default());
@@ -2076,7 +2071,7 @@ mod tests {
         fb.switch_to(body);
         let p = fb.gep(a, i, 8, 0);
         fb.store(p, 0, i);
-        let t = fb.intr(Intrinsic::ReadTimer, &[]);
+        let t = fb.mov(zero); // placeholder for `t = intr ReadTimer`
         let v = fb.load(p, 0);
         fb.bin_to(sum, BinOp::Add, sum, v);
         fb.bin_to(sum, BinOp::Add, sum, t);
@@ -2084,7 +2079,15 @@ mod tests {
         fb.br(head);
         fb.switch_to(exit);
         fb.ret(Some(sum));
-        m.add(fb.finish());
+        // No pass emits an intrinsic with a result, so the builder has no
+        // call for one: the timer read replaces its placeholder here.
+        let mut f = fb.finish();
+        for inst in &mut f.blocks[body.index()].insts {
+            if matches!(inst, Inst::Mov(d, _) if *d == t) {
+                *inst = Inst::Intr(Some(t), Intrinsic::ReadTimer, vec![]);
+            }
+        }
+        m.add(f);
 
         let cfg = InterpConfig::default();
         let own_cost = |caller: Option<bool>| match caller {

@@ -14,7 +14,7 @@
 //! measured, not asserted.
 //!
 //! Layout:
-//! - [`types`], [`inst`], [`func`], [`module`]: the IR itself and builders.
+//! - [`types`], [`inst`], `func`, `module`: the IR itself and builders.
 //! - [`verify`]: structural validation (used by every pass test).
 //! - [`analysis`]: CFG, dominators, natural loops, definition points.
 //! - [`passes`]: the pass manager and shared pass utilities.
@@ -27,10 +27,10 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod func;
+pub(crate) mod func;
 pub mod inst;
 pub mod interp;
-pub mod module;
+pub(crate) mod module;
 pub mod opt;
 pub mod passes;
 pub mod programs;

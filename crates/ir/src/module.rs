@@ -43,16 +43,6 @@ impl Module {
         self.funcs.iter().map(|f| f.inst_count()).sum()
     }
 
-    /// Ids of functions marked `virtine`.
-    pub fn virtine_funcs(&self) -> Vec<FuncId> {
-        self.funcs
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_virtine)
-            .map(|(i, _)| FuncId(i as u32))
-            .collect()
-    }
-
     /// A stable content hash of the module (used by PIK attestation, §IV-A:
     /// a transformed module is "cryptographically attested" before being
     /// admitted to the kernel; we model the attestation token as a hash).
@@ -97,7 +87,6 @@ mod tests {
         assert_eq!(m.by_name("a"), Some(a));
         assert_eq!(m.by_name("b"), Some(b));
         assert_eq!(m.by_name("c"), None);
-        assert_eq!(m.virtine_funcs(), vec![b]);
     }
 
     #[test]

@@ -28,13 +28,6 @@ impl PassStats {
     pub fn get(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
-
-    /// Merge another stats record into this one.
-    pub fn merge(&mut self, other: &PassStats) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-    }
 }
 
 /// A module transformation.
@@ -117,18 +110,5 @@ mod tests {
         assert_eq!(results[0].0, "strip-movs");
         assert_eq!(results[0].1.get("movs_removed"), 2);
         assert_eq!(m.inst_count(), 0);
-    }
-
-    #[test]
-    fn stats_merge_adds_counters() {
-        let mut a = PassStats::default();
-        a.bump("x", 2);
-        let mut b = PassStats::default();
-        b.bump("x", 3);
-        b.bump("y", 1);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 5);
-        assert_eq!(a.get("y"), 1);
-        assert_eq!(a.get("z"), 0);
     }
 }

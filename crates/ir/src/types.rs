@@ -37,7 +37,7 @@ pub struct FuncId(pub u32);
 
 impl FuncId {
     /// Index into a module's function vector.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -73,7 +73,7 @@ impl Val {
     /// Float value; integers are converted (supports mixed arithmetic in
     /// generated kernels).
     #[inline]
-    pub fn as_f(self) -> f64 {
+    pub(crate) fn as_f(self) -> f64 {
         match self {
             Val::F(v) => v,
             Val::I(v) => v as f64,
@@ -88,7 +88,7 @@ impl Val {
 
     /// Truthiness for conditional branches: nonzero integers are true.
     #[inline]
-    pub fn is_true(self) -> bool {
+    pub(crate) fn is_true(self) -> bool {
         match self {
             Val::I(v) => v != 0,
             Val::F(v) => v != 0.0,

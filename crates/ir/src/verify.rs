@@ -10,7 +10,7 @@ use crate::types::FuncId;
 
 /// A structural error found in a module.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifyError {
+pub(crate) struct VerifyError {
     /// Function where the error occurred.
     pub func: String,
     /// Description of the problem.
@@ -24,7 +24,7 @@ impl std::fmt::Display for VerifyError {
 }
 
 /// Verify a whole module; returns all errors found.
-pub fn verify_module(m: &Module) -> Vec<VerifyError> {
+pub(crate) fn verify_module(m: &Module) -> Vec<VerifyError> {
     let mut errs = Vec::new();
     for (fi, f) in m.funcs.iter().enumerate() {
         let err = |msg: String| VerifyError {

@@ -14,7 +14,7 @@
 use interweave_core::telemetry::{Key, Layer, Sink, Unit};
 
 /// The maximum block order supported (2^MAX_ORDER × min-block bytes).
-pub const MAX_ORDER: usize = 24;
+pub(crate) const MAX_ORDER: usize = 24;
 
 const KEY_ALLOCS: Key = Key::new("kernel.buddy.allocs", Layer::Kernel, Unit::Count);
 const KEY_FREES: Key = Key::new("kernel.buddy.frees", Layer::Kernel, Unit::Count);
@@ -82,7 +82,7 @@ impl BuddyZone {
     }
 
     /// Zone capacity in bytes.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         (1u64 << self.levels) << self.min_order
     }
 
@@ -147,11 +147,6 @@ impl BuddyZone {
         Ok(())
     }
 
-    /// Number of live allocations.
-    pub fn n_live(&self) -> usize {
-        self.live.len()
-    }
-
     /// True when the zone has coalesced back into a single maximal block —
     /// i.e. everything was freed and coalescing worked perfectly.
     pub fn fully_coalesced(&self) -> bool {
@@ -207,13 +202,8 @@ impl NumaAllocator {
 
     /// Attach a telemetry sink: allocations, frees, OOMs, and live bytes
     /// are published per zone (the zone index is the shard).
-    pub fn set_sink(&mut self, sink: Sink) {
+    pub(crate) fn set_sink(&mut self, sink: Sink) {
         self.sink = sink;
-    }
-
-    /// Number of zones.
-    pub fn n_zones(&self) -> usize {
-        self.zones.len()
     }
 
     /// Allocate preferring `zone`, falling back to the others in order —
@@ -243,7 +233,7 @@ impl NumaAllocator {
     /// zone between check and grab). Injected failures are typed
     /// [`AllocError::OutOfMemory`] — indistinguishable from the real thing,
     /// which is the point: callers must already handle it.
-    pub fn alloc_faulted(
+    pub(crate) fn alloc_faulted(
         &mut self,
         zone: usize,
         bytes: u64,
@@ -284,7 +274,7 @@ mod tests {
         let mut z = BuddyZone::new(0x1000, 6, 10); // 64 B min, 64 KiB zone
         let a = z.alloc(100).unwrap(); // rounds to 128
         assert!(a >= 0x1000);
-        assert_eq!(z.n_live(), 1);
+        assert_eq!(z.live.len(), 1);
         z.free(a).unwrap();
         assert!(z.fully_coalesced());
     }
@@ -312,7 +302,7 @@ mod tests {
     fn splitting_and_coalescing_roundtrip() {
         let mut z = BuddyZone::new(0, 6, 8);
         let addrs: Vec<u64> = (0..16).map(|_| z.alloc(64).unwrap()).collect();
-        assert_eq!(z.n_live(), 16);
+        assert_eq!(z.live.len(), 16);
         // Free in interleaved order to exercise partial coalescing.
         for &a in addrs.iter().step_by(2) {
             z.free(a).unwrap();
@@ -382,7 +372,7 @@ mod tests {
             n.alloc_faulted(0, 128, &mut noisy),
             Err(AllocError::OutOfMemory)
         );
-        assert_eq!(n.zone(0).n_live(), 0);
+        assert_eq!(n.zone(0).live.len(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::work::{Work, WorkStep};
 use interweave_core::interrupt::{self, DeliveryOutcome, IrqClass};
 use interweave_core::machine::{CpuId, MachineConfig};
 use interweave_core::stack::OsPoint;
-use interweave_core::telemetry::{FlightRecorder, Key, Layer, Sink, Span, SpanKind, Unit};
+use interweave_core::telemetry::{Key, Layer, Sink, Span, SpanKind, Unit};
 use interweave_core::time::Cycles;
 use interweave_core::{FaultPlan, TimerQueue};
 use std::collections::{HashMap, VecDeque};
@@ -29,10 +29,10 @@ const KEY_SWITCH_CYCLES: Key = Key::new("kernel.sched.switch_cycles", Layer::Ker
 const KEY_WD_CHECKS: Key = Key::new("kernel.watchdog.checks", Layer::Kernel, Unit::Count);
 const KEY_WD_REKICKS: Key = Key::new("kernel.watchdog.rekicks", Layer::Kernel, Unit::Count);
 
-pub use crate::watchdog::{WatchdogPolicy, MAX_WATCHDOG_BACKOFF, MAX_WATCHDOG_REKICKS};
+use crate::watchdog::WatchdogPolicy;
 
 /// Identifier of a spawned task: its index in spawn order.
-pub type TaskId = u64;
+pub(crate) type TaskId = u64;
 
 enum TaskState {
     Ready,
@@ -70,9 +70,6 @@ struct Cpu {
     next_retry: Cycles,
     /// Consecutive watchdog re-kicks without a successful dispatch.
     rekicks: u32,
-    /// The watchdog already logged this CPU's abandon (log-once latch;
-    /// cleared when a dispatch succeeds).
-    abandon_logged: bool,
 }
 
 /// Execution statistics for one run.
@@ -135,9 +132,6 @@ pub struct Executor {
     /// Telemetry sink: counters, cycle attribution, and spans all flow here
     /// when enabled. Off by default — publishing is then a no-op branch.
     sink: Sink,
-    /// Bounded blackbox of recent watchdog/fault events, `None` (zero-cost)
-    /// unless [`Executor::enable_flight_recorder`] ran.
-    recorder: Option<FlightRecorder>,
     /// Statistics (populated by [`Executor::run`]).
     pub stats: ExecutorStats,
 }
@@ -157,7 +151,6 @@ impl Executor {
                 backoff: 1,
                 next_retry: Cycles::ZERO,
                 rekicks: 0,
-                abandon_logged: false,
             })
             .collect();
         let (yield_cost, preempt_cost) = switch_costs(&mc, OsPoint::NkLike);
@@ -176,7 +169,6 @@ impl Executor {
             watchdog: None,
             stack_alloc: None,
             sink: Sink::off(),
-            recorder: None,
             stats: ExecutorStats::default(),
         }
     }
@@ -211,12 +203,6 @@ impl Executor {
         self.sink = sink;
     }
 
-    /// The executor's telemetry sink (off unless [`Executor::set_telemetry`]
-    /// was called).
-    pub fn telemetry(&self) -> &Sink {
-        &self.sink
-    }
-
     /// The clock the attribution ledger must sum to after [`Executor::run`]:
     /// every CPU's timeline up to the makespan, i.e. makespan × #CPUs.
     pub fn attribution_clock(&self) -> Cycles {
@@ -232,7 +218,7 @@ impl Executor {
     /// Enable the kernel watchdog: every `period` cycles, scan for CPUs
     /// that have runnable work but no pending dispatch (the signature of a
     /// lost kick) and re-kick them, backing off exponentially per CPU up to
-    /// [`MAX_WATCHDOG_BACKOFF`] periods. The heartbeat self-terminates once
+    /// [`crate::watchdog::MAX_WATCHDOG_BACKOFF`] periods. The heartbeat self-terminates once
     /// no CPU has pending or rescuable work, so runs still quiesce.
     pub fn enable_watchdog(&mut self, period: Cycles) {
         if self.watchdog.is_none() {
@@ -243,38 +229,13 @@ impl Executor {
     }
 
     /// Back task stacks with a real buddy allocator: each spawn carves
-    /// [`DEFAULT_STACK_BYTES`] from the spawning CPU's home zone (§III's
+    /// `DEFAULT_STACK_BYTES` from the spawning CPU's home zone (§III's
     /// "most desirable zone" policy) and frees it when the task completes.
     /// With an allocator installed, use [`Executor::try_spawn`] to observe
     /// allocation failure.
     pub fn set_stack_allocator(&mut self, mut alloc: NumaAllocator) {
         alloc.set_sink(self.sink.clone());
         self.stack_alloc = Some(alloc);
-    }
-
-    /// Borrow the stack allocator, if configured (zone inspection).
-    pub fn stack_allocator(&self) -> Option<&NumaAllocator> {
-        self.stack_alloc.as_ref()
-    }
-
-    /// Keep a bounded blackbox of the most recent watchdog/fault events
-    /// (lost kicks, re-kicks, abandons), `cap` events deep. Off by
-    /// default; when a watchdog abandons a CPU the story of how it got
-    /// there is in [`Executor::flight_recorder`].
-    pub fn enable_flight_recorder(&mut self, cap: usize) {
-        self.recorder = Some(FlightRecorder::new(cap));
-    }
-
-    /// The executor's blackbox, if recording is enabled.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_ref()
-    }
-
-    /// One blackbox entry, skipped entirely when recording is off.
-    fn blackbox(&mut self, at: Cycles, cpu: CpuId, what: &'static str, a: u64, b: u64) {
-        if let Some(r) = &mut self.recorder {
-            r.record(at, cpu, what, a, b);
-        }
     }
 
     /// Publish one kernel span.
@@ -362,8 +323,6 @@ impl Executor {
                     if c.dispatch.is_none() && c.stalled_since.is_none() {
                         c.stalled_since = Some(t);
                     }
-                    let queued = c.queue.len() as u64;
-                    self.blackbox(t, cpu, "lost-kick", queued, 0);
                     return;
                 }
             },
@@ -441,7 +400,6 @@ impl Executor {
             self.cpus[cpu].backoff = 1;
             self.cpus[cpu].next_retry = Cycles::ZERO;
             self.cpus[cpu].rekicks = 0;
-            self.cpus[cpu].abandon_logged = false;
             self.dispatch(cpu, at);
         }
         self.stats.makespan = self
@@ -480,39 +438,22 @@ impl Executor {
         self.stats.watchdog_checks += 1;
         self.sink.count_at(&KEY_WD_CHECKS, 0, 1, at);
         for cpu in 0..self.cpus.len() {
-            let c = &self.cpus[cpu];
-            if c.dispatch.is_none() && !c.queue.is_empty() {
-                if wd.abandons(c.rekicks) {
-                    // Re-kick budget exhausted: log the give-up into the
-                    // blackbox exactly once per stall episode.
-                    if !c.abandon_logged {
-                        let rekicks = c.rekicks as u64;
-                        let queued = c.queue.len() as u64;
-                        self.cpus[cpu].abandon_logged = true;
-                        self.blackbox(at, cpu, "wd-abandon", rekicks, queued);
-                    }
-                } else if at >= c.next_retry {
-                    self.stats.watchdog_rekicks += 1;
-                    self.sink.count_at(&KEY_WD_REKICKS, cpu, 1, at);
-                    let backoff = self.cpus[cpu].backoff;
-                    self.cpus[cpu].next_retry = at + wd.retry_backoff(backoff);
-                    self.cpus[cpu].backoff = wd.escalate(backoff);
-                    self.cpus[cpu].rekicks += 1;
-                    self.blackbox(at, cpu, "wd-rekick", self.cpus[cpu].rekicks as u64, 0);
-                    // The re-kick goes through the fault plane like any other
-                    // IPI — it too can be lost, hence the backoff above.
-                    self.kick(cpu, at);
-                    // If that was the last budgeted re-kick and it too was
-                    // lost, the give-up happens *now* (the heartbeat may
-                    // stop this very tick) — log it before it does.
-                    let c = &self.cpus[cpu];
-                    if c.dispatch.is_none() && wd.abandons(c.rekicks) && !c.abandon_logged {
-                        let rekicks = c.rekicks as u64;
-                        let queued = c.queue.len() as u64;
-                        self.cpus[cpu].abandon_logged = true;
-                        self.blackbox(at, cpu, "wd-abandon", rekicks, queued);
-                    }
-                }
+            let c = &mut self.cpus[cpu];
+            // A CPU whose re-kick budget is exhausted is abandoned: no
+            // further re-kicks.
+            if c.dispatch.is_none()
+                && !c.queue.is_empty()
+                && !wd.abandons(c.rekicks)
+                && at >= c.next_retry
+            {
+                self.stats.watchdog_rekicks += 1;
+                self.sink.count_at(&KEY_WD_REKICKS, cpu, 1, at);
+                c.next_retry = at + wd.retry_backoff(c.backoff);
+                c.backoff = wd.escalate(c.backoff);
+                c.rekicks += 1;
+                // The re-kick goes through the fault plane like any other
+                // IPI — it too can be lost, hence the backoff above.
+                self.kick(cpu, at);
             }
         }
         // Keep the heartbeat alive only while some CPU has pending or
@@ -926,52 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_tells_the_abandon_story_deterministically() {
-        use interweave_core::{FaultConfig, FaultPlan};
-        // Every kick drops: the watchdog re-kicks until the budget runs
-        // out, then abandons — and the blackbox holds the whole story.
-        let run = || {
-            let mut cfg = FaultConfig::quiet(42);
-            cfg.drop_ipi = 1.0;
-            let mut e = exec(1, 10_000);
-            e.enable_flight_recorder(64);
-            e.set_fault_plan(FaultPlan::new(cfg));
-            e.enable_watchdog(Cycles(5_000));
-            e.spawn(0, Box::new(LoopWork::new(1, Cycles(2_000))));
-            assert!(!e.run(), "p=1 drop can never complete");
-            let r = e.flight_recorder().unwrap().clone();
-            let kinds: Vec<&str> = r.events().map(|ev| ev.what).collect();
-            assert!(kinds.contains(&"lost-kick"));
-            assert!(kinds.contains(&"wd-rekick"));
-            // Abandon is logged exactly once per stall episode.
-            assert_eq!(kinds.iter().filter(|k| **k == "wd-abandon").count(), 1);
-            r.dump("abandon")
-        };
-        assert_eq!(run(), run(), "blackbox dump must be deterministic");
-    }
-
-    #[test]
-    fn flight_recorder_off_records_nothing_and_changes_nothing() {
-        use interweave_core::{FaultConfig, FaultPlan};
-        let run = |blackbox: bool| {
-            let mut cfg = FaultConfig::quiet(33);
-            cfg.drop_ipi = 0.4;
-            let mut e = exec(2, 1_500);
-            if blackbox {
-                e.enable_flight_recorder(32);
-            }
-            e.set_fault_plan(FaultPlan::new(cfg));
-            e.enable_watchdog(Cycles(4_000));
-            e.spawn(0, Box::new(LoopWork::new(3, Cycles(2_500))));
-            e.spawn(1, Box::new(LoopWork::new(3, Cycles(2_500))));
-            e.run();
-            assert_eq!(e.flight_recorder().is_some(), blackbox);
-            (e.stats.makespan, e.stats.lost_kicks, e.stats.stall_cycles)
-        };
-        assert_eq!(run(false), run(true), "recorder must not perturb the run");
-    }
-
-    #[test]
     fn watchdog_without_faults_changes_nothing_but_terminates() {
         // Heartbeat enabled on a healthy run: same results, still quiesces.
         let mut base = exec(1, 1_000);
@@ -1061,15 +956,23 @@ mod tests {
 
     #[test]
     fn task_stacks_are_returned_on_completion() {
+        // A zone with room for exactly four stacks: a fifth spawn is shed
+        // by real exhaustion, and once the four complete their stacks are
+        // free again for four more.
+        let four_stacks = NumaAllocator::new(1, DEFAULT_STACK_BYTES.trailing_zeros(), 2);
         let mut e = exec(1, 10_000);
-        e.set_stack_allocator(NumaAllocator::new(1, 6, 12));
+        e.set_stack_allocator(four_stacks);
+        let spawn = |e: &mut Executor| e.try_spawn(0, Box::new(LoopWork::new(1, Cycles(100))));
         for _ in 0..4 {
-            e.try_spawn(0, Box::new(LoopWork::new(1, Cycles(100))))
-                .unwrap();
+            spawn(&mut e).unwrap();
         }
-        assert_eq!(e.stack_allocator().unwrap().zone(0).n_live(), 4);
+        assert_eq!(spawn(&mut e), Err(AllocError::OutOfMemory));
+        assert_eq!(e.stats.shed_tasks, 1);
         assert!(e.run());
-        assert!(e.stack_allocator().unwrap().zone(0).fully_coalesced());
+        for _ in 0..4 {
+            spawn(&mut e).unwrap();
+        }
+        assert!(e.run());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use interweave_core::time::Cycles;
 
 /// DRAM access latencies by locality.
 #[derive(Debug, Clone, Copy)]
-pub struct NumaCosts {
+pub(crate) struct NumaCosts {
     /// Same-socket DRAM access.
     pub local: Cycles,
     /// Cross-socket DRAM access.
@@ -38,7 +38,7 @@ impl Default for NumaCosts {
 
 /// Thread-state placement policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Placement {
+pub(crate) enum Placement {
     /// Nautilus: threads bound to CPUs, state allocated from the CPU's
     /// buddy zone — always local.
     NkBound,
@@ -63,7 +63,7 @@ pub struct NumaReport {
 /// Simulate `threads` threads over `quanta` scheduler quanta on `mc`.
 /// `state_touches` is how many thread-state cache-line fills a quantum's
 /// switch + stack activity performs (cold lines after a migration).
-pub fn simulate_placement(
+pub(crate) fn simulate_placement(
     mc: &MachineConfig,
     policy: Placement,
     threads: usize,

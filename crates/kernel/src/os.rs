@@ -14,13 +14,11 @@
 //! kernel). [`model_for`] is the single materialization point the compose
 //! layer and the benches share.
 
-use crate::buddy::{AllocError, NumaAllocator};
 use crate::threads::{switch_cost, SwitchKind};
 use interweave_core::machine::MachineConfig;
 use interweave_core::rng::SplitMix64;
 use interweave_core::stack::OsPoint;
 use interweave_core::time::Cycles;
-use interweave_core::FaultPlan;
 
 /// A background-noise event on one CPU: the kernel steals `duration` cycles
 /// (timer tick work, softirqs, kworker activity).
@@ -177,26 +175,6 @@ impl OsModel for NkModel {
     fn mutex_uncontended(&self) -> Cycles {
         Cycles(60) // one locked RMW + branch
     }
-}
-
-/// Thread creation with a real stack allocation: charge the kernel's
-/// `thread_create` cost *and* carve the stack out of `alloc`'s `home_zone`
-/// (falling back per §III's zone policy), optionally under the fault plane.
-/// Returns `(stack_base, creation_cost)`; on exhaustion — real or injected —
-/// the typed [`AllocError`] reaches the caller, who degrades (sheds the
-/// task) instead of panicking.
-pub fn thread_create_with_stack(
-    os: &dyn OsModel,
-    alloc: &mut NumaAllocator,
-    home_zone: usize,
-    stack_bytes: u64,
-    faults: Option<&mut FaultPlan>,
-) -> Result<(u64, Cycles), AllocError> {
-    let (base, _zone) = match faults {
-        Some(plan) => alloc.alloc_faulted(home_zone, stack_bytes, plan)?,
-        None => alloc.alloc(home_zone, stack_bytes)?,
-    };
-    Ok((base, os.thread_create()))
 }
 
 /// Tunable pathology parameters for the Linux-like kernel.
@@ -587,35 +565,6 @@ mod tests {
         // …but Linux can sustain 100 µs.
         let h100 = f.cycles_per_us(100.0);
         assert!(lx.timer_min_period() < h100);
-    }
-
-    #[test]
-    fn thread_create_with_stack_surfaces_oom_as_result() {
-        use crate::threads::DEFAULT_STACK_BYTES;
-        use interweave_core::FaultConfig;
-        let (nk, _) = models();
-        let mut alloc = NumaAllocator::new(1, 6, 9); // 32 KiB zone
-                                                     // First spawn succeeds and charges the NK creation cost.
-        let (base, cost) =
-            thread_create_with_stack(&nk, &mut alloc, 0, DEFAULT_STACK_BYTES, None).unwrap();
-        assert_eq!(cost, nk.thread_create());
-        // Exhaust the zone: the next spawn degrades to a typed error.
-        let (_b2, _) =
-            thread_create_with_stack(&nk, &mut alloc, 0, DEFAULT_STACK_BYTES, None).unwrap();
-        assert_eq!(
-            thread_create_with_stack(&nk, &mut alloc, 0, DEFAULT_STACK_BYTES, None),
-            Err(AllocError::OutOfMemory)
-        );
-        // Injected failure takes the same typed path without touching state.
-        alloc.free(base).unwrap();
-        let mut cfg = FaultConfig::quiet(11);
-        cfg.alloc_fail = 1.0;
-        let mut plan = interweave_core::FaultPlan::new(cfg);
-        assert_eq!(
-            thread_create_with_stack(&nk, &mut alloc, 0, DEFAULT_STACK_BYTES, Some(&mut plan)),
-            Err(AllocError::OutOfMemory)
-        );
-        assert_eq!(alloc.zone(0).n_live(), 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! - compiler-timed fibers add only a predicted-branch time check
 //!   (`time_check`) over cooperative fibers;
 //! - at a compiler-chosen yield point some FP state is provably dead, so
-//!   fibers move only [`FIBER_FP_FACTOR`] of the FP save/restore cost;
+//!   fibers move only `FIBER_FP_FACTOR` of the FP save/restore cost;
 //! - the Linux path additionally pays the user/kernel boundary and the
 //!   fair-scheduler pick.
 
@@ -29,20 +29,20 @@ use interweave_core::time::Cycles;
 /// Fraction of full FP save/restore a fiber switch pays: at a compiler-
 /// chosen yield point the liveness of FP registers is known, so dead state
 /// is simply not moved.
-pub const FIBER_FP_FACTOR: f64 = 0.75;
+pub(crate) const FIBER_FP_FACTOR: f64 = 0.75;
 
 /// Fiber management overhead beyond register movement: stack-pointer swap,
 /// TCB bookkeeping, and the fiber queue update.
-pub const FIBER_MGMT: Cycles = Cycles(150);
+pub(crate) const FIBER_MGMT: Cycles = Cycles(150);
 
 /// Default kernel-thread stack size charged against the buddy allocator
 /// when a spawn goes through the stack-backed path (§III: thread stacks are
 /// "guaranteed to always be in the most desirable zone").
-pub const DEFAULT_STACK_BYTES: u64 = 16 * 1024;
+pub(crate) const DEFAULT_STACK_BYTES: u64 = 16 * 1024;
 
 /// The "most desirable zone" for a thread bound to `cpu`: its socket's NUMA
 /// domain (one buddy zone per socket in our allocator layout).
-pub fn home_zone_for(cpu: usize, mc: &MachineConfig) -> usize {
+pub(crate) fn home_zone_for(cpu: usize, mc: &MachineConfig) -> usize {
     mc.socket_of(cpu)
 }
 
@@ -95,13 +95,13 @@ impl SwitchBreakdown {
 /// Safe-Rust scheduler surcharge for the Aster-like framekernel: the O(1)
 /// NK-style pick plus bounds-checked runqueue operations behind a checked
 /// API (no `unsafe` fast path to elide them).
-pub const ASTER_SCHED_OVERHEAD: Cycles = Cycles(200);
+pub(crate) const ASTER_SCHED_OVERHEAD: Cycles = Cycles(200);
 
 /// In-kernel protection-domain bookkeeping an Aster-like switch pays: the
 /// framekernel keeps real page tables per domain, so a task switch touches
 /// them (CR3 bookkeeping, accessor revalidation) — but there is no
 /// user/kernel world switch, so this is far below a full crossing.
-pub const ASTER_DOMAIN_CHECK: Cycles = Cycles(150);
+pub(crate) const ASTER_DOMAIN_CHECK: Cycles = Cycles(150);
 
 /// Compose the switch cost for one configuration.
 pub fn switch_cost(

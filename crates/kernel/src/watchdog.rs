@@ -61,19 +61,19 @@ impl WatchdogPolicy {
 
     /// Distance to the next permitted retry at backoff level `backoff`
     /// (the executor adds this to the scan time that re-kicked).
-    pub fn retry_backoff(&self, backoff: u32) -> Cycles {
+    pub(crate) fn retry_backoff(&self, backoff: u32) -> Cycles {
         Cycles(self.period.get().saturating_mul(backoff as u64))
     }
 
     /// The next backoff level after a re-kick: doubles, capped at
     /// [`Self::max_backoff`].
-    pub fn escalate(&self, backoff: u32) -> u32 {
+    pub(crate) fn escalate(&self, backoff: u32) -> u32 {
         (backoff * 2).min(self.max_backoff)
     }
 
     /// True once `rekicks` consecutive failed re-kicks exhaust the budget:
     /// the CPU is declared failed and no longer retried.
-    pub fn abandons(&self, rekicks: u32) -> bool {
+    pub(crate) fn abandons(&self, rekicks: u32) -> bool {
         rekicks >= self.max_rekicks
     }
 }

@@ -42,7 +42,7 @@ impl Construct {
     }
 
     /// All constructs.
-    pub fn all() -> [Construct; 5] {
+    pub(crate) fn all() -> [Construct; 5] {
         [
             Construct::Parallel,
             Construct::Barrier,
@@ -67,7 +67,7 @@ pub struct EpccRow {
 }
 
 /// Overhead of one construct at one scale under one mode.
-pub fn construct_overhead(
+pub(crate) fn construct_overhead(
     construct: Construct,
     mode: OmpMode,
     threads: usize,

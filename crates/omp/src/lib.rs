@@ -21,14 +21,14 @@
 //!   small scale, centralized-queue contention at large scale ("not easily
 //!   summarized").
 //!
-//! Modules: [`modes`] (per-design cost profiles), [`nas`] (BT/SP-like
+//! Modules: `modes` (per-design cost profiles), [`nas`] (BT/SP-like
 //! workload specifications), [`sim`] (the Fig. 6 scaling simulation), and
 //! [`epcc`] (EPCC-style overhead microbenchmarks).
 
 #![warn(missing_docs)]
 
 pub mod epcc;
-pub mod modes;
+pub(crate) mod modes;
 pub mod nas;
 pub mod sim;
 

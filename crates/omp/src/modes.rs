@@ -9,7 +9,7 @@
 use interweave_core::machine::MachineConfig;
 use interweave_core::rng::SplitMix64;
 use interweave_core::time::Cycles;
-use interweave_kernel::os::{AsterModel, LinuxModel, NkModel, OsModel};
+use interweave_kernel::os::{AsterModel, LinuxModel, OsModel};
 
 /// The execution designs of §V-A, plus the framekernel mid-point of the
 /// OS axis (unmodified libomp on an Aster-like kernel).
@@ -56,21 +56,19 @@ impl OmpMode {
 }
 
 /// Priced runtime events for one mode on one machine.
-pub struct ModeCosts {
+pub(crate) struct ModeCosts {
     mode: OmpMode,
     linux: LinuxModel,
     aster: AsterModel,
-    nk: NkModel,
 }
 
 impl ModeCosts {
     /// Cost profile for `mode` on `mc`.
-    pub fn new(mode: OmpMode, mc: &MachineConfig) -> ModeCosts {
+    pub(crate) fn new(mode: OmpMode, mc: &MachineConfig) -> ModeCosts {
         ModeCosts {
             mode,
             linux: LinuxModel::new(mc.clone()),
             aster: AsterModel::new(mc.clone()),
-            nk: NkModel::new(mc.clone()),
         }
     }
 
@@ -79,7 +77,7 @@ impl ModeCosts {
     }
 
     /// Master-side cost to open a parallel region with `p` workers.
-    pub fn fork_master(&self, p: usize) -> Cycles {
+    pub(crate) fn fork_master(&self, p: usize) -> Cycles {
         let p64 = p as u64;
         match self.mode {
             // Tree release of spinning workers, some of which have dozed
@@ -109,7 +107,7 @@ impl ModeCosts {
     }
 
     /// Latency until a worker starts executing region work after the fork.
-    pub fn fork_worker_latency(&self, p: usize) -> Cycles {
+    pub(crate) fn fork_worker_latency(&self, p: usize) -> Cycles {
         let l = Self::log2p(p);
         match self.mode {
             OmpMode::LinuxUser => Cycles(300) + Cycles(60) * l,
@@ -123,7 +121,7 @@ impl ModeCosts {
     }
 
     /// Per-participant barrier cost once everyone has arrived.
-    pub fn barrier(&self, p: usize) -> Cycles {
+    pub(crate) fn barrier(&self, p: usize) -> Cycles {
         let l = Self::log2p(p);
         match self.mode {
             // Spin tree + a futex component that grows with the blocking
@@ -144,7 +142,7 @@ impl ModeCosts {
     }
 
     /// Per-chunk scheduling cost (dynamic grabs; static pays once).
-    pub fn chunk_grab(&self, p: usize) -> Cycles {
+    pub(crate) fn chunk_grab(&self, p: usize) -> Cycles {
         match self.mode {
             OmpMode::LinuxUser | OmpMode::AsterUser | OmpMode::Rtk | OmpMode::Pik => Cycles(60),
             OmpMode::Cck => Cycles(80) * (1 + p as u64 / 32),
@@ -154,7 +152,7 @@ impl ModeCosts {
     /// Sample stolen cycles from OS noise within a compute window of
     /// `window` cycles. Zero for kernel-interwoven designs (§III:
     /// interrupts steered away; no daemons).
-    pub fn noise_in_window(&self, window: Cycles, rng: &mut SplitMix64) -> Cycles {
+    pub(crate) fn noise_in_window(&self, window: Cycles, rng: &mut SplitMix64) -> Cycles {
         let os: &dyn OsModel = match self.mode {
             OmpMode::LinuxUser => &self.linux,
             // The framekernel has no per-CPU tick, only rare maintenance
@@ -176,16 +174,11 @@ impl ModeCosts {
 
     /// Whether this design smooths imbalance through tasking (CCK maps
     /// regions to 4 tasks per worker, so static imbalance averages out).
-    pub fn task_smoothing(&self) -> u64 {
+    pub(crate) fn task_smoothing(&self) -> u64 {
         match self.mode {
             OmpMode::Cck => 4,
             _ => 1,
         }
-    }
-
-    /// The underlying NK model (for reuse by reports).
-    pub fn nk(&self) -> &NkModel {
-        &self.nk
     }
 }
 

@@ -27,19 +27,8 @@ pub struct BespokeSpec {
 }
 
 impl BespokeSpec {
-    /// The everything-on context (what a general-purpose unikernel sets up
-    /// regardless of need).
-    pub fn full() -> BespokeSpec {
-        BespokeSpec {
-            needs_fp: true,
-            needs_heap: true,
-            needs_io: true,
-            needs_long_mode: true,
-        }
-    }
-
     /// The minimal context: integer math only.
-    pub fn minimal() -> BespokeSpec {
+    pub(crate) fn minimal() -> BespokeSpec {
         BespokeSpec {
             needs_fp: false,
             needs_heap: false,
@@ -52,7 +41,7 @@ impl BespokeSpec {
     /// stub runtime) plus each selected feature's cost. Calibrated so the
     /// full set lands near the classic minimal-unikernel boot and the
     /// minimal set is a few µs.
-    pub fn setup_us(&self) -> MicroSeconds {
+    pub(crate) fn setup_us(&self) -> MicroSeconds {
         let mut us = 3.0; // enter guest, zero state, call the function
         if self.needs_long_mode {
             us += 9.0; // page tables + GDT + mode switches
@@ -133,20 +122,31 @@ mod tests {
         assert!(spec.needs_long_mode);
     }
 
+    /// The everything-on context a general-purpose unikernel sets up
+    /// regardless of need.
+    fn full() -> BespokeSpec {
+        BespokeSpec {
+            needs_fp: true,
+            needs_heap: true,
+            needs_io: true,
+            needs_long_mode: true,
+        }
+    }
+
     #[test]
     fn costs_are_monotone_in_features() {
-        assert!(BespokeSpec::minimal().setup_us().get() < BespokeSpec::full().setup_us().get());
+        assert!(BespokeSpec::minimal().setup_us().get() < full().setup_us().get());
         let mut mid = BespokeSpec::minimal();
         mid.needs_fp = true;
         assert!(mid.setup_us().get() > BespokeSpec::minimal().setup_us().get());
-        assert!(mid.setup_us().get() < BespokeSpec::full().setup_us().get());
+        assert!(mid.setup_us().get() < full().setup_us().get());
     }
 
     #[test]
     fn synthesized_never_exceeds_full() {
         for p in programs::suite(1) {
             let spec = synthesize(&p.module);
-            assert!(spec.setup_us().get() <= BespokeSpec::full().setup_us().get());
+            assert!(spec.setup_us().get() <= full().setup_us().get());
         }
     }
 }

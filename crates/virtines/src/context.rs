@@ -62,7 +62,7 @@ impl Virtine {
     /// the signal the Wasp layer uses to tear down and restart from
     /// snapshot. A guest trap before the kill point still surfaces as
     /// [`VirtineOutcome::Faulted`].
-    pub fn invoke_killable(
+    pub(crate) fn invoke_killable(
         &mut self,
         args: &[Val],
         budget: u64,
@@ -79,7 +79,7 @@ impl Virtine {
     /// Pages this invocation dirtied (what a copy-on-write snapshot restore
     /// must re-map): one 4 KiB page per 512 stored words, at least one page
     /// for the guest stack once anything ran.
-    pub fn dirty_pages(&self) -> u64 {
+    pub(crate) fn dirty_pages(&self) -> u64 {
         if self.interp.stats.insts == 0 {
             0
         } else {
@@ -90,29 +90,16 @@ impl Virtine {
     /// Reset guest state for pool reuse (the snapshot-restore fast path:
     /// memory is discarded, which is exactly what restoring a clean
     /// snapshot accomplishes).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.interp = Interp::new(InterpConfig::default());
         self.guest_cycles = 0;
-    }
-
-    /// Live allocations inside the guest (post-run inspection).
-    pub fn guest_allocations(&self) -> usize {
-        self.interp.mem.n_allocs()
-    }
-
-    /// Backing pages the guest's memory actually materialized — the
-    /// simulator-level footprint a snapshot restore discards. Unlike
-    /// [`Virtine::dirty_pages`] (the modelled copy-on-write cost, derived
-    /// from the store count), this observes the page-backed storage itself.
-    pub fn resident_pages(&self) -> usize {
-        self.interp.mem.resident_pages()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::extract_virtines;
+    use crate::extract::extract_one;
     use interweave_ir::{BinOp, CmpOp, FunctionBuilder, Module};
 
     fn fib_image() -> VirtineImage {
@@ -137,7 +124,7 @@ mod tests {
         let s = fb.bin(BinOp::Add, a, b);
         fb.ret(Some(s));
         m.add(fb.finish());
-        extract_virtines(&m).remove(0)
+        extract_one(&m, FuncId(0))
     }
 
     #[test]
@@ -160,7 +147,7 @@ mod tests {
         let _ = fb.load(bogus, 0);
         fb.ret(None);
         m.add(fb.finish());
-        let img = extract_virtines(&m).remove(0);
+        let img = extract_one(&m, FuncId(0));
         let mut v = Virtine::new(img);
         match v.invoke(&[], u64::MAX / 4) {
             VirtineOutcome::Faulted(Trap::BadAccess { addr, .. }) => {
@@ -171,7 +158,7 @@ mod tests {
         // The host (this test) is obviously still running; the virtine can
         // be reset and reused.
         v.reset();
-        assert_eq!(v.guest_allocations(), 0);
+        assert_eq!(v.interp.mem.resident_pages(), 0);
     }
 
     #[test]
@@ -184,7 +171,7 @@ mod tests {
         fb.switch_to(head);
         fb.br(head);
         m.add(fb.finish());
-        let img = extract_virtines(&m).remove(0);
+        let img = extract_one(&m, FuncId(0));
         let mut v = Virtine::new(img);
         assert_eq!(v.invoke(&[], 10_000), VirtineOutcome::Killed);
     }
@@ -231,7 +218,7 @@ mod tests {
         let v = fb.load(p, 0);
         fb.ret(Some(v));
         m.add(fb.finish());
-        let img = extract_virtines(&m).remove(0);
+        let img = extract_one(&m, FuncId(0));
 
         let mut a = Virtine::new(img.clone());
         let mut b = Virtine::new(img);
@@ -243,11 +230,16 @@ mod tests {
             b.invoke(&[], u64::MAX / 4),
             VirtineOutcome::Returned(Some(Val::I(7)))
         );
-        assert_eq!(a.guest_allocations(), 1);
-        assert_eq!(b.guest_allocations(), 1);
+        let pages = b.interp.mem.resident_pages();
+        assert!(pages > 0);
+        assert_eq!(a.interp.mem.resident_pages(), pages);
         a.reset();
-        assert_eq!(a.guest_allocations(), 0);
-        assert_eq!(b.guest_allocations(), 1, "reset of A must not touch B");
+        assert_eq!(a.interp.mem.resident_pages(), 0);
+        assert_eq!(
+            b.interp.mem.resident_pages(),
+            pages,
+            "reset of A must not touch B"
+        );
     }
 
     #[test]
@@ -266,16 +258,20 @@ mod tests {
         fb.store(far, 0, seven);
         fb.ret(None);
         m.add(fb.finish());
-        let img = extract_virtines(&m).remove(0);
+        let img = extract_one(&m, FuncId(0));
 
         let mut v = Virtine::new(img);
-        assert_eq!(v.resident_pages(), 0);
+        assert_eq!(v.interp.mem.resident_pages(), 0);
         assert_eq!(v.invoke(&[], u64::MAX / 4), VirtineOutcome::Returned(None));
         assert!(
-            v.resident_pages() >= 2,
+            v.interp.mem.resident_pages() >= 2,
             "stores 32 KiB apart must land on distinct pages"
         );
         v.reset();
-        assert_eq!(v.resident_pages(), 0, "restore discards guest pages");
+        assert_eq!(
+            v.interp.mem.resident_pages(),
+            0,
+            "restore discards guest pages"
+        );
     }
 }

@@ -22,14 +22,6 @@ pub struct VirtineImage {
     pub module: Module,
 }
 
-/// Extract every `virtine`-annotated function in `m` into its own image.
-pub fn extract_virtines(m: &Module) -> Vec<VirtineImage> {
-    m.virtine_funcs()
-        .into_iter()
-        .map(|f| extract_one(m, f))
-        .collect()
-}
-
 /// Extract a single function (plus transitive callees) as an image.
 pub fn extract_one(m: &Module, entry: FuncId) -> VirtineImage {
     // Transitive closure of callees, deterministic order (BFS).
@@ -129,9 +121,7 @@ mod tests {
     #[test]
     fn extracts_entry_and_transitive_callees_only() {
         let m = host_module();
-        let images = extract_virtines(&m);
-        assert_eq!(images.len(), 1);
-        let img = &images[0];
+        let img = extract_one(&m, FuncId(1));
         assert_eq!(img.name, "fib");
         // fib + helper, but not main.
         assert_eq!(img.module.funcs.len(), 2);
@@ -142,7 +132,7 @@ mod tests {
     #[test]
     fn extracted_image_runs_standalone_with_correct_semantics() {
         let m = host_module();
-        let img = &extract_virtines(&m)[0];
+        let img = &extract_one(&m, FuncId(1));
         let mut it = Interp::new(InterpConfig::default());
         it.start(&img.module, FuncId(0), &[Val::I(10)]);
         let v = it.run_to_completion(&img.module, &mut NullHooks);
@@ -153,7 +143,7 @@ mod tests {
     #[test]
     fn recursion_remaps_to_image_local_ids() {
         let m = host_module();
-        let img = &extract_virtines(&m)[0];
+        let img = &extract_one(&m, FuncId(1));
         // Entry must be id 0 and self-calls must target 0.
         let entry = img.module.func(FuncId(0));
         assert_eq!(entry.name, "fib");
@@ -169,14 +159,5 @@ mod tests {
             }
         }
         assert_eq!(self_calls, 2);
-    }
-
-    #[test]
-    fn module_without_virtines_yields_no_images() {
-        let mut m = Module::new();
-        let mut fb = FunctionBuilder::new("plain", 0);
-        fb.ret(None);
-        m.add(fb.finish());
-        assert!(extract_virtines(&m).is_empty());
     }
 }

@@ -14,7 +14,7 @@
 //!   tables, so a million-invocation sweep costs microseconds of host time
 //!   instead of re-running the interpreter per request. A differential
 //!   test pins the quiet path byte-identical to the real `Wasp`.
-//! - [`WaspPool::invoke_recovering`]: bounded retry with exponential
+//! - `WaspPool::invoke_recovering`: bounded retry with exponential
 //!   backoff + deterministic jitter ([`RetryPolicy`]) on top of the
 //!   snapshot-restart recovery `Wasp` performs; exhaustion surfaces as the
 //!   typed [`ServeError::RetriesExhausted`] instead of looping.
@@ -37,7 +37,7 @@
 //!
 //! **Fault accounting.** Every injected fault must land somewhere. Per
 //! class, the invariant `injected == recovered + shed + absorbed` holds
-//! ([`FaultAccount::balanced`], asserted after every run): a virtine kill
+//! (`FaultAccount::balanced`, asserted after every run): a virtine kill
 //! is *recovered* when its request eventually returns, *shed* when the
 //! retry budget exhausts, and *absorbed* when the kill lands after the
 //! guest already finished; a lost completion kick is always *recovered*
@@ -82,14 +82,14 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// Nominal (jitter-free) backoff after failed attempt `attempt`:
     /// doubles from `base`, saturating at `cap`.
-    pub fn nominal(&self, attempt: u32) -> Cycles {
+    pub(crate) fn nominal(&self, attempt: u32) -> Cycles {
         let mult = 1u64 << attempt.min(63);
         Cycles(self.base.get().saturating_mul(mult).min(self.cap.get()))
     }
 
     /// The actual backoff for failed attempt `attempt`: nominal plus a
     /// jittered share drawn from `rng`.
-    pub fn backoff(&self, attempt: u32, rng: &mut SplitMix64) -> Cycles {
+    pub(crate) fn backoff(&self, attempt: u32, rng: &mut SplitMix64) -> Cycles {
         let n = self.nominal(attempt).get();
         let spread = (n as f64 * self.jitter_frac) as u64;
         let j = if spread > 0 { rng.below(spread + 1) } else { 0 };
@@ -251,7 +251,7 @@ pub struct WaspPool {
 impl WaspPool {
     /// A pool serving `profile` on `mc`, with the backoff jitter stream
     /// seeded by `backoff_seed`.
-    pub fn new(
+    pub(crate) fn new(
         profile: ServiceProfile,
         mc: MachineConfig,
         opts: PoolOptions,
@@ -274,16 +274,11 @@ impl WaspPool {
     /// Pre-boot `n` contexts into the cache (dirty footprint 0, so their
     /// first restore is the baseline snapshot cost — `Wasp::prewarm`
     /// parity). Counts cold starts like the real pool. Capacity-bounded.
-    pub fn prewarm(&mut self, n: usize) {
+    pub(crate) fn prewarm(&mut self, n: usize) {
         for _ in 0..n.min(self.opts.cache_capacity) {
             self.cached.push(0);
             self.stats.cold_starts += 1;
         }
-    }
-
-    /// Snapshots currently cached.
-    pub fn cached(&self) -> usize {
-        self.cached.len()
     }
 
     /// Start-up cycles of restoring a cached snapshot with `dirty` pages:
@@ -339,7 +334,7 @@ impl WaspPool {
     /// completion, an [`FaultClass::AllocFail`] draw models snapshot-cache
     /// memory pressure: it evicts one cached snapshot (forcing a later
     /// cold-start recovery) or is absorbed when the cache is empty.
-    pub fn invoke_recovering(
+    pub(crate) fn invoke_recovering(
         &mut self,
         budget: u64,
         faults: &mut FaultPlan,
@@ -426,7 +421,7 @@ pub struct FaultAccount {
 impl FaultAccount {
     /// The accounting invariant: every injection is recovered, shed, or
     /// absorbed — nothing vanishes.
-    pub fn balanced(&self) -> bool {
+    pub(crate) fn balanced(&self) -> bool {
         self.injected == self.recovered + self.shed + self.absorbed
     }
 }
@@ -767,9 +762,9 @@ pub fn run_serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::extract_virtines;
+    use crate::extract::extract_one;
     use crate::wasp::Wasp;
-    use interweave_ir::{BinOp, CmpOp, FunctionBuilder, Module};
+    use interweave_ir::{BinOp, CmpOp, FuncId, FunctionBuilder, Module};
 
     fn fib_image() -> VirtineImage {
         let mut m = Module::new();
@@ -793,7 +788,7 @@ mod tests {
         let s = fb.bin(BinOp::Add, a, b);
         fb.ret(Some(s));
         m.add(fb.finish());
-        extract_virtines(&m).remove(0)
+        extract_one(&m, FuncId(0))
     }
 
     fn retry() -> RetryPolicy {

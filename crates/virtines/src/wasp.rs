@@ -134,7 +134,7 @@ pub struct WaspStats {
 
 /// Per-dirty-page cost of a copy-on-write snapshot restore, in
 /// microseconds (unmap + re-map of a 4 KiB page).
-pub const RESTORE_US_PER_DIRTY_PAGE: f64 = 0.4;
+pub(crate) const RESTORE_US_PER_DIRTY_PAGE: f64 = 0.4;
 
 /// Start-up cost of restoring a pooled snapshot whose previous tenant
 /// dirtied `dirty` pages: the baseline snapshot re-map plus one CoW
@@ -318,19 +318,14 @@ impl Wasp {
             self.sink.count_at(&KEY_COLD_STARTS, 0, 1, self.clock);
         }
     }
-
-    /// Pool size.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bespoke::synthesize;
-    use crate::extract::extract_virtines;
-    use interweave_ir::{BinOp, CmpOp, FunctionBuilder, Module};
+    use crate::extract::extract_one;
+    use interweave_ir::{BinOp, CmpOp, FuncId, FunctionBuilder, Module};
 
     fn fib_image() -> VirtineImage {
         let mut m = Module::new();
@@ -354,7 +349,7 @@ mod tests {
         let s = fb.bin(BinOp::Add, a, b);
         fb.ret(Some(s));
         m.add(fb.finish());
-        extract_virtines(&m).remove(0)
+        extract_one(&m, FuncId(0))
     }
 
     #[test]
@@ -447,11 +442,11 @@ mod tests {
         let _ = fb.load(bogus, 0);
         fb.ret(None);
         m.add(fb.finish());
-        let img = extract_virtines(&m).remove(0);
+        let img = extract_one(&m, FuncId(0));
         let mut w = Wasp::new(img, MachineConfig::xeon_server_2s());
         let (o, _) = w.invoke(&[], u64::MAX / 4);
         assert!(matches!(o, VirtineOutcome::Faulted(_)));
-        assert_eq!(w.pooled(), 0, "a faulted context must be destroyed");
+        assert_eq!(w.pool.len(), 0, "a faulted context must be destroyed");
     }
 
     #[test]
