@@ -13,11 +13,13 @@
 //! line address and grown when a line past its end is mapped — so a probe
 //! is one bounds check and two indexed loads, and every operation is one
 //! `frame_of` lookup followed by frame arithmetic (a write hit reuses the
-//! [`Slot`] its probe found). An evicted victim's frame is reused in
-//! place; an invalidation swap-removes its frame, keeping `frames`
-//! exactly the resident set.
-
-use std::collections::VecDeque;
+//! [`Slot`] its probe found).
+//!
+//! The frames are also the only replacement state: a clock hand sweeps
+//! them in frame order, clearing each referenced frame's bit (its second
+//! chance) and evicting the first unreferenced one, whose frame the new
+//! line takes in place. An invalidation swap-removes its frame, keeping
+//! `frames` exactly the resident set.
 
 /// MESI states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,10 +103,10 @@ pub struct Cache {
     /// lines past the end are not resident either. At 2 B per line a
     /// Fig. 7 core's index stays under glibc's 128 KiB mmap threshold.
     index: Vec<u16>,
-    /// The resident lines, at most `capacity` of them, in no order.
+    /// The resident lines, at most `capacity` of them, in no line order.
     frames: Vec<Frame>,
-    /// Clock ring of line addresses; invalidated lines are skipped lazily.
-    clock: VecDeque<u64>,
+    /// The clock hand: the next frame the eviction sweep examines.
+    hand: usize,
     capacity: usize,
 }
 
@@ -119,7 +121,7 @@ impl Cache {
         Cache {
             index: Vec::new(),
             frames: Vec::with_capacity(capacity),
-            clock: VecDeque::new(),
+            hand: 0,
             capacity,
         }
     }
@@ -180,8 +182,7 @@ impl Cache {
     }
 
     /// Remove a line (invalidation); returns its entry if present. The
-    /// last frame moves into the freed one, so `frames` stays dense; the
-    /// clock ring skips the line lazily.
+    /// last frame moves into the freed one, so `frames` stays dense.
     pub fn invalidate(&mut self, line: u64) -> Option<Entry> {
         let f = self.frame_of(line)?;
         self.unmap(line);
@@ -200,32 +201,28 @@ impl Cache {
             self.frames[f] = fresh;
             return None;
         }
-        let mut victim = None;
-        let f = if self.frames.len() < self.capacity {
+        if self.frames.len() < self.capacity {
+            self.map(line, self.frames.len());
             self.frames.push(fresh);
-            self.frames.len() - 1
-        } else {
-            // Clock: skip referenced or already-invalidated entries.
-            loop {
-                let cand = self.clock.pop_front().expect("clock tracks residents");
-                let Some(f) = self.frame_of(cand) else {
-                    continue; // invalidated earlier; drop lazily
-                };
-                if self.frames[f].meta & META_REF != 0 {
-                    // Second chance: clear the bit, recycle.
-                    self.frames[f].meta &= !META_REF;
-                    self.clock.push_back(cand);
-                    continue;
-                }
-                victim = Some((cand, self.frames[f].entry()));
-                self.unmap(cand);
-                self.frames[f] = fresh;
-                break f;
+            return None;
+        }
+        // Second chance: clear referenced frames until an unreferenced one.
+        loop {
+            if self.hand >= self.frames.len() {
+                self.hand = 0;
             }
-        };
-        self.map(line, f);
-        self.clock.push_back(line);
-        victim
+            let f = self.hand;
+            self.hand += 1;
+            let fr = &mut self.frames[f];
+            if fr.meta & META_REF != 0 {
+                fr.meta &= !META_REF;
+                continue;
+            }
+            let gone = std::mem::replace(fr, fresh);
+            self.unmap(gone.line);
+            self.map(line, f);
+            return Some((gone.line, gone.entry()));
+        }
     }
 
     /// Resident line count.
@@ -299,18 +296,17 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_then_insert_does_not_grow_clock_unboundedly() {
+    fn a_referenced_line_reinserted_after_invalidation_is_not_the_victim() {
+        // Re-inserting line 1 gives it no second clock position: the hand
+        // passes it, referenced, and evicts the unreferenced line 2.
         let mut c = Cache::new(2);
-        for round in 0..100 {
-            c.insert(round, Mesi::S, 0);
-            c.invalidate(round);
-        }
-        assert!(c.is_empty());
-        // Insert two lines; the lazy clock must cope with dead entries.
-        c.insert(1000, Mesi::S, 0);
-        c.insert(1001, Mesi::S, 0);
-        c.insert(1002, Mesi::S, 0);
-        assert_eq!(c.len(), 2);
+        c.insert(1, Mesi::S, 0);
+        c.invalidate(1);
+        c.insert(1, Mesi::S, 0);
+        c.insert(2, Mesi::S, 0);
+        assert!(c.probe(1).is_some());
+        assert_eq!(c.insert(3, Mesi::S, 0).map(|(l, _)| l), Some(2));
+        assert!(c.peek(1).is_some());
     }
 
     #[test]

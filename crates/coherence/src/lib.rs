@@ -16,8 +16,9 @@
 //! simulator over a 2D-mesh NoC that counts its traffic in flit-hops
 //! (priced once as interconnect energy), plus the deactivation extension:
 //!
-//! - [`cache`]: per-core private caches (clock-LRU), each finding a
-//!   line's frame through a 2-byte-per-line index grown on demand.
+//! - [`cache`]: per-core private caches (a second-chance clock over
+//!   their frames), each finding a line's frame through a 2-byte-per-line
+//!   index grown on demand.
 //! - `noc`: the mesh topology, hop latency, and flit counts.
 //! - [`protocol`]: the coherence engine — full MESI and the selective
 //!   extension (private regions homed at the owner's slice with no
