@@ -4,13 +4,16 @@
 //! cannot perform an unchecked access. The attestation hash proves the
 //! module wasn't modified; this verifier proves the stronger property
 //! *directly*: on every path to every load/store, the accessed register is
-//! covered — by a dominating object guard of the same (single-definition)
-//! register, or by a range guard of the (loop-invariant) base it was
-//! derived from. The same must-dataflow as guard elision, run as a checker
-//! instead of a rewriter: elision removes guards the analysis proves
-//! redundant, coverage rejects accesses the analysis cannot prove guarded.
+//! covered — by an earlier guard of the same register with no redefinition
+//! in between, or by a range guard of the single-definition base it was
+//! derived through a `gep`. A guard carries one fact (its register points
+//! into a live allocation), so a load's guard covers a later store and vice
+//! versa. Guard elision runs on the same must-dataflow solver (the crate's
+//! `dataflow::solve`), as a rewriter instead of a checker: elision removes
+//! guards the analysis proves redundant, coverage rejects accesses the
+//! analysis cannot prove guarded.
 
-use crate::guards::flag_value;
+use crate::dataflow::{gep_base, intersect, solve};
 use interweave_ir::analysis::{Cfg, DefInfo};
 use interweave_ir::inst::{Inst, Intrinsic};
 use interweave_ir::types::Reg;
@@ -44,48 +47,16 @@ impl std::fmt::Display for CoverageError {
 
 #[derive(Clone, PartialEq)]
 struct CovState {
-    // Registers proven guarded (read / write).
-    read: Vec<bool>,
-    write: Vec<bool>,
-    // Objects (base registers) proven range-guarded (read / write).
-    obj_read: Vec<bool>,
-    obj_write: Vec<bool>,
+    /// Registers proven guarded.
+    reg: Vec<bool>,
+    /// Objects (base registers) proven range-guarded.
+    obj: Vec<bool>,
 }
 
 impl CovState {
-    fn empty(n: usize) -> CovState {
-        CovState {
-            read: vec![false; n],
-            write: vec![false; n],
-            obj_read: vec![false; n],
-            obj_write: vec![false; n],
-        }
-    }
-    fn intersect(&mut self, o: &CovState) {
-        for (a, b) in self.read.iter_mut().zip(&o.read) {
-            *a &= b;
-        }
-        for (a, b) in self.write.iter_mut().zip(&o.write) {
-            *a &= b;
-        }
-        for (a, b) in self.obj_read.iter_mut().zip(&o.obj_read) {
-            *a &= b;
-        }
-        for (a, b) in self.obj_write.iter_mut().zip(&o.obj_write) {
-            *a &= b;
-        }
-    }
     fn clear(&mut self) {
-        self.read.iter_mut().for_each(|b| *b = false);
-        self.write.iter_mut().for_each(|b| *b = false);
-        self.obj_read.iter_mut().for_each(|b| *b = false);
-        self.obj_write.iter_mut().for_each(|b| *b = false);
-    }
-    fn kill(&mut self, r: u32) {
-        self.read[r as usize] = false;
-        self.write[r as usize] = false;
-        self.obj_read[r as usize] = false;
-        self.obj_write[r as usize] = false;
+        self.reg.fill(false);
+        self.obj.fill(false);
     }
 }
 
@@ -94,183 +65,77 @@ impl CovState {
 pub fn verify_coverage(m: &Module) -> Vec<CoverageError> {
     let mut errors = Vec::new();
     for f in &m.funcs {
-        let n = f.n_regs;
         if f.blocks.is_empty() {
             continue;
         }
         let cfg = Cfg::build(f);
         let defs = DefInfo::compute(f);
 
-        // The (unique, single-def) gep base of a register, if any.
-        let gep_base = |r: Reg| -> Option<Reg> {
-            if !defs.is_single_def(r) {
-                return None;
-            }
-            for b in &f.blocks {
-                for i in &b.insts {
-                    if let Inst::Gep(d, base, _, _, _) = i {
-                        if *d == r {
-                            return Some(*base).filter(|b| defs.is_single_def(*b));
-                        }
-                    }
-                }
-            }
-            None
+        let covered = |st: &CovState, addr: Reg| -> bool {
+            st.reg[addr.0 as usize]
+                || gep_base(f, &defs, addr)
+                    .is_some_and(|b| defs.is_single_def(b) && st.obj[b.0 as usize])
         };
 
-        let covered = |st: &CovState, addr: Reg, write: bool| -> bool {
-            let direct = if write {
-                st.write[addr.0 as usize]
-            } else {
-                st.read[addr.0 as usize]
-            };
-            if direct {
-                return true;
-            }
-            match gep_base(addr) {
-                Some(b) => {
-                    if write {
-                        st.obj_write[b.0 as usize]
-                    } else {
-                        st.obj_read[b.0 as usize]
-                    }
-                }
-                None => false,
-            }
-        };
-
-        let apply = |st: &mut CovState,
-                     bi: usize,
-                     f: &interweave_ir::Function,
-                     mut report: Option<&mut Vec<CoverageError>>| {
+        let apply = |st: &mut CovState, bi: usize, mut report: Option<&mut Vec<CoverageError>>| {
             for (ii, inst) in f.blocks[bi].insts.iter().enumerate() {
+                let access = match inst {
+                    Inst::Load(_, a, _) => Some((*a, false)),
+                    Inst::Store(a, _, _) => Some((*a, true)),
+                    _ => None,
+                };
+                if let (Some((addr, write)), Some(out)) = (access, report.as_deref_mut()) {
+                    if !covered(st, addr) {
+                        out.push(CoverageError {
+                            func: f.name.clone(),
+                            block: bi,
+                            inst: ii,
+                            write,
+                        });
+                    }
+                }
                 match inst {
                     Inst::Intr(_, Intrinsic::CaratGuard, args) => {
                         // Sound even for multi-definition registers: the
                         // kill-on-def rule removes the fact the moment the
                         // register could hold a different value.
-                        let a = args[0];
-                        let w = flag_value(f, &defs, args[1]) == Some(1);
-                        st.read[a.0 as usize] = true;
-                        if w {
-                            st.write[a.0 as usize] = true;
-                        }
+                        st.reg[args[0].0 as usize] = true;
                     }
                     Inst::Intr(_, Intrinsic::CaratGuardRange, args) => {
                         let a = args[0];
-                        let w = flag_value(f, &defs, args[1]) == Some(1);
                         // Object coverage through gep bases demands a
                         // single-definition base (otherwise a gep-derived
                         // address may refer to an older base value).
                         if defs.is_single_def(a) {
-                            st.obj_read[a.0 as usize] = true;
-                            if w {
-                                st.obj_write[a.0 as usize] = true;
-                            }
+                            st.obj[a.0 as usize] = true;
                         }
                         // A range guard also covers direct accesses through
                         // the base register itself.
-                        st.read[a.0 as usize] = true;
-                        if w {
-                            st.write[a.0 as usize] = true;
-                        }
+                        st.reg[a.0 as usize] = true;
                     }
-                    Inst::Intr(_, Intrinsic::CaratTrackFree, _) | Inst::Free(_) => st.clear(),
-                    Inst::Call(d, _, _) => {
-                        st.clear();
-                        if let Some(d) = d {
-                            st.kill(d.0);
-                        }
-                    }
-                    Inst::Load(_, a, _) => {
-                        if let Some(out) = report.as_deref_mut() {
-                            if !covered(st, *a, false) {
-                                out.push(CoverageError {
-                                    func: f.name.clone(),
-                                    block: bi,
-                                    inst: ii,
-                                    write: false,
-                                });
-                            }
-                        }
-                        if let Some(d) = inst.def() {
-                            st.kill(d.0);
-                        }
-                    }
-                    Inst::Store(a, _, _) => {
-                        if let Some(out) = report.as_deref_mut() {
-                            if !covered(st, *a, true) {
-                                out.push(CoverageError {
-                                    func: f.name.clone(),
-                                    block: bi,
-                                    inst: ii,
-                                    write: true,
-                                });
-                            }
-                        }
-                    }
+                    Inst::Intr(_, Intrinsic::CaratTrackFree, _)
+                    | Inst::Free(_)
+                    | Inst::Call(..) => st.clear(),
                     _ => {
                         if let Some(d) = inst.def() {
-                            st.kill(d.0);
+                            st.reg[d.0 as usize] = false;
+                            st.obj[d.0 as usize] = false;
                         }
                     }
                 }
             }
         };
 
-        // Fixpoint over out-states.
-        let mut outs: Vec<Option<CovState>> = vec![None; f.blocks.len()];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &cfg.rpo {
-                let bi = b.index();
-                let mut state = if bi == 0 {
-                    CovState::empty(n)
-                } else {
-                    let mut acc: Option<CovState> = None;
-                    for &p in &cfg.preds[bi] {
-                        if let Some(o) = &outs[p.index()] {
-                            match &mut acc {
-                                None => acc = Some(o.clone()),
-                                Some(a) => a.intersect(o),
-                            }
-                        }
-                    }
-                    match acc {
-                        Some(a) => a,
-                        None => continue,
-                    }
-                };
-                apply(&mut state, bi, f, None);
-                if outs[bi].as_ref() != Some(&state) {
-                    outs[bi] = Some(state);
-                    changed = true;
-                }
-            }
-        }
-
-        // Checking pass.
-        for &b in &cfg.rpo {
-            let bi = b.index();
-            let mut state = if bi == 0 {
-                CovState::empty(n)
-            } else {
-                let mut acc: Option<CovState> = None;
-                for &p in &cfg.preds[bi] {
-                    if let Some(o) = &outs[p.index()] {
-                        match &mut acc {
-                            None => acc = Some(o.clone()),
-                            Some(a) => a.intersect(o),
-                        }
-                    }
-                }
-                match acc {
-                    Some(a) => a,
-                    None => continue,
-                }
-            };
-            apply(&mut state, bi, f, Some(&mut errors));
+        let entry = CovState {
+            reg: vec![false; f.n_regs],
+            obj: vec![false; f.n_regs],
+        };
+        let meet = |a: &mut CovState, b: &CovState| {
+            intersect(&mut a.reg, &b.reg);
+            intersect(&mut a.obj, &b.obj);
+        };
+        for (b, mut st) in solve(&cfg, entry, meet, |st, bi| apply(st, bi, None)) {
+            apply(&mut st, b.index(), Some(&mut errors));
         }
     }
     errors
@@ -318,7 +183,6 @@ mod tests {
 
     #[test]
     fn stripping_one_guard_is_detected() {
-        use interweave_ir::inst::{Inst, Intrinsic};
         let p = programs::stream_triad(16);
         let mut m = p.module.clone();
         instrument(&mut m, true);
@@ -338,6 +202,41 @@ mod tests {
         }
         let errs = verify_coverage(&m);
         assert!(!errs.is_empty(), "stripped guard must be caught");
+    }
+
+    #[test]
+    fn joins_demand_a_guard_on_every_arm() {
+        use interweave_ir::{CmpOp, FunctionBuilder};
+        // An access after a diamond is covered only if both arms guarded
+        // its register.
+        let diamond = |guard_else: bool| {
+            let mut fb = FunctionBuilder::new("f", 1);
+            let c = fb.param(0);
+            let sz = fb.const_i(64);
+            let p = fb.alloc(sz);
+            let zero = fb.const_i(0);
+            let cond = fb.cmp(CmpOp::Gt, c, zero);
+            let (t, e, j) = (fb.new_block(), fb.new_block(), fb.new_block());
+            fb.cond_br(cond, t, e);
+            fb.switch_to(t);
+            fb.intr_void(Intrinsic::CaratGuard, &[p]);
+            fb.br(j);
+            fb.switch_to(e);
+            if guard_else {
+                fb.intr_void(Intrinsic::CaratGuard, &[p]);
+            }
+            fb.br(j);
+            fb.switch_to(j);
+            let _v = fb.load(p, 0);
+            fb.ret(None);
+            let mut m = Module::new();
+            m.add(fb.finish());
+            verify_coverage(&m)
+        };
+        let errs = diamond(false);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!((errs[0].block, errs[0].write), (3, false));
+        assert_eq!(diamond(true), vec![]);
     }
 
     #[test]

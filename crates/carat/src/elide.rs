@@ -5,57 +5,23 @@
 //! taking it out of the critical path in most instances."
 //!
 //! A guard of register `r` is redundant when, on *every* path reaching it,
-//! an equivalent guard of `r` has executed with no intervening redefinition
-//! of `r`, no free, and no call (frees/calls may invalidate any guarantee).
-//! This is a forward must-dataflow: the per-block state is the pair of
-//! register sets (guarded-for-read, guarded-for-write); joins intersect.
-//! A write guard implies readability (tracked allocations are readable
-//! unless protected read-only — and protection changes are modelled as
-//! calls).
+//! a guard of `r` has executed with no intervening redefinition of `r`, no
+//! free, and no call (frees/calls may invalidate any guarantee). A guard
+//! carries one fact, "`r` points into a live allocation", and every tracked
+//! allocation is readable and writable, so any earlier guard of `r` (load
+//! or store, object or range) covers a later one. This is the forward
+//! must-dataflow of [`crate::dataflow`] over one guarded bit per register;
+//! joins intersect.
 
-use crate::guards::flag_value;
+use crate::dataflow::{intersect, solve};
 use interweave_ir::analysis::{Cfg, DefInfo};
 use interweave_ir::inst::{Inst, Intrinsic};
 use interweave_ir::passes::{Pass, PassStats};
-use interweave_ir::Module;
+use interweave_ir::{Function, Module};
 
 /// The elision pass. Run after injection (and hoisting, if enabled).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct ElideGuards;
-
-#[derive(Clone, PartialEq)]
-struct GuardSet {
-    read: Vec<bool>,
-    write: Vec<bool>,
-}
-
-impl GuardSet {
-    fn empty(n: usize) -> GuardSet {
-        GuardSet {
-            read: vec![false; n],
-            write: vec![false; n],
-        }
-    }
-
-    fn intersect(&mut self, other: &GuardSet) {
-        for (a, b) in self.read.iter_mut().zip(&other.read) {
-            *a &= b;
-        }
-        for (a, b) in self.write.iter_mut().zip(&other.write) {
-            *a &= b;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.read.iter_mut().for_each(|b| *b = false);
-        self.write.iter_mut().for_each(|b| *b = false);
-    }
-
-    fn kill(&mut self, r: u32) {
-        self.read[r as usize] = false;
-        self.write[r as usize] = false;
-    }
-}
 
 impl Pass for ElideGuards {
     fn name(&self) -> &'static str {
@@ -65,128 +31,63 @@ impl Pass for ElideGuards {
     fn run(&mut self, m: &mut Module) -> PassStats {
         let mut stats = PassStats::default();
         for f in &mut m.funcs {
-            let n = f.n_regs;
-            if n == 0 || f.blocks.is_empty() {
+            if f.n_regs == 0 || f.blocks.is_empty() {
                 continue;
             }
             let cfg = Cfg::build(f);
             let defs = DefInfo::compute(f);
 
-            // Transfer function over one block from a given entry state.
-            // When `elide` is set, redundant guards are recorded in `kill`.
-            let apply = |state: &mut GuardSet,
+            // Transfer over one block: `guarded[r]` says `r` is guarded on
+            // every path. Redundant guards are recorded in `elided`.
+            let apply = |guarded: &mut Vec<bool>,
                          bi: usize,
-                         f: &interweave_ir::Function,
-                         mut on_elide: Option<&mut Vec<usize>>| {
+                         f: &Function,
+                         mut elided: Option<&mut Vec<usize>>| {
                 for (ii, inst) in f.blocks[bi].insts.iter().enumerate() {
                     match inst {
-                        Inst::Intr(_, Intrinsic::CaratGuard, args)
-                        | Inst::Intr(_, Intrinsic::CaratGuardRange, args) => {
-                            let a = args[0];
-                            // A guard only provides a *lasting* guarantee if
-                            // its register has a single static definition;
-                            // otherwise another def may change the value on
-                            // some path this analysis folded together.
-                            let single = defs.is_single_def(a);
-                            let is_write = flag_value(f, &defs, args[1]) == Some(1);
-                            let covered = if is_write {
-                                state.write[a.0 as usize]
-                            } else {
-                                state.read[a.0 as usize]
-                            };
-                            if covered {
-                                if let Some(kill) = on_elide.as_deref_mut() {
-                                    kill.push(ii);
+                        Inst::Intr(_, Intrinsic::CaratGuard | Intrinsic::CaratGuardRange, args) => {
+                            let a = args[0].0 as usize;
+                            if guarded[a] {
+                                if let Some(elided) = elided.as_deref_mut() {
+                                    elided.push(ii);
                                 }
-                            } else if single {
-                                state.read[a.0 as usize] = true;
-                                if is_write {
-                                    state.write[a.0 as usize] = true;
-                                }
+                            } else if defs.is_single_def(args[0]) {
+                                // A guard only provides a *lasting*
+                                // guarantee if its register has a single
+                                // static definition; otherwise another def
+                                // may change the value on some path this
+                                // analysis folded together.
+                                guarded[a] = true;
                             }
                         }
-                        Inst::Intr(_, Intrinsic::CaratTrackFree, _) | Inst::Free(_) => {
-                            state.clear();
-                        }
-                        Inst::Call(d, _, _) => {
-                            state.clear();
-                            if let Some(d) = d {
-                                state.kill(d.0);
-                            }
-                        }
+                        Inst::Intr(_, Intrinsic::CaratTrackFree, _)
+                        | Inst::Free(_)
+                        | Inst::Call(..) => guarded.fill(false),
                         _ => {
                             if let Some(d) = inst.def() {
-                                state.kill(d.0);
+                                guarded[d.0 as usize] = false;
                             }
                         }
                     }
                 }
             };
 
-            // Fixpoint over reachable blocks in RPO. `outs[b] = None` means
-            // "not yet computed" (⊤ for the must-intersection).
-            let mut outs: Vec<Option<GuardSet>> = vec![None; f.blocks.len()];
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for &b in &cfg.rpo {
-                    let bi = b.index();
-                    let mut state = if bi == 0 {
-                        GuardSet::empty(n)
-                    } else {
-                        // Intersect over computed predecessors; if none are
-                        // computed yet, skip (state unknown).
-                        let mut acc: Option<GuardSet> = None;
-                        for &p in &cfg.preds[bi] {
-                            if let Some(o) = &outs[p.index()] {
-                                match &mut acc {
-                                    None => acc = Some(o.clone()),
-                                    Some(a) => a.intersect(o),
-                                }
-                            }
-                        }
-                        match acc {
-                            Some(a) => a,
-                            None => continue,
-                        }
-                    };
-                    apply(&mut state, bi, f, None);
-                    if outs[bi].as_ref() != Some(&state) {
-                        outs[bi] = Some(state);
-                        changed = true;
-                    }
-                }
-            }
-
-            // Rewrite: recompute each block's entry state from final outs
-            // and drop redundant guards.
-            for &b in &cfg.rpo {
+            let entry = vec![false; f.n_regs];
+            let ins = solve(
+                &cfg,
+                entry,
+                |a, b| intersect(a, b),
+                |g, bi| apply(g, bi, f, None),
+            );
+            for (b, mut guarded) in ins {
                 let bi = b.index();
-                let mut state = if bi == 0 {
-                    GuardSet::empty(n)
-                } else {
-                    let mut acc: Option<GuardSet> = None;
-                    for &p in &cfg.preds[bi] {
-                        if let Some(o) = &outs[p.index()] {
-                            match &mut acc {
-                                None => acc = Some(o.clone()),
-                                Some(a) => a.intersect(o),
-                            }
-                        }
-                    }
-                    match acc {
-                        Some(a) => a,
-                        None => continue,
-                    }
-                };
-                let mut kills = Vec::new();
-                apply(&mut state, bi, f, Some(&mut kills));
-                if !kills.is_empty() {
-                    stats.bump("guards_elided", kills.len() as u64);
-                    let kill_set: std::collections::HashSet<usize> = kills.into_iter().collect();
+                let mut elided = Vec::new();
+                apply(&mut guarded, bi, f, Some(&mut elided));
+                if !elided.is_empty() {
+                    stats.bump("guards_elided", elided.len() as u64);
                     let mut idx = 0;
                     f.blocks[bi].insts.retain(|_| {
-                        let keep = !kill_set.contains(&idx);
+                        let keep = !elided.contains(&idx);
                         idx += 1;
                         keep
                     });
@@ -237,8 +138,8 @@ mod tests {
         let sz = fb.const_i(64);
         let p = fb.alloc(sz);
         let k = fb.const_i(3);
-        fb.store(p, 0, k); // write guard
-        let _v = fb.load(p, 0); // read covered by write guard
+        fb.store(p, 0, k); // the store's guard
+        let _v = fb.load(p, 0); // read covered by it
         fb.ret(None);
         m.add(fb.finish());
         InjectGuards.run(&mut m);
@@ -247,18 +148,23 @@ mod tests {
     }
 
     #[test]
-    fn read_guard_does_not_cover_write() {
+    fn any_guard_covers_later_loads_and_stores() {
+        // One guard of a single-def register covers every later access
+        // through it, whether the guarded access loads or stores.
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("f", 0);
         let sz = fb.const_i(64);
         let p = fb.alloc(sz);
-        let v = fb.load(p, 0); // read guard
-        fb.store(p, 8, v); // write guard must survive
+        let v = fb.load(p, 0); // the one guard that stays
+        fb.store(p, 8, v); // a store after a load's guard
+        let _w = fb.load(p, 8); // a load after both
         fb.ret(None);
         m.add(fb.finish());
         InjectGuards.run(&mut m);
-        ElideGuards.run(&mut m);
-        assert_eq!(guards_in(&m), 2);
+        let stats = ElideGuards.run(&mut m);
+        assert_valid(&m);
+        assert_eq!(stats.get("guards_elided"), 2);
+        assert_eq!(guards_in(&m), 1);
     }
 
     #[test]

@@ -4,49 +4,26 @@
 //! and data movements operate similarly to a garbage collector" (§IV-A).
 //! This pass inserts:
 //!
-//! - an object guard `carat_guard(addr, is_write)` before every load/store —
-//!   guards are *object-granularity*: the runtime checks the allocation
-//!   containing `addr` (offsets within an object are covered, matching
-//!   CARAT's allocation-level tracking);
+//! - an object guard `carat_guard(addr)` before every load/store — guards
+//!   are *object-granularity*: the runtime checks the allocation containing
+//!   `addr` (offsets within an object are covered, matching CARAT's
+//!   allocation-level tracking). Loads and stores get the same guard: every
+//!   tracked allocation is readable and writable, so the guard carries one
+//!   fact, "`addr` lies in a live allocation";
 //! - `carat_track_alloc(ptr, size)` after every allocation and
 //!   `carat_track_free(ptr)` before every free;
 //! - `carat_track_escape(value, holder)` after every store whose stored
 //!   value is pointer-like (per [`crate::taint`]), so the runtime learns
 //!   every memory location that holds a pointer.
-//!
-//! The `is_write` operand is one of two per-function constant registers the
-//! pass materializes in the entry block; later passes recover the flag's
-//! value through single-definition analysis.
 
 use crate::taint::PointerLikeness;
-use interweave_ir::analysis::DefInfo;
 use interweave_ir::inst::{Inst, Intrinsic};
 use interweave_ir::passes::{Pass, PassStats};
-use interweave_ir::types::Reg;
-use interweave_ir::{Function, Module};
+use interweave_ir::Module;
 
 /// The injection pass.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct InjectGuards;
-
-/// Find the value of the write-flag register `w` (0 = read, 1 = write) by
-/// looking at its unique `ConstI` definition. Shared helper for the elide
-/// and hoist passes.
-pub(crate) fn flag_value(f: &Function, defs: &DefInfo, w: Reg) -> Option<i64> {
-    if !defs.is_single_def(w) {
-        return None;
-    }
-    for b in &f.blocks {
-        for i in &b.insts {
-            if let Inst::ConstI(d, v) = i {
-                if *d == w {
-                    return Some(*v);
-                }
-            }
-        }
-    }
-    None
-}
 
 impl Pass for InjectGuards {
     fn name(&self) -> &'static str {
@@ -65,25 +42,18 @@ impl Pass for InjectGuards {
                 continue;
             }
             let taint = PointerLikeness::compute(f);
-            // Per-function flag registers, defined at the top of the entry
-            // block.
-            let r_read = f.fresh_reg();
-            let r_write = f.fresh_reg();
-            f.blocks[0]
-                .insts
-                .splice(0..0, [Inst::ConstI(r_read, 0), Inst::ConstI(r_write, 1)]);
 
             for b in &mut f.blocks {
                 let mut out = Vec::with_capacity(b.insts.len() * 2);
                 for inst in b.insts.drain(..) {
                     match &inst {
                         Inst::Load(_, a, _) => {
-                            out.push(Inst::Intr(None, Intrinsic::CaratGuard, vec![*a, r_read]));
+                            out.push(Inst::Intr(None, Intrinsic::CaratGuard, vec![*a]));
                             stats.bump("guards_inserted", 1);
                             out.push(inst);
                         }
                         Inst::Store(a, _, v) => {
-                            out.push(Inst::Intr(None, Intrinsic::CaratGuard, vec![*a, r_write]));
+                            out.push(Inst::Intr(None, Intrinsic::CaratGuard, vec![*a]));
                             stats.bump("guards_inserted", 1);
                             let escape = taint.is_pointer(*v);
                             let (vv, aa) = (*v, *a);
@@ -185,31 +155,5 @@ mod tests {
         let before = m.inst_count();
         InjectGuards.run(&mut m);
         assert_eq!(m.inst_count(), before);
-    }
-
-    #[test]
-    fn flag_registers_resolve() {
-        let mut m = Module::new();
-        let mut fb = FunctionBuilder::new("f", 0);
-        let sz = fb.const_i(8);
-        let p = fb.alloc(sz);
-        let _ = fb.load(p, 0);
-        fb.ret(None);
-        m.add(fb.finish());
-        InjectGuards.run(&mut m);
-
-        let f = m.func(interweave_ir::FuncId(0));
-        let defs = DefInfo::compute(f);
-        // The injected guard's second arg must resolve to the read flag (0).
-        let guard_flag = f
-            .blocks
-            .iter()
-            .flat_map(|b| b.insts.iter())
-            .find_map(|i| match i {
-                Inst::Intr(_, Intrinsic::CaratGuard, args) => Some(args[1]),
-                _ => None,
-            })
-            .expect("guard present");
-        assert_eq!(flag_value(f, &defs, guard_flag), Some(0));
     }
 }

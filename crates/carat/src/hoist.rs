@@ -19,11 +19,13 @@
 //! fault firing earlier on an *already-invalid* pointer — the same
 //! compromise CARAT makes.
 
+use crate::dataflow::gep_base;
 use interweave_ir::analysis::{Cfg, DefInfo, Dominators, LoopForest};
 use interweave_ir::inst::{Inst, Intrinsic};
 use interweave_ir::passes::{Pass, PassStats};
-use interweave_ir::types::{BlockId, Reg};
+use interweave_ir::types::Reg;
 use interweave_ir::Module;
+use std::collections::BTreeSet;
 
 /// The hoisting pass. Run between injection and elision.
 #[derive(Debug, Default, Clone)]
@@ -48,29 +50,10 @@ impl Pass for HoistGuards {
             loops.sort_by_key(|l| l.body.len());
             let defs = DefInfo::compute(f);
 
-            // Which register (if any) is the single-def gep base of `r`.
-            let gep_base = |r: Reg| -> Option<Reg> {
-                if !defs.is_single_def(r) {
-                    return None;
-                }
-                for b in &f.blocks {
-                    for i in &b.insts {
-                        if let Inst::Gep(d, base, _, _, _) = i {
-                            if *d == r {
-                                return Some(*base);
-                            }
-                        }
-                    }
-                }
-                None
-            };
-
-            // Planned edits: removals (block, inst index) and preheader
-            // insertions (block, object reg, flag reg, prefer-write).
+            // Planned edits: removals (block, inst index) and one range
+            // guard per (preheader, object).
             let mut removals: Vec<(usize, usize)> = Vec::new();
-            // (preheader, object) → (flag reg, is_write)
-            let mut inserts: std::collections::BTreeMap<(usize, u32), (Reg, bool)> =
-                std::collections::BTreeMap::new();
+            let mut inserts: BTreeSet<(usize, Reg)> = BTreeSet::new();
 
             for l in &loops {
                 let Some(pre) = l.preheader else { continue };
@@ -90,33 +73,19 @@ impl Pass for HoistGuards {
                             continue; // already claimed by an inner loop
                         }
                         let addr = args[0];
-                        let flag = args[1];
                         // Identify the hoistable object.
                         let object = if defs.is_single_def(addr) && defs.invariant_in(addr, &l.body)
                         {
                             Some(addr)
                         } else if kind == Intrinsic::CaratGuard {
-                            gep_base(addr)
+                            gep_base(f, &defs, addr)
                                 .filter(|&b| defs.is_single_def(b) && defs.invariant_in(b, &l.body))
                         } else {
                             None
                         };
                         let Some(object) = object else { continue };
-                        // The flag register must be usable at the
-                        // preheader: it is a function-entry constant
-                        // (single-def) by construction of the injector.
-                        if !defs.is_single_def(flag) {
-                            continue;
-                        }
-                        let is_write = crate::guards::flag_value(f, &defs, flag) == Some(1);
                         removals.push((bi, ii));
-                        let key = (pre.index(), object.0);
-                        let entry = inserts.entry(key).or_insert((flag, is_write));
-                        // Upgrade a read range-guard to write if any hoisted
-                        // guard on this object writes.
-                        if is_write && !entry.1 {
-                            *entry = (flag, true);
-                        }
+                        inserts.insert((pre.index(), object));
                         stats.bump("guards_hoisted", 1);
                     }
                 }
@@ -129,13 +98,10 @@ impl Pass for HoistGuards {
             }
             // Apply preheader insertions (after the preheader's own insts,
             // i.e. just before its terminator).
-            for ((pre, obj), (flag, _w)) in inserts {
-                let _ = BlockId(pre as u32);
-                f.blocks[pre].insts.push(Inst::Intr(
-                    None,
-                    Intrinsic::CaratGuardRange,
-                    vec![Reg(obj), flag],
-                ));
+            for (pre, obj) in inserts {
+                f.blocks[pre]
+                    .insts
+                    .push(Inst::Intr(None, Intrinsic::CaratGuardRange, vec![obj]));
                 stats.bump("range_guards_inserted", 1);
             }
         }
@@ -149,6 +115,7 @@ mod tests {
     use crate::guards::InjectGuards;
     use crate::instrument;
     use interweave_ir::programs;
+    use interweave_ir::types::BlockId;
     use interweave_ir::verify::assert_valid;
     use interweave_ir::{BinOp, CmpOp, FunctionBuilder};
 
@@ -262,8 +229,9 @@ mod tests {
     }
 
     #[test]
-    fn write_upgrade_when_read_and_write_guards_share_object() {
-        // Loop with a[i] read and a[i] write: one range guard, write flag.
+    fn one_range_guard_per_object() {
+        // Loop with a[i] read and a[i] written: both guards hoist into one
+        // range guard of `a`.
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("f", 1);
         let n = fb.param(0);
@@ -292,8 +260,10 @@ mod tests {
         m.add(fb.finish());
 
         InjectGuards.run(&mut m);
-        HoistGuards.run(&mut m);
+        let stats = HoistGuards.run(&mut m);
         assert_valid(&m);
+        assert_eq!(stats.get("guards_hoisted"), 2);
+        assert_eq!(stats.get("range_guards_inserted"), 1);
         assert_eq!(count(&m, Intrinsic::CaratGuard), 0);
         assert_eq!(count(&m, Intrinsic::CaratGuardRange), 1);
     }

@@ -15,11 +15,12 @@
 //! 1. `guards::InjectGuards` — a guard before every load/store, tracking
 //!    after every allocation/free, escape tracking after every store of a
 //!    pointer (identified by the static `taint` analysis).
-//! 2. `elide::ElideGuards` — forward must-dataflow removes guards
-//!    dominated by an equivalent guard with no intervening redefinition.
-//! 3. `hoist::HoistGuards` — loop-invariant object guards move to the
+//! 2. `hoist::HoistGuards` — loop-invariant object guards move to the
 //!    preheader as a single range guard ("aggregate and hoist protection
 //!    and tracking code ... out of the critical path").
+//! 3. `elide::ElideGuards` — forward must-dataflow removes guards
+//!    dominated by a guard of the same register with no intervening
+//!    redefinition.
 //! 4. [`runtime::CaratRuntime`] — the tracking/protection runtime the
 //!    transformed code calls into.
 //! 5. [`defrag`] — compaction by moving live allocations and patching every
@@ -35,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod coverage;
+pub(crate) mod dataflow;
 pub mod defrag;
 pub(crate) mod elide;
 pub(crate) mod guards;

@@ -1,10 +1,12 @@
 //! Property tests for CARAT's central soundness claims:
 //!
 //! 1. instrumentation (naive or optimized) never changes a program's
-//!    result, for randomized alloc/store/load/free programs;
+//!    result, and leaves every access guard-covered, for randomized
+//!    alloc/store/load/free programs;
 //! 2. compaction at a random quiescent point never changes a program's
 //!    result, however the heap got fragmented.
 
+use interweave_carat::coverage::verify_coverage;
 use interweave_carat::defrag::compact;
 use interweave_carat::instrument;
 use interweave_carat::runtime::CaratRuntime;
@@ -176,6 +178,7 @@ fn check_instrumentation_is_transparent(ops: &[HeapOp]) -> Result<(), TestCaseEr
         let mut inst = m.clone();
         instrument(&mut inst, optimize);
         interweave_ir::verify::assert_valid(&inst);
+        prop_assert_eq!(verify_coverage(&inst), vec![], "opt={}", optimize);
         let mut rt = CaratRuntime::new();
         let mut it = Interp::new(InterpConfig::default());
         it.start(&inst, FuncId(0), &[]);

@@ -569,12 +569,11 @@ impl System {
                         self.insert_line(core, line, Mesi::S, v);
                     }
                     Dir::Exclusive(owner) if owner == core => {
-                        // The owner missed (evicted without notice cannot
-                        // happen — evictions notify), so this is unreachable;
-                        // treat as uncached for robustness.
-                        let (fetch, v) = self.fetch_at_home(&mut st);
-                        lat += fetch + self.mesh.latency(req_hops);
-                        self.insert_line(core, line, Mesi::E, v);
+                        // Evictions notify the directory, so an owner never
+                        // misses on its own line: a protocol bug got here.
+                        unreachable!(
+                            "core {core} read-missed {line:#x}, which the directory says it owns"
+                        )
                     }
                     Dir::Exclusive(owner) => {
                         // Forward to the owner; owner downgrades and writes
@@ -706,7 +705,14 @@ impl System {
                         }
                         Dir::Exclusive(owner) => {
                             // Forward-invalidate: owner sends data
-                            // directly and drops its copy.
+                            // directly and drops its copy. Evictions notify
+                            // the directory, so the owner is never the
+                            // requester: that would invalidate a copy that
+                            // is not there and count a phantom forward.
+                            assert_ne!(
+                                owner, core,
+                                "core {core} write-missed {line:#x}, which the directory says it owns"
+                            );
                             self.stats.forwards += 1;
                             let fwd = self.mesh.hops(home, owner);
                             let back = self.mesh.hops(owner, core);
@@ -894,6 +900,26 @@ mod tests {
         s.read(0, 8);
         s.caches[1].insert(7, Mesi::S, 0);
         s.check_swmr();
+    }
+
+    #[test]
+    #[should_panic(expected = "core 0 read-missed 0x7, which the directory says it owns")]
+    fn read_miss_on_a_line_the_directory_says_the_reader_owns_panics() {
+        // Drop core 0's M copy behind the directory's back: it still says
+        // Exclusive(0), so the next read by core 0 misses on its own line.
+        let mut s = sys(CohMode::Full);
+        s.write(0, 7);
+        s.caches[0].invalidate(7);
+        s.read(0, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 0 write-missed 0x7, which the directory says it owns")]
+    fn write_miss_on_a_line_the_directory_says_the_writer_owns_panics() {
+        let mut s = sys(CohMode::Full);
+        s.write(0, 7);
+        s.caches[0].invalidate(7);
+        s.write(0, 7);
     }
 
     #[test]

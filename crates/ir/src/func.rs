@@ -41,9 +41,6 @@ pub struct Function {
     pub n_regs: usize,
     /// Basic blocks; block 0 is the entry.
     pub blocks: Vec<Block>,
-    /// Marked as a virtine entry point (§IV-D): the virtine-extraction pass
-    /// honours this the way the paper's `virtine` keyword (Fig. 5) does.
-    pub is_virtine: bool,
 }
 
 impl Function {
@@ -126,17 +123,9 @@ impl FunctionBuilder {
                 n_params,
                 n_regs: n_params,
                 blocks: vec![Block::new()],
-                is_virtine: false,
             },
             cur: BlockId(0),
         }
-    }
-
-    /// Mark this function as a virtine entry point (Fig. 5's `virtine`
-    /// qualifier).
-    pub fn virtine(&mut self) -> &mut Self {
-        self.f.is_virtine = true;
-        self
     }
 
     /// The register holding parameter `i`.

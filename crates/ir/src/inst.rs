@@ -67,12 +67,13 @@ pub enum CmpOp {
 /// [`crate::interp::RuntimeHooks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Intrinsic {
-    /// CARAT (§IV-A): check that a single-word access through `args[0]` is
-    /// permitted. Inserted by the guard-injection pass; elided/hoisted by
-    /// the optimization passes.
+    /// CARAT (§IV-A): check that `args[0]` points into a live tracked
+    /// allocation before a load or store through it. Inserted by the
+    /// guard-injection pass; elided/hoisted by the optimization passes.
     CaratGuard,
-    /// CARAT: check an access range `[args[0], args[0]+args[1])` — the
-    /// hoisted form covering a whole loop's accesses with one check.
+    /// CARAT: the hoisted form — one check that the allocation containing
+    /// `args[0]` (a loop-invariant object base) is live, covering every
+    /// access a loop makes through that object.
     CaratGuardRange,
     /// CARAT: record a new allocation `(ptr=args[0], size=args[1])` in the
     /// tracking runtime.

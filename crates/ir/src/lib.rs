@@ -7,7 +7,7 @@
 //! transformation" as the enabling technology: CARAT (§IV-A) injects and
 //! then elides/hoists memory guards, compiler-based timing (§IV-C) injects
 //! time checks so fibers can be preempted without interrupts, blending
-//! (§V-C) injects device-poll checks, and virtines (§IV-D) outline annotated
+//! (§V-C) injects device-poll checks, and virtines (§IV-D) outline entry
 //! functions into isolated contexts. All of those are *real program
 //! transformations* here: passes rewrite IR, and the interpreter runs the
 //! transformed programs with explicit cycle accounting so overheads are

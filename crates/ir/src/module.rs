@@ -4,8 +4,9 @@ use crate::func::Function;
 use crate::types::FuncId;
 
 /// A compilation unit. CARAT's PIK mode (§IV-A) treats a module as the unit
-/// of separate compilation and attestation; the virtine pass treats each
-/// `is_virtine` function as an isolation boundary.
+/// of separate compilation and attestation; virtine extraction (§IV-D)
+/// copies one entry function and its transitive callees into a module of
+/// their own, the image an isolated context boots.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Module {
     /// Functions; `FuncId(i)` indexes this vector.
@@ -47,7 +48,7 @@ impl Module {
     /// a transformed module is "cryptographically attested" before being
     /// admitted to the kernel; we model the attestation token as a hash).
     pub fn content_hash(&self) -> u64 {
-        // FNV-1a over the debug rendering: stable, dependency-free, and
+        // FNV-1a over the `Display` rendering: stable, dependency-free, and
         // sensitive to any instruction change, which is all attestation
         // needs in this model.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -67,11 +68,8 @@ mod tests {
     use crate::func::FunctionBuilder;
     use crate::inst::BinOp;
 
-    fn simple(name: &str, virtine: bool) -> Function {
+    fn simple(name: &str) -> Function {
         let mut fb = FunctionBuilder::new(name, 1);
-        if virtine {
-            fb.virtine();
-        }
         let p = fb.param(0);
         let one = fb.const_i(1);
         let r = fb.bin(BinOp::Add, p, one);
@@ -82,8 +80,8 @@ mod tests {
     #[test]
     fn add_and_lookup() {
         let mut m = Module::new();
-        let a = m.add(simple("a", false));
-        let b = m.add(simple("b", true));
+        let a = m.add(simple("a"));
+        let b = m.add(simple("b"));
         assert_eq!(m.by_name("a"), Some(a));
         assert_eq!(m.by_name("b"), Some(b));
         assert_eq!(m.by_name("c"), None);
@@ -92,9 +90,9 @@ mod tests {
     #[test]
     fn content_hash_changes_with_code() {
         let mut m1 = Module::new();
-        m1.add(simple("a", false));
+        m1.add(simple("a"));
         let mut m2 = Module::new();
-        m2.add(simple("a", false));
+        m2.add(simple("a"));
         assert_eq!(m1.content_hash(), m2.content_hash());
 
         // Different code → different hash.

@@ -136,7 +136,6 @@ mod tests {
                 insts: vec![Inst::Mov(Reg(0), Reg(99))],
                 term: Some(Term::Ret(None)),
             }],
-            is_virtine: false,
         });
         let errs = verify_module(&m);
         assert_eq!(errs.len(), 1);
@@ -154,7 +153,6 @@ mod tests {
                 insts: vec![],
                 term: Some(Term::Br(BlockId(5))),
             }],
-            is_virtine: false,
         });
         let errs = verify_module(&m);
         assert!(errs.iter().any(|e| e.msg.contains("unknown bb5")));
@@ -171,7 +169,6 @@ mod tests {
                 insts: vec![],
                 term: None,
             }],
-            is_virtine: false,
         });
         let errs = verify_module(&m);
         assert!(errs.iter().any(|e| e.msg.contains("missing terminator")));
@@ -188,7 +185,6 @@ mod tests {
                 insts: vec![Inst::Call(None, crate::types::FuncId(9), vec![])],
                 term: Some(Term::Ret(None)),
             }],
-            is_virtine: false,
         });
         let errs = verify_module(&m);
         assert!(errs.iter().any(|e| e.msg.contains("unknown @f9")));

@@ -105,7 +105,6 @@ mod tests {
     fn fib_image() -> VirtineImage {
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("fib", 1);
-        fb.virtine();
         let n = fb.param(0);
         let two = fb.const_i(2);
         let c = fb.cmp(CmpOp::Lt, n, two);
@@ -142,7 +141,6 @@ mod tests {
         // A wild access inside the guest surfaces as data to the host.
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("wild", 0);
-        fb.virtine();
         let bogus = fb.const_i(0xbad0_0000);
         let _ = fb.load(bogus, 0);
         fb.ret(None);
@@ -165,7 +163,6 @@ mod tests {
     fn runaway_guest_is_killed_by_budget() {
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("spin", 0);
-        fb.virtine();
         let head = fb.new_block();
         fb.br(head);
         fb.switch_to(head);
@@ -210,7 +207,6 @@ mod tests {
         // Each instance allocates; neither sees the other's allocations.
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("allocator", 0);
-        fb.virtine();
         let sz = fb.const_i(64);
         let p = fb.alloc(sz);
         let seven = fb.const_i(7);
@@ -248,7 +244,6 @@ mod tests {
         // reset (the snapshot restore) drops them all.
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("writer", 0);
-        fb.virtine();
         let sz = fb.const_i(64 * 1024);
         let p = fb.alloc(sz);
         let seven = fb.const_i(7);

@@ -1,4 +1,4 @@
-//! Virtine extraction: outline an annotated function into a self-contained
+//! Virtine extraction: outline an entry function into a self-contained
 //! module.
 //!
 //! Fig. 5's `virtine int fib(int n)` compiles to (a) a host-side stub that
@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 /// One extracted virtine image.
 #[derive(Debug, Clone)]
 pub struct VirtineImage {
-    /// The annotated entry function's name.
+    /// The entry function's name.
     pub name: String,
     /// The self-contained module; entry is `FuncId(0)`.
     pub module: Module,
@@ -55,8 +55,6 @@ pub fn extract_one(m: &Module, entry: FuncId) -> VirtineImage {
                 }
             }
         }
-        // Inside the image the annotation has done its job.
-        func.is_virtine = false;
         out.add(func);
     }
     VirtineImage {
@@ -73,7 +71,7 @@ mod tests {
     use interweave_ir::verify::assert_valid;
     use interweave_ir::{BinOp, CmpOp, FunctionBuilder};
 
-    /// Host module: main calls helper; fib is virtine-annotated and calls
+    /// Host module: main calls helper; fib is the virtine entry and calls
     /// helper too.
     fn host_module() -> Module {
         let mut m = Module::new();
@@ -87,7 +85,6 @@ mod tests {
 
         // f1: virtine fib(n) = n<2 ? helper(n)-1 : fib(n-1)+fib(n-2)
         let mut fb = FunctionBuilder::new("fib", 1);
-        fb.virtine();
         let n = fb.param(0);
         let two = fb.const_i(2);
         let c = fb.cmp(CmpOp::Lt, n, two);

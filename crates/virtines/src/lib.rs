@@ -7,8 +7,9 @@
 //! runtime cooperate to run that function in its own, isolated virtual
 //! machine with start-up overheads as low as 100 µs." The pieces:
 //!
-//! - [`extract`]: the compiler support — outline a `virtine`-annotated
-//!   function (and its transitive callees) into a self-contained module,
+//! - [`extract`]: the compiler support — outline a virtine entry function
+//!   (Fig. 5's `virtine` qualifier) and its transitive callees into a
+//!   self-contained module,
 //!   the unit that boots inside the isolated context.
 //! - [`wasp`]: the Wasp-like microhypervisor — launch-path cost models
 //!   (process, container, full VM, cold virtine, snapshotted virtine,

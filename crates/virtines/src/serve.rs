@@ -769,7 +769,6 @@ mod tests {
     fn fib_image() -> VirtineImage {
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("fib", 1);
-        fb.virtine();
         let n = fb.param(0);
         let two = fb.const_i(2);
         let c = fb.cmp(CmpOp::Lt, n, two);

@@ -330,7 +330,6 @@ mod tests {
     fn fib_image() -> VirtineImage {
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("fib", 1);
-        fb.virtine();
         let n = fb.param(0);
         let two = fb.const_i(2);
         let c = fb.cmp(CmpOp::Lt, n, two);
@@ -437,7 +436,6 @@ mod tests {
     fn faulted_contexts_are_not_pooled() {
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("wild", 0);
-        fb.virtine();
         let bogus = fb.const_i(0xbad);
         let _ = fb.load(bogus, 0);
         fb.ret(None);
