@@ -8,20 +8,19 @@
 //! comparisons (Linux vs. Nautilus stacks running *the same workload*) are
 //! only meaningful if a run is a pure function of its configuration, so
 //! ties in time are broken by the order the timers were set (FIFO), never
-//! by heap internals.
+//! by queue internals.
 //!
-//! Each heap entry is one `u128`, `at << 64 | seq << 16 | id`, so a single
-//! integer compare orders by time, then by `seq`. Re-setting an id whose
-//! timer is pending retracts that timer lazily: the old entry stays in the
-//! heap but goes *stale*, because the id's expected `seq` moved on. Stale
-//! entries are pruned whenever they reach the heap top, and the heap is
-//! rebuilt without them once they outnumber the live ones, so memory stays
-//! bounded by twice the id count.
+//! The pending timers sit in one ring in firing order. A pop takes the
+//! front. A set lands behind every timer of its own time or earlier: at
+//! the back when the back fires no later, else at the point a binary
+//! search finds. The executor re-arms a CPU one quantum past the CPU's own
+//! clock, and its CPUs advance in lockstep, so that timer is usually the
+//! latest pending one and one compare places it. Re-setting a pending id
+//! removes its entry at once, so the ring never holds a stale timer.
 
 use crate::telemetry::{Key, Layer, Sink, Unit};
 use crate::time::Cycles;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Registry key: timers set since the queue was created.
 const KEY_SCHEDULED: Key = Key::new("core.evq.scheduled", Layer::Hardware, Unit::Count);
@@ -29,29 +28,13 @@ const KEY_SCHEDULED: Key = Key::new("core.evq.scheduled", Layer::Hardware, Unit:
 const KEY_POPPED: Key = Key::new("core.evq.popped", Layer::Hardware, Unit::Count);
 /// Registry key: pending timers retracted by a re-`set`.
 const KEY_CANCELLED: Key = Key::new("core.evq.cancelled", Layer::Hardware, Unit::Count);
-/// Registry key: stale-entry compaction passes.
-const KEY_COMPACTIONS: Key = Key::new("core.evq.compactions", Layer::Hardware, Unit::Count);
-
-/// Bits of a heap entry holding the id.
-const ID_BITS: u32 = 16;
-/// Bits of a heap entry holding the `seq` (between the id and the time).
-const SEQ_BITS: u32 = 48;
-/// Expected `seq` of an id with no pending timer. No `seq` reaches it.
-const IDLE: u64 = u64::MAX;
-
-/// The `(time, seq, id)` fields of a packed heap entry.
-#[inline]
-fn unpack(key: u128) -> (Cycles, u64, usize) {
-    let at = (key >> 64) as u64;
-    let seq = (key >> ID_BITS) as u64 & ((1 << SEQ_BITS) - 1);
-    (Cycles(at), seq, key as u16 as usize)
-}
 
 /// One pending timer per id, popped earliest first, FIFO on equal times.
 ///
-/// Ids are `0..ids` with `ids` ≤ 2¹⁶, and the queue accepts fewer than 2⁴⁸
-/// `set` calls over its life; both bounds panic with a message rather than
-/// wrap.
+/// A timer set behind every pending one costs one compare and a push. Any
+/// other `set`, and every retraction, costs a binary search plus a shift
+/// of the ring's shorter side around the entry: O(ids) at worst, where a
+/// binary heap is O(log ids).
 ///
 /// ```
 /// use interweave_core::{Cycles, TimerQueue};
@@ -62,6 +45,7 @@ fn unpack(key: u128) -> (Cycles, u64, usize) {
 /// q.set(2, Cycles(100)); // same time: FIFO after id 0
 /// q.set(1, Cycles(150)); // retracts id 1's pending timer
 ///
+/// assert_eq!(q.pending(1), Some(Cycles(150)));
 /// assert_eq!(q.pop(), Some((Cycles(100), 0)));
 /// assert_eq!(q.pop(), Some((Cycles(100), 2)));
 /// assert_eq!(q.pop(), Some((Cycles(150), 1)));
@@ -69,38 +53,27 @@ fn unpack(key: u128) -> (Cycles, u64, usize) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimerQueue {
-    /// Min-heap of packed entries, live and stale. Its top is never stale.
-    heap: BinaryHeap<Reverse<u128>>,
-    /// Per id: the `seq` of its pending timer, or [`IDLE`]. An entry is
-    /// stale when its id expects another `seq`.
-    expect: Vec<u64>,
-    /// Stale entries still in the heap.
-    stale: usize,
-    next_seq: u64,
+    /// Pending timers as `(time, id)`, in firing order: non-decreasing in
+    /// time, set order within a time, one entry per pending id.
+    ring: VecDeque<(Cycles, usize)>,
+    /// Per id: the fire time of its pending timer.
+    pending: Vec<Option<Cycles>>,
     now: Cycles,
     scheduled: u64,
     popped: u64,
     cancelled: u64,
-    compactions: u64,
 }
 
 impl TimerQueue {
     /// An empty queue at time zero for ids `0..ids`.
     pub fn new(ids: usize) -> Self {
-        assert!(
-            ids <= 1 << ID_BITS,
-            "TimerQueue: {ids} ids do not fit the {ID_BITS}-bit id field"
-        );
         TimerQueue {
-            heap: BinaryHeap::with_capacity(2 * ids),
-            expect: vec![IDLE; ids],
-            stale: 0,
-            next_seq: 0,
+            ring: VecDeque::with_capacity(ids),
+            pending: vec![None; ids],
             now: Cycles::ZERO,
             scheduled: 0,
             popped: 0,
             cancelled: 0,
-            compactions: 0,
         }
     }
 
@@ -111,13 +84,18 @@ impl TimerQueue {
         sink.gauge_at(&KEY_SCHEDULED, 0, self.scheduled, self.now);
         sink.gauge_at(&KEY_POPPED, 0, self.popped, self.now);
         sink.gauge_at(&KEY_CANCELLED, 0, self.cancelled, self.now);
-        sink.gauge_at(&KEY_COMPACTIONS, 0, self.compactions, self.now);
     }
 
     /// The time of the most recently popped timer (the simulator's "now").
     #[inline]
     pub fn now(&self) -> Cycles {
         self.now
+    }
+
+    /// The fire time of `id`'s pending timer, if it has one.
+    #[inline]
+    pub fn pending(&self, id: usize) -> Option<Cycles> {
+        self.pending[id]
     }
 
     /// Set `id`'s timer to fire at `at`, retracting its pending timer if it
@@ -127,16 +105,12 @@ impl TimerQueue {
     /// Setting a time in the past is a simulator bug; it panics in debug
     /// builds and is clamped to `now` in release builds so long sweeps fail
     /// soft.
+    #[inline]
     pub fn set(&mut self, id: usize, at: Cycles) {
         assert!(
-            id < self.expect.len(),
+            id < self.pending.len(),
             "TimerQueue: id {id} out of range for {} ids",
-            self.expect.len()
-        );
-        let seq = self.next_seq;
-        assert!(
-            seq < 1 << SEQ_BITS,
-            "TimerQueue: the {SEQ_BITS}-bit seq field is exhausted"
+            self.pending.len()
         );
         debug_assert!(
             at >= self.now,
@@ -144,70 +118,66 @@ impl TimerQueue {
             self.now
         );
         let at = at.max(self.now);
-        if self.expect[id] != IDLE {
-            // The pending entry goes stale before the heap is pruned or
-            // compacted, so neither keeps it.
-            self.stale += 1;
-            self.cancelled += 1;
-            self.expect[id] = IDLE;
-            if self.stale * 2 > self.heap.len() {
-                self.compact();
-            } else {
-                self.prune_top();
-            }
+        if let Some(old) = self.pending[id] {
+            self.retract(id, old);
         }
-        self.next_seq += 1;
+        self.pending[id] = Some(at);
         self.scheduled += 1;
-        self.expect[id] = seq;
-        self.heap.push(Reverse(
-            (at.get() as u128) << 64 | (seq as u128) << ID_BITS | id as u128,
-        ));
+        if self.ring.back().is_none_or(|&(last, _)| last <= at) {
+            self.ring.push_back((at, id));
+        } else {
+            let i = self.ring.partition_point(|&(t, _)| t <= at);
+            self.ring.insert(i, (at, id));
+        }
+    }
+
+    /// Remove `id`'s pending timer, due at `at`, from the ring: a binary
+    /// search for the first timer of that time, then a scan for the id.
+    #[cold]
+    fn retract(&mut self, id: usize, at: Cycles) {
+        let first = self.ring.partition_point(|&(t, _)| t < at);
+        let i = first
+            + self
+                .ring
+                .range(first..)
+                .position(|&(_, pending)| pending == id)
+                .expect("a pending id has an entry in the ring");
+        self.ring.remove(i);
+        self.cancelled += 1;
     }
 
     /// Pop the earliest pending timer as `(time, id)`, advancing `now` to
     /// its time.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Cycles, usize)> {
-        let Reverse(key) = self.heap.pop()?;
-        let (at, seq, id) = unpack(key);
-        debug_assert_eq!(self.expect[id], seq, "stale entry at heap top");
-        self.expect[id] = IDLE;
-        self.prune_top();
+        let (at, id) = self.ring.pop_front()?;
+        self.pending[id] = None;
         self.now = at;
         self.popped += 1;
         Some((at, id))
-    }
-
-    /// Is `key` an entry whose id has since been re-set or fired?
-    #[inline]
-    fn is_stale(&self, key: u128) -> bool {
-        let (_, seq, id) = unpack(key);
-        self.expect[id] != seq
-    }
-
-    /// Discard stale entries sitting at the top of the heap.
-    fn prune_top(&mut self) {
-        while let Some(&Reverse(top)) = self.heap.peek() {
-            if !self.is_stale(top) {
-                break;
-            }
-            self.heap.pop();
-            self.stale -= 1;
-        }
-    }
-
-    /// Rebuild the heap without its stale entries (one O(n) pass).
-    fn compact(&mut self) {
-        self.compactions += 1;
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.retain(|&Reverse(key)| !self.is_stale(key));
-        self.stale = 0;
-        self.heap = entries.into();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ring's invariants: non-decreasing in time, exactly one entry
+    /// per pending id (at that id's pending time), and nothing else.
+    fn assert_ring_invariants(q: &TimerQueue) {
+        let ring: Vec<_> = q.ring.iter().copied().collect();
+        assert!(
+            ring.windows(2).all(|w| w[0].0 <= w[1].0),
+            "ring out of time order: {ring:?}"
+        );
+        let mut seen = vec![false; q.pending.len()];
+        for &(at, id) in &ring {
+            assert!(!seen[id], "id {id} has two entries");
+            seen[id] = true;
+            assert_eq!(q.pending[id], Some(at), "id {id}'s entry");
+        }
+        assert_eq!(ring.len(), q.pending.iter().flatten().count());
+    }
 
     #[test]
     fn orders_by_time() {
@@ -279,6 +249,7 @@ mod tests {
         q.set(1, Cycles(5));
         assert_eq!(q.cancelled, 2);
         assert_eq!(q.pop(), Some((Cycles(1), 0)));
+        assert_eq!(q.pending(0), None);
         // Id 0 fired: its next timer retracts nothing, and the fired entry
         // never surfaces again.
         q.set(0, Cycles(3));
@@ -290,41 +261,42 @@ mod tests {
 
     #[test]
     fn peek_time_skips_cancelled_top() {
-        // The heap top is never stale: retracting the earliest timer
-        // exposes the next live one at once.
+        // Retracting the earliest timer removes it from the ring's front
+        // at once, exposing the next pending one.
         let mut q = TimerQueue::new(2);
         q.set(0, Cycles(5));
         q.set(1, Cycles(10));
         q.set(0, Cycles(20));
-        let top = q.heap.peek().map(|&Reverse(key)| unpack(key));
-        assert_eq!(top, Some((Cycles(10), 1, 1)));
+        assert_eq!(q.ring.front(), Some(&(Cycles(10), 1)));
+        assert_ring_invariants(&q);
         assert_eq!(q.pop(), Some((Cycles(10), 1)));
         assert_eq!(q.pop(), Some((Cycles(20), 0)));
     }
 
     #[test]
     fn stale_handle_never_cancels_the_slots_next_owner() {
-        // An id's retracted entry stays in the heap ahead of the id's next
-        // timer, here at the same time, so only the `seq` tells them
-        // apart: the stale one never fires, and pruning it keeps the next.
-        let mut q = TimerQueue::new(2);
+        // Re-setting an id to the time it already had leaves one entry,
+        // queued behind every other timer of that time; the retracted one
+        // never fires.
+        let mut q = TimerQueue::new(3);
         q.set(1, Cycles(1));
         q.set(0, Cycles(3));
+        q.set(2, Cycles(3));
         q.set(0, Cycles(3));
-        assert_eq!((q.heap.len(), q.stale), (3, 1));
+        assert_ring_invariants(&q);
+        assert_eq!(q.ring.len(), 3);
         assert_eq!(q.pop(), Some((Cycles(1), 1)));
-        assert_eq!((q.heap.len(), q.stale), (1, 0));
+        assert_eq!(q.pop(), Some((Cycles(3), 2)));
         assert_eq!(q.pop(), Some((Cycles(3), 0)));
         assert_eq!(q.pop(), None);
 
-        // Same through a compaction: it drops both of id 0's retracted
-        // entries and keeps the timer set after them.
+        // Repeated re-sets of one id keep only its last timer.
         q.set(1, Cycles(4));
         q.set(0, Cycles(5));
         q.set(0, Cycles(6));
         q.set(0, Cycles(7));
-        assert_eq!(q.compactions, 1);
-        assert_eq!((q.heap.len(), q.stale), (2, 0));
+        assert_ring_invariants(&q);
+        assert_eq!(q.ring.len(), 2);
         assert_eq!(q.pop(), Some((Cycles(4), 1)));
         assert_eq!(q.pop(), Some((Cycles(7), 0)));
         assert_eq!(q.pop(), None);
@@ -332,19 +304,19 @@ mod tests {
 
     #[test]
     fn len_counts_only_live_events() {
-        // The heap holds live and stale entries and `stale` counts the
-        // latter, so the heap less `stale` is the number of pending ids.
-        let live = |q: &TimerQueue| q.heap.len() - q.stale;
-        let pending = |q: &TimerQueue| q.expect.iter().filter(|&&seq| seq != IDLE).count();
+        // The ring holds exactly one entry per pending id: a retraction
+        // leaves its length unchanged, and a pop shortens it by one.
         let mut q = TimerQueue::new(3);
         q.set(0, Cycles(10));
         q.set(1, Cycles(20));
         q.set(2, Cycles(30));
-        assert_eq!((live(&q), pending(&q)), (3, 3));
+        assert_eq!(q.ring.len(), 3);
         q.set(1, Cycles(25));
-        assert_eq!((q.heap.len(), live(&q), pending(&q)), (4, 3, 3));
+        assert_eq!(q.ring.len(), 3);
+        assert_ring_invariants(&q);
         q.pop();
-        assert_eq!((live(&q), pending(&q)), (2, 2));
+        assert_eq!(q.ring.len(), 2);
+        assert_ring_invariants(&q);
     }
 
     #[test]
@@ -371,28 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn heavy_cancellation_triggers_compaction() {
-        let mut q = TimerQueue::new(2);
-        q.set(1, Cycles(10));
-        // Each re-set pushes id 0 later, so its stale entries sit below
-        // the heap top; stale entries may never outnumber live ones.
-        for i in 0..1000 {
-            q.set(0, Cycles(1_000 + i));
-            assert!(
-                2 * q.stale <= q.heap.len(),
-                "stale {} in {}",
-                q.stale,
-                q.heap.len()
-            );
-        }
-        assert!(q.compactions > 0);
-        assert_eq!(q.cancelled, 999);
-        assert_eq!(q.pop(), Some((Cycles(10), 1)));
-        assert_eq!(q.pop(), Some((Cycles(1_999), 0)));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
     fn stats_count_and_publish_as_gauges() {
         let mut q = TimerQueue::new(3);
         q.set(0, Cycles(10));
@@ -406,7 +356,8 @@ mod tests {
         assert_eq!(sink.counter("core.evq.scheduled"), 4);
         assert_eq!(sink.counter("core.evq.popped"), 1);
         assert_eq!(sink.counter("core.evq.cancelled"), 1);
-        assert_eq!(sink.counter("core.evq.compactions"), 0);
+        // Every timer set was popped, retracted, or is still in the ring.
+        assert_eq!(q.scheduled, q.popped + q.cancelled + q.ring.len() as u64);
     }
 
     #[test]
@@ -414,9 +365,10 @@ mod tests {
         // The executor's pattern: 24 CPUs, each with one pending dispatch;
         // every pop re-arms that CPU, and every tenth pop also pulls
         // another CPU's pending dispatch earlier or later. The per-id
-        // table is fixed at `new`; the heap stays within twice the ids.
+        // table is fixed at `new`; the ring holds one entry per CPU.
         const CPUS: usize = 24;
         let mut q = TimerQueue::new(CPUS);
+        let capacity = q.ring.capacity();
         for cpu in 0..CPUS {
             q.set(cpu, Cycles(1 + cpu as u64));
         }
@@ -428,17 +380,67 @@ mod tests {
                 let victim = rng.range(0, CPUS as u64 - 1) as usize;
                 q.set(victim, q.now() + Cycles(rng.range(1, 5_000)));
             }
-            assert_eq!(q.heap.len() - q.stale, CPUS);
-            assert!(q.heap.len() <= 2 * CPUS, "heap {}", q.heap.len());
+            assert_eq!(q.ring.len(), CPUS);
+            if i % 1_000 == 0 {
+                assert_ring_invariants(&q);
+            }
         }
         assert!(q.cancelled >= 10_000);
-        assert_eq!(q.expect.len(), CPUS);
+        assert_eq!(q.pending.len(), CPUS);
+        assert_eq!(q.ring.capacity(), capacity);
     }
 
     #[test]
-    #[should_panic(expected = "do not fit the 16-bit id field")]
-    fn new_rejects_more_ids_than_the_id_field_holds() {
-        TimerQueue::new((1 << 16) + 1);
+    fn big_server_churn_pops_in_stable_sort_order() {
+        // `big_server_8s`'s 192 CPUs plus the watchdog. Each pop
+        // re-arms its id one quantum (plus jitter) on, mostly behind every
+        // pending timer; every seventh pop instead re-arms it at `now`,
+        // ahead of every pending timer, and every eleventh also retracts
+        // the id in the middle of the ring to a time other timers share.
+        // The reference is the pending timers in set order, stably sorted
+        // by time: its head must be every pop.
+        let ids = crate::machine::MachineConfig::big_server_8s().cores + 1;
+        assert_eq!(ids, 193);
+        const QUANTUM: u64 = 5_000;
+        fn set(q: &mut TimerQueue, by_set_order: &mut Vec<(Cycles, usize)>, id: usize, at: Cycles) {
+            q.set(id, at);
+            by_set_order.retain(|&(_, pending)| pending != id);
+            by_set_order.push((at, id));
+        }
+        let mut q = TimerQueue::new(ids);
+        let mut by_set_order = Vec::new();
+        let mut rng = crate::SplitMix64::new(193);
+        for id in 0..ids {
+            set(&mut q, &mut by_set_order, id, Cycles(rng.range(1, 40)));
+        }
+        let (mut fronts, mut retractions) = (0, 0);
+        for i in 0..20_000u64 {
+            let mut sorted = by_set_order.clone();
+            sorted.sort_by_key(|&(at, _)| at); // stable: set order within a time
+            let (at, id) = q.pop().expect("timers stay pending");
+            assert_eq!((at, id), sorted[0], "pop {i}");
+            if i % 7 == 0 && q.ring.front().is_some_and(|&(first, _)| first > at) {
+                set(&mut q, &mut by_set_order, id, at);
+                assert_eq!(q.ring.front(), Some(&(at, id)));
+                fronts += 1;
+            } else {
+                let next = at + Cycles(QUANTUM + rng.range(0, 3));
+                set(&mut q, &mut by_set_order, id, next);
+            }
+            if i % 11 == 0 {
+                let (_, victim) = q.ring[q.ring.len() / 2];
+                let (shared, _) = q.ring[q.ring.len() / 4];
+                let cancelled = q.cancelled;
+                set(&mut q, &mut by_set_order, victim, shared);
+                assert_eq!(q.cancelled, cancelled + 1);
+                retractions += 1;
+            }
+            assert_ring_invariants(&q);
+        }
+        assert!(fronts > 100 && retractions > 100, "{fronts} {retractions}");
+        by_set_order.sort_by_key(|&(at, _)| at);
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(drained, by_set_order);
     }
 
     #[test]
@@ -467,15 +469,5 @@ mod tests {
         assert_eq!(q.scheduled, 1);
         assert_eq!(q.pop(), Some((Cycles(5), 0)));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "48-bit seq field is exhausted")]
-    fn set_rejects_a_seq_past_the_seq_field() {
-        let mut q = TimerQueue::new(1);
-        q.next_seq = (1 << 48) - 1;
-        q.set(0, Cycles(1)); // the last seq that fits
-        assert_eq!(q.pop(), Some((Cycles(1), 0)));
-        q.set(0, Cycles(2));
     }
 }

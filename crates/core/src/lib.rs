@@ -14,7 +14,9 @@
 //!
 //! - [`time`]: cycle-granularity simulated time and frequency conversion.
 //! - `event`: deterministic per-id timers ([`event::TimerQueue`]), one
-//!   per CPU plus the watchdog, driving the kernel's preemptive executor.
+//!   per CPU plus the watchdog, driving the kernel's preemptive executor:
+//!   a ring in firing order that a lockstep quantum re-arm joins at the
+//!   back in one compare.
 //! - [`machine`]: machine topology ([`machine::MachineConfig`]) and the cost
 //!   model ([`machine::CostModel`]) with presets for the platforms the paper
 //!   evaluates on (Xeon Phi KNL, dual-socket x64 server, 8-socket 192-core).

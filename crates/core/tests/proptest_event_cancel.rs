@@ -3,8 +3,7 @@
 //! `(time, seq)` pairs popped by minimum `(time, seq)`, under arbitrary
 //! interleavings of `set` (fresh, or re-set earlier or later, which
 //! retracts the pending timer) and `pop`. The small time deltas force FIFO
-//! ties constantly, and the few ids force constant retraction, so stale
-//! entries (tombstones) pile up and compaction runs mid-sequence.
+//! ties constantly, and the few ids force constant retraction.
 
 use interweave_core::telemetry::Sink;
 use interweave_core::{Cycles, TimerQueue};
@@ -28,44 +27,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// The reference: per id, the pending `(time, seq)` if any. `retracted`
-/// holds the keys of retracted timers the queue may still keep: a
-/// retracted timer leaves once every live one is later than it, or all at
-/// once (one compaction) when retracted ones outnumber live ones.
+/// The reference: per id, the pending `(time, seq)` if any.
 #[derive(Default)]
 struct Model {
     pending: [Option<(u64, u64)>; IDS],
-    retracted: Vec<(u64, u64)>,
     next_seq: u64,
     now: u64,
     scheduled: u64,
     popped: u64,
     cancelled: u64,
-    compactions: u64,
 }
 
 impl Model {
-    fn live(&self) -> usize {
-        self.pending.iter().flatten().count()
-    }
-
-    /// Drop the retracted keys earlier than every live one.
-    fn prune(&mut self) {
-        let first = self.pending.iter().flatten().min().copied();
-        self.retracted
-            .retain(|&k| first.is_some_and(|first| k > first));
-    }
-
     fn set(&mut self, id: usize, at: u64) {
-        if let Some(old) = self.pending[id].take() {
+        if self.pending[id].is_some() {
             self.cancelled += 1;
-            self.retracted.push(old);
-            if self.retracted.len() > self.live() {
-                self.compactions += 1;
-                self.retracted.clear();
-            } else {
-                self.prune();
-            }
         }
         self.pending[id] = Some((at, self.next_seq));
         self.next_seq += 1;
@@ -77,34 +53,27 @@ impl Model {
             .filter_map(|id| self.pending[id].map(|k| (id, k)))
             .min_by_key(|&(_, k)| k)?;
         self.pending[id] = None;
-        self.prune();
         self.now = at;
         self.popped += 1;
         Some((at, id))
     }
 
-    fn counters(&self) -> [u64; 4] {
-        [
-            self.scheduled,
-            self.popped,
-            self.cancelled,
-            self.compactions,
-        ]
+    fn counters(&self) -> [u64; 3] {
+        [self.scheduled, self.popped, self.cancelled]
     }
 }
 
-fn counters(q: &TimerQueue) -> [u64; 4] {
+fn counters(q: &TimerQueue) -> [u64; 3] {
     let sink = Sink::on();
     q.publish_telemetry(&sink);
-    ["scheduled", "popped", "cancelled", "compactions"]
-        .map(|c| sink.counter(&format!("core.evq.{c}")))
+    ["scheduled", "popped", "cancelled"].map(|c| sink.counter(&format!("core.evq.{c}")))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn tombstone_queue_equals_model(ops in prop::collection::vec(op_strategy(), 1..160)) {
+    fn timer_queue_equals_model(ops in prop::collection::vec(op_strategy(), 1..160)) {
         let mut q = TimerQueue::new(IDS);
         let mut model = Model::default();
         let mut last_now = Cycles::ZERO;
@@ -123,7 +92,14 @@ proptest! {
             prop_assert_eq!(q.now().get(), model.now);
             prop_assert!(q.now() >= last_now, "now went back");
             last_now = q.now();
-            prop_assert_eq!(counters(&q), model.counters());
+            for id in 0..IDS {
+                prop_assert_eq!(q.pending(id).map(Cycles::get), model.pending[id].map(|(at, _)| at));
+            }
+            let [scheduled, popped, cancelled] = counters(&q);
+            prop_assert_eq!([scheduled, popped, cancelled], model.counters());
+            // Every timer set was popped, retracted, or is still pending.
+            let pending = (0..IDS).filter(|&id| q.pending(id).is_some()).count() as u64;
+            prop_assert_eq!(scheduled, popped + cancelled + pending);
         }
 
         // Drain: the pending timers come out in exactly the model's order

@@ -59,8 +59,6 @@ struct Cpu {
     queue: VecDeque<TaskId>,
     busy: Cycles,
     switch_cycles: Cycles,
-    /// The fire time of this CPU's pending dispatch timer, if one is set.
-    dispatch: Option<Cycles>,
     /// When a dropped kick left this CPU with runnable work and no pending
     /// dispatch (cleared by the next successful dispatch).
     stalled_since: Option<Cycles>,
@@ -113,7 +111,8 @@ pub struct Executor {
     waiters: HashMap<u64, Vec<TaskId>>,
     signalled: HashMap<u64, Cycles>,
     /// The timers driving simulated time: timer `cpu` runs that CPU's
-    /// dispatch loop, and timer `cpus.len()` is the watchdog heartbeat.
+    /// dispatch loop (its pending time is the CPU's pending dispatch), and
+    /// timer `cpus.len()` is the watchdog heartbeat.
     events: TimerQueue,
     /// The cooperative-yield and timer-preemption context-switch costs of
     /// the OS point this kernel charges (see [`Executor::set_os`]), fixed
@@ -146,7 +145,6 @@ impl Executor {
                 queue: VecDeque::new(),
                 busy: Cycles::ZERO,
                 switch_cycles: Cycles::ZERO,
-                dispatch: None,
                 stalled_since: None,
                 backoff: 1,
                 next_retry: Cycles::ZERO,
@@ -303,7 +301,7 @@ impl Executor {
         // A dispatch already pending no later than this kick covers it: the
         // kick coalesces and no IPI goes on the wire (so the fault plane is
         // not consulted — there is nothing to lose).
-        if self.cpus[cpu].dispatch.is_some_and(|pending| pending <= t) {
+        if self.events.pending(cpu).is_some_and(|pending| pending <= t) {
             return;
         }
         // An IPI is actually sent: present it to the delivery fabric.
@@ -320,7 +318,7 @@ impl Executor {
                     // stalled until the watchdog notices.
                     self.stats.lost_kicks += 1;
                     let c = &mut self.cpus[cpu];
-                    if c.dispatch.is_none() && c.stalled_since.is_none() {
+                    if self.events.pending(cpu).is_none() && c.stalled_since.is_none() {
                         c.stalled_since = Some(t);
                     }
                     return;
@@ -334,14 +332,14 @@ impl Executor {
         // wakeup. Delayed IPIs reach the retraction: a kick delivered late
         // leaves a dispatch pending far ahead, and a later kick with a
         // shorter (or no) delay lands before it.
-        if self.cpus[cpu]
-            .dispatch
+        if self
+            .events
+            .pending(cpu)
             .is_some_and(|pending| pending <= t_eff)
         {
             return;
         }
         self.events.set(cpu, t_eff);
-        self.cpus[cpu].dispatch = Some(t_eff);
     }
 
     fn signal(&mut self, tag: u64, at: Cycles) {
@@ -365,7 +363,6 @@ impl Executor {
                 self.watchdog_tick(at);
                 continue;
             }
-            self.cpus[cpu].dispatch = None;
             // Work is flowing on this CPU again: close any open
             // stall window and reset the watchdog backoff.
             let since = self.cpus[cpu].stalled_since.take();
@@ -441,7 +438,7 @@ impl Executor {
             let c = &mut self.cpus[cpu];
             // A CPU whose re-kick budget is exhausted is abandoned: no
             // further re-kicks.
-            if c.dispatch.is_none()
+            if self.events.pending(cpu).is_none()
                 && !c.queue.is_empty()
                 && !wd.abandons(c.rekicks)
                 && at >= c.next_retry
@@ -460,10 +457,9 @@ impl Executor {
         // rescuable work; abandoned CPUs (re-kick budget exhausted) no
         // longer count, so a run with a 100 % drop rate still terminates —
         // as does a plain deadlocked run, which reports incomplete.
-        let live = self
-            .cpus
-            .iter()
-            .any(|c| c.dispatch.is_some() || (!c.queue.is_empty() && !wd.abandons(c.rekicks)));
+        let live = self.cpus.iter().enumerate().any(|(cpu, c)| {
+            self.events.pending(cpu).is_some() || (!c.queue.is_empty() && !wd.abandons(c.rekicks))
+        });
         if live {
             self.events.set(self.cpus.len(), at + wd.period);
         }

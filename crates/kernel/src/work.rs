@@ -56,8 +56,9 @@ impl Work for ScriptedWork {
     }
 }
 
-/// A loop body: `iters` iterations of `per_iter` compute with a yield after
-/// each — the canonical shape of a parallel worker between barriers.
+/// A loop body: `iters` iterations of `per_iter` compute, back to back with
+/// no yield between them — the canonical shape of a parallel worker between
+/// barriers. Only the timer quantum takes its CPU away.
 #[derive(Debug, Clone)]
 pub struct LoopWork {
     remaining: u64,
