@@ -7,8 +7,8 @@ use crate::harness::{Cli, Composed, Harness, Report, Scenario, ScenarioError};
 use crate::{f, pct, s, Cell};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::{StackConfig, TimingSource};
-use interweave_fibers::study::{analytic_rows, floor_cycles, overhead_sweep};
-use interweave_kernel::threads::SwitchKind;
+use interweave_fibers::study::{floor_cycles, overhead_sweep};
+use interweave_kernel::threads::{fig4_rows, SwitchKind};
 
 pub(super) fn scenarios() -> Vec<Scenario> {
     let knl = MachineConfig::phi_knl();
@@ -41,7 +41,6 @@ pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
     };
 
     // The figure's bars: cost decomposition per configuration.
-    let rows_data = analytic_rows(mc);
     h.table(
         "Fig. 4 — context-switch cost decomposition (cycles, Phi KNL preset)",
         &[
@@ -54,10 +53,9 @@ pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
             "ret",
             "TOTAL",
         ],
-        rows_data.iter().map(|r| {
-            let b = r.breakdown;
+        fig4_rows(mc).into_iter().map(|(label, b)| {
             vec![
-                s(&r.label),
+                s(label),
                 s(b.entry.get()),
                 s(b.state.get()),
                 s(b.sched.get()),

@@ -189,7 +189,7 @@ pub const FIGURES: &[Figure] = &[
 /// admitted as a PIK process, then run to its quiescent yield — the point
 /// where the kernel may move or repair its memory.
 fn quiesced_list(n: i64) -> PikProcess {
-    let (m, entry) = fragmentation_demo("list");
+    let (m, entry) = fragmentation_demo();
     let mut sys = PikSystem::new();
     let (m, att) = sys.compile(m);
     let pid = sys.admit(m, att, entry, vec![Val::I(n)]);

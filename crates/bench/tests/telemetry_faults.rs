@@ -112,7 +112,7 @@ fn alloc_campaign_counters_match_stats() {
 /// quarantine-and-relocate heals it; the registry reports both.
 #[test]
 fn carat_campaign_counters_match_report() {
-    let (m, entry) = fragmentation_demo("list");
+    let (m, entry) = fragmentation_demo();
     let mut sys = PikSystem::new();
     let (m, att) = sys.compile(m);
     let pid = sys

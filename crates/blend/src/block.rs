@@ -93,11 +93,10 @@ pub fn run_block(cfg: &BlockConfig, mc: &MachineConfig, mode: CompletionMode) ->
 
     match mode {
         CompletionMode::InterruptPerCompletion => {
-            for &d in &done_times {
+            for _ in &done_times {
                 interrupts += 1;
                 delivery += dispatch + cfg.handler;
                 latency.add((dispatch + cfg.handler) as f64);
-                let _ = d;
             }
         }
         CompletionMode::Coalesced { k, timeout } => {

@@ -11,8 +11,8 @@
 //!   time poll check, and the compiler injects this polling check
 //!   throughout the kernel using compiler-based timing. As a result, these
 //!   devices appear to behave as if they were interrupt-driven, but no
-//!   interrupts ever occur for them." The injection pass bounds the dynamic
-//!   gap between polls; the device simulation compares service latency and
+//!   interrupts ever occur for them." Compiler-based timing's injection
+//!   pass places the polls and bounds the dynamic gap between them; the device simulation compares service latency and
 //!   CPU cost against interrupt-driven handling.
 //! - [`block`]: a block-device completion study — blended polling versus
 //!   the commodity stack's best countermeasure, interrupt coalescing.
@@ -31,4 +31,4 @@ pub mod farmem;
 pub mod polling;
 
 pub use farmem::{run_farmem, FarMemConfig, FarMemReport, Granularity};
-pub use polling::{run_device_experiment, DeviceConfig, DeviceReport, DriveMode, InjectPolling};
+pub use polling::{run_device_experiment, DeviceConfig, DeviceReport, DriveMode};

@@ -1,10 +1,12 @@
 //! Blended device drivers: compiler-injected polling.
 //!
-//! The pass places `poll_devices()` checks exactly where compiler-based
-//! timing places time checks (loop headers, function entries, long
-//! straight-line runs), so polls execute at a bounded dynamic interval on
-//! every path. The experiment runs a real (IR) program over a stream of
-//! device events and compares:
+//! §V-C: "the compiler injects this polling check throughout the kernel
+//! using compiler-based timing" — so the injection is compiler-based
+//! timing's own pass, [`InjectTiming`], placing `PollDevices` where fibers
+//! place `TimeCheck` (loop headers, function entries, long straight-line
+//! runs), and polls execute at a bounded dynamic interval on every path.
+//! The experiment runs a real (IR) program over a stream of device events
+//! and compares:
 //!
 //! - **interrupt-driven**: each event interrupts the program (dispatch +
 //!   handler + return stolen from compute);
@@ -19,73 +21,12 @@
 use interweave_core::machine::MachineConfig;
 use interweave_core::rng::SplitMix64;
 use interweave_core::stats::Summary;
-use interweave_ir::analysis::{Cfg, Dominators, LoopForest};
-use interweave_ir::inst::{Inst, Intrinsic};
+use interweave_fibers::InjectTiming;
+use interweave_ir::inst::Intrinsic;
 use interweave_ir::interp::{HookAction, Interp, InterpConfig, Memory, RuntimeHooks};
-use interweave_ir::passes::{Pass, PassStats};
+use interweave_ir::passes::Pass;
 use interweave_ir::programs::Program;
 use interweave_ir::types::Val;
-use interweave_ir::Module;
-
-/// The poll-injection pass (placement identical to timing injection —
-/// §V-C: "the compiler injects this polling check throughout the kernel
-/// using compiler-based timing").
-#[derive(Debug, Clone)]
-pub struct InjectPolling {
-    /// Maximum straight-line instructions between polls.
-    pub max_run: usize,
-}
-
-impl Default for InjectPolling {
-    fn default() -> InjectPolling {
-        InjectPolling { max_run: 48 }
-    }
-}
-
-impl Pass for InjectPolling {
-    fn name(&self) -> &'static str {
-        "inject-polling"
-    }
-
-    fn run(&mut self, m: &mut Module) -> PassStats {
-        let mut stats = PassStats::default();
-        for f in &mut m.funcs {
-            let cfg = Cfg::build(f);
-            let dom = Dominators::compute(&cfg);
-            let loops = LoopForest::find(&cfg, &dom);
-            let mut check_blocks: Vec<usize> = vec![0];
-            for l in &loops.loops {
-                check_blocks.push(l.header.index());
-            }
-            check_blocks.sort_unstable();
-            check_blocks.dedup();
-
-            for (bi, b) in f.blocks.iter_mut().enumerate() {
-                let mut out = Vec::with_capacity(b.insts.len() + 2);
-                if check_blocks.contains(&bi) {
-                    out.push(Inst::Intr(None, Intrinsic::PollDevices, vec![]));
-                    stats.bump("polls_inserted", 1);
-                }
-                let mut run = 0usize;
-                for inst in b.insts.drain(..) {
-                    let resets = matches!(
-                        inst,
-                        Inst::Call(_, _, _) | Inst::Intr(_, Intrinsic::PollDevices, _)
-                    );
-                    out.push(inst);
-                    run = if resets { 0 } else { run + 1 };
-                    if run >= self.max_run {
-                        out.push(Inst::Intr(None, Intrinsic::PollDevices, vec![]));
-                        stats.bump("polls_inserted", 1);
-                        run = 0;
-                    }
-                }
-                b.insts = out;
-            }
-        }
-        stats
-    }
-}
 
 /// How device events reach their handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +135,7 @@ pub fn run_device_experiment(
     match mode {
         DriveMode::BlendedPolling => {
             let mut m = program.module.clone();
-            InjectPolling::default().run(&mut m);
+            InjectTiming(Intrinsic::PollDevices).run(&mut m);
             // Pre-generate more arrivals than the program can outlive; the
             // horizon is refined after the run.
             let mut probe = Interp::new(InterpConfig::default());
@@ -291,7 +232,7 @@ mod tests {
             base.start(&p.module, p.entry, &p.args);
             let expected = base.run_to_completion(&p.module, &mut NullHooks);
             let mut m = p.module.clone();
-            InjectPolling::default().run(&mut m);
+            InjectTiming(Intrinsic::PollDevices).run(&mut m);
             assert_valid(&m);
             let mut it = Interp::new(InterpConfig::default());
             it.start(&m, p.entry, &p.args);

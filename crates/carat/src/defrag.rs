@@ -151,9 +151,8 @@ pub fn quarantine_and_relocate(
 /// values — through pointers that compaction must have patched. Returns
 /// `(module, entry)`; call with one argument `n` (list length ≥ 2); the
 /// final sum is `n(n-1)/2`.
-pub fn fragmentation_demo(n_hint: &str) -> (interweave_ir::Module, interweave_ir::FuncId) {
+pub fn fragmentation_demo() -> (interweave_ir::Module, interweave_ir::FuncId) {
     use interweave_ir::{BinOp, CmpOp, FunctionBuilder, Intrinsic, Module};
-    let _ = n_hint;
     let mut m = Module::new();
     let mut fb = FunctionBuilder::new("frag_demo", 1);
     let n = fb.param(0);

@@ -69,7 +69,7 @@ impl RuntimeHooks for PagingHooks {
         }
     }
 
-    fn check_access(&mut self, addr: u64, _write: bool, _now: u64) -> Result<u64, Trap> {
+    fn check_access(&mut self, addr: u64, _now: u64) -> Result<u64, Trap> {
         Ok(self.model.access(addr).get())
     }
 }

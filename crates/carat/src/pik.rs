@@ -499,7 +499,7 @@ mod tests {
         let mut kern = SharedPikKernel::new();
         let mut pids = Vec::new();
         for n in [8i64, 12] {
-            let (m, entry) = fragmentation_demo("n");
+            let (m, entry) = fragmentation_demo();
             let (m, att) = kern.compile(m);
             let pid = kern.admit(m, att, entry, vec![Val::I(n)]).expect("admits");
             pids.push((pid, n));

@@ -14,12 +14,13 @@
 //! cycles on KNL (Fig. 4).
 //!
 //! - [`timing_pass`]: the injection pass (loop headers, function entries,
-//!   long straight-line runs) with its placement-bound guarantee.
+//!   long straight-line runs) with its placement-bound guarantee; blended
+//!   drivers run the same pass to place device polls.
 //! - `runtime`: a single-CPU fiber runtime multiplexing interpreted
 //!   programs under either preemption mechanism, measuring slice lengths
 //!   and overheads.
-//! - [`study`]: the Fig. 4 experiment — switch-cost decomposition rows plus
-//!   measured granularity floors.
+//! - [`study`]: the Fig. 4 experiment — granularity floors plus measured
+//!   overhead sweeps.
 
 #![warn(missing_docs)]
 

@@ -123,7 +123,7 @@ pub(crate) fn run_fibers(
         .map(|p| {
             let mut module = p.module.clone();
             if mode == PreemptMode::CompilerTimed {
-                InjectTiming::default().run(&mut module);
+                InjectTiming(Intrinsic::TimeCheck).run(&mut module);
             }
             let fp = module.funcs.iter().any(|f| f.touches_fp());
             let mut interp = Interp::new(InterpConfig::default());

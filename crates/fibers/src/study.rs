@@ -1,42 +1,18 @@
-//! The Fig. 4 study: switch-cost decomposition and granularity floors.
+//! The Fig. 4 study: granularity floors and measured overhead sweeps.
 //!
-//! Combines the analytic switch-cost rows (from the kernel crate's cost
-//! composition) with *measured* runtime behaviour: a sweep over preemption
-//! quanta finds the smallest quantum at which mechanism overhead stays
-//! under 50 % — the "granularity floor" §IV-C reports as <600 cycles for
-//! compiler-timed fibers on KNL, against >4× coarser for the commodity
-//! Linux thread design.
+//! The figure's analytic rows are the kernel crate's cost composition
+//! (`interweave_kernel::threads::fig4_rows`). This module adds the floor
+//! those costs imply and *measured* runtime behaviour: a sweep over
+//! preemption quanta finds the smallest quantum at which mechanism
+//! overhead stays under 50 % — the "granularity floor" §IV-C reports as
+//! <600 cycles for compiler-timed fibers on KNL, against >4× coarser for
+//! the commodity Linux thread design.
 
 use crate::runtime::{run_fibers, PreemptMode};
 use interweave_core::machine::MachineConfig;
 use interweave_core::stack::OsPoint;
 use interweave_ir::programs::{self, Program};
-use interweave_kernel::threads::{
-    fig4_rows, granularity_floor, switch_cost, SwitchBreakdown, SwitchKind,
-};
-
-/// One analytic row of Fig. 4.
-#[derive(Debug, Clone)]
-pub struct Fig4Row {
-    /// Configuration label (as in the figure).
-    pub label: String,
-    /// Uses FP state.
-    pub fp: bool,
-    /// Cost decomposition.
-    pub breakdown: SwitchBreakdown,
-}
-
-/// The analytic half of the figure.
-pub fn analytic_rows(mc: &MachineConfig) -> Vec<Fig4Row> {
-    fig4_rows(mc)
-        .into_iter()
-        .map(|(label, fp, breakdown)| Fig4Row {
-            label,
-            fp,
-            breakdown,
-        })
-        .collect()
-}
+use interweave_kernel::threads::{switch_cost, SwitchKind};
 
 /// Measured overhead for one (mode, quantum) point.
 #[derive(Debug, Clone)]
@@ -78,10 +54,15 @@ pub fn overhead_sweep(mc: &MachineConfig, quanta: &[u64]) -> Vec<SweepPoint> {
     out
 }
 
-/// The analytic granularity floor (quantum where switch overhead = 50 %)
-/// for a mechanism, per §IV-C's definition.
+/// The analytic granularity floor for a mechanism, per §IV-C's definition:
+/// the smallest useful preemption quantum, the slice length at which
+/// mechanism overhead reaches 50 %. A slice of `q` useful cycles costs one
+/// switch of `s` cycles, an overhead fraction of `s / (q + s)`, which is
+/// 50 % exactly when `q = s` — so the floor is the non-RT switch cost
+/// itself. §IV-C reports "less than 600 cycles" for compiler-timed fibers
+/// on KNL.
 pub fn floor_cycles(mc: &MachineConfig, kind: SwitchKind, os: OsPoint, fp: bool) -> u64 {
-    granularity_floor(switch_cost(mc, os, kind, false, fp).total()).get()
+    switch_cost(mc, os, kind, false, fp).total().get()
 }
 
 #[cfg(test)]
@@ -94,7 +75,8 @@ mod tests {
 
     #[test]
     fn comptime_floor_under_600_and_4x_better_than_linux() {
-        // The two headline callouts of Fig. 4.
+        // The two headline callouts of Fig. 4. §IV-C: "The granularity
+        // limit on this machine is less than 600 cycles".
         let fiber_nofp = floor_cycles(
             &knl(),
             SwitchKind::FiberCompilerTimed,
@@ -141,24 +123,5 @@ mod tests {
         let coarse_ct = get(200_000, PreemptMode::CompilerTimed);
         let coarse_hw = get(200_000, PreemptMode::HardwareTimer);
         assert!(coarse_ct < 0.2 && coarse_hw < 0.2);
-    }
-
-    #[test]
-    fn analytic_rows_are_complete_and_ordered() {
-        let rows = analytic_rows(&knl());
-        assert_eq!(rows.len(), 16);
-        let find = |label: &str| {
-            rows.iter()
-                .find(|r| r.label == label)
-                .unwrap_or_else(|| panic!("missing row {label}"))
-                .breakdown
-                .total()
-        };
-        // Ordering of the figure: Linux threads > Aster threads > NK
-        // threads > fibers — the OS axis left to right.
-        assert!(find("Linux threads (non-RT, FP)") > find("Aster threads (non-RT, FP)"));
-        assert!(find("Aster threads (non-RT, FP)") > find("Threads (non-RT, FP)"));
-        assert!(find("Threads (non-RT, FP)") > find("Fibers-CompTime (FP)"));
-        assert!(find("Fibers-CompTime (no-FP)") < find("Fibers-CompTime (FP)"));
     }
 }

@@ -782,7 +782,7 @@ pub trait RuntimeHooks {
     /// Per-access policy (translation cost, protection). Returns extra
     /// cycles to charge. The default is a no-op (identity-mapped Nautilus:
     /// "TLB misses are extremely rare ... there are no page faults").
-    fn check_access(&mut self, _addr: u64, _write: bool, _now: u64) -> Result<u64, Trap> {
+    fn check_access(&mut self, _addr: u64, _now: u64) -> Result<u64, Trap> {
         Ok(0)
     }
 
@@ -1122,7 +1122,7 @@ impl Interp {
                             // Wraps like `Gep`: an address past the top of
                             // the space is a bad access, not an overflow.
                             let addr = rv[at(*a)].as_i().wrapping_add(*off) as u64;
-                            match hooks.check_access(addr, false, cycles) {
+                            match hooks.check_access(addr, cycles) {
                                 Ok(extra) => cycles += extra,
                                 Err(t) => suspend!(ExecStatus::Trapped(t)),
                             }
@@ -1138,7 +1138,7 @@ impl Interp {
                             cycles += cfg.cost_store;
                             stats.stores += 1;
                             let addr = rv[at(*a)].as_i().wrapping_add(*off) as u64;
-                            match hooks.check_access(addr, true, cycles) {
+                            match hooks.check_access(addr, cycles) {
                                 Ok(extra) => cycles += extra,
                                 Err(t) => suspend!(ExecStatus::Trapped(t)),
                             }
@@ -2023,12 +2023,12 @@ mod tests {
         assert_eq!(snapshot.load(odd), Ok((Val::I(-7), None)));
     }
 
-    /// Logs the `now` every hook call receives, with what called it
-    /// (`Some(write)` for an access check, `None` for an intrinsic), and
-    /// charges cycles on both so the log sees the hooks' own charges too.
+    /// Logs the `now` every hook call receives, with what called it (`true`
+    /// for an access check, `false` for an intrinsic), and charges cycles on
+    /// both so the log sees the hooks' own charges too.
     #[derive(Default)]
     struct NowLog {
-        seen: Vec<(Option<bool>, u64)>,
+        seen: Vec<(bool, u64)>,
     }
 
     impl RuntimeHooks for NowLog {
@@ -2039,15 +2039,15 @@ mod tests {
             _mem: &mut Memory,
             now: u64,
         ) -> HookAction {
-            self.seen.push((None, now));
+            self.seen.push((false, now));
             HookAction::Continue {
                 value: Some(Val::I(now as i64)),
                 cycles: 5,
             }
         }
 
-        fn check_access(&mut self, _addr: u64, write: bool, now: u64) -> Result<u64, Trap> {
-            self.seen.push((Some(write), now));
+        fn check_access(&mut self, _addr: u64, now: u64) -> Result<u64, Trap> {
+            self.seen.push((true, now));
             Ok(2)
         }
     }
@@ -2089,11 +2089,16 @@ mod tests {
         }
         m.add(f);
 
-        let cfg = InterpConfig::default();
-        let own_cost = |caller: Option<bool>| match caller {
-            Some(true) => cfg.cost_store,
-            Some(false) => cfg.cost_load,
-            None => 0,
+        // A store costs one cycle more than a load, so a stamp shows which
+        // access called: the body's accesses alternate store, load.
+        let cfg = InterpConfig {
+            cost_store: InterpConfig::default().cost_load + 1,
+            ..InterpConfig::default()
+        };
+        let own_cost = |earlier: &[(bool, u64)], access: bool| match access {
+            true if earlier.iter().filter(|&&(a, _)| a).count() % 2 == 0 => cfg.cost_store,
+            true => cfg.cost_load,
+            false => 0,
         };
         let fresh = || {
             let mut it = Interp::new(cfg.clone());
@@ -2111,8 +2116,9 @@ mod tests {
             let (before, calls) = (sliced.stats.cycles, log.seen.len());
             let status = sliced.run(&m, &mut log, 1);
             assert!(log.seen.len() <= calls + 1, "one instruction per slice");
-            if let Some(&(caller, now)) = log.seen.get(calls) {
-                assert_eq!(now, before + own_cost(caller), "call {calls}");
+            if let Some(&(access, now)) = log.seen.get(calls) {
+                let own = own_cost(&log.seen[..calls], access);
+                assert_eq!(now, before + own, "call {calls}");
             }
             if status != ExecStatus::OutOfFuel {
                 break status;
@@ -2122,9 +2128,9 @@ mod tests {
         assert!(matches!(want, ExecStatus::Done(Some(_))));
         assert_eq!(log.seen, whole_log.seen);
         assert_eq!(sliced.stats, whole.stats);
-        for caller in [Some(true), Some(false), None] {
-            let calls = log.seen.iter().filter(|&&(c, _)| c == caller).count();
-            assert_eq!(calls, N as usize, "{caller:?}");
+        for (access, per_iter) in [(true, 2), (false, 1)] {
+            let calls = log.seen.iter().filter(|&&(a, _)| a == access).count();
+            assert_eq!(calls, per_iter * N as usize, "access check: {access}");
         }
     }
 }

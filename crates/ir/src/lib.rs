@@ -20,8 +20,9 @@
 //! - [`passes`]: the pass manager and shared pass utilities.
 //! - [`opt`]: constant folding and DCE, the cleanup optimizer that the
 //!   instrumentation passes must survive.
-//! - [`interp`]: the interpreter — segmented flat memory, runtime hooks for
-//!   intrinsics and per-access policies, fuel-bounded execution slices.
+//! - [`interp`]: the interpreter — flat memory in a page arena, runtime
+//!   hooks for intrinsics and per-access policies, fuel-bounded execution
+//!   slices.
 //! - [`programs`]: benchmark-kernel builders shared by the experiment crates.
 
 #![warn(missing_docs)]

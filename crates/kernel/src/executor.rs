@@ -10,7 +10,7 @@
 //! cross-CPU joins resolve in correct causal order.
 
 use crate::buddy::{AllocError, NumaAllocator};
-use crate::threads::{home_zone_for, switch_cost, SwitchKind, DEFAULT_STACK_BYTES};
+use crate::threads::{switch_cost, SwitchKind, DEFAULT_STACK_BYTES};
 use crate::work::{Work, WorkStep};
 use interweave_core::interrupt::{self, DeliveryOutcome, IrqClass};
 use interweave_core::machine::{CpuId, MachineConfig};
@@ -266,7 +266,9 @@ impl Executor {
         assert!(cpu < self.cpus.len());
         let stack = match self.stack_alloc.as_mut() {
             Some(alloc) => {
-                let zone = home_zone_for(cpu, &self.mc);
+                // The home zone is the CPU's socket: one buddy zone per
+                // NUMA domain.
+                let zone = self.mc.socket_of(cpu);
                 let got = match self.faults.as_mut() {
                     Some(plan) => alloc.alloc_faulted(zone, DEFAULT_STACK_BYTES, plan),
                     None => alloc.alloc(zone, DEFAULT_STACK_BYTES),
@@ -476,8 +478,7 @@ impl Executor {
         loop {
             let task = &mut self.tasks[tid as usize];
             if task.pending == Cycles::ZERO {
-                let cpu_now = self.cpus[cpu].now;
-                match task.body.step(cpu, cpu_now) {
+                match task.body.step() {
                     WorkStep::Compute(n) => task.pending = n,
                     WorkStep::Yield => {
                         self.stats.yields += 1;

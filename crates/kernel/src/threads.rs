@@ -40,12 +40,6 @@ pub(crate) const FIBER_MGMT: Cycles = Cycles(150);
 /// "guaranteed to always be in the most desirable zone").
 pub(crate) const DEFAULT_STACK_BYTES: u64 = 16 * 1024;
 
-/// The "most desirable zone" for a thread bound to `cpu`: its socket's NUMA
-/// domain (one buddy zone per socket in our allocator layout).
-pub(crate) fn home_zone_for(cpu: usize, mc: &MachineConfig) -> usize {
-    mc.socket_of(cpu)
-}
-
 /// The switching mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchKind {
@@ -115,12 +109,9 @@ pub fn switch_cost(
     let fp_full = c.fp_save + c.fp_restore;
 
     let sched = match (os, kind, rt) {
-        // Fibers use a lightweight per-CPU fiber queue; RT fibers use the
-        // EDF pick.
-        (_, SwitchKind::FiberCooperative | SwitchKind::FiberCompilerTimed, true) => c.sched_pick_rt,
-        (_, SwitchKind::FiberCooperative | SwitchKind::FiberCompilerTimed, false) => {
-            Cycles(c.sched_pick_rt.get())
-        }
+        // Every fiber switch, RT or not, picks from a per-CPU fiber queue
+        // as cheap as the EDF pick.
+        (_, SwitchKind::FiberCooperative | SwitchKind::FiberCompilerTimed, _) => c.sched_pick_rt,
         (_, SwitchKind::ThreadInterrupt, true) => c.sched_pick_rt,
         (OsPoint::NkLike, SwitchKind::ThreadInterrupt, false) => c.sched_pick_nk,
         (OsPoint::AsterLike, SwitchKind::ThreadInterrupt, false) => {
@@ -167,91 +158,30 @@ pub fn switch_cost(
     }
 }
 
-/// The smallest useful preemption granularity for a mechanism: the slice
-/// length at which switch overhead equals useful work (overhead fraction
-/// 50 %). §IV-C reports "less than 600 cycles" for compiler-timed fibers on
-/// KNL.
-pub fn granularity_floor(switch: Cycles) -> Cycles {
-    switch
-}
-
-/// All Fig. 4 rows for one machine: `(label, fp, breakdown)`. Thread rows
-/// come in OS-axis order from most to least expensive — Linux, Aster,
-/// then NK — so the table reads as a descent down the stack space.
-pub fn fig4_rows(mc: &MachineConfig) -> Vec<(String, bool, SwitchBreakdown)> {
+/// All Fig. 4 rows for one machine, `(label, breakdown)`: the no-FP half,
+/// then the FP half. Thread rows come in OS-axis order from most to least
+/// expensive — Linux, Aster, then NK — so the table reads as a descent
+/// down the stack space; the fiber rows close each half.
+pub fn fig4_rows(mc: &MachineConfig) -> Vec<(String, SwitchBreakdown)> {
+    use OsPoint::{AsterLike, LinuxLike, NkLike};
+    use SwitchKind::{FiberCompilerTimed, FiberCooperative, ThreadInterrupt};
+    // Each label is completed by the FP tag and a closing parenthesis.
+    const ROWS: [(&str, OsPoint, SwitchKind, bool); 8] = [
+        ("Linux threads (non-RT, ", LinuxLike, ThreadInterrupt, false),
+        ("Linux threads (RT, ", LinuxLike, ThreadInterrupt, true),
+        ("Aster threads (non-RT, ", AsterLike, ThreadInterrupt, false),
+        ("Aster threads (RT, ", AsterLike, ThreadInterrupt, true),
+        ("Threads (non-RT, ", NkLike, ThreadInterrupt, false),
+        ("Threads (RT, ", NkLike, ThreadInterrupt, true),
+        ("Fibers-Coop (", NkLike, FiberCooperative, false),
+        ("Fibers-CompTime (", NkLike, FiberCompilerTimed, false),
+    ];
     let mut rows = Vec::new();
-    for &fp in &[false, true] {
+    for fp in [false, true] {
         let fpl = if fp { "FP" } else { "no-FP" };
-        rows.push((
-            format!("Linux threads (non-RT, {fpl})"),
-            fp,
-            switch_cost(
-                mc,
-                OsPoint::LinuxLike,
-                SwitchKind::ThreadInterrupt,
-                false,
-                fp,
-            ),
-        ));
-        rows.push((
-            format!("Linux threads (RT, {fpl})"),
-            fp,
-            switch_cost(
-                mc,
-                OsPoint::LinuxLike,
-                SwitchKind::ThreadInterrupt,
-                true,
-                fp,
-            ),
-        ));
-        rows.push((
-            format!("Aster threads (non-RT, {fpl})"),
-            fp,
-            switch_cost(
-                mc,
-                OsPoint::AsterLike,
-                SwitchKind::ThreadInterrupt,
-                false,
-                fp,
-            ),
-        ));
-        rows.push((
-            format!("Aster threads (RT, {fpl})"),
-            fp,
-            switch_cost(
-                mc,
-                OsPoint::AsterLike,
-                SwitchKind::ThreadInterrupt,
-                true,
-                fp,
-            ),
-        ));
-        rows.push((
-            format!("Threads (non-RT, {fpl})"),
-            fp,
-            switch_cost(mc, OsPoint::NkLike, SwitchKind::ThreadInterrupt, false, fp),
-        ));
-        rows.push((
-            format!("Threads (RT, {fpl})"),
-            fp,
-            switch_cost(mc, OsPoint::NkLike, SwitchKind::ThreadInterrupt, true, fp),
-        ));
-        rows.push((
-            format!("Fibers-Coop ({fpl})"),
-            fp,
-            switch_cost(mc, OsPoint::NkLike, SwitchKind::FiberCooperative, false, fp),
-        ));
-        rows.push((
-            format!("Fibers-CompTime ({fpl})"),
-            fp,
-            switch_cost(
-                mc,
-                OsPoint::NkLike,
-                SwitchKind::FiberCompilerTimed,
-                false,
-                fp,
-            ),
-        ));
+        for (label, os, kind, rt) in ROWS {
+            rows.push((format!("{label}{fpl})"), switch_cost(mc, os, kind, rt, fp)));
+        }
     }
     rows
 }
@@ -354,21 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn granularity_floor_below_600_cycles() {
-        // §IV-C: "The granularity limit on this machine is less than 600
-        // cycles".
-        let fib = switch_cost(
-            &knl(),
-            OsPoint::NkLike,
-            SwitchKind::FiberCompilerTimed,
-            false,
-            false,
-        )
-        .total();
-        assert!(granularity_floor(fib).get() < 600, "floor = {fib}");
-    }
-
-    #[test]
     fn fp_state_becomes_the_bottleneck_at_fine_grain() {
         // §IV-C: the floor is "so low that floating point state management
         // becomes the bottleneck" — FP movement dominates a comp-timed FP
@@ -453,8 +368,19 @@ mod tests {
     fn fig4_rows_cover_the_parameter_space() {
         let rows = fig4_rows(&knl());
         assert_eq!(rows.len(), 16);
-        assert!(rows.iter().any(|(l, _, _)| l.contains("Fibers-CompTime")));
-        assert!(rows.iter().any(|(l, _, _)| l.contains("Aster threads")));
+        let find = |label: &str| {
+            rows.iter()
+                .find(|(l, _)| l == label)
+                .unwrap_or_else(|| panic!("missing row {label}"))
+                .1
+                .total()
+        };
+        // Ordering of the figure: Linux threads > Aster threads > NK
+        // threads > fibers — the OS axis left to right.
+        assert!(find("Linux threads (non-RT, FP)") > find("Aster threads (non-RT, FP)"));
+        assert!(find("Aster threads (non-RT, FP)") > find("Threads (non-RT, FP)"));
+        assert!(find("Threads (non-RT, FP)") > find("Fibers-CompTime (FP)"));
+        assert!(find("Fibers-CompTime (no-FP)") < find("Fibers-CompTime (FP)"));
     }
 
     #[test]

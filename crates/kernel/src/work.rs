@@ -6,7 +6,6 @@
 //! cycles, a yield point, or a named kernel service — and each kernel model
 //! prices and schedules those needs its own way.
 
-use interweave_core::machine::CpuId;
 use interweave_core::time::Cycles;
 
 /// What a workload wants next.
@@ -28,9 +27,8 @@ pub enum WorkStep {
 
 /// A resumable workload body.
 pub trait Work {
-    /// Announce the next need. `cpu` and `now` let bodies make placement- or
-    /// time-dependent decisions (e.g. emitting per-iteration work sizes).
-    fn step(&mut self, cpu: CpuId, now: Cycles) -> WorkStep;
+    /// Announce the next need.
+    fn step(&mut self) -> WorkStep;
 }
 
 /// A fixed sequence of steps — the simplest `Work`, used in tests and
@@ -49,7 +47,7 @@ impl ScriptedWork {
 }
 
 impl Work for ScriptedWork {
-    fn step(&mut self, _cpu: CpuId, _now: Cycles) -> WorkStep {
+    fn step(&mut self) -> WorkStep {
         let s = self.steps.get(self.at).copied().unwrap_or(WorkStep::Done);
         self.at += 1;
         s
@@ -76,7 +74,7 @@ impl LoopWork {
 }
 
 impl Work for LoopWork {
-    fn step(&mut self, _cpu: CpuId, _now: Cycles) -> WorkStep {
+    fn step(&mut self) -> WorkStep {
         if self.remaining == 0 {
             return WorkStep::Done;
         }
@@ -96,10 +94,10 @@ mod tests {
             WorkStep::Block(3),
             WorkStep::Done,
         ]);
-        assert_eq!(w.step(0, Cycles::ZERO), WorkStep::Compute(Cycles(10)));
-        assert_eq!(w.step(0, Cycles::ZERO), WorkStep::Block(3));
-        assert_eq!(w.step(0, Cycles::ZERO), WorkStep::Done);
-        assert_eq!(w.step(0, Cycles::ZERO), WorkStep::Done);
+        assert_eq!(w.step(), WorkStep::Compute(Cycles(10)));
+        assert_eq!(w.step(), WorkStep::Block(3));
+        assert_eq!(w.step(), WorkStep::Done);
+        assert_eq!(w.step(), WorkStep::Done);
     }
 
     #[test]
@@ -107,7 +105,7 @@ mod tests {
         let mut w = LoopWork::new(3, Cycles(5));
         let mut computed = Cycles::ZERO;
         loop {
-            match w.step(0, Cycles::ZERO) {
+            match w.step() {
                 WorkStep::Compute(c) => computed += c,
                 WorkStep::Done => break,
                 other => panic!("unexpected {other:?}"),

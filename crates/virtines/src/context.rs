@@ -100,35 +100,11 @@ impl Virtine {
 mod tests {
     use super::*;
     use crate::extract::extract_one;
-    use interweave_ir::{BinOp, CmpOp, FunctionBuilder, Module};
-
-    fn fib_image() -> VirtineImage {
-        let mut m = Module::new();
-        let mut fb = FunctionBuilder::new("fib", 1);
-        let n = fb.param(0);
-        let two = fb.const_i(2);
-        let c = fb.cmp(CmpOp::Lt, n, two);
-        let base = fb.new_block();
-        let rec = fb.new_block();
-        fb.cond_br(c, base, rec);
-        fb.switch_to(base);
-        fb.ret(Some(n));
-        fb.switch_to(rec);
-        let one = fb.const_i(1);
-        let n1 = fb.bin(BinOp::Sub, n, one);
-        let n2 = fb.bin(BinOp::Sub, n, two);
-        let f = interweave_ir::FuncId(0);
-        let a = fb.call(f, &[n1]);
-        let b = fb.call(f, &[n2]);
-        let s = fb.bin(BinOp::Add, a, b);
-        fb.ret(Some(s));
-        m.add(fb.finish());
-        extract_one(&m, FuncId(0))
-    }
+    use interweave_ir::{programs, BinOp, FunctionBuilder, Module};
 
     #[test]
     fn fib_virtine_returns_correctly() {
-        let mut v = Virtine::new(fib_image());
+        let mut v = Virtine::new(extract_one(&programs::fib(12).module, FuncId(0)));
         assert_eq!(
             v.invoke(&[Val::I(12)], u64::MAX / 4),
             VirtineOutcome::Returned(Some(Val::I(144)))
@@ -175,7 +151,7 @@ mod tests {
 
     #[test]
     fn kill_point_only_lands_on_a_live_guest() {
-        let mut v = Virtine::new(fib_image());
+        let mut v = Virtine::new(extract_one(&programs::fib(12).module, FuncId(0)));
         // Establish how long the guest actually runs.
         assert_eq!(
             v.invoke(&[Val::I(12)], u64::MAX / 4),

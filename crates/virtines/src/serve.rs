@@ -764,31 +764,7 @@ mod tests {
     use super::*;
     use crate::extract::extract_one;
     use crate::wasp::Wasp;
-    use interweave_ir::{BinOp, CmpOp, FuncId, FunctionBuilder, Module};
-
-    fn fib_image() -> VirtineImage {
-        let mut m = Module::new();
-        let mut fb = FunctionBuilder::new("fib", 1);
-        let n = fb.param(0);
-        let two = fb.const_i(2);
-        let c = fb.cmp(CmpOp::Lt, n, two);
-        let base = fb.new_block();
-        let rec = fb.new_block();
-        fb.cond_br(c, base, rec);
-        fb.switch_to(base);
-        fb.ret(Some(n));
-        fb.switch_to(rec);
-        let one = fb.const_i(1);
-        let n1 = fb.bin(BinOp::Sub, n, one);
-        let n2 = fb.bin(BinOp::Sub, n, two);
-        let f = interweave_ir::FuncId(0);
-        let a = fb.call(f, &[n1]);
-        let b = fb.call(f, &[n2]);
-        let s = fb.bin(BinOp::Add, a, b);
-        fb.ret(Some(s));
-        m.add(fb.finish());
-        extract_one(&m, FuncId(0))
-    }
+    use interweave_ir::{programs, FuncId};
 
     fn retry() -> RetryPolicy {
         RetryPolicy {
@@ -862,7 +838,7 @@ mod tests {
         // The memoized pool must charge exactly what the real
         // microhypervisor charges on the no-fault path: same outcomes,
         // same cycle totals, same cold/reuse accounting.
-        let image = fib_image();
+        let image = extract_one(&programs::fib(12).module, FuncId(0));
         let args = [Val::I(12)];
         let budget = u64::MAX / 4;
         let mc = MachineConfig::xeon_server_2s();
@@ -898,7 +874,7 @@ mod tests {
 
     #[test]
     fn prewarm_parity_with_real_wasp() {
-        let image = fib_image();
+        let image = extract_one(&programs::fib(10).module, FuncId(0));
         let args = [Val::I(10)];
         let budget = u64::MAX / 4;
         let mc = MachineConfig::xeon_server_2s();
@@ -918,7 +894,7 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_surfaces_a_typed_error_with_bounded_attempts() {
-        let image = fib_image();
+        let image = extract_one(&programs::fib(12).module, FuncId(0));
         let args = [Val::I(12)];
         let mc = MachineConfig::xeon_server_2s();
         let profile = ServiceProfile::calibrate(&image, &args, u64::MAX / 4);
@@ -960,7 +936,7 @@ mod tests {
     fn backoff_waits_follow_the_monotone_nominal_schedule() {
         // Reconstruct the expected waits from the policy and the same
         // seeded jitter stream the pool uses.
-        let image = fib_image();
+        let image = extract_one(&programs::fib(12).module, FuncId(0));
         let args = [Val::I(12)];
         let mc = MachineConfig::xeon_server_2s();
         let profile = ServiceProfile::calibrate(&image, &args, u64::MAX / 4);
@@ -986,7 +962,7 @@ mod tests {
 
     #[test]
     fn cache_capacity_zero_always_cold_boots() {
-        let image = fib_image();
+        let image = extract_one(&programs::fib(10).module, FuncId(0));
         let args = [Val::I(10)];
         let budget = u64::MAX / 4;
         let mc = MachineConfig::xeon_server_2s();
@@ -1011,7 +987,7 @@ mod tests {
 
     #[test]
     fn serve_report_is_shard_invariant_and_deterministic() {
-        let image = fib_image();
+        let image = extract_one(&programs::fib(10).module, FuncId(0));
         let args = [Val::I(10)];
         let mc = MachineConfig::xeon_server_2s();
         let cfg = serve_cfg(&image, 40.0, chaotic(0xC0FFEE));
@@ -1028,7 +1004,7 @@ mod tests {
 
     #[test]
     fn fault_ledger_balances_under_chaos() {
-        let image = fib_image();
+        let image = extract_one(&programs::fib(10).module, FuncId(0));
         let args = [Val::I(10)];
         let mc = MachineConfig::xeon_server_2s();
         let r = run_serve(&image, &args, &mc, &serve_cfg(&image, 30.0, chaotic(77)), 2);
@@ -1049,7 +1025,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_instead_of_collapsing() {
-        let image = fib_image();
+        let image = extract_one(&programs::fib(10).module, FuncId(0));
         let args = [Val::I(10)];
         let mc = MachineConfig::xeon_server_2s();
         // Well under saturation: nothing shed at admission.
@@ -1080,7 +1056,7 @@ mod tests {
 
     #[test]
     fn windowed_series_is_shard_invariant_and_consistent_with_totals() {
-        let image = fib_image();
+        let image = extract_one(&programs::fib(10).module, FuncId(0));
         let args = [Val::I(10)];
         let mc = MachineConfig::xeon_server_2s();
         let mut cfg = serve_cfg(&image, 40.0, chaotic(0xC0FFEE));
@@ -1113,7 +1089,7 @@ mod tests {
 
     #[test]
     fn snapshot_cache_separates_interwoven_from_layered_tails() {
-        let image = fib_image();
+        let image = extract_one(&programs::fib(10).module, FuncId(0));
         let args = [Val::I(10)];
         let mc = MachineConfig::xeon_server_2s();
         let mut cfg = serve_cfg(&image, 60.0, FaultConfig::quiet(9));

@@ -325,31 +325,7 @@ mod tests {
     use super::*;
     use crate::bespoke::synthesize;
     use crate::extract::extract_one;
-    use interweave_ir::{BinOp, CmpOp, FuncId, FunctionBuilder, Module};
-
-    fn fib_image() -> VirtineImage {
-        let mut m = Module::new();
-        let mut fb = FunctionBuilder::new("fib", 1);
-        let n = fb.param(0);
-        let two = fb.const_i(2);
-        let c = fb.cmp(CmpOp::Lt, n, two);
-        let base = fb.new_block();
-        let rec = fb.new_block();
-        fb.cond_br(c, base, rec);
-        fb.switch_to(base);
-        fb.ret(Some(n));
-        fb.switch_to(rec);
-        let one = fb.const_i(1);
-        let n1 = fb.bin(BinOp::Sub, n, one);
-        let n2 = fb.bin(BinOp::Sub, n, two);
-        let f = interweave_ir::FuncId(0);
-        let a = fb.call(f, &[n1]);
-        let b = fb.call(f, &[n2]);
-        let s = fb.bin(BinOp::Add, a, b);
-        fb.ret(Some(s));
-        m.add(fb.finish());
-        extract_one(&m, FuncId(0))
-    }
+    use interweave_ir::{programs, FuncId, FunctionBuilder, Module};
 
     #[test]
     fn virtine_cold_start_is_about_100us() {
@@ -374,7 +350,7 @@ mod tests {
         let cold = startup(LaunchPath::VirtineCold).total().get();
         let snap = startup(LaunchPath::VirtineSnapshot).total().get();
         assert!(snap < cold / 5.0);
-        let img = fib_image();
+        let img = extract_one(&programs::fib(10).module, FuncId(0));
         let spec = synthesize(&img.module);
         let bespoke = startup(LaunchPath::Bespoke(spec)).total().get();
         assert!(bespoke < snap + 5.0, "bespoke {bespoke} vs snapshot {snap}");
@@ -382,7 +358,10 @@ mod tests {
 
     #[test]
     fn pool_reuse_kicks_in_after_first_invocation() {
-        let mut w = Wasp::new(fib_image(), MachineConfig::xeon_server_2s());
+        let mut w = Wasp::new(
+            extract_one(&programs::fib(10).module, FuncId(0)),
+            MachineConfig::xeon_server_2s(),
+        );
         let (o1, t1) = w.invoke(&[Val::I(10)], u64::MAX / 4);
         assert_eq!(o1, VirtineOutcome::Returned(Some(Val::I(55))));
         let (o2, t2) = w.invoke(&[Val::I(10)], u64::MAX / 4);
@@ -394,28 +373,27 @@ mod tests {
 
     #[test]
     fn restore_cost_scales_with_previous_tenants_dirty_footprint() {
-        use interweave_ir::programs;
         let mc = MachineConfig::xeon_server_2s();
         // Memory-light tenant: fib dirties ~nothing.
         let fib = programs::fib(10);
-        let mut w_light = Wasp::new(extract_one_image(&fib), mc.clone());
+        let mut w_light = Wasp::new(extract_one(&fib.module, fib.entry), mc.clone());
         let (_, _) = w_light.invoke(&[Val::I(10)], u64::MAX / 4);
         let (_, warm_light) = w_light.invoke(&[Val::I(10)], u64::MAX / 4);
 
         // Memory-heavy tenant: histogram dirties many pages.
         let hist = programs::histogram(4_000, 512);
-        let mut w_heavy = Wasp::new(extract_one_image(&hist), mc.clone());
+        let mut w_heavy = Wasp::new(extract_one(&hist.module, hist.entry), mc.clone());
         let (_, _) = w_heavy.invoke(&hist.args, u64::MAX / 4);
         let (_, warm_heavy_total) = w_heavy.invoke(&hist.args, u64::MAX / 4);
 
         // Compare restore shares (subtract guest execution).
         let light_guest = {
-            let mut v = crate::context::Virtine::new(extract_one_image(&fib));
+            let mut v = crate::context::Virtine::new(extract_one(&fib.module, fib.entry));
             v.invoke(&[Val::I(10)], u64::MAX / 4);
             v.guest_cycles
         };
         let heavy_guest = {
-            let mut v = crate::context::Virtine::new(extract_one_image(&hist));
+            let mut v = crate::context::Virtine::new(extract_one(&hist.module, hist.entry));
             v.invoke(&hist.args, u64::MAX / 4);
             v.guest_cycles
         };
@@ -426,10 +404,6 @@ mod tests {
             heavy_delta > 4 * light_delta.max(1),
             "dirty-page restore deltas: heavy {heavy_delta} vs light {light_delta}"
         );
-    }
-
-    fn extract_one_image(p: &interweave_ir::programs::Program) -> VirtineImage {
-        crate::extract::extract_one(&p.module, p.entry)
     }
 
     #[test]
@@ -452,7 +426,7 @@ mod tests {
         use interweave_core::{FaultConfig, FaultPlan};
         // Calibrate a budget tight enough that a uniform kill point has a
         // real chance of landing mid-execution.
-        let mut probe = Virtine::new(fib_image());
+        let mut probe = Virtine::new(extract_one(&programs::fib(12).module, FuncId(0)));
         probe.invoke(&[Val::I(12)], u64::MAX / 4);
         // ~1.3x the guest's runtime: a uniform kill point lands mid-run
         // roughly 3 times in 4, so a short request batch sees several.
@@ -463,7 +437,10 @@ mod tests {
                 virtine_kill: 1.0,
                 ..FaultConfig::quiet(seed)
             });
-            let mut w = Wasp::new(fib_image(), MachineConfig::xeon_server_2s());
+            let mut w = Wasp::new(
+                extract_one(&programs::fib(12).module, FuncId(0)),
+                MachineConfig::xeon_server_2s(),
+            );
             let mut total = Cycles(0);
             let mut restarts = 0u32;
             for _ in 0..10 {
@@ -492,7 +469,7 @@ mod tests {
     fn telemetry_spans_nest_restarts_inside_recovery_episodes() {
         use interweave_core::telemetry::{well_bracketed, Sink, SpanKind};
         use interweave_core::{FaultConfig, FaultPlan};
-        let mut probe = Virtine::new(fib_image());
+        let mut probe = Virtine::new(extract_one(&programs::fib(12).module, FuncId(0)));
         probe.invoke(&[Val::I(12)], u64::MAX / 4);
         let budget = probe.guest_cycles + probe.guest_cycles / 3;
 
@@ -500,7 +477,10 @@ mod tests {
             virtine_kill: 1.0,
             ..FaultConfig::quiet(42)
         });
-        let mut w = Wasp::new(fib_image(), MachineConfig::xeon_server_2s());
+        let mut w = Wasp::new(
+            extract_one(&programs::fib(12).module, FuncId(0)),
+            MachineConfig::xeon_server_2s(),
+        );
         let sink = Sink::on();
         w.set_telemetry(sink.clone());
         for _ in 0..10 {
@@ -529,11 +509,17 @@ mod tests {
     #[test]
     fn quiet_plan_recovering_matches_plain_invoke() {
         use interweave_core::FaultPlan;
-        let mut w = Wasp::new(fib_image(), MachineConfig::xeon_server_2s());
+        let mut w = Wasp::new(
+            extract_one(&programs::fib(10).module, FuncId(0)),
+            MachineConfig::xeon_server_2s(),
+        );
         let (plain, t_plain) = w.invoke(&[Val::I(10)], u64::MAX / 4);
 
         let mut faults = FaultPlan::quiet(7);
-        let mut w2 = Wasp::new(fib_image(), MachineConfig::xeon_server_2s());
+        let mut w2 = Wasp::new(
+            extract_one(&programs::fib(10).module, FuncId(0)),
+            MachineConfig::xeon_server_2s(),
+        );
         let (o, t, restarts) = w2.invoke_recovering(&[Val::I(10)], u64::MAX / 4, &mut faults, 8);
         assert_eq!(o, plain);
         assert_eq!(t, t_plain);
@@ -544,7 +530,10 @@ mod tests {
 
     #[test]
     fn prewarm_avoids_cold_start_latency() {
-        let mut w = Wasp::new(fib_image(), MachineConfig::xeon_server_2s());
+        let mut w = Wasp::new(
+            extract_one(&programs::fib(5).module, FuncId(0)),
+            MachineConfig::xeon_server_2s(),
+        );
         w.prewarm(2);
         let cold_starts_before = w.stats.cold_starts;
         let (_, t) = w.invoke(&[Val::I(5)], u64::MAX / 4);

@@ -16,7 +16,7 @@ use interweave::ir::interp::ExecStatus;
 use interweave::ir::types::Val;
 
 fn main() {
-    let (module, entry) = fragmentation_demo("service");
+    let (module, entry) = fragmentation_demo();
     let n = 128i64;
 
     // Trusted compilation + attestation + kernel admission (§IV-A's PIK).

@@ -7,7 +7,6 @@
 //! and checks that (a) the program's result is unchanged, (b) every
 //! mechanism actually fired, and (c) every access is still proven guarded.
 
-use interweave::blend::polling::InjectPolling;
 use interweave::carat::coverage::verify_coverage;
 use interweave::carat::runtime::CaratRuntime;
 use interweave::fibers::timing_pass::InjectTiming;
@@ -64,8 +63,8 @@ impl RuntimeHooks for CombinedRuntime {
         }
     }
 
-    fn check_access(&mut self, addr: u64, write: bool, now: u64) -> Result<u64, Trap> {
-        self.carat.check_access(addr, write, now)
+    fn check_access(&mut self, addr: u64, now: u64) -> Result<u64, Trap> {
+        self.carat.check_access(addr, now)
     }
 
     fn on_alloc(&mut self, a: interweave::ir::interp::Allocation) {
@@ -88,8 +87,8 @@ fn three_interweaving_passes_compose_on_one_module() {
         // Stack all three instrumentations.
         let mut m = prog.module.clone();
         interweave::carat::instrument(&mut m, true);
-        InjectTiming::default().run(&mut m);
-        InjectPolling::default().run(&mut m);
+        InjectTiming(Intrinsic::TimeCheck).run(&mut m);
+        InjectTiming(Intrinsic::PollDevices).run(&mut m);
         assert_valid(&m);
         assert_eq!(verify_coverage(&m), vec![], "{}", prog.name);
 
@@ -143,7 +142,7 @@ fn combined_instrumentation_still_catches_protection_bugs() {
     fb.ret(None);
     m.add(fb.finish());
     interweave::carat::instrument(&mut m, true);
-    InjectTiming::default().run(&mut m);
+    InjectTiming(Intrinsic::TimeCheck).run(&mut m);
     assert_valid(&m);
 
     let mut rt = CombinedRuntime {

@@ -61,7 +61,7 @@ fn run_campaign(cfg: FaultConfig) -> CampaignOutcome {
     assert_eq!(e.stats.shed_tasks, shed);
 
     // CARAT layer, continuing the same plan.
-    let (m, entry) = fragmentation_demo("list");
+    let (m, entry) = fragmentation_demo();
     let mut sys = PikSystem::new();
     let (m, att) = sys.compile(m);
     let pid = sys
