@@ -28,8 +28,8 @@ use interweave_core::{FaultClass, FaultConfig, FaultPlan};
 use interweave_ir::interp::GUEST_PAGE_BYTES;
 use interweave_kernel::work::LoopWork;
 use interweave_kernel::{Executor, NumaAllocator};
-use interweave_virtines::context::Virtine;
 use interweave_virtines::extract::extract_one;
+use interweave_virtines::serve::ServiceProfile;
 use interweave_virtines::wasp::{startup, LaunchPath, Wasp};
 
 /// The campaign seed. Fixed: the whole point is a bit-reproducible run.
@@ -197,9 +197,7 @@ fn bit_flip_row(mc: &MachineConfig) -> Row {
 fn virtine_row(mc: &MachineConfig) -> Row {
     let fibp = interweave_ir::programs::fib(18);
     let image = extract_one(&fibp.module, fibp.entry);
-    let mut probe = Virtine::new(image.clone());
-    probe.invoke(&fibp.args, u64::MAX / 4);
-    let guest = probe.guest_cycles;
+    let guest = ServiceProfile::calibrate(&image, &fibp.args, u64::MAX / 4).guest_cycles;
     // A budget only 4/3 of the guest's runtime: a uniform kill point lands
     // on a live guest three times out of four.
     let budget = guest + guest / 3;
@@ -222,8 +220,8 @@ fn virtine_row(mc: &MachineConfig) -> Row {
             total += t.get();
             restarts += r as u64;
         }
-        assert_eq!(w.stats.restarts, restarts);
-        (faults, w.stats.faults_detected, total, restarts)
+        assert_eq!(w.stats().restarts, restarts);
+        (faults, w.stats().faults_detected, total, restarts)
     };
 
     let (_, _, t_quiet, r_quiet) = serve(FaultConfig::quiet(SEED));

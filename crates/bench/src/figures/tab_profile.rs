@@ -34,6 +34,7 @@ use interweave_core::{FaultConfig, FaultPlan};
 use interweave_kernel::work::{LoopWork, ScriptedWork, WorkStep};
 use interweave_kernel::{Executor, NumaAllocator};
 use interweave_virtines::extract::extract_one;
+use interweave_virtines::serve::ServiceProfile;
 use interweave_virtines::wasp::Wasp;
 
 /// The campaign seed. Fixed: the whole point is a bit-reproducible run.
@@ -136,9 +137,8 @@ fn cross_layer_publishers(sink: &Sink, stack: &ComposedStack) {
     // and nested FaultRecovery/VirtineCall spans land in the trace.
     let fibp = interweave_ir::programs::fib(12);
     let image = extract_one(&fibp.module, fibp.entry);
-    let mut probe = interweave_virtines::context::Virtine::new(image.clone());
-    probe.invoke(&fibp.args, u64::MAX / 4);
-    let budget = probe.guest_cycles + probe.guest_cycles / 3;
+    let guest = ServiceProfile::calibrate(&image, &fibp.args, u64::MAX / 4).guest_cycles;
+    let budget = guest + guest / 3;
     let mut faults = FaultPlan::new(FaultConfig {
         virtine_kill: 0.5,
         ..FaultConfig::quiet(SEED)

@@ -2,7 +2,8 @@
 //!
 //! A serving plane pushes seeded open-loop arrivals (requests do not wait
 //! for completions, so queueing collapse is observable) through
-//! independent FIFO workers over a calibrated Wasp-pool model, and sweeps
+//! independent FIFO workers, each over a Wasp snapshot pool serving a
+//! calibrated service profile, and sweeps
 //! offered load across the saturation knee while a [`FaultConfig`] chaos
 //! plan scales with it. Robustness machinery under test:
 //!
@@ -109,8 +110,8 @@ pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
     let threads = host_threads();
 
     // Calibrate the service from one real isolated execution, then derive
-    // the saturation capacity from the warm-path arithmetic the pool model
-    // (and the real Wasp) charges per request.
+    // the saturation capacity from the warm-path arithmetic the pool
+    // charges per request.
     let prog = programs::fib(12);
     let image = extract_one(&prog.module, prog.entry);
     let args = [Val::I(12)];

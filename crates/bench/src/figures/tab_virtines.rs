@@ -92,7 +92,8 @@ pub(super) fn run(cli: &Cli, sc: &[Composed]) -> Result<Report, ScenarioError> {
     );
     h.note(format!(
         "pool stats: {} cold start(s), {} reuse(s)",
-        wasp.stats.cold_starts, wasp.stats.reuses
+        wasp.stats().cold_starts,
+        wasp.stats().reuses
     ));
     // Echo service under Poisson load: the operator's view.
     use interweave_virtines::echo::{run_echo, EchoConfig, ServeMode};

@@ -16,6 +16,7 @@ use interweave_ir::types::Val;
 use interweave_kernel::work::LoopWork;
 use interweave_kernel::{Executor, NumaAllocator};
 use interweave_virtines::extract::extract_one;
+use interweave_virtines::serve::ServiceProfile;
 use interweave_virtines::wasp::Wasp;
 
 /// Same seed as `tab_faults`: the replayed segments see the identical
@@ -159,9 +160,8 @@ fn virtine_campaign_counters_match_stats() {
     let mc = MachineConfig::xeon_server_2s();
     let fibp = interweave_ir::programs::fib(18);
     let image = extract_one(&fibp.module, fibp.entry);
-    let mut probe = interweave_virtines::context::Virtine::new(image.clone());
-    probe.invoke(&fibp.args, u64::MAX / 4);
-    let budget = probe.guest_cycles + probe.guest_cycles / 3;
+    let guest = ServiceProfile::calibrate(&image, &fibp.args, u64::MAX / 4).guest_cycles;
+    let budget = guest + guest / 3;
 
     let sink = Sink::on();
     let mut faults = FaultPlan::new(FaultConfig {
@@ -183,16 +183,16 @@ fn virtine_campaign_counters_match_stats() {
 
     assert!(restarts > 0, "p=0.5 kills over 20 requests must land");
     assert_eq!(sink.counter("virtines.restarts"), restarts);
-    assert_eq!(sink.counter("virtines.restarts"), w.stats.restarts);
+    assert_eq!(sink.counter("virtines.restarts"), w.stats().restarts);
     assert_eq!(
         sink.counter("virtines.faults_detected"),
-        w.stats.faults_detected
+        w.stats().faults_detected
     );
     assert_eq!(
         sink.counter("core.fault.virtine_kill"),
         faults.injected(FaultClass::VirtineKill)
     );
-    assert_eq!(sink.counter("virtines.invocations"), w.stats.invocations);
+    assert_eq!(sink.counter("virtines.invocations"), w.stats().invocations);
 }
 
 /// The Chrome/Perfetto export parses as JSON and every event carries the

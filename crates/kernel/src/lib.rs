@@ -1,10 +1,10 @@
 //! # interweave-kernel
 //!
 //! Kernel models for the Interweave laboratory: a Nautilus-like kernel
-//! (`nk`), an Asterinas-like safe-Rust framekernel (`aster`), and a
-//! commodity Linux-like kernel (`linuxlike`), all expressed as
-//! *cost-and-behaviour models* over the simulated machine from
-//! [`interweave_core`].
+//! ([`os::NkModel`]), an Asterinas-like safe-Rust framekernel
+//! ([`os::AsterModel`]), and a commodity Linux-like kernel
+//! ([`os::LinuxModel`]), all expressed as *cost-and-behaviour models* over
+//! the simulated machine from [`interweave_core`].
 //!
 //! §III of the paper describes what makes Nautilus fast and predictable:
 //! kernel-mode-only execution (no crossings), identity-mapped paging with no

@@ -7,6 +7,7 @@
 //! virtine surfaces as a value to the host, never as host state damage.
 
 use crate::extract::VirtineImage;
+use crate::serve::{GuestExit, GuestRun};
 use interweave_ir::interp::{ExecStatus, Interp, InterpConfig, NullHooks, Trap};
 use interweave_ir::types::{FuncId, Val};
 
@@ -26,8 +27,6 @@ pub struct Virtine {
     /// The self-contained image.
     pub image: VirtineImage,
     interp: Interp,
-    /// Cycles consumed by guest execution so far.
-    pub guest_cycles: u64,
 }
 
 impl Virtine {
@@ -36,55 +35,44 @@ impl Virtine {
         Virtine {
             image,
             interp: Interp::new(InterpConfig::default()),
-            guest_cycles: 0,
         }
     }
 
-    /// Invoke the entry function with `args`, bounded by `budget` cycles.
+    /// Invoke the entry function with `args` on a clean context, bounded
+    /// by `budget` cycles.
     pub fn invoke(&mut self, args: &[Val], budget: u64) -> VirtineOutcome {
+        self.run(args, budget).0
+    }
+
+    /// [`Virtine::invoke`] as a [`WaspPool`](crate::serve::WaspPool) guest:
+    /// the outcome, and how the run ended, the cycles the interpreter
+    /// consumed (a fuel stop may overshoot `fuel` by the instruction that
+    /// crossed it) and the pages it dirtied.
+    pub(crate) fn run(&mut self, args: &[Val], fuel: u64) -> (VirtineOutcome, GuestRun) {
+        self.reset();
         self.interp.start(&self.image.module, FuncId(0), args);
-        let status = self.interp.run(&self.image.module, &mut NullHooks, budget);
-        self.guest_cycles = self.interp.stats.cycles;
-        match status {
-            ExecStatus::Done(v) => VirtineOutcome::Returned(v),
-            ExecStatus::Trapped(t) => VirtineOutcome::Faulted(t),
-            ExecStatus::OutOfFuel | ExecStatus::Yielded => VirtineOutcome::Killed,
-        }
-    }
-
-    /// Invoke the entry function, with an optional injected kill point.
-    ///
-    /// `kill_at` models an asynchronous fault (host signal, hardware error,
-    /// fault-injection campaign) that destroys the virtine `kill_at` cycles
-    /// into the call. If the guest finishes before the kill point the fault
-    /// lands on a dead context and the invocation returns normally; if it is
-    /// still running, the host observes [`VirtineOutcome::Killed`] — exactly
-    /// the signal the Wasp layer uses to tear down and restart from
-    /// snapshot. A guest trap before the kill point still surfaces as
-    /// [`VirtineOutcome::Faulted`].
-    pub(crate) fn invoke_killable(
-        &mut self,
-        args: &[Val],
-        budget: u64,
-        kill_at: Option<u64>,
-    ) -> VirtineOutcome {
-        match kill_at {
-            // Running with fuel capped at the kill point makes the fuel
-            // exhaustion *be* the kill: the guest was live at that cycle.
-            Some(k) if k < budget => self.invoke(args, k),
-            _ => self.invoke(args, budget),
-        }
-    }
-
-    /// Pages this invocation dirtied (what a copy-on-write snapshot restore
-    /// must re-map): one 4 KiB page per 512 stored words, at least one page
-    /// for the guest stack once anything ran.
-    pub(crate) fn dirty_pages(&self) -> u64 {
-        if self.interp.stats.insts == 0 {
+        let (outcome, exit) = match self.interp.run(&self.image.module, &mut NullHooks, fuel) {
+            ExecStatus::Done(v) => (VirtineOutcome::Returned(v), GuestExit::Returned),
+            ExecStatus::Trapped(t) => (VirtineOutcome::Faulted(t), GuestExit::Faulted),
+            ExecStatus::OutOfFuel | ExecStatus::Yielded => {
+                (VirtineOutcome::Killed, GuestExit::Killed)
+            }
+        };
+        // The pages a copy-on-write snapshot restore must re-map: one 4 KiB
+        // page per 512 stored words, at least one for the guest stack once
+        // anything ran.
+        let stats = &self.interp.stats;
+        let dirty_pages = if stats.insts == 0 {
             0
         } else {
-            (self.interp.stats.stores * 8).div_ceil(4096).max(1)
-        }
+            (stats.stores * 8).div_ceil(4096).max(1)
+        };
+        let run = GuestRun {
+            exit,
+            cycles: stats.cycles,
+            dirty_pages,
+        };
+        (outcome, run)
     }
 
     /// Reset guest state for pool reuse (the snapshot-restore fast path:
@@ -92,7 +80,6 @@ impl Virtine {
     /// snapshot accomplishes).
     pub(crate) fn reset(&mut self) {
         self.interp = Interp::new(InterpConfig::default());
-        self.guest_cycles = 0;
     }
 }
 
@@ -109,7 +96,7 @@ mod tests {
             v.invoke(&[Val::I(12)], u64::MAX / 4),
             VirtineOutcome::Returned(Some(Val::I(144)))
         );
-        assert!(v.guest_cycles > 0);
+        assert!(v.interp.stats.cycles > 0);
     }
 
     #[test]
@@ -147,35 +134,6 @@ mod tests {
         let img = extract_one(&m, FuncId(0));
         let mut v = Virtine::new(img);
         assert_eq!(v.invoke(&[], 10_000), VirtineOutcome::Killed);
-    }
-
-    #[test]
-    fn kill_point_only_lands_on_a_live_guest() {
-        let mut v = Virtine::new(extract_one(&programs::fib(12).module, FuncId(0)));
-        // Establish how long the guest actually runs.
-        assert_eq!(
-            v.invoke(&[Val::I(12)], u64::MAX / 4),
-            VirtineOutcome::Returned(Some(Val::I(144)))
-        );
-        let guest = v.guest_cycles;
-        v.reset();
-        // A kill point mid-execution destroys the context.
-        assert_eq!(
-            v.invoke_killable(&[Val::I(12)], u64::MAX / 4, Some(guest / 2)),
-            VirtineOutcome::Killed
-        );
-        v.reset();
-        // A kill point after completion lands on a dead context: no effect.
-        assert_eq!(
-            v.invoke_killable(&[Val::I(12)], u64::MAX / 4, Some(guest * 2)),
-            VirtineOutcome::Returned(Some(Val::I(144)))
-        );
-        v.reset();
-        // No kill point at all delegates to the plain path.
-        assert_eq!(
-            v.invoke_killable(&[Val::I(12)], u64::MAX / 4, None),
-            VirtineOutcome::Returned(Some(Val::I(144)))
-        );
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! provisions against.
 
 use crate::extract::VirtineImage;
-use crate::wasp::{startup, LaunchPath, Wasp};
+use crate::serve::{PoolOptions, RetryPolicy, ServeError, ServiceProfile, WaspPool};
+use crate::wasp::{startup, LaunchPath};
 use interweave_core::machine::MachineConfig;
 use interweave_core::rng::SplitMix64;
 use interweave_core::stats::{Sketch, Summary};
 use interweave_core::time::Cycles;
+use interweave_core::FaultPlan;
 use interweave_ir::types::Val;
 
 /// Isolation strategy for each request.
@@ -85,43 +87,34 @@ pub struct EchoReport {
     pub cold_starts: u64,
 }
 
-/// Serve the request stream under one strategy.
+/// Serve the request stream under one strategy. One calibrated
+/// [`ServiceProfile`] prices every mode: the virtine modes through a
+/// [`WaspPool`] (capacity 0 for cold, capacity 1 prewarmed for pooled),
+/// the process mode as its start-up plus the profiled guest cycles.
 pub fn run_echo(
     image: &VirtineImage,
     mc: &MachineConfig,
     cfg: &EchoConfig,
     mode: ServeMode,
 ) -> EchoReport {
+    const BUDGET: u64 = u64::MAX / 4;
     let mut rng = SplitMix64::new(cfg.seed);
     let freq = mc.freq;
-
-    // Per-request service time (start-up + execution) in cycles.
-    let mut wasp = Wasp::new(image.clone(), mc.clone());
-    if mode == ServeMode::VirtinePooled {
-        wasp.prewarm(1);
-    }
-    let mut service = |mode: ServeMode| -> Cycles {
-        match mode {
-            ServeMode::ProcessPerRequest => {
-                // Process start + the same computation natively.
-                let mut v = crate::context::Virtine::new(image.clone());
-                let _ = v.invoke(&[Val::I(cfg.handler_arg)], u64::MAX / 4);
-                startup(LaunchPath::Process).total_cycles(mc) + Cycles(v.guest_cycles)
-            }
-            ServeMode::VirtineCold => {
-                let mut v = crate::context::Virtine::new(image.clone());
-                let _ = v.invoke(&[Val::I(cfg.handler_arg)], u64::MAX / 4);
-                startup(LaunchPath::VirtineCold).total_cycles(mc) + Cycles(v.guest_cycles)
-            }
-            ServeMode::VirtinePooled => {
-                let (_, cost) = wasp.invoke(&[Val::I(cfg.handler_arg)], u64::MAX / 4);
-                cost
-            }
-        }
-    };
+    let profile = ServiceProfile::calibrate(image, &[Val::I(cfg.handler_arg)], BUDGET);
+    let process = startup(LaunchPath::Process).total_cycles(mc) + Cycles(profile.guest_cycles);
+    let mut pool = (mode != ServeMode::ProcessPerRequest).then(|| {
+        let warm = usize::from(mode == ServeMode::VirtinePooled);
+        let opts = PoolOptions {
+            cache_capacity: warm,
+            prewarm: warm,
+            retry: RetryPolicy::immediate(1),
+        };
+        WaspPool::new(mc.clone(), opts, 0)
+    });
+    let mut quiet = FaultPlan::quiet(cfg.seed);
 
     // Single-worker queueing: requests arrive Poisson; the worker serves
-    // FIFO; latency = wait + service.
+    // FIFO; latency = wait + service (start-up + execution).
     let mut arrive = 0f64; // µs
     let mut free_at = Cycles::ZERO;
     let mut latency = Summary::new();
@@ -130,7 +123,12 @@ pub fn run_echo(
         arrive += rng.exponential(cfg.mean_gap_us);
         let arrive_cyc = freq.cycles_per_us(arrive);
         let start = arrive_cyc.max(free_at);
-        let cost = service(mode);
+        let cost = pool.as_mut().map_or(process, |pool| {
+            match pool.invoke_recovering(BUDGET, &mut quiet, |fuel| profile.run(fuel), |_| {}) {
+                Ok(served) => served.latency,
+                Err(ServeError::RetriesExhausted { spent, .. }) => spent,
+            }
+        });
         free_at = start + cost;
         let lat_us = freq.us(free_at - arrive_cyc).get();
         latency.add(lat_us);
@@ -145,10 +143,8 @@ pub fn run_echo(
         p99_clamped,
         tail_overflow: tail.overflow_fraction(),
         latency_us: latency,
-        cold_starts: match mode {
-            ServeMode::VirtinePooled => wasp.stats.cold_starts,
-            _ => cfg.requests as u64,
-        },
+        // Every process-per-request launch is a cold start.
+        cold_starts: pool.map_or(cfg.requests as u64, |p| p.stats.cold_starts),
     }
 }
 

@@ -13,7 +13,7 @@
 //!   the unit that boots inside the isolated context.
 //! - [`wasp`]: the Wasp-like microhypervisor — launch-path cost models
 //!   (process, container, full VM, cold virtine, snapshotted virtine,
-//!   bespoke context), a context pool with snapshot reuse, and invocation.
+//!   bespoke context), and real guests run through the snapshot pool.
 //! - [`context`]: isolated execution — each virtine runs in its own
 //!   interpreter memory; host state is unreachable by construction, and
 //!   virtine traps do not propagate.
@@ -22,11 +22,11 @@
 //!   context must set up, and the cost model charges only those.
 //! - [`echo`]: a FaaS-style echo service under Poisson load — the latency
 //!   distributions an operator would provision against.
-//! - [`serve`]: the open-loop serving plane — a sharded request-serving
-//!   simulation over a calibrated pool model, with admission control,
-//!   bounded retry + backoff, watchdog reclaim of lost completion kicks,
-//!   and a per-class fault ledger (injected == recovered + shed +
-//!   absorbed).
+//! - [`serve`]: the one snapshot pool ([`WaspPool`]) and the open-loop
+//!   serving plane — a sharded request-serving simulation over it, with
+//!   admission control, bounded retry + backoff, watchdog reclaim of lost
+//!   completion kicks, and a per-class fault ledger (injected ==
+//!   recovered + shed + absorbed).
 
 #![warn(missing_docs)]
 

@@ -1,23 +1,20 @@
 //! The open-loop serving plane: virtine request serving under chaos.
 //!
-//! ROADMAP item 1 asks for the datacenter-scale version of the §IV-D
-//! virtine story: a FaaS operator does not invoke a virtine once, they
-//! serve millions of requests against a pool of them, and the number that
-//! matters is the *tail* of the latency distribution as offered load
-//! approaches and passes saturation — with the fault plane turned on. This
-//! module provides that simulation:
+//! A FaaS operator does not invoke a virtine once: they serve millions of
+//! requests against a pool of them, and the number that matters is the
+//! *tail* of the latency distribution as offered load approaches and
+//! passes saturation, with the fault plane turned on. This module is that
+//! datacenter-scale version of the §IV-D virtine story:
 //!
-//! - [`WaspPool`]: a calibrated pool model of [`Wasp`](crate::wasp::Wasp).
-//!   One real [`Virtine`] run measures the service profile (guest cycles,
-//!   dirty pages, outcome); every subsequent request is charged
-//!   arithmetically from the profile and the shared launch-path cost
-//!   tables, so a million-invocation sweep costs microseconds of host time
-//!   instead of re-running the interpreter per request. A differential
-//!   test pins the quiet path byte-identical to the real `Wasp`.
-//! - `WaspPool::invoke_recovering`: bounded retry with exponential
-//!   backoff + deterministic jitter ([`RetryPolicy`]) on top of the
-//!   snapshot-restart recovery `Wasp` performs; exhaustion surfaces as the
-//!   typed [`ServeError::RetriesExhausted`] instead of looping.
+//! - [`WaspPool`]: the one virtine snapshot pool — snapshot cache,
+//!   start-path pricing, and bounded retry with exponential backoff and
+//!   deterministic jitter ([`RetryPolicy`]), whose exhaustion surfaces as
+//!   the typed [`ServeError::RetriesExhausted`]. Its guest is a real
+//!   [`Virtine`] under [`Wasp`](crate::wasp::Wasp), or here a
+//!   [`ServiceProfile`]: one real run's guest cycles, dirty pages and
+//!   outcome, replayed arithmetically so a million-invocation sweep costs
+//!   microseconds of host time instead of re-running the interpreter per
+//!   request. Two differential tests pin the profile to the real guest.
 //! - [`run_serve`]: the open-loop server. A global arrival stream
 //!   ([`ArrivalGen`]) is dealt round-robin to a fixed set of logical
 //!   workers; each worker is an independent FIFO queue with admission
@@ -45,7 +42,7 @@
 //! *recovered* by falling back to a cold boot when it evicted a cached
 //! snapshot, and *absorbed* when the cache was already empty.
 
-use crate::context::{Virtine, VirtineOutcome};
+use crate::context::Virtine;
 use crate::extract::VirtineImage;
 use crate::wasp::{snapshot_restore, startup, LaunchPath};
 use interweave_core::arrivals::{ArrivalGen, ArrivalKind};
@@ -80,6 +77,16 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// `max_attempts` attempts with no backoff between them.
+    pub(crate) fn immediate(max_attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            base: Cycles::ZERO,
+            cap: Cycles::ZERO,
+            jitter_frac: 0.0,
+        }
+    }
+
     /// Nominal (jitter-free) backoff after failed attempt `attempt`:
     /// doubles from `base`, saturating at `cap`.
     pub(crate) fn nominal(&self, attempt: u32) -> Cycles {
@@ -159,14 +166,63 @@ impl ServiceProfile {
     /// Measure the profile by one real isolated execution of `image` with
     /// `args` under `budget`.
     pub fn calibrate(image: &VirtineImage, args: &[Val], budget: u64) -> ServiceProfile {
-        let mut v = Virtine::new(image.clone());
-        let outcome = v.invoke(args, budget);
+        let (_, run) = Virtine::new(image.clone()).run(args, budget);
         ServiceProfile {
-            ok: matches!(outcome, VirtineOutcome::Returned(_)),
-            guest_cycles: v.guest_cycles,
-            dirty_pages: v.dirty_pages(),
+            ok: run.exit == GuestExit::Returned,
+            guest_cycles: run.cycles,
+            dirty_pages: run.dirty_pages,
         }
     }
+
+    /// The profiled guest as a [`WaspPool`] guest: it runs its calibrated
+    /// cycles when `fuel` covers them, and is killed at `fuel` otherwise.
+    pub(crate) fn run(&self, fuel: u64) -> GuestRun {
+        let exit = match (self.guest_cycles <= fuel, self.ok) {
+            (false, _) => GuestExit::Killed,
+            (true, true) => GuestExit::Returned,
+            (true, false) => GuestExit::Faulted,
+        };
+        GuestRun {
+            exit,
+            cycles: self.guest_cycles.min(fuel),
+            dirty_pages: self.dirty_pages,
+        }
+    }
+}
+
+/// How one guest run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GuestExit {
+    /// The guest returned; its context may be cached.
+    Returned,
+    /// The guest trapped.
+    Faulted,
+    /// The guest ran out of fuel: an injected kill, or the budget.
+    Killed,
+}
+
+/// What a guest reports to [`WaspPool`] after one attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GuestRun {
+    pub(crate) exit: GuestExit,
+    /// Guest cycles consumed.
+    pub(crate) cycles: u64,
+    /// Pages the run dirtied: the restore cost of its cached snapshot.
+    pub(crate) dirty_pages: u64,
+}
+
+/// One attempt as [`WaspPool`] priced it, for a caller that traces
+/// attempts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Attempt {
+    /// Started by a cold boot, not a snapshot restore.
+    pub(crate) cold: bool,
+    /// Start-up plus guest cycles.
+    pub(crate) latency: Cycles,
+    /// An injected kill landed on the live guest.
+    pub(crate) killed: bool,
+    /// The attempt failed and another one follows.
+    pub(crate) retry: bool,
 }
 
 /// Pool/serving statistics, aggregated across a run.
@@ -216,31 +272,29 @@ pub struct PoolOptions {
     pub retry: RetryPolicy,
 }
 
-/// A calibrated serving pool: the [`Wasp`](crate::wasp::Wasp) cost model
-/// applied per request from a [`ServiceProfile`] instead of re-running the
-/// interpreter, with bounded-capacity snapshot caching and bounded retry.
+/// The virtine snapshot pool: a bounded cache of snapshot footprints, the
+/// price of each attempt's start path, and the kill/retry loop.
 ///
-/// Cost fidelity: a cold attempt costs the cold launch path plus the
-/// profiled guest cycles; a warm attempt costs the snapshot restore for
-/// the cached footprint plus guest cycles — the exact arithmetic `Wasp`
-/// performs (shared [`snapshot_restore`] helper), which the quiet-path
-/// differential test pins. A killed attempt is charged exactly its kill
-/// point `k` cycles of guest time (the model's definition of "killed `k`
-/// cycles in"); faulted/killed contexts never re-enter the cache, exactly
-/// the `Wasp` teardown rule.
+/// The guest is the caller's: [`Wasp`](crate::wasp::Wasp) runs a real
+/// [`Virtine`], the serving plane a [`ServiceProfile`]. An attempt restores
+/// the most recently cached snapshot (the baseline re-map plus one CoW
+/// drop-and-remap per page its last tenant dirtied, [`snapshot_restore`])
+/// or cold boots, and costs that start-up plus the guest cycles the guest
+/// reports. A guest that returns re-enters the cache while there is room;
+/// faulted and killed contexts are torn down.
 #[derive(Debug, Clone)]
 pub struct WaspPool {
     mc: MachineConfig,
-    profile: ServiceProfile,
-    opts: PoolOptions,
+    pub(crate) opts: PoolOptions,
     /// Start-up cycles of a cold boot.
     cold: Cycles,
     /// Start-up cycles of restoring a prewarmed snapshot (dirty 0).
     restore_clean: Cycles,
-    /// Start-up cycles of restoring a snapshot a served request left
-    /// behind (`profile.dirty_pages` dirty).
-    restore_served: Cycles,
-    /// Dirty footprints of cached snapshots (LIFO, like `Wasp`'s pool).
+    /// The last dirty footprint restored and its start-up cycles: every
+    /// request of a service leaves the same footprint, so it is priced on
+    /// its first restore only.
+    restore_served: (u64, Cycles),
+    /// Dirty footprints of cached snapshots, restored last-in first-out.
     cached: Vec<u64>,
     /// Jitter stream for retry backoff.
     backoff_rng: SplitMix64,
@@ -249,31 +303,28 @@ pub struct WaspPool {
 }
 
 impl WaspPool {
-    /// A pool serving `profile` on `mc`, with the backoff jitter stream
-    /// seeded by `backoff_seed`.
-    pub(crate) fn new(
-        profile: ServiceProfile,
-        mc: MachineConfig,
-        opts: PoolOptions,
-        backoff_seed: u64,
-    ) -> WaspPool {
+    /// A pool on `mc`, prewarmed with `opts.prewarm` contexts, with the
+    /// backoff jitter stream seeded by `backoff_seed`.
+    pub(crate) fn new(mc: MachineConfig, opts: PoolOptions, backoff_seed: u64) -> WaspPool {
         assert!(opts.retry.max_attempts >= 1, "at least one attempt");
-        WaspPool {
+        let restore_clean = snapshot_restore(0).total_cycles(&mc);
+        let mut pool = WaspPool {
             cold: startup(LaunchPath::VirtineCold).total_cycles(&mc),
-            restore_clean: snapshot_restore(0).total_cycles(&mc),
-            restore_served: snapshot_restore(profile.dirty_pages).total_cycles(&mc),
+            restore_clean,
+            restore_served: (0, restore_clean),
             mc,
-            profile,
             opts,
             cached: Vec::new(),
             backoff_rng: SplitMix64::new(backoff_seed),
             stats: PoolStats::default(),
-        }
+        };
+        pool.prewarm(opts.prewarm);
+        pool
     }
 
     /// Pre-boot `n` contexts into the cache (dirty footprint 0, so their
-    /// first restore is the baseline snapshot cost — `Wasp::prewarm`
-    /// parity). Counts cold starts like the real pool. Capacity-bounded.
+    /// first restore is the baseline snapshot cost). Counts cold starts.
+    /// Capacity-bounded.
     pub(crate) fn prewarm(&mut self, n: usize) {
         for _ in 0..n.min(self.opts.cache_capacity) {
             self.cached.push(0);
@@ -281,78 +332,88 @@ impl WaspPool {
         }
     }
 
-    /// Start-up cycles of restoring a cached snapshot with `dirty` pages:
-    /// the price taken once in [`WaspPool::new`] for the two footprints
-    /// the cache holds, else priced afresh.
-    fn restore_cycles(&self, dirty: u64) -> Cycles {
+    /// Start-up cycles of restoring a cached snapshot with `dirty` pages.
+    fn restore_cycles(&mut self, dirty: u64) -> Cycles {
         if dirty == 0 {
-            self.restore_clean
-        } else if dirty == self.profile.dirty_pages {
-            self.restore_served
-        } else {
-            snapshot_restore(dirty).total_cycles(&self.mc)
+            return self.restore_clean;
         }
+        if dirty != self.restore_served.0 {
+            self.restore_served = (dirty, snapshot_restore(dirty).total_cycles(&self.mc));
+        }
+        self.restore_served.1
     }
 
-    /// One modelled attempt: returns (completed-ok, latency, kill landed,
-    /// kill absorbed).
-    fn attempt(&mut self, budget: u64, kill_at: Option<u64>) -> (bool, Cycles, bool, bool) {
-        let start = match self.cached.pop() {
-            Some(dirty) => {
-                self.stats.reuses += 1;
-                self.restore_cycles(dirty)
-            }
-            None => {
-                self.stats.cold_starts += 1;
-                self.cold
-            }
-        };
-        self.stats.invocations += 1;
-        // Fuel semantics mirror `Virtine::invoke_killable`: a kill point
-        // inside the budget caps the fuel, and fuel exhaustion *is* the
-        // kill.
+    /// One attempt under an optional kill point: the guest's fuel, its
+    /// start path, its run, and its re-caching. Returns whether the guest
+    /// returned, and the attempt as priced (`retry` unset).
+    fn attempt(
+        &mut self,
+        budget: u64,
+        kill_at: Option<u64>,
+        guest: &mut impl FnMut(u64) -> GuestRun,
+    ) -> (bool, Attempt) {
+        // A kill point inside the budget caps the fuel, so running out of
+        // fuel *is* the kill; a guest that finishes first never sees it.
         let fuel = match kill_at {
             Some(k) if k < budget => k,
             _ => budget,
         };
-        let g = self.profile.guest_cycles;
-        let finished = g <= fuel;
-        let consumed = g.min(fuel);
-        let ok = finished && self.profile.ok;
-        let landed = kill_at.is_some() && !finished;
-        let absorbed = kill_at.is_some() && finished;
-        let latency = start + Cycles(consumed);
+        let (cold, start) = match self.cached.pop() {
+            Some(dirty) => {
+                self.stats.reuses += 1;
+                (false, self.restore_cycles(dirty))
+            }
+            None => {
+                self.stats.cold_starts += 1;
+                (true, self.cold)
+            }
+        };
+        self.stats.invocations += 1;
+        let run = guest(fuel);
+        let ok = run.exit == GuestExit::Returned;
         if ok && self.cached.len() < self.opts.cache_capacity {
-            self.cached.push(self.profile.dirty_pages);
+            self.cached.push(run.dirty_pages);
         }
-        (ok, latency, landed, absorbed)
+        let attempt = Attempt {
+            cold,
+            latency: start + Cycles(run.cycles),
+            killed: kill_at.is_some() && run.exit == GuestExit::Killed,
+            retry: false,
+        };
+        (ok, attempt)
     }
 
     /// Serve one request under the fault plan: per attempt, draw a kill
-    /// point ([`FaultPlan::virtine_kill_at`]); restart on kill/fault with
-    /// the policy's backoff until the attempt budget exhausts. After a
-    /// completion, an [`FaultClass::AllocFail`] draw models snapshot-cache
-    /// memory pressure: it evicts one cached snapshot (forcing a later
-    /// cold-start recovery) or is absorbed when the cache is empty.
+    /// point ([`FaultPlan::virtine_kill_at`]) and run `guest` on the fuel
+    /// it leaves; restart on kill/fault with the policy's backoff until
+    /// the attempt budget exhausts. `observe` sees every attempt as
+    /// priced. After a completion, an [`FaultClass::AllocFail`] draw
+    /// models snapshot-cache memory pressure: it evicts one cached
+    /// snapshot (forcing a later cold-start recovery) or is absorbed when
+    /// the cache is empty.
     pub(crate) fn invoke_recovering(
         &mut self,
         budget: u64,
         faults: &mut FaultPlan,
+        mut guest: impl FnMut(u64) -> GuestRun,
+        mut observe: impl FnMut(&Attempt),
     ) -> Result<Served, ServeError> {
+        let max_attempts = self.opts.retry.max_attempts;
         let mut total = Cycles::ZERO;
         let mut kills = 0u32;
         let mut absorbed = 0u32;
-        for attempt in 0..self.opts.retry.max_attempts {
+        for attempt in 0..max_attempts {
             let kill_at = faults.virtine_kill_at(budget);
-            let (ok, t, landed, abs) = self.attempt(budget, kill_at);
-            total += t;
-            if landed {
+            let (ok, mut a) = self.attempt(budget, kill_at, &mut guest);
+            total += a.latency;
+            if a.killed {
                 kills += 1;
                 self.stats.faults_detected += 1;
-            }
-            if abs {
+            } else if kill_at.is_some() {
                 absorbed += 1;
             }
+            a.retry = !ok && attempt + 1 < max_attempts;
+            observe(&a);
             if ok {
                 if faults.fail_alloc() {
                     if self.cached.pop().is_some() {
@@ -368,7 +429,7 @@ impl WaspPool {
                     absorbed,
                 });
             }
-            if attempt + 1 < self.opts.retry.max_attempts {
+            if a.retry {
                 self.stats.restarts += 1;
                 let wait = self.opts.retry.backoff(attempt, &mut self.backoff_rng);
                 self.stats.backoff_cycles += wait.get();
@@ -376,7 +437,7 @@ impl WaspPool {
             }
         }
         Err(ServeError::RetriesExhausted {
-            attempts: self.opts.retry.max_attempts,
+            attempts: max_attempts,
             spent: total,
             kills,
         })
@@ -593,12 +654,10 @@ fn simulate_worker(
     // events, dumped if the ledger assertion below ever fires.
     let mut bb = (cfg.blackbox > 0).then(|| FlightRecorder::new(cfg.blackbox));
     let mut pool = WaspPool::new(
-        profile,
         mc.clone(),
         cfg.pool,
         cfg.seed ^ worker_salt(w) ^ 0x5851_F42D_4C95_7F2D,
     );
-    pool.prewarm(cfg.pool.prewarm);
     let mut faults = FaultPlan::new(FaultConfig {
         seed: cfg.faults.seed ^ worker_salt(w),
         ..cfg.faults
@@ -647,7 +706,7 @@ fn simulate_worker(
             continue;
         }
         r.admitted += 1;
-        match pool.invoke_recovering(cfg.budget, &mut faults) {
+        match pool.invoke_recovering(cfg.budget, &mut faults, |fuel| profile.run(fuel), |_| {}) {
             Ok(served) => {
                 let finish = start + served.latency;
                 // The worker is free at the true finish; the *client*
@@ -762,6 +821,7 @@ pub fn run_serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::VirtineOutcome;
     use crate::extract::extract_one;
     use crate::wasp::Wasp;
     use interweave_ir::{programs, FuncId};
@@ -781,6 +841,16 @@ mod tests {
             prewarm: 0,
             retry: retry(),
         }
+    }
+
+    /// One request for the profiled guest.
+    fn serve_one(
+        pool: &mut WaspPool,
+        profile: &ServiceProfile,
+        budget: u64,
+        faults: &mut FaultPlan,
+    ) -> Result<Served, ServeError> {
+        pool.invoke_recovering(budget, faults, |fuel| profile.run(fuel), |_| {})
     }
 
     fn serve_cfg(image: &VirtineImage, mean_gap_us: f64, faults: FaultConfig) -> ServeConfig {
@@ -835,8 +905,8 @@ mod tests {
 
     #[test]
     fn quiet_pool_is_byte_identical_to_real_wasp() {
-        // The memoized pool must charge exactly what the real
-        // microhypervisor charges on the no-fault path: same outcomes,
+        // The calibrated profile must cost exactly what the real guest
+        // costs through the same pool on the no-fault path: same outcomes,
         // same cycle totals, same cold/reuse accounting.
         let image = extract_one(&programs::fib(12).module, FuncId(0));
         let args = [Val::I(12)];
@@ -855,20 +925,20 @@ mod tests {
             .collect();
 
         let profile = ServiceProfile::calibrate(&image, &args, budget);
-        let mut pool = WaspPool::new(profile, mc, pool_opts(1024), 7);
+        let mut pool = WaspPool::new(mc, pool_opts(1024), 7);
         let mut quiet = FaultPlan::quiet(3);
         let modelled: Vec<Cycles> = (0..12)
             .map(|_| {
-                pool.invoke_recovering(budget, &mut quiet)
+                serve_one(&mut pool, &profile, budget, &mut quiet)
                     .expect("quiet path cannot fail")
                     .latency
             })
             .collect();
 
         assert_eq!(modelled, real, "pool model must not drift from Wasp");
-        assert_eq!(pool.stats.cold_starts, wasp.stats.cold_starts);
-        assert_eq!(pool.stats.reuses, wasp.stats.reuses);
-        assert_eq!(pool.stats.invocations, wasp.stats.invocations);
+        assert_eq!(pool.stats.cold_starts, wasp.stats().cold_starts);
+        assert_eq!(pool.stats.reuses, wasp.stats().reuses);
+        assert_eq!(pool.stats.invocations, wasp.stats().invocations);
         assert_eq!(pool.stats.restarts, 0);
     }
 
@@ -884,42 +954,41 @@ mod tests {
         let (_, real) = wasp.invoke(&args, budget);
 
         let profile = ServiceProfile::calibrate(&image, &args, budget);
-        let mut pool = WaspPool::new(profile, mc, pool_opts(1024), 7);
+        let mut pool = WaspPool::new(mc, pool_opts(1024), 7);
         pool.prewarm(2);
         let mut quiet = FaultPlan::quiet(5);
-        let served = pool.invoke_recovering(budget, &mut quiet).unwrap();
+        let served = serve_one(&mut pool, &profile, budget, &mut quiet).unwrap();
         assert_eq!(served.latency, real);
-        assert_eq!(pool.stats.cold_starts, wasp.stats.cold_starts);
+        assert_eq!(pool.stats.cold_starts, wasp.stats().cold_starts);
+    }
+
+    /// A pool whose one request died on every attempt, and its error. Kill
+    /// points land in `[1, budget-1]`, so no budget makes p=1 kill every
+    /// attempt; a budget barely above the service time makes nearly all of
+    /// them land mid-run, and the first seed where all 4 land is taken.
+    fn exhausted_pool() -> (WaspPool, ServeError) {
+        let image = extract_one(&programs::fib(12).module, FuncId(0));
+        let profile = ServiceProfile::calibrate(&image, &[Val::I(12)], u64::MAX / 4);
+        let budget = profile.guest_cycles + 2;
+        (0u64..)
+            .find_map(|seed| {
+                let mut faults = FaultPlan::new(FaultConfig {
+                    virtine_kill: 1.0,
+                    ..FaultConfig::quiet(seed)
+                });
+                let mut pool = WaspPool::new(MachineConfig::xeon_server_2s(), pool_opts(64), 11);
+                let err = serve_one(&mut pool, &profile, budget, &mut faults).err()?;
+                Some((pool, err))
+            })
+            .unwrap()
     }
 
     #[test]
     fn retry_exhaustion_surfaces_a_typed_error_with_bounded_attempts() {
-        let image = extract_one(&programs::fib(12).module, FuncId(0));
-        let args = [Val::I(12)];
-        let mc = MachineConfig::xeon_server_2s();
-        let profile = ServiceProfile::calibrate(&image, &args, u64::MAX / 4);
-        // Kill every attempt: p=1 with a budget the guest can never beat
-        // is not constructible (kill points land in [1, budget-1]); use
-        // p=1.0 and a budget barely above the service time so nearly all
-        // kill points land mid-run — then hunt a seed where all 4 land.
-        let budget = profile.guest_cycles + 2;
-        let mut seed = 0u64;
-        let err = loop {
-            let mut faults = FaultPlan::new(FaultConfig {
-                virtine_kill: 1.0,
-                ..FaultConfig::quiet(seed)
-            });
-            let mut pool = WaspPool::new(profile, mc.clone(), pool_opts(64), 11);
-            match pool.invoke_recovering(budget, &mut faults) {
-                Err(e) => {
-                    assert_eq!(pool.stats.invocations, 4, "attempts are bounded");
-                    assert_eq!(pool.stats.restarts, 3, "backoff between attempts only");
-                    assert!(pool.stats.backoff_cycles > 0);
-                    break e;
-                }
-                Ok(_) => seed += 1,
-            }
-        };
+        let (pool, err) = exhausted_pool();
+        assert_eq!(pool.stats.invocations, 4, "attempts are bounded");
+        assert_eq!(pool.stats.restarts, 3, "backoff between attempts only");
+        assert!(pool.stats.backoff_cycles > 0);
         let ServeError::RetriesExhausted {
             attempts,
             spent,
@@ -936,28 +1005,11 @@ mod tests {
     fn backoff_waits_follow_the_monotone_nominal_schedule() {
         // Reconstruct the expected waits from the policy and the same
         // seeded jitter stream the pool uses.
-        let image = extract_one(&programs::fib(12).module, FuncId(0));
-        let args = [Val::I(12)];
-        let mc = MachineConfig::xeon_server_2s();
-        let profile = ServiceProfile::calibrate(&image, &args, u64::MAX / 4);
-        let budget = profile.guest_cycles + 2;
-        // Find a seed where all attempts die (as above).
-        let mut seed = 0u64;
-        let (total_backoff, backoff_seed) = loop {
-            let mut faults = FaultPlan::new(FaultConfig {
-                virtine_kill: 1.0,
-                ..FaultConfig::quiet(seed)
-            });
-            let mut pool = WaspPool::new(profile, mc.clone(), pool_opts(64), 11);
-            if pool.invoke_recovering(budget, &mut faults).is_err() {
-                break (pool.stats.backoff_cycles, 11);
-            }
-            seed += 1;
-        };
+        let (pool, _) = exhausted_pool();
         let r = retry();
-        let mut rng = SplitMix64::new(backoff_seed);
+        let mut rng = SplitMix64::new(11);
         let expect: u64 = (0..3).map(|k| r.backoff(k, &mut rng).get()).sum();
-        assert_eq!(total_backoff, expect);
+        assert_eq!(pool.stats.backoff_cycles, expect);
     }
 
     #[test]
@@ -967,13 +1019,34 @@ mod tests {
         let budget = u64::MAX / 4;
         let mc = MachineConfig::xeon_server_2s();
         let profile = ServiceProfile::calibrate(&image, &args, budget);
-        let mut pool = WaspPool::new(profile, mc, pool_opts(0), 7);
+        let mut pool = WaspPool::new(mc, pool_opts(0), 7);
         let mut quiet = FaultPlan::quiet(5);
-        let a = pool.invoke_recovering(budget, &mut quiet).unwrap().latency;
-        let b = pool.invoke_recovering(budget, &mut quiet).unwrap().latency;
+        let mut serve = || serve_one(&mut pool, &profile, budget, &mut quiet).unwrap();
+        let (a, b) = (serve().latency, serve().latency);
         assert_eq!(a, b, "no snapshot ever cached: every call cold");
         assert_eq!(pool.stats.cold_starts, 2);
         assert_eq!(pool.stats.reuses, 0);
+    }
+
+    #[test]
+    fn kill_point_only_lands_on_a_live_guest() {
+        // The pool's fuel rule on a real guest: a kill point inside the
+        // run kills it, one past the run lands on a dead context, and no
+        // kill point runs the guest on the budget. Each attempt reports
+        // (returned, kill landed).
+        let image = extract_one(&programs::fib(12).module, FuncId(0));
+        let args = [Val::I(12)];
+        let budget = u64::MAX / 4;
+        let guest = ServiceProfile::calibrate(&image, &args, budget).guest_cycles;
+        let mut pool = WaspPool::new(MachineConfig::xeon_server_2s(), pool_opts(0), 7);
+        let mut v = Virtine::new(image);
+        let mut attempt = |kill_at| {
+            let (ok, a) = pool.attempt(budget, kill_at, &mut |fuel| v.run(&args, fuel).1);
+            (ok, a.killed)
+        };
+        assert_eq!(attempt(Some(guest / 2)), (false, true));
+        assert_eq!(attempt(Some(guest * 2)), (true, false));
+        assert_eq!(attempt(None), (true, false));
     }
 
     fn chaotic(seed: u64) -> FaultConfig {

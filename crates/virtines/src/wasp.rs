@@ -1,4 +1,5 @@
-//! The Wasp-like microhypervisor: launch paths, pooling, invocation.
+//! The Wasp-like microhypervisor: launch paths and invocation of real
+//! guests through the snapshot pool.
 //!
 //! "Our virtine microhypervisor runs as a user-space process ... using KVM
 //! or Hyper-V ... with start-up overheads as low as 100 µs" (§IV-D). The
@@ -12,6 +13,7 @@
 use crate::bespoke::BespokeSpec;
 use crate::context::{Virtine, VirtineOutcome};
 use crate::extract::VirtineImage;
+use crate::serve::{PoolOptions, PoolStats, RetryPolicy, ServeError, WaspPool};
 use interweave_core::machine::MachineConfig;
 use interweave_core::telemetry::{Key, Layer, Sink, Span, SpanKind, Unit};
 use interweave_core::time::{Cycles, MicroSeconds};
@@ -115,38 +117,20 @@ pub fn startup(path: LaunchPath) -> StartupBreakdown {
     }
 }
 
-/// Pool statistics.
-#[derive(Debug, Clone, Default)]
-pub struct WaspStats {
-    /// Cold boots performed.
-    pub cold_starts: u64,
-    /// Snapshot/pool reuses.
-    pub reuses: u64,
-    /// Invocations completed.
-    pub invocations: u64,
-    /// Snapshot restarts performed after a kill or fault
-    /// ([`Wasp::invoke_recovering`]).
-    pub restarts: u64,
-    /// Injected kills that landed on a live guest and were detected as an
-    /// abnormal exit by the hypervisor.
-    pub faults_detected: u64,
-}
-
 /// Per-dirty-page cost of a copy-on-write snapshot restore, in
 /// microseconds (unmap + re-map of a 4 KiB page).
 pub(crate) const RESTORE_US_PER_DIRTY_PAGE: f64 = 0.4;
 
 /// Start-up cost of restoring a pooled snapshot whose previous tenant
 /// dirtied `dirty` pages: the baseline snapshot re-map plus one CoW
-/// drop-and-remap per dirtied page. Shared by [`Wasp`] and the serving
-/// plane's pool model so the two charge byte-identical restore costs.
+/// drop-and-remap per dirtied page: what [`WaspPool`] charges a reuse.
 pub fn snapshot_restore(dirty: u64) -> StartupBreakdown {
     let mut b = startup(LaunchPath::VirtineSnapshot);
     b.image_us += dirty as f64 * RESTORE_US_PER_DIRTY_PAGE;
     b
 }
 
-/// The microhypervisor: owns a context pool per image.
+/// The microhypervisor for one image: real guests on the [`WaspPool`].
 ///
 /// ```
 /// use interweave_virtines::wasp::Wasp;
@@ -163,30 +147,37 @@ pub fn snapshot_restore(dirty: u64) -> StartupBreakdown {
 /// # let _ = outcome;
 /// ```
 pub struct Wasp {
-    mc: MachineConfig,
-    pool: Vec<(Virtine, u64)>, // (context, dirty pages to restore)
-    image: VirtineImage,
+    /// The one context, reset to the image's snapshot every attempt.
+    ctx: Virtine,
+    /// Snapshot cache (unbounded), start-path pricing and restart loop.
+    pool: WaspPool,
     /// Telemetry sink (off by default): invocation counters plus nested
     /// virtine-call / fault-recovery spans.
     sink: Sink,
     /// This hypervisor's running clock: cumulative invocation latency,
     /// advanced per call so spans get deterministic timestamps.
     clock: Cycles,
-    /// Counters.
-    pub stats: WaspStats,
 }
 
 impl Wasp {
     /// A hypervisor managing contexts for one image on `mc`.
     pub fn new(image: VirtineImage, mc: MachineConfig) -> Wasp {
+        let opts = PoolOptions {
+            cache_capacity: usize::MAX,
+            prewarm: 0,
+            retry: RetryPolicy::immediate(1),
+        };
         Wasp {
-            mc,
-            pool: Vec::new(),
-            image,
+            ctx: Virtine::new(image),
+            pool: WaspPool::new(mc, opts, 0),
             sink: Sink::off(),
             clock: Cycles::ZERO,
-            stats: WaspStats::default(),
         }
+    }
+
+    /// The pool's counters.
+    pub fn stats(&self) -> PoolStats {
+        self.pool.stats
     }
 
     /// Attach a telemetry sink: invocations, cold starts, pool reuses,
@@ -202,55 +193,9 @@ impl Wasp {
     /// boot. Returns the outcome and the total latency (start-up + guest
     /// execution) in cycles.
     pub fn invoke(&mut self, args: &[Val], budget: u64) -> (VirtineOutcome, Cycles) {
-        self.invoke_with(args, budget, None)
-    }
-
-    fn invoke_with(
-        &mut self,
-        args: &[Val],
-        budget: u64,
-        kill_at: Option<u64>,
-    ) -> (VirtineOutcome, Cycles) {
-        let (mut ctx, start) = match self.pool.pop() {
-            Some((mut v, dirty)) => {
-                v.reset();
-                self.stats.reuses += 1;
-                self.sink.count_at(&KEY_REUSES, 0, 1, self.clock);
-                // Restore cost scales with what the previous tenant
-                // dirtied: each CoW'd page must be dropped and re-mapped.
-                (v, snapshot_restore(dirty))
-            }
-            None => {
-                self.stats.cold_starts += 1;
-                self.sink.count_at(&KEY_COLD_STARTS, 0, 1, self.clock);
-                (
-                    Virtine::new(self.image.clone()),
-                    startup(LaunchPath::VirtineCold),
-                )
-            }
-        };
-        let outcome = ctx.invoke_killable(args, budget, kill_at);
-        let total = start.total_cycles(&self.mc) + Cycles(ctx.guest_cycles);
-        // Faulted/killed contexts are torn down, clean ones return to the
-        // pool (remembering their dirty footprint for the next restore).
-        if matches!(outcome, VirtineOutcome::Returned(_)) {
-            let dirty = ctx.dirty_pages();
-            self.pool.push((ctx, dirty));
-        }
-        let seq = self.stats.invocations;
-        self.stats.invocations += 1;
-        let t_start = self.clock;
-        self.clock += total;
-        self.sink.count_at(&KEY_INVOCATIONS, 0, 1, self.clock);
-        self.sink.span(Span {
-            layer: Layer::Virtine,
-            track: 0,
-            id: seq,
-            kind: SpanKind::VirtineCall,
-            start: t_start,
-            end: self.clock,
-        });
-        (outcome, total)
+        let (outcome, latency, _) =
+            self.invoke_recovering(args, budget, &mut FaultPlan::quiet(0), 0);
+        (outcome, latency)
     }
 
     /// Invoke under a fault plan, restarting from snapshot on injected
@@ -261,10 +206,10 @@ impl Wasp {
     /// destroys the context (it never returns to the pool — exactly the
     /// normal teardown path for faulted contexts) and the hypervisor
     /// restarts the call from a fresh or pooled context, up to
-    /// `max_restarts` times. Returns the final outcome, the *total* latency
-    /// across all attempts (wasted partial executions included), and the
-    /// number of restarts performed. With a quiet plan this is byte-for-byte
-    /// `invoke`.
+    /// `max_restarts` times, with no backoff. Returns the final outcome,
+    /// the *total* latency across all attempts (wasted partial executions
+    /// included), and the number of restarts performed. With a quiet plan
+    /// this is byte-for-byte `invoke`.
     pub fn invoke_recovering(
         &mut self,
         args: &[Val],
@@ -272,28 +217,53 @@ impl Wasp {
         faults: &mut FaultPlan,
         max_restarts: u32,
     ) -> (VirtineOutcome, Cycles, u32) {
+        self.pool.opts.retry = RetryPolicy::immediate(max_restarts.saturating_add(1));
         let t0 = self.clock;
-        let first_seq = self.stats.invocations;
-        let mut total = Cycles(0);
-        let mut restarts = 0u32;
-        let outcome = loop {
-            let kill_at = faults.virtine_kill_at(budget);
-            let (outcome, t) = self.invoke_with(args, budget, kill_at);
-            total += t;
-            if kill_at.is_some() && outcome == VirtineOutcome::Killed {
-                self.stats.faults_detected += 1;
-                self.sink.count_at(&KEY_DETECTED, 0, 1, self.clock);
-            }
-            match outcome {
-                VirtineOutcome::Returned(_) => break outcome,
-                _ if restarts < max_restarts => {
-                    restarts += 1;
-                    self.stats.restarts += 1;
+        let first_seq = self.pool.stats.invocations;
+        let mut seq = first_seq;
+        let mut outcome = None;
+        let served = self.pool.invoke_recovering(
+            budget,
+            faults,
+            |fuel| {
+                let (o, run) = self.ctx.run(args, fuel);
+                outcome = Some(o);
+                run
+            },
+            |a| {
+                let start = self.clock;
+                let start_key = if a.cold {
+                    &KEY_COLD_STARTS
+                } else {
+                    &KEY_REUSES
+                };
+                self.sink.count_at(start_key, 0, 1, start);
+                self.clock += a.latency;
+                self.sink.count_at(&KEY_INVOCATIONS, 0, 1, self.clock);
+                self.sink.span(Span {
+                    layer: Layer::Virtine,
+                    track: 0,
+                    id: seq,
+                    kind: SpanKind::VirtineCall,
+                    start,
+                    end: self.clock,
+                });
+                seq += 1;
+                if a.killed {
+                    self.sink.count_at(&KEY_DETECTED, 0, 1, self.clock);
+                }
+                if a.retry {
                     self.sink.count_at(&KEY_RESTARTS, 0, 1, self.clock);
                 }
-                _ => break outcome,
-            }
+            },
+        );
+        let (latency, attempts) = match served {
+            Ok(s) => (s.latency, s.attempts),
+            Err(ServeError::RetriesExhausted {
+                spent, attempts, ..
+            }) => (spent, attempts),
         };
+        let restarts = attempts - 1;
         if restarts > 0 {
             // The whole recovery episode — the failed attempts plus the one
             // that finally returned — as one enclosing span, so the
@@ -307,14 +277,13 @@ impl Wasp {
                 end: self.clock,
             });
         }
-        (outcome, total, restarts)
+        (outcome.expect("at least one attempt"), latency, restarts)
     }
 
     /// Pre-warm the pool with `n` contexts (FaaS keep-warm policy).
     pub fn prewarm(&mut self, n: usize) {
+        self.pool.prewarm(n);
         for _ in 0..n {
-            self.pool.push((Virtine::new(self.image.clone()), 0));
-            self.stats.cold_starts += 1;
             self.sink.count_at(&KEY_COLD_STARTS, 0, 1, self.clock);
         }
     }
@@ -325,6 +294,7 @@ mod tests {
     use super::*;
     use crate::bespoke::synthesize;
     use crate::extract::extract_one;
+    use crate::serve::ServiceProfile;
     use interweave_ir::{programs, FuncId, FunctionBuilder, Module};
 
     #[test]
@@ -366,8 +336,8 @@ mod tests {
         assert_eq!(o1, VirtineOutcome::Returned(Some(Val::I(55))));
         let (o2, t2) = w.invoke(&[Val::I(10)], u64::MAX / 4);
         assert_eq!(o2, VirtineOutcome::Returned(Some(Val::I(55))));
-        assert_eq!(w.stats.cold_starts, 1);
-        assert_eq!(w.stats.reuses, 1);
+        assert_eq!(w.stats().cold_starts, 1);
+        assert_eq!(w.stats().reuses, 1);
         assert!(t2 < t1, "warm {t2} should beat cold {t1}");
     }
 
@@ -376,27 +346,22 @@ mod tests {
         let mc = MachineConfig::xeon_server_2s();
         // Memory-light tenant: fib dirties ~nothing.
         let fib = programs::fib(10);
-        let mut w_light = Wasp::new(extract_one(&fib.module, fib.entry), mc.clone());
+        let fib_img = extract_one(&fib.module, fib.entry);
+        let mut w_light = Wasp::new(fib_img.clone(), mc.clone());
         let (_, _) = w_light.invoke(&[Val::I(10)], u64::MAX / 4);
         let (_, warm_light) = w_light.invoke(&[Val::I(10)], u64::MAX / 4);
 
         // Memory-heavy tenant: histogram dirties many pages.
         let hist = programs::histogram(4_000, 512);
-        let mut w_heavy = Wasp::new(extract_one(&hist.module, hist.entry), mc.clone());
+        let hist_img = extract_one(&hist.module, hist.entry);
+        let mut w_heavy = Wasp::new(hist_img.clone(), mc.clone());
         let (_, _) = w_heavy.invoke(&hist.args, u64::MAX / 4);
         let (_, warm_heavy_total) = w_heavy.invoke(&hist.args, u64::MAX / 4);
 
         // Compare restore shares (subtract guest execution).
-        let light_guest = {
-            let mut v = crate::context::Virtine::new(extract_one(&fib.module, fib.entry));
-            v.invoke(&[Val::I(10)], u64::MAX / 4);
-            v.guest_cycles
-        };
-        let heavy_guest = {
-            let mut v = crate::context::Virtine::new(extract_one(&hist.module, hist.entry));
-            v.invoke(&hist.args, u64::MAX / 4);
-            v.guest_cycles
-        };
+        let guest = |img, args| ServiceProfile::calibrate(img, args, u64::MAX / 4).guest_cycles;
+        let light_guest = guest(&fib_img, &[Val::I(10)]);
+        let heavy_guest = guest(&hist_img, &hist.args);
         let base = startup(LaunchPath::VirtineSnapshot).total_cycles(&mc).get();
         let light_delta = (warm_light.get() - light_guest).saturating_sub(base);
         let heavy_delta = (warm_heavy_total.get() - heavy_guest).saturating_sub(base);
@@ -418,7 +383,8 @@ mod tests {
         let mut w = Wasp::new(img, MachineConfig::xeon_server_2s());
         let (o, _) = w.invoke(&[], u64::MAX / 4);
         assert!(matches!(o, VirtineOutcome::Faulted(_)));
-        assert_eq!(w.pool.len(), 0, "a faulted context must be destroyed");
+        w.invoke(&[], u64::MAX / 4);
+        assert_eq!(w.stats().reuses, 0, "a faulted context must be destroyed");
     }
 
     #[test]
@@ -426,21 +392,18 @@ mod tests {
         use interweave_core::{FaultConfig, FaultPlan};
         // Calibrate a budget tight enough that a uniform kill point has a
         // real chance of landing mid-execution.
-        let mut probe = Virtine::new(extract_one(&programs::fib(12).module, FuncId(0)));
-        probe.invoke(&[Val::I(12)], u64::MAX / 4);
+        let image = extract_one(&programs::fib(12).module, FuncId(0));
+        let guest = ServiceProfile::calibrate(&image, &[Val::I(12)], u64::MAX / 4).guest_cycles;
         // ~1.3x the guest's runtime: a uniform kill point lands mid-run
         // roughly 3 times in 4, so a short request batch sees several.
-        let budget = probe.guest_cycles + probe.guest_cycles / 3;
+        let budget = guest + guest / 3;
 
         let serve = |seed: u64| {
             let mut faults = FaultPlan::new(FaultConfig {
                 virtine_kill: 1.0,
                 ..FaultConfig::quiet(seed)
             });
-            let mut w = Wasp::new(
-                extract_one(&programs::fib(12).module, FuncId(0)),
-                MachineConfig::xeon_server_2s(),
-            );
+            let mut w = Wasp::new(image.clone(), MachineConfig::xeon_server_2s());
             let mut total = Cycles(0);
             let mut restarts = 0u32;
             for _ in 0..10 {
@@ -449,7 +412,8 @@ mod tests {
                 total += t;
                 restarts += r;
             }
-            (w.stats.restarts, w.stats.faults_detected, total, restarts)
+            let s = w.stats();
+            (s.restarts, s.faults_detected, total, restarts)
         };
 
         let (s_restarts, s_detected, total, restarts) = serve(42);
@@ -469,32 +433,29 @@ mod tests {
     fn telemetry_spans_nest_restarts_inside_recovery_episodes() {
         use interweave_core::telemetry::{well_bracketed, Sink, SpanKind};
         use interweave_core::{FaultConfig, FaultPlan};
-        let mut probe = Virtine::new(extract_one(&programs::fib(12).module, FuncId(0)));
-        probe.invoke(&[Val::I(12)], u64::MAX / 4);
-        let budget = probe.guest_cycles + probe.guest_cycles / 3;
+        let image = extract_one(&programs::fib(12).module, FuncId(0));
+        let guest = ServiceProfile::calibrate(&image, &[Val::I(12)], u64::MAX / 4).guest_cycles;
+        let budget = guest + guest / 3;
 
         let mut faults = FaultPlan::new(FaultConfig {
             virtine_kill: 1.0,
             ..FaultConfig::quiet(42)
         });
-        let mut w = Wasp::new(
-            extract_one(&programs::fib(12).module, FuncId(0)),
-            MachineConfig::xeon_server_2s(),
-        );
+        let mut w = Wasp::new(image, MachineConfig::xeon_server_2s());
         let sink = Sink::on();
         w.set_telemetry(sink.clone());
         for _ in 0..10 {
             let (outcome, _, _) = w.invoke_recovering(&[Val::I(12)], budget, &mut faults, 64);
             assert_eq!(outcome, VirtineOutcome::Returned(Some(Val::I(144))));
         }
-        assert_eq!(sink.counter("virtines.invocations"), w.stats.invocations);
-        assert_eq!(sink.counter("virtines.restarts"), w.stats.restarts);
+        assert_eq!(sink.counter("virtines.invocations"), w.stats().invocations);
+        assert_eq!(sink.counter("virtines.restarts"), w.stats().restarts);
         assert_eq!(
             sink.counter("virtines.faults_detected"),
-            w.stats.faults_detected
+            w.stats().faults_detected
         );
-        assert_eq!(sink.counter("virtines.cold_starts"), w.stats.cold_starts);
-        assert_eq!(sink.counter("virtines.reuses"), w.stats.reuses);
+        assert_eq!(sink.counter("virtines.cold_starts"), w.stats().cold_starts);
+        assert_eq!(sink.counter("virtines.reuses"), w.stats().reuses);
         let spans = sink.spans();
         assert!(
             spans.iter().any(|s| s.kind == SpanKind::FaultRecovery),
@@ -524,7 +485,7 @@ mod tests {
         assert_eq!(o, plain);
         assert_eq!(t, t_plain);
         assert_eq!(restarts, 0);
-        assert_eq!(w2.stats.faults_detected, 0);
+        assert_eq!(w2.stats().faults_detected, 0);
         assert_eq!(faults.total_injected(), 0, "quiet plan draws nothing");
     }
 
@@ -535,9 +496,9 @@ mod tests {
             MachineConfig::xeon_server_2s(),
         );
         w.prewarm(2);
-        let cold_starts_before = w.stats.cold_starts;
+        let cold_starts_before = w.stats().cold_starts;
         let (_, t) = w.invoke(&[Val::I(5)], u64::MAX / 4);
-        assert_eq!(w.stats.cold_starts, cold_starts_before);
+        assert_eq!(w.stats().cold_starts, cold_starts_before);
         // Warm latency bound: snapshot restore + tiny fib.
         let bound = startup(LaunchPath::VirtineSnapshot)
             .total_cycles(&MachineConfig::xeon_server_2s())

@@ -7,6 +7,7 @@ use interweave_core::telemetry::{well_bracketed, Layer, Sink, SpanKind};
 use interweave_core::{FaultConfig, FaultPlan};
 use interweave_virtines::context::VirtineOutcome;
 use interweave_virtines::extract::extract_one;
+use interweave_virtines::serve::ServiceProfile;
 use interweave_virtines::wasp::Wasp;
 use proptest::prelude::*;
 
@@ -28,9 +29,8 @@ proptest! {
         let image = extract_one(&prog.module, prog.entry);
 
         // Budget tight enough that an injected kill usually lands mid-run.
-        let mut probe = interweave_virtines::context::Virtine::new(image.clone());
-        probe.invoke(&prog.args, u64::MAX / 4);
-        let budget = probe.guest_cycles + probe.guest_cycles / 4;
+        let guest = ServiceProfile::calibrate(&image, &prog.args, u64::MAX / 4).guest_cycles;
+        let budget = guest + guest / 4;
 
         let mut faults = FaultPlan::new(FaultConfig {
             virtine_kill: kill,
@@ -59,7 +59,7 @@ proptest! {
             .iter()
             .filter(|s| s.kind == SpanKind::FaultRecovery)
             .collect();
-        prop_assert_eq!(calls, w.stats.invocations);
+        prop_assert_eq!(calls, w.stats().invocations);
         prop_assert_eq!(calls, reqs as u64 + restarts);
         for rec in &recoveries {
             let inside = spans
@@ -72,13 +72,13 @@ proptest! {
         }
 
         // Registry counters mirror the pool statistics exactly.
-        prop_assert_eq!(sink.counter("virtines.invocations"), w.stats.invocations);
-        prop_assert_eq!(sink.counter("virtines.restarts"), w.stats.restarts);
+        prop_assert_eq!(sink.counter("virtines.invocations"), w.stats().invocations);
+        prop_assert_eq!(sink.counter("virtines.restarts"), w.stats().restarts);
         prop_assert_eq!(sink.counter("virtines.restarts"), restarts);
-        prop_assert_eq!(sink.counter("virtines.faults_detected"), w.stats.faults_detected);
+        prop_assert_eq!(sink.counter("virtines.faults_detected"), w.stats().faults_detected);
         prop_assert_eq!(
             sink.counter("virtines.cold_starts") + sink.counter("virtines.reuses"),
-            w.stats.invocations
+            w.stats().invocations
         );
     }
 }

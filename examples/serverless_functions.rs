@@ -69,8 +69,8 @@ fn main() {
         "\nserved {n_requests} requests: mean {}, worst {}, pool: {} cold starts / {} reuses",
         mc.freq.us(total / n_requests as u64),
         mc.freq.us(worst),
-        wasp.stats.cold_starts,
-        wasp.stats.reuses
+        wasp.stats().cold_starts,
+        wasp.stats().reuses
     );
     println!("(compare: one *container* start costs {})", {
         startup(LaunchPath::Container).total()
